@@ -9,14 +9,14 @@ k = 10, both scoring modes, three configurations —
 
 - **exhaustive**  (top-k off — the byte-identity baseline),
 - **top-k cold**  (no scan cache: pruning is the only saving),
-- **top-k warm**  (scan cache populated by the exhaustive run: cached
-  partials carry decoded attributes, so emission is decode-free).
+- **top-k warm**  (scan cache opened and filled by top-k queries
+  themselves: nothing is scanned, only the k winners are decoded).
 
 Gates (env-overridable for CI smoke):
 
 - results byte-identical across all three configurations,
 - ``cells_decoded`` reduced by >= ``REPRO_TOPK_DECODE_RATIO_MIN``
-  (default 2.0) cold vs exhaustive, and to zero warm,
+  (default 2.0) cold vs exhaustive, and to at most k warm,
 - median wall clock improved by >= ``REPRO_TOPK_SPEEDUP_MIN`` (default
   1.0, i.e. "not slower"; CI smoke sets 0.0 because the shrunk
   workload's absolute times are noise-dominated).
@@ -105,17 +105,16 @@ def test_topk_vs_exhaustive(bench_platform, benchmark):
                 inner.topk = TopKConfig(enabled=True)
                 cold_ms, cold = _measure(qa, query)
 
-                # Warm path: the exhaustive query populates the scan
-                # cache (top-k reads it but never stores), then the
-                # pruned query answers decode-free off cached partials.
+                # Warm path: the first pruned query opens the regions'
+                # cache generations, _measure's warm-up fills them, and
+                # every timed repetition answers off cached partials.
                 # Keys are per (region, friend, window): capacity must
                 # cover the friend set, not the region count.
                 cache = RegionScanCache(max_entries=max(65536, 4 * FRIENDS))
                 cluster.attach_scan_cache(cache)
-                inner.topk = TopKConfig(enabled=False)
                 qa.search(query)
-                inner.topk = TopKConfig(enabled=True)
                 warm_ms, warm = _measure(qa, query)
+                assert warm.cache_misses == 0 and warm.records_scanned == 0
                 cluster.attach_scan_cache(None)
 
                 # Byte-identity across all three configurations.
@@ -131,9 +130,9 @@ def test_topk_vs_exhaustive(bench_platform, benchmark):
                     % (ratio, DECODE_RATIO_MIN, K, FRIENDS,
                        ex.cells_decoded, cold.cells_decoded)
                 )
-                assert warm.cells_decoded == 0, (
-                    "warm-cache top-k decoded %d cells; cached partials"
-                    " should make emission decode-free" % warm.cells_decoded
+                assert warm.cells_decoded <= K, (
+                    "warm-cache top-k decoded %d cells; only the %d"
+                    " winners may be" % (warm.cells_decoded, K)
                 )
                 if SPEEDUP_MIN > 0:
                     assert ex_ms >= SPEEDUP_MIN * cold_ms, (

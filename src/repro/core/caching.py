@@ -155,9 +155,8 @@ class HotPOICache:
             epoch = self._epoch
             stale = len(self._entries)
             self._entries.clear()
-            if stale:
-                self._invalidations += stale
-                self._emit("cache.invalidations", stale)
+            self._invalidations += stale
+        self._emit(invalidations=stale)
         if self.event_log is not None:
             self.event_log.emit(
                 {
@@ -174,22 +173,24 @@ class HotPOICache:
         and ``version``; None (and eager drop) otherwise."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
+            hit = (
+                entry is not None
+                and entry[0] == self._epoch
+                and entry[1] == version
+            )
+            if hit:
+                self._entries.move_to_end(key)
+                self._hits += 1
+            else:
                 self._misses += 1
-                self._emit("cache.misses")
-                return None
-            epoch, stored_version, rows = entry
-            if epoch != self._epoch or stored_version != version:
-                del self._entries[key]
-                self._invalidations += 1
-                self._misses += 1
-                self._emit("cache.invalidations")
-                self._emit("cache.misses")
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            self._emit("cache.hits")
-            return rows
+                if entry is not None:
+                    del self._entries[key]
+                    self._invalidations += 1
+        if hit:
+            self._emit(hits=1)
+            return entry[2]
+        self._emit(invalidations=int(entry is not None), misses=1)
+        return None
 
     def get_stale(self, key: Hashable) -> Optional[Any]:
         """The cached rows for ``key`` regardless of epoch/version —
@@ -200,35 +201,41 @@ class HotPOICache:
         finds the cache warm."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                return None
-            self._entries.move_to_end(key)
-            self._emit("cache.stale_serves")
-            return entry[2]
+            if entry is not None:
+                self._entries.move_to_end(key)
+        if entry is None:
+            return None
+        self._emit(stale_serves=1)
+        return entry[2]
 
     def store(self, key: Hashable, version: int, rows: Any) -> None:
+        evicted = 0
         with self._lock:
             self._entries[key] = (self._epoch, version, rows)
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
-                self._evictions += 1
-                self._emit("cache.evictions")
+                evicted += 1
+            self._evictions += evicted
+        self._emit(evictions=evicted)
 
     def clear(self) -> int:
         with self._lock:
             removed = len(self._entries)
             self._entries.clear()
-            if removed:
-                self._invalidations += removed
-                self._emit("cache.invalidations", removed)
+            self._invalidations += removed
+        self._emit(invalidations=removed)
         return removed
 
-    def _emit(self, name: str, amount: int = 1) -> None:
+    def _emit(self, **amounts: int) -> None:
+        """Report ``cache.<name>`` counts; never called under the lock
+        (the registry takes its own)."""
         if self._metrics is not None:
-            self._metrics.increment(
-                name, amount, labels={"cache": "hot_poi"}
-            )
+            for name, amount in amounts.items():
+                if amount:
+                    self._metrics.increment(
+                        "cache." + name, amount, labels={"cache": "hot_poi"}
+                    )
 
     def stats(self) -> Dict[str, Any]:
         with self._lock:

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...errors import DegradedResultWarning, QueryError
 from ...geo import BoundingBox
 from ...hbase import Coprocessor, CoprocessorContext
+from ...hbase.cache import FriendPartial
 from ..repositories.poi import POIRepository
 from ..caching import HotPOICache, SingleFlight
 from ..repositories.visits import (
@@ -24,9 +26,14 @@ from ..repositories.visits import (
     SCHEMA_NORMALIZED,
     VisitsRepository,
 )
-from ..serialization import decode_json
 from ..tracing import NULL_TRACER, Tracer
-from .topk import TopKMerger, TopKPartialStream
+from .topk import (
+    PartialAggregates,
+    TopKMerger,
+    TopKPartialStream,
+    decode_attrs,
+    passes_filter,
+)
 
 SORT_INTEREST = "interest"
 SORT_HOTNESS = "hotness"
@@ -164,45 +171,122 @@ class VisitScanCoprocessor(Coprocessor):
     criteria, aggregates multiple visits referring to the same POI and
     sorts the candidate POIs according to the aggregated scores."
 
-    The endpoint aggregates straight from row keys and raw payload
-    dicts — no :class:`VisitStruct` is built per cell.  Payload decoding
-    is lazy: the POI id comes from fixed row-key offsets, and because the
-    replicated POI attributes (name/lat/lon/keywords) are per-POI
-    constants, a POI's full payload is parsed once per region — repeat
-    visits extract just the grade positionally, and visits to a
-    filter-rejected POI skip decoding entirely.  ``cells_decoded`` in
-    the context counters (full payload parses) makes the saving
-    observable.
+    The endpoint aggregates straight from row keys and raw payloads —
+    no :class:`VisitStruct` is built per cell and the scan parses
+    nothing: the POI id comes from fixed row-key offsets and the grade
+    from a positional slice.  Because the replicated POI attributes
+    (name/lat/lon/keywords) are per-POI constants, one raw payload
+    reference per POI is enough to decode them later, at most once per
+    POI per region: for every aggregated POI in exhaustive mode, for
+    filter evaluation and the k winners in streaming mode.
+    ``cells_decoded`` in the context counters (full payload parses)
+    makes the saving observable.
     """
 
     name = "visit-scan"
 
     def run(self, context: CoprocessorContext, request: _VisitScanRequest):
-        if request.top_k > 0 and request.per_region_limit == 0:
-            return self._run_topk(context, request)
+        """Fold every owned friend's partial (see :meth:`_fold_friends`),
+        then either hand the exact aggregates to the merger as a
+        score-sorted :class:`TopKPartialStream` (streaming mode: decode,
+        filter and shipping are deferred and cancellable) or decode,
+        filter and ship all of them."""
+        aggregates, memo, cells_scanned = self._fold_friends(context, request)
         bbox = (
             BoundingBox.from_tuple(request.bbox)
             if request.bbox is not None
             else None
         )
         wanted = set(request.keywords)
+        if request.top_k > 0 and request.per_region_limit == 0:
+            with context.trace("region.sort") as sort_stage:
+                stream = TopKPartialStream(
+                    region_id=context.region_id,
+                    aggregates=aggregates,
+                    memo=memo,
+                    top_k=request.top_k,
+                    hotness=request.hotness,
+                    batch=request.topk_batch,
+                    bbox=bbox,
+                    wanted=wanted,
+                    span=context.span,
+                    cells_scanned=cells_scanned,
+                    deadline_token=context.cancellation,
+                )
+                sort_stage.tag("partials", len(stream.items))
+            return stream
         filtered = bbox is not None or bool(wanted)
+        cells_decoded = 0
+        with context.trace("region.sort") as sort_stage:
+            partial = []
+            for poi_id, grade_sum, count in aggregates.rows():
+                poi_attrs = memo.get(poi_id)
+                if poi_attrs is None:
+                    # One full payload parse per distinct POI per region
+                    # (none when the cache's memo already has it).  This
+                    # mode needs every row anyway, so it leaves them in
+                    # the memo; streams only read it.
+                    poi_attrs = memo[poi_id] = decode_attrs(
+                        aggregates.raw(poi_id)
+                    )
+                    cells_decoded += 1
+                if filtered and not passes_filter(poi_attrs, bbox, wanted):
+                    continue
+                name, lat, lon, _keywords = poi_attrs
+                partial.append((poi_id, grade_sum, count, name, lat, lon))
+            # Region-local sort by aggregated grade; optionally truncate.
+            partial.sort(key=itemgetter(1), reverse=True)
+            sort_stage.tag("cells_decoded", cells_decoded)
+            sort_stage.tag("partials", len(partial))
+        context.count("cells_decoded", cells_decoded)
+        if request.per_region_limit > 0:
+            return partial[: request.per_region_limit]
+        return partial
+
+    def _fold_friends(
+        self, context: CoprocessorContext, request: _VisitScanRequest
+    ) -> Tuple[PartialAggregates, Dict[int, tuple], int]:
+        """The friend-partial core both modes share: for each owned
+        friend and the request's window — cached partial, else scan,
+        aggregate and (if admitted) store — folded in friend order into
+        exact unfiltered per-POI aggregates.
+
+        Returns ``(aggregates, memo, cells_scanned)``: ``aggregates``
+        holds per POI the exact ``grade_sum`` and ``count`` in
+        first-encounter order (no per-POI container, so a 6000-friend
+        fold leaves the garbage collector nothing to track) and finds a
+        POI's raw payload on demand; ``memo`` is the
+        ``poi_id -> attribute row`` memo of this region (the cache
+        generation's when there is one, else a fresh dict).
+
+        The scan always completes and parses nothing: the POI id comes
+        from fixed row-key offsets, the grade from the positional
+        ``decode_grade`` slice, and one raw payload reference per POI is
+        kept for whoever decodes attributes later (the fold itself never
+        touches it).  Cached and fresh partials fold through the same
+        loop in the same order, so every float sum is bit-identical with
+        the cache on, off, cold or warm.
+        """
         cache = context.cache
-        window = (request.since, request.until)
-        # poi_id -> [grade_sum, count, name, lat, lon]
-        aggregates: Dict[int, list] = {}
-        #: Per-request filter memo: poi_id -> accepted?  (Cache entries
-        #: are filter-independent, so the verdict is computed at fold
-        #: time from the attribute memo.)
-        verdicts: Dict[int, bool] = {}
-        #: Per-run attribute memo: poi_id -> (name, lat, lon, keywords).
-        #: One full payload parse per distinct POI per invocation —
-        #: exactly the lazy-decoding contract of the single-pass loop
-        #: this replaced; cache hits seed it without any parse.
-        attrs: Dict[int, tuple] = {}
+        since, until = request.since, request.until
+        # Captured before any scan: a write racing with this invocation
+        # moves the region's seqid, which ends cache reads and fills.
+        seqid = context.data_seqid
+        generation = (
+            cache.lookup(context.region_id, seqid)
+            if cache is not None
+            else None
+        )
+        #: None: nothing cached at this seqid and not admitted to fill.
+        entries = generation.entries if generation is not None else None
+        fills: Dict[Tuple, FriendPartial] = {}
+        aggregates = PartialAggregates()
+        # ``PartialAggregates.add`` inlined below: this is the hot loop.
+        grade_sums = aggregates.grade_sums
+        counts = aggregates.counts
+        add_source = aggregates.sources.append
         cache_hits = 0
         cache_misses = 0
-        cells_decoded = 0
         cells_scanned = 0
         time_range_keys = VisitsRepository.time_range_keys
         user_prefix = VisitsRepository.user_prefix
@@ -220,31 +304,28 @@ class VisitScanCoprocessor(Coprocessor):
                 if not context.contains_row(prefix + b"\x00"):
                     # Another region owns this friend's salted key range.
                     continue
-            # ---- per-friend unfiltered aggregate: cache, else scan ----
-            partial_items = None
-            if cache is not None:
-                cached = cache.lookup(
-                    context.region_id, friend_id, window, context.data_seqid
-                )
-                if cached is not None:
-                    cache_hits += 1
-                    partial_items = cached.partial
-                    for poi_id, poi_attrs in cached.attrs.items():
-                        if poi_id not in attrs:
-                            attrs[poi_id] = poi_attrs
+            cached = None
+            if entries is not None:
+                if context.data_seqid != seqid:
+                    entries = None
                 else:
-                    cache_misses += 1
-            if partial_items is None:
-                # Stamp with the seqid *before* scanning: a write racing
-                # with this scan bumps it, so the stored entry is stale
-                # on arrival and no lookup will ever accept it.
-                seqid = context.data_seqid if cache is not None else 0
+                    cached = entries.get((friend_id, since, until))
+            if cached is not None:
+                cache_hits += 1
+                poi_ids = cached.poi_ids
+                friend_sums = cached.grade_sums
+                friend_counts = cached.counts
+                raws = cached.raws
+            else:
+                cache_misses += 1
                 friend_cells = 0
-                # poi_id -> [grade_sum, count], first-encounter order.
-                partial: Dict[int, list] = {}
-                start, stop = time_range_keys(
-                    friend_id, request.since, request.until
-                )
+                # This friend's partial, columns in first-encounter
+                # order: poi_id -> row of friend_sums/friend_counts/raws.
+                seen: Dict[int, int] = {}
+                friend_sums = []
+                friend_counts = []
+                raws = []
+                start, stop = time_range_keys(friend_id, since, until)
                 for cell in scan(FAMILY, start, stop):
                     friend_cells += 1
                     if token is not None and not (
@@ -258,86 +339,46 @@ class VisitScanCoprocessor(Coprocessor):
                             token.checkpoint(cells_scanned + friend_cells)
                         except Exception:
                             context.add_scanned(cells_scanned + friend_cells)
-                            context.count("cells_decoded", cells_decoded)
                             raise
                     # Cheap key-only decode: poi id at fixed row offsets.
                     poi_id = int.from_bytes(cell.row[21:29], "big")
-                    entry = partial.get(poi_id)
-                    if entry is not None:
-                        # Known POI: only the grade is needed, and a
-                        # positional slice beats a full JSON parse.
-                        entry[0] += decode_grade(cell.value)
-                        entry[1] += 1
-                        continue
-                    if poi_id in attrs:
-                        grade = decode_grade(cell.value)
+                    row = seen.get(poi_id)
+                    if row is None:
+                        seen[poi_id] = len(raws)
+                        friend_sums.append(decode_grade(cell.value))
+                        friend_counts.append(1)
+                        raws.append(cell.value)
                     else:
-                        payload = decode_json(cell.value)
-                        cells_decoded += 1
-                        grade = payload["grade"]
-                        attrs[poi_id] = (
-                            payload.get("name", ""),
-                            payload.get("lat", 0.0),
-                            payload.get("lon", 0.0),
-                            tuple(payload.get("keywords", ())),
-                        )
-                    partial[poi_id] = [grade, 1]
+                        friend_sums[row] += decode_grade(cell.value)
+                        friend_counts[row] += 1
                 cells_scanned += friend_cells
-                partial_items = tuple(
-                    (poi_id, entry[0], entry[1])
-                    for poi_id, entry in partial.items()
-                )
-                if cache is not None:
-                    cache.store(
-                        context.region_id,
-                        friend_id,
-                        window,
-                        seqid,
-                        partial_items,
-                        {item[0]: attrs[item[0]] for item in partial_items},
-                        cells=friend_cells,
-                    )
-            # ---- fold: apply this request's filters, then aggregate ----
-            # Identical fold structure whether the partial came from the
-            # cache or a fresh scan, so answers are bit-identical.
-            for poi_id, grade_sum, count in partial_items:
-                agg = aggregates.get(poi_id)
-                if agg is not None:
-                    agg[0] += grade_sum
-                    agg[1] += count
-                    continue
-                name, lat, lon, poi_keywords = attrs[poi_id]
-                if filtered:
-                    decision = verdicts.get(poi_id)
-                    if decision is None:
-                        decision = not (
-                            (
-                                bbox is not None
-                                and not bbox.contains_coords(lat, lon)
-                            )
-                            or (
-                                wanted
-                                and not (
-                                    wanted
-                                    & {
-                                        str(k).lower()
-                                        for k in poi_keywords
-                                    }
-                                )
-                            )
+                poi_ids = list(seen)
+                if entries is not None:
+                    if context.data_seqid == seqid:
+                        fills[(friend_id, since, until)] = FriendPartial(
+                            poi_ids, friend_sums, friend_counts, raws
                         )
-                        verdicts[poi_id] = decision
-                    if not decision:
-                        continue
-                aggregates[poi_id] = [grade_sum, count, name, lat, lon]
+                    else:
+                        entries = None
+            add_source((poi_ids, raws))
+            for poi_id, grade_sum, count in zip(
+                poi_ids, friend_sums, friend_counts
+            ):
+                if poi_id in counts:
+                    grade_sums[poi_id] += grade_sum
+                    counts[poi_id] += count
+                else:
+                    grade_sums[poi_id] = grade_sum
+                    counts[poi_id] = count
 
         stage.tag("cells_scanned", cells_scanned)
-        stage.tag("cells_decoded", cells_decoded)
+        stage.tag("pois", len(aggregates))
         stage.finish()
-
         context.add_scanned(cells_scanned)
-        context.count("cells_decoded", cells_decoded)
         if cache is not None:
+            if fills and entries is not None:
+                cache.store(context.region_id, generation, fills)
+            cache.record(cache_hits, cache_misses)
             # Marker span: per-region cache effectiveness, visible as a
             # ``cache.lookup`` child in the query's fan-out trace.
             context.trace(
@@ -348,171 +389,10 @@ class VisitScanCoprocessor(Coprocessor):
             ).finish()
             context.count("cache_hits", cache_hits)
             context.count("cache_misses", cache_misses)
-        with context.trace("region.sort") as sort_stage:
-            partial = [
-                (poi_id, entry[0], entry[1], entry[2], entry[3], entry[4])
-                for poi_id, entry in aggregates.items()
-            ]
-            # Region-local sort by aggregated grade; optionally truncate.
-            partial.sort(key=lambda item: item[1], reverse=True)
-            sort_stage.tag("partials", len(partial))
-        if request.per_region_limit > 0:
-            return partial[: request.per_region_limit]
-        return partial
-
-    def _run_topk(
-        self, context: CoprocessorContext, request: _VisitScanRequest
-    ) -> TopKPartialStream:
-        """Streaming (threshold-algorithm) mode: aggregate *exactly* as
-        the exhaustive path does, but defer everything downstream of the
-        aggregation — attribute decoding, filtering, shipping — into a
-        score-sorted :class:`TopKPartialStream` the merger drains in
-        bounded batches and can cancel mid-emission.
-
-        The scan itself always completes (aggregates must be exact for
-        byte-identity), and it needs *zero* full payload parses: the POI
-        id comes from row-key offsets and the grade from the positional
-        ``decode_grade`` slice.  One representative raw payload per POI
-        is kept so emitted items can decode attributes lazily; cache
-        hits pre-seed the attribute memo, so warm streams emit decode-
-        free.  Cache *misses are not stored back*: a scan-cache entry
-        must carry parsed attributes for every POI in the partial, which
-        is exactly the work this mode exists to avoid.
-        """
-        window = (request.since, request.until)
-        cache = context.cache
-        # poi_id -> [grade_sum, count]; identical per-friend float fold
-        # (and thus bit-identical sums) as the exhaustive path.
-        aggregates: Dict[int, list] = {}
-        #: poi_id -> one raw payload, for lazy attribute decode.
-        raw: Dict[int, bytes] = {}
-        #: poi_id -> (name, lat, lon, keywords), cache-hit seeded.
-        attrs: Dict[int, tuple] = {}
-        cache_hits = 0
-        cache_misses = 0
-        cells_scanned = 0
-        time_range_keys = VisitsRepository.time_range_keys
-        user_prefix = VisitsRepository.user_prefix
-        decode_grade = VisitsRepository.decode_grade
-        scan = context.scan_uncounted
-        token = context.cancellation
-        check_every = token.check_every if token is not None else 0
-
-        stage = context.trace("region.aggregate", topk=request.top_k)
-        for friend_id in request.friend_ids:
-            if not request.routed:
-                prefix = user_prefix(friend_id)
-                if not context.contains_row(prefix + b"\x00"):
-                    continue
-            partial_items = None
-            if cache is not None:
-                cached = cache.lookup(
-                    context.region_id, friend_id, window, context.data_seqid
-                )
-                if cached is not None:
-                    cache_hits += 1
-                    partial_items = cached.partial
-                    for poi_id, poi_attrs in cached.attrs.items():
-                        if poi_id not in attrs:
-                            attrs[poi_id] = poi_attrs
-                else:
-                    cache_misses += 1
-            if partial_items is None:
-                friend_cells = 0
-                partial: Dict[int, list] = {}
-                start, stop = time_range_keys(
-                    friend_id, request.since, request.until
-                )
-                for cell in scan(FAMILY, start, stop):
-                    friend_cells += 1
-                    if token is not None and not (
-                        (cells_scanned + friend_cells) % check_every
-                    ):
-                        try:
-                            token.checkpoint(cells_scanned + friend_cells)
-                        except Exception:
-                            context.add_scanned(cells_scanned + friend_cells)
-                            raise
-                    poi_id = int.from_bytes(cell.row[21:29], "big")
-                    entry = partial.get(poi_id)
-                    if entry is not None:
-                        entry[0] += decode_grade(cell.value)
-                        entry[1] += 1
-                        continue
-                    if poi_id not in attrs and poi_id not in raw:
-                        raw[poi_id] = cell.value
-                    partial[poi_id] = [decode_grade(cell.value), 1]
-                cells_scanned += friend_cells
-                partial_items = tuple(
-                    (poi_id, entry[0], entry[1])
-                    for poi_id, entry in partial.items()
-                )
-            # Unfiltered fold — filtering moves to emission time, where
-            # attributes are decoded lazily.  Per-POI addition order is
-            # friend order either way, so sums are bit-identical.
-            for poi_id, grade_sum, count in partial_items:
-                agg = aggregates.get(poi_id)
-                if agg is None:
-                    aggregates[poi_id] = [grade_sum, count]
-                else:
-                    agg[0] += grade_sum
-                    agg[1] += count
-
-        stage.tag("cells_scanned", cells_scanned)
-        stage.tag("pois", len(aggregates))
-        stage.finish()
-        context.add_scanned(cells_scanned)
-        if cache is not None:
-            context.trace(
-                "cache.lookup",
-                friends=len(request.friend_ids),
-                hits=cache_hits,
-                misses=cache_misses,
-            ).finish()
-            context.count("cache_hits", cache_hits)
-            context.count("cache_misses", cache_misses)
-
-        hotness = request.hotness
-        with context.trace("region.sort") as sort_stage:
-            agg_tuples = {
-                poi_id: (entry[0], entry[1])
-                for poi_id, entry in aggregates.items()
-            }
-            if hotness:
-                items = sorted(
-                    (
-                        (poi_id, gs, cnt)
-                        for poi_id, (gs, cnt) in agg_tuples.items()
-                    ),
-                    key=lambda item: (-item[2], item[0]),
-                )
-            else:
-                items = sorted(
-                    (
-                        (poi_id, gs, cnt)
-                        for poi_id, (gs, cnt) in agg_tuples.items()
-                    ),
-                    key=lambda item: (-(item[1] / item[2]), item[0]),
-                )
-            sort_stage.tag("partials", len(items))
-        return TopKPartialStream(
-            region_id=context.region_id,
-            items=items,
-            aggregates=agg_tuples,
-            raw=raw,
-            attrs=attrs,
-            top_k=request.top_k,
-            hotness=hotness,
-            batch=request.topk_batch,
-            bbox=(
-                BoundingBox.from_tuple(request.bbox)
-                if request.bbox is not None
-                else None
-            ),
-            wanted=set(request.keywords),
-            span=context.span,
-            cells_scanned=cells_scanned,
-            deadline_token=token,
+        return (
+            aggregates,
+            generation.attrs if generation is not None else {},
+            cells_scanned,
         )
 
     # merge() default (list concatenation) is right: the web-server tier
@@ -543,7 +423,7 @@ class VisitScanCoprocessor(Coprocessor):
             return False
         if isinstance(partial, TopKPartialStream):
             return isinstance(partial.items, list) and all(
-                isinstance(item, tuple) and len(item) == 3
+                isinstance(item, tuple) and len(item) == 4
                 for item in partial.items
             )
         return isinstance(partial, list) and all(

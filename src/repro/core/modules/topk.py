@@ -71,7 +71,16 @@ traces from a proof abort (complete by proof, coverage untouched).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ...errors import QueryCancelled
 from ...hbase.cancellation import (
@@ -83,20 +92,114 @@ from ...hbase.coprocessor import StreamingPartial
 from ..serialization import decode_json
 
 
+def decode_attrs(raw: bytes) -> tuple:
+    """The ``(name, lat, lon, keywords)`` attribute row of one raw visit
+    payload — the full JSON parse both coprocessor modes defer."""
+    payload = decode_json(raw)
+    return (
+        payload.get("name", ""),
+        payload.get("lat", 0.0),
+        payload.get("lon", 0.0),
+        tuple(payload.get("keywords", ())),
+    )
+
+
+def passes_filter(attrs: tuple, bbox: Optional[Any], wanted: set) -> bool:
+    """A query's spatial/textual predicate over one attribute row."""
+    _name, lat, lon, poi_keywords = attrs
+    if bbox is not None and not bbox.contains_coords(lat, lon):
+        return False
+    return not wanted or bool(
+        wanted & {str(k).lower() for k in poi_keywords}
+    )
+
+
+class PartialAggregates:
+    """One region invocation's exact per-POI aggregates.
+
+    Two dicts keyed by POI in first-encounter order, ``grade_sums`` and
+    ``counts``.  Their values are plain floats and ints — no per-POI
+    container — so folding thousands of friends allocates nothing the
+    cyclic garbage collector has to track and re-traverse.
+
+    Raw payloads are not folded at all.  ``sources`` lists, per folded
+    friend, ``(poi_ids, raws)`` — the friend's POI ids and the matching
+    raw visit payload references — and :meth:`raw` builds the
+    ``poi_id -> payload`` map from them on first use.  Attributes are
+    per-POI constants and a top-k query decodes only its k winners, so
+    most regions never build the map and never touch a payload.
+    """
+
+    __slots__ = ("grade_sums", "counts", "sources", "_raws")
+
+    def __init__(self) -> None:
+        self.grade_sums: Dict[int, float] = {}
+        self.counts: Dict[int, int] = {}
+        self.sources: List[Tuple[Sequence[int], Sequence[bytes]]] = []
+        self._raws: Optional[Dict[int, bytes]] = None
+
+    @classmethod
+    def from_rows(
+        cls, rows: Iterable[Tuple[int, float, int, Optional[bytes]]]
+    ) -> "PartialAggregates":
+        """Fold ``(poi_id, grade_sum, count, raw_payload)`` rows."""
+        aggregates = cls()
+        for poi_id, grade_sum, count, raw in rows:
+            aggregates.add(poi_id, grade_sum, count)
+            aggregates.sources.append(((poi_id,), (raw,)))
+        return aggregates
+
+    def add(self, poi_id: int, grade_sum: float, count: int) -> None:
+        """Fold one contribution (the coprocessor's friend loop inlines
+        exactly this)."""
+        if poi_id in self.counts:
+            self.grade_sums[poi_id] += grade_sum
+            self.counts[poi_id] += count
+        else:
+            self.grade_sums[poi_id] = grade_sum
+            self.counts[poi_id] = count
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def rows(self):
+        """``(poi_id, grade_sum, count)`` per POI, in first-encounter
+        order."""
+        return zip(
+            self.counts, self.grade_sums.values(), self.counts.values()
+        )
+
+    def raw(self, poi_id: int) -> Optional[bytes]:
+        """One representative raw visit payload of the POI (the first
+        one the fold encountered)."""
+        raws = self._raws
+        if raws is None:
+            raws = self._raws = {}
+            # Last friend first, so the first-encountered payload wins.
+            for poi_ids, payloads in reversed(self.sources):
+                raws.update(zip(poi_ids, payloads))
+        return raws[poi_id]
+
+
 class TopKPartialStream(StreamingPartial):
     """One region's score-sorted partial, emitted in bounded batches.
 
     Built by :class:`~repro.core.modules.query_answering.
     VisitScanCoprocessor` after its (always complete) aggregation scan.
-    ``items`` is the region's per-POI ``(poi_id, grade_sum, count)``
-    list sorted descending by the query's *local* sort key (count for
-    hotness, local mean for interest) with ``poi_id`` as the stable
-    tie-break; ``aggregates`` is the same data as a dict for O(1)
-    random-access probes; ``raw`` maps each POI to one representative
-    raw payload (attribute decoding is deferred to the merger's final
-    fetch of the k winners, which is the entire saving); ``attrs`` is
-    pre-seeded from scan-cache hits — a warm cache means even the
-    winners cost no parse at all.
+    ``aggregates`` (a :class:`PartialAggregates`) holds each POI's exact
+    ``grade_sum`` / ``count`` and doubles as the O(1) random-access
+    probe map; it also finds one representative raw visit payload of a
+    POI on demand (attribute decoding is deferred to the merger's final
+    fetch of the k winners, which is the entire saving; streams whose
+    ``memo`` already covers every POI never ask).  ``items`` is the same
+    data as ``(sort_key, poi_id, grade_sum, count)`` tuples in ascending
+    order, where ``sort_key`` is the negated *local* sort key (count for
+    hotness, local mean for interest) — i.e. descending by that key
+    with ``poi_id`` as the tie-break.  ``memo`` holds attribute rows parsed
+    before this stream existed (the scan cache's per-region memo, filled
+    by exhaustive queries); the stream only reads it and keeps what it
+    parses itself in ``attrs`` — where the memo covers the winners a
+    warm stream costs no parse at all.
     """
 
     __slots__ = (
@@ -106,8 +209,8 @@ class TopKPartialStream(StreamingPartial):
         "batch",
         "items",
         "aggregates",
-        "raw",
         "attrs",
+        "memo",
         "bbox",
         "wanted",
         "span",
@@ -123,15 +226,14 @@ class TopKPartialStream(StreamingPartial):
         "pruned",
         "aborted",
         "_verdicts",
+        "_count_of",
     )
 
     def __init__(
         self,
         region_id: int,
-        items: List[Tuple[int, float, int]],
-        aggregates: Dict[int, tuple],
-        raw: Dict[int, bytes],
-        attrs: Dict[int, tuple],
+        aggregates: PartialAggregates,
+        memo: Mapping[int, tuple],
         top_k: int,
         hotness: bool,
         batch: int,
@@ -145,10 +247,25 @@ class TopKPartialStream(StreamingPartial):
         self.top_k = top_k
         self.hotness = hotness
         self.batch = max(1, batch)
-        self.items = items
         self.aggregates = aggregates
-        self.raw = raw
-        self.attrs = attrs
+        #: Probes run ~100k times per large query and mostly miss.
+        self._count_of = aggregates.counts.get
+        # One pass, no key function: poi ids are unique, so plain tuple
+        # order is exactly (sort key descending, poi_id ascending).
+        if hotness:
+            items = [
+                (-count, poi_id, grade_sum, count)
+                for poi_id, grade_sum, count in aggregates.rows()
+            ]
+        else:
+            items = [
+                (-(grade_sum / count), poi_id, grade_sum, count)
+                for poi_id, grade_sum, count in aggregates.rows()
+            ]
+        items.sort()
+        self.items: List[Tuple[float, int, float, int]] = items
+        self.memo = memo
+        self.attrs: Dict[int, tuple] = {}
         self.bbox = bbox
         self.wanted = wanted or set()
         self.span = span
@@ -179,7 +296,7 @@ class TopKPartialStream(StreamingPartial):
         shipped yet.  None once the region is exhausted."""
         if self.cursor >= len(self.items):
             return None
-        poi_id, grade_sum, count = self.items[self.cursor]
+        _key, _poi_id, grade_sum, count = self.items[self.cursor]
         return float(count) if self.hotness else grade_sum / count
 
     @property
@@ -205,33 +322,18 @@ class TopKPartialStream(StreamingPartial):
     def _attrs_for(self, poi_id: int) -> tuple:
         attrs = self.attrs.get(poi_id)
         if attrs is None:
-            payload = decode_json(self.raw[poi_id])
-            self.cells_decoded += 1
-            attrs = (
-                payload.get("name", ""),
-                payload.get("lat", 0.0),
-                payload.get("lon", 0.0),
-                tuple(payload.get("keywords", ())),
-            )
+            attrs = self.memo.get(poi_id)
+            if attrs is None:
+                attrs = decode_attrs(self.aggregates.raw(poi_id))
+                self.cells_decoded += 1
             self.attrs[poi_id] = attrs
         return attrs
 
     def _passes_filter(self, poi_id: int) -> bool:
         verdict = self._verdicts.get(poi_id)
         if verdict is None:
-            name, lat, lon, poi_keywords = self._attrs_for(poi_id)
-            verdict = not (
-                (
-                    self.bbox is not None
-                    and not self.bbox.contains_coords(lat, lon)
-                )
-                or (
-                    self.wanted
-                    and not (
-                        self.wanted
-                        & {str(k).lower() for k in poi_keywords}
-                    )
-                )
+            verdict = passes_filter(
+                self._attrs_for(poi_id), self.bbox, self.wanted
             )
             self._verdicts[poi_id] = verdict
         return verdict
@@ -258,7 +360,7 @@ class TopKPartialStream(StreamingPartial):
                 self.deadline_token.checkpoint(
                     self.cells_scanned + self.cursor
                 )
-            poi_id, grade_sum, count = items[self.cursor]
+            _key, poi_id, grade_sum, count = items[self.cursor]
             self.cursor += 1
             if filtered and not self._passes_filter(poi_id):
                 self.skipped += 1
@@ -273,11 +375,11 @@ class TopKPartialStream(StreamingPartial):
         """Random access: this region's exact ``(grade_sum, count)`` for
         one POI, independent of the emission cursor (phase A completed,
         so the aggregate map is total).  No attribute decode."""
-        entry = self.aggregates.get(poi_id)
-        if entry is None:
+        count = self._count_of(poi_id)
+        if count is None:
             return None
         self.probe_hits += 1
-        return entry
+        return self.aggregates.grade_sums[poi_id], count
 
     # -------------------------------------------------------- short-circuit
 

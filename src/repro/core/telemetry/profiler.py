@@ -145,6 +145,13 @@ class ContinuousProfiler:
                 self.samples += 1
                 self._threads_seen.add(ident)
                 sampled += 1
+        # The snapshot holds this thread's own frame, whose local
+        # ``frames`` is the snapshot: a cycle that would keep every
+        # sampled thread's frame — and all its locals — alive until the
+        # cyclic collector ran.  Drop the references, so the sampled
+        # work is freed the moment it finishes.
+        frames.clear()
+        frame = None
         return sampled
 
     # ------------------------------------------------------------- reading

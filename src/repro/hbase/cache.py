@@ -1,36 +1,50 @@
 """Write-aware region scan cache for the personalized query path.
 
 One personalized query scans each queried friend's salted key range
-inside the region owning it.  Overlapping friend sets across concurrent
-queries re-scan (and re-decode) the same ranges; :class:`RegionScanCache`
-memoizes the *per-friend* aggregation so a friend's visits are scanned
-once per (region, time-window) until the region mutates.
+inside the region owning it.  Overlapping friend sets across queries
+re-scan the same ranges; :class:`RegionScanCache` memoizes the
+*per-friend* aggregation so a friend's visits are scanned once per
+(region, time-window) until the region mutates.
 
-Consistency is seqid-driven, not message-driven: every entry is stamped
-with the owning region's :attr:`~repro.hbase.region.Region.data_seqid`
-captured **before** the scan that produced it.  Any MemStore write,
-flush, compaction or TTL change bumps the region's seqid, so a lookup
-against the region's *current* seqid rejects the entry — including
-entries racing with a concurrent write (the write lands after the
-capture, so the stored stamp is already stale by store time).  Cached
-answers are therefore byte-identical to a cache-off run by construction:
-a hit can only serve data whose region is untouched since the scan.
+The cache holds **one generation per region**: ``{seqid, entries}``,
+valid only while ``seqid`` equals the region's current
+:attr:`~repro.hbase.region.Region.data_seqid`.  Any MemStore write,
+flush, compaction or TTL change bumps the region's seqid, so the next
+lookup finds the generation superseded and replaces it wholesale —
+O(1) invalidation, no per-entry stamps.  A region invocation takes the
+cache lock O(1) times: one :meth:`RegionScanCache.lookup` for the
+generation, plain dict probes on it per friend, and at most one
+:meth:`RegionScanCache.store` for everything it scanned.
 
-Cached values are immutable tuples; callers must fold them without
-mutation.  The cache never caches under an injected fault and is
-explicitly invalidated for regions a failed node owned (see
-``HBaseCluster.fail_node``).
+**Admission is observed, not configured.**  ``lookup`` hands out a
+generation only when an *earlier* invocation opened it at the same
+seqid, i.e. the region was not written between two consecutive
+queries.  An invocation that had to open the generation gets ``None``:
+nothing to read, and it must not fill.  A write-hot region therefore
+costs one lookup per invocation and is otherwise never cached.
 
-Thread-safe: one lock guards the LRU map and the stats counters.  Like
-the rest of ``hbase``, this module never imports ``core`` — the metrics
-sink is duck-typed.
+Cached answers are byte-identical to a cache-off run by construction:
+the coprocessor captures the seqid before it scans, stops reading and
+filling the moment the region's seqid moves, and entries keep the
+first-encounter order of a fresh scan so every float sum folds in the
+same order.  Entries are stored without parsing anything (see
+:class:`FriendPartial`).  The cache is never consulted under an
+injected fault and is explicitly invalidated for regions a failed node
+owned (see ``HBaseCluster.fail_node``).
+
+Thread-safe: one lock guards the generation map and the stats
+counters; no metrics call is made while it is held.  Like the rest of
+``hbase``, this module never imports ``core`` — the metrics sink is
+duck-typed.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from array import array
 from collections import OrderedDict
+from itertools import islice
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 #: Labels every metric emission carries, so the scan cache's series
@@ -38,45 +52,74 @@ from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 _METRIC_LABELS = {"cache": "scan"}
 
 
-class _Entry:
-    """One cached per-friend region partial."""
+class FriendPartial:
+    """One friend's unfiltered per-POI aggregates inside one region.
 
-    __slots__ = ("seqid", "partial", "attrs", "cells", "stored_at")
+    Packed columns of ``poi_id`` / ``grade_sum`` / ``count`` in the
+    first-encounter order of the scan that produced them, plus one
+    *reference* per POI to a raw visit payload (the ``cell.value``
+    object the memstore / store file already holds — no copy).  Nothing
+    is parsed to build one; attributes are decoded from ``raws`` lazily,
+    by whichever query needs them, and a fold that needs none never
+    touches them.
+    """
 
-    def __init__(self, seqid, partial, attrs, cells, stored_at):
+    __slots__ = ("poi_ids", "grade_sums", "counts", "raws")
+
+    def __init__(
+        self,
+        poi_ids: Iterable[int],
+        grade_sums: Iterable[float],
+        counts: Iterable[int],
+        raws: Iterable[bytes],
+    ) -> None:
+        self.poi_ids = array("Q", poi_ids)
+        self.grade_sums = array("d", grade_sums)
+        self.counts = array("I", counts)
+        self.raws = tuple(raws)
+
+
+class Generation:
+    """Everything cached for one region at one data seqid."""
+
+    __slots__ = ("seqid", "opened_at", "entries", "attrs")
+
+    def __init__(self, seqid: int, opened_at: float) -> None:
         self.seqid = seqid
-        self.partial = partial
-        self.attrs = attrs
-        self.cells = cells
-        self.stored_at = stored_at
+        self.opened_at = opened_at
+        #: ``(friend_id, since, until)`` -> :class:`FriendPartial`.
+        #: Probed without the cache lock; written only by
+        #: :meth:`RegionScanCache.store`.
+        self.entries: Dict[Tuple, FriendPartial] = {}
+        #: ``poi_id`` -> ``(name, lat, lon, keywords)`` memo of payloads
+        #: already parsed, so a warm query re-parses nothing.  POI
+        #: attributes are per-POI constants.  Exhaustive queries, which
+        #: parse every aggregated POI anyway, add to it directly (single
+        #: dict operations); top-k queries only read it — memoizing what
+        #: their filters examine would grow it to regions x POIs.
+        self.attrs: Dict[int, tuple] = {}
 
 
 class RegionScanCache:
-    """Seqid-stamped LRU over per-friend region scan aggregates.
-
-    Keys are ``(region_id, friend_id, since, until)``; values carry the
-    friend's unfiltered per-POI aggregates — ``((poi_id, grade_sum,
-    count), ...)`` in first-encounter order — plus the attribute rows
-    (name, lat, lon, keywords) of every POI in the partial, so a later
-    query with *different* spatial/textual filters can still reuse the
-    entry and apply its own filter at fold time.
+    """Per-region generations of per-friend region scan aggregates.
 
     Parameters
     ----------
     max_entries:
-        LRU capacity; the least-recently-used entry is evicted on
-        overflow.
+        Bound on the total number of :class:`FriendPartial` entries
+        across all generations; least-recently-used generations are
+        evicted whole on overflow.
     ttl_s:
-        Optional wall-clock lifetime; expired entries are treated as
-        misses and reaped by :meth:`sweep`.
+        Optional wall-clock lifetime of a generation, counted from when
+        it was opened; an expired generation is replaced like a
+        superseded one and reaped by :meth:`sweep`.
     metrics:
         Optional duck-typed ``PlatformMetrics``: evictions and
         invalidations are reported as ``cache.evictions`` /
         ``cache.invalidations`` with ``{"cache": "scan"}`` labels.
-        Hits/misses are *not* emitted per lookup (the friend loop is
-        the hot path); they flow through the coprocessor's counters
-        into per-query results and are aggregated by the monitoring
-        wrapper.
+        Hits/misses are *not* emitted here; they flow through the
+        coprocessor's counters into per-query results and are
+        aggregated by the monitoring wrapper.
     clock:
         Injectable time source for tests (defaults to ``time.monotonic``).
     """
@@ -97,106 +140,92 @@ class RegionScanCache:
         self._metrics = metrics
         self._clock = clock
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Tuple, _Entry]" = OrderedDict()
-        #: region_id -> set of live keys, for O(region's entries)
-        #: invalidation instead of a full-map sweep.
-        self._by_region: Dict[int, set] = {}
+        #: region_id -> generation, least recently used first.
+        self._generations: "OrderedDict[int, Generation]" = OrderedDict()
+        #: Total entries across generations (kept <= ``max_entries``).
+        self._size = 0
         self._hits = 0
         self._misses = 0
         self._evictions = 0
         self._invalidations = 0
 
-    # ------------------------------------------------------------ lookup
+    # ------------------------------------------------- per-invocation API
 
-    def lookup(
-        self,
-        region_id: int,
-        friend_id: int,
-        window: Tuple,
-        current_seqid: int,
-    ) -> Optional[_Entry]:
-        """The entry for ``(region, friend, window)`` if still valid.
+    def lookup(self, region_id: int, current_seqid: int) -> Optional[Generation]:
+        """The region's generation, if an earlier invocation opened it
+        at ``current_seqid`` (and it is within TTL).
 
-        Validity means the stored seqid equals the region's *current*
-        data seqid (any mutation since the producing scan rejects) and
-        the entry is within TTL.  Stale entries are dropped eagerly.
+        Otherwise the region was written since the last query (or never
+        queried): a fresh empty generation replaces whatever was there
+        and ``None`` is returned — the caller has nothing to read and is
+        not admitted to fill.
         """
-        key = (region_id, friend_id, window[0], window[1])
+        now = self._clock()
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                return None
-            if entry.seqid != current_seqid or (
-                self.ttl_s is not None
-                and self._clock() - entry.stored_at >= self.ttl_s
+            generation = self._generations.get(region_id)
+            if (
+                generation is not None
+                and generation.seqid == current_seqid
+                and not self._expired(generation, now)
             ):
-                self._drop(key)
-                self._invalidations += 1
-                self._misses += 1
-                self._emit("cache.invalidations")
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return entry
+                self._generations.move_to_end(region_id)
+                return generation
+            dropped = self._invalidate((region_id,))
+            self._generations[region_id] = Generation(current_seqid, now)
+        self._emit("cache.invalidations", dropped)
+        return None
 
     def store(
         self,
         region_id: int,
-        friend_id: int,
-        window: Tuple,
-        seqid: int,
-        partial: Tuple,
-        attrs: Mapping[int, tuple],
-        cells: int = 0,
+        generation: Generation,
+        fills: Mapping[Tuple, FriendPartial],
     ) -> None:
-        """Insert one per-friend partial, stamped with ``seqid``
-        (the region's data seqid captured *before* the scan ran)."""
-        key = (region_id, friend_id, window[0], window[1])
-        entry = _Entry(seqid, partial, dict(attrs), cells, self._clock())
+        """Add one invocation's freshly scanned partials to the
+        generation :meth:`lookup` handed it.  The caller guarantees the
+        region's seqid still equalled ``generation.seqid`` after the
+        scan that produced each one; fills for a generation that was
+        replaced or invalidated meanwhile are dropped."""
+        evicted = 0
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = entry
-            self._by_region.setdefault(region_id, set()).add(key)
-            while len(self._entries) > self.max_entries:
-                old_key, _ = self._entries.popitem(last=False)
-                keys = self._by_region.get(old_key[0])
-                if keys is not None:
-                    keys.discard(old_key)
-                    if not keys:
-                        del self._by_region[old_key[0]]
-                self._evictions += 1
-                self._emit("cache.evictions")
+            if self._generations.get(region_id) is not generation:
+                return
+            entries = generation.entries
+            before = len(entries)
+            # One generation may never outgrow the whole budget.
+            room = self.max_entries - before
+            if len(fills) > room:
+                fills = dict(islice(fills.items(), room))
+            entries.update(fills)
+            self._size += len(entries) - before
+            self._generations.move_to_end(region_id)
+            while self._size > self.max_entries:
+                oldest = next(iter(self._generations))
+                evicted += self._discard(oldest)
+            self._evictions += evicted
+        self._emit("cache.evictions", evicted)
+
+    def record(self, hits: int, misses: int) -> None:
+        """Add one invocation's per-friend probe outcomes to the stats."""
+        with self._lock:
+            self._hits += hits
+            self._misses += misses
 
     # ------------------------------------------------------ invalidation
 
     def invalidate_regions(self, region_ids: Iterable[int]) -> int:
-        """Drop every entry of the given regions (node failure path).
-        Returns the number of entries removed."""
-        removed = 0
+        """Drop the generations of the given regions (node failure
+        path).  Returns the number of entries removed."""
         with self._lock:
-            for region_id in region_ids:
-                keys = self._by_region.pop(region_id, None)
-                if not keys:
-                    continue
-                for key in keys:
-                    self._entries.pop(key, None)
-                    removed += 1
-            if removed:
-                self._invalidations += removed
-                self._emit("cache.invalidations", removed)
+            removed = self._invalidate(region_ids)
+        self._emit("cache.invalidations", removed)
         return removed
 
     def clear(self) -> int:
         """Drop everything; returns the number of entries removed."""
         with self._lock:
-            removed = len(self._entries)
-            self._entries.clear()
-            self._by_region.clear()
-            if removed:
-                self._invalidations += removed
-                self._emit("cache.invalidations", removed)
+            removed = self._invalidate(list(self._generations))
+        self._emit("cache.invalidations", removed)
         return removed
 
     def sweep(
@@ -204,54 +233,70 @@ class RegionScanCache:
         current_seqids: Optional[Mapping[int, int]] = None,
         now: Optional[float] = None,
     ) -> int:
-        """Reap dead entries: TTL-expired ones, plus — when the caller
-        supplies the regions' current seqids — seqid-stale ones.  The
-        scheduler's ``cache_maintenance`` job calls this so memory is
-        not held by entries no lookup will ever accept again."""
+        """Reap dead generations: TTL-expired ones, plus — when the
+        caller supplies the regions' current seqids — superseded ones.
+        The scheduler's ``cache_maintenance`` job calls this so memory
+        is not held by entries no lookup will ever accept again.
+        Returns the number of entries dropped."""
         if now is None:
             now = self._clock()
-        dead = []
         with self._lock:
-            for key, entry in self._entries.items():
-                if self.ttl_s is not None and now - entry.stored_at >= self.ttl_s:
-                    dead.append(key)
-                elif (
-                    current_seqids is not None
-                    and entry.seqid != current_seqids.get(key[0], entry.seqid)
-                ):
-                    dead.append(key)
-            for key in dead:
-                self._drop(key)
-            if dead:
-                self._invalidations += len(dead)
-                self._emit("cache.invalidations", len(dead))
-        return len(dead)
+            removed = self._invalidate(
+                [
+                    region_id
+                    for region_id, generation in self._generations.items()
+                    if self._expired(generation, now)
+                    or (
+                        current_seqids is not None
+                        and generation.seqid
+                        != current_seqids.get(region_id, generation.seqid)
+                    )
+                ]
+            )
+        self._emit("cache.invalidations", removed)
+        return removed
 
-    def _drop(self, key: Tuple) -> None:
-        """Remove one key; caller holds the lock."""
-        self._entries.pop(key, None)
-        keys = self._by_region.get(key[0])
-        if keys is not None:
-            keys.discard(key)
-            if not keys:
-                del self._by_region[key[0]]
+    def _invalidate(self, region_ids: Iterable[int]) -> int:
+        """Drop the listed regions' generations; caller holds the lock.
+        Returns (and counts as invalidations) the entries removed."""
+        removed = sum(
+            self._discard(region_id)
+            for region_id in region_ids
+            if region_id in self._generations
+        )
+        self._invalidations += removed
+        return removed
 
-    def _emit(self, name: str, amount: int = 1) -> None:
-        if self._metrics is not None:
+    def _expired(self, generation: Generation, now: float) -> bool:
+        return (
+            self.ttl_s is not None
+            and now - generation.opened_at >= self.ttl_s
+        )
+
+    def _discard(self, region_id: int) -> int:
+        """Remove one region's generation; caller holds the lock.
+        Returns how many entries went with it."""
+        count = len(self._generations.pop(region_id).entries)
+        self._size -= count
+        return count
+
+    def _emit(self, name: str, amount: int) -> None:
+        """Report to the metrics sink; never called under the lock."""
+        if amount and self._metrics is not None:
             self._metrics.increment(name, amount, labels=_METRIC_LABELS)
 
     # ------------------------------------------------------------- stats
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return self._size
 
     def stats(self) -> Dict[str, Any]:
         """Counters + occupancy for the admin endpoint and tests."""
         with self._lock:
             lookups = self._hits + self._misses
             return {
-                "entries": len(self._entries),
+                "entries": self._size,
                 "max_entries": self.max_entries,
                 "ttl_s": self.ttl_s,
                 "hits": self._hits,

@@ -7,26 +7,32 @@ queries interleave.  The randomized section replays 200+ seeded
 interleavings of those operations and compares every query's cached
 answer against a fresh cache-off execution of the same query.
 
-Unit sections pin the individual invalidation mechanisms: seqid bumps on
-every mutation kind, TTL expiry, LRU eviction, the maintenance sweep,
-node-failure invalidation, and the capture-before-scan stamp that makes
-entries racing with writes stale on arrival.
+Unit sections pin the individual mechanisms: quiet-region admission,
+seqid bumps on every mutation kind superseding a region's generation,
+TTL expiry, whole-generation LRU eviction under the entry bound, the
+maintenance sweep, node-failure invalidation, and that no metrics call
+is made while a cache lock is held.
 """
 
 import random
 
 import pytest
 
-from repro.config import ClusterConfig
+from repro.config import ClusterConfig, TopKConfig
 from repro.core.caching import HotPOICache, SingleFlight
 from repro.core.modules.query_answering import (
     QueryAnsweringModule,
     SearchQuery,
 )
 from repro.core.repositories.poi import POI, POIRepository
-from repro.core.repositories.visits import VisitsRepository, VisitStruct
+from repro.core.repositories.visits import (
+    FAMILY,
+    VisitsRepository,
+    VisitStruct,
+)
 from repro.geo import BoundingBox
 from repro.hbase import HBaseCluster, RegionScanCache
+from repro.hbase.cache import FriendPartial
 from repro.sqlstore import SqlEngine
 
 NUM_SEEDS = 200
@@ -64,7 +70,7 @@ class _Stack:
     """A small platform slice: cluster + repositories + query module,
     with both caches attached and detachable for oracle runs."""
 
-    def __init__(self, users=24, regions=8, nodes=4):
+    def __init__(self, users=24, regions=8, nodes=4, topk=False):
         self.users = users
         self.cluster = HBaseCluster(
             ClusterConfig(num_nodes=nodes, regions_per_table=regions)
@@ -85,9 +91,16 @@ class _Stack:
         self.scan_cache = RegionScanCache(max_entries=4096)
         self.cluster.attach_scan_cache(self.scan_cache)
         self.hot_poi_cache = HotPOICache(max_entries=64)
+        #: With ``topk`` the cache is opened, filled and read by
+        #: streaming-mode queries only; the oracle stays exhaustive.
+        self.topk_cfg = TopKConfig(enabled=topk)
         self.qa = QueryAnsweringModule(
-            self.pois, self.visits, hot_poi_cache=self.hot_poi_cache
+            self.pois,
+            self.visits,
+            hot_poi_cache=self.hot_poi_cache,
+            topk_config=self.topk_cfg,
         )
+        self.failed_node = None
         self._ts = 0
 
     def write(self, rng):
@@ -128,46 +141,66 @@ class _Stack:
         )
 
     def oracle(self, query):
-        """Run ``query`` with every cache detached, restore after."""
+        """Run ``query`` with every cache detached and top-k off,
+        restore after."""
         self.cluster.scan_cache = None
         saved_hot = self.qa.hot_poi_cache
         self.qa.hot_poi_cache = None
+        saved_topk = self.topk_cfg.enabled
+        self.topk_cfg.enabled = False
         try:
             return self.qa.search(query)
         finally:
             self.cluster.scan_cache = self.scan_cache
             self.qa.hot_poi_cache = saved_hot
+            self.topk_cfg.enabled = saved_topk
+
+    def toggle_node(self, rng):
+        """Fail a node, or bring the failed one back (at most one down
+        at a time; without a fault injector answers stay exact)."""
+        if self.failed_node is None:
+            self.failed_node = rng.randrange(4)
+            self.cluster.fail_node(self.failed_node)
+        else:
+            self.cluster.recover_node(self.failed_node)
+            self.failed_node = None
 
     def shutdown(self):
         self.cluster.shutdown()
 
 
 class TestRandomizedInterleavings:
-    """200 seeded interleavings of writes / flushes / compactions /
-    HotIn refreshes / queries; every query is checked against the
-    cache-off oracle."""
+    """200 seeded interleavings of writes / flushes / compactions / TTL
+    cutoffs / HotIn refreshes / node failures / queries; every query is
+    checked against the cache-off oracle."""
 
-    def test_cached_answers_match_oracle_across_interleavings(self):
-        stack = _Stack()
+    def _run(self, topk):
+        stack = _Stack(topk=topk)
         total_queries = 0
         try:
             for seed in range(NUM_SEEDS):
                 if seed and seed % REBUILD_EVERY == 0:
                     stack.shutdown()
-                    stack = _Stack()
+                    stack = _Stack(topk=topk)
                 rng = random.Random(seed)
                 # Every interleaving starts with some data in place.
                 for _ in range(rng.randrange(3, 9)):
                     stack.write(rng)
                 for _ in range(OPS_PER_SEED):
                     op = rng.random()
-                    if op < 0.35:
+                    if op < 0.25:
                         stack.write(rng)
-                    elif op < 0.45:
+                    elif op < 0.32:
                         stack.visits.table.flush()
-                    elif op < 0.52:
+                    elif op < 0.37:
                         stack.visits.table.compact()
-                    elif op < 0.62:
+                    elif op < 0.40:
+                        stack.visits.table.set_ttl_cutoff(
+                            FAMILY, rng.randrange(0, stack._ts // 2 + 1)
+                        )
+                    elif op < 0.44:
+                        stack.toggle_node(rng)
+                    elif op < 0.52:
                         # HotIn-style refresh: rewrite a POI's scores and
                         # bump the epoch, as MoDisSENSE.run_hotin does.
                         stack.pois.update_hotin(
@@ -176,7 +209,7 @@ class TestRandomizedInterleavings:
                             interest=rng.uniform(0, 5),
                         )
                         stack.hot_poi_cache.bump_epoch()
-                    elif op < 0.72:
+                    elif op < 0.60:
                         query = SearchQuery(
                             bbox=rng.choice(BBOXES),
                             keywords=rng.choice(KEYWORD_CHOICES),
@@ -204,6 +237,12 @@ class TestRandomizedInterleavings:
         finally:
             stack.shutdown()
 
+    def test_cached_answers_match_oracle_across_interleavings(self):
+        self._run(topk=False)
+
+    def test_topk_filled_cache_matches_oracle_across_interleavings(self):
+        self._run(topk=True)
+
     def test_repeat_query_hits_and_matches_after_quiescence(self):
         stack = _Stack()
         try:
@@ -214,8 +253,14 @@ class TestRandomizedInterleavings:
                 friend_ids=tuple(range(1, stack.users + 1)),
                 sort_by="interest",
             )
+            # First touch only records each region's seqid: a region is
+            # admitted once a later query finds it unwritten since.
             first = stack.qa.search(query)
             assert first.cache_misses > 0 and first.cache_hits == 0
+            assert len(stack.scan_cache) == 0
+            fill = stack.qa.search(query)
+            assert fill.cache_misses > 0 and fill.cache_hits == 0
+            assert len(stack.scan_cache) == stack.users
             second = stack.qa.search(query)
             assert second.cache_hits > 0 and second.cache_misses == 0
             assert second.records_scanned == 0  # fully served from cache
@@ -238,6 +283,7 @@ class TestSeqidInvalidation:
         return stack
 
     def _warm(self, stack, query):
+        stack.qa.search(query)  # open the generations
         stack.qa.search(query)  # populate
         warm = stack.qa.search(query)
         assert warm.cache_hits > 0
@@ -287,47 +333,106 @@ class TestSeqidInvalidation:
             stack.shutdown()
 
     def test_store_race_stamp_is_stale_on_arrival(self):
-        """An entry stored with a pre-write seqid is never served."""
+        """Fills for a generation the region has moved past are never
+        served, and a superseded generation cannot be revived."""
         cache = RegionScanCache()
-        cache.store(5, 11, (None, None), seqid=3, partial=((1, 2.0, 4),),
-                    attrs={1: ("A", 0.0, 0.0, ())})
-        # Region mutated while the scan ran: current seqid moved to 4.
-        assert cache.lookup(5, 11, (None, None), current_seqid=4) is None
+        assert cache.lookup(5, current_seqid=3) is None  # opens
+        generation = cache.lookup(5, current_seqid=3)
+        cache.store(5, generation, {(11, None, None): _partial()})
+        # Region mutated: the next invocation finds the seqid moved and
+        # the whole generation goes, O(1).
+        assert cache.lookup(5, current_seqid=4) is None
         assert cache.stats()["invalidations"] == 1
-        # ...and the eager drop means even the old seqid cannot revive it.
-        assert cache.lookup(5, 11, (None, None), current_seqid=3) is None
+        assert len(cache) == 0
+        # A scan that raced the write still holds the old generation;
+        # its late fills are dropped, not attached to the new one.
+        cache.store(5, generation, {(12, None, None): _partial()})
+        assert len(cache) == 0
+        assert cache.lookup(5, current_seqid=4).entries == {}
+        # ...and the old seqid cannot revive it either.
+        assert cache.lookup(5, current_seqid=3) is None
+
+
+def _partial():
+    return FriendPartial([1], [2.0], [4], [b"{}"])
+
+
+def _admitted(cache, region_id, seqid=0):
+    """The region's generation, opening it first if need be."""
+    return cache.lookup(region_id, seqid) or cache.lookup(region_id, seqid)
 
 
 class TestCacheMechanics:
+    def test_quiet_region_admission(self):
+        cache = RegionScanCache()
+        # Written between every two invocations: never admitted.
+        for seqid in range(5):
+            assert cache.lookup(1, seqid) is None
+        # Unwritten since the previous invocation: admitted.
+        assert cache.lookup(1, 4) is not None
+
+    def test_friend_partial_round_trips_columns_in_order(self):
+        columns = ([2**63 + 5, 7], [0.1 + 0.2, 4.5], [3, 1], [b"a", b"b"])
+        partial = FriendPartial(*columns)
+        assert (
+            list(partial.poi_ids), list(partial.grade_sums),
+            list(partial.counts), list(partial.raws),
+        ) == columns
+        assert list(FriendPartial([], [], [], []).poi_ids) == []
+
     def test_ttl_expiry_with_injected_clock(self):
         now = [100.0]
         cache = RegionScanCache(ttl_s=10.0, clock=lambda: now[0])
-        cache.store(1, 1, (None, None), seqid=0, partial=(), attrs={})
-        assert cache.lookup(1, 1, (None, None), 0) is not None
+        generation = _admitted(cache, 1)
+        cache.store(1, generation, {(1, None, None): _partial()})
+        assert cache.lookup(1, 0) is generation
         now[0] += 10.0
-        assert cache.lookup(1, 1, (None, None), 0) is None
+        assert cache.lookup(1, 0) is None
+        assert len(cache) == 0
 
-    def test_lru_eviction_and_region_index(self):
+    def test_lru_evicts_whole_generations(self):
         cache = RegionScanCache(max_entries=2)
-        cache.store(1, 1, (None, None), 0, (), {})
-        cache.store(1, 2, (None, None), 0, (), {})
-        cache.store(2, 3, (None, None), 0, (), {})  # evicts (1, 1)
-        assert len(cache) == 2
-        assert cache.lookup(1, 1, (None, None), 0) is None
-        assert cache.lookup(1, 2, (None, None), 0) is not None
-        assert cache.stats()["evictions"] == 1
-        # The evicted key must also have left the region index:
-        # invalidating region 1 drops exactly the one live entry.
-        assert cache.invalidate_regions([1]) == 1
+        for region_id, friend_id in ((1, 1), (1, 2), (2, 3)):
+            cache.store(
+                region_id,
+                _admitted(cache, region_id),
+                {(friend_id, None, None): _partial()},
+            )
+        # Region 1's generation (two entries) was least recently used.
+        assert len(cache) == 1
+        assert cache.stats()["evictions"] == 2
+        assert cache.lookup(1, 0) is None
+        assert (3, None, None) in cache.lookup(2, 0).entries
+        assert cache.invalidate_regions([1, 2]) == 1
+
+    def test_entry_count_never_exceeds_the_bound(self):
+        """10x ``max_entries`` distinct (friend, window) keys, spread
+        over regions or piled into one."""
+        cache = RegionScanCache(max_entries=16)
+        for key in range(160):
+            region_id = key % 5 if key < 80 else 9
+            cache.store(
+                region_id,
+                _admitted(cache, region_id),
+                {(key, key % 3, None): _partial()},
+            )
+            assert cache.stats()["entries"] <= 16
+        big = {(key, None, None): _partial() for key in range(1000, 1100)}
+        cache.store(3, _admitted(cache, 3), big)
+        assert 0 < cache.stats()["entries"] <= 16
 
     def test_sweep_reaps_stale_and_expired(self):
         now = [0.0]
         cache = RegionScanCache(ttl_s=5.0, clock=lambda: now[0])
-        cache.store(1, 1, (None, None), seqid=7, partial=(), attrs={})
-        cache.store(2, 2, (None, None), seqid=3, partial=(), attrs={})
+        for region_id, seqid in ((1, 7), (2, 3)):
+            cache.store(
+                region_id,
+                _admitted(cache, region_id, seqid),
+                {(region_id, None, None): _partial()},
+            )
         now[0] = 6.0
-        cache.store(3, 3, (None, None), seqid=1, partial=(), attrs={})
-        # Entry 1+2 TTL-expired; entry 3 fresh but region 3 moved on.
+        cache.store(3, _admitted(cache, 3, 1), {(3, None, None): _partial()})
+        # Regions 1+2 TTL-expired; region 3 fresh but moved on.
         assert cache.sweep(current_seqids={1: 7, 2: 3, 3: 2}) == 3
         assert len(cache) == 0
 
@@ -340,6 +445,7 @@ class TestCacheMechanics:
             query = SearchQuery(
                 friend_ids=tuple(range(1, stack.users + 1)), sort_by="hotness"
             )
+            stack.qa.search(query)
             stack.qa.search(query)
             populated = len(stack.scan_cache)
             assert populated > 0
@@ -366,6 +472,7 @@ class TestCacheMechanics:
                 friend_ids=tuple(range(1, stack.users + 1)), sort_by="hotness"
             )
             stack.cluster.fail_node(0)
+            stack.qa.search(query)
             stack.qa.search(query)  # cache partials on the survivors
             assert len(stack.scan_cache) > 0
             before = stack.scan_cache.stats()["invalidations"]
@@ -377,6 +484,72 @@ class TestCacheMechanics:
             )
         finally:
             stack.shutdown()
+
+
+class _LockCheckingMetrics:
+    """Metrics double: fails the test if a cache reports while holding
+    its own lock (the registry takes a lock of its own, so that nests
+    two locks on the query path)."""
+
+    def __init__(self):
+        self.cache = None
+        self.calls = []
+
+    def increment(self, name, amount=1, labels=None):
+        assert not self.cache._lock.locked(), name
+        self.calls.append((name, amount))
+
+
+class TestNoMetricsUnderCacheLock:
+    def test_scan_cache_emits_after_releasing_its_lock(self):
+        metrics = _LockCheckingMetrics()
+        now = [0.0]
+        cache = metrics.cache = RegionScanCache(
+            max_entries=2, ttl_s=5.0, metrics=metrics, clock=lambda: now[0]
+        )
+        cache.store(1, _admitted(cache, 1), {(1, None, None): _partial()})
+        cache.lookup(1, 1)  # superseded: invalidation
+        cache.store(
+            2,
+            _admitted(cache, 2),
+            {(k, None, None): _partial() for k in (1, 2)},
+        )
+        cache.store(3, _admitted(cache, 3), {(1, None, None): _partial()})
+        cache.invalidate_regions([3])
+        cache.store(4, _admitted(cache, 4), {(1, None, None): _partial()})
+        now[0] = 9.0
+        cache.sweep()
+        cache.store(5, _admitted(cache, 5), {(1, None, None): _partial()})
+        cache.clear()
+        # One call per operation that dropped something.
+        assert metrics.calls == [
+            ("cache.invalidations", 1),
+            ("cache.evictions", 2),
+            ("cache.invalidations", 1),
+            ("cache.invalidations", 1),
+            ("cache.invalidations", 1),
+        ]
+
+    def test_hot_poi_cache_emits_after_releasing_its_lock(self):
+        metrics = _LockCheckingMetrics()
+        cache = metrics.cache = HotPOICache(max_entries=1, metrics=metrics)
+        assert cache.get("a", 0) is None  # miss
+        cache.store("a", 0, (1,))
+        assert cache.get("a", 0) == (1,)  # hit
+        assert cache.get("a", 1) is None  # stale: invalidation + miss
+        cache.store("a", 1, (1,))
+        cache.store("b", 1, (2,))  # eviction
+        assert cache.get_stale("b") == (2,)
+        cache.bump_epoch()
+        cache.store("c", 1, (3,))
+        cache.clear()
+        assert {name for name, _ in metrics.calls} == {
+            "cache.misses",
+            "cache.hits",
+            "cache.invalidations",
+            "cache.evictions",
+            "cache.stale_serves",
+        }
 
 
 class TestHotPOICache:

@@ -645,9 +645,10 @@ class TestCacheGoldenRegression:
         try:
             off = qa.search(query)
             cluster.attach_scan_cache(cache)
+            first = qa.search(query)  # opens the regions' generations
             populate = qa.search(query)
             hit = qa.search(query)
-            for result in (populate, hit):
+            for result in (first, populate, hit):
                 assert [
                     (p.poi_id, p.name, p.lat, p.lon, p.score, p.visit_count)
                     for p in result.pois
@@ -694,7 +695,8 @@ class TestCacheGoldenRegression:
                 (p.poi_id, p.name, p.lat, p.lon, p.score, p.visit_count)
                 for p in oracle.pois
             ]
-            # And a second pass serves hits that still agree.
+            # And once the quiet regions are filled, hits still agree.
+            qa.search(query)
             hit = qa.search(query)
             assert hit.cache_hits > 0
             assert [p.poi_id for p in hit.pois] == \
@@ -706,6 +708,7 @@ class TestCacheGoldenRegression:
         cluster, qa, query, cache = self._warm_stack()
         try:
             cluster.attach_scan_cache(cache)
+            qa.search(query)
             qa.search(query)  # warm
             invalidations_before = cache.stats()["invalidations"]
             cluster.fail_node(0)

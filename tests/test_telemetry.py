@@ -326,6 +326,43 @@ class TestContinuousProfiler:
             thread.join()
             threadreg._components.pop(thread.ident, None)
 
+    def test_sample_does_not_keep_sampled_frames_alive(self):
+        """A sample must not pin the sampled threads' locals: the frame
+        snapshot contains the sampler's own frame, whose local is the
+        snapshot — a cycle that kept every sampled frame (and, in a
+        region scan, its whole aggregate state) alive until the cyclic
+        collector ran."""
+        import gc
+        import weakref
+
+        class Local:
+            pass
+
+        profiler = ContinuousProfiler()
+        parked = threading.Event()
+        release = threading.Event()
+        refs = []
+
+        def worker():
+            local = Local()
+            refs.append(weakref.ref(local))
+            parked.set()
+            release.wait(5.0)
+
+        thread = threading.Thread(target=worker, daemon=True)
+        gc.collect()
+        gc.disable()
+        try:
+            thread.start()
+            parked.wait(5.0)
+            profiler.sample_once()
+            release.set()
+            thread.join()
+            assert refs[0]() is None, "sampled frame outlived its thread"
+        finally:
+            gc.enable()
+            release.set()
+
     def test_folded_output_shape(self):
         profiler = ContinuousProfiler()
         previous = threadreg.push_component("rest")

@@ -23,6 +23,9 @@ exactly as it does on the exhaustive path.
 
 import itertools
 import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -32,7 +35,7 @@ from repro.core.modules.query_answering import (
     QueryAnsweringModule,
     SearchQuery,
 )
-from repro.core.modules.topk import TopKPartialStream
+from repro.core.modules.topk import PartialAggregates, TopKPartialStream
 from repro.core.repositories.poi import POI, POIRepository
 from repro.core.repositories.visits import VisitsRepository, VisitStruct
 from repro.core.tracing import Tracer
@@ -253,12 +256,23 @@ class TestTopKOracleDifferential:
 
 
 # --------------------------------------------------------------------------
-# Cache section: cold, warm (exhaustive-seeded), and stale entries.
+# Cache section: top-k fills and reads the scan cache on its own.
 # --------------------------------------------------------------------------
+
+ALL_FRIENDS = tuple(range(1, NUM_USERS + 1))
 
 
 class TestTopKOracleWithCache:
-    """60 cache workloads: cold / warm / post-write staleness."""
+    """Cold -> warm by top-k alone, entries shared between the modes,
+    write-hot regions never admitted, and a concurrent reader/writer
+    run — every answer against a cache-off execution."""
+
+    def _cache_off(self, stack, search, query):
+        stack.cluster.scan_cache = None
+        try:
+            return search(query)
+        finally:
+            stack.cluster.scan_cache = stack.scan_cache
 
     @pytest.mark.parametrize("seed", range(2))
     def test_cold_and_warm_cache_identical(self, seed):
@@ -267,51 +281,171 @@ class TestTopKOracleWithCache:
         try:
             for _ in range(10):
                 query = stack.random_query(rng)
-                # Exhaustive first: populates the scan cache (top-k mode
-                # reads the cache but never stores — an entry needs
-                # parsed attributes for every POI in the partial, the
-                # exact work the mode avoids).
-                exhaustive = stack.search_exhaustive(query)
-                cold = None
-                stack.cluster.scan_cache = None
-                try:
-                    cold = stack.search_topk(query)
-                finally:
-                    stack.cluster.scan_cache = stack.scan_cache
-                warm = stack.search_topk(query)
-                assert fingerprint(cold) == fingerprint(exhaustive), query
-                assert fingerprint(warm) == fingerprint(exhaustive), query
-                assert warm.cache_hits > 0
-                # Cache-seeded attribute memos make warm emission
-                # decode-free.
-                assert warm.cells_decoded == 0
+                want = fingerprint(
+                    self._cache_off(stack, stack.search_exhaustive, query)
+                )
+                # No exhaustive seeding: the cache is opened, filled and
+                # read by top-k queries alone.
+                for _attempt in range(3):
+                    warm = stack.search_topk(query)
+                    assert fingerprint(warm) == want, query
+                assert warm.cache_misses == 0
+                assert warm.records_scanned == 0
+                if query.since is None:
+                    assert warm.cache_hits == len(query.friend_ids)
+                if not (query.bbox or query.keywords):
+                    # Unfiltered: only the k winners are ever decoded.
+                    assert warm.cells_decoded <= query.limit
+        finally:
+            stack.shutdown()
+
+    def test_topk_alone_takes_the_cache_from_cold_to_warm(self):
+        stack = Stack(data_seed=3, cache=True)
+        try:
+            query = SearchQuery(friend_ids=ALL_FRIENDS, limit=5)
+            want = fingerprint(
+                self._cache_off(stack, stack.search_exhaustive, query)
+            )
+            # First touch records each region's seqid and stores nothing.
+            first = stack.search_topk(query)
+            assert (first.cache_hits, first.cache_misses) == (0, NUM_USERS)
+            assert len(stack.scan_cache) == 0
+            # The regions were quiet since: the second query fills.
+            second = stack.search_topk(query)
+            assert (second.cache_hits, second.cache_misses) == (0, NUM_USERS)
+            assert len(stack.scan_cache) == NUM_USERS
+            third = stack.search_topk(query)
+            assert (third.cache_hits, third.cache_misses) == (NUM_USERS, 0)
+            assert third.records_scanned == 0
+            for result in (first, second, third):
+                assert fingerprint(result) == want
+            # Unfiltered: only the k winners are ever decoded.
+            assert 0 < third.cells_decoded <= query.limit
+        finally:
+            stack.shutdown()
+
+    @pytest.mark.parametrize("filler", ["exhaustive", "topk"])
+    def test_entry_stored_by_either_mode_serves_the_other(self, filler):
+        stack = Stack(data_seed=4, cache=True)
+        try:
+            query = SearchQuery(
+                friend_ids=ALL_FRIENDS, limit=5, keywords=("cafe",)
+            )
+            fill, read = (
+                (stack.search_exhaustive, stack.search_topk)
+                if filler == "exhaustive"
+                else (stack.search_topk, stack.search_exhaustive)
+            )
+            want = fingerprint(self._cache_off(stack, read, query))
+            fill(query)  # opens the generations
+            fill(query)  # stores
+            served = read(query)
+            assert (served.cache_hits, served.cache_misses) == (NUM_USERS, 0)
+            assert served.records_scanned == 0
+            assert fingerprint(served) == want
+            if filler == "exhaustive":
+                # The exhaustive mode parsed every POI and left the
+                # attribute memo behind: top-k re-parses nothing, even
+                # to evaluate the keyword filter.
+                assert served.cells_decoded == 0
         finally:
             stack.shutdown()
 
     def test_seqid_bump_stales_topk_cached_partials(self):
         """A write between queries must invalidate cached partials for
-        the top-k path exactly as for the exhaustive one."""
+        the top-k path exactly as for the exhaustive one — and a region
+        written between *every* two queries is never admitted."""
         stack = Stack(data_seed=5, cache=True)
         rng = random.Random(55)
         try:
-            query = SearchQuery(
-                friend_ids=tuple(range(1, NUM_USERS + 1)), limit=5
-            )
-            stack.search_exhaustive(query)  # seed every region's cache
-            warm = stack.search_topk(query)
+            query = SearchQuery(friend_ids=ALL_FRIENDS, limit=5)
+            for _ in range(3):
+                warm = stack.search_topk(query)
             assert warm.cache_hits > 0 and warm.cache_misses == 0
-            # Bump every region's seqid with fresh writes.
-            for uid in range(1, NUM_USERS + 1):
-                stack.write(rng, uid)
-            after = stack.search_topk(query)
-            assert after.cache_misses > 0
-            assert fingerprint(after) == fingerprint(
-                stack.search_exhaustive(query)
-            )
-            assert approx_rows(after) == approx_rows(
-                stack.qa.search_personalized_client_side(query)
-            )
+            for _ in range(3):
+                # Bump every region's seqid with fresh writes.
+                for uid in ALL_FRIENDS:
+                    stack.write(rng, uid)
+                after = stack.search_topk(query)
+                assert (after.cache_hits, after.cache_misses) == (0, NUM_USERS)
+                assert len(stack.scan_cache) == 0
+                assert fingerprint(after) == fingerprint(
+                    self._cache_off(stack, stack.search_exhaustive, query)
+                )
+                assert approx_rows(after) == approx_rows(
+                    stack.qa.search_personalized_client_side(query)
+                )
         finally:
+            stack.shutdown()
+
+    def test_concurrent_queries_and_writer_match_client_side(self):
+        """Two query threads and one writer share the regions: the
+        writer's users are outside the queried friend set, so the right
+        answer never changes while seqids move under the readers."""
+        stack = Stack(data_seed=6, cache=True)
+        queried = tuple(range(1, 21))
+        written = tuple(range(21, NUM_USERS + 1))
+        queries = [
+            SearchQuery(friend_ids=queried, limit=5),
+            SearchQuery(
+                friend_ids=queried[::2], limit=3, sort_by="hotness",
+                keywords=("cafe",),
+            ),
+        ]
+        want = [
+            (
+                fingerprint(
+                    self._cache_off(stack, stack.search_exhaustive, query)
+                ),
+                approx_rows(stack.qa.search_personalized_client_side(query)),
+            )
+            for query in queries
+        ]
+        failures = []
+        stop = threading.Event()
+
+        def reader(index):
+            try:
+                for _ in range(40):
+                    result = stack.search_topk(queries[index])
+                    assert not result.degraded
+                    assert fingerprint(result) == want[index][0]
+                    assert approx_rows(result) == want[index][1]
+            except BaseException as exc:  # surfaced by the main thread
+                failures.append(exc)
+
+        def writer():
+            rng = random.Random(66)
+            try:
+                while not stop.is_set():
+                    stack.write(rng, rng.choice(written))
+                    time.sleep(0.002)
+            except BaseException as exc:
+                failures.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [
+            threading.Thread(target=reader, args=(0,)),
+            threading.Thread(target=reader, args=(1,)),
+        ]
+        write_thread = threading.Thread(target=writer)
+        try:
+            write_thread.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            stop.set()
+            write_thread.join(timeout=30)
+            assert not any(t.is_alive() for t in threads + [write_thread])
+            assert not failures, failures
+            stats = stack.scan_cache.stats()
+            assert stats["hits"] + stats["misses"] == 40 * (20 + 10)
+            assert stats["entries"] <= stats["max_entries"]
+        finally:
+            stop.set()
+            sys.setswitchinterval(switch)
             stack.shutdown()
 
 
@@ -472,21 +606,22 @@ class TestTopKInteractions:
     def test_deadline_abort_marks_stream_aborted_not_pruned(self):
         """Unit-level distinguishability on the stream itself: the same
         short-circuit mechanism records *why* emission stopped."""
-        items = [(pid, float(10 - pid), 1) for pid in range(1, 6)]
-        aggregates = {pid: (gs, cnt) for pid, gs, cnt in items}
-        attrs = {pid: ("p%d" % pid, 0.0, 0.0, ()) for pid, _, _ in items}
+        aggregates = PartialAggregates.from_rows(
+            (pid, float(10 - pid), 1, None) for pid in range(1, 6)
+        )
+        attrs = {pid: ("p%d" % pid, 0.0, 0.0, ()) for pid in range(1, 6)}
 
         proof = TopKPartialStream(
-            region_id=0, items=list(items), aggregates=aggregates,
-            raw={}, attrs=dict(attrs), top_k=1, hotness=False, batch=2,
+            region_id=0, aggregates=aggregates,
+            memo=attrs, top_k=1, hotness=False, batch=2,
         )
         proof.short_circuit(REASON_TOPK_PROOF)
         assert proof.pruned and not proof.aborted
         assert proof.prune_token.reason == REASON_TOPK_PROOF
 
         deadline = TopKPartialStream(
-            region_id=1, items=list(items), aggregates=aggregates,
-            raw={}, attrs=dict(attrs), top_k=1, hotness=False, batch=2,
+            region_id=1, aggregates=aggregates,
+            memo=attrs, top_k=1, hotness=False, batch=2,
         )
         deadline.short_circuit(REASON_DEADLINE)
         assert deadline.aborted and not deadline.pruned
@@ -499,20 +634,18 @@ class TestTopKInteractions:
 
         streams = []
         for region_id in range(3):
-            items = [
-                (pid, float(50 - pid), 1) for pid in range(1, 40)
-            ]
+            aggregates = PartialAggregates.from_rows(
+                (pid, float(50 - pid), 1, None) for pid in range(1, 40)
+            )
             token = CancellationToken(
                 deadline_ms=1.0, cost_per_record_ms=1.0
             )
             streams.append(
                 TopKPartialStream(
                     region_id=region_id,
-                    items=items,
-                    aggregates={p: (g, c) for p, g, c in items},
-                    raw={},
-                    attrs={
-                        p: ("p%d" % p, 0.0, 0.0, ()) for p, _, _ in items
+                    aggregates=aggregates,
+                    memo={
+                        p: ("p%d" % p, 0.0, 0.0, ()) for p in aggregates.counts
                     },
                     top_k=5,
                     hotness=False,

@@ -21,7 +21,11 @@ Invariants pinned here:
 from hypothesis import given, settings, strategies as st
 
 from repro.core.modules.query_answering import VisitScanCoprocessor
-from repro.core.modules.topk import TopKMerger, TopKPartialStream
+from repro.core.modules.topk import (
+    PartialAggregates,
+    TopKMerger,
+    TopKPartialStream,
+)
 
 #: Grades mirror the data model: finite non-negative floats.
 GRADES = st.floats(
@@ -49,38 +53,23 @@ TIE_REGIONS = st.lists(TIE_REGION, min_size=1, max_size=4)
 
 
 def build_streams(regions, k, hotness, batch):
-    """Streams exactly as ``VisitScanCoprocessor._run_topk`` builds
-    them: exact aggregates, local-key sort with poi_id tie-break, and a
-    pre-seeded attribute memo (no filter, no lazy decode needed)."""
-    streams = []
-    for region_id, visits in enumerate(regions):
-        aggregates = {
-            pid: (_ordered_sum(grades), len(grades))
-            for pid, grades in visits.items()
-        }
-        if hotness:
-            items = sorted(
-                ((pid, gs, cnt) for pid, (gs, cnt) in aggregates.items()),
-                key=lambda item: (-item[2], item[0]),
-            )
-        else:
-            items = sorted(
-                ((pid, gs, cnt) for pid, (gs, cnt) in aggregates.items()),
-                key=lambda item: (-(item[1] / item[2]), item[0]),
-            )
-        streams.append(
-            TopKPartialStream(
-                region_id=region_id,
-                items=items,
-                aggregates=aggregates,
-                raw={},
-                attrs={pid: ("p%d" % pid, 0.0, 0.0, ()) for pid in visits},
-                top_k=k,
-                hotness=hotness,
-                batch=batch,
-            )
+    """Streams over exact aggregates, as ``VisitScanCoprocessor.run``
+    builds them (the stream sorts itself), with a pre-seeded attribute
+    memo (no filter, no lazy decode needed)."""
+    return [
+        TopKPartialStream(
+            region_id=region_id,
+            aggregates=PartialAggregates.from_rows(
+                (pid, _ordered_sum(grades), len(grades), None)
+                for pid, grades in visits.items()
+            ),
+            memo={pid: ("p%d" % pid, 0.0, 0.0, ()) for pid in visits},
+            top_k=k,
+            hotness=hotness,
+            batch=batch,
         )
-    return streams
+        for region_id, visits in enumerate(regions)
+    ]
 
 
 def _ordered_sum(grades):
@@ -190,7 +179,7 @@ def test_threshold_never_prunes_a_topk_member(regions, k, hotness, batch):
     discovered = {
         pid
         for s in streams
-        for pid, _gs, _cnt in s.items[: s.cursor]
+        for _key, pid, _gs, _cnt in s.items[: s.cursor]
     }
     assert {pid for _s, _c, pid in brute_top} <= discovered
     threshold = stats["threshold"]
