@@ -89,9 +89,9 @@ def test_routed_vs_broadcast_fanout(bench_platform, benchmark):
         return routed, routed_s, broadcast, broadcast_s
 
     def run_rounds(rounds=3):
-        # Untimed warmup: the first fan-out in a fresh process pays the
-        # lazy thread-pool spin-up, which would otherwise be charged to
-        # whichever strategy happens to run first.  Best-of-N wall
+        # Untimed warmup: the first fan-out in a fresh process runs on
+        # cold code and data caches, which would otherwise be charged
+        # to whichever strategy happens to run first.  Best-of-N wall
         # clocks keep the comparison out of scheduler noise.
         run_pair()
         best_r = best_b = float("inf")

@@ -75,7 +75,7 @@ def test_zero_fault_overhead_under_limit(bench_platform, benchmark):
                     sort_by="interest",
                     limit=10,
                 )
-                # Warm both paths (thread-pool spin-up, page cache).
+                # Warm both paths (code caches, page cache).
                 cluster.attach_fault_injector(None)
                 qa.search(query)
                 cluster.attach_fault_injector(quiet)

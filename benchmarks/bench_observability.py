@@ -116,7 +116,7 @@ def test_telemetry_overhead_under_limit(bench_platform, benchmark):
     )
 
     def measure():
-        # Warm both paths (thread-pool spin-up, page cache).
+        # Warm both paths (code caches, page cache).
         bare_qa.search(query)
         observed_qa.search(query)
         bare, observed = [], []
@@ -217,8 +217,8 @@ def test_profiler_attribution_mixed_load(benchmark):
 
         def mixed_load():
             # Interleave ingest batches (applier threads, registered as
-            # "ingest") with REST reads (handler pushes "rest"; fan-out
-            # pool registered as "fanout").
+            # "ingest") with REST reads (the handler pushes "rest", and
+            # the region scans run in its thread).
             for i, visit in enumerate(visits):
                 platform.ingest_visit(visit)
                 if i % 50 == 0:

@@ -72,7 +72,7 @@ def _fingerprint(result):
 
 def _measure(qa, query):
     """Median wall clock over REPETITIONS plus the last result."""
-    qa.search(query)  # warm (thread pool, page cache)
+    qa.search(query)  # warm (code caches, page cache)
     samples = []
     result = None
     for _ in range(REPETITIONS):

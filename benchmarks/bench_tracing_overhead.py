@@ -62,7 +62,7 @@ def test_tracing_overhead_under_limit(bench_platform, benchmark):
                 sort_by="interest",
                 limit=10,
             )
-            # Warm both paths (thread-pool spin-up, page cache).
+            # Warm both paths (code caches, page cache).
             untraced_qa.search(query)
             traced_qa.search(query)
             traced, untraced = [], []

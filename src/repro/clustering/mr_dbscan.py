@@ -100,8 +100,7 @@ def mr_dbscan(
     partitioner = GridPartitioner(eps_m=eps_m, target_cells=target_partitions)
     cells = partitioner.partition(points)
 
-    own_runner = runner is None
-    runner = runner or JobRunner(max_workers=min(8, max(1, len(cells))))
+    runner = runner or JobRunner()
 
     def mapper(cell, emit, counters):
         for global_idx, cluster_key, is_core, is_inner in _local_cluster(
@@ -120,11 +119,7 @@ def mr_dbscan(
         num_mappers=max(1, len(cells)),
         num_reducers=4,
     )
-    try:
-        result = runner.run(job, cells)
-    finally:
-        if own_runner:
-            runner.shutdown()
+    result = runner.run(job, cells)
 
     # ---- merge phase: union local clusters through globally-core points
     uf = _UnionFind()

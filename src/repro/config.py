@@ -182,7 +182,7 @@ class FaultsConfig:
     enabled: bool = False
     #: Seed for every injection decision; decisions are derived from
     #: ``(seed, fanout-epoch, region, attempt)`` so they are repeatable
-    #: regardless of thread-pool interleaving.
+    #: however concurrent callers interleave.
     seed: int = 1337
     #: Per-attempt probability a region invocation raises.
     region_error_rate: float = 0.0

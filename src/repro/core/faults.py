@@ -12,8 +12,8 @@ query workload.
 Determinism is the design center.  Every injection decision is derived
 from ``hash((seed, kind, fanout_epoch, region_id, attempt))`` — never
 from shared-RNG call order — so the same seed produces the same fault
-pattern no matter how the thread pool interleaves region tasks, and a
-chaos test that failed once replays exactly.
+pattern no matter how concurrent callers interleave their fan-outs,
+and a chaos test that failed once replays exactly.
 
 The recovery side (retries, backoff, hedged re-execution, circuit
 breaker, graceful degradation) lives in

@@ -317,12 +317,7 @@ class HotInUpdateModule:
             num_mappers=self.num_mappers,
             num_reducers=max(2, self.num_mappers // 2),
         )
-        runner = self._runner or JobRunner(max_workers=self.num_mappers)
-        try:
-            result = runner.run(job, records)
-        finally:
-            if self._runner is None:
-                runner.shutdown()
+        result = (self._runner or JobRunner()).run(job, records)
         return result.pairs, len(records)
 
     def run(self, since: int, until: int) -> HotInReport:

@@ -566,22 +566,33 @@ class QueryAnsweringModule:
             routed_requests.append(routed)
             route_items.append(len(query.friend_ids))
             roots.append(root)
-            # The fan-out span stays open across the shared executor
+            # The fan-out span stays open across the batch's shared
             # pass below; the HBase client parents every region.scan
             # span under it and adds straggler attribution.
             fanouts.append(tracer.span("fanout", parent=root))
         deadlines = [query.deadline_ms for query in queries]
-        calls = self.visits.cluster.coprocessor_exec_routed(
-            self.visits.table.name,
-            self._coprocessor,
-            routed_requests,
-            route_items=route_items,
-            tracer=tracer,
-            trace_parents=fanouts,
-            deadlines=(
-                deadlines if any(d is not None for d in deadlines) else None
-            ),
-        )
+        try:
+            calls = self.visits.cluster.coprocessor_exec_routed(
+                self.visits.table.name,
+                self._coprocessor,
+                routed_requests,
+                route_items=route_items,
+                tracer=tracer,
+                trace_parents=fanouts,
+                deadlines=(
+                    deadlines
+                    if any(d is not None for d in deadlines)
+                    else None
+                ),
+            )
+        except Exception as exc:
+            # An aborted query (strict deadline, or anything else) is
+            # the trace an operator most wants: publish it.
+            error = type(exc).__name__
+            for root, fanout in zip(roots, fanouts):
+                fanout.tag("error", error).finish()
+                root.tag("error", error).finish()
+            raise
         results = []
         for query, call, root, fanout in zip(queries, calls, roots, fanouts):
             fanout.finish()

@@ -5,8 +5,8 @@ volume, per-path latencies and batch-job progress; this module provides
 the metrics surface, and :class:`InstrumentedQueryAnswering` wraps the
 query module so every search is recorded transparently.
 
-The registry is **thread-safe**: the Figure-3 concurrency path records
-from :class:`~repro.cluster.ParallelExecutor` threads, so every counter
+The registry is **thread-safe**: concurrent REST clients, the ingest
+appliers and the telemetry scraper all record into it, so every counter
 bump and histogram record happens under a lock.  Metrics support
 Prometheus-style labels (``query.personalized{regions="3"}``) and the
 whole registry renders to the Prometheus text exposition format via
@@ -53,8 +53,8 @@ class LatencyHistogram:
     probability of residing in the reservoir, so percentile reads stay
     unbiased even when traffic trends over time.
 
-    Thread-safe: concurrent :meth:`record` calls (executor threads in
-    the Figure-3 path) serialize on an internal lock, so ``count`` and
+    Thread-safe: concurrent :meth:`record` calls (one per client
+    thread) serialize on an internal lock, so ``count`` and
     ``total`` are exact and the reservoir never corrupts.
     """
 

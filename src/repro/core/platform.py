@@ -147,11 +147,7 @@ class MoDisSENSE:
         }
 
         # ---- processing tier
-        self.job_runner = JobRunner(
-            max_workers=self.config.cluster.total_cores,
-            tracer=self.tracer,
-            metrics=self.metrics,
-        )
+        self.job_runner = JobRunner(tracer=self.tracer, metrics=self.metrics)
         self.user_management = UserManagementModule(self.plugins)
         self.text_processing = TextProcessingModule(
             self.text_repository, self.config.sentiment
@@ -437,13 +433,12 @@ class MoDisSENSE:
         return count
 
     def shutdown(self) -> None:
-        """Release thread pools (draining the ingest tier first)."""
+        """Stop the platform's own threads: the ingest appliers (after
+        draining their queues) and the telemetry profiler."""
         if self.ingest is not None:
             self.ingest.stop(drain=True)
         if self.telemetry is not None:
             self.telemetry.close()
-        self.hbase.shutdown()
-        self.job_runner.shutdown()
 
     def __enter__(self) -> "MoDisSENSE":
         return self

@@ -4,9 +4,10 @@ A daemon thread wakes every ``interval_s`` and snapshots
 ``sys._current_frames()`` — every live thread's current Python frame —
 then walks each stack into a folded ``component;outer;...;inner`` key
 and bumps its sample count.  Components come from the
-:mod:`repro.threadreg` registry (executor pools register their workers
-via a thread initializer; the scheduler, REST handler and ingest
-appliers register around their work), so the ``admin_profile`` endpoint
+:mod:`repro.threadreg` registry (the scheduler, REST handler and ingest
+appliers register around their work; region scans and map/reduce tasks
+run in their caller's thread and count as ``rest`` or ``scheduler``),
+so the ``admin_profile`` endpoint
 can answer *where does wall-clock go, per platform component* across the
 mixed read/ingest workload.
 

@@ -20,9 +20,11 @@ other observability feature builds on:
 
 Context propagation is explicit: the client starts a root span, hands
 per-query *parent* spans to the HBase client's fan-out, and each
-region's coprocessor invocation opens child spans on the executor
-thread.  Parent links are plain object references, so propagation works
-across thread pools without thread-local machinery.
+region's coprocessor invocation opens child spans under them.  Parent
+links are plain object references, with no thread-local machinery.
+Regions run one after another in the calling thread, so the wall
+durations of a fan-out's ``region.scan`` children add up to the
+fan-out's own; their overlap exists only in the ``sim_*`` tags.
 """
 
 from __future__ import annotations

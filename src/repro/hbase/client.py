@@ -1,9 +1,10 @@
 """Cluster-level HBase client.
 
 Owns every table, places regions on simulated nodes, and executes
-coprocessor calls: the *work* runs for real on a thread pool (one task
-per region, as HBase does), while the *latency* is produced by the
-cluster simulation's scheduler and cost model.
+coprocessor calls: the *work* runs for real, one region after another
+in the calling thread, while the *latency* is produced by the cluster
+simulation's scheduler and cost model (which is where the regions of
+one query overlap, as they do on HBase).
 
 The fan-out is **resilient**: a region invocation that raises (a real
 coprocessor bug or an injected fault) is retried with exponential
@@ -22,7 +23,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from ..cluster import ClusterSimulation, ParallelExecutor, QueryTimeline, Task
+from ..cluster import ClusterSimulation, QueryTimeline, Task
 from ..config import ClusterConfig, FaultsConfig
 from ..errors import (
     ConfigError,
@@ -90,35 +91,67 @@ class CoprocessorCallResult:
         return self.timeline.records_scanned
 
 
-class _RegionOutcome:
-    """One region invocation's fate after retries/hedging."""
+class _QueryState:
+    """One query's passage through the fan-out stages: what the plan
+    stage decided for it, then what its regions produced, absorbed as
+    each region completes."""
 
     __slots__ = (
-        "region_id",
-        "ok",
-        "partial",
-        "records",
+        # The call the query belongs to (shared by every query of it).
+        "qi",
+        "coprocessor",
+        "tracer",
+        "injector",
+        "epoch",
+        "placement",
+        # Plan.
+        "deadline_ms",
+        "token",
+        "parent_span",
+        # Absorbed from the regions, in invocation order.
+        "tasks",
+        "partials",
         "counters",
-        "span",
+        "spans",
+        "missing",
         "retries",
-        "hedged",
-        "extra_cost_s",
-        "reason",
-        "error",
+        "hedges",
+        "breaker_skips",
+        "cancelled",
     )
 
-    def __init__(self, region_id: int) -> None:
-        self.region_id = region_id
-        self.ok = False
-        self.partial = None
-        self.records = 0
+    def __init__(
+        self,
+        qi: int,
+        coprocessor: Coprocessor,
+        tracer: Optional[Any],
+        injector: Optional[Any],
+        epoch: int,
+        placement: Mapping[int, int],
+    ) -> None:
+        self.qi = qi
+        self.coprocessor = coprocessor
+        #: None unless tracing is enabled / the injector is armed, so
+        #: the stages probe one thing.
+        self.tracer = tracer
+        self.injector = injector
+        self.epoch = epoch
+        self.placement = placement
+        self.deadline_ms: Optional[float] = None
+        self.token: Optional[CancellationToken] = None
+        self.parent_span: Optional[Any] = None
+        #: Each invoked region's cost account, which is also what the
+        #: simulator schedules: records scanned over every attempt,
+        #: items shipped, recovery seconds.
+        self.tasks: Dict[int, Task] = {}
+        self.partials: List[Any] = []
         self.counters: Dict[str, int] = {}
-        self.span = None
+        self.spans: Dict[int, Any] = {}
+        self.missing: List[int] = []
         self.retries = 0
-        self.hedged = False
-        self.extra_cost_s = 0.0
-        self.reason: Optional[str] = None
-        self.error: Optional[BaseException] = None
+        self.hedges = 0
+        self.breaker_skips = 0
+        self.cancelled = 0
 
 
 class _BreakerState:
@@ -155,9 +188,6 @@ class HBaseCluster:
         self.config = config or ClusterConfig()
         self.faults_config = faults_config or FaultsConfig()
         self.simulation = ClusterSimulation(self.config)
-        self._executor = ParallelExecutor(
-            max_workers=self.config.total_cores, component="fanout"
-        )
         self._tables: Dict[str, HTable] = {}
         #: Fault injector (see :class:`repro.core.faults.FaultInjector`);
         #: None (the default) keeps the clean path injection-free.
@@ -386,412 +416,261 @@ class HBaseCluster:
         self,
         table: HTable,
         coprocessor: Coprocessor,
-        per_request_regions: Sequence[Sequence[tuple]],
+        per_query_regions: Sequence[Sequence[tuple]],
         client_setup_s: Optional[Sequence[float]] = None,
         tracer: Optional[Any] = None,
         trace_parents: Optional[Sequence[Any]] = None,
         deadlines: Optional[Sequence[Optional[float]]] = None,
         cancel_tokens: Optional[Sequence[Optional[CancellationToken]]] = None,
     ) -> List[CoprocessorCallResult]:
-        """Shared fan-out engine: run ``(region, request)`` pairs per
-        query on the thread pool with retries/hedging, account the
-        simulated timeline, merge whatever survived."""
-        fcfg = self.faults_config
+        """Shared fan-out engine: every query's ``(region, request)``
+        pairs run in order on the calling thread, through six stages
+        over one :class:`_QueryState` per query.  The cluster simulation
+        is what makes the regions of a batch overlap in (simulated)
+        time."""
         injector = self.fault_injector
-        active = injector is not None and getattr(injector, "enabled", False)
-        if active:
+        if not getattr(injector, "enabled", False):
+            injector = None
+        if injector is not None:
             # Applies any due node fail/recover schedule entries, so the
             # placement snapshot below sees the post-event cluster.
             injector.on_fanout_start(self)
         with self._fanout_lock:
             self._fanout_epoch += 1
             epoch = self._fanout_epoch
-
-        total_regions = len(table.regions)
-        traced = tracer is not None and getattr(tracer, "enabled", False)
+        if not getattr(tracer, "enabled", False):
+            tracer = None
         placement = self.simulation.region_placement
+
+        states: List[_QueryState] = []
+        for qi, region_requests in enumerate(per_query_regions):
+            q = _QueryState(qi, coprocessor, tracer, injector, epoch, placement)
+            # 1. plan
+            self._plan(
+                q,
+                deadlines[qi] if deadlines is not None else None,
+                cancel_tokens[qi] if cancel_tokens is not None else None,
+                trace_parents[qi]
+                if tracer is not None and trace_parents is not None
+                else None,
+            )
+            # 2. run regions
+            for region, request in region_requests:
+                self._run_region(q, region, request)
+            # 3. merge streams
+            self._merge_streams(q)
+            # 4. account
+            self._account(q)
+            states.append(q)
+        # 5. simulate: one pass over the whole batch, so concurrent
+        # queries contend for the same simulated cores (Figure 3).
+        timelines = self.simulation.run_queries(
+            [list(q.tasks.values()) for q in states],
+            client_setup_s=client_setup_s,
+        )
+        # 6. finish
+        total_regions = len(table.regions)
+        return [
+            self._finish(q, timeline, total_regions)
+            for q, timeline in zip(states, timelines)
+        ]
+
+    # ------------------------------------------------------ fan-out stages
+
+    def _plan(
+        self,
+        q: _QueryState,
+        client_deadline_ms: Optional[float],
+        token: Optional[CancellationToken],
+        parent_span: Optional[Any],
+    ) -> None:
+        """Effective deadline, cancellation token and parent span of
+        one query."""
+        fcfg = self.faults_config
+        # A client-supplied deadline tightens the config default.
+        deadline_ms = fcfg.query_deadline_ms
+        if client_deadline_ms is not None:
+            deadline_ms = (
+                client_deadline_ms if deadline_ms is None
+                else min(deadline_ms, client_deadline_ms)
+            )
+        if token is None and deadline_ms is not None and (
+            fcfg.strict_deadline or client_deadline_ms is not None
+        ):
+            # Cooperative cancellation engages only in strict mode or
+            # under an explicit client deadline; the default graceful
+            # path stays byte-identical to the token-free build.
+            token = CancellationToken(
+                deadline_ms=deadline_ms, strict=fcfg.strict_deadline
+            )
+        if token is not None:
+            # Stamp the cost-model terms so checkpoints translate
+            # cells-touched into simulated spend deterministically.
+            cm = self.simulation.cost_model
+            token.cost_per_record_ms = cm.cost_per_record_s * 1e3
+            token.setup_ms = (cm.rpc_latency_s + cm.coprocessor_setup_s) * 1e3
+        q.deadline_ms = deadline_ms
+        q.token = token
+        q.parent_span = parent_span
+
+    def _run_region(self, q: _QueryState, region: Region, request: Any) -> None:
+        """Availability gates, then the primary attempts, then the
+        hedge, for one region of one query.  ``unanswered`` is why the
+        region has no partial yet; None once it has."""
+        rid = region.region_id
+        node_id = q.placement.get(rid)
+        task = q.tasks[rid] = Task(
+            region_id=rid, records_scanned=0, query_id=q.qi
+        )
+        if self.retry_budget is not None:
+            self.retry_budget.record_request()
+        if q.injector is not None and not q.injector.region_available(rid):
+            # The region's data died with its node: no retry or hedge
+            # can answer, and the (healthy) serving node's breaker must
+            # not be charged for it.
+            unanswered = "region_lost"
+        elif node_id is not None and not self.simulation.is_live(node_id):
+            # Placement still points at a crashed server (the supervisor
+            # has not reassigned yet): nobody is home, and a hedge must
+            # not "answer" from the corpse's region object — its
+            # memstore died with the node.
+            unanswered = "node_down"
+        else:
+            if self._breaker_allow(node_id, q.epoch):
+                unanswered = self._try_primary(q, region, request, task, node_id)
+            else:
+                # Node known-bad: skip the primary, go straight to the
+                # hedge against a healthier node.
+                unanswered = "breaker_open"
+            if unanswered is not None and unanswered != "cancelled":
+                unanswered = self._hedge_region(
+                    q, region, request, task, node_id, unanswered
+                )
+        if unanswered is not None:
+            q.missing.append(rid)
+            if unanswered == "cancelled":
+                q.cancelled += 1
+            if unanswered == "breaker_open":
+                q.breaker_skips += 1
+
+    def _try_primary(
+        self,
+        q: _QueryState,
+        region: Region,
+        request: Any,
+        task: Task,
+        node_id: Optional[int],
+    ) -> Optional[str]:
+        """Attempts against the region's own node, backing off between
+        failures, until one answers (returns None) or the per-region
+        retry allowance, the global retry budget or the query deadline
+        runs out (returns which)."""
+        fcfg = self.faults_config
         cm = self.simulation.cost_model
         budget = self.retry_budget
-
-        per_request_partials: List[List[Any]] = []
-        per_request_deadline: List[Optional[float]] = []
-        per_request_tasks: List[List[Task]] = []
-        per_request_records: List[Dict[int, int]] = []
-        per_request_results: List[Dict[int, int]] = []
-        per_request_counters: List[Dict[str, int]] = []
-        per_request_spans: List[Dict[int, Any]] = []
-        per_request_missing: List[List[int]] = []
-        per_request_recovery: List[Dict[str, int]] = []
-
-        for qi, region_requests in enumerate(per_request_regions):
-            # Effective per-query deadline: a client-supplied deadline
-            # tightens the config default.
-            q_deadline = deadlines[qi] if deadlines is not None else None
-            deadline_ms = fcfg.query_deadline_ms
-            if q_deadline is not None:
-                deadline_ms = (
-                    q_deadline if deadline_ms is None
-                    else min(deadline_ms, q_deadline)
+        backoff_ms = fcfg.retry_backoff_ms
+        attempt = 0
+        while True:
+            try:
+                # A straggling primary is abandoned only once the
+                # region's recovery budget (derived from the whole-query
+                # deadline) is blown.
+                unanswered = self._attempt(
+                    q, region, request, task, node_id, attempt,
+                    stall_budget_ms=q.deadline_ms,
                 )
-            per_request_deadline.append(deadline_ms)
-            token = cancel_tokens[qi] if cancel_tokens is not None else None
-            if token is None and deadline_ms is not None and (
-                fcfg.strict_deadline or q_deadline is not None
-            ):
-                # Cooperative cancellation engages only in strict mode
-                # or under an explicit client deadline; the default
-                # graceful path stays byte-identical to the token-free
-                # build.
-                token = CancellationToken(
-                    deadline_ms=deadline_ms,
-                    strict=fcfg.strict_deadline,
+            except QueryCancelled:
+                # A tripped token is shed work, not a node failure: no
+                # breaker charge, no retry, no hedge.  The aborted
+                # scan's cells are still charged to the task.
+                return "cancelled"
+            except Exception as exc:  # noqa: BLE001 - resilience boundary
+                self._breaker_record(node_id, False, q.epoch)
+                attempt += 1
+                if attempt > fcfg.max_retries:
+                    return type(exc).__name__
+                if budget is not None and not budget.try_spend():
+                    # Global retry budget exhausted: degrade now rather
+                    # than amplify the overload.
+                    self._count("fanout.retries_denied")
+                    return "retry_budget"
+                q.retries += 1
+                jitter_ms = (
+                    q.injector.backoff_jitter_ms(region.region_id, attempt)
+                    if q.injector is not None
+                    else 0.0
                 )
-            if token is not None:
-                # Stamp the cost-model terms so checkpoints translate
-                # cells-touched into simulated spend deterministically.
-                token.cost_per_record_ms = cm.cost_per_record_s * 1e3
-                token.setup_ms = (
-                    (cm.rpc_latency_s + cm.coprocessor_setup_s) * 1e3
+                # A failed attempt costs the backoff plus a fresh RPC +
+                # coprocessor setup; its scanned records are already on
+                # the task.
+                task.extra_cost_s += (
+                    (backoff_ms + jitter_ms) / 1e3
+                    + cm.rpc_latency_s
+                    + cm.coprocessor_setup_s
                 )
-            parent_span = (
-                trace_parents[qi]
-                if traced and trace_parents is not None
-                else None
-            )
-
-            def run_one(pair):
-                region, request = pair
-                rid = region.region_id
-                node_id = placement.get(rid)
-                out = _RegionOutcome(rid)
-                backoff_ms = fcfg.retry_backoff_ms
-                attempt = 0
-                if budget is not None:
-                    budget.record_request()
-                if active and not injector.region_available(rid):
-                    # The region's data died with its node: no retry or
-                    # hedge can answer, and the (healthy) serving node's
-                    # breaker must not be charged for it.
-                    out.reason = "region_lost"
-                    return out
-                if node_id is not None and not self.simulation.is_live(node_id):
-                    # Placement still points at a crashed server (the
-                    # supervisor has not reassigned yet): nobody is home,
-                    # and a hedge must not "answer" from the corpse's
-                    # region object — its memstore died with the node.
-                    out.reason = "node_down"
-                    return out
-                if not self._breaker_allow(node_id, epoch):
-                    # Node known-bad: skip the primary, go straight to
-                    # the hedge against a healthier node.
-                    out.reason = "breaker_open"
-                else:
-                    while True:
-                        fault = (
-                            injector.decide(rid, node_id, attempt)
-                            if active
-                            else None
-                        )
-                        if fault is not None and fault.kind == _FAULT_HANG:
-                            # A straggler: charge the stall; abandon the
-                            # primary only once the region's recovery
-                            # budget (derived from the whole-query
-                            # deadline) is blown.
-                            out.extra_cost_s += fault.latency_ms / 1e3
-                            if (
-                                deadline_ms is not None
-                                and out.extra_cost_s * 1e3 >= deadline_ms
-                            ):
-                                out.reason = "deadline"
-                                break
-                            fault = None
-                        try:
-                            if fault is not None and fault.kind == _FAULT_ERROR:
-                                raise RegionUnavailableError(
-                                    "injected fault: region %d attempt %d"
-                                    % (rid, attempt)
-                                )
-                            out.partial = self._invoke_region(
-                                coprocessor,
-                                region,
-                                request,
-                                out,
-                                tracer if traced else None,
-                                parent_span,
-                                node_id,
-                                attempt=attempt,
-                                fault=fault,
-                                token=token,
-                            )
-                            out.ok = True
-                            self._breaker_record(node_id, True, epoch)
-                            return out
-                        except QueryCancelled as exc:
-                            # A tripped token is shed work, not a node
-                            # failure: no breaker charge, no retry, no
-                            # hedge.  The aborted scan's cells are still
-                            # charged via ``out.records``.
-                            out.error = exc
-                            out.reason = "cancelled"
-                            return out
-                        except Exception as exc:  # noqa: BLE001 - resilience boundary
-                            out.error = exc
-                            self._breaker_record(node_id, False, epoch)
-                            attempt += 1
-                            if attempt > fcfg.max_retries:
-                                out.reason = type(exc).__name__
-                                break
-                            if budget is not None and not budget.try_spend():
-                                # Global retry budget exhausted: degrade
-                                # now rather than amplify the overload.
-                                out.reason = "retry_budget"
-                                self._count("fanout.retries_denied")
-                                break
-                            out.retries += 1
-                            jitter_ms = (
-                                injector.backoff_jitter_ms(rid, attempt)
-                                if active
-                                else 0.0
-                            )
-                            # A failed attempt costs the backoff plus a
-                            # fresh RPC + coprocessor setup; its scanned
-                            # records are charged via ``out.records``.
-                            out.extra_cost_s += (
-                                (backoff_ms + jitter_ms) / 1e3
-                                + cm.rpc_latency_s
-                                + cm.coprocessor_setup_s
-                            )
-                            backoff_ms *= fcfg.retry_backoff_multiplier
-                            if (
-                                deadline_ms is not None
-                                and out.extra_cost_s * 1e3 >= deadline_ms
-                            ):
-                                out.reason = "deadline"
-                                break
-
-                if fcfg.hedge_enabled and not out.ok and (
-                    out.reason != "cancelled"
+                backoff_ms *= fcfg.retry_backoff_multiplier
+                if (
+                    q.deadline_ms is not None
+                    and task.extra_cost_s * 1e3 >= q.deadline_ms
                 ):
-                    if budget is not None and not budget.try_spend():
-                        # Hedges draw from the same global budget.
-                        self._count("fanout.hedges_denied")
-                        return out
-                    if (
-                        token is not None
-                        and token.remaining_ms(out.extra_cost_s * 1e3) <= 0
-                    ):
-                        # No deadline budget left for the hedge to spend.
-                        return out
-                    self._hedge_region(
-                        coprocessor,
-                        region,
-                        request,
-                        out,
-                        tracer if traced else None,
-                        parent_span,
-                        node_id,
-                        active,
-                        token=token,
-                    )
-                return out
+                    return "deadline"
+            else:
+                if unanswered is None:
+                    self._breaker_record(node_id, True, q.epoch)
+                return unanswered
 
-            outcomes = self._executor.map_ordered(run_one, region_requests)
-            partials: List[Any] = []
-            records: Dict[int, int] = {}
-            result_sizes: Dict[int, int] = {}
-            counters: Dict[str, int] = {}
-            spans: Dict[int, Any] = {}
-            missing: List[int] = []
-            #: Deferred Task construction in outcome order: streaming
-            #: partials only learn their shipped-item count after the
-            #: incremental merge below, and the merge cost the timeline
-            #: charges must reflect what actually crossed the wire.
-            task_inputs: List[tuple] = []
-            retries = 0
-            hedges = 0
-            breaker_skips = 0
-            cancelled = 0
-            for out in outcomes:
-                rid = out.region_id
-                records[rid] = out.records
-                retries += out.retries
-                if out.ok:
-                    partials.append(out.partial)
-                    if out.hedged:
-                        hedges += 1
-                    if out.span is not None:
-                        spans[rid] = out.span
-                    try:
-                        result_sizes[rid] = len(out.partial)
-                    except TypeError:
-                        result_sizes[rid] = 1  # scalar partial result
-                    for name, value in out.counters.items():
-                        counters[name] = counters.get(name, 0) + value
-                else:
-                    missing.append(rid)
-                    result_sizes[rid] = 0
-                    if out.reason == "cancelled":
-                        cancelled += 1
-                    if out.reason == "breaker_open":
-                        breaker_skips += 1
-                task_inputs.append((rid, out.records, out.extra_cost_s))
-            if partials and all(
-                isinstance(p, StreamingPartial) for p in partials
-            ):
-                # Threshold-algorithm path: the endpoint returned
-                # score-sorted streams, merged *here* — before the
-                # timeline is simulated — so ``results_returned`` (and
-                # with it the web tier's per-item merge cost) counts
-                # only the items each region actually emitted or
-                # answered probes for, not its whole partial.
-                merged_stream, topk_stats = coprocessor.stream_merge(
-                    partials, deadline_token=token
-                )
-                for stream in partials:
-                    result_sizes[stream.region_id] = stream.shipped
-                counters["cells_decoded"] = (
-                    counters.get("cells_decoded", 0)
-                    + topk_stats["cells_decoded"]
-                )
-                for key in (
-                    "rounds",
-                    "probes",
-                    "candidates",
-                    "cells_avoided",
-                    "pruned_regions",
-                ):
-                    counters["topk." + key] = (
-                        counters.get("topk." + key, 0) + topk_stats[key]
-                    )
-                self._count("topk.queries")
-                self._count("topk.rounds", topk_stats["rounds"])
-                self._count(
-                    "topk.cells_avoided", topk_stats["cells_avoided"]
-                )
-                if topk_stats["pruned_regions"]:
-                    self._count(
-                        "topk.regions_pruned_early",
-                        topk_stats["pruned_regions"],
-                    )
-                aborted = topk_stats["aborted_regions"]
-                if aborted:
-                    # Deadline hit mid-merge: emission from these
-                    # regions never finished, so undiscovered candidates
-                    # may be missing — honest degraded semantics, unlike
-                    # proof-pruned regions which stay fully covered.
-                    missing.extend(
-                        rid for rid in aborted if rid not in missing
-                    )
-                    cancelled += len(aborted)
-                partials = [merged_stream]
-            tasks = [
-                Task(
-                    region_id=rid,
-                    records_scanned=out_records,
-                    results_returned=result_sizes[rid],
-                    query_id=qi,
-                    extra_cost_s=extra_cost_s,
-                )
-                for rid, out_records, extra_cost_s in task_inputs
-            ]
-            if retries:
-                self._count("fanout.retries", retries)
-            if hedges:
-                self._count("fanout.hedges", hedges)
-            if missing:
-                self._count("fanout.regions_missing", len(missing))
-                self._count("fanout.degraded_queries")
-            if breaker_skips:
-                self._count("fanout.breaker_skips", breaker_skips)
-            if cancelled:
-                self._count("fanout.cancelled", cancelled)
-            if fcfg.strict_deadline and cancelled:
-                # Strict mode aborts the query the moment scans tripped
-                # the deadline token — before the timeline is even
-                # simulated, rather than detecting the overrun post-hoc.
-                raise QueryDeadlineExceeded(
-                    "query %d aborted mid-scan: %d region scan(s) "
-                    "cancelled at the %.1fms deadline"
-                    % (qi, cancelled, deadline_ms)
-                )
-            per_request_partials.append(partials)
-            per_request_tasks.append(tasks)
-            per_request_records.append(records)
-            per_request_results.append(result_sizes)
-            per_request_counters.append(counters)
-            per_request_spans.append(spans)
-            per_request_missing.append(sorted(missing))
-            per_request_recovery.append(
-                {"retries": retries, "hedges": hedges, "cancelled": cancelled}
-            )
-
-        timelines = self.simulation.run_queries(
-            per_request_tasks, client_setup_s=client_setup_s
+    def _attempt(
+        self,
+        q: _QueryState,
+        region: Region,
+        request: Any,
+        task: Task,
+        node_id: Optional[int],
+        attempt: int,
+        stall_budget_ms: Optional[float] = None,
+        send_cost_s: float = 0.0,
+    ) -> Optional[str]:
+        """One try at ``region`` on ``node_id``: the injector decides
+        the attempt's fault, a hang is charged as a stall, an injected
+        error raises, otherwise the endpoint runs and the query absorbs
+        its partial.  Returns "deadline", without running, when the
+        region's stalls so far reach ``stall_budget_ms``; charges
+        ``send_cost_s`` once the request is actually sent; raises
+        whatever the try raised."""
+        rid = region.region_id
+        fault = (
+            q.injector.decide(rid, node_id, attempt)
+            if q.injector is not None
+            else None
         )
-        results = []
-        for qi in range(len(per_request_regions)):
-            merged = coprocessor.merge(per_request_partials[qi])
-            regions_pruned = total_regions - len(per_request_regions[qi])
-            missing = per_request_missing[qi]
-            invoked = len(per_request_regions[qi])
-            coverage = (
-                1.0 if invoked == 0 else (invoked - len(missing)) / invoked
-            )
-            recovery = per_request_recovery[qi]
-            if traced:
-                self._attribute_fanout(
-                    per_request_spans[qi],
-                    per_request_records[qi],
-                    trace_parents[qi] if trace_parents is not None else None,
-                    timelines[qi],
-                    regions_pruned,
-                    missing_regions=missing,
-                    retries=recovery["retries"],
-                    hedges=recovery["hedges"],
-                )
-            q_deadline_ms = per_request_deadline[qi]
+        if fault is not None and fault.kind == _FAULT_HANG:
+            task.extra_cost_s += fault.latency_ms / 1e3
             if (
-                fcfg.strict_deadline
-                and q_deadline_ms is not None
-                and timelines[qi].latency_ms > q_deadline_ms
+                stall_budget_ms is not None
+                and task.extra_cost_s * 1e3 >= stall_budget_ms
             ):
-                raise QueryDeadlineExceeded(
-                    "query %d finished at %.1fms, over the %.1fms deadline"
-                    % (qi, timelines[qi].latency_ms, q_deadline_ms)
-                )
-            results.append(
-                CoprocessorCallResult(
-                    result=merged,
-                    timeline=timelines[qi],
-                    per_region_records=per_request_records[qi],
-                    per_region_results=per_request_results[qi],
-                    regions_pruned=regions_pruned,
-                    counters=per_request_counters[qi],
-                    degraded=bool(missing),
-                    missing_regions=missing,
-                    coverage=coverage,
-                    retries=recovery["retries"],
-                    hedges=recovery["hedges"],
-                    cancelled_regions=recovery["cancelled"],
-                )
+                return "deadline"
+            fault = None  # a straggler still answers
+        if fault is not None and fault.kind == _FAULT_ERROR:
+            raise RegionUnavailableError(
+                "injected fault: region %d attempt %d" % (rid, attempt)
             )
-        return results
+        task.extra_cost_s += send_cost_s
+        self._invoke_region(q, region, request, task, node_id, attempt, fault)
+        return None
 
     def _invoke_region(
         self,
-        coprocessor: Coprocessor,
+        q: _QueryState,
         region: Region,
         request: Any,
-        out: _RegionOutcome,
-        tracer: Optional[Any],
-        parent_span: Optional[Any],
+        task: Task,
         node_id: Optional[int],
-        attempt: int = 0,
-        fault: Optional[Any] = None,
-        hedged: bool = False,
-        token: Optional[CancellationToken] = None,
-    ) -> Any:
-        """One region invocation with span bookkeeping.
+        attempt: int,
+        fault: Optional[Any],
+    ) -> None:
+        """One region invocation with span bookkeeping; the query
+        absorbs the partial of one that succeeds.
 
         The ``region.scan`` span is finished in a ``finally`` — an
         endpoint that raises can no longer orphan its span — and failed
@@ -802,101 +681,204 @@ class HBaseCluster:
         # answer must never become a future query's "clean" data.
         cache = self.scan_cache if fault is None else None
         span = None
-        if tracer is not None:
+        if q.tracer is not None:
             tags: Dict[str, Any] = {"region_id": region.region_id, "node": node_id}
-            if attempt:
-                tags["attempt"] = attempt
-            if hedged:
+            if attempt == _HEDGE_ATTEMPT:
                 tags["hedged"] = True
-            span = tracer.span("region.scan", parent=parent_span, **tags)
-            context = CoprocessorContext(
-                region, tracer=tracer, span=span, cache=cache,
-                cancellation=token,
-            )
-        else:
-            context = CoprocessorContext(region, cache=cache, cancellation=token)
+            elif attempt:
+                tags["attempt"] = attempt
+            span = q.tracer.span("region.scan", parent=q.parent_span, **tags)
+        context = CoprocessorContext(
+            region, tracer=q.tracer, span=span, cache=cache,
+            cancellation=q.token,
+        )
         try:
-            partial = coprocessor.run(context, request)
+            partial = q.coprocessor.run(context, request)
             if fault is not None and fault.kind == _FAULT_CORRUPT:
-                partial = self.fault_injector.corrupt(partial)
-            if (
-                self.fault_injector is not None
-                and getattr(self.fault_injector, "enabled", False)
-                and not coprocessor.validate_partial(partial)
+                partial = q.injector.corrupt(partial)
+            if q.injector is not None and not q.coprocessor.validate_partial(
+                partial
             ):
                 raise CoprocessorError(
                     "corrupt partial from region %d" % region.region_id
                 )
-            out.span = span
-            out.counters = context.counters
-            return partial
         except Exception as exc:
             if span is not None:
                 span.tag("error", type(exc).__name__)
             raise
         finally:
-            out.records += context.records_scanned
+            task.records_scanned += context.records_scanned
             if span is not None:
                 span.tag("records_scanned", context.records_scanned)
                 span.tag("region_scans_served", region.scans_served)
                 for name, value in context.counters.items():
                     span.tag(name, value)
                 span.finish()
+        q.partials.append(partial)
+        if span is not None:
+            q.spans[region.region_id] = span
+        try:
+            task.results_returned = len(partial)
+        except TypeError:
+            task.results_returned = 1  # scalar partial result
+        for name, value in context.counters.items():
+            q.counters[name] = q.counters.get(name, 0) + value
 
     def _hedge_region(
         self,
-        coprocessor: Coprocessor,
+        q: _QueryState,
         region: Region,
         request: Any,
-        out: _RegionOutcome,
-        tracer: Optional[Any],
-        parent_span: Optional[Any],
+        task: Task,
         primary_node: Optional[int],
-        active: bool,
-        token: Optional[CancellationToken] = None,
-    ) -> None:
+        unanswered: str,
+    ) -> Optional[str]:
         """Last-resort re-execution against the replica on a surviving
-        node.  Mutates ``out`` in place; a hedge that fails leaves the
-        region missing."""
-        injector = self.fault_injector
-        rid = region.region_id
-        if active and not injector.region_available(rid):
-            return  # the data itself is gone until the node recovers
+        node.  Returns None when the hedge answered; a hedge that is
+        denied or fails leaves the region ``unanswered``."""
+        if not self.faults_config.hedge_enabled:
+            return unanswered
+        if self.retry_budget is not None and not self.retry_budget.try_spend():
+            # Hedges draw from the same global budget as retries.
+            self._count("fanout.hedges_denied")
+            return unanswered
+        if (
+            q.token is not None
+            and q.token.remaining_ms(task.extra_cost_s * 1e3) <= 0
+        ):
+            return unanswered  # no deadline budget left to spend
+        if q.injector is not None and not q.injector.region_available(
+            region.region_id
+        ):
+            return unanswered  # the data is gone until the node recovers
         hedge_node = self._hedge_target(primary_node)
         if hedge_node is None:
-            return
-        fault = (
-            injector.decide(rid, hedge_node, _HEDGE_ATTEMPT) if active else None
-        )
-        if fault is not None and fault.kind == _FAULT_HANG:
-            out.extra_cost_s += fault.latency_ms / 1e3
-            fault = None  # a slow hedge still answers
-        if fault is not None and fault.kind == _FAULT_ERROR:
-            return
+            return unanswered
         cm = self.simulation.cost_model
-        out.extra_cost_s += cm.rpc_latency_s + cm.coprocessor_setup_s
         try:
-            out.partial = self._invoke_region(
-                coprocessor,
-                region,
-                request,
-                out,
-                tracer,
-                parent_span,
-                hedge_node,
-                fault=fault,
-                hedged=True,
-                token=token,
+            # No stall budget: a slow hedge still answers.  An injected
+            # error refuses the hedge before it is sent, so only the
+            # others pay the fresh RPC + coprocessor setup.
+            self._attempt(
+                q, region, request, task, hedge_node, _HEDGE_ATTEMPT,
+                send_cost_s=cm.rpc_latency_s + cm.coprocessor_setup_s,
             )
-            out.ok = True
-            out.hedged = True
-            out.reason = None
-        except QueryCancelled as exc:
-            out.error = exc
-            out.reason = "cancelled"
-        except Exception as exc:  # noqa: BLE001 - resilience boundary
-            out.error = exc
-            out.reason = out.reason or type(exc).__name__
+        except QueryCancelled:
+            return "cancelled"
+        except Exception:  # noqa: BLE001 - resilience boundary
+            return unanswered
+        q.hedges += 1
+        return None
+
+    def _merge_streams(self, q: _QueryState) -> None:
+        """Threshold-algorithm path: the endpoint returned score-sorted
+        streams, merged *here* — before the timeline is simulated — so
+        ``results_returned`` (and with it the web tier's per-item merge
+        cost) counts only the items each region actually emitted or
+        answered probes for, not its whole partial."""
+        streams = q.partials
+        if not streams or not all(
+            isinstance(p, StreamingPartial) for p in streams
+        ):
+            return
+        merged_stream, topk_stats = q.coprocessor.stream_merge(
+            streams, deadline_token=q.token
+        )
+        counters = q.counters
+        for stream in streams:
+            q.tasks[stream.region_id].results_returned = stream.shipped
+        counters["cells_decoded"] = (
+            counters.get("cells_decoded", 0) + topk_stats["cells_decoded"]
+        )
+        for key in (
+            "rounds",
+            "probes",
+            "candidates",
+            "cells_avoided",
+            "pruned_regions",
+        ):
+            counters["topk." + key] = (
+                counters.get("topk." + key, 0) + topk_stats[key]
+            )
+        self._count("topk.queries")
+        self._count("topk.rounds", topk_stats["rounds"])
+        self._count("topk.cells_avoided", topk_stats["cells_avoided"])
+        if topk_stats["pruned_regions"]:
+            self._count(
+                "topk.regions_pruned_early", topk_stats["pruned_regions"]
+            )
+        aborted = topk_stats["aborted_regions"]
+        if aborted:
+            # Deadline hit mid-merge: emission from these regions never
+            # finished, so undiscovered candidates may be missing —
+            # honest degraded semantics, unlike proof-pruned regions
+            # which stay fully covered.
+            q.missing.extend(rid for rid in aborted if rid not in q.missing)
+            q.cancelled += len(aborted)
+        q.partials = [merged_stream]
+
+    def _account(self, q: _QueryState) -> None:
+        """Resilience counters and strict mode's mid-scan abort."""
+        q.missing.sort()
+        if q.retries:
+            self._count("fanout.retries", q.retries)
+        if q.hedges:
+            self._count("fanout.hedges", q.hedges)
+        if q.missing:
+            self._count("fanout.regions_missing", len(q.missing))
+            self._count("fanout.degraded_queries")
+        if q.breaker_skips:
+            self._count("fanout.breaker_skips", q.breaker_skips)
+        if q.cancelled:
+            self._count("fanout.cancelled", q.cancelled)
+        if self.faults_config.strict_deadline and q.cancelled:
+            # Strict mode aborts the query the moment scans tripped the
+            # deadline token — before the timeline is even simulated,
+            # rather than detecting the overrun post-hoc.
+            raise QueryDeadlineExceeded(
+                "query %d aborted mid-scan: %d region scan(s) "
+                "cancelled at the %.1fms deadline"
+                % (q.qi, q.cancelled, q.deadline_ms)
+            )
+
+    def _finish(
+        self, q: _QueryState, timeline: QueryTimeline, total_regions: int
+    ) -> CoprocessorCallResult:
+        """Client-side merge, straggler attribution, strict mode's
+        post-hoc deadline check, and the call result."""
+        merged = q.coprocessor.merge(q.partials)
+        invoked = len(q.tasks)
+        regions_pruned = total_regions - invoked
+        coverage = 1.0 if invoked == 0 else (invoked - len(q.missing)) / invoked
+        if q.tracer is not None:
+            self._attribute_fanout(q, timeline, regions_pruned)
+        if (
+            self.faults_config.strict_deadline
+            and q.deadline_ms is not None
+            and timeline.latency_ms > q.deadline_ms
+        ):
+            raise QueryDeadlineExceeded(
+                "query %d finished at %.1fms, over the %.1fms deadline"
+                % (q.qi, timeline.latency_ms, q.deadline_ms)
+            )
+        return CoprocessorCallResult(
+            result=merged,
+            timeline=timeline,
+            per_region_records={
+                rid: task.records_scanned for rid, task in q.tasks.items()
+            },
+            per_region_results={
+                rid: task.results_returned for rid, task in q.tasks.items()
+            },
+            regions_pruned=regions_pruned,
+            counters=q.counters,
+            degraded=bool(q.missing),
+            missing_regions=q.missing,
+            coverage=coverage,
+            retries=q.retries,
+            hedges=q.hedges,
+            cancelled_regions=q.cancelled,
+        )
 
     def _hedge_target(self, primary_node: Optional[int]) -> Optional[int]:
         """The surviving node a hedge runs against (deterministic: the
@@ -916,21 +898,14 @@ class HBaseCluster:
             state = self._breakers.get(node_id)
             if state is None or state.open_until < 0:
                 return True
-            if epoch >= state.open_until:
-                # Half-open: admit a probe; one more failure re-opens.
-                state.open_until = -1
-                state.failures = self.faults_config.breaker_threshold - 1
-                half_open = True
-            else:
+            if epoch < state.open_until:
                 return False
-        if half_open:
-            self._emit_event(
-                {
-                    "type": "breaker.half_open",
-                    "node": node_id,
-                    "epoch": epoch,
-                }
-            )
+            # Half-open: admit a probe; one more failure re-opens.
+            state.open_until = -1
+            state.failures = self.faults_config.breaker_threshold - 1
+        self._emit_event(
+            {"type": "breaker.half_open", "node": node_id, "epoch": epoch}
+        )
         return True
 
     def _breaker_record(
@@ -991,15 +966,7 @@ class HBaseCluster:
             }
 
     def _attribute_fanout(
-        self,
-        region_spans: Dict[int, Any],
-        region_records: Dict[int, int],
-        parent_span: Optional[Any],
-        timeline: Any,
-        regions_pruned: int,
-        missing_regions: Optional[List[int]] = None,
-        retries: int = 0,
-        hedges: int = 0,
+        self, q: _QueryState, timeline: QueryTimeline, regions_pruned: int
     ) -> None:
         """Per-region cost + straggler tags for one traced fan-out.
 
@@ -1017,28 +984,29 @@ class HBaseCluster:
         total_cost_ms = 0.0
         straggler_region = None
         straggler_cost_ms = 0.0
-        for region_id, records in region_records.items():
-            cost_ms = cm.coprocessor_cost_s(records) * 1e3
+        for region_id, task in q.tasks.items():
+            cost_ms = cm.coprocessor_cost_s(task.records_scanned) * 1e3
             total_cost_ms += cost_ms
-            span = region_spans.get(region_id)
+            span = q.spans.get(region_id)
             if span is not None:
                 span.tag("sim_cost_ms", cost_ms)
             if straggler_region is None or cost_ms > straggler_cost_ms:
                 straggler_region = region_id
                 straggler_cost_ms = cost_ms
+        parent_span = q.parent_span
         if parent_span is None:
             return
-        parent_span.tag("regions_used", len(region_records))
+        parent_span.tag("regions_used", len(q.tasks))
         parent_span.tag("regions_pruned", regions_pruned)
         parent_span.tag("sim_region_cost_ms_total", total_cost_ms)
         parent_span.tag("sim_latency_ms", timeline.latency_ms)
-        if missing_regions:
+        if q.missing:
             parent_span.tag("degraded", True)
-            parent_span.tag("missing_regions", list(missing_regions))
-        if retries:
-            parent_span.tag("retries", retries)
-        if hedges:
-            parent_span.tag("hedges", hedges)
+            parent_span.tag("missing_regions", list(q.missing))
+        if q.retries:
+            parent_span.tag("retries", q.retries)
+        if q.hedges:
+            parent_span.tag("hedges", q.hedges)
         if straggler_region is not None:
             parent_span.tag("straggler_region", straggler_region)
             parent_span.tag("straggler_cost_ms", straggler_cost_ms)
@@ -1152,19 +1120,6 @@ class HBaseCluster:
         if self.fault_injector is not None:
             self.fault_injector.on_node_recovered(node_id)
         self._emit_event({"type": "node.recovered", "node": node_id})
-
-    def shutdown(self) -> None:
-        """Release the fan-out thread pool.  Idempotent; the cluster
-        remains usable afterwards (a new pool is created lazily)."""
-        self._executor.shutdown()
-
-    close = shutdown
-
-    def __enter__(self) -> "HBaseCluster":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown()
 
     def describe(self) -> dict:
         out = {

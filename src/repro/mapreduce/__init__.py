@@ -4,8 +4,8 @@ The platform's batch jobs — HotIn aggregation, MR-DBSCAN event
 detection, classifier training — run as MapReduce jobs here exactly as
 they do on the paper's Hadoop cluster: input splits feed mappers,
 optional combiners pre-aggregate map output, a partitioner routes keys
-to reducers, and reducers emit the final pairs.  Mappers and reducers
-execute on a thread pool sized to the simulated cluster.
+to reducers, and reducers emit the final pairs.  The tasks run one
+after another on the calling thread.
 """
 
 from .job import MapReduceJob, JobResult, Counters

@@ -5,7 +5,6 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..cluster import ParallelExecutor
 from ..errors import MapReduceError
 from .io import InputSplit, make_splits
 from .job import Counters, JobResult, MapReduceJob
@@ -31,11 +30,9 @@ _NOOP_PHASE = _NoopPhase()
 
 
 class JobRunner:
-    """Runs jobs with map/reduce tasks on a shared thread pool.
-
-    ``max_workers`` models the Hadoop cluster's task slots; the paper's
-    batch tier shares machines with HBase, so platform code sizes it
-    from the same :class:`~repro.config.ClusterConfig`.
+    """Runs a job's map and reduce tasks one after another, in split
+    order, on the calling thread (``job.num_mappers`` sets how many
+    splits there are, not how many run at once).
 
     ``tracer``/``metrics`` (both optional) give the batch tier the same
     observability as the query tier: each run emits a ``mapreduce.job``
@@ -45,13 +42,9 @@ class JobRunner:
 
     def __init__(
         self,
-        max_workers: int = 8,
         tracer: Optional[Any] = None,
         metrics: Optional[Any] = None,
     ) -> None:
-        self._executor = ParallelExecutor(
-            max_workers=max_workers, component="mapreduce"
-        )
         self.tracer = tracer
         self.metrics = metrics
 
@@ -105,11 +98,9 @@ class JobRunner:
                 reduce_tasks=0,
             )
 
-        # ---- map phase (parallel over splits)
+        # ---- map phase (one task per split)
         with phase("map", tasks=len(splits)):
-            map_outputs = self._executor.map_ordered(
-                lambda split: self._run_map_task(job, split), splits
-            )
+            map_outputs = [self._run_map_task(job, split) for split in splits]
 
         # ---- shuffle: group by reducer partition, then by key
         with phase("shuffle") as shuffle_span:
@@ -125,18 +116,15 @@ class JobRunner:
                     shuffled += 1
             shuffle_span.tag("pairs", shuffled)
 
-        # ---- reduce phase (parallel over non-empty partitions)
-        busy = [(i, p) for i, p in enumerate(partitions) if p]
+        # ---- reduce phase (one task per non-empty partition)
+        busy = [p for p in partitions if p]
         with phase("reduce", tasks=len(busy)):
-            reduce_outputs = self._executor.map_ordered(
-                lambda item: self._run_reduce_task(job, item[1]), busy
-            )
-
             pairs: List[Tuple[Any, Any]] = []
-            for task_pairs, task_counters in reduce_outputs:
+            for grouped in busy:
+                task_pairs, task_counters = self._run_reduce_task(job, grouped)
                 counters.merge(task_counters)
                 pairs.extend(task_pairs)
-            # Deterministic output order regardless of scheduling.
+            # Output order independent of the partitioning.
             pairs.sort(key=lambda kv: repr(kv[0]))
 
         return JobResult(
@@ -192,12 +180,3 @@ class JobRunner:
             counters.increment("reduce.keys_in")
         counters.increment("reduce.records_out", len(out))
         return out, counters
-
-    def shutdown(self) -> None:
-        self._executor.shutdown()
-
-    def __enter__(self) -> "JobRunner":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown()

@@ -83,8 +83,7 @@ class SentimentPipeline:
             raise ValidationError("cannot train on an empty corpus")
         self.extractor.fit(labeled_documents)
         extractor = self.extractor
-        own_runner = runner is None
-        runner = runner or JobRunner(max_workers=num_mappers)
+        runner = runner or JobRunner()
 
         def mapper(record, emit, counters):
             text, label = record
@@ -107,11 +106,7 @@ class SentimentPipeline:
             num_mappers=num_mappers,
             num_reducers=max(2, num_mappers // 2),
         )
-        try:
-            result = runner.run(job, list(labeled_documents))
-        finally:
-            if own_runner:
-                runner.shutdown()
+        result = runner.run(job, list(labeled_documents))
 
         class_doc_counts: Dict[int, int] = {0: 0, 1: 0}
         class_feature_counts: Dict[int, Dict[str, int]] = {0: {}, 1: {}}

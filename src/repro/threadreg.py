@@ -2,8 +2,9 @@
 
 The continuous profiler (:mod:`repro.core.telemetry.profiler`) samples
 ``sys._current_frames()`` and must attribute each thread's samples to a
-platform component — fan-out workers, ingest appliers, scheduler jobs,
-REST handlers.  Thread objects cannot carry that attribution portably,
+platform component — ingest appliers, scheduler jobs, REST handlers
+(region and map/reduce work runs in the thread that asked for it, so it
+is sampled under that caller's component).  Thread objects cannot carry that attribution portably,
 so this module keeps a process-wide ``ident -> component`` map.
 
 It lives at the top of the package on purpose: ``repro.hbase``,
@@ -15,7 +16,7 @@ This module therefore imports nothing from ``repro``.
 Two registration styles:
 
 - :func:`register_current_thread` — permanent, for dedicated worker
-  threads (executor pools via their initializer, ingest appliers);
+  threads (the ingest appliers, the profiler itself);
 - :func:`push_component` / :func:`pop_component` — scoped, for threads
   that wear different hats over time (the main thread is "rest" while
   inside ``RestApi.handle`` and "scheduler" while a job callback runs).

@@ -543,60 +543,51 @@ class TestDeadlineCancellation:
         cooperative cancellation is that the work *stops*, not that the
         result is merely flagged late."""
         cluster, qa = _deadline_stack()
-        try:
-            query = SearchQuery(
-                friend_ids=tuple(range(1, 40)), sort_by="hotness",
-            )
-            clean = qa.search(query)
-            assert not clean.degraded
-            assert clean.records_scanned == 1950
+        query = SearchQuery(
+            friend_ids=tuple(range(1, 40)), sort_by="hotness",
+        )
+        clean = qa.search(query)
+        assert not clean.degraded
+        assert clean.records_scanned == 1950
 
-            tight = SearchQuery(
-                friend_ids=tuple(range(1, 40)), sort_by="hotness",
-                deadline_ms=2.0,
-            )
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                cut = qa.search(tight)
-            assert cut.degraded
-            assert cut.coverage < 1.0
-            # Every region stopped at (or before) its first checkpoint:
-            # 8 regions x 64-cell probe interval, nowhere near 1950.
-            assert cut.records_scanned <= 8 * 64
-            assert cut.records_scanned < clean.records_scanned / 3
-        finally:
-            cluster.shutdown()
+        tight = SearchQuery(
+            friend_ids=tuple(range(1, 40)), sort_by="hotness",
+            deadline_ms=2.0,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cut = qa.search(tight)
+        assert cut.degraded
+        assert cut.coverage < 1.0
+        # Every region stopped at (or before) its first checkpoint:
+        # 8 regions x 64-cell probe interval, nowhere near 1950.
+        assert cut.records_scanned <= 8 * 64
+        assert cut.records_scanned < clean.records_scanned / 3
 
     def test_strict_deadline_aborts_whole_query(self):
         cluster, qa = _deadline_stack()
-        try:
-            cluster.faults_config = FaultsConfig(
-                enabled=True, strict_deadline=True,
-            )
-            tight = SearchQuery(
-                friend_ids=tuple(range(1, 40)), sort_by="hotness",
-                deadline_ms=2.0,
-            )
-            with pytest.raises(QueryDeadlineExceeded) as exc:
-                qa.search(tight)
-            assert "aborted mid-scan" in str(exc.value)
-        finally:
-            cluster.shutdown()
+        cluster.faults_config = FaultsConfig(
+            enabled=True, strict_deadline=True,
+        )
+        tight = SearchQuery(
+            friend_ids=tuple(range(1, 40)), sort_by="hotness",
+            deadline_ms=2.0,
+        )
+        with pytest.raises(QueryDeadlineExceeded) as exc:
+            qa.search(tight)
+        assert "aborted mid-scan" in str(exc.value)
 
     def test_no_deadline_path_is_unchanged(self):
         cluster, qa = _deadline_stack(visits_per_user=5)
-        try:
-            query = SearchQuery(
-                friend_ids=tuple(range(1, 40)), sort_by="hotness",
-            )
-            first = qa.search(query)
-            second = qa.search(query)
-            assert not first.degraded
-            assert first.records_scanned == second.records_scanned
-            assert [p.poi_id for p in first.pois] == \
-                   [p.poi_id for p in second.pois]
-        finally:
-            cluster.shutdown()
+        query = SearchQuery(
+            friend_ids=tuple(range(1, 40)), sort_by="hotness",
+        )
+        first = qa.search(query)
+        second = qa.search(query)
+        assert not first.degraded
+        assert first.records_scanned == second.records_scanned
+        assert [p.poi_id for p in first.pois] == \
+               [p.poi_id for p in second.pois]
 
 
 # --------------------------------------------------------------------------
@@ -643,7 +634,6 @@ def _storm(max_retries, budget=None, queries=16):
         warnings.simplefilter("ignore")
         for _ in range(queries):
             coverages.append(qa.search(query).coverage)
-    cluster.shutdown()
     return coverages, metrics
 
 

@@ -165,9 +165,6 @@ class _Stack:
             self.cluster.recover_node(self.failed_node)
             self.failed_node = None
 
-    def shutdown(self):
-        self.cluster.shutdown()
-
 
 class TestRandomizedInterleavings:
     """200 seeded interleavings of writes / flushes / compactions / TTL
@@ -177,65 +174,61 @@ class TestRandomizedInterleavings:
     def _run(self, topk):
         stack = _Stack(topk=topk)
         total_queries = 0
-        try:
-            for seed in range(NUM_SEEDS):
-                if seed and seed % REBUILD_EVERY == 0:
-                    stack.shutdown()
-                    stack = _Stack(topk=topk)
-                rng = random.Random(seed)
-                # Every interleaving starts with some data in place.
-                for _ in range(rng.randrange(3, 9)):
+        for seed in range(NUM_SEEDS):
+            if seed and seed % REBUILD_EVERY == 0:
+                stack = _Stack(topk=topk)
+            rng = random.Random(seed)
+            # Every interleaving starts with some data in place.
+            for _ in range(rng.randrange(3, 9)):
+                stack.write(rng)
+            for _ in range(OPS_PER_SEED):
+                op = rng.random()
+                if op < 0.25:
                     stack.write(rng)
-                for _ in range(OPS_PER_SEED):
-                    op = rng.random()
-                    if op < 0.25:
-                        stack.write(rng)
-                    elif op < 0.32:
-                        stack.visits.table.flush()
-                    elif op < 0.37:
-                        stack.visits.table.compact()
-                    elif op < 0.40:
-                        stack.visits.table.set_ttl_cutoff(
-                            FAMILY, rng.randrange(0, stack._ts // 2 + 1)
-                        )
-                    elif op < 0.44:
-                        stack.toggle_node(rng)
-                    elif op < 0.52:
-                        # HotIn-style refresh: rewrite a POI's scores and
-                        # bump the epoch, as MoDisSENSE.run_hotin does.
-                        stack.pois.update_hotin(
-                            rng.choice(list(POIS)),
-                            hotness=rng.uniform(0, 10),
-                            interest=rng.uniform(0, 5),
-                        )
-                        stack.hot_poi_cache.bump_epoch()
-                    elif op < 0.60:
-                        query = SearchQuery(
-                            bbox=rng.choice(BBOXES),
-                            keywords=rng.choice(KEYWORD_CHOICES),
-                            sort_by=rng.choice(("interest", "hotness")),
-                            limit=rng.choice((3, 10)),
-                        )
-                        cached = stack.qa.search(query)
-                        oracle = stack.oracle(query)
-                        assert _pois_fingerprint(cached) == _pois_fingerprint(
-                            oracle
-                        ), "non-personalized mismatch at seed %d" % seed
-                        total_queries += 1
-                    else:
-                        query = stack.random_query(rng)
-                        cached = stack.qa.search(query)
-                        oracle = stack.oracle(query)
-                        assert _pois_fingerprint(cached) == _pois_fingerprint(
-                            oracle
-                        ), "personalized mismatch at seed %d" % seed
-                        total_queries += 1
-            # The suite is vacuous if the cache never actually served
-            # anything; demand real hits on the final stack.
-            assert stack.scan_cache.stats()["hits"] > 0
-            assert total_queries > NUM_SEEDS  # several queries per seed
-        finally:
-            stack.shutdown()
+                elif op < 0.32:
+                    stack.visits.table.flush()
+                elif op < 0.37:
+                    stack.visits.table.compact()
+                elif op < 0.40:
+                    stack.visits.table.set_ttl_cutoff(
+                        FAMILY, rng.randrange(0, stack._ts // 2 + 1)
+                    )
+                elif op < 0.44:
+                    stack.toggle_node(rng)
+                elif op < 0.52:
+                    # HotIn-style refresh: rewrite a POI's scores and
+                    # bump the epoch, as MoDisSENSE.run_hotin does.
+                    stack.pois.update_hotin(
+                        rng.choice(list(POIS)),
+                        hotness=rng.uniform(0, 10),
+                        interest=rng.uniform(0, 5),
+                    )
+                    stack.hot_poi_cache.bump_epoch()
+                elif op < 0.60:
+                    query = SearchQuery(
+                        bbox=rng.choice(BBOXES),
+                        keywords=rng.choice(KEYWORD_CHOICES),
+                        sort_by=rng.choice(("interest", "hotness")),
+                        limit=rng.choice((3, 10)),
+                    )
+                    cached = stack.qa.search(query)
+                    oracle = stack.oracle(query)
+                    assert _pois_fingerprint(cached) == _pois_fingerprint(
+                        oracle
+                    ), "non-personalized mismatch at seed %d" % seed
+                    total_queries += 1
+                else:
+                    query = stack.random_query(rng)
+                    cached = stack.qa.search(query)
+                    oracle = stack.oracle(query)
+                    assert _pois_fingerprint(cached) == _pois_fingerprint(
+                        oracle
+                    ), "personalized mismatch at seed %d" % seed
+                    total_queries += 1
+        # The suite is vacuous if the cache never actually served
+        # anything; demand real hits on the final stack.
+        assert stack.scan_cache.stats()["hits"] > 0
+        assert total_queries > NUM_SEEDS  # several queries per seed
 
     def test_cached_answers_match_oracle_across_interleavings(self):
         self._run(topk=False)
@@ -245,31 +238,28 @@ class TestRandomizedInterleavings:
 
     def test_repeat_query_hits_and_matches_after_quiescence(self):
         stack = _Stack()
-        try:
-            rng = random.Random(4242)
-            for _ in range(30):
-                stack.write(rng)
-            query = SearchQuery(
-                friend_ids=tuple(range(1, stack.users + 1)),
-                sort_by="interest",
-            )
-            # First touch only records each region's seqid: a region is
-            # admitted once a later query finds it unwritten since.
-            first = stack.qa.search(query)
-            assert first.cache_misses > 0 and first.cache_hits == 0
-            assert len(stack.scan_cache) == 0
-            fill = stack.qa.search(query)
-            assert fill.cache_misses > 0 and fill.cache_hits == 0
-            assert len(stack.scan_cache) == stack.users
-            second = stack.qa.search(query)
-            assert second.cache_hits > 0 and second.cache_misses == 0
-            assert second.records_scanned == 0  # fully served from cache
-            assert _pois_fingerprint(first) == _pois_fingerprint(second)
-            assert _pois_fingerprint(second) == _pois_fingerprint(
-                stack.oracle(query)
-            )
-        finally:
-            stack.shutdown()
+        rng = random.Random(4242)
+        for _ in range(30):
+            stack.write(rng)
+        query = SearchQuery(
+            friend_ids=tuple(range(1, stack.users + 1)),
+            sort_by="interest",
+        )
+        # First touch only records each region's seqid: a region is
+        # admitted once a later query finds it unwritten since.
+        first = stack.qa.search(query)
+        assert first.cache_misses > 0 and first.cache_hits == 0
+        assert len(stack.scan_cache) == 0
+        fill = stack.qa.search(query)
+        assert fill.cache_misses > 0 and fill.cache_hits == 0
+        assert len(stack.scan_cache) == stack.users
+        second = stack.qa.search(query)
+        assert second.cache_hits > 0 and second.cache_misses == 0
+        assert second.records_scanned == 0  # fully served from cache
+        assert _pois_fingerprint(first) == _pois_fingerprint(second)
+        assert _pois_fingerprint(second) == _pois_fingerprint(
+            stack.oracle(query)
+        )
 
 
 class TestSeqidInvalidation:
@@ -291,46 +281,40 @@ class TestSeqidInvalidation:
 
     def test_write_invalidates_owning_region_entries(self):
         stack = self._stack()
-        try:
-            query = SearchQuery(
-                friend_ids=tuple(range(1, stack.users + 1)), sort_by="hotness"
-            )
-            self._warm(stack, query)
-            rng = random.Random(8)
-            stack.write(rng)
-            after = stack.qa.search(query)
-            # The write's region misses; untouched regions still hit.
-            assert after.cache_misses > 0
-            assert after.cache_hits > 0
-            assert _pois_fingerprint(after) == _pois_fingerprint(
-                stack.oracle(query)
-            )
-        finally:
-            stack.shutdown()
+        query = SearchQuery(
+            friend_ids=tuple(range(1, stack.users + 1)), sort_by="hotness"
+        )
+        self._warm(stack, query)
+        rng = random.Random(8)
+        stack.write(rng)
+        after = stack.qa.search(query)
+        # The write's region misses; untouched regions still hit.
+        assert after.cache_misses > 0
+        assert after.cache_hits > 0
+        assert _pois_fingerprint(after) == _pois_fingerprint(
+            stack.oracle(query)
+        )
 
     @pytest.mark.parametrize("mutation", ["flush", "compact"])
     def test_flush_and_compaction_invalidate(self, mutation):
         stack = self._stack()
-        try:
-            query = SearchQuery(
-                friend_ids=tuple(range(1, stack.users + 1)), sort_by="interest"
-            )
-            self._warm(stack, query)
-            if mutation == "flush":
-                stack.visits.table.flush()
-            else:
-                stack.visits.table.flush()
-                stack.visits.table.compact()
-            after = stack.qa.search(query)
-            # A full-table maintenance pass touches every region, so the
-            # whole warm set must be rejected and rescanned.
-            assert after.cache_hits == 0
-            assert after.cache_misses > 0
-            assert _pois_fingerprint(after) == _pois_fingerprint(
-                stack.oracle(query)
-            )
-        finally:
-            stack.shutdown()
+        query = SearchQuery(
+            friend_ids=tuple(range(1, stack.users + 1)), sort_by="interest"
+        )
+        self._warm(stack, query)
+        if mutation == "flush":
+            stack.visits.table.flush()
+        else:
+            stack.visits.table.flush()
+            stack.visits.table.compact()
+        after = stack.qa.search(query)
+        # A full-table maintenance pass touches every region, so the
+        # whole warm set must be rejected and rescanned.
+        assert after.cache_hits == 0
+        assert after.cache_misses > 0
+        assert _pois_fingerprint(after) == _pois_fingerprint(
+            stack.oracle(query)
+        )
 
     def test_store_race_stamp_is_stale_on_arrival(self):
         """Fills for a generation the region has moved past are never
@@ -438,52 +422,46 @@ class TestCacheMechanics:
 
     def test_node_failure_invalidates_moved_regions(self):
         stack = _Stack()
-        try:
-            rng = random.Random(9)
-            for _ in range(40):
-                stack.write(rng)
-            query = SearchQuery(
-                friend_ids=tuple(range(1, stack.users + 1)), sort_by="hotness"
-            )
-            stack.qa.search(query)
-            stack.qa.search(query)
-            populated = len(stack.scan_cache)
-            assert populated > 0
-            before = stack.scan_cache.stats()["invalidations"]
-            stack.cluster.fail_node(0)
-            assert stack.scan_cache.stats()["invalidations"] > before
-            after = stack.qa.search(query)
-            assert _pois_fingerprint(after) == _pois_fingerprint(
-                stack.oracle(query)
-            )
-        finally:
-            stack.shutdown()
+        rng = random.Random(9)
+        for _ in range(40):
+            stack.write(rng)
+        query = SearchQuery(
+            friend_ids=tuple(range(1, stack.users + 1)), sort_by="hotness"
+        )
+        stack.qa.search(query)
+        stack.qa.search(query)
+        populated = len(stack.scan_cache)
+        assert populated > 0
+        before = stack.scan_cache.stats()["invalidations"]
+        stack.cluster.fail_node(0)
+        assert stack.scan_cache.stats()["invalidations"] > before
+        after = stack.qa.search(query)
+        assert _pois_fingerprint(after) == _pois_fingerprint(
+            stack.oracle(query)
+        )
 
     def test_node_recovery_invalidates_moved_regions(self):
         # Symmetric with failure: recovery moves regions *back* to the
         # revived node, so partials cached while the survivors hosted
         # them must be dropped too.
         stack = _Stack()
-        try:
-            rng = random.Random(9)
-            for _ in range(40):
-                stack.write(rng)
-            query = SearchQuery(
-                friend_ids=tuple(range(1, stack.users + 1)), sort_by="hotness"
-            )
-            stack.cluster.fail_node(0)
-            stack.qa.search(query)
-            stack.qa.search(query)  # cache partials on the survivors
-            assert len(stack.scan_cache) > 0
-            before = stack.scan_cache.stats()["invalidations"]
-            stack.cluster.recover_node(0)
-            assert stack.scan_cache.stats()["invalidations"] > before
-            after = stack.qa.search(query)
-            assert _pois_fingerprint(after) == _pois_fingerprint(
-                stack.oracle(query)
-            )
-        finally:
-            stack.shutdown()
+        rng = random.Random(9)
+        for _ in range(40):
+            stack.write(rng)
+        query = SearchQuery(
+            friend_ids=tuple(range(1, stack.users + 1)), sort_by="hotness"
+        )
+        stack.cluster.fail_node(0)
+        stack.qa.search(query)
+        stack.qa.search(query)  # cache partials on the survivors
+        assert len(stack.scan_cache) > 0
+        before = stack.scan_cache.stats()["invalidations"]
+        stack.cluster.recover_node(0)
+        assert stack.scan_cache.stats()["invalidations"] > before
+        after = stack.qa.search(query)
+        assert _pois_fingerprint(after) == _pois_fingerprint(
+            stack.oracle(query)
+        )
 
 
 class _LockCheckingMetrics:

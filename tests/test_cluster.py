@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.cluster import ClusterSimulation, CostModel, Node, ParallelExecutor, Task
+from repro.cluster import ClusterSimulation, CostModel, Node, Task
 from repro.config import ClusterConfig
-from repro.errors import ConfigError, CoprocessorError
+from repro.errors import ConfigError
 
 
 class TestNode:
@@ -116,24 +116,3 @@ class TestClusterSimulation:
         with pytest.raises(ConfigError):
             sim.run_queries([[Task(0, 1)]], submit_at=[0.0, 1.0])
 
-
-class TestParallelExecutor:
-    def test_map_ordered_preserves_order(self):
-        with ParallelExecutor(max_workers=4) as ex:
-            out = ex.map_ordered(lambda x: x * 2, list(range(20)))
-        assert out == [x * 2 for x in range(20)]
-
-    def test_empty_input(self):
-        with ParallelExecutor() as ex:
-            assert ex.map_ordered(lambda x: x, []) == []
-
-    def test_worker_exception_wrapped(self):
-        def boom(x):
-            raise ValueError("bad %d" % x)
-        with ParallelExecutor(max_workers=2) as ex:
-            with pytest.raises(CoprocessorError):
-                ex.map_ordered(boom, [1, 2, 3])
-
-    def test_single_worker_path(self):
-        with ParallelExecutor(max_workers=1) as ex:
-            assert ex.map_ordered(lambda x: x + 1, [1, 2]) == [2, 3]

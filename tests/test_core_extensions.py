@@ -431,8 +431,8 @@ class TestPercentileNearestRank:
 
 
 class TestMetricsThreadSafety:
-    """The registry is hammered from executor threads on the Figure-3
-    concurrency path; lost updates showed up as drifting counters."""
+    """The registry is hammered from concurrent client and ingest
+    threads; lost updates showed up as drifting counters."""
 
     def test_concurrent_increments_are_exact(self):
         import threading
@@ -494,8 +494,8 @@ class TestMetricsThreadSafety:
         assert 0.0 <= hist.percentile(50) <= per_thread
 
     def test_batch_executor_path_counts_exactly(self, small_platform, small_pois):
-        """End-to-end regression: ``search_personalized_batch`` fans out
-        across executor threads; counter totals must be exact."""
+        """End-to-end regression: a ``search_personalized_batch`` of 12
+        queries must leave exact counter totals."""
         from repro import SearchQuery
         from repro.core.repositories.visits import VisitStruct
 

@@ -28,7 +28,6 @@ class TestExplainPersonalized:
                 )
         module = QueryAnsweringModule(POIRepository(SqlEngine()), visits)
         yield module
-        cluster.shutdown()
 
     def test_profile_totals_match_result(self, qa):
         query = SearchQuery(friend_ids=tuple(range(1, 30)))

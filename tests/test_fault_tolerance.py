@@ -2,6 +2,8 @@
 resilient fan-out (retries/hedges/breaker), graceful degradation and
 web-tier balancing."""
 
+import hashlib
+import itertools
 import threading
 
 import pytest
@@ -128,7 +130,6 @@ class TestQueryCorrectnessUnderFailure:
         assert [p.poi_id for p in after.pois] == [p.poi_id for p in before.pois]
         assert after.pois[0].visit_count == 19
         assert after.latency_ms > before.latency_ms
-        cluster.shutdown()
 
 
 class TestFaultInjectorDeterminism:
@@ -205,244 +206,290 @@ class TestResilientFanout:
         alternate injector-off / injector-on runs and compare everything
         (answers, simulated latency, counters)."""
         cluster, qa, query = _build_qa()
-        try:
-            injector = FaultInjector(FaultsConfig(enabled=True))
-            fingerprints = []
-            for round_no in range(3):
-                cluster.attach_fault_injector(None)
-                fingerprints.append(_result_fingerprint(qa.search(query)))
-                cluster.attach_fault_injector(injector)
-                fingerprints.append(_result_fingerprint(qa.search(query)))
-            assert all(fp == fingerprints[0] for fp in fingerprints)
-        finally:
-            cluster.shutdown()
+        injector = FaultInjector(FaultsConfig(enabled=True))
+        fingerprints = []
+        for round_no in range(3):
+            cluster.attach_fault_injector(None)
+            fingerprints.append(_result_fingerprint(qa.search(query)))
+            cluster.attach_fault_injector(injector)
+            fingerprints.append(_result_fingerprint(qa.search(query)))
+        assert all(fp == fingerprints[0] for fp in fingerprints)
 
     def test_targeted_break_is_retried_transparently(self):
         cluster, qa, query = _build_qa()
-        try:
-            clean = qa.search(query)
-            metrics = PlatformMetrics()
-            cluster.attach_metrics(metrics)
-            injector = FaultInjector(FaultsConfig(enabled=True))
-            cluster.attach_fault_injector(injector)
-            victim = next(iter(cluster.simulation.region_placement))
-            injector.break_region(victim, times=1)
-            result = qa.search(query)
-            assert not result.degraded
-            assert result.coverage == 1.0
-            assert [p.poi_id for p in result.pois] == \
-                   [p.poi_id for p in clean.pois]
-            assert result.pois[0].visit_count == clean.pois[0].visit_count
-            assert metrics.counter("fanout.retries") >= 1
-            # The retried region's recovery work shows up in latency.
-            assert result.latency_ms > clean.latency_ms
-        finally:
-            cluster.shutdown()
+        clean = qa.search(query)
+        metrics = PlatformMetrics()
+        cluster.attach_metrics(metrics)
+        injector = FaultInjector(FaultsConfig(enabled=True))
+        cluster.attach_fault_injector(injector)
+        victim = next(iter(cluster.simulation.region_placement))
+        injector.break_region(victim, times=1)
+        result = qa.search(query)
+        assert not result.degraded
+        assert result.coverage == 1.0
+        assert [p.poi_id for p in result.pois] == \
+               [p.poi_id for p in clean.pois]
+        assert result.pois[0].visit_count == clean.pois[0].visit_count
+        assert metrics.counter("fanout.retries") >= 1
+        # The retried region's recovery work shows up in latency.
+        assert result.latency_ms > clean.latency_ms
 
     def test_retry_exhaustion_falls_back_to_hedge(self):
         """Enough targeted errors to exhaust every primary attempt: the
         hedge on another node answers and the result stays exact."""
         cluster, qa, query = _build_qa()
-        try:
-            clean = qa.search(query)
-            metrics = PlatformMetrics()
-            cluster.attach_metrics(metrics)
-            cfg = FaultsConfig(enabled=True, max_retries=2)
-            injector = FaultInjector(cfg)
-            cluster.attach_fault_injector(injector)
-            victim = next(iter(cluster.simulation.region_placement))
-            injector.break_region(victim, times=cfg.max_retries + 1)
-            result = qa.search(query)
-            assert not result.degraded
-            assert [p.poi_id for p in result.pois] == \
-                   [p.poi_id for p in clean.pois]
-            assert metrics.counter("fanout.hedges") >= 1
-        finally:
-            cluster.shutdown()
+        clean = qa.search(query)
+        metrics = PlatformMetrics()
+        cluster.attach_metrics(metrics)
+        cfg = FaultsConfig(enabled=True, max_retries=2)
+        injector = FaultInjector(cfg)
+        cluster.attach_fault_injector(injector)
+        victim = next(iter(cluster.simulation.region_placement))
+        injector.break_region(victim, times=cfg.max_retries + 1)
+        result = qa.search(query)
+        assert not result.degraded
+        assert [p.poi_id for p in result.pois] == \
+               [p.poi_id for p in clean.pois]
+        assert metrics.counter("fanout.hedges") >= 1
 
     def test_total_failure_degrades_gracefully(self):
         cluster, qa, query = _build_qa()
-        try:
-            injector = FaultInjector(FaultsConfig(
-                enabled=True, region_error_rate=1.0,
-                max_retries=1, hedge_enabled=False,
-            ))
-            cluster.attach_fault_injector(injector)
-            with pytest.warns(DegradedResultWarning):
-                result = qa.search(query)
-            assert result.degraded
-            assert result.coverage == 0.0
-            assert result.pois == []
-            assert len(result.missing_regions) == result.regions_used
-        finally:
-            cluster.shutdown()
+        injector = FaultInjector(FaultsConfig(
+            enabled=True, region_error_rate=1.0,
+            max_retries=1, hedge_enabled=False,
+        ))
+        cluster.attach_fault_injector(injector)
+        with pytest.warns(DegradedResultWarning):
+            result = qa.search(query)
+        assert result.degraded
+        assert result.coverage == 0.0
+        assert result.pois == []
+        assert len(result.missing_regions) == result.regions_used
 
     def test_corrupt_partials_are_rejected_and_degrade(self):
         cluster, qa, query = _build_qa()
-        try:
-            injector = FaultInjector(FaultsConfig(
-                enabled=True, corrupt_rate=1.0,
-                max_retries=1, hedge_enabled=False,
-            ))
-            cluster.attach_fault_injector(injector)
-            with pytest.warns(DegradedResultWarning):
-                result = qa.search(query)
-            assert result.degraded and result.pois == []
-        finally:
-            cluster.shutdown()
+        injector = FaultInjector(FaultsConfig(
+            enabled=True, corrupt_rate=1.0,
+            max_retries=1, hedge_enabled=False,
+        ))
+        cluster.attach_fault_injector(injector)
+        with pytest.warns(DegradedResultWarning):
+            result = qa.search(query)
+        assert result.degraded and result.pois == []
 
     def test_hangs_within_budget_still_answer_exactly(self):
         cluster, qa, query = _build_qa()
-        try:
-            clean = qa.search(query)
-            injector = FaultInjector(FaultsConfig(
-                enabled=True, region_hang_rate=1.0, hang_ms=5.0,
-                query_deadline_ms=10_000.0,
-            ))
-            cluster.attach_fault_injector(injector)
-            result = qa.search(query)
-            assert not result.degraded
-            assert [p.poi_id for p in result.pois] == \
-                   [p.poi_id for p in clean.pois]
-            # Stragglers answered, but the stall is on the clock.
-            assert result.latency_ms > clean.latency_ms
-        finally:
-            cluster.shutdown()
+        clean = qa.search(query)
+        injector = FaultInjector(FaultsConfig(
+            enabled=True, region_hang_rate=1.0, hang_ms=5.0,
+            query_deadline_ms=10_000.0,
+        ))
+        cluster.attach_fault_injector(injector)
+        result = qa.search(query)
+        assert not result.degraded
+        assert [p.poi_id for p in result.pois] == \
+               [p.poi_id for p in clean.pois]
+        # Stragglers answered, but the stall is on the clock.
+        assert result.latency_ms > clean.latency_ms
 
     def test_strict_deadline_raises(self):
         cluster, qa, query = _build_qa()
-        try:
-            cluster.faults_config = FaultsConfig(
-                enabled=True, query_deadline_ms=0.001, strict_deadline=True,
-            )
-            with pytest.raises(QueryDeadlineExceeded):
-                qa.search(query)
-        finally:
-            cluster.shutdown()
+        cluster.faults_config = FaultsConfig(
+            enabled=True, query_deadline_ms=0.001, strict_deadline=True,
+        )
+        with pytest.raises(QueryDeadlineExceeded):
+            qa.search(query)
+
+    #: ``_seeded_chaos_trace`` as recorded at the last commit that ran
+    #: regions on a thread pool and spelled the fault-decide -> hang ->
+    #: error -> invoke sequence out twice (primary loop and hedge).
+    CHAOS_TRACE = [
+        ("6f825c9f13d3", 46.459847303182855, 4, 1, (9000, 9002, 9004), (
+            ("fanout.breaker_opened{node=2}", 1),
+            ("fanout.breaker_skips", 1),
+            ("fanout.degraded_queries", 1),
+            ("fanout.hedges", 1),
+            ("fanout.regions_missing", 3),
+            ("fanout.retries", 4),
+        )),
+        ("186b8b6cb0ec", 47.36697639992602, 4, 3, (9000, 9003, 9004), (
+            ("fanout.breaker_opened{node=3}", 1),
+            ("fanout.breaker_skips", 1),
+            ("fanout.degraded_queries", 1),
+            ("fanout.hedges", 3),
+            ("fanout.regions_missing", 3),
+            ("fanout.retries", 4),
+        )),
+        ("efea13376360", 43.2052, 1, 2, (9000, 9002, 9003, 9007), (
+            ("fanout.breaker_skips", 3),
+            ("fanout.degraded_queries", 1),
+            ("fanout.hedges", 2),
+            ("fanout.regions_missing", 4),
+            ("fanout.retries", 1),
+        )),
+        ("635c948daa93", 44.40820000000001, 2, 4, (9000, 9007), (
+            ("fanout.breaker_skips", 1),
+            ("fanout.degraded_queries", 1),
+            ("fanout.hedges", 4),
+            ("fanout.regions_missing", 2),
+            ("fanout.retries", 2),
+        )),
+    ]
+
+    def _seeded_chaos_trace(self, monkeypatch):
+        """Four queries through error + hang + corrupt injection on a
+        cluster that lost a node: per query, everything the fan-out's
+        recovery machinery decided."""
+        from repro.hbase import region as region_module
+
+        # Fault decisions key on the region id, which is process-global.
+        monkeypatch.setattr(region_module, "_region_ids", itertools.count(9000))
+        cluster, qa, query = _build_qa()
+        metrics = PlatformMetrics()
+        cluster.attach_metrics(metrics)
+        cluster.attach_fault_injector(FaultInjector(FaultsConfig(
+            enabled=True, seed=1, region_error_rate=0.35,
+            region_hang_rate=0.2, corrupt_rate=0.15, hang_ms=40.0,
+            max_retries=1, query_deadline_ms=60.0,
+            lost_region_fraction=0.5, stale_location_errors=1,
+        )))
+        cluster.fail_node(0)
+        trace = []
+        counted = {}
+        for _ in range(4):
+            with pytest.warns(DegradedResultWarning):
+                result = qa.search(query)
+            counters = {
+                name: value
+                for name, value in metrics.snapshot()["counters"].items()
+                if name.startswith("fanout.")
+            }
+            trace.append((
+                hashlib.sha1(
+                    repr(_result_fingerprint(result)).encode()
+                ).hexdigest()[:12],
+                result.latency_ms,
+                result.retries,
+                result.hedges,
+                tuple(result.missing_regions),
+                tuple(sorted(
+                    (name, value - counted.get(name, 0))
+                    for name, value in counters.items()
+                    if value != counted.get(name, 0)
+                )),
+            ))
+            counted = counters
+        return trace
+
+    def test_seeded_chaos_is_reproducible_and_frozen(self, monkeypatch):
+        first = self._seeded_chaos_trace(monkeypatch)
+        assert first == self._seeded_chaos_trace(monkeypatch)
+        assert first == self.CHAOS_TRACE
 
     def test_explain_reports_degradation(self):
         cluster, qa, query = _build_qa()
-        try:
-            clean = qa.explain_personalized(query)
-            assert clean["degraded"] is False
-            assert clean["missing_regions"] == []
-            assert clean["coverage"] == 1.0
-            injector = FaultInjector(FaultsConfig(
-                enabled=True, region_error_rate=1.0,
-                max_retries=1, hedge_enabled=False,
-            ))
-            cluster.attach_fault_injector(injector)
-            degraded = qa.explain_personalized(query)
-            assert degraded["degraded"] is True
-            assert degraded["missing_regions"]
-            assert degraded["coverage"] == 0.0
-        finally:
-            cluster.shutdown()
+        clean = qa.explain_personalized(query)
+        assert clean["degraded"] is False
+        assert clean["missing_regions"] == []
+        assert clean["coverage"] == 1.0
+        injector = FaultInjector(FaultsConfig(
+            enabled=True, region_error_rate=1.0,
+            max_retries=1, hedge_enabled=False,
+        ))
+        cluster.attach_fault_injector(injector)
+        degraded = qa.explain_personalized(query)
+        assert degraded["degraded"] is True
+        assert degraded["missing_regions"]
+        assert degraded["coverage"] == 0.0
 
 
 class TestDegradedNodeFailure:
     def test_fail_recover_cycles_degrade_then_restore_exactly(self):
         """The acceptance loop: fail a node (with lost replicas), see a
         degraded-but-served answer, recover, see the exact answer again
-        — for three cycles, without leaking executor threads."""
+        — for three cycles, without starting a single thread."""
         cluster, qa, query = _build_qa()
-        try:
-            injector = FaultInjector(FaultsConfig(
-                enabled=True, lost_region_fraction=0.5,
-                stale_location_errors=0,
-            ))
-            cluster.attach_fault_injector(injector)
-            baseline_threads = threading.active_count()
-            clean = _result_fingerprint(qa.search(query))
-            for cycle in range(3):
-                cluster.fail_node(0)
-                lost = injector.lost_regions()
-                assert lost, "lost_region_fraction must sacrifice regions"
-                with pytest.warns(DegradedResultWarning):
-                    degraded = qa.search(query)
-                assert degraded.degraded
-                assert 0.0 < degraded.coverage < 1.0
-                assert set(degraded.missing_regions) <= set(lost)
-                cluster.recover_node(0)
-                assert injector.lost_regions() == []
-                restored = qa.search(query)
-                assert _result_fingerprint(restored) == clean, (
-                    "cycle %d: recovery must restore the exact answer"
-                    % cycle
-                )
-            # One shared pool throughout: the thread count stays bounded
-            # by its worker cap, however many fail/recover cycles ran.
-            assert (
-                threading.active_count()
-                <= baseline_threads + cluster.config.total_cores
+        injector = FaultInjector(FaultsConfig(
+            enabled=True, lost_region_fraction=0.5,
+            stale_location_errors=0,
+        ))
+        cluster.attach_fault_injector(injector)
+        baseline_threads = threading.active_count()
+        clean = _result_fingerprint(qa.search(query))
+        for cycle in range(3):
+            cluster.fail_node(0)
+            lost = injector.lost_regions()
+            assert lost, "lost_region_fraction must sacrifice regions"
+            with pytest.warns(DegradedResultWarning):
+                degraded = qa.search(query)
+            assert degraded.degraded
+            assert 0.0 < degraded.coverage < 1.0
+            assert set(degraded.missing_regions) <= set(lost)
+            cluster.recover_node(0)
+            assert injector.lost_regions() == []
+            restored = qa.search(query)
+            assert _result_fingerprint(restored) == clean, (
+                "cycle %d: recovery must restore the exact answer"
+                % cycle
             )
-        finally:
-            cluster.shutdown()
+        # The fan-out runs in this thread: no cycle started another.
+        assert threading.active_count() == baseline_threads
 
     def test_stale_location_errors_recover_via_retry(self):
         """Node death without lost replicas: moved regions throw one
         stale-location error each, the retry path absorbs them and the
         answer stays exact."""
         cluster, qa, query = _build_qa()
-        try:
-            clean = qa.search(query)
-            metrics = PlatformMetrics()
-            cluster.attach_metrics(metrics)
-            injector = FaultInjector(FaultsConfig(
-                enabled=True, stale_location_errors=1,
-                lost_region_fraction=0.0,
-            ))
-            cluster.attach_fault_injector(injector)
-            moved = cluster.fail_node(0)
-            assert moved
-            result = qa.search(query)
-            assert not result.degraded
-            assert [p.poi_id for p in result.pois] == \
-                   [p.poi_id for p in clean.pois]
-            assert metrics.counter("fanout.retries") >= len(moved)
-        finally:
-            cluster.shutdown()
+        clean = qa.search(query)
+        metrics = PlatformMetrics()
+        cluster.attach_metrics(metrics)
+        injector = FaultInjector(FaultsConfig(
+            enabled=True, stale_location_errors=1,
+            lost_region_fraction=0.0,
+        ))
+        cluster.attach_fault_injector(injector)
+        moved = cluster.fail_node(0)
+        assert moved
+        result = qa.search(query)
+        assert not result.degraded
+        assert [p.poi_id for p in result.pois] == \
+               [p.poi_id for p in clean.pois]
+        assert metrics.counter("fanout.retries") >= len(moved)
 
     def test_scheduled_node_events_fire_between_fanouts(self):
         cluster, qa, query = _build_qa()
-        try:
-            injector = FaultInjector(FaultsConfig(
-                enabled=True, lost_region_fraction=0.0,
-                stale_location_errors=0,
-            ))
-            cluster.attach_fault_injector(injector)
-            injector.schedule_node_event(2, "fail", 1)
-            injector.schedule_node_event(3, "recover", 1)
-            qa.search(query)  # fan-out 1: nothing scheduled yet
-            assert cluster.simulation.live_node_count == 4
-            qa.search(query)  # fan-out 2: node 1 dies first
-            assert cluster.simulation.live_node_count == 3
-            qa.search(query)  # fan-out 3: node 1 comes back
-            assert cluster.simulation.live_node_count == 4
-            assert [(e[1], e[2]) for e in injector.events] == \
-                   [("fail", 1), ("recover", 1)]
-        finally:
-            cluster.shutdown()
+        injector = FaultInjector(FaultsConfig(
+            enabled=True, lost_region_fraction=0.0,
+            stale_location_errors=0,
+        ))
+        cluster.attach_fault_injector(injector)
+        injector.schedule_node_event(2, "fail", 1)
+        injector.schedule_node_event(3, "recover", 1)
+        qa.search(query)  # fan-out 1: nothing scheduled yet
+        assert cluster.simulation.live_node_count == 4
+        qa.search(query)  # fan-out 2: node 1 dies first
+        assert cluster.simulation.live_node_count == 3
+        qa.search(query)  # fan-out 3: node 1 comes back
+        assert cluster.simulation.live_node_count == 4
+        assert [(e[1], e[2]) for e in injector.events] == \
+               [("fail", 1), ("recover", 1)]
 
     def test_breaker_opens_on_repeated_node_errors(self):
         cluster, qa, query = _build_qa(num_nodes=2, regions=8)
-        try:
-            metrics = PlatformMetrics()
-            cluster.attach_metrics(metrics)
-            injector = FaultInjector(FaultsConfig(
-                enabled=True, region_error_rate=1.0,
-                max_retries=2, breaker_threshold=3, hedge_enabled=False,
-            ))
-            cluster.attach_fault_injector(injector)
-            with pytest.warns(DegradedResultWarning):
-                qa.search(query)
-            states = cluster.breaker_states()
-            assert any(s["open_until"] >= 0 for s in states.values())
-            assert metrics.counter(
-                "fanout.breaker_opened", labels={"node": 0}
-            ) >= 1
-        finally:
-            cluster.shutdown()
+        metrics = PlatformMetrics()
+        cluster.attach_metrics(metrics)
+        injector = FaultInjector(FaultsConfig(
+            enabled=True, region_error_rate=1.0,
+            max_retries=2, breaker_threshold=3, hedge_enabled=False,
+        ))
+        cluster.attach_fault_injector(injector)
+        with pytest.warns(DegradedResultWarning):
+            qa.search(query)
+        states = cluster.breaker_states()
+        assert any(s["open_until"] >= 0 for s in states.values())
+        assert metrics.counter(
+            "fanout.breaker_opened", labels={"node": 0}
+        ) >= 1
 
 
 class TestDegradedRestApi:
@@ -642,88 +689,79 @@ class TestCacheGoldenRegression:
 
     def test_cache_on_off_answers_identical(self):
         cluster, qa, query, cache = self._warm_stack()
-        try:
-            off = qa.search(query)
-            cluster.attach_scan_cache(cache)
-            first = qa.search(query)  # opens the regions' generations
-            populate = qa.search(query)
-            hit = qa.search(query)
-            for result in (first, populate, hit):
-                assert [
-                    (p.poi_id, p.name, p.lat, p.lon, p.score, p.visit_count)
-                    for p in result.pois
-                ] == [
-                    (p.poi_id, p.name, p.lat, p.lon, p.score, p.visit_count)
-                    for p in off.pois
-                ]
-            assert populate.cache_misses > 0
-            assert hit.cache_hits > 0 and hit.cache_misses == 0
-            # The hit run did strictly less storage work.
-            assert hit.records_scanned < populate.records_scanned
-        finally:
-            cluster.shutdown()
+        off = qa.search(query)
+        cluster.attach_scan_cache(cache)
+        first = qa.search(query)  # opens the regions' generations
+        populate = qa.search(query)
+        hit = qa.search(query)
+        for result in (first, populate, hit):
+            assert [
+                (p.poi_id, p.name, p.lat, p.lon, p.score, p.visit_count)
+                for p in result.pois
+            ] == [
+                (p.poi_id, p.name, p.lat, p.lon, p.score, p.visit_count)
+                for p in off.pois
+            ]
+        assert populate.cache_misses > 0
+        assert hit.cache_hits > 0 and hit.cache_misses == 0
+        # The hit run did strictly less storage work.
+        assert hit.records_scanned < populate.records_scanned
 
     def test_faulted_runs_never_pollute_the_cache(self):
         cluster, qa, query, cache = self._warm_stack()
-        try:
-            oracle = qa.search(query)  # clean, uncached baseline
-            cluster.attach_scan_cache(cache)
-            injector = FaultInjector(FaultsConfig(
-                enabled=True, region_error_rate=1.0,
-                max_retries=1, hedge_enabled=False,
-            ))
-            cluster.attach_fault_injector(injector)
-            # Every invocation faults, every run fully degrades — and a
-            # faulted invocation must neither populate nor consult the
-            # cache, so the cache stays empty through the whole storm.
-            import warnings as _warnings
-            with _warnings.catch_warnings():
-                _warnings.simplefilter("ignore", DegradedResultWarning)
-                for _ in range(3):
-                    stormy = qa.search(query)
-                    assert stormy.degraded
-                    assert stormy.cache_hits == 0
-            assert len(cache) == 0  # faulted fan-outs bypass the cache
-            # Disarm; the cached path must now match the clean oracle.
-            cluster.attach_fault_injector(None)
-            clean_on = qa.search(query)
-            assert not clean_on.degraded
-            assert [
-                (p.poi_id, p.name, p.lat, p.lon, p.score, p.visit_count)
-                for p in clean_on.pois
-            ] == [
-                (p.poi_id, p.name, p.lat, p.lon, p.score, p.visit_count)
-                for p in oracle.pois
-            ]
-            # And once the quiet regions are filled, hits still agree.
-            qa.search(query)
-            hit = qa.search(query)
-            assert hit.cache_hits > 0
-            assert [p.poi_id for p in hit.pois] == \
-                   [p.poi_id for p in oracle.pois]
-        finally:
-            cluster.shutdown()
+        oracle = qa.search(query)  # clean, uncached baseline
+        cluster.attach_scan_cache(cache)
+        injector = FaultInjector(FaultsConfig(
+            enabled=True, region_error_rate=1.0,
+            max_retries=1, hedge_enabled=False,
+        ))
+        cluster.attach_fault_injector(injector)
+        # Every invocation faults, every run fully degrades — and a
+        # faulted invocation must neither populate nor consult the
+        # cache, so the cache stays empty through the whole storm.
+        import warnings as _warnings
+        with _warnings.catch_warnings():
+            _warnings.simplefilter("ignore", DegradedResultWarning)
+            for _ in range(3):
+                stormy = qa.search(query)
+                assert stormy.degraded
+                assert stormy.cache_hits == 0
+        assert len(cache) == 0  # faulted fan-outs bypass the cache
+        # Disarm; the cached path must now match the clean oracle.
+        cluster.attach_fault_injector(None)
+        clean_on = qa.search(query)
+        assert not clean_on.degraded
+        assert [
+            (p.poi_id, p.name, p.lat, p.lon, p.score, p.visit_count)
+            for p in clean_on.pois
+        ] == [
+            (p.poi_id, p.name, p.lat, p.lon, p.score, p.visit_count)
+            for p in oracle.pois
+        ]
+        # And once the quiet regions are filled, hits still agree.
+        qa.search(query)
+        hit = qa.search(query)
+        assert hit.cache_hits > 0
+        assert [p.poi_id for p in hit.pois] == \
+               [p.poi_id for p in oracle.pois]
 
     def test_node_failure_with_cache_matches_oracle(self):
         cluster, qa, query, cache = self._warm_stack()
-        try:
-            cluster.attach_scan_cache(cache)
-            qa.search(query)
-            qa.search(query)  # warm
-            invalidations_before = cache.stats()["invalidations"]
-            cluster.fail_node(0)
-            # The failed node's regions moved; their entries must be gone.
-            assert cache.stats()["invalidations"] > invalidations_before
-            cached = qa.search(query)
-            cluster.scan_cache = None
-            oracle = qa.search(query)
-            cluster.scan_cache = cache
-            assert [
-                (p.poi_id, p.name, p.lat, p.lon, p.score, p.visit_count)
-                for p in cached.pois
-            ] == [
-                (p.poi_id, p.name, p.lat, p.lon, p.score, p.visit_count)
-                for p in oracle.pois
-            ]
-        finally:
-            cluster.shutdown()
+        cluster.attach_scan_cache(cache)
+        qa.search(query)
+        qa.search(query)  # warm
+        invalidations_before = cache.stats()["invalidations"]
+        cluster.fail_node(0)
+        # The failed node's regions moved; their entries must be gone.
+        assert cache.stats()["invalidations"] > invalidations_before
+        cached = qa.search(query)
+        cluster.scan_cache = None
+        oracle = qa.search(query)
+        cluster.scan_cache = cache
+        assert [
+            (p.poi_id, p.name, p.lat, p.lon, p.score, p.visit_count)
+            for p in cached.pois
+        ] == [
+            (p.poi_id, p.name, p.lat, p.lon, p.score, p.visit_count)
+            for p in oracle.pois
+        ]

@@ -103,7 +103,6 @@ class TestHBaseCluster:
             cluster.table("a")
         with pytest.raises(TableNotFoundError):
             cluster.drop_table("a")
-        cluster.shutdown()
 
     def test_coprocessor_exec_merges_all_regions(self):
         cluster = HBaseCluster(ClusterConfig(num_nodes=4))
@@ -124,7 +123,6 @@ class TestHBaseCluster:
         assert call.result == 256
         assert call.records_scanned == 256
         assert call.latency_ms > 0
-        cluster.shutdown()
 
     def test_concurrent_coprocessor_calls_share_cluster(self):
         cluster = HBaseCluster(ClusterConfig(num_nodes=2))
@@ -143,7 +141,6 @@ class TestHBaseCluster:
         assert all(len(c.result) == 400 for c in many)
         mean = sum(c.latency_ms for c in many) / len(many)
         assert mean > single.latency_ms
-        cluster.shutdown()
 
     def test_per_region_records_reported(self):
         cluster = HBaseCluster(ClusterConfig(num_nodes=2))
@@ -159,4 +156,16 @@ class TestHBaseCluster:
         call = cluster.coprocessor_exec("t", ScanAll(), None)
         assert sum(call.per_region_records.values()) == 1
         assert len(call.per_region_records) == 4
-        cluster.shutdown()
+
+        # Regions run in input order: with a row in every region, the
+        # per-region accounts and the concatenated partials both line up
+        # with ascending region id (= ascending key range).
+        rows = [encode_int(i * 16384 + 7, 2) for i in range(4)]
+        for row in rows[1:]:
+            table.put(cell(row))
+        call = cluster.coprocessor_exec("t", ScanAll(), None)
+        region_ids = sorted(table.region_ids())
+        assert list(call.per_region_records) == region_ids
+        assert list(call.per_region_results) == region_ids
+        assert list(call.per_region_records.values()) == [1, 1, 1, 1]
+        assert call.result == [encode_int(0, 2)] + rows[1:]

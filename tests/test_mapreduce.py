@@ -78,11 +78,11 @@ class TestPartitioners:
 
 class TestJobRunner:
     def test_word_count(self):
-        with JobRunner(max_workers=4) as runner:
-            result = runner.run(
-                word_count_job(num_mappers=3, num_reducers=2),
-                ["a b a", "b c", "c c c"],
-            )
+        runner = JobRunner()
+        result = runner.run(
+            word_count_job(num_mappers=3, num_reducers=2),
+            ["a b a", "b c", "c c c"],
+        )
         assert result.as_dict() == {"a": 2, "b": 2, "c": 4}
         assert result.map_tasks == 3
 
@@ -91,11 +91,11 @@ class TestJobRunner:
             emit(key, sum(values))
 
         records = ["x y x"] * 50
-        with JobRunner(max_workers=4) as runner:
-            plain = runner.run(word_count_job(num_mappers=4), records)
-            combined = runner.run(
-                word_count_job(combiner=combiner, num_mappers=4), records
-            )
+        runner = JobRunner()
+        plain = runner.run(word_count_job(num_mappers=4), records)
+        combined = runner.run(
+            word_count_job(combiner=combiner, num_mappers=4), records
+        )
         assert plain.as_dict() == combined.as_dict()
         # The combiner must shrink the shuffle.
         assert combined.counters.get("combine.records_out") < plain.counters.get(
@@ -103,23 +103,37 @@ class TestJobRunner:
         )
 
     def test_empty_input(self):
-        with JobRunner() as runner:
-            result = runner.run(word_count_job(), [])
+        runner = JobRunner()
+        result = runner.run(word_count_job(), [])
         assert result.pairs == []
         assert result.map_tasks == 0
 
     def test_counters_aggregate(self):
-        with JobRunner() as runner:
-            result = runner.run(word_count_job(num_mappers=2), ["a", "b b"])
+        runner = JobRunner()
+        result = runner.run(word_count_job(num_mappers=2), ["a", "b b"])
         assert result.counters.get("map.records_in") == 2
         assert result.counters.get("map.records_out") == 3
 
     def test_output_deterministic_across_runs(self):
         records = ["m n o p"] * 20
-        with JobRunner(max_workers=8) as runner:
-            a = runner.run(word_count_job(num_mappers=8), records).pairs
-            b = runner.run(word_count_job(num_mappers=8), records).pairs
+        runner = JobRunner()
+        a = runner.run(word_count_job(num_mappers=8), records).pairs
+        b = runner.run(word_count_job(num_mappers=8), records).pairs
         assert a == b
+        # Splits run in input order and the output is sorted by key, so
+        # it does not depend on how many splits there were.
+        for num_mappers in (1, 3, 20):
+            job = word_count_job(num_mappers=num_mappers, num_reducers=3)
+            assert runner.run(job, records).pairs == a
+
+    def test_task_exception_propagates_as_itself(self):
+        def mapper(record, emit, counters):
+            raise ValueError("bad record %r" % (record,))
+
+        job = MapReduceJob(name="boom", mapper=mapper,
+                           reducer=lambda key, values, emit, counters: None)
+        with pytest.raises(ValueError, match="bad record 1"):
+            JobRunner().run(job, [1, 2])
 
     def test_duplicate_keys_in_as_dict_rejected(self):
         def mapper(record, emit, counters):
@@ -130,8 +144,8 @@ class TestJobRunner:
                 emit(key, v)  # deliberately emits per value
 
         job = MapReduceJob(name="dup", mapper=mapper, reducer=reducer)
-        with JobRunner() as runner:
-            result = runner.run(job, [1, 2])
+        runner = JobRunner()
+        result = runner.run(job, [1, 2])
         with pytest.raises(MapReduceError):
             result.as_dict()
 
@@ -157,6 +171,6 @@ class TestJobRunner:
         job = MapReduceJob(
             name="sorted", mapper=mapper, reducer=reducer, num_reducers=1
         )
-        with JobRunner() as runner:
-            runner.run(job, ["c", "a", "b"])
+        runner = JobRunner()
+        runner.run(job, ["c", "a", "b"])
         assert seen == sorted(seen)

@@ -51,7 +51,6 @@ def setup():
 
     qa = QueryAnsweringModule(pois, visits)
     yield qa, pois, visits
-    cluster.shutdown()
 
 
 ATHENS = BoundingBox(37.9, 23.6, 38.1, 23.8)

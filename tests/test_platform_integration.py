@@ -1,10 +1,17 @@
 """End-to-end integration tests: the full platform lifecycle."""
 
+import threading
+
 import pytest
 
 from repro import MoDisSENSE, SearchQuery, TrendingQuery
 from repro.config import PlatformConfig
-from repro.datagen import ReviewGenerator, generate_pois, generate_traces
+from repro.datagen import (
+    ReviewGenerator,
+    generate_pois,
+    generate_traces,
+    generate_visits,
+)
 from repro.social import CheckIn, FriendInfo
 
 
@@ -134,3 +141,51 @@ class TestDescribe:
         assert info["visits"] > 0
         assert set(info["networks"]) == {"facebook", "twitter", "foursquare"}
         assert info["hbase"]["cluster"]["nodes"] == 4
+
+
+def _all_on_config():
+    config = PlatformConfig.small()
+    for section in (config.cache, config.topk, config.ingest,
+                    config.supervisor, config.admission, config.tracing,
+                    config.telemetry):
+        section.enabled = True
+    return config
+
+
+class TestThreadCensus:
+    """Region scans and map/reduce tasks run in the thread that asked
+    for them: the only threads a platform starts are its ingest appliers
+    and the telemetry profiler, and ``shutdown()`` stops those."""
+
+    @pytest.mark.parametrize(
+        "make_config", [PlatformConfig.small, _all_on_config],
+        ids=["default", "all-on"],
+    )
+    def test_only_appliers_and_profiler_are_started(self, make_config):
+        before = set(threading.enumerate())
+        platform = MoDisSENSE(make_config())
+        try:
+            pois = generate_pois(count=120, seed=5)
+            platform.load_pois(pois)
+            platform.load_visits(generate_visits(
+                range(1, 60), pois, seed=5, mean=8.0, std=2.0))
+            result = platform.search(SearchQuery(
+                friend_ids=tuple(range(1, 60)), sort_by="hotness"))
+            regions = len(platform.visits_repository.table.regions)
+            assert result.regions_used == regions > 1
+            platform.run_hotin(0, 2 ** 31)
+            platform.push_gps(generate_traces(
+                user_ids=[1, 2], known_pois=pois, num_hotspots=2,
+                points_per_hotspot=60, near_poi_points=30,
+                background_points=40, seed=6,
+            ).points)
+            assert platform.detect_events(since=0).clusters_found == 2
+            started = set(threading.enumerate()) - before
+            assert all(
+                thread.name.startswith("ingest-applier-")
+                or thread.name == "telemetry-profiler"
+                for thread in started
+            ), sorted(thread.name for thread in started)
+        finally:
+            platform.shutdown()
+        assert set(threading.enumerate()) <= before

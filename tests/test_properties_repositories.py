@@ -45,15 +45,12 @@ class TestVisitKeyProperties:
     @settings(max_examples=40, deadline=None)
     def test_store_scan_roundtrip_exact(self, triples):
         repo, cluster = fresh_visits_repo()
-        try:
-            for uid, ts, pid in triples:
-                repo.store(
-                    VisitStruct(user_id=uid, poi_id=pid, timestamp=ts, grade=0.5)
-                )
-            got = {(v.user_id, v.timestamp, v.poi_id) for v in repo.all_visits()}
-            assert got == set(triples)
-        finally:
-            cluster.shutdown()
+        for uid, ts, pid in triples:
+            repo.store(
+                VisitStruct(user_id=uid, poi_id=pid, timestamp=ts, grade=0.5)
+            )
+        got = {(v.user_id, v.timestamp, v.poi_id) for v in repo.all_visits()}
+        assert got == set(triples)
 
     @given(
         user_ids,
@@ -66,21 +63,18 @@ class TestVisitKeyProperties:
     def test_window_scan_equals_filter(self, uid, visits, a, b):
         since, until = sorted((a, b))
         repo, cluster = fresh_visits_repo()
-        try:
-            for ts, pid in visits:
-                repo.store(
-                    VisitStruct(user_id=uid, poi_id=pid, timestamp=ts, grade=0.1)
-                )
-            got = {
-                (v.timestamp, v.poi_id)
-                for v in repo.visits_of_user(uid, since=since, until=until)
-            }
-            expected = {
-                (ts, pid) for ts, pid in visits if since <= ts < until
-            }
-            assert got == expected
-        finally:
-            cluster.shutdown()
+        for ts, pid in visits:
+            repo.store(
+                VisitStruct(user_id=uid, poi_id=pid, timestamp=ts, grade=0.1)
+            )
+        got = {
+            (v.timestamp, v.poi_id)
+            for v in repo.visits_of_user(uid, since=since, until=until)
+        }
+        expected = {
+            (ts, pid) for ts, pid in visits if since <= ts < until
+        }
+        assert got == expected
 
     @given(
         user_ids,
@@ -90,15 +84,12 @@ class TestVisitKeyProperties:
     @settings(max_examples=40, deadline=None)
     def test_scan_order_is_newest_first(self, uid, visits):
         repo, cluster = fresh_visits_repo()
-        try:
-            for ts, pid in visits:
-                repo.store(
-                    VisitStruct(user_id=uid, poi_id=pid, timestamp=ts, grade=0.1)
-                )
-            got = [v.timestamp for v in repo.visits_of_user(uid)]
-            assert got == sorted(got, reverse=True)
-        finally:
-            cluster.shutdown()
+        for ts, pid in visits:
+            repo.store(
+                VisitStruct(user_id=uid, poi_id=pid, timestamp=ts, grade=0.1)
+            )
+        got = [v.timestamp for v in repo.visits_of_user(uid)]
+        assert got == sorted(got, reverse=True)
 
 
 class TestKeyOffsetProperties:
@@ -191,20 +182,17 @@ class TestTextKeyProperties:
     def test_comment_window_scan_equals_filter(self, triples, a, b):
         since, until = sorted((a, b))
         cluster = HBaseCluster(ClusterConfig(num_nodes=2, regions_per_table=4))
-        try:
-            repo = TextRepository(cluster, num_regions=4)
-            for uid, pid, ts in triples:
-                repo.store(CommentRecord(uid, pid, ts, "t", 0.5))
-            probe_uid, probe_pid, _ = triples[0]
-            got = {
-                c.timestamp
-                for c in repo.comments(probe_uid, probe_pid, since, until)
-            }
-            expected = {
-                ts
-                for uid, pid, ts in triples
-                if uid == probe_uid and pid == probe_pid and since <= ts < until
-            }
-            assert got == expected
-        finally:
-            cluster.shutdown()
+        repo = TextRepository(cluster, num_regions=4)
+        for uid, pid, ts in triples:
+            repo.store(CommentRecord(uid, pid, ts, "t", 0.5))
+        probe_uid, probe_pid, _ = triples[0]
+        got = {
+            c.timestamp
+            for c in repo.comments(probe_uid, probe_pid, since, until)
+        }
+        expected = {
+            ts
+            for uid, pid, ts in triples
+            if uid == probe_uid and pid == probe_pid and since <= ts < until
+        }
+        assert got == expected

@@ -104,121 +104,103 @@ class TestCoalescing:
     def test_identical_herd_runs_one_fanout(self):
         metrics = PlatformMetrics()
         cluster, qa = _build_stack(metrics=metrics)
-        try:
-            query = SearchQuery(
-                friend_ids=tuple(range(1, 31)), sort_by="interest"
-            )
-            key = QueryAnsweringModule._coalesce_key(query)
-            _gate_until_herd(qa, key, HERD)
-            epoch_before = cluster._fanout_epoch
-            results, errors = _hammer(qa, query, HERD)
-            assert errors == [None] * HERD
-            # Exactly one fan-out hit the storage tier for the herd.
-            assert cluster._fanout_epoch - epoch_before == 1
-            assert metrics.counter("queries.coalesced") == HERD - 1
-            assert qa.single_flight.coalesced_total == HERD - 1
-            fingerprints = {tuple(map(tuple, _fingerprint(r)))
-                            for r in results}
-            assert len(fingerprints) == 1
-            assert results[0].pois  # the shared answer is a real answer
-        finally:
-            cluster.shutdown()
+        query = SearchQuery(
+            friend_ids=tuple(range(1, 31)), sort_by="interest"
+        )
+        key = QueryAnsweringModule._coalesce_key(query)
+        _gate_until_herd(qa, key, HERD)
+        epoch_before = cluster._fanout_epoch
+        results, errors = _hammer(qa, query, HERD)
+        assert errors == [None] * HERD
+        # Exactly one fan-out hit the storage tier for the herd.
+        assert cluster._fanout_epoch - epoch_before == 1
+        assert metrics.counter("queries.coalesced") == HERD - 1
+        assert qa.single_flight.coalesced_total == HERD - 1
+        fingerprints = {tuple(map(tuple, _fingerprint(r)))
+                        for r in results}
+        assert len(fingerprints) == 1
+        assert results[0].pois  # the shared answer is a real answer
 
     def test_flight_table_empty_after_round(self):
         cluster, qa = _build_stack()
-        try:
-            query = SearchQuery(friend_ids=(1, 2, 3), sort_by="hotness")
-            _gate_until_herd(
-                qa, QueryAnsweringModule._coalesce_key(query), 4
-            )
-            _hammer(qa, query, 4)
-            assert qa.single_flight.in_flight() == 0
-            assert qa.single_flight.waiting(
-                QueryAnsweringModule._coalesce_key(query)
-            ) == 0
-        finally:
-            cluster.shutdown()
+        query = SearchQuery(friend_ids=(1, 2, 3), sort_by="hotness")
+        _gate_until_herd(
+            qa, QueryAnsweringModule._coalesce_key(query), 4
+        )
+        _hammer(qa, query, 4)
+        assert qa.single_flight.in_flight() == 0
+        assert qa.single_flight.waiting(
+            QueryAnsweringModule._coalesce_key(query)
+        ) == 0
 
     def test_distinct_queries_do_not_coalesce(self):
         metrics = PlatformMetrics()
         cluster, qa = _build_stack(metrics=metrics)
-        try:
-            queries = [
-                SearchQuery(friend_ids=tuple(range(1, 11)),
-                            sort_by="interest"),
-                SearchQuery(friend_ids=tuple(range(1, 11)),
-                            sort_by="hotness"),   # same friends, new sort
-                SearchQuery(friend_ids=tuple(range(11, 21)),
-                            sort_by="interest"),
-            ]
-            epoch_before = cluster._fanout_epoch
-            results = [None] * len(queries)
-            barrier = threading.Barrier(len(queries))
+        queries = [
+            SearchQuery(friend_ids=tuple(range(1, 11)),
+                        sort_by="interest"),
+            SearchQuery(friend_ids=tuple(range(1, 11)),
+                        sort_by="hotness"),   # same friends, new sort
+            SearchQuery(friend_ids=tuple(range(11, 21)),
+                        sort_by="interest"),
+        ]
+        epoch_before = cluster._fanout_epoch
+        results = [None] * len(queries)
+        barrier = threading.Barrier(len(queries))
 
-            def worker(i):
-                barrier.wait()
-                results[i] = qa.search(queries[i])
+        def worker(i):
+            barrier.wait()
+            results[i] = qa.search(queries[i])
 
-            threads = [threading.Thread(target=worker, args=(i,))
-                       for i in range(len(queries))]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=GATE_TIMEOUT_S)
-                assert not t.is_alive()
-            assert cluster._fanout_epoch - epoch_before == len(queries)
-            assert metrics.counter("queries.coalesced") == 0
-            assert all(r is not None for r in results)
-        finally:
-            cluster.shutdown()
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(len(queries))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=GATE_TIMEOUT_S)
+            assert not t.is_alive()
+        assert cluster._fanout_epoch - epoch_before == len(queries)
+        assert metrics.counter("queries.coalesced") == 0
+        assert all(r is not None for r in results)
 
     def test_leader_exception_propagates_to_all_waiters(self):
         cluster, qa = _build_stack()
-        try:
-            query = SearchQuery(friend_ids=(1, 2, 3, 4), sort_by="interest")
-            key = QueryAnsweringModule._coalesce_key(query)
+        query = SearchQuery(friend_ids=(1, 2, 3, 4), sort_by="interest")
+        key = QueryAnsweringModule._coalesce_key(query)
 
-            def exploding(queries):
-                deadline = time.monotonic() + GATE_TIMEOUT_S
-                while qa.single_flight.waiting(key) < HERD - 1:
-                    if time.monotonic() > deadline:
-                        raise AssertionError("herd never assembled")
-                    time.sleep(0.001)
-                raise QueryError("storage tier on fire")
+        def exploding(queries):
+            deadline = time.monotonic() + GATE_TIMEOUT_S
+            while qa.single_flight.waiting(key) < HERD - 1:
+                if time.monotonic() > deadline:
+                    raise AssertionError("herd never assembled")
+                time.sleep(0.001)
+            raise QueryError("storage tier on fire")
 
-            qa.search_personalized_batch = exploding
-            results, errors = _hammer(qa, query, HERD)
-            assert results == [None] * HERD
-            assert all(isinstance(e, QueryError) for e in errors)
-            # The failed flight must not wedge the table: a later call
-            # starts fresh (and succeeds once the path is healthy).
-            del qa.search_personalized_batch  # restore the real method
-            assert qa.single_flight.in_flight() == 0
-            recovered = qa.search(query)
-            assert recovered.pois
-        finally:
-            cluster.shutdown()
+        qa.search_personalized_batch = exploding
+        results, errors = _hammer(qa, query, HERD)
+        assert results == [None] * HERD
+        assert all(isinstance(e, QueryError) for e in errors)
+        # The failed flight must not wedge the table: a later call
+        # starts fresh (and succeeds once the path is healthy).
+        del qa.search_personalized_batch  # restore the real method
+        assert qa.single_flight.in_flight() == 0
+        recovered = qa.search(query)
+        assert recovered.pois
 
     def test_rankings_deterministic_across_rounds(self):
         cluster, qa = _build_stack()
-        try:
-            query = SearchQuery(
-                friend_ids=tuple(range(1, 31)), sort_by="interest"
-            )
-            key = QueryAnsweringModule._coalesce_key(query)
-            _gate_until_herd(qa, key, 5)
-            first, errors = _hammer(qa, query, 5)
-            assert errors == [None] * 5
-            second, errors = _hammer(qa, query, 5)
-            assert errors == [None] * 5
-            assert _fingerprint(first[0]) == _fingerprint(second[0])
-        finally:
-            cluster.shutdown()
+        query = SearchQuery(
+            friend_ids=tuple(range(1, 31)), sort_by="interest"
+        )
+        key = QueryAnsweringModule._coalesce_key(query)
+        _gate_until_herd(qa, key, 5)
+        first, errors = _hammer(qa, query, 5)
+        assert errors == [None] * 5
+        second, errors = _hammer(qa, query, 5)
+        assert errors == [None] * 5
+        assert _fingerprint(first[0]) == _fingerprint(second[0])
 
     def test_coalescing_off_by_default_for_direct_construction(self):
         cluster, qa = _build_stack()
-        try:
-            bare = QueryAnsweringModule(qa.pois, qa.visits)
-            assert bare.single_flight is None
-        finally:
-            cluster.shutdown()
+        bare = QueryAnsweringModule(qa.pois, qa.visits)
+        assert bare.single_flight is None

@@ -25,9 +25,7 @@ from repro.sqlstore import SqlEngine
 
 @pytest.fixture()
 def cluster():
-    c = HBaseCluster(ClusterConfig(num_nodes=2, regions_per_table=4))
-    yield c
-    c.shutdown()
+    return HBaseCluster(ClusterConfig(num_nodes=2, regions_per_table=4))
 
 
 @pytest.fixture()

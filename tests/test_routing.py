@@ -64,34 +64,25 @@ def ranked(result):
 class TestRouteFriends:
     def test_every_friend_lands_in_its_owning_region(self):
         qa, cluster = build_module()
-        try:
-            visits = qa.visits
-            friends = list(range(1, 41))
-            routed = visits.route_friends(friends)
-            covered = [f for bucket in routed.values() for f in bucket]
-            assert sorted(covered) == friends  # no friend lost or doubled
-            for region, bucket in routed.items():
-                for friend in bucket:
-                    start, _ = visits.time_range_keys(friend, None, None)
-                    assert region.contains_row(start)
-        finally:
-            cluster.shutdown()
+        visits = qa.visits
+        friends = list(range(1, 41))
+        routed = visits.route_friends(friends)
+        covered = [f for bucket in routed.values() for f in bucket]
+        assert sorted(covered) == friends  # no friend lost or doubled
+        for region, bucket in routed.items():
+            for friend in bucket:
+                start, _ = visits.time_range_keys(friend, None, None)
+                assert region.contains_row(start)
 
     def test_regions_without_friends_are_absent(self):
         qa, cluster = build_module()
-        try:
-            routed = qa.visits.route_friends([1])
-            assert len(routed) == 1
-        finally:
-            cluster.shutdown()
+        routed = qa.visits.route_friends([1])
+        assert len(routed) == 1
 
     def test_empty_window_routes_nowhere(self):
         qa, cluster = build_module()
-        try:
-            assert qa.visits.route_friends([1, 2, 3], until=0) == {}
-            assert qa.visits.route_friends([1, 2, 3], since=50, until=50) == {}
-        finally:
-            cluster.shutdown()
+        assert qa.visits.route_friends([1, 2, 3], until=0) == {}
+        assert qa.visits.route_friends([1, 2, 3], since=50, until=50) == {}
 
 
 class TestRoutedEqualsBroadcast:
@@ -108,59 +99,47 @@ class TestRoutedEqualsBroadcast:
 
     def test_routed_matches_client_side_baseline(self):
         qa, cluster = build_module()
-        try:
-            for query in self.QUERIES:
-                routed = qa.search(query)
-                baseline = qa.search_personalized_client_side(query)
-                assert ranked(routed) == ranked(baseline), query
-        finally:
-            cluster.shutdown()
+        for query in self.QUERIES:
+            routed = qa.search(query)
+            baseline = qa.search_personalized_client_side(query)
+            assert ranked(routed) == ranked(baseline), query
 
     def test_routed_matches_broadcast_fanout(self):
         qa, cluster = build_module()
-        try:
-            for query in self.QUERIES:
-                routed = qa.search(query)
-                # Broadcast: ship the full friend list to every region and
-                # let the endpoint probe ownership per friend (seed path).
-                request = _VisitScanRequest(
-                    friend_ids=tuple(query.friend_ids),
-                    bbox=query.bbox.as_tuple() if query.bbox else None,
-                    keywords=query.keywords,
-                    since=query.since,
-                    until=query.until,
-                    routed=False,
-                )
-                call = cluster.coprocessor_exec(
-                    qa.visits.table.name, qa._coprocessor, request
-                )
-                broadcast = qa.merge_and_rank(query, call)
-                assert ranked(routed) == ranked(broadcast), query
-                assert call.regions_pruned == 0  # broadcast prunes nothing
-        finally:
-            cluster.shutdown()
+        for query in self.QUERIES:
+            routed = qa.search(query)
+            # Broadcast: ship the full friend list to every region and
+            # let the endpoint probe ownership per friend (seed path).
+            request = _VisitScanRequest(
+                friend_ids=tuple(query.friend_ids),
+                bbox=query.bbox.as_tuple() if query.bbox else None,
+                keywords=query.keywords,
+                since=query.since,
+                until=query.until,
+                routed=False,
+            )
+            call = cluster.coprocessor_exec(
+                qa.visits.table.name, qa._coprocessor, request
+            )
+            broadcast = qa.merge_and_rank(query, call)
+            assert ranked(routed) == ranked(broadcast), query
+            assert call.regions_pruned == 0  # broadcast prunes nothing
 
     def test_pruning_is_reported(self):
         qa, cluster = build_module()
-        try:
-            res = qa.search(SearchQuery(friend_ids=(1,)))
-            assert res.regions_used == 1
-            assert res.regions_pruned == 7
-            wide = qa.search(SearchQuery(friend_ids=tuple(range(1, 41))))
-            assert wide.regions_used + wide.regions_pruned == 8
-            assert wide.regions_used > 1
-        finally:
-            cluster.shutdown()
+        res = qa.search(SearchQuery(friend_ids=(1,)))
+        assert res.regions_used == 1
+        assert res.regions_pruned == 7
+        wide = qa.search(SearchQuery(friend_ids=tuple(range(1, 41))))
+        assert wide.regions_used + wide.regions_pruned == 8
+        assert wide.regions_used > 1
 
     def test_empty_window_query_invokes_no_region(self):
         qa, cluster = build_module()
-        try:
-            res = qa.search(SearchQuery(friend_ids=(1, 2, 3), until=0))
-            assert res.pois == []
-            assert res.regions_used == 0
-            assert res.regions_pruned == 8
-        finally:
-            cluster.shutdown()
+        res = qa.search(SearchQuery(friend_ids=(1, 2, 3), until=0))
+        assert res.pois == []
+        assert res.regions_used == 0
+        assert res.regions_pruned == 8
 
 
 class TestStopKeyRegression:
@@ -186,22 +165,19 @@ class TestStopKeyRegression:
 
     def test_top_of_keyspace_user_is_scanned_and_routed(self):
         qa, cluster = build_module()
-        try:
-            visits = qa.visits
-            visits.store(VisitStruct(user_id=TOP_SALT_UID, poi_id=1,
-                                     timestamp=500, grade=1.0,
-                                     poi_name="poi-1", lat=36.0, lon=22.0))
-            got = list(visits.visits_of_user(TOP_SALT_UID))
-            assert [(v.timestamp, v.poi_id) for v in got] == [(500, 1)]
-            routed = visits.route_friends([TOP_SALT_UID])
-            (region, bucket), = routed.items()
-            assert bucket == [TOP_SALT_UID]
-            # Max salt lands in the table's last region (open end key).
-            assert region.end_key is None
-            res = qa.search(SearchQuery(friend_ids=(TOP_SALT_UID,)))
-            assert [p.poi_id for p in res.pois] == [1]
-        finally:
-            cluster.shutdown()
+        visits = qa.visits
+        visits.store(VisitStruct(user_id=TOP_SALT_UID, poi_id=1,
+                                 timestamp=500, grade=1.0,
+                                 poi_name="poi-1", lat=36.0, lon=22.0))
+        got = list(visits.visits_of_user(TOP_SALT_UID))
+        assert [(v.timestamp, v.poi_id) for v in got] == [(500, 1)]
+        routed = visits.route_friends([TOP_SALT_UID])
+        (region, bucket), = routed.items()
+        assert bucket == [TOP_SALT_UID]
+        # Max salt lands in the table's last region (open end key).
+        assert region.end_key is None
+        res = qa.search(SearchQuery(friend_ids=(TOP_SALT_UID,)))
+        assert [p.poi_id for p in res.pois] == [1]
 
     def test_degenerate_windows_yield_empty_ranges(self):
         tk = VisitsRepository.time_range_keys

@@ -15,6 +15,7 @@ from repro.config import (
     TelemetryConfig,
     default_slos,
 )
+from repro.core.api import RestApi
 from repro.core.platform import MoDisSENSE
 from repro.core.repositories.visits import VisitStruct
 from repro.core.scheduler import PeriodicScheduler, build_platform_scheduler
@@ -701,21 +702,19 @@ class TestPlatformTelemetry:
                                              regions_per_table=4))
         log = WideEventLog()
         cluster.attach_event_log(log)
-        try:
-            for epoch in range(cluster.faults_config.breaker_threshold):
-                cluster._breaker_record(0, ok=False, epoch=epoch)
-            opened = log.query(event_type="breaker.opened",
-                               interesting_only=True)
-            assert opened and opened[0]["node"] == 0
-            cluster._breaker_record(0, ok=True, epoch=10)
-            assert log.query(event_type="breaker.closed",
-                             interesting_only=True)
-        finally:
-            cluster.shutdown()
+        for epoch in range(cluster.faults_config.breaker_threshold):
+            cluster._breaker_record(0, ok=False, epoch=epoch)
+        opened = log.query(event_type="breaker.opened",
+                           interesting_only=True)
+        assert opened and opened[0]["node"] == 0
+        cluster._breaker_record(0, ok=True, epoch=10)
+        assert log.query(event_type="breaker.closed",
+                         interesting_only=True)
 
-    def test_profiler_attributes_fanout_pool(self):
-        from repro.core.modules.query_answering import SearchQuery
-
+    def test_profiler_samples_region_work_under_rest(self):
+        """Regions run in the thread that asked: a search issued through
+        ``RestApi.handle`` has its coprocessor frames sampled under
+        ``rest``, and there is no fan-out pool to attribute."""
         config = PlatformConfig(
             cluster=ClusterConfig(num_nodes=4, regions_per_table=8),
             telemetry=TelemetryConfig(
@@ -724,12 +723,17 @@ class TestPlatformTelemetry:
         )
         with MoDisSENSE(config) as platform:
             _seed_visits(platform, users=30)
-            query = SearchQuery(friend_ids=tuple(range(1, 30)),
-                                sort_by="hotness")
-            for _ in range(30):
-                platform.search(query)
-            stats = platform.telemetry.profiler.stats()
-            assert stats["samples"] > 0
-            # The fan-out pool registered itself via the executor
-            # initializer, so its idle/busy samples carry a component.
-            assert "fanout" in stats["by_component"]
+            api = RestApi(platform)
+            request = {"friend_ids": list(range(1, 30)),
+                       "sort_by": "hotness"}
+            profiler = platform.telemetry.profiler
+            for _ in range(400):
+                assert api.handle("search", request)["status"] == "ok"
+                if any("_invoke_region" in line
+                       for line in profiler.folded(component="rest")):
+                    break
+            else:
+                pytest.fail("no region frame sampled under 'rest'")
+            by_component = profiler.stats()["by_component"]
+            assert "fanout" not in by_component
+            assert "mapreduce" not in by_component

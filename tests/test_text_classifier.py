@@ -172,9 +172,9 @@ class TestSentimentPipeline:
         corpus = ReviewGenerator(seed=4, capacity=2000).labeled_texts(400)
         single = SentimentPipeline(SentimentConfig.optimized())
         single.train(corpus)
-        with JobRunner(max_workers=4) as runner:
-            distributed = SentimentPipeline(SentimentConfig.optimized())
-            distributed.train_mapreduce(corpus, runner=runner)
+        runner = JobRunner()
+        distributed = SentimentPipeline(SentimentConfig.optimized())
+        distributed.train_mapreduce(corpus, runner=runner)
         probe = ReviewGenerator(seed=4, capacity=2000).labeled_texts(100, start=400)
         for text, _label in probe:
             assert single.classify(text) == distributed.classify(text)

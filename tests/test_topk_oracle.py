@@ -185,9 +185,6 @@ class Stack:
         finally:
             self.topk_cfg.enabled = True
 
-    def shutdown(self):
-        self.cluster.shutdown()
-
 
 # --------------------------------------------------------------------------
 # Randomized differential section: pruned vs exhaustive vs client-side.
@@ -202,57 +199,45 @@ class TestTopKOracleDifferential:
         stack = Stack(data_seed=seed)
         rng = random.Random(1000 + seed)
         avoided_any = False
-        try:
-            for _ in range(30):
-                query = stack.random_query(rng)
-                pruned = stack.search_topk(query)
-                exhaustive = stack.search_exhaustive(query)
-                oracle = stack.qa.search_personalized_client_side(query)
-                assert fingerprint(pruned) == fingerprint(exhaustive), query
-                assert approx_rows(pruned) == approx_rows(oracle), query
-                # The exhaustive run must be untouched by the module.
-                assert exhaustive.cells_avoided == 0
-                assert exhaustive.regions_pruned_early == 0
-                avoided_any |= pruned.cells_avoided > 0
-        finally:
-            stack.shutdown()
+        for _ in range(30):
+            query = stack.random_query(rng)
+            pruned = stack.search_topk(query)
+            exhaustive = stack.search_exhaustive(query)
+            oracle = stack.qa.search_personalized_client_side(query)
+            assert fingerprint(pruned) == fingerprint(exhaustive), query
+            assert approx_rows(pruned) == approx_rows(oracle), query
+            # The exhaustive run must be untouched by the module.
+            assert exhaustive.cells_avoided == 0
+            assert exhaustive.regions_pruned_early == 0
+            avoided_any |= pruned.cells_avoided > 0
         assert avoided_any, "no workload ever avoided a decode"
 
     def test_large_case_always_avoids_cells(self):
         """The headline case — small k over every friend — must prune."""
         stack = Stack(data_seed=99)
-        try:
-            for sort_by in ("interest", "hotness"):
-                for k in (1, 5, 10):
-                    query = SearchQuery(
-                        friend_ids=tuple(range(1, NUM_USERS + 1)),
-                        sort_by=sort_by,
-                        limit=k,
-                    )
-                    pruned = stack.search_topk(query)
-                    exhaustive = stack.search_exhaustive(query)
-                    assert fingerprint(pruned) == fingerprint(exhaustive)
-                    assert pruned.cells_avoided > 0
-                    assert pruned.cells_decoded < exhaustive.cells_decoded
-        finally:
-            stack.shutdown()
+        for sort_by in ("interest", "hotness"):
+            for k in (1, 5, 10):
+                query = SearchQuery(
+                    friend_ids=tuple(range(1, NUM_USERS + 1)),
+                    sort_by=sort_by,
+                    limit=k,
+                )
+                pruned = stack.search_topk(query)
+                exhaustive = stack.search_exhaustive(query)
+                assert fingerprint(pruned) == fingerprint(exhaustive)
+                assert pruned.cells_avoided > 0
+                assert pruned.cells_decoded < exhaustive.cells_decoded
 
     def test_batch_size_never_changes_the_answer(self):
         """Batch size trades rounds for pruning — never correctness."""
         baseline = Stack(data_seed=7)
-        try:
-            query = SearchQuery(
-                friend_ids=tuple(range(1, NUM_USERS + 1)), limit=5
-            )
-            want = fingerprint(baseline.search_exhaustive(query))
-            for batch in (1, 2, 7, 64, 1024):
-                stack = Stack(data_seed=7, batch_size=batch)
-                try:
-                    assert fingerprint(stack.search_topk(query)) == want
-                finally:
-                    stack.shutdown()
-        finally:
-            baseline.shutdown()
+        query = SearchQuery(
+            friend_ids=tuple(range(1, NUM_USERS + 1)), limit=5
+        )
+        want = fingerprint(baseline.search_exhaustive(query))
+        for batch in (1, 2, 7, 64, 1024):
+            stack = Stack(data_seed=7, batch_size=batch)
+            assert fingerprint(stack.search_topk(query)) == want
 
 
 # --------------------------------------------------------------------------
@@ -278,78 +263,69 @@ class TestTopKOracleWithCache:
     def test_cold_and_warm_cache_identical(self, seed):
         stack = Stack(data_seed=seed, cache=True)
         rng = random.Random(2000 + seed)
-        try:
-            for _ in range(10):
-                query = stack.random_query(rng)
-                want = fingerprint(
-                    self._cache_off(stack, stack.search_exhaustive, query)
-                )
-                # No exhaustive seeding: the cache is opened, filled and
-                # read by top-k queries alone.
-                for _attempt in range(3):
-                    warm = stack.search_topk(query)
-                    assert fingerprint(warm) == want, query
-                assert warm.cache_misses == 0
-                assert warm.records_scanned == 0
-                if query.since is None:
-                    assert warm.cache_hits == len(query.friend_ids)
-                if not (query.bbox or query.keywords):
-                    # Unfiltered: only the k winners are ever decoded.
-                    assert warm.cells_decoded <= query.limit
-        finally:
-            stack.shutdown()
-
-    def test_topk_alone_takes_the_cache_from_cold_to_warm(self):
-        stack = Stack(data_seed=3, cache=True)
-        try:
-            query = SearchQuery(friend_ids=ALL_FRIENDS, limit=5)
+        for _ in range(10):
+            query = stack.random_query(rng)
             want = fingerprint(
                 self._cache_off(stack, stack.search_exhaustive, query)
             )
-            # First touch records each region's seqid and stores nothing.
-            first = stack.search_topk(query)
-            assert (first.cache_hits, first.cache_misses) == (0, NUM_USERS)
-            assert len(stack.scan_cache) == 0
-            # The regions were quiet since: the second query fills.
-            second = stack.search_topk(query)
-            assert (second.cache_hits, second.cache_misses) == (0, NUM_USERS)
-            assert len(stack.scan_cache) == NUM_USERS
-            third = stack.search_topk(query)
-            assert (third.cache_hits, third.cache_misses) == (NUM_USERS, 0)
-            assert third.records_scanned == 0
-            for result in (first, second, third):
-                assert fingerprint(result) == want
-            # Unfiltered: only the k winners are ever decoded.
-            assert 0 < third.cells_decoded <= query.limit
-        finally:
-            stack.shutdown()
+            # No exhaustive seeding: the cache is opened, filled and
+            # read by top-k queries alone.
+            for _attempt in range(3):
+                warm = stack.search_topk(query)
+                assert fingerprint(warm) == want, query
+            assert warm.cache_misses == 0
+            assert warm.records_scanned == 0
+            if query.since is None:
+                assert warm.cache_hits == len(query.friend_ids)
+            if not (query.bbox or query.keywords):
+                # Unfiltered: only the k winners are ever decoded.
+                assert warm.cells_decoded <= query.limit
+
+    def test_topk_alone_takes_the_cache_from_cold_to_warm(self):
+        stack = Stack(data_seed=3, cache=True)
+        query = SearchQuery(friend_ids=ALL_FRIENDS, limit=5)
+        want = fingerprint(
+            self._cache_off(stack, stack.search_exhaustive, query)
+        )
+        # First touch records each region's seqid and stores nothing.
+        first = stack.search_topk(query)
+        assert (first.cache_hits, first.cache_misses) == (0, NUM_USERS)
+        assert len(stack.scan_cache) == 0
+        # The regions were quiet since: the second query fills.
+        second = stack.search_topk(query)
+        assert (second.cache_hits, second.cache_misses) == (0, NUM_USERS)
+        assert len(stack.scan_cache) == NUM_USERS
+        third = stack.search_topk(query)
+        assert (third.cache_hits, third.cache_misses) == (NUM_USERS, 0)
+        assert third.records_scanned == 0
+        for result in (first, second, third):
+            assert fingerprint(result) == want
+        # Unfiltered: only the k winners are ever decoded.
+        assert 0 < third.cells_decoded <= query.limit
 
     @pytest.mark.parametrize("filler", ["exhaustive", "topk"])
     def test_entry_stored_by_either_mode_serves_the_other(self, filler):
         stack = Stack(data_seed=4, cache=True)
-        try:
-            query = SearchQuery(
-                friend_ids=ALL_FRIENDS, limit=5, keywords=("cafe",)
-            )
-            fill, read = (
-                (stack.search_exhaustive, stack.search_topk)
-                if filler == "exhaustive"
-                else (stack.search_topk, stack.search_exhaustive)
-            )
-            want = fingerprint(self._cache_off(stack, read, query))
-            fill(query)  # opens the generations
-            fill(query)  # stores
-            served = read(query)
-            assert (served.cache_hits, served.cache_misses) == (NUM_USERS, 0)
-            assert served.records_scanned == 0
-            assert fingerprint(served) == want
-            if filler == "exhaustive":
-                # The exhaustive mode parsed every POI and left the
-                # attribute memo behind: top-k re-parses nothing, even
-                # to evaluate the keyword filter.
-                assert served.cells_decoded == 0
-        finally:
-            stack.shutdown()
+        query = SearchQuery(
+            friend_ids=ALL_FRIENDS, limit=5, keywords=("cafe",)
+        )
+        fill, read = (
+            (stack.search_exhaustive, stack.search_topk)
+            if filler == "exhaustive"
+            else (stack.search_topk, stack.search_exhaustive)
+        )
+        want = fingerprint(self._cache_off(stack, read, query))
+        fill(query)  # opens the generations
+        fill(query)  # stores
+        served = read(query)
+        assert (served.cache_hits, served.cache_misses) == (NUM_USERS, 0)
+        assert served.records_scanned == 0
+        assert fingerprint(served) == want
+        if filler == "exhaustive":
+            # The exhaustive mode parsed every POI and left the
+            # attribute memo behind: top-k re-parses nothing, even
+            # to evaluate the keyword filter.
+            assert served.cells_decoded == 0
 
     def test_seqid_bump_stales_topk_cached_partials(self):
         """A write between queries must invalidate cached partials for
@@ -357,26 +333,23 @@ class TestTopKOracleWithCache:
         written between *every* two queries is never admitted."""
         stack = Stack(data_seed=5, cache=True)
         rng = random.Random(55)
-        try:
-            query = SearchQuery(friend_ids=ALL_FRIENDS, limit=5)
-            for _ in range(3):
-                warm = stack.search_topk(query)
-            assert warm.cache_hits > 0 and warm.cache_misses == 0
-            for _ in range(3):
-                # Bump every region's seqid with fresh writes.
-                for uid in ALL_FRIENDS:
-                    stack.write(rng, uid)
-                after = stack.search_topk(query)
-                assert (after.cache_hits, after.cache_misses) == (0, NUM_USERS)
-                assert len(stack.scan_cache) == 0
-                assert fingerprint(after) == fingerprint(
-                    self._cache_off(stack, stack.search_exhaustive, query)
-                )
-                assert approx_rows(after) == approx_rows(
-                    stack.qa.search_personalized_client_side(query)
-                )
-        finally:
-            stack.shutdown()
+        query = SearchQuery(friend_ids=ALL_FRIENDS, limit=5)
+        for _ in range(3):
+            warm = stack.search_topk(query)
+        assert warm.cache_hits > 0 and warm.cache_misses == 0
+        for _ in range(3):
+            # Bump every region's seqid with fresh writes.
+            for uid in ALL_FRIENDS:
+                stack.write(rng, uid)
+            after = stack.search_topk(query)
+            assert (after.cache_hits, after.cache_misses) == (0, NUM_USERS)
+            assert len(stack.scan_cache) == 0
+            assert fingerprint(after) == fingerprint(
+                self._cache_off(stack, stack.search_exhaustive, query)
+            )
+            assert approx_rows(after) == approx_rows(
+                stack.qa.search_personalized_client_side(query)
+            )
 
     def test_concurrent_queries_and_writer_match_client_side(self):
         """Two query threads and one writer share the regions: the
@@ -446,7 +419,6 @@ class TestTopKOracleWithCache:
         finally:
             stop.set()
             sys.setswitchinterval(switch)
-            stack.shutdown()
 
 
 # --------------------------------------------------------------------------
@@ -493,22 +465,18 @@ class TestTopKUnderFaults:
             for stack in (topk_stack, plain_stack):
                 stack.cluster.fault_injector.on_node_failed(0, [2, 5])
         rng_a, rng_b = random.Random(seed), random.Random(seed)
-        try:
-            for _ in range(10):
-                query_a = topk_stack.random_query(rng_a)
-                query_b = plain_stack.random_query(rng_b)
-                assert query_a == query_b  # same workload stream
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", DegradedResultWarning)
-                    pruned = topk_stack.search_topk(query_a)
-                    exhaustive = plain_stack.search_exhaustive(query_b)
-                assert fingerprint(pruned) == fingerprint(exhaustive), query_a
-                assert pruned.missing_regions == exhaustive.missing_regions
-                assert pruned.coverage == exhaustive.coverage
-                assert pruned.degraded == exhaustive.degraded
-        finally:
-            topk_stack.shutdown()
-            plain_stack.shutdown()
+        for _ in range(10):
+            query_a = topk_stack.random_query(rng_a)
+            query_b = plain_stack.random_query(rng_b)
+            assert query_a == query_b  # same workload stream
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegradedResultWarning)
+                pruned = topk_stack.search_topk(query_a)
+                exhaustive = plain_stack.search_exhaustive(query_b)
+            assert fingerprint(pruned) == fingerprint(exhaustive), query_a
+            assert pruned.missing_regions == exhaustive.missing_regions
+            assert pruned.coverage == exhaustive.coverage
+            assert pruned.degraded == exhaustive.degraded
 
 
 # --------------------------------------------------------------------------
@@ -534,17 +502,14 @@ class TestTopKInteractions:
         """Complete-by-proof: early-terminated regions are exact, so
         they never degrade the answer."""
         stack = Stack(data_seed=21)
-        try:
-            query = SearchQuery(
-                friend_ids=tuple(range(1, NUM_USERS + 1)), limit=1
-            )
-            result = stack.search_topk(query)
-            assert result.regions_pruned_early > 0
-            assert result.missing_regions == ()
-            assert result.coverage == 1.0
-            assert result.degraded is False
-        finally:
-            stack.shutdown()
+        query = SearchQuery(
+            friend_ids=tuple(range(1, NUM_USERS + 1)), limit=1
+        )
+        result = stack.search_topk(query)
+        assert result.regions_pruned_early > 0
+        assert result.missing_regions == ()
+        assert result.coverage == 1.0
+        assert result.degraded is False
 
     def test_pruned_under_degraded_mode(self):
         """With a region genuinely lost, proof-pruned regions still stay
@@ -560,48 +525,42 @@ class TestTopKInteractions:
         stack.cluster.fault_injector.on_node_failed(0, [3])
         import warnings
 
-        try:
-            query = SearchQuery(
-                friend_ids=tuple(range(1, NUM_USERS + 1)), limit=1
-            )
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegradedResultWarning)
-                pruned = stack.search_topk(query)
-                exhaustive = stack.search_exhaustive(query)
-            assert pruned.degraded
-            assert pruned.missing_regions == exhaustive.missing_regions
-            assert pruned.coverage == exhaustive.coverage
-            # Proof-pruning happened on top of the loss, and the pruned
-            # regions are disjoint from the missing ones by construction
-            # (a lost region never produced a stream to prune).
-            assert pruned.regions_pruned_early > 0
-            assert fingerprint(pruned) == fingerprint(exhaustive)
-        finally:
-            stack.shutdown()
+        query = SearchQuery(
+            friend_ids=tuple(range(1, NUM_USERS + 1)), limit=1
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedResultWarning)
+            pruned = stack.search_topk(query)
+            exhaustive = stack.search_exhaustive(query)
+        assert pruned.degraded
+        assert pruned.missing_regions == exhaustive.missing_regions
+        assert pruned.coverage == exhaustive.coverage
+        # Proof-pruning happened on top of the loss, and the pruned
+        # regions are disjoint from the missing ones by construction
+        # (a lost region never produced a stream to prune).
+        assert pruned.regions_pruned_early > 0
+        assert fingerprint(pruned) == fingerprint(exhaustive)
 
     def test_proof_abort_vs_deadline_abort_distinguishable_in_traces(self):
         """A proof abort tags ``pruned_early``; a deadline abort tags
         ``cancel_reason=deadline`` — operators can tell them apart."""
         tracer = Tracer(enabled=True)
         stack = Stack(data_seed=41, tracer=tracer)
-        try:
-            query = SearchQuery(
-                friend_ids=tuple(range(1, NUM_USERS + 1)), limit=1
-            )
-            result = stack.search_topk(query)
-            assert result.regions_pruned_early > 0
-            trace = tracer.last_trace()
-            spans = _region_spans(trace)
-            pruned_tags = [
-                s["tags"] for s in spans if s["tags"].get("pruned_early")
-            ]
-            assert len(pruned_tags) == result.regions_pruned_early
-            for tags in pruned_tags:
-                # Proof aborts never masquerade as deadline cancels.
-                assert tags.get("cancel_reason") != REASON_DEADLINE
-                assert "topk_avoided" in tags
-        finally:
-            stack.shutdown()
+        query = SearchQuery(
+            friend_ids=tuple(range(1, NUM_USERS + 1)), limit=1
+        )
+        result = stack.search_topk(query)
+        assert result.regions_pruned_early > 0
+        trace = tracer.last_trace()
+        spans = _region_spans(trace)
+        pruned_tags = [
+            s["tags"] for s in spans if s["tags"].get("pruned_early")
+        ]
+        assert len(pruned_tags) == result.regions_pruned_early
+        for tags in pruned_tags:
+            # Proof aborts never masquerade as deadline cancels.
+            assert tags.get("cancel_reason") != REASON_DEADLINE
+            assert "topk_avoided" in tags
 
     def test_deadline_abort_marks_stream_aborted_not_pruned(self):
         """Unit-level distinguishability on the stream itself: the same
@@ -665,37 +624,31 @@ class TestTopKInteractions:
         """A truncated partial has no sound bound: brownout shaping must
         fall back to the exhaustive (limit-truncated) path."""
         stack = Stack(data_seed=61)
-        try:
-            routed = stack.qa._route_query(
-                SearchQuery(friend_ids=(1, 2, 3), limit=5),
-                per_region_limit=7,
-            )
-            for request in routed.values():
-                assert request.top_k == 0
-                assert request.per_region_limit == 7
-            routed = stack.qa._route_query(
-                SearchQuery(friend_ids=(1, 2, 3), limit=5)
-            )
-            for request in routed.values():
-                assert request.top_k == 5
-        finally:
-            stack.shutdown()
+        routed = stack.qa._route_query(
+            SearchQuery(friend_ids=(1, 2, 3), limit=5),
+            per_region_limit=7,
+        )
+        for request in routed.values():
+            assert request.top_k == 0
+            assert request.per_region_limit == 7
+        routed = stack.qa._route_query(
+            SearchQuery(friend_ids=(1, 2, 3), limit=5)
+        )
+        for request in routed.values():
+            assert request.top_k == 5
 
     def test_explain_reports_topk_profile(self):
         stack = Stack(data_seed=71)
-        try:
-            query = SearchQuery(
-                friend_ids=tuple(range(1, NUM_USERS + 1)), limit=2
-            )
-            stack.topk_cfg.enabled = True
-            plan = stack.qa.explain_personalized(query)
-            assert plan["topk"]["enabled"]
-            assert plan["topk"]["rounds"] > 0
-            assert plan["topk"]["cells_avoided"] > 0
-            assert plan["topk"]["pruned_regions"] > 0
-            stack.topk_cfg.enabled = False
-            plan_off = stack.qa.explain_personalized(query)
-            assert not plan_off["topk"]["enabled"]
-            assert plan_off["topk"]["cells_avoided"] == 0
-        finally:
-            stack.shutdown()
+        query = SearchQuery(
+            friend_ids=tuple(range(1, NUM_USERS + 1)), limit=2
+        )
+        stack.topk_cfg.enabled = True
+        plan = stack.qa.explain_personalized(query)
+        assert plan["topk"]["enabled"]
+        assert plan["topk"]["rounds"] > 0
+        assert plan["topk"]["cells_avoided"] > 0
+        assert plan["topk"]["pruned_regions"] > 0
+        stack.topk_cfg.enabled = False
+        plan_off = stack.qa.explain_personalized(query)
+        assert not plan_off["topk"]["enabled"]
+        assert plan_off["topk"]["cells_avoided"] == 0

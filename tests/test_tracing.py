@@ -352,10 +352,39 @@ class TestQueryTracePropagation:
         trace = traced_platform.tracer.last_trace()
         fanout = _find_one(trace["root"], "fanout")
         fanout_end = fanout["start_ms"] + fanout["duration_ms"]
+        previous_end = fanout["start_ms"]
         for scan in _find_all(fanout, "region.scan"):
-            assert scan["start_ms"] >= fanout["start_ms"]
-            scan_end = scan["start_ms"] + scan["duration_ms"]
-            assert scan_end <= fanout_end + 1e-6
+            # Regions run one after another in the calling thread, in
+            # region order: no scan starts before the previous ended.
+            assert scan["start_ms"] >= previous_end - 1e-6
+            previous_end = scan["start_ms"] + scan["duration_ms"]
+            assert previous_end <= fanout_end + 1e-6
+
+    def test_aborted_query_still_publishes_its_trace(self, traced_platform):
+        """Regression: a fan-out that raised (strict deadline) left the
+        ``query.personalized`` and ``fanout`` spans unfinished, so the
+        trace never reached ``recent_traces``/``admin_traces`` and its
+        finished children sat in ``Tracer._pending``."""
+        from repro import RestApi
+
+        tracer = traced_platform.tracer
+        tracer.clear()
+        traced_platform.hbase.faults_config.strict_deadline = True
+        api = RestApi(traced_platform)
+        response = api.handle("search", {
+            "friend_ids": list(QUERY.friend_ids), "deadline_ms": 0.001,
+        })
+        assert response["status"] == "error"
+        assert tracer._pending == {}
+        (trace,) = tracer.recent_traces()
+        root = trace["root"]
+        assert root["name"] == "query.personalized"
+        assert root["tags"]["error"] == "QueryDeadlineExceeded"
+        fanout = _find_one(root, "fanout")
+        assert fanout["tags"]["error"] == "QueryDeadlineExceeded"
+        assert _find_all(fanout, "region.scan")
+        listed = api.handle("admin_traces", {})["data"]["traces"]
+        assert [t["trace_id"] for t in listed] == [trace["trace_id"]]
 
     def test_disabled_tracing_gives_identical_results(self, traced_platform):
         """Spans only observe: with the tracer off (or on) the ranked
@@ -438,8 +467,8 @@ class TestBatchTracing:
 
         job = MapReduceJob(name="wc", mapper=mapper, reducer=reducer,
                            num_mappers=2, num_reducers=2)
-        with JobRunner(max_workers=2, tracer=tracer, metrics=metrics) as runner:
-            result = runner.run(job, ["a b a", "b c", "a"])
+        runner = JobRunner(tracer=tracer, metrics=metrics)
+        result = runner.run(job, ["a b a", "b c", "a"])
         trace = tracer.last_trace()
         root = trace["root"]
         assert root["name"] == "mapreduce.job"
@@ -463,6 +492,6 @@ class TestBatchTracing:
             emit(key, sum(values))
 
         job = MapReduceJob(name="plain", mapper=mapper, reducer=reducer)
-        with JobRunner(max_workers=2) as runner:
-            result = runner.run(job, list(range(10)))
+        runner = JobRunner()
+        result = runner.run(job, list(range(10)))
         assert dict(result.pairs) == {0: 20, 1: 25}
