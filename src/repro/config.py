@@ -286,7 +286,8 @@ class CacheConfig:
     #: Deduplicate identical in-flight personalized queries.
     coalesce: bool = True
     #: LRU capacity of the per-region friend-partition scan cache
-    #: (one entry per (region, friend, time-window)).
+    #: (one entry per (region, friend, time-window)); also the row
+    #: bound of its POI attribute table.
     scan_cache_max_entries: int = 65536
     #: Wall-clock TTL for scan-cache entries; ``None`` disables and
     #: leaves invalidation purely seqid-driven.

@@ -176,11 +176,13 @@ class VisitScanCoprocessor(Coprocessor):
     nothing: the POI id comes from fixed row-key offsets and the grade
     from a positional slice.  Because the replicated POI attributes
     (name/lat/lon/keywords) are per-POI constants, one raw payload
-    reference per POI is enough to decode them later, at most once per
-    POI per region: for every aggregated POI in exhaustive mode, for
-    filter evaluation and the k winners in streaming mode.
-    ``cells_decoded`` in the context counters (full payload parses)
-    makes the saving observable.
+    reference per POI is enough to decode them later, and a decoded row
+    serves every region and query after it: both modes read and write
+    the cluster's one POI attribute table (``RegionScanCache.poi_attrs``;
+    a dict of its own when an invocation runs without the cache) — for
+    every aggregated POI in exhaustive mode, for filter evaluation and
+    the k winners in streaming mode.  ``cells_decoded`` in the context
+    counters (full payload parses) makes the saving observable.
     """
 
     name = "visit-scan"
@@ -191,7 +193,9 @@ class VisitScanCoprocessor(Coprocessor):
         score-sorted :class:`TopKPartialStream` (streaming mode: decode,
         filter and shipping are deferred and cancellable) or decode,
         filter and ship all of them."""
-        aggregates, memo, cells_scanned = self._fold_friends(context, request)
+        aggregates, cells_scanned = self._fold_friends(context, request)
+        cache = context.cache
+        memo = cache.poi_attrs if cache is not None else {}
         bbox = (
             BoundingBox.from_tuple(request.bbox)
             if request.bbox is not None
@@ -222,10 +226,8 @@ class VisitScanCoprocessor(Coprocessor):
             for poi_id, grade_sum, count in aggregates.rows():
                 poi_attrs = memo.get(poi_id)
                 if poi_attrs is None:
-                    # One full payload parse per distinct POI per region
-                    # (none when the cache's memo already has it).  This
-                    # mode needs every row anyway, so it leaves them in
-                    # the memo; streams only read it.
+                    # One full payload parse per POI the table has not
+                    # seen yet, in any region or query.
                     poi_attrs = memo[poi_id] = decode_attrs(
                         aggregates.raw(poi_id)
                     )
@@ -245,19 +247,17 @@ class VisitScanCoprocessor(Coprocessor):
 
     def _fold_friends(
         self, context: CoprocessorContext, request: _VisitScanRequest
-    ) -> Tuple[PartialAggregates, Dict[int, tuple], int]:
+    ) -> Tuple[PartialAggregates, int]:
         """The friend-partial core both modes share: for each owned
         friend and the request's window — cached partial, else scan,
         aggregate and (if admitted) store — folded in friend order into
         exact unfiltered per-POI aggregates.
 
-        Returns ``(aggregates, memo, cells_scanned)``: ``aggregates``
-        holds per POI the exact ``grade_sum`` and ``count`` in
-        first-encounter order (no per-POI container, so a 6000-friend
-        fold leaves the garbage collector nothing to track) and finds a
-        POI's raw payload on demand; ``memo`` is the
-        ``poi_id -> attribute row`` memo of this region (the cache
-        generation's when there is one, else a fresh dict).
+        Returns ``(aggregates, cells_scanned)``: ``aggregates`` holds
+        per POI the exact ``grade_sum`` and ``count`` in first-encounter
+        order (no per-POI container, so a 6000-friend fold leaves the
+        garbage collector nothing to track) and finds a POI's raw
+        payload on demand.
 
         The scan always completes and parses nothing: the POI id comes
         from fixed row-key offsets, the grade from the positional
@@ -389,11 +389,7 @@ class VisitScanCoprocessor(Coprocessor):
             ).finish()
             context.count("cache_hits", cache_hits)
             context.count("cache_misses", cache_misses)
-        return (
-            aggregates,
-            generation.attrs if generation is not None else {},
-            cells_scanned,
-        )
+        return aggregates, cells_scanned
 
     # merge() default (list concatenation) is right: the web-server tier
     # does the cross-region aggregation in QueryAnsweringModule.

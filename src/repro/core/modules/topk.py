@@ -24,23 +24,25 @@ directly):
    avoids is the expensive half — per-POI attribute decoding, partial
    shipping, and web-tier merging — never the aggregation itself, so no
    top-k member can ever lose a contribution.
-2. **Candidates resolve exactly on discovery.**  The moment any region
-   emits a POI, the merger random-access *probes* every other region's
-   completed aggregate map (a dict lookup, no decode) and folds the
-   contributions in ascending region order — the same float-addition
-   order as the exhaustive web-tier merge.  A candidate's global score
-   is therefore final at entry; later emission can only *discover new*
+2. **Candidates resolve exactly on discovery.**  In the round a region
+   first emits a POI, the merger random-access *probes* every region's
+   completed aggregate map (one key-set intersection per region per
+   round, no decode) and folds the contributions in ascending region
+   order — the same float-addition order as the exhaustive web-tier
+   merge.  A candidate's global score is final before the round's
+   threshold is taken; later emission can only *discover new*
    candidates, which is exactly what the frontier bounds cap.
 
 Attribute decoding — the expensive full JSON parse per POI — is
 deferred all the way to the end: emission ships bare ``(poi_id,
 grade_sum, count)`` triples, and once the merge terminates the merger
 ranks its candidates with the web tier's documented key and performs
-TA's final random-access fetch for *exactly the k winners* (filtered
-queries additionally decode per emitted item to evaluate the
-spatial/textual predicate, and those parses are memoized).  An
-unfiltered k=10 query therefore decodes ~10 payloads regardless of how
-many thousand distinct POIs the friend set touched.
+TA's final random-access fetch for *exactly the k winners* (a filter
+also needs the row of every examined item).  Every parse lands in the
+cluster's one POI attribute table (``RegionScanCache.poi_attrs``): a POI
+is parsed once, not once per region per query, and an unfiltered k=10
+query decodes at most 10 payloads however many thousand distinct POIs
+the friend set touched.
 
 Bound math (proved in the property suite):
 
@@ -71,14 +73,17 @@ traces from a proof abort (complete by proof, coverage untouched).
 
 from __future__ import annotations
 
+import heapq
+from sys import intern
 from typing import (
     Any,
     Dict,
     Iterable,
     List,
-    Mapping,
+    MutableMapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -93,14 +98,15 @@ from ..serialization import decode_json
 
 
 def decode_attrs(raw: bytes) -> tuple:
-    """The ``(name, lat, lon, keywords)`` attribute row of one raw visit
-    payload — the full JSON parse both coprocessor modes defer."""
+    """The ``(name, lat, lon, lower-cased keyword set)`` attribute row
+    of one raw visit payload — the full JSON parse both modes defer and
+    keep in the POI attribute table (keywords interned: few distinct)."""
     payload = decode_json(raw)
     return (
         payload.get("name", ""),
         payload.get("lat", 0.0),
         payload.get("lon", 0.0),
-        tuple(payload.get("keywords", ())),
+        frozenset(intern(str(k).lower()) for k in payload.get("keywords", ())),
     )
 
 
@@ -109,9 +115,7 @@ def passes_filter(attrs: tuple, bbox: Optional[Any], wanted: set) -> bool:
     _name, lat, lon, poi_keywords = attrs
     if bbox is not None and not bbox.contains_coords(lat, lon):
         return False
-    return not wanted or bool(
-        wanted & {str(k).lower() for k in poi_keywords}
-    )
+    return not wanted or not wanted.isdisjoint(poi_keywords)
 
 
 class PartialAggregates:
@@ -126,7 +130,7 @@ class PartialAggregates:
     friend, ``(poi_ids, raws)`` — the friend's POI ids and the matching
     raw visit payload references — and :meth:`raw` builds the
     ``poi_id -> payload`` map from them on first use.  Attributes are
-    per-POI constants and a top-k query decodes only its k winners, so
+    per-POI constants (DESIGN.md §7) and decoded once per cluster, so
     most regions never build the map and never touch a payload.
     """
 
@@ -187,19 +191,17 @@ class TopKPartialStream(StreamingPartial):
     Built by :class:`~repro.core.modules.query_answering.
     VisitScanCoprocessor` after its (always complete) aggregation scan.
     ``aggregates`` (a :class:`PartialAggregates`) holds each POI's exact
-    ``grade_sum`` / ``count`` and doubles as the O(1) random-access
+    ``grade_sum`` / ``count`` and doubles as the merger's random-access
     probe map; it also finds one representative raw visit payload of a
-    POI on demand (attribute decoding is deferred to the merger's final
-    fetch of the k winners, which is the entire saving; streams whose
-    ``memo`` already covers every POI never ask).  ``items`` is the same
-    data as ``(sort_key, poi_id, grade_sum, count)`` tuples in ascending
-    order, where ``sort_key`` is the negated *local* sort key (count for
-    hotness, local mean for interest) — i.e. descending by that key
-    with ``poi_id`` as the tie-break.  ``memo`` holds attribute rows parsed
-    before this stream existed (the scan cache's per-region memo, filled
-    by exhaustive queries); the stream only reads it and keeps what it
-    parses itself in ``attrs`` — where the memo covers the winners a
-    warm stream costs no parse at all.
+    POI on demand.  ``items`` is the same data as ``(sort_key, poi_id,
+    grade_sum, count)`` tuples in ascending order, where ``sort_key`` is
+    the negated *local* sort key (count for hotness, local mean for
+    interest) — i.e. descending by that key with ``poi_id`` as the
+    tie-break.  ``memo`` is the POI attribute table: the cluster-wide
+    ``RegionScanCache.poi_attrs`` on a clean cached invocation, else a
+    dict of the invocation's own.  The stream reads it and adds what it
+    has to parse, so whatever any region or query parsed before costs
+    this stream nothing.
     """
 
     __slots__ = (
@@ -209,7 +211,6 @@ class TopKPartialStream(StreamingPartial):
         "batch",
         "items",
         "aggregates",
-        "attrs",
         "memo",
         "bbox",
         "wanted",
@@ -225,15 +226,13 @@ class TopKPartialStream(StreamingPartial):
         "finished",
         "pruned",
         "aborted",
-        "_verdicts",
-        "_count_of",
     )
 
     def __init__(
         self,
         region_id: int,
         aggregates: PartialAggregates,
-        memo: Mapping[int, tuple],
+        memo: MutableMapping[int, tuple],
         top_k: int,
         hotness: bool,
         batch: int,
@@ -248,8 +247,6 @@ class TopKPartialStream(StreamingPartial):
         self.hotness = hotness
         self.batch = max(1, batch)
         self.aggregates = aggregates
-        #: Probes run ~100k times per large query and mostly miss.
-        self._count_of = aggregates.counts.get
         # One pass, no key function: poi ids are unique, so plain tuple
         # order is exactly (sort key descending, poi_id ascending).
         if hotness:
@@ -265,7 +262,6 @@ class TopKPartialStream(StreamingPartial):
         items.sort()
         self.items: List[Tuple[float, int, float, int]] = items
         self.memo = memo
-        self.attrs: Dict[int, tuple] = {}
         self.bbox = bbox
         self.wanted = wanted or set()
         self.span = span
@@ -286,7 +282,6 @@ class TopKPartialStream(StreamingPartial):
         self.finished = not items
         self.pruned = False
         self.aborted = False
-        self._verdicts: Dict[int, bool] = {}
 
     # ------------------------------------------------------------ bounds
 
@@ -320,49 +315,41 @@ class TopKPartialStream(StreamingPartial):
     # ---------------------------------------------------------- emission
 
     def _attrs_for(self, poi_id: int) -> tuple:
-        attrs = self.attrs.get(poi_id)
+        attrs = self.memo.get(poi_id)
         if attrs is None:
-            attrs = self.memo.get(poi_id)
-            if attrs is None:
-                attrs = decode_attrs(self.aggregates.raw(poi_id))
-                self.cells_decoded += 1
-            self.attrs[poi_id] = attrs
-        return attrs
-
-    def _passes_filter(self, poi_id: int) -> bool:
-        verdict = self._verdicts.get(poi_id)
-        if verdict is None:
-            verdict = passes_filter(
-                self._attrs_for(poi_id), self.bbox, self.wanted
+            attrs = self.memo[poi_id] = decode_attrs(
+                self.aggregates.raw(poi_id)
             )
-            self._verdicts[poi_id] = verdict
-        return verdict
+            self.cells_decoded += 1
+        return attrs
 
     def next_batch(self) -> List[Tuple[int, float, int]]:
         """Emit up to ``batch`` filter-passing ``(poi_id, grade_sum,
         count)`` triples in sort-key order.  No attribute decode happens
         here for unfiltered queries — the merger fetches attributes for
-        the final winners only; a spatial/textual filter forces a
-        (memoized) decode per examined item to evaluate the predicate.
+        the final winners only; a spatial/textual filter needs the
+        attribute row of every examined item to evaluate the predicate.
         Raises :class:`QueryCancelled` when the query's deadline token
         trips mid-emission; returns ``[]`` once exhausted or
         proof-pruned."""
         out: List[Tuple[int, float, int]] = []
-        items = self.items
-        filtered = self.bbox is not None or bool(self.wanted)
-        while len(out) < self.batch and self.cursor < len(items):
-            if self.prune_token.cancelled:
+        items, batch = self.items, self.batch
+        bbox, wanted = self.bbox, self.wanted
+        filtered = bbox is not None or bool(wanted)
+        prune_token, deadline_token = self.prune_token, self.deadline_token
+        while len(out) < batch and self.cursor < len(items):
+            if prune_token.cancelled:
                 # The merger proved the rest cannot enter the top k.
-                return out
-            if self.deadline_token is not None:
+                break
+            if deadline_token is not None:
                 # Emission work is charged at record cost on top of the
                 # scan's spend, so a blown deadline stops decoding here.
-                self.deadline_token.checkpoint(
-                    self.cells_scanned + self.cursor
-                )
+                deadline_token.checkpoint(self.cells_scanned + self.cursor)
             _key, poi_id, grade_sum, count = items[self.cursor]
             self.cursor += 1
-            if filtered and not self._passes_filter(poi_id):
+            if filtered and not passes_filter(
+                self._attrs_for(poi_id), bbox, wanted
+            ):
                 self.skipped += 1
                 continue
             out.append((poi_id, grade_sum, count))
@@ -370,16 +357,6 @@ class TopKPartialStream(StreamingPartial):
         if self.cursor >= len(items):
             self.finished = True
         return out
-
-    def probe(self, poi_id: int) -> Optional[Tuple[float, int]]:
-        """Random access: this region's exact ``(grade_sum, count)`` for
-        one POI, independent of the emission cursor (phase A completed,
-        so the aggregate map is total).  No attribute decode."""
-        count = self._count_of(poi_id)
-        if count is None:
-            return None
-        self.probe_hits += 1
-        return self.aggregates.grade_sums[poi_id], count
 
     # -------------------------------------------------------- short-circuit
 
@@ -409,9 +386,9 @@ class TopKPartialStream(StreamingPartial):
 class TopKMerger:
     """Web-tier threshold-algorithm merge over region partial streams.
 
-    ``merge`` drives sorted access (``next_batch``) in rounds and
-    random-access probes on candidate discovery, maintains the running
-    k-th-score threshold, and short-circuits streams whose frontier
+    ``merge`` drives sorted access (``next_batch``) in rounds and one
+    batched random-access probe per region per round, maintains the
+    running k-th-score threshold, and short-circuits streams whose frontier
     provably cannot matter.  Once emission terminates it ranks the
     candidate set with the web tier's documented key ``(-score,
     -visit_count, poi_id)``, keeps exactly the top k, and only then
@@ -446,49 +423,52 @@ class TopKMerger:
         scores: Dict[int, float] = {}
         #: poi_id -> the stream that first emitted it; the final
         #: attribute fetch for a winner goes to this region (attribute
-        #: rows are per-POI constants, so any region's copy is
-        #: byte-identical to the one the exhaustive merge would keep).
+        #: rows are per-POI constants, DESIGN.md §7: any region's copy
+        #: is byte-identical to the one the exhaustive merge would keep).
         discoverers: Dict[int, TopKPartialStream] = {}
         rounds = 0
-        probes = 0
         #: Sum of cancelled-stream frontiers (hotness); an undiscovered
         #: POI living only in cancelled streams is bounded by it.
         cancelled_bound = 0.0
         threshold: Optional[float] = None
         deadline_hit = False
 
-        def resolve(poi_id: int) -> None:
-            """Fold the POI's exact global aggregate in ascending region
-            order — the same float-addition order as the exhaustive
-            web-tier merge, so scores are byte-identical."""
-            nonlocal probes
-            entry = None
+        def resolve(fresh: Set[int]) -> None:
+            """Random access for one round's newly discovered POIs:
+            every region answers for the ones it holds (its aggregate
+            map is total, whatever its emission cursor).  Regions fold
+            in ascending order — per POI the exhaustive web-tier merge's
+            float-addition order, so scores are byte-identical.  Every
+            (POI, region) pair counts as a probe; only hits are touched."""
             for s in streams:
-                contrib = s.probe(poi_id)
-                probes += 1
-                if contrib is None:
-                    continue
-                if entry is None:
-                    entry = [contrib[0], contrib[1]]
-                else:
-                    entry[0] += contrib[0]
-                    entry[1] += contrib[1]
-            if entry is None:  # pragma: no cover - emitter always has it
-                return
-            candidates[poi_id] = entry
-            scores[poi_id] = (
-                float(entry[1]) if self.hotness else entry[0] / entry[1]
-            )
+                grade_sums = s.aggregates.grade_sums
+                counts = s.aggregates.counts
+                hits = counts.keys() & fresh
+                s.probe_hits += len(hits)
+                for poi_id in hits:
+                    entry = candidates.get(poi_id)
+                    if entry is None:
+                        candidates[poi_id] = [
+                            grade_sums[poi_id], counts[poi_id]
+                        ]
+                    else:
+                        entry[0] += grade_sums[poi_id]
+                        entry[1] += counts[poi_id]
+            for poi_id in fresh:
+                grade_sum, count = candidates[poi_id]
+                scores[poi_id] = (
+                    float(count) if self.hotness else grade_sum / count
+                )
 
         def kth_score() -> Optional[float]:
             if len(scores) < self.k:
                 return None
-            ranked = sorted(scores.values(), reverse=True)
-            return ranked[self.k - 1]
+            return heapq.nlargest(self.k, scores.values())[-1]
 
         active = [s for s in streams if not s.finished]
         while active:
             rounds += 1
+            fresh: Set[int] = set()
             for stream in active:
                 try:
                     batch = stream.next_batch()
@@ -496,9 +476,10 @@ class TopKMerger:
                     deadline_hit = True
                     break
                 for poi_id, _gs, _cnt in batch:
-                    if poi_id not in candidates:
+                    if poi_id not in discoverers:
                         discoverers[poi_id] = stream
-                        resolve(poi_id)
+                        fresh.add(poi_id)
+            resolve(fresh)
             if deadline_hit:
                 break
             threshold = kth_score()
@@ -531,16 +512,17 @@ class TopKMerger:
         # Rank with the web tier's exact key, trim to k, and only then
         # pay the attribute decode — for precisely these winners.
         ranked = sorted(
-            candidates.items(),
-            key=lambda kv: (-scores[kv[0]], -kv[1][1], kv[0]),
+            (-scores[poi_id], -entry[1], poi_id)
+            for poi_id, entry in candidates.items()
         )
         merged = []
-        for poi_id, entry in ranked[: self.k]:
+        for _score, _count, poi_id in ranked[: self.k]:
+            grade_sum, count = candidates[poi_id]
             name, lat, lon, _kw = discoverers[poi_id]._attrs_for(poi_id)
-            merged.append((poi_id, entry[0], entry[1], name, lat, lon))
+            merged.append((poi_id, grade_sum, count, name, lat, lon))
         stats = {
             "rounds": rounds,
-            "probes": probes,
+            "probes": len(candidates) * len(streams),
             "candidates": len(candidates),
             "cells_avoided": sum(s.cells_avoided for s in streams),
             "cells_decoded": sum(s.cells_decoded for s in streams),

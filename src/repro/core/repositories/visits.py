@@ -27,6 +27,7 @@ query time).  The ablation bench compares them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ...errors import ValidationError
@@ -53,6 +54,35 @@ SCHEMA_NORMALIZED = "normalized"
 
 #: Canonical head of every stored payload (sort_keys puts grade first).
 _GRADE_PREFIX = b'{"grade":'
+
+
+@lru_cache(maxsize=1 << 16)
+def _user_keys(user_id: int) -> Tuple[bytes, bytes, Optional[bytes]]:
+    """``(prefix, start, stop)``: a user's salted key prefix and the
+    key range of all their visits.  A pure function of the user id that
+    routing and every region scan used to recompute per friend per
+    query; results are immutable, the memo is bounded."""
+    prefix = compose_key(salt_for(user_id), encode_int(user_id))
+    return prefix, compose_key(prefix, b""), next_prefix(prefix) or None
+
+
+@lru_cache(maxsize=256)
+def _window_suffixes(
+    since: Optional[int], until: Optional[int]
+) -> Tuple[Optional[bytes], Optional[bytes]]:
+    """What a time window appends to any user's prefix to bound it:
+    ``(start_suffix, stop_suffix)``, None where the window is open.  The
+    same for every friend of a query.  ``since > 0`` desc-encodes below
+    all-``0xff``, so ``next_prefix`` of the whole key only ever touches
+    the suffix."""
+    return (
+        compose_key(b"", encode_int_desc(until - 1))
+        if until is not None and until > 0
+        else None,
+        compose_key(b"", next_prefix(encode_int_desc(since)))
+        if since is not None and since > 0
+        else None,
+    )
 
 
 @dataclass(frozen=True)
@@ -101,7 +131,7 @@ class VisitsRepository:
 
     @staticmethod
     def user_prefix(user_id: int) -> bytes:
-        return compose_key(salt_for(user_id), encode_int(user_id))
+        return _user_keys(user_id)[0]
 
     @staticmethod
     def time_range_keys(
@@ -116,20 +146,18 @@ class VisitsRepository:
         ``0xff`` bytes, say) would sort *below* real row keys sharing
         that prefix and silently drop tail-of-keyspace users.
         """
-        prefix = VisitsRepository.user_prefix(user_id)
+        prefix, start, stop = _user_keys(user_id)
+        if since is None and until is None:
+            return (start, stop)
         if until is not None and until <= 0:
             # Empty window: no timestamp is < 0.  An empty key range
             # (start == stop) makes the scan a no-op.
             return (prefix, prefix)
-        if until is not None:
-            start = compose_key(prefix, encode_int_desc(until - 1))
-        else:
-            start = compose_key(prefix, b"")
-        if since is not None and since > 0:
-            stop = next_prefix(compose_key(prefix, encode_int_desc(since)))
-        else:
-            stop = next_prefix(prefix)
-        return (start, stop if stop else None)
+        start_suffix, stop_suffix = _window_suffixes(since, until)
+        return (
+            start if start_suffix is None else prefix + start_suffix,
+            stop if stop_suffix is None else prefix + stop_suffix,
+        )
 
     # ------------------------------------------------------------ writes
 
@@ -195,13 +223,14 @@ class VisitsRepository:
         region (correct under post-split layouts; with uniform pre-split
         points a user's range always lives in one region).
         """
-        table = self.table
+        time_range_keys = self.time_range_keys
+        regions_for_range = self.table.regions_for_range
         routed: Dict[Region, List[int]] = {}
         for friend_id in friend_ids:
-            start, stop = self.time_range_keys(friend_id, since, until)
+            start, stop = time_range_keys(friend_id, since, until)
             if start == stop:
                 continue  # empty window: no region needs this friend
-            for region in table.regions_for_range(start, stop):
+            for region in regions_for_range(start, stop):
                 bucket = routed.get(region)
                 if bucket is None:
                     routed[region] = [friend_id]

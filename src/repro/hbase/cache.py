@@ -79,10 +79,33 @@ class FriendPartial:
         self.raws = tuple(raws)
 
 
+class POIAttrTable(dict):
+    """``poi_id -> (name, lat, lon, frozenset(lower-cased keywords))``:
+    every row a clean invocation parsed, in any region and either
+    coprocessor mode.  Replicated POI attributes are per-POI constants
+    (DESIGN.md §7), so rows outlive seqid moves; :meth:`RegionScanCache.
+    clear` drops them.  Read with plain ``get``; a write to a full
+    table empties it first (never more than ``max_entries`` rows, and
+    a drifting POI population cannot pin dead ones)."""
+
+    __slots__ = ("max_entries", "_lock")
+
+    def __init__(self, max_entries: int) -> None:
+        super().__init__()
+        self.max_entries = max_entries
+        self._lock = threading.Lock()
+
+    def __setitem__(self, poi_id: int, attrs: tuple) -> None:
+        with self._lock:
+            if len(self) >= self.max_entries:
+                self.clear()
+            super().__setitem__(poi_id, attrs)
+
+
 class Generation:
     """Everything cached for one region at one data seqid."""
 
-    __slots__ = ("seqid", "opened_at", "entries", "attrs")
+    __slots__ = ("seqid", "opened_at", "entries")
 
     def __init__(self, seqid: int, opened_at: float) -> None:
         self.seqid = seqid
@@ -91,13 +114,6 @@ class Generation:
         #: Probed without the cache lock; written only by
         #: :meth:`RegionScanCache.store`.
         self.entries: Dict[Tuple, FriendPartial] = {}
-        #: ``poi_id`` -> ``(name, lat, lon, keywords)`` memo of payloads
-        #: already parsed, so a warm query re-parses nothing.  POI
-        #: attributes are per-POI constants.  Exhaustive queries, which
-        #: parse every aggregated POI anyway, add to it directly (single
-        #: dict operations); top-k queries only read it — memoizing what
-        #: their filters examine would grow it to regions x POIs.
-        self.attrs: Dict[int, tuple] = {}
 
 
 class RegionScanCache:
@@ -108,7 +124,7 @@ class RegionScanCache:
     max_entries:
         Bound on the total number of :class:`FriendPartial` entries
         across all generations; least-recently-used generations are
-        evicted whole on overflow.
+        evicted whole on overflow.  Also bounds ``poi_attrs``' rows.
     ttl_s:
         Optional wall-clock lifetime of a generation, counted from when
         it was opened; an expired generation is replaced like a
@@ -144,6 +160,8 @@ class RegionScanCache:
         self._generations: "OrderedDict[int, Generation]" = OrderedDict()
         #: Total entries across generations (kept <= ``max_entries``).
         self._size = 0
+        #: Read and written by invocations without the cache lock.
+        self.poi_attrs = POIAttrTable(max_entries)
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -222,7 +240,9 @@ class RegionScanCache:
         return removed
 
     def clear(self) -> int:
-        """Drop everything; returns the number of entries removed."""
+        """Drop everything, POI attribute rows included; returns the
+        number of entries removed."""
+        self.poi_attrs.clear()
         with self._lock:
             removed = self._invalidate(list(self._generations))
         self._emit("cache.invalidations", removed)
@@ -297,6 +317,7 @@ class RegionScanCache:
             lookups = self._hits + self._misses
             return {
                 "entries": self._size,
+                "poi_attrs": len(self.poi_attrs),
                 "max_entries": self.max_entries,
                 "ttl_s": self.ttl_s,
                 "hits": self._hits,

@@ -10,7 +10,7 @@ import dataclasses
 import pytest
 
 from repro import MoDisSENSE, RestApi
-from repro.config import PlatformConfig, TelemetryConfig
+from repro.config import CacheConfig, PlatformConfig, TelemetryConfig
 from repro.core.repositories.visits import VisitStruct
 
 
@@ -101,6 +101,30 @@ class TestAdminCache:
         assert set(data["coalescing"]) == {
             "enabled", "coalesced_total", "in_flight"
         }
+
+    def test_scan_envelope_reports_the_poi_attr_table(self):
+        p = MoDisSENSE(dataclasses.replace(
+            PlatformConfig.small(), cache=CacheConfig(enabled=True)
+        ))
+        try:
+            for uid in range(1, 10):
+                p.visits_repository.store(VisitStruct(
+                    user_id=uid, poi_id=uid % 3, timestamp=uid, grade=0.5,
+                    poi_name="A", lat=37.98, lon=23.73, keywords=("x",),
+                ))
+            rest = RestApi(p)
+            _search(rest, friends=range(1, 10))
+            scan = rest.handle("admin_cache", {})["data"]["scan"]
+            assert set(scan) == {
+                "entries", "poi_attrs", "max_entries", "ttl_s", "hits",
+                "misses", "evictions", "invalidations", "hit_rate",
+            }
+            # Every aggregated POI was parsed once, for all regions.
+            assert scan["poi_attrs"] == 3
+            cleared = rest.handle("admin_cache", {"clear": True})
+            assert cleared["data"]["scan"]["poi_attrs"] == 0
+        finally:
+            p.shutdown()
 
 
 class TestAdminIngest:

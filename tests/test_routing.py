@@ -19,7 +19,13 @@ from repro.core.modules.query_answering import (
 from repro.core.repositories.poi import POI, POIRepository
 from repro.core.repositories.visits import VisitsRepository, VisitStruct
 from repro.geo import BoundingBox
-from repro.hbase import HBaseCluster
+from repro.hbase import (
+    HBaseCluster,
+    compose_key,
+    encode_int,
+    encode_int_desc,
+    next_prefix,
+)
 from repro.hbase.bytes_util import salt_for
 from repro.sqlstore import SqlEngine
 
@@ -178,6 +184,42 @@ class TestStopKeyRegression:
         assert region.end_key is None
         res = qa.search(SearchQuery(friend_ids=(TOP_SALT_UID,)))
         assert [p.poi_id for p in res.pois] == [1]
+
+    def test_memoized_keys_equal_the_unmemoized_formula(self):
+        """The per-user key memo must route exactly as the formula it
+        replaced — first call and repeat calls, every window shape, the
+        top-of-keyspace user included."""
+
+        def reference(uid, since, until):
+            prefix = compose_key(salt_for(uid), encode_int(uid))
+            if until is not None and until <= 0:
+                return (prefix, prefix)
+            if until is not None:
+                start = compose_key(prefix, encode_int_desc(until - 1))
+            else:
+                start = compose_key(prefix, b"")
+            if since is not None and since > 0:
+                stop = next_prefix(
+                    compose_key(prefix, encode_int_desc(since))
+                )
+            else:
+                stop = next_prefix(prefix)
+            return (start, stop if stop else None)
+
+        max64 = (1 << 64) - 1
+        windows = [(None, None), (0, None), (1, None), (5, None),
+                   (256, None), (max64, None), (None, 1), (None, 9),
+                   (5, 9), (9, 5), (None, 0), (None, -3), (5, -3), (7, 7),
+                   (1_412_000_000, 1_430_000_000)]
+        for _repeat in range(2):
+            for uid in (0, 1, 255, TOP_SALT_UID, max64):
+                assert VisitsRepository.user_prefix(uid) == compose_key(
+                    salt_for(uid), encode_int(uid)
+                )
+                for since, until in windows:
+                    assert VisitsRepository.time_range_keys(
+                        uid, since, until
+                    ) == reference(uid, since, until), (uid, since, until)
 
     def test_degenerate_windows_yield_empty_ranges(self):
         tk = VisitsRepository.time_range_keys
