@@ -57,8 +57,10 @@ def build_platform() -> MoDisSENSE:
     POIs + visits ingested.  Built once per process."""
     if "platform" in _cache:
         return _cache["platform"]  # type: ignore[return-value]
-    config = PlatformConfig(
-        cluster=ClusterConfig(
+    # The paper's un-extended mechanism: the figure and ablation benches
+    # reproduce it, and the feature benches use it as their off arm.
+    config = PlatformConfig.baseline(
+        ClusterConfig(
             num_nodes=16,
             regions_per_table=REGIONS,
             cost_per_record_us=COST_PER_RECORD_US,

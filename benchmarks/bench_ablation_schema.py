@@ -29,8 +29,8 @@ FRIENDS = 800
 
 def _build(schema_mode: str) -> MoDisSENSE:
     platform = MoDisSENSE(
-        PlatformConfig(
-            cluster=ClusterConfig(num_nodes=16, regions_per_table=32)
+        PlatformConfig.baseline(
+            ClusterConfig(num_nodes=16, regions_per_table=32)
         ),
         visits_schema_mode=schema_mode,
     )

@@ -63,7 +63,9 @@ def _record_bench(section: str, payload: dict) -> None:
 
 def _fresh_platform() -> MoDisSENSE:
     return MoDisSENSE(
-        PlatformConfig(cluster=ClusterConfig(num_nodes=4, regions_per_table=8))
+        PlatformConfig.baseline(
+            ClusterConfig(num_nodes=4, regions_per_table=8)
+        )
     )
 
 
@@ -236,15 +238,15 @@ def test_streaming_ingest_with_concurrent_queries(benchmark):
     the staleness oracle: incremental state == from-scratch recompute.
     """
     friends_n = min(N_QUERY_FRIENDS, N_STREAM_USERS)
-    config = PlatformConfig(
-        cluster=ClusterConfig(num_nodes=4, regions_per_table=8),
-        ingest=IngestConfig(
-            enabled=True,
-            num_partitions=4,
-            queue_capacity=8192,
-            max_batch=256,
-            rebalance_min_events=N_STREAM // 4 + 1,
-        ),
+    config = PlatformConfig.baseline(
+        ClusterConfig(num_nodes=4, regions_per_table=8)
+    )
+    config.ingest = IngestConfig(
+        enabled=True,
+        num_partitions=4,
+        queue_capacity=8192,
+        max_batch=256,
+        rebalance_min_events=N_STREAM // 4 + 1,
     )
     platform = MoDisSENSE(config)
     platform.load_pois(generate_pois(count=N_POIS, seed=19))

@@ -26,6 +26,7 @@ Numbers land in ``benchmarks/results/BENCH_observability.json``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import statistics
@@ -176,8 +177,10 @@ def test_telemetry_overhead_under_limit(bench_platform, benchmark):
 
 
 def _fresh_platform(**overrides) -> MoDisSENSE:
-    config = PlatformConfig(
-        cluster=ClusterConfig(num_nodes=4, regions_per_table=8),
+    config = dataclasses.replace(
+        PlatformConfig.baseline(
+            ClusterConfig(num_nodes=4, regions_per_table=8)
+        ),
         **overrides,
     )
     return MoDisSENSE(config)

@@ -75,11 +75,11 @@ def _record_bench(section: str, payload: dict) -> None:
 
 
 def _platform(admission: bool) -> MoDisSENSE:
-    cfg = PlatformConfig(
-        cluster=ClusterConfig(num_nodes=4, regions_per_table=8),
-        admission=AdmissionConfig(
-            enabled=admission, initial_limit=8, max_limit=16,
-        ),
+    cfg = PlatformConfig.baseline(
+        ClusterConfig(num_nodes=4, regions_per_table=8)
+    )
+    cfg.admission = AdmissionConfig(
+        enabled=admission, initial_limit=8, max_limit=16,
     )
     p = MoDisSENSE(cfg)
     p.poi_repository.add(POI(poi_id=1, name="A", lat=37.98, lon=23.73,

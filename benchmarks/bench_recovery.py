@@ -34,6 +34,7 @@ from repro.core import MoDisSENSE, SearchQuery
 from repro.core.repositories.poi import POI
 from repro.core.repositories.visits import VisitStruct
 from repro.core.scheduler import build_platform_scheduler
+from repro.core.supervisor import HEARTBEAT_PERIOD_S, LEASE_TIMEOUT_S
 
 from ._report import RESULTS_DIR, register_table
 
@@ -63,11 +64,11 @@ def _record_bench(section: str, payload: dict) -> None:
 
 
 def _platform(supervised: bool) -> MoDisSENSE:
-    cfg = PlatformConfig(
-        cluster=ClusterConfig(num_nodes=4, regions_per_table=8),
-        faults=FaultsConfig(enabled=True, seed=42),
-        supervisor=SupervisorConfig(enabled=supervised),
+    cfg = PlatformConfig.baseline(
+        ClusterConfig(num_nodes=4, regions_per_table=8)
     )
+    cfg.faults = FaultsConfig(enabled=True, seed=42)
+    cfg.supervisor = SupervisorConfig(enabled=supervised)
     p = MoDisSENSE(cfg)
     p.poi_repository.add(POI(poi_id=1, name="A", lat=37.98, lon=23.73,
                              keywords=("x",), category="cafe"))
@@ -88,8 +89,7 @@ def test_mttr_drill(benchmark):
     """Seeded kill -> lease expiry -> WAL split/replay, MTTR gated."""
     p = _platform(supervised=True)
     scheduler = build_platform_scheduler(p)
-    lease = p.config.supervisor.lease_timeout_s
-    period = p.config.supervisor.heartbeat_period_s
+    lease, period = LEASE_TIMEOUT_S, HEARTBEAT_PERIOD_S
     victim = 1
     p.fault_injector.schedule_node_event(2, "fail", victim)
 

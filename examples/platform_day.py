@@ -38,8 +38,11 @@ def main() -> None:
         NETWORK_FACEBOOK,
         oauth=OAuthProvider(NETWORK_FACEBOOK, token_ttl_s=48 * HOUR),
     )
+    # The paper's own pipeline (batch HotIn Update, no streaming tier):
+    # the baseline profile on the small cluster shape.
     platform = MoDisSENSE(
-        PlatformConfig.small(), plugins={NETWORK_FACEBOOK: facebook_net}
+        PlatformConfig.baseline(PlatformConfig.small().cluster),
+        plugins={NETWORK_FACEBOOK: facebook_net},
     )
     pois = generate_pois(count=600, seed=70)
     platform.load_pois(pois)
@@ -57,7 +60,7 @@ def main() -> None:
     # Metrics on the query tier.
     instrumented = InstrumentedQueryAnswering(platform.query_answering)
 
-    # Periodic jobs per the platform's JobsConfig.
+    # The paper's periodic jobs (periods: repro.core.scheduler).
     scheduler = build_platform_scheduler(platform, start_at=float(DAY0))
 
     rng = random.Random(72)

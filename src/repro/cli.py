@@ -53,8 +53,9 @@ def cmd_figure2(args) -> int:
     from .datagen import generate_pois, generate_visits
 
     users = args.users
-    config = PlatformConfig(
-        cluster=ClusterConfig(
+    # Figure 2 reproduces the paper's un-extended mechanism.
+    config = PlatformConfig.baseline(
+        ClusterConfig(
             num_nodes=16, regions_per_table=32, cost_per_record_us=175.0
         )
     )

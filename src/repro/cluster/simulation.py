@@ -33,8 +33,11 @@ class CostModel:
 
     rpc_latency_s: float = 0.0012
     cost_per_record_s: float = 9.0e-6
+    #: Fixed cost of starting a coprocessor invocation.
     coprocessor_setup_s: float = 0.00035
     merge_cost_per_item_s: float = 1.5e-6
+    #: Client-side cost of routing one key (friend) to its owning
+    #: region before fan-out (a bisect over region start keys).
     route_cost_per_key_s: float = 3.0e-7
 
     @classmethod
@@ -42,9 +45,7 @@ class CostModel:
         return cls(
             rpc_latency_s=config.rpc_latency_ms / 1e3,
             cost_per_record_s=config.cost_per_record_us / 1e6,
-            coprocessor_setup_s=config.coprocessor_setup_ms / 1e3,
             merge_cost_per_item_s=config.merge_cost_per_item_us / 1e6,
-            route_cost_per_key_s=config.route_cost_per_key_us / 1e6,
         )
 
     def coprocessor_cost_s(self, records_scanned: int) -> float:

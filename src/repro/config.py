@@ -1,15 +1,25 @@
 """Platform-wide configuration objects.
 
 The paper deploys MoDisSENSE on an OpenStack cluster of dual-core VMs and
-tunes the number of HBase nodes (4, 8, 16), the number of regions per
-table, and the periodic-job windows.  :class:`PlatformConfig` gathers the
-same knobs in one validated place so experiments can sweep them.
+varies the number of HBase nodes (4, 8, 16), the friends per query, the
+concurrent queries and the four classifier switches of Figure 4.
+:class:`PlatformConfig` gathers the knobs a test, bench or example
+actually varies; everything else is a module constant beside its use.
+
+There are two profiles.  ``PlatformConfig()`` is the production stack —
+scan/hot-POI caches, top-k early termination, streaming ingest, the
+supervisor, admission control, tracing and telemetry all on — and is
+what ``benchmarks/e2e`` measures (``small()``/``paper()`` only change
+the cluster shape).  ``PlatformConfig.baseline()`` switches the first
+five off: the paper's un-extended mechanism, used by the paper-figure
+benches and as the reference arm of the per-feature differential tests.
+Every extension returns answers byte-identical to the baseline's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 from .errors import ConfigError
 
@@ -29,9 +39,10 @@ PAPER_CLUSTER_SIZES = (4, 8, 16)
 class ClusterConfig:
     """Shape and cost model of the simulated HBase/Hadoop cluster.
 
-    The cost-model constants are calibrated so that the 16-node cluster
-    answers a 5000-friend personalized query in under a second, matching
-    the paper's Figure 2 (see ``repro/cluster/simulation.py``).
+    Calibrated so that the 16-node cluster answers a 5000-friend
+    personalized query in under a second, matching the paper's Figure 2
+    (the fixed coprocessor set-up and per-key routing costs are defaults
+    of ``repro.cluster.simulation.CostModel``).
     """
 
     num_nodes: int = 16
@@ -43,15 +54,8 @@ class ClusterConfig:
     #: Calibrated so 5000 friends x ~170 visits on 16 dual-core nodes
     #: lands just under 1 s (paper Figure 2's headline).
     cost_per_record_us: float = 17.5
-    #: Simulated fixed cost of starting a coprocessor invocation.
-    coprocessor_setup_ms: float = 0.35
     #: Simulated per-result merge cost at the web-server tier.
     merge_cost_per_item_us: float = 1.5
-    #: Simulated client-side cost of routing one key (friend) to its
-    #: owning region before fan-out.  A bisect over region start keys is
-    #: sub-microsecond; the term keeps routed-query latencies honest
-    #: about the work the client tier now performs.
-    route_cost_per_key_us: float = 0.3
 
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
@@ -110,19 +114,11 @@ class SentimentConfig:
 
 @dataclass
 class JobsConfig:
-    """Periods of the platform's batch jobs, in simulated seconds."""
+    """DBSCAN parameters of the Event Detection job.  The job periods
+    and the HotIn window are constants of ``repro.core.scheduler``."""
 
-    data_collection_period_s: float = 900.0
-    hotin_update_period_s: float = 3600.0
-    event_detection_period_s: float = 3600.0
-    #: Aggregation window *T* for hotness/interest (paper Section 2.2).
-    hotin_window_s: float = 7 * 24 * 3600.0
-    #: DBSCAN parameters for event detection.
     dbscan_eps_m: float = 60.0
     dbscan_min_points: int = 12
-    #: GPS points closer than this to a known POI are filtered before
-    #: clustering (paper Section 2.2, Event Detection Module).
-    known_poi_filter_radius_m: float = 80.0
 
     def __post_init__(self) -> None:
         if self.dbscan_eps_m <= 0:
@@ -135,11 +131,10 @@ class JobsConfig:
 class TracingConfig:
     """Knobs of the query-tracing layer (``repro.core.tracing``).
 
-    Tracing is **on by default**: spans only observe (results are
-    identical with tracing on or off), per-query overhead is a handful
-    of lock-protected appends, and both trace buffers are bounded ring
-    buffers — the CI overhead smoke job enforces <10% end-to-end cost.
-    Set ``enabled=False`` to hand out no-op spans everywhere.
+    Spans only observe (results are identical with tracing on or off),
+    per-query overhead is a handful of lock-protected appends, and both
+    trace buffers are bounded rings.  ``enabled=False`` hands out no-op
+    spans everywhere.
     """
 
     enabled: bool = True
@@ -171,14 +166,14 @@ class FaultsConfig:
     Two halves live here on purpose.  The *injection* half (rates, hang
     latency, lost-region fraction) only acts when ``enabled`` is True
     and a :class:`~repro.core.faults.FaultInjector` is attached to the
-    cluster — with it off, query results are byte-identical to a build
-    without the fault layer.  The *resilience* half (retries, backoff,
-    deadline, hedging, circuit breaker) configures the query fan-out's
-    recovery machinery, which also protects against real coprocessor
-    exceptions, injector or not.
+    cluster — with it off (both profiles) the clean path never draws.
+    The *resilience* half (retries, deadline, hedging, circuit breaker)
+    configures the fan-out's recovery machinery, which also protects
+    against real coprocessor exceptions; its backoff schedule and
+    breaker cooldown are constants of ``repro.hbase.client``.
     """
 
-    #: Arms the injector.  Off by default: the clean path never draws.
+    #: Arms the injector.
     enabled: bool = False
     #: Seed for every injection decision; decisions are derived from
     #: ``(seed, fanout-epoch, region, attempt)`` so they are repeatable
@@ -202,9 +197,6 @@ class FaultsConfig:
     # ---- resilience knobs (honored with or without an injector) ----
     #: Re-invocations of a failed region before hedging/degrading.
     max_retries: int = 2
-    #: First retry's simulated backoff; grows by ``retry_backoff_multiplier``.
-    retry_backoff_ms: float = 2.0
-    retry_backoff_multiplier: float = 2.0
     #: Upper bound of the deterministic jitter added to each backoff.
     retry_jitter_ms: float = 1.0
     #: Whole-query deadline from which each region's recovery budget is
@@ -221,8 +213,6 @@ class FaultsConfig:
     hedge_enabled: bool = True
     #: Consecutive failures that open a node's circuit breaker.
     breaker_threshold: int = 3
-    #: Fan-outs a breaker stays open before admitting a probe request.
-    breaker_cooldown_fanouts: int = 4
 
     def __post_init__(self) -> None:
         for name in ("region_error_rate", "region_hang_rate", "corrupt_rate",
@@ -232,81 +222,34 @@ class FaultsConfig:
                 raise ConfigError("%s must be in [0, 1], got %r" % (name, value))
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
-        if self.retry_backoff_ms < 0 or self.retry_jitter_ms < 0:
-            raise ConfigError("backoff/jitter cannot be negative")
-        if self.retry_backoff_multiplier < 1.0:
-            raise ConfigError("retry_backoff_multiplier must be >= 1")
+        if self.retry_jitter_ms < 0:
+            raise ConfigError("retry_jitter_ms cannot be negative")
         if self.hang_ms < 0:
             raise ConfigError("hang_ms cannot be negative")
         if self.query_deadline_ms is not None and self.query_deadline_ms <= 0:
             raise ConfigError("query_deadline_ms must be positive or None")
         if self.breaker_threshold < 1:
             raise ConfigError("breaker_threshold must be >= 1")
-        if self.breaker_cooldown_fanouts < 1:
-            raise ConfigError("breaker_cooldown_fanouts must be >= 1")
         if self.stale_location_errors < 0:
             raise ConfigError("stale_location_errors cannot be negative")
-
-    @classmethod
-    def chaos(cls, seed: int = 1337, **overrides) -> "FaultsConfig":
-        """An armed injector with moderate default rates — the starting
-        point for chaos tests and the ``chaos-smoke`` CI job."""
-        defaults = dict(
-            enabled=True,
-            seed=seed,
-            region_error_rate=0.1,
-            region_hang_rate=0.05,
-            lost_region_fraction=0.25,
-        )
-        defaults.update(overrides)
-        return cls(**defaults)
 
 
 @dataclass
 class CacheConfig:
-    """Knobs of the concurrent-query caching layer.
+    """Switches of the concurrent-query caching layer.
 
-    Caching is **off by default**: with ``enabled=False`` no cache object
-    is ever constructed and the query path is byte-identical to a build
-    without the cache layer.  With it on, answers are still guaranteed
-    byte-identical — the scan cache stamps every entry with the owning
-    region's data sequence id (any write/flush/compaction makes the
-    entry stale), and the hot-POI cache revalidates against the POI
-    repository's version plus an explicit HotIn epoch.
-
-    ``coalesce`` governs single-flight deduplication of identical
-    in-flight personalized queries.  It defaults on independently of
-    ``enabled`` because coalescing stores nothing: concurrent identical
-    callers simply share the one fan-out's result, so there is no
-    staleness to manage.
+    ``enabled`` builds the region scan cache (entries stamped with the
+    owning region's data sequence id, so any write/flush/compaction
+    makes them stale) and the hot-POI cache (revalidated against the
+    POI repository's version plus a HotIn epoch); capacities are the
+    defaults of ``RegionScanCache`` / ``HotPOICache``.  ``coalesce``
+    single-flights identical in-flight personalized queries; it stores
+    nothing, so it stays on under ``baseline()`` too.
     """
 
-    #: Master switch for the region scan cache + hot-POI score cache.
-    enabled: bool = False
+    enabled: bool = True
     #: Deduplicate identical in-flight personalized queries.
     coalesce: bool = True
-    #: LRU capacity of the per-region friend-partition scan cache
-    #: (one entry per (region, friend, time-window)); also the row
-    #: bound of its POI attribute table.
-    scan_cache_max_entries: int = 65536
-    #: Wall-clock TTL for scan-cache entries; ``None`` disables and
-    #: leaves invalidation purely seqid-driven.
-    scan_cache_ttl_s: Optional[float] = None
-    #: LRU capacity of the hot-POI (non-personalized) score cache.
-    hot_poi_max_entries: int = 256
-    #: Period of the scheduler's cache-maintenance sweep job, which
-    #: drops TTL-expired and seqid-stale entries (simulated seconds).
-    sweep_period_s: float = 60.0
-
-    def __post_init__(self) -> None:
-        if self.scan_cache_max_entries < 1:
-            raise ConfigError("scan_cache_max_entries must be >= 1")
-        if self.hot_poi_max_entries < 1:
-            raise ConfigError("hot_poi_max_entries must be >= 1")
-        if self.scan_cache_ttl_s is not None and self.scan_cache_ttl_s <= 0:
-            raise ConfigError("scan_cache_ttl_s must be positive or None")
-        if self.sweep_period_s <= 0:
-            raise ConfigError("sweep_period_s must be positive")
 
 
 @dataclass
@@ -314,18 +257,14 @@ class TopKConfig:
     """Knobs of threshold-algorithm top-k early termination
     (:mod:`repro.core.modules.topk`).
 
-    Off by default: with ``enabled=False`` the personalized query path
-    is byte-identical to a build without the top-k module — regions ship
-    complete partials and the web tier ranks at the end.  With it on,
-    answers are *still* byte-identical (the differential oracle suite
-    pins this): regions emit score-sorted batches with a monotone upper
-    bound on the unemitted rest, and the merger cancels region emission
-    it can prove irrelevant, skipping the per-POI attribute decodes and
-    partial shipping the exhaustive path pays for.
+    Regions emit score-sorted batches with an upper bound on the
+    unemitted rest, and the merger cancels emission it can prove
+    irrelevant.  With ``enabled=False`` regions ship complete partials
+    and the web tier ranks at the end — the reference the differential
+    oracle suite compares against.
     """
 
-    #: Master switch for top-k early termination on personalized search.
-    enabled: bool = False
+    enabled: bool = True
     #: Sorted-access items a region emits per merger round.  Smaller
     #: batches tighten the threshold faster (more pruning) at the cost
     #: of more merge rounds.
@@ -340,20 +279,18 @@ class TopKConfig:
 class IngestConfig:
     """Knobs of the streaming ingest tier (``repro.core.ingest``).
 
-    Off by default: with ``enabled=False`` no tier is constructed and
-    every write takes the seed single-put path.  With it on, visits
-    submitted through :meth:`MoDisSENSE.ingest_visit` flow through
-    bounded per-partition queues into applier workers that group-commit
-    batches through the WAL and fold HotIn aggregates incrementally —
-    the batch MapReduce job is then only a periodic reconciliation pass.
+    Visits submitted through :meth:`MoDisSENSE.ingest_visit` flow
+    through bounded per-partition queues into applier workers that
+    group-commit batches through the WAL and fold HotIn aggregates
+    incrementally; the batch MapReduce job becomes a periodic
+    reconciliation pass.  With ``enabled=False`` no tier is built and
+    the scheduler runs the full-recompute ``hotin_update`` job.
     """
 
-    #: Master switch for the streaming ingest tier.
-    enabled: bool = False
-    #: Applier workers / queue partitions.  Regions are mapped onto
-    #: partitions (many-to-one) and remapped by the load-aware
-    #: rebalancer; each region is drained by exactly one applier at a
-    #: time, keeping regions single-writer.
+    enabled: bool = True
+    #: Applier workers / queue partitions.  Regions map onto partitions
+    #: many-to-one (remapped by the load-aware rebalancer); one applier
+    #: drains a region at a time, keeping regions single-writer.
     num_partitions: int = 4
     #: Bounded capacity of each partition queue, in visits.
     queue_capacity: int = 4096
@@ -367,23 +304,9 @@ class IngestConfig:
     backpressure: str = "block"
     #: Blocking producers give up (BackpressureError) after this long.
     block_timeout_s: float = 5.0
-    #: Arms the load-aware repartitioner.
-    rebalance_enabled: bool = True
-    #: A partition is hot when its share of the observation window's
-    #: events exceeds ``rebalance_hot_ratio`` times the mean share.
-    rebalance_hot_ratio: float = 2.0
     #: Rebalance checks are skipped until the observation window has
     #: seen at least this many events (avoids thrashing on noise).
     rebalance_min_events: int = 512
-    #: Period of the scheduler's ``ingest_rebalance`` job (sim seconds).
-    rebalance_period_s: float = 60.0
-    #: Period of the scheduler's ``hotin_reconcile`` verify-and-repair
-    #: job (sim seconds) — the demoted batch MapReduce pass.
-    reconcile_period_s: float = 3600.0
-    #: Incremental HotIn cells older than the reconcile window's start
-    #: minus this slack are pruned after each reconcile (seconds of
-    #: event time); 0 disables pruning.
-    prune_slack_s: float = 24 * 3600.0
     #: Dirty-POI hotness pushes into the SQL repository are coalesced
     #: to at most one per this many wall seconds (0 = push every
     #: batch).  Bounds query-visible hotness staleness while keeping
@@ -405,99 +328,47 @@ class IngestConfig:
             )
         if self.block_timeout_s <= 0:
             raise ConfigError("block_timeout_s must be positive")
-        if self.rebalance_hot_ratio < 1.0:
-            raise ConfigError("rebalance_hot_ratio must be >= 1")
         if self.refresh_interval_s < 0:
             raise ConfigError("refresh_interval_s must be >= 0")
         if self.rebalance_min_events < 1:
             raise ConfigError("rebalance_min_events must be >= 1")
-        if self.rebalance_period_s <= 0 or self.reconcile_period_s <= 0:
-            raise ConfigError("ingest job periods must be positive")
-        if self.prune_slack_s < 0:
-            raise ConfigError("prune_slack_s cannot be negative")
 
 
 @dataclass
 class SupervisorConfig:
-    """Knobs of the self-healing cluster supervisor
-    (``repro.core.supervisor``).
-
-    Off by default: with ``enabled=False`` no supervisor is constructed,
-    region WALs stay plain per-region logs, and failure handling is
-    exactly the manual ``fail_node``/``recover_node`` story.  With it
-    on, every node carries a heartbeat lease driven by the platform
-    scheduler; a node that misses heartbeats past ``lease_timeout_s``
-    is declared dead and recovered HBase-style — its server WAL is
-    split by region, regions are reassigned to the least-loaded
-    survivors, and each region's committed-but-unflushed WAL suffix is
-    replayed into a fresh memstore before it reopens.  A scheduled
-    scrubber verifies store-file block checksums and WAL tails,
-    repairing corrupt blocks from the WAL archive or quarantining them.
+    """Switch of the self-healing cluster supervisor: heartbeat leases,
+    WAL-split recovery and the storage scrubber (``repro.core.
+    supervisor``, which also holds the lease and scrub constants).  With
+    ``enabled=False`` region WALs stay plain per-region logs and failure
+    handling is the manual ``fail_node``/``recover_node`` story.
     """
 
-    enabled: bool = False
-    #: Simulated seconds between heartbeat-lease ticks.
-    heartbeat_period_s: float = 1.0
-    #: A node whose lease is older than this (simulated seconds) is
-    #: declared dead and recovered.  Detection MTTR is bounded by
-    #: ``lease_timeout_s + heartbeat_period_s`` when time advances in
-    #: sub-lease steps; the recovery-smoke CI gate enforces MTTR at
-    #: most twice this value.
-    lease_timeout_s: float = 3.0
-    #: Simulated seconds between storage-scrub passes.
-    scrub_period_s: float = 60.0
-    #: Truncated WAL records kept per region as the scrubber's repair
-    #: source (flushed cells live in store files; their log records move
-    #: to this bounded archive instead of vanishing).
-    wal_archive_capacity: int = 65536
-
-    def __post_init__(self) -> None:
-        if self.heartbeat_period_s <= 0:
-            raise ConfigError("heartbeat_period_s must be positive")
-        if self.lease_timeout_s <= 0:
-            raise ConfigError("lease_timeout_s must be positive")
-        if self.lease_timeout_s < self.heartbeat_period_s:
-            raise ConfigError(
-                "lease_timeout_s must be >= heartbeat_period_s "
-                "(a lease shorter than one heartbeat always expires)"
-            )
-        if self.scrub_period_s <= 0:
-            raise ConfigError("scrub_period_s must be positive")
-        if self.wal_archive_capacity < 0:
-            raise ConfigError("wal_archive_capacity cannot be negative")
+    enabled: bool = True
 
 
 @dataclass
 class AdmissionConfig:
     """Knobs of the overload-protection layer (``repro.core.admission``).
 
-    **Off by default**: with ``enabled=False`` no controller is
-    constructed and every request path is byte-identical to a build
-    without the layer.  With it on but un-triggered (no overload), the
-    only added work per request is a ticket acquire/release — answers
-    stay byte-identical; the ``overload-smoke`` CI job gates the
-    overhead at ≤10%.
+    Un-triggered (no overload), the only added work per request is a
+    ticket acquire/release and answers stay byte-identical to
+    ``baseline()``'s; the ``overload-smoke`` CI job gates that overhead
+    at ≤10%.  With ``enabled=False`` no controller is constructed.
 
-    Four coupled mechanisms: a gradient/AIMD concurrency limiter per
-    priority class (interactive > admin > background), per-client
-    token-bucket rate limits at the REST boundary, a global retry
-    budget gating the fan-out's retry/hedge paths, and a brownout
-    ladder that degrades (stale cache answers, shrunk scans, paused
-    background jobs, ingest shed) before it rejects.
+    Four coupled mechanisms: an AIMD concurrency limiter per priority
+    class, per-client token buckets at the REST boundary, a global
+    retry budget over the fan-out's retries and hedges, and a brownout
+    ladder that degrades before it rejects.  Class weights, the retry
+    budget and the ladder's thresholds are constants of the module.
     """
 
-    #: Master switch; off constructs nothing.
-    enabled: bool = False
+    enabled: bool = True
 
     # ---- adaptive concurrency limiter (per priority class) ----
-    #: Starting concurrency limit of each class's limiter.
+    #: Starting concurrency limit of the interactive class's limiter.
     initial_limit: int = 32
     min_limit: int = 2
     max_limit: int = 256
-    #: Share of the interactive limit the admin / background classes
-    #: start from (each class runs its own AIMD loop afterwards).
-    admin_weight: float = 0.5
-    background_weight: float = 0.25
     #: A window's median latency beyond ``tolerance x baseline`` is
     #: treated as congestion: multiplicative decrease.  At or below it,
     #: additive increase.
@@ -516,34 +387,12 @@ class AdmissionConfig:
     #: without a client id skip the bucket (the limiter still applies).
     client_rate: float = 200.0
     client_burst: float = 400.0
-    #: LRU-bounded number of per-client buckets kept.
-    max_clients: int = 1024
-
-    # ---- global retry budget (fan-out retries + hedges) ----
-    #: Retries+hedges allowed as a fraction of recent region requests.
-    retry_budget_ratio: float = 0.1
-    #: Sliding window the ratio is measured over (wall seconds).
-    retry_budget_window_s: float = 10.0
-    #: Floor so cold-start / low-traffic retries still work.
-    retry_budget_min_tokens: int = 5
 
     # ---- brownout ladder ----
-    #: Ladder evaluation period (simulated seconds; driven by the
-    #: platform scheduler's ``admission_tick`` job).
-    tick_period_s: float = 1.0
-    #: A tick is "overloaded" when the window's rejection rate exceeds
-    #: this, or the interactive latency signal exceeds
-    #: ``brownout_latency_factor x baseline``.
-    brownout_reject_rate: float = 0.05
-    brownout_latency_factor: float = 3.0
     #: Consecutive overloaded ticks before escalating one level, and
     #: calm ticks before recovering one level (hysteresis).
     escalate_ticks: int = 2
     recover_ticks: int = 3
-    #: Scan shaping applied at the SHRINK level and above: cap each
-    #: region's shipped partial list and the query's k.
-    brownout_per_region_limit: int = 64
-    brownout_max_k: int = 5
 
     def __post_init__(self) -> None:
         if self.min_limit < 1:
@@ -553,9 +402,6 @@ class AdmissionConfig:
                 "need min_limit <= initial_limit <= max_limit, got %r/%r/%r"
                 % (self.min_limit, self.initial_limit, self.max_limit)
             )
-        for name in ("admin_weight", "background_weight"):
-            if not 0.0 < getattr(self, name) <= 1.0:
-                raise ConfigError("%s must be in (0, 1]" % name)
         if self.latency_tolerance < 1.0:
             raise ConfigError("latency_tolerance must be >= 1")
         if not 0.0 < self.decrease_factor < 1.0:
@@ -571,243 +417,43 @@ class AdmissionConfig:
             raise ConfigError("baseline_latency_ms must be positive or None")
         if self.client_rate <= 0 or self.client_burst <= 0:
             raise ConfigError("client_rate/client_burst must be positive")
-        if self.max_clients < 1:
-            raise ConfigError("max_clients must be >= 1")
-        if not 0.0 < self.retry_budget_ratio <= 1.0:
-            raise ConfigError("retry_budget_ratio must be in (0, 1]")
-        if self.retry_budget_window_s <= 0:
-            raise ConfigError("retry_budget_window_s must be positive")
-        if self.retry_budget_min_tokens < 0:
-            raise ConfigError("retry_budget_min_tokens cannot be negative")
-        if self.tick_period_s <= 0:
-            raise ConfigError("tick_period_s must be positive")
-        if not 0.0 < self.brownout_reject_rate < 1.0:
-            raise ConfigError("brownout_reject_rate must be in (0, 1)")
-        if self.brownout_latency_factor < 1.0:
-            raise ConfigError("brownout_latency_factor must be >= 1")
         if self.escalate_ticks < 1 or self.recover_ticks < 1:
             raise ConfigError("escalate/recover tick counts must be >= 1")
-        if self.brownout_per_region_limit < 1:
-            raise ConfigError("brownout_per_region_limit must be >= 1")
-        if self.brownout_max_k < 1:
-            raise ConfigError("brownout_max_k must be >= 1")
-
-
-@dataclass(frozen=True)
-class SLOSpec:
-    """One declarative service-level objective.
-
-    Evaluated by :class:`repro.core.telemetry.slo.SLOEngine` as
-    multi-window burn rates: the fast window catches sudden breakage
-    (page), the slow window catches sustained slow bleed (ticket).
-
-    Two kinds:
-
-    - ``"ratio"``: ``bad_series`` / ``total_series`` counter deltas over
-      each window (e.g. missing regions over used regions);
-    - ``"threshold"``: the share of window scrape samples where
-      ``series`` violates ``threshold`` (``direction="le"`` means
-      healthy when the value stays at or below the bound, ``"ge"`` when
-      at or above it).
-    """
-
-    name: str
-    kind: str  # "ratio" | "threshold"
-    #: Objective: the good fraction must stay >= target; the error
-    #: budget is ``1 - target``.
-    target: float
-    description: str = ""
-    # ---- ratio kind ----
-    bad_series: Optional[str] = None
-    total_series: Optional[str] = None
-    # ---- threshold kind ----
-    series: Optional[str] = None
-    threshold: Optional[float] = None
-    direction: str = "le"
-    # ---- burn-rate windows (simulated seconds) ----
-    fast_window_s: float = 60.0
-    slow_window_s: float = 600.0
-    critical_burn: float = 8.0
-    warning_burn: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("ratio", "threshold"):
-            raise ConfigError(
-                "SLO kind must be 'ratio' or 'threshold', got %r" % self.kind
-            )
-        if not 0.0 < self.target < 1.0:
-            raise ConfigError("SLO target must be in (0, 1)")
-        if self.kind == "ratio" and not (self.bad_series and self.total_series):
-            raise ConfigError(
-                "ratio SLO %r needs bad_series and total_series" % self.name
-            )
-        if self.kind == "threshold" and (
-            self.series is None or self.threshold is None
-        ):
-            raise ConfigError(
-                "threshold SLO %r needs series and threshold" % self.name
-            )
-        if self.direction not in ("le", "ge"):
-            raise ConfigError("SLO direction must be 'le' or 'ge'")
-        if self.fast_window_s <= 0 or self.slow_window_s <= 0:
-            raise ConfigError("SLO windows must be positive")
-        if self.fast_window_s > self.slow_window_s:
-            raise ConfigError("fast_window_s must not exceed slow_window_s")
-        if self.critical_burn <= 0 or self.warning_burn <= 0:
-            raise ConfigError("SLO burn thresholds must be positive")
-
-
-def default_slos() -> Tuple[SLOSpec, ...]:
-    """The platform's eight stock SLOs (tune or replace per deployment)."""
-    return (
-        SLOSpec(
-            name="goodput",
-            kind="ratio",
-            bad_series="admission.rejected",
-            total_series="admission.offered",
-            target=0.80,
-            description="Requests shed by admission control.  The 20% "
-                        "budget is sized for brownout (shed-before-"
-                        "collapse), not normal operation — any burn at "
-                        "all means the platform is rejecting work.",
-        ),
-        SLOSpec(
-            name="personalized_p99_latency",
-            kind="threshold",
-            series="query.personalized:p99",
-            threshold=1000.0,
-            direction="le",
-            target=0.99,
-            description="p99 personalized-query latency stays under 1 s "
-                        "(the paper's Figure-2 headline).",
-        ),
-        SLOSpec(
-            name="ingest_freshness",
-            kind="threshold",
-            series="ingest.freshness_age_s",
-            threshold=0.5,
-            direction="le",
-            target=0.99,
-            description="Applied-but-unpublished hotness is at most "
-                        "0.5 s old (the PR-5 freshness SLO, now watched "
-                        "in production rather than only in a bench).",
-        ),
-        SLOSpec(
-            name="fanout_coverage",
-            kind="ratio",
-            bad_series="regions.missing",
-            total_series="regions.used",
-            target=0.999,
-            description="Invoked regions that never answered within the "
-                        "retry/hedge budget.",
-        ),
-        SLOSpec(
-            name="degraded_query_rate",
-            kind="ratio",
-            bad_series="queries.degraded",
-            total_series="queries.personalized",
-            target=0.99,
-            description="Personalized queries answered from partial "
-                        "results.",
-        ),
-        SLOSpec(
-            name="backpressure_shed_rate",
-            kind="ratio",
-            bad_series="ingest.shed",
-            total_series="ingest.submitted",
-            target=0.999,
-            description="Ingest writes shed by full partition queues.",
-        ),
-        SLOSpec(
-            name="storage_integrity",
-            kind="ratio",
-            bad_series="scrub.blocks_corrupt",
-            total_series="scrub.blocks_scanned",
-            target=0.999,
-            description="Store-file blocks the scrubber found failing "
-                        "their checksum (corrupt blocks are repaired "
-                        "from the WAL or quarantined, never served).",
-        ),
-        SLOSpec(
-            name="recovery_mttr",
-            kind="threshold",
-            series="supervisor.mttr_s",
-            threshold=6.0,
-            direction="le",
-            target=0.99,
-            description="Node-death detection + recovery time stays "
-                        "within twice the default 3 s heartbeat lease "
-                        "(no samples while nothing dies = healthy).",
-        ),
-    )
 
 
 @dataclass
 class TelemetryConfig:
     """Knobs of the telemetry pipeline (``repro.core.telemetry``).
 
-    **On by default**: the pipeline only observes (scrapes, samples,
-    events), so query answers are byte-identical with it on or off; the
-    ``obs-smoke`` CI job gates measured overhead at ≤10%.  Set
-    ``enabled=False`` to construct no hub at all.
-
-    The scrape job fires on the platform scheduler's *simulated* clock
-    with ``catch_up=False``: advancing a whole simulated day costs one
-    scrape, not 86 400.
+    The pipeline only observes (scrapes, samples, events), so query
+    answers are byte-identical with it on or off; the ``obs-smoke`` CI
+    job gates measured overhead at ≤10%.  ``enabled=False`` constructs
+    no hub.  Stock SLOs: ``repro.core.telemetry.slo.default_slos``.
     """
 
     enabled: bool = True
-    #: Simulated seconds between scheduler scrapes of the registry.
-    scrape_period_s: float = 1.0
     #: Raw samples kept per series.
     base_samples: int = 720
-    #: Rollup bucket widths, seconds (1s → 10s → 1m).
-    rollup_resolutions: Tuple[float, ...] = (1.0, 10.0, 60.0)
-    #: Buckets kept per rollup resolution per series.
-    rollup_buckets: int = 360
-    #: Wide-event ring capacity (routine events).
-    event_capacity: int = 512
-    #: Always-kept ring capacity (slow/degraded/errored/alerts).
+    #: Always-kept wide-event ring capacity (slow/degraded/errored/alerts).
     interesting_capacity: int = 256
-    #: Keep 1-in-N routine events per type (1 = keep everything);
-    #: interesting events always bypass sampling.
-    event_sample_every: int = 4
     #: Arms the continuous sampling profiler.
     profiler_enabled: bool = True
     #: Wall seconds between profiler samples (0.02 = 50 Hz).
     profiler_interval_s: float = 0.02
-    #: Stack frames walked per sampled thread.
-    profiler_max_depth: int = 48
-    #: Declarative SLOs the health engine evaluates.
-    slos: Tuple[SLOSpec, ...] = field(default_factory=default_slos)
 
     def __post_init__(self) -> None:
-        if self.scrape_period_s <= 0:
-            raise ConfigError("scrape_period_s must be positive")
         if self.base_samples < 2:
             raise ConfigError("base_samples must be >= 2")
-        if not self.rollup_resolutions or any(
-            r <= 0 for r in self.rollup_resolutions
-        ):
-            raise ConfigError("rollup_resolutions must be positive")
-        if self.rollup_buckets < 1:
-            raise ConfigError("rollup_buckets must be >= 1")
-        if self.event_capacity < 1 or self.interesting_capacity < 1:
-            raise ConfigError("event capacities must be >= 1")
-        if self.event_sample_every < 1:
-            raise ConfigError("event_sample_every must be >= 1")
+        if self.interesting_capacity < 1:
+            raise ConfigError("interesting_capacity must be >= 1")
         if self.profiler_interval_s <= 0:
             raise ConfigError("profiler_interval_s must be positive")
-        if self.profiler_max_depth < 1:
-            raise ConfigError("profiler_max_depth must be >= 1")
-        names = [spec.name for spec in self.slos]
-        if len(names) != len(set(names)):
-            raise ConfigError("SLO names must be unique")
 
 
 @dataclass
 class PlatformConfig:
-    """Top-level configuration for a MoDisSENSE deployment."""
+    """Top-level configuration for a MoDisSENSE deployment; the default
+    is the production profile (see the module docstring)."""
 
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     sentiment: SentimentConfig = field(default_factory=SentimentConfig)
@@ -820,17 +466,30 @@ class PlatformConfig:
     supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     topk: TopKConfig = field(default_factory=TopKConfig)
-    #: Seed for all synthetic-data randomness; fixed for reproducibility.
-    seed: int = 2015
+
+    @classmethod
+    def baseline(cls, cluster: Optional[ClusterConfig] = None) -> "PlatformConfig":
+        """The paper's un-extended mechanism: cache, top-k, ingest,
+        supervisor and admission off (tracing and telemetry only
+        observe and stay on) — the reference arm of the paper-figure
+        benches and the per-feature differential tests."""
+        return cls(
+            cluster=cluster or ClusterConfig(),
+            cache=CacheConfig(enabled=False),
+            topk=TopKConfig(enabled=False),
+            ingest=IngestConfig(enabled=False),
+            supervisor=SupervisorConfig(enabled=False),
+            admission=AdmissionConfig(enabled=False),
+        )
 
     @classmethod
     def small(cls) -> "PlatformConfig":
-        """A configuration sized for unit tests: 4 nodes, 8 regions."""
+        """A cluster shape sized for unit tests: 4 nodes, 8 regions."""
         return cls(cluster=ClusterConfig(num_nodes=4, regions_per_table=8))
 
     @classmethod
     def paper(cls, num_nodes: int = 16) -> "PlatformConfig":
-        """The paper's experimental setup for a given cluster size."""
+        """The paper's cluster shape for a given cluster size."""
         if num_nodes not in PAPER_CLUSTER_SIZES:
             raise ConfigError(
                 "paper cluster sizes are %s, got %r"

@@ -3,9 +3,10 @@
 MoDisSENSE's serving tier (REST boundary -> web-server farm ->
 coprocessor fan-out) has no intrinsic overload story: past saturation,
 latency collapses for *every* request while throughput stays flat.  This
-module adds the missing layer — **off by default**
-(:class:`~repro.config.AdmissionConfig`) and byte-identical to a build
-without it when off or un-triggered:
+module adds the missing layer (:class:`~repro.config.AdmissionConfig`;
+``PlatformConfig.baseline()`` builds none).  Un-triggered, it only
+acquires and releases a ticket per request — answers are byte-identical
+to the baseline's:
 
 - :class:`GradientLimiter` — one AIMD concurrency limiter per priority
   class (interactive > admin > background), driven by observed-vs-
@@ -44,6 +45,24 @@ PRIORITY_INTERACTIVE = "interactive"
 PRIORITY_ADMIN = "admin"
 PRIORITY_BACKGROUND = "background"
 PRIORITIES = (PRIORITY_INTERACTIVE, PRIORITY_ADMIN, PRIORITY_BACKGROUND)
+#: Share of ``initial_limit`` each class's limiter starts from (each
+#: class runs its own AIMD loop afterwards).
+CLASS_WEIGHTS = {
+    PRIORITY_INTERACTIVE: 1.0,
+    PRIORITY_ADMIN: 0.5,
+    PRIORITY_BACKGROUND: 0.25,
+}
+#: LRU-bounded number of per-client token buckets kept.
+MAX_CLIENTS = 1024
+#: A tick is "overloaded" when the window's rejection rate exceeds
+#: ``BROWNOUT_REJECT_RATE``, or the interactive median latency exceeds
+#: ``BROWNOUT_LATENCY_FACTOR`` x baseline.
+BROWNOUT_REJECT_RATE = 0.05
+BROWNOUT_LATENCY_FACTOR = 3.0
+#: Scan shaping applied at the SHRINK level and above: cap each
+#: region's shipped partial list and the query's k.
+BROWNOUT_PER_REGION_LIMIT = 64
+BROWNOUT_MAX_K = 5
 
 #: Brownout ladder rungs, mildest first.  Each level keeps every
 #: degradation of the levels below it.
@@ -318,12 +337,11 @@ class AdmissionController:
     """The overload-protection brain: admit/reject decisions, the retry
     budget, and the brownout ladder.
 
-    Constructed only when ``config.admission.enabled`` — an absent
-    controller is the byte-identical default path.  ``tick(now)`` is the
-    ladder's clock (the scheduler's ``admission_tick`` job): it reads
-    the window's rejection rate and interactive latency signal and moves
-    the level with hysteresis (``escalate_ticks`` consecutive overloaded
-    ticks to climb one rung, ``recover_ticks`` calm ticks to step down).
+    ``tick(now)`` is the ladder's clock (the scheduler's
+    ``admission_tick`` job): it reads the window's rejection rate and
+    interactive latency signal and moves the level with hysteresis
+    (``escalate_ticks`` consecutive overloaded ticks to climb one rung,
+    ``recover_ticks`` calm ticks to step down).
     """
 
     def __init__(
@@ -337,16 +355,11 @@ class AdmissionController:
         self.metrics = metrics
         self.event_log = event_log
         self._clock = clock
-        weights = {
-            PRIORITY_INTERACTIVE: 1.0,
-            PRIORITY_ADMIN: config.admin_weight,
-            PRIORITY_BACKGROUND: config.background_weight,
-        }
         self.limiters: Dict[str, GradientLimiter] = {
             cls: GradientLimiter(
                 cls,
                 initial_limit=max(
-                    1, int(config.initial_limit * weights[cls])
+                    1, int(config.initial_limit * CLASS_WEIGHTS[cls])
                 ),
                 min_limit=config.min_limit,
                 max_limit=config.max_limit,
@@ -358,12 +371,7 @@ class AdmissionController:
             )
             for cls in PRIORITIES
         }
-        self.retry_budget = RetryBudget(
-            ratio=config.retry_budget_ratio,
-            window_s=config.retry_budget_window_s,
-            min_tokens=config.retry_budget_min_tokens,
-            clock=clock,
-        )
+        self.retry_budget = RetryBudget(clock=clock)
         self._clients: "OrderedDict[str, TokenBucket]" = OrderedDict()
         self._lock = threading.Lock()
         self.level = LEVEL_NORMAL
@@ -459,7 +467,7 @@ class AdmissionController:
                     cfg.client_rate, cfg.client_burst, clock=self._clock
                 )
                 self._clients[client_id] = bucket
-                while len(self._clients) > cfg.max_clients:
+                while len(self._clients) > MAX_CLIENTS:
                     self._clients.popitem(last=False)
             else:
                 self._clients.move_to_end(client_id)
@@ -503,16 +511,16 @@ class AdmissionController:
         if self.level < LEVEL_SHRINK:
             return None
         return {
-            "per_region_limit": self.config.brownout_per_region_limit,
-            "max_k": self.config.brownout_max_k,
+            "per_region_limit": BROWNOUT_PER_REGION_LIMIT,
+            "max_k": BROWNOUT_MAX_K,
         }
 
     def tick(self, now: Optional[float] = None) -> int:
         """One ladder evaluation; returns the (possibly new) level.
 
         Reads and resets the tick window.  A tick is *overloaded* when
-        the window's rejection rate exceeds ``brownout_reject_rate`` or
-        the interactive median latency exceeds ``brownout_latency_factor
+        the window's rejection rate exceeds ``BROWNOUT_REJECT_RATE`` or
+        the interactive median latency exceeds ``BROWNOUT_LATENCY_FACTOR
         x baseline``; hysteresis turns runs of such ticks into level
         moves.  A forced level (``force_level``) holds until ``reset``.
         """
@@ -533,9 +541,9 @@ class AdmissionController:
         hot_latency = (
             median_ms is not None
             and baseline is not None
-            and median_ms > cfg.brownout_latency_factor * baseline
+            and median_ms > BROWNOUT_LATENCY_FACTOR * baseline
         )
-        overloaded = reject_rate > cfg.brownout_reject_rate or hot_latency
+        overloaded = reject_rate > BROWNOUT_REJECT_RATE or hot_latency
         if not self._forced:
             if overloaded:
                 self._hot_ticks += 1

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ...errors import ValidationError
+
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass
@@ -60,7 +63,11 @@ class ApiResponse:
         )
 
 
-#: endpoint -> {field: (type(s), required)}
+#: A bounding box on the wire: ``[min_lat, min_lon, max_lat, max_lon]``.
+_BBOX = (list, False, (int, float), 4)
+
+#: endpoint -> {field: (type(s), required)}; a list field appends its
+#: element type(s) and, where fixed, its exact length.
 REQUEST_SCHEMAS: Dict[str, Dict[str, tuple]] = {
     "register": {
         "network": (str, True),
@@ -76,9 +83,9 @@ REQUEST_SCHEMAS: Dict[str, Dict[str, tuple]] = {
         "now": ((int, float), True),
     },
     "search": {
-        "bbox": (list, False),
-        "keywords": (list, False),
-        "friend_ids": (list, False),
+        "bbox": _BBOX,
+        "keywords": (list, False, str),
+        "friend_ids": (list, False, int),
         "since": (int, False),
         "until": (int, False),
         "sort_by": (str, False),
@@ -93,13 +100,13 @@ REQUEST_SCHEMAS: Dict[str, Dict[str, tuple]] = {
     "trending": {
         "now": (int, True),
         "window_s": (int, True),
-        "bbox": (list, False),
-        "friend_ids": (list, False),
+        "bbox": _BBOX,
+        "friend_ids": (list, False, int),
         "limit": (int, False),
         "client_id": (str, False),
     },
     "push_gps": {
-        "points": (list, True),
+        "points": (list, True, dict),
         "client_id": (str, False),
     },
     "generate_blog": {
@@ -112,7 +119,7 @@ REQUEST_SCHEMAS: Dict[str, Dict[str, tuple]] = {
     },
     "update_blog": {
         "blog_id": (int, True),
-        "new_order": (list, False),
+        "new_order": (list, False, int),
         "visit_index": (int, False),
         "arrival": (int, False),
         "departure": (int, False),
@@ -175,9 +182,9 @@ REQUEST_SCHEMAS: Dict[str, Dict[str, tuple]] = {
         "reset": (bool, False),
     },
     "explain": {
-        "bbox": (list, False),
-        "keywords": (list, False),
-        "friend_ids": (list, True),
+        "bbox": _BBOX,
+        "keywords": (list, False, str),
+        "friend_ids": (list, True, int),
         "since": (int, False),
         "until": (int, False),
     },
@@ -188,7 +195,8 @@ def validate_request(endpoint: str, request: Dict[str, Any]) -> Dict[str, Any]:
     """Check field presence and types against the endpoint's schema.
 
     Booleans are rejected where ints are expected (bool subclasses int
-    in Python, which would let ``true`` slip into numeric fields).
+    in Python, which would let ``true`` slip into numeric fields), in
+    list elements too.
     """
     schema = REQUEST_SCHEMAS.get(endpoint)
     if schema is None:
@@ -200,7 +208,7 @@ def validate_request(endpoint: str, request: Dict[str, Any]) -> Dict[str, Any]:
         raise ValidationError(
             "unknown fields %s for endpoint %r" % (sorted(unknown), endpoint)
         )
-    for name, (types, required) in schema.items():
+    for name, (types, required, *element) in schema.items():
         if name not in request or request[name] is None:
             if required:
                 raise ValidationError(
@@ -216,4 +224,31 @@ def validate_request(endpoint: str, request: Dict[str, Any]) -> Dict[str, Any]:
             raise ValidationError(
                 "field %r has wrong type %s" % (name, type(value).__name__)
             )
+        if element:
+            _check_elements(name, value, *element)
     return request
+
+
+def _check_elements(
+    name: str, value: list, types: Any, length: Optional[int] = None
+) -> None:
+    """Every element of a list field has exactly one of ``types`` (so a
+    bool never passes for an int), numbers are finite, and the list has
+    ``length`` elements when that is fixed.  The type check is one
+    C-level pass: ``friend_ids`` carries thousands of elements and
+    validation is a traced layer of every request."""
+    if length is not None and len(value) != length:
+        raise ValidationError(
+            "field %r must have exactly %d elements, got %d"
+            % (name, length, len(value))
+        )
+    allowed = types if isinstance(types, tuple) else (types,)
+    if not set(map(type, value)).issubset(allowed):
+        raise ValidationError(
+            "field %r must be a list of %s"
+            % (name, " or ".join(t.__name__ for t in allowed))
+        )
+    if float in allowed and not all(
+        -_FLOAT_MAX <= v <= _FLOAT_MAX for v in value
+    ):
+        raise ValidationError("field %r must hold finite numbers" % name)

@@ -123,20 +123,17 @@ class RestApi:
             "admin_admission": self._admin_admission,
             "explain": self._explain,
         }
-        #: Observability sinks: auto-wired from the platform (which owns
-        #: a registry + tracer); attach_metrics()/attach_tracer()
-        #: override them, e.g. to segregate API-tier metrics.
-        self._metrics = getattr(platform, "metrics", None)
-        self._tracer = getattr(platform, "tracer", None)
+        #: The platform's registry; attach_metrics() overrides it, e.g.
+        #: to segregate API-tier metrics.
+        self._metrics = platform.metrics
 
     def handle(self, endpoint: str, request: Dict[str, Any]) -> Dict[str, Any]:
         """Dispatch one request; always returns a response envelope.
 
-        With the admission layer on, every non-exempt request acquires
-        a ticket first — a rejection is the ``overloaded`` envelope
-        (HTTP 429's JSON twin, ``retry_after_s`` included) and the
-        handler never runs.  With it off (the default) the path is
-        byte-identical to a build without admission.
+        Every non-exempt request acquires an admission ticket first —
+        a rejection is the ``overloaded`` envelope (HTTP 429's JSON
+        twin, ``retry_after_s`` included) and the handler never runs.
+        A ``baseline()`` platform has no controller and admits all.
         """
         # Attribute profiler samples taken during this request to the
         # REST tier (restores the caller's component on the way out).
@@ -150,28 +147,26 @@ class RestApi:
                     "unknown endpoint %r" % endpoint, code="unknown_endpoint"
                 ).as_dict()
             validate_request(endpoint, request)
-            admission = getattr(self.platform, "admission", None)
+            admission = self.platform.admission
             if admission is not None and endpoint not in ADMISSION_EXEMPT:
                 ticket = admission.admit(
                     ENDPOINT_PRIORITY.get(endpoint, "interactive"),
                     client_id=request.get("client_id"),
                 )
                 started = time.perf_counter()
-            if self._metrics is not None:
-                self._metrics.increment(
-                    "api.requests", labels={"endpoint": endpoint}
-                )
+            self._metrics.increment(
+                "api.requests", labels={"endpoint": endpoint}
+            )
             return ApiResponse.ok(handler(request)).as_dict()
         except ReproError as exc:
             code = error_code(exc)
-            if self._metrics is not None:
-                self._metrics.increment(
-                    "api.errors", labels={"endpoint": endpoint}
-                )
-                self._metrics.increment(
-                    "api.errors_by_code",
-                    labels={"endpoint": endpoint, "code": code},
-                )
+            self._metrics.increment(
+                "api.errors", labels={"endpoint": endpoint}
+            )
+            self._metrics.increment(
+                "api.errors_by_code",
+                labels={"endpoint": endpoint, "code": code},
+            )
             return ApiResponse.fail(
                 str(exc),
                 code=code,
@@ -336,11 +331,6 @@ class RestApi:
         through the ``admin_metrics`` endpoint."""
         self._metrics = metrics
 
-    def attach_tracer(self, tracer) -> None:
-        """Expose a :class:`~repro.core.tracing.Tracer` through the
-        ``admin_traces`` endpoint."""
-        self._tracer = tracer
-
     def _explain(self, req: Dict) -> Dict:
         """Per-region execution profile of a personalized query."""
         query = SearchQuery(
@@ -359,8 +349,6 @@ class RestApi:
         """Metrics registry: JSON snapshot, or Prometheus text
         exposition when ``format`` is ``"prometheus"`` (the body plus
         the content type a scrape endpoint must serve)."""
-        if self._metrics is None:
-            return {"counters": {}, "gauges": {}, "latencies": {}}
         fmt = req.get("format", "json")
         if fmt == "prometheus":
             return {
@@ -379,16 +367,14 @@ class RestApi:
         (counted as invalidations) — the operator's big red button after
         an out-of-band data fix."""
         platform = self.platform
-        scan_cache = getattr(platform, "scan_cache", None)
-        hot_poi_cache = getattr(platform, "hot_poi_cache", None)
+        scan_cache = platform.scan_cache
+        hot_poi_cache = platform.hot_poi_cache
         if req.get("clear"):
             if scan_cache is not None:
                 scan_cache.clear()
             if hot_poi_cache is not None:
                 hot_poi_cache.clear()
-        single_flight = getattr(
-            platform.query_answering, "single_flight", None
-        )
+        single_flight = platform.query_answering.single_flight
         return {
             "enabled": scan_cache is not None,
             "scan": scan_cache.stats() if scan_cache is not None else None,
@@ -419,7 +405,7 @@ class RestApi:
         runs the verify-and-repair pass on demand — the operator's
         answer to "is hotness drifting?".
         """
-        ingest = getattr(self.platform, "ingest", None)
+        ingest = self.platform.ingest
         if ingest is None:
             return {"enabled": False}
         out: Dict[str, Any] = {"enabled": True}
@@ -454,7 +440,7 @@ class RestApi:
         report the measured MTTR); ``scrub`` forces an immediate
         scrub-and-repair pass.  ``limit`` bounds the history returned.
         """
-        supervisor = getattr(self.platform, "supervisor", None)
+        supervisor = self.platform.supervisor
         if supervisor is None:
             return {"enabled": False}
         out: Dict[str, Any] = {"enabled": True}
@@ -476,7 +462,7 @@ class RestApi:
         overload drill's lever.  Never gated by admission itself: the
         controls must work *during* the overload they manage.
         """
-        admission = getattr(self.platform, "admission", None)
+        admission = self.platform.admission
         if admission is None:
             return {"enabled": False}
         if req.get("force_level") is not None:
@@ -492,21 +478,20 @@ class RestApi:
         ``slow_threshold_ms`` retunes the slow-query log's cutoff at
         runtime (subsequent traces only; the startup default comes from
         ``TracingConfig.slow_query_threshold_ms``)."""
-        if self._tracer is None:
-            return {"traces": [], "tracing": {"enabled": False}}
+        tracer = self.platform.tracer
         threshold = req.get("slow_threshold_ms")
         if threshold is not None:
             if threshold < 0:
                 raise ValidationError(
                     "slow_threshold_ms cannot be negative"
                 )
-            self._tracer.slow_threshold_ms = float(threshold)
+            tracer.slow_threshold_ms = float(threshold)
         limit = req.get("limit")
         if req.get("slow"):
-            traces = self._tracer.slow_queries(limit)
+            traces = tracer.slow_queries(limit)
         else:
-            traces = self._tracer.recent_traces(limit)
-        return {"traces": traces, "tracing": self._tracer.describe()}
+            traces = tracer.recent_traces(limit)
+        return {"traces": traces, "tracing": tracer.describe()}
 
     def _admin_timeseries(self, req: Dict) -> Dict:
         """Scraped metric history from the telemetry store.
@@ -516,7 +501,7 @@ class RestApi:
         rows when ``resolution`` selects one.  Without ``name``: the
         series directory (optionally filtered by ``prefix``).
         """
-        telemetry = getattr(self.platform, "telemetry", None)
+        telemetry = self.platform.telemetry
         if telemetry is None:
             return {"enabled": False}
         store = telemetry.store
@@ -544,7 +529,7 @@ class RestApi:
     def _admin_health(self, req: Dict) -> Dict:
         """SLO-driven health verdict: overall state plus per-SLO burn
         rates and remaining error budget."""
-        telemetry = getattr(self.platform, "telemetry", None)
+        telemetry = self.platform.telemetry
         if telemetry is None:
             return {"enabled": False, "state": "healthy", "slos": []}
         out = telemetry.health()
@@ -555,10 +540,8 @@ class RestApi:
         """Continuous-profiler snapshot: folded flamegraph stacks plus
         per-component attribution.  ``reset`` clears accumulated samples
         after reading (profile-per-experiment workflows)."""
-        telemetry = getattr(self.platform, "telemetry", None)
-        profiler = (
-            telemetry.profiler if telemetry is not None else None
-        )
+        telemetry = self.platform.telemetry
+        profiler = telemetry.profiler if telemetry is not None else None
         if profiler is None:
             return {"enabled": False}
         out = {
@@ -575,7 +558,7 @@ class RestApi:
     def _admin_events(self, req: Dict) -> Dict:
         """Wide-event log: tail-sampled canonical events, newest first;
         ``interesting`` restricts to the always-kept ring."""
-        telemetry = getattr(self.platform, "telemetry", None)
+        telemetry = self.platform.telemetry
         if telemetry is None:
             return {"enabled": False, "events": []}
         return {

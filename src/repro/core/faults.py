@@ -153,7 +153,7 @@ class FaultInjector:
             if cluster is None:
                 continue
             if action == "fail":
-                if getattr(cluster, "supervisor", None) is not None:
+                if cluster.supervisor is not None:
                     # A supervised cluster gets the honest failure mode:
                     # the node crashes in place (regions stranded,
                     # memstores lost) and only the supervisor's

@@ -34,7 +34,7 @@ Data Stream" for incrementally-maintained aggregates):
 
 - **Load-aware repartitioning.**  Per-region ingest rates are tracked in
   an observation window; when one partition's share exceeds
-  ``rebalance_hot_ratio`` times the mean, its hottest region moves to
+  ``REBALANCE_HOT_RATIO`` times the mean, its hottest region moves to
   the coolest partition.  Folds are commutative and visit row keys are
   unique, so a remap needs no barrier.
 
@@ -61,6 +61,10 @@ from .. import threadreg
 from .modules.hotin_update import IncrementalHotIn
 from .repositories.visits import VisitStruct, VisitsRepository
 from .tracing import NULL_TRACER
+
+#: A partition is hot when its share of the observation window's events
+#: exceeds this many times the mean share.
+REBALANCE_HOT_RATIO = 2.0
 
 
 class _InjectedApplierCrash(Exception):
@@ -668,7 +672,7 @@ class StreamingIngestTier:
         """Load-aware repartition check over the observation window.
 
         Moves the hottest region off a hot-spotted partition when that
-        partition's event share exceeds ``rebalance_hot_ratio`` times
+        partition's event share exceeds ``REBALANCE_HOT_RATIO`` times
         the mean (and it owns more than one region).  Safe mid-stream:
         per-region apply locks keep each region single-writer while its
         queued remainder drains from the old partition, and HotIn folds
@@ -676,8 +680,6 @@ class StreamingIngestTier:
         move record, or None when balanced.  The observation window
         resets after every check.
         """
-        if not self.config.rebalance_enabled and not force:
-            return None
         with self._lock:
             counts = dict(self._region_counts)
             self._region_counts = {}
@@ -695,7 +697,7 @@ class StreamingIngestTier:
         hot = max(range(num), key=lambda p: loads[p])
         if mean <= 0:
             return None
-        if not force and loads[hot] < self.config.rebalance_hot_ratio * mean:
+        if not force and loads[hot] < REBALANCE_HOT_RATIO * mean:
             return None
         hot_regions = [
             (counts.get(rid, 0), rid)

@@ -20,6 +20,10 @@ from ...geo import BoundingBox, GeoPoint
 from ..repositories.gps_traces import GPSTracesRepository
 from ..repositories.poi import POI, POIRepository
 
+#: GPS points closer than this to a known POI are filtered before
+#: clustering (paper Section 2.2, Event Detection Module).
+KNOWN_POI_FILTER_RADIUS_M = 80.0
+
 
 @dataclass
 class DetectionReport:
@@ -53,11 +57,12 @@ class EventDetectionModule:
         total = len(points)
 
         # Known-POI filter: drop traces near an existing POI.
-        radius = self.config.known_poi_filter_radius_m
         filtered = [
             p
             for p in points
-            if self.pois.nearest_within(GeoPoint(p.lat, p.lon), radius) is None
+            if self.pois.nearest_within(
+                GeoPoint(p.lat, p.lon), KNOWN_POI_FILTER_RADIUS_M
+            ) is None
         ]
 
         geo_points = [GeoPoint(p.lat, p.lon) for p in filtered]

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ...config import TopKConfig
 from ...errors import DegradedResultWarning, QueryError
 from ...geo import BoundingBox
 from ...hbase import Coprocessor, CoprocessorContext
@@ -195,7 +196,7 @@ class VisitScanCoprocessor(Coprocessor):
         filter and ship all of them."""
         aggregates, cells_scanned = self._fold_friends(context, request)
         cache = context.cache
-        memo = cache.poi_attrs if cache is not None else {}
+        poi_attrs = cache.poi_attrs if cache is not None else {}
         bbox = (
             BoundingBox.from_tuple(request.bbox)
             if request.bbox is not None
@@ -207,7 +208,7 @@ class VisitScanCoprocessor(Coprocessor):
                 stream = TopKPartialStream(
                     region_id=context.region_id,
                     aggregates=aggregates,
-                    memo=memo,
+                    poi_attrs=poi_attrs,
                     top_k=request.top_k,
                     hotness=request.hotness,
                     batch=request.topk_batch,
@@ -224,17 +225,17 @@ class VisitScanCoprocessor(Coprocessor):
         with context.trace("region.sort") as sort_stage:
             partial = []
             for poi_id, grade_sum, count in aggregates.rows():
-                poi_attrs = memo.get(poi_id)
-                if poi_attrs is None:
+                attrs = poi_attrs.get(poi_id)
+                if attrs is None:
                     # One full payload parse per POI the table has not
                     # seen yet, in any region or query.
-                    poi_attrs = memo[poi_id] = decode_attrs(
+                    attrs = poi_attrs[poi_id] = decode_attrs(
                         aggregates.raw(poi_id)
                     )
                     cells_decoded += 1
-                if filtered and not passes_filter(poi_attrs, bbox, wanted):
+                if filtered and not passes_filter(attrs, bbox, wanted):
                     continue
-                name, lat, lon, _keywords = poi_attrs
+                name, lat, lon, _keywords = attrs
                 partial.append((poi_id, grade_sum, count, name, lat, lon))
             # Region-local sort by aggregated grade; optionally truncate.
             partial.sort(key=itemgetter(1), reverse=True)
@@ -448,7 +449,7 @@ class QueryAnsweringModule:
         coalesce: bool = False,
         event_log: Optional[object] = None,
         admission: Optional[object] = None,
-        topk_config: Optional[object] = None,
+        topk_config: Optional[TopKConfig] = None,
     ) -> None:
         self.pois = poi_repository
         self.visits = visits_repository
@@ -475,10 +476,9 @@ class QueryAnsweringModule:
         self.admission = admission
         #: Optional :class:`~repro.config.TopKConfig`.  When enabled,
         #: personalized queries run the threshold-algorithm streaming
-        #: path (:mod:`repro.core.modules.topk`); otherwise — the
-        #: default — the exhaustive path runs byte-identically to a
-        #: build without the module.
-        self.topk = topk_config
+        #: path (:mod:`repro.core.modules.topk`); otherwise the
+        #: exhaustive path, the reference its oracle compares against.
+        self.topk: Optional[TopKConfig] = topk_config
         self._coprocessor = VisitScanCoprocessor()
 
     # -------------------------------------------------------- public API
@@ -682,15 +682,7 @@ class QueryAnsweringModule:
         # a brownout's truncated partials have no sound bound, so a
         # positive per_region_limit falls back to exhaustive shipping.
         topk = self.topk
-        top_k = 0
-        topk_batch = 16
-        if (
-            topk is not None
-            and getattr(topk, "enabled", False)
-            and per_region_limit == 0
-        ):
-            top_k = query.limit
-            topk_batch = getattr(topk, "batch_size", 16)
+        streaming = topk is not None and topk.enabled and per_region_limit == 0
         return {
             region: _VisitScanRequest(
                 friend_ids=tuple(friends),
@@ -700,9 +692,9 @@ class QueryAnsweringModule:
                 until=query.until,
                 per_region_limit=per_region_limit,
                 routed=True,
-                top_k=top_k,
+                top_k=query.limit if streaming else 0,
                 hotness=query.sort_by == SORT_HOTNESS,
-                topk_batch=topk_batch,
+                topk_batch=topk.batch_size if streaming else 16,
             )
             for region, friends in routed.items()
         }

@@ -197,7 +197,7 @@ class TopKPartialStream(StreamingPartial):
     grade_sum, count)`` tuples in ascending order, where ``sort_key`` is
     the negated *local* sort key (count for hotness, local mean for
     interest) — i.e. descending by that key with ``poi_id`` as the
-    tie-break.  ``memo`` is the POI attribute table: the cluster-wide
+    tie-break.  ``poi_attrs`` is the POI attribute table: the cluster-wide
     ``RegionScanCache.poi_attrs`` on a clean cached invocation, else a
     dict of the invocation's own.  The stream reads it and adds what it
     has to parse, so whatever any region or query parsed before costs
@@ -211,7 +211,7 @@ class TopKPartialStream(StreamingPartial):
         "batch",
         "items",
         "aggregates",
-        "memo",
+        "poi_attrs",
         "bbox",
         "wanted",
         "span",
@@ -232,7 +232,7 @@ class TopKPartialStream(StreamingPartial):
         self,
         region_id: int,
         aggregates: PartialAggregates,
-        memo: MutableMapping[int, tuple],
+        poi_attrs: MutableMapping[int, tuple],
         top_k: int,
         hotness: bool,
         batch: int,
@@ -261,7 +261,7 @@ class TopKPartialStream(StreamingPartial):
             ]
         items.sort()
         self.items: List[Tuple[float, int, float, int]] = items
-        self.memo = memo
+        self.poi_attrs = poi_attrs
         self.bbox = bbox
         self.wanted = wanted or set()
         self.span = span
@@ -315,9 +315,9 @@ class TopKPartialStream(StreamingPartial):
     # ---------------------------------------------------------- emission
 
     def _attrs_for(self, poi_id: int) -> tuple:
-        attrs = self.memo.get(poi_id)
+        attrs = self.poi_attrs.get(poi_id)
         if attrs is None:
-            attrs = self.memo[poi_id] = decode_attrs(
+            attrs = self.poi_attrs[poi_id] = decode_attrs(
                 self.aggregates.raw(poi_id)
             )
             self.cells_decoded += 1

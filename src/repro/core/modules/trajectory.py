@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ...config import JobsConfig
 from ...datagen.gps import GPSPoint
 from ...errors import ValidationError
 from ...geo import GeoPoint
@@ -108,7 +107,6 @@ class TrajectoryModule:
         gps_repository: GPSTracesRepository,
         poi_repository: POIRepository,
         text_repository: TextRepository,
-        config: Optional[JobsConfig] = None,
         stay_radius_m: float = 80.0,
         min_stay_s: int = 900,
         poi_match_radius_m: float = 120.0,
@@ -116,7 +114,6 @@ class TrajectoryModule:
         self.gps = gps_repository
         self.pois = poi_repository
         self.texts = text_repository
-        self.config = config or JobsConfig()
         self.stay_radius_m = stay_radius_m
         self.min_stay_s = min_stay_s
         self.poi_match_radius_m = poi_match_radius_m

@@ -52,13 +52,23 @@ from .repositories.text_repo import TextRepository
 from .repositories.visits import VisitsRepository
 
 
+#: Incremental HotIn cells older than the reconcile window's start
+#: minus this slack (seconds of event time) are pruned after each
+#: reconcile.
+HOTIN_PRUNE_SLACK_S = 24 * 3600.0
+
+
 class MoDisSENSE:
     """One platform deployment.
 
     Parameters
     ----------
     config:
-        Cluster shape, sentiment knobs and job periods.
+        Defaults to ``PlatformConfig()``, the production profile: every
+        subsystem below is built.  Under ``PlatformConfig.baseline()``
+        ``scan_cache``, ``hot_poi_cache``, ``ingest``,
+        ``incremental_hotin``, ``supervisor`` and ``admission`` are
+        None (the attributes always exist) and top-k streaming is off.
     plugins:
         Social-network integrations; defaults to simulated Facebook,
         Twitter and Foursquare, matching the paper's supported networks.
@@ -79,48 +89,39 @@ class MoDisSENSE:
         self.metrics = PlatformMetrics()
         self.tracer = Tracer.from_config(self.config.tracing)
         #: The telemetry pipeline: time-series store, SLO engine,
-        #: continuous profiler, wide-event log.  On by default; None
-        #: when ``config.telemetry.enabled`` is False (everything it
-        #: touches checks first, so the off path is telemetry-free).
+        #: continuous profiler, wide-event log; None when
+        #: ``config.telemetry.enabled`` is False.
         self.telemetry: Optional[TelemetryHub] = None
+        events = None
         if self.config.telemetry.enabled:
             self.telemetry = TelemetryHub(
-                self.metrics, self.config.telemetry, tracer=self.tracer
+                self.metrics, self.config.telemetry
             ).start()
+            events = self.telemetry.events
 
         # ---- storage tier
         self.hbase = HBaseCluster(
             self.config.cluster, faults_config=self.config.faults
         )
         self.hbase.attach_metrics(self.metrics)
-        if self.telemetry is not None:
-            self.hbase.attach_event_log(self.telemetry.events)
+        self.hbase.attach_event_log(events)
         #: Armed only when ``config.faults.enabled``; the clean path has
-        #: no injector attached at all (guaranteed byte-identical).
+        #: no injector attached at all.
         self.fault_injector: Optional[FaultInjector] = None
         if self.config.faults.enabled:
             self.fault_injector = FaultInjector(self.config.faults)
             self.hbase.attach_fault_injector(self.fault_injector)
-            if self.telemetry is not None:
-                self.fault_injector.event_log = self.telemetry.events
-        # ---- overload protection (off by default; see config.admission)
-        #: Admission controller + brownout ladder; None when disabled —
-        #: the request path is then byte-identical to a build without
-        #: the layer (no tickets, no budgets, no shaping).
+            self.fault_injector.event_log = events
+        # ---- overload protection
+        #: Admission controller + brownout ladder (no tickets, budgets
+        #: or shaping without one).
         self.admission: Optional[AdmissionController] = None
         if self.config.admission.enabled:
             self.admission = AdmissionController(
-                self.config.admission,
-                metrics=self.metrics,
-                event_log=(
-                    self.telemetry.events
-                    if self.telemetry is not None
-                    else None
-                ),
+                self.config.admission, metrics=self.metrics, event_log=events
             )
             # The fan-out's retry/hedge paths draw from the global
-            # budget; with no budget attached they behave exactly as
-            # before this layer existed.
+            # budget; with no budget attached they are unmetered.
             self.hbase.attach_retry_budget(self.admission.retry_budget)
         self.sql = SqlEngine()
         regions = self.config.cluster.regions_per_table
@@ -160,29 +161,16 @@ class MoDisSENSE:
             text_processing=self.text_processing,
             poi_repository=self.poi_repository,
         )
-        # ---- caching tier (off by default; see config.cache)
-        cache_cfg = self.config.cache
+        # ---- caching tier
         #: Per-region friend-partition scan cache, attached to the HBase
-        #: client so coprocessor invocations can consult it; None when
-        #: caching is disabled (the fan-out then behaves exactly as
-        #: before this layer existed).
+        #: client so coprocessor invocations can consult it.
         self.scan_cache: Optional[RegionScanCache] = None
         self.hot_poi_cache: Optional[HotPOICache] = None
-        if cache_cfg.enabled:
-            self.scan_cache = RegionScanCache(
-                max_entries=cache_cfg.scan_cache_max_entries,
-                ttl_s=cache_cfg.scan_cache_ttl_s,
-                metrics=self.metrics,
-            )
+        if self.config.cache.enabled:
+            self.scan_cache = RegionScanCache(metrics=self.metrics)
             self.hbase.attach_scan_cache(self.scan_cache)
             self.hot_poi_cache = HotPOICache(
-                max_entries=cache_cfg.hot_poi_max_entries,
-                metrics=self.metrics,
-                event_log=(
-                    self.telemetry.events
-                    if self.telemetry is not None
-                    else None
-                ),
+                metrics=self.metrics, event_log=events
             )
         self.query_answering = InstrumentedQueryAnswering(
             QueryAnsweringModule(
@@ -191,12 +179,8 @@ class MoDisSENSE:
                 tracer=self.tracer,
                 metrics=self.metrics,
                 hot_poi_cache=self.hot_poi_cache,
-                coalesce=cache_cfg.coalesce,
-                event_log=(
-                    self.telemetry.events
-                    if self.telemetry is not None
-                    else None
-                ),
+                coalesce=self.config.cache.coalesce,
+                event_log=events,
                 admission=self.admission,
                 topk_config=self.config.topk,
             ),
@@ -209,9 +193,9 @@ class MoDisSENSE:
             runner=self.job_runner,
             num_mappers=self.config.cluster.total_cores,
         )
-        # ---- streaming ingest tier (off by default; see config.ingest)
-        #: Delta-maintained hotness/interest state; exists only when the
-        #: streaming tier is on (the batch MapReduce owns freshness
+        # ---- streaming ingest tier
+        #: Delta-maintained hotness/interest state; exists only with
+        #: the streaming tier (the batch MapReduce owns freshness
         #: otherwise).
         self.incremental_hotin: Optional[IncrementalHotIn] = None
         self.ingest: Optional[StreamingIngestTier] = None
@@ -225,44 +209,31 @@ class MoDisSENSE:
                 metrics=self.metrics,
                 tracer=self.tracer,
                 hot_poi_cache=self.hot_poi_cache,
-                event_log=(
-                    self.telemetry.events
-                    if self.telemetry is not None
-                    else None
-                ),
+                event_log=events,
             ).start()
             if self.admission is not None:
                 # Brownout level 3+ flips the tier to shed-on-full so
                 # blocked producers can't pile up during an overload.
                 self.admission.attach_ingest(self.ingest)
-        # ---- self-healing supervisor (off by default; see
-        # config.supervisor).  Constructed after the ingest tier so the
-        # server-WAL handles adopt the (still empty) per-region WALs the
-        # tier attached — fold watermarks carry over unchanged.  With
-        # ``enabled=False`` the attribute stays None and failure
-        # handling remains manual, exactly the pre-supervisor behavior.
+        # ---- self-healing supervisor.  Constructed after the ingest
+        # tier so the server-WAL handles adopt the (still empty)
+        # per-region WALs the tier attached — fold watermarks carry over
+        # unchanged.  Without one, failure handling is manual
+        # (``fail_node``/``recover_node``).
         self.supervisor: Optional[ClusterSupervisor] = None
         if self.config.supervisor.enabled:
             self.supervisor = ClusterSupervisor(
                 self.hbase,
-                config=self.config.supervisor,
                 metrics=self.metrics,
                 tracer=self.tracer,
-                event_log=(
-                    self.telemetry.events
-                    if self.telemetry is not None
-                    else None
-                ),
+                event_log=events,
             )
             self.supervisor.attach()
         self.event_detection = EventDetectionModule(
             self.gps_repository, self.poi_repository, self.config.jobs
         )
         self.trajectory = TrajectoryModule(
-            self.gps_repository,
-            self.poi_repository,
-            self.text_repository,
-            self.config.jobs,
+            self.gps_repository, self.poi_repository, self.text_repository
         )
         self.blog = BlogModule(
             trajectory_module=self.trajectory,
@@ -322,27 +293,26 @@ class MoDisSENSE:
 
     # ------------------------------------------------- streaming ingest
 
+    def _ingest_tier(self) -> StreamingIngestTier:
+        if self.ingest is None:
+            raise ValidationError(
+                "streaming ingest is disabled (set config.ingest.enabled)"
+            )
+        return self.ingest
+
     def ingest_visit(self, visit) -> int:
         """Submit one visit to the streaming ingest tier.
 
         Returns the partition it was enqueued on.  Raises
         :class:`~repro.errors.BackpressureError` when the partition's
         bounded queue stays full — the visit is then *not* enqueued and
-        the caller owns the retry.  Requires ``config.ingest.enabled``.
+        the caller owns the retry.  Not available under ``baseline()``.
         """
-        if self.ingest is None:
-            raise ValidationError(
-                "streaming ingest is disabled (set config.ingest.enabled)"
-            )
-        return self.ingest.submit(visit)
+        return self._ingest_tier().submit(visit)
 
     def ingest_visits(self, visits) -> int:
         """Submit many visits to the streaming tier; returns the count."""
-        if self.ingest is None:
-            raise ValidationError(
-                "streaming ingest is disabled (set config.ingest.enabled)"
-            )
-        return self.ingest.submit_many(visits)
+        return self._ingest_tier().submit_many(visits)
 
     def reconcile_hotin(self, since: int, until: int) -> ReconcileReport:
         """Run the verify-and-repair pass over ``[since, until)``.
@@ -354,21 +324,16 @@ class MoDisSENSE:
         non-personalized answers are invalidated whenever a repair
         rewrote POI rows.
         """
-        if self.ingest is None or self.incremental_hotin is None:
-            raise ValidationError(
-                "streaming ingest is disabled (set config.ingest.enabled)"
-            )
-        self.ingest.window_since = since
-        self.ingest.window_until = None
+        ingest = self._ingest_tier()
+        ingest.window_since = since
+        ingest.window_until = None
         report = self.hotin_update.reconcile(
             self.incremental_hotin, since, until
         )
-        self.incremental_hotin.prune(
-            int(since - self.config.ingest.prune_slack_s)
-        )
+        self.incremental_hotin.prune(int(since - HOTIN_PRUNE_SLACK_S))
         # Folded WAL prefixes can never replay again; dropping them here
         # bounds WAL memory to the un-folded suffix between reconciles.
-        self.ingest.compact_wals()
+        ingest.compact_wals()
         if report.pois_updated and self.hot_poi_cache is not None:
             self.hot_poi_cache.bump_epoch()
         return report
@@ -379,8 +344,6 @@ class MoDisSENSE:
         Wired to the scheduler's ``cache_maintenance`` job.  Uses wall
         clock internally — the scheduler's simulated ``now`` must not
         leak into TTL arithmetic — and returns the entries removed."""
-        if self.scan_cache is None:
-            return 0
         return self.hbase.scan_cache_sweep()
 
     def detect_events(self, since: Optional[int] = None, until: Optional[int] = None):
@@ -447,7 +410,11 @@ class MoDisSENSE:
         self.shutdown()
 
     def describe(self) -> dict:
-        """Deployment summary for logs and the demo GUI."""
+        """Deployment summary for logs and the demo GUI; a subsystem the
+        profile did not build reports ``{"enabled": False}``."""
+        def described(part) -> dict:
+            return part.describe() if part is not None else {"enabled": False}
+
         return {
             "hbase": self.hbase.describe(),
             "sql_tables": self.sql.table_names(),
@@ -463,19 +430,7 @@ class MoDisSENSE:
                 self.ingest.stats() if self.ingest is not None else
                 {"running": False}
             ),
-            "telemetry": (
-                self.telemetry.describe()
-                if self.telemetry is not None
-                else {"enabled": False}
-            ),
-            "supervisor": (
-                self.supervisor.describe()
-                if self.supervisor is not None
-                else {"enabled": False}
-            ),
-            "admission": (
-                self.admission.describe()
-                if self.admission is not None
-                else {"enabled": False}
-            ),
+            "telemetry": described(self.telemetry),
+            "supervisor": described(self.supervisor),
+            "admission": described(self.admission),
         }

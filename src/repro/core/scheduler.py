@@ -15,7 +15,24 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import ValidationError
 from .. import threadreg
+from .supervisor import HEARTBEAT_PERIOD_S, SCRUB_PERIOD_S
 from .tracing import NULL_TRACER, Tracer
+
+#: Periods of the platform's jobs, in simulated seconds.
+DATA_COLLECTION_PERIOD_S = 900.0
+HOTIN_UPDATE_PERIOD_S = 3600.0
+EVENT_DETECTION_PERIOD_S = 3600.0
+#: The demoted batch MapReduce pass: verify-and-repair of the
+#: incrementally folded HotIn state.
+HOTIN_RECONCILE_PERIOD_S = 3600.0
+INGEST_REBALANCE_PERIOD_S = 60.0
+#: Drops TTL-expired and seqid-stale scan-cache entries.
+CACHE_SWEEP_PERIOD_S = 60.0
+TELEMETRY_SCRAPE_PERIOD_S = 1.0
+#: Brownout-ladder evaluation.
+ADMISSION_TICK_PERIOD_S = 1.0
+#: Aggregation window *T* for hotness/interest (paper Section 2.2).
+HOTIN_WINDOW_S = 7 * 24 * 3600.0
 
 
 @dataclass
@@ -236,108 +253,102 @@ class PeriodicScheduler:
 
 
 def build_platform_scheduler(platform, start_at: float = 0.0) -> PeriodicScheduler:
-    """Wire a scheduler with the paper's three periodic modules.
+    """Wire a scheduler with the paper's three periodic modules plus the
+    maintenance jobs of whichever subsystems the platform built.
 
-    Periods come from the platform's :class:`~repro.config.JobsConfig`;
-    the HotIn job aggregates over its configured trailing window.
+    The HotIn job aggregates over the trailing ``HOTIN_WINDOW_S``.
     """
     scheduler = PeriodicScheduler(
-        start_at=start_at,
-        tracer=getattr(platform, "tracer", None),
-        metrics=getattr(platform, "metrics", None),
+        start_at=start_at, tracer=platform.tracer, metrics=platform.metrics
     )
-    jobs = platform.config.jobs
 
     scheduler.register(
         "data_collection",
-        jobs.data_collection_period_s,
+        DATA_COLLECTION_PERIOD_S,
         lambda now: platform.collect(int(now)),
         pausable=True,
     )
-    if getattr(platform, "ingest", None) is not None:
+    if platform.ingest is not None:
         # Streaming ingest keeps hotness fresh incrementally; the batch
         # MapReduce is demoted to a periodic verify-and-repair pass, and
         # the load-aware rebalancer gets its observation-window check.
-        ingest_cfg = platform.config.ingest
         scheduler.register(
             "hotin_reconcile",
-            ingest_cfg.reconcile_period_s,
+            HOTIN_RECONCILE_PERIOD_S,
             lambda now: platform.reconcile_hotin(
-                int(now - jobs.hotin_window_s), int(now)
+                int(now - HOTIN_WINDOW_S), int(now)
             ),
             pausable=True,
         )
-        if ingest_cfg.rebalance_enabled:
-            scheduler.register(
-                "ingest_rebalance",
-                ingest_cfg.rebalance_period_s,
-                lambda now: platform.ingest.maybe_rebalance(),
-                pausable=True,
-            )
+        scheduler.register(
+            "ingest_rebalance",
+            INGEST_REBALANCE_PERIOD_S,
+            lambda now: platform.ingest.maybe_rebalance(),
+            pausable=True,
+        )
     else:
         scheduler.register(
             "hotin_update",
-            jobs.hotin_update_period_s,
+            HOTIN_UPDATE_PERIOD_S,
             lambda now: platform.run_hotin(
-                int(now - jobs.hotin_window_s), int(now)
+                int(now - HOTIN_WINDOW_S), int(now)
             ),
             pausable=True,
         )
     scheduler.register(
         "event_detection",
-        jobs.event_detection_period_s,
+        EVENT_DETECTION_PERIOD_S,
         lambda now: platform.detect_events(until=int(now)),
         pausable=True,
     )
-    if getattr(platform, "telemetry", None) is not None:
+    if platform.telemetry is not None:
         # One scrape per simulated second while time advances normally;
         # level-triggered (catch_up=False) so replaying a whole platform
         # day costs one scrape, not 86 400 scrapes of identical state.
         scheduler.register(
             "telemetry_scrape",
-            platform.config.telemetry.scrape_period_s,
+            TELEMETRY_SCRAPE_PERIOD_S,
             lambda now: platform.telemetry.tick(now),
             catch_up=False,
         )
-    if getattr(platform, "scan_cache", None) is not None:
+    if platform.scan_cache is not None:
         # Reap scan-cache entries no lookup can accept anymore.  The
         # simulated firing time is deliberately ignored: TTL stamps are
         # wall-clock (time.monotonic), so the sweep must use the cache's
         # own clock, not the scheduler's.
         scheduler.register(
             "cache_maintenance",
-            platform.config.cache.sweep_period_s,
+            CACHE_SWEEP_PERIOD_S,
             lambda now: platform.sweep_caches(),
             pausable=True,
         )
-    if getattr(platform, "supervisor", None) is not None:
+    if platform.supervisor is not None:
         # Heartbeat + scrub are level-triggered: a large jump costs one
         # tick each, and the lease check compares against the *new* now,
         # so a crash during a long idle stretch is still detected at the
         # first tick after the jump.  Drill tests advance in sub-lease
         # steps to measure honest detection latency.
-        sup_cfg = platform.config.supervisor
         scheduler.register(
             "supervisor_heartbeat",
-            sup_cfg.heartbeat_period_s,
+            HEARTBEAT_PERIOD_S,
             lambda now: platform.supervisor.heartbeat_tick(now),
             catch_up=False,
         )
         scheduler.register(
             "storage_scrub",
-            sup_cfg.scrub_period_s,
+            SCRUB_PERIOD_S,
             lambda now: platform.supervisor.scrub_tick(now),
             catch_up=False,
             pausable=True,
         )
-    if getattr(platform, "admission", None) is not None:
+    if platform.admission is not None:
         # The ladder's clock: evaluate overload signals and move the
         # brownout level.  Level-triggered and NOT pausable — the ladder
         # must keep ticking to ever step back down, and replaying missed
         # ticks after a jump would fast-forward the hysteresis.
         scheduler.register(
             "admission_tick",
-            platform.config.admission.tick_period_s,
+            ADMISSION_TICK_PERIOD_S,
             lambda now: platform.admission.tick(now),
             catch_up=False,
         )

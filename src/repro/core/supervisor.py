@@ -9,11 +9,11 @@ does:
 - **Heartbeat leases.**  Every region server renews a lease at each
   supervisor tick (driven by the platform scheduler).  A crashed node —
   :meth:`HBaseCluster.crash_node`, including crashes injected by the
-  fault injector's node schedule — simply stops renewing; after the
-  configured lease timeout the supervisor declares it dead.  Detection
-  is therefore *observational* (missed heartbeats), not oracular, and
-  detection latency is the lease timeout, exactly as in ZooKeeper-based
-  HBase.
+  fault injector's node schedule — simply stops renewing; after
+  ``LEASE_TIMEOUT_S`` of silence the supervisor declares it dead.
+  Detection is therefore *observational* (missed heartbeats), not
+  oracular, and detection latency is the lease timeout, exactly as in
+  ZooKeeper-based HBase.
 
 - **WAL-split recovery.**  On death the supervisor splits the dead
   server's write-ahead log by region (:meth:`ServerWAL.split_by_region`),
@@ -30,19 +30,29 @@ does:
   so reads fail loudly (:class:`~repro.errors.ChecksumError`) instead of
   serving rot.
 
-The supervisor is opt-in (``SupervisorConfig.enabled``); with it off the
-platform behaves exactly as it did before this module existed.
+``PlatformConfig.baseline()`` builds no supervisor: failure handling is
+then the manual ``fail_node``/``recover_node`` story the fault-tolerance
+tests and ``bench_recovery``'s unsupervised arm use as reference.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from ..config import SupervisorConfig
 from ..errors import ConfigError
 from ..hbase.wal import RegionWALHandle, ServerWAL
 
 __all__ = ["ClusterSupervisor"]
+
+#: Simulated seconds between heartbeat-lease ticks.
+HEARTBEAT_PERIOD_S = 1.0
+#: A node whose lease is older than this (simulated seconds) is declared
+#: dead and recovered.  Detection MTTR is bounded by ``LEASE_TIMEOUT_S +
+#: HEARTBEAT_PERIOD_S`` when time advances in sub-lease steps; the
+#: recovery-smoke CI gate enforces MTTR at most twice this value.
+LEASE_TIMEOUT_S = 3.0
+#: Simulated seconds between storage-scrub passes.
+SCRUB_PERIOD_S = 60.0
 
 
 class ClusterSupervisor:
@@ -52,8 +62,6 @@ class ClusterSupervisor:
     ----------
     hbase:
         The :class:`~repro.hbase.client.HBaseCluster` to supervise.
-    config:
-        Lease/scrub periods; see :class:`~repro.config.SupervisorConfig`.
     metrics / tracer / event_log:
         Optional observability sinks (duck-typed ``PlatformMetrics``,
         ``Tracer`` and ``WideEventLog``); recovery and scrub work emits
@@ -63,13 +71,11 @@ class ClusterSupervisor:
     def __init__(
         self,
         hbase: Any,
-        config: Optional[SupervisorConfig] = None,
         metrics: Optional[Any] = None,
         tracer: Optional[Any] = None,
         event_log: Optional[Any] = None,
     ) -> None:
         self.hbase = hbase
-        self.config = config or SupervisorConfig(enabled=True)
         self._metrics = metrics
         self._tracer = tracer
         self._event_log = event_log
@@ -105,9 +111,7 @@ class ClusterSupervisor:
             return
         sim = self.hbase.simulation
         for node in sim.nodes:
-            self._servers[node.node_id] = ServerWAL(
-                node.node_id, archive_capacity=self.config.wal_archive_capacity
-            )
+            self._servers[node.node_id] = ServerWAL(node.node_id)
             self._leases[node.node_id] = 0.0
         placement = sim.region_placement
         for name in self.hbase.table_names():
@@ -141,7 +145,7 @@ class ClusterSupervisor:
         """One supervisor tick: renew leases, detect deaths, heal.
 
         Live nodes renew; a node that cannot renew (crashed or failed)
-        is declared dead once ``now - last_renewal > lease_timeout_s``,
+        is declared dead once ``now - last_renewal > LEASE_TIMEOUT_S``,
         and its regions are recovered immediately in the same tick.
         """
         self._now = now
@@ -161,12 +165,11 @@ class ClusterSupervisor:
             if node_id in self._dead:
                 self._dead.discard(node_id)
                 self._emit({"type": "node.rejoined", "node": node_id})
-        timeout = self.config.lease_timeout_s
         for node_id in sorted(self._servers):
             if node_id in live or node_id in self._dead:
                 continue
             last_seen = self._leases.get(node_id, 0.0)
-            if now - last_seen <= timeout:
+            if now - last_seen <= LEASE_TIMEOUT_S:
                 continue  # within its lease; maybe just slow
             self._dead.add(node_id)
             self._count("supervisor.lease_missed")
@@ -176,7 +179,7 @@ class ClusterSupervisor:
                     "node": node_id,
                     "last_seen": last_seen,
                     "declared_dead_at": now,
-                    "lease_timeout_s": timeout,
+                    "lease_timeout_s": LEASE_TIMEOUT_S,
                 }
             )
             self._recover_dead_node(node_id, now, last_seen)
@@ -469,9 +472,9 @@ class ClusterSupervisor:
     def describe(self) -> Dict[str, Any]:
         return {
             "enabled": True,
-            "heartbeat_period_s": self.config.heartbeat_period_s,
-            "lease_timeout_s": self.config.lease_timeout_s,
-            "scrub_period_s": self.config.scrub_period_s,
+            "heartbeat_period_s": HEARTBEAT_PERIOD_S,
+            "lease_timeout_s": LEASE_TIMEOUT_S,
+            "scrub_period_s": SCRUB_PERIOD_S,
             "supervised_regions": len(self._regions),
             "servers": len(self._servers),
             "dead_nodes": sorted(self._dead),

@@ -5,9 +5,10 @@ Four cooperating parts behind one facade, :class:`TelemetryHub`:
 - :class:`~repro.core.telemetry.timeseries.TimeSeriesStore` — every
   ``PlatformMetrics`` series scraped on a scheduler tick into
   ring-buffered history with 1s→10s→1m rollups (``admin_timeseries``);
-- :class:`~repro.core.telemetry.slo.SLOEngine` — declarative SLOs from
-  ``config.py`` evaluated as fast/slow multi-window burn rates against
-  error budgets (``admin_health`` + structured alert events);
+- :class:`~repro.core.telemetry.slo.SLOEngine` — the declarative SLOs
+  of :func:`~repro.core.telemetry.slo.default_slos` evaluated as
+  fast/slow multi-window burn rates against error budgets
+  (``admin_health`` + structured alert events);
 - :class:`~repro.core.telemetry.profiler.ContinuousProfiler` — a
   ``sys._current_frames()`` wall-clock sampler attributing samples to
   registered components, folded-stack output (``admin_profile``);
@@ -15,7 +16,7 @@ Four cooperating parts behind one facade, :class:`TelemetryHub`:
   structured event per query / ingest batch / breaker flip / node event
   / SLO transition, carrying trace ids as exemplars.
 
-Everything is **on by default** and purely observational: query answers
+Everything is purely observational (on in both profiles): query answers
 are byte-identical telemetry on or off, and the ``obs-smoke`` CI job
 gates the measured overhead at ≤10% on the 6000-friend query.
 """
@@ -26,7 +27,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from .events import WideEventLog
 from .profiler import ContinuousProfiler
-from .slo import SLOEngine
+from .slo import SLOEngine, default_slos
 from .timeseries import TimeSeriesStore
 
 __all__ = [
@@ -42,35 +43,20 @@ class TelemetryHub:
     """Owns the store, SLO engine, profiler and event log for one
     platform; :meth:`tick` is the scheduler's scrape job."""
 
-    def __init__(
-        self,
-        metrics: Any,
-        config: Any,
-        tracer: Optional[Any] = None,
-    ) -> None:
+    def __init__(self, metrics: Any, config: Any) -> None:
         self.metrics = metrics
-        self.config = config
-        self.tracer = tracer
-        self.store = TimeSeriesStore(
-            base_samples=config.base_samples,
-            resolutions=config.rollup_resolutions,
-            buckets_per_resolution=config.rollup_buckets,
-        )
+        self.store = TimeSeriesStore(base_samples=config.base_samples)
         self.events = WideEventLog(
-            capacity=config.event_capacity,
             interesting_capacity=config.interesting_capacity,
-            sample_every=config.event_sample_every,
             metrics=metrics,
         )
         self.slo = SLOEngine(
-            config.slos, self.store, metrics=metrics, events=self.events
+            default_slos(), self.store, metrics=metrics, events=self.events
         )
         self.profiler: Optional[ContinuousProfiler] = None
         if config.profiler_enabled:
             self.profiler = ContinuousProfiler(
-                interval_s=config.profiler_interval_s,
-                max_depth=config.profiler_max_depth,
-                metrics=metrics,
+                interval_s=config.profiler_interval_s, metrics=metrics
             )
         #: ``fn(now)`` hooks run before each scrape — the platform uses
         #: one to refresh derived gauges (ingest freshness, queue depths)

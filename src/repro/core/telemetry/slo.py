@@ -1,6 +1,6 @@
 """Declarative SLOs evaluated as multi-window burn rates.
 
-Each :class:`~repro.config.SLOSpec` defines an objective over series in
+Each :class:`SLOSpec` defines an objective over series in
 the :class:`~repro.core.telemetry.timeseries.TimeSeriesStore` and is
 evaluated Google-SRE style: the *burn rate* is the fraction of the error
 budget consumed per unit of budgeted allowance —
@@ -28,8 +28,10 @@ each budget started and stopped burning.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ...errors import ConfigError
 from .timeseries import TimeSeriesStore
 
 STATE_HEALTHY = "healthy"
@@ -37,6 +39,155 @@ STATE_WARNING = "warning"
 STATE_CRITICAL = "critical"
 
 _STATE_RANK = {STATE_HEALTHY: 0, STATE_WARNING: 1, STATE_CRITICAL: 2}
+
+
+@dataclass(frozen=True)
+class SLOSpec:
+    """One declarative service-level objective.
+
+    Evaluated by :class:`SLOEngine` as multi-window burn rates: the
+    fast window catches sudden breakage (page), the slow window catches
+    sustained slow bleed (ticket).
+
+    Two kinds:
+
+    - ``"ratio"``: ``bad_series`` / ``total_series`` counter deltas over
+      each window (e.g. missing regions over used regions);
+    - ``"threshold"``: the share of window scrape samples where
+      ``series`` violates ``threshold`` (``direction="le"`` means
+      healthy when the value stays at or below the bound, ``"ge"`` when
+      at or above it).
+    """
+
+    name: str
+    kind: str  # "ratio" | "threshold"
+    #: Objective: the good fraction must stay >= target; the error
+    #: budget is ``1 - target``.
+    target: float
+    description: str = ""
+    # ---- ratio kind ----
+    bad_series: Optional[str] = None
+    total_series: Optional[str] = None
+    # ---- threshold kind ----
+    series: Optional[str] = None
+    threshold: Optional[float] = None
+    direction: str = "le"
+    # ---- burn-rate windows (simulated seconds) ----
+    fast_window_s: float = 60.0
+    slow_window_s: float = 600.0
+    critical_burn: float = 8.0
+    warning_burn: float = 2.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("ratio", "threshold"):
+            raise ConfigError(
+                "SLO kind must be 'ratio' or 'threshold', got %r" % self.kind
+            )
+        if not 0.0 < self.target < 1.0:
+            raise ConfigError("SLO target must be in (0, 1)")
+        if self.kind == "ratio" and not (self.bad_series and self.total_series):
+            raise ConfigError(
+                "ratio SLO %r needs bad_series and total_series" % self.name
+            )
+        if self.kind == "threshold" and (
+            self.series is None or self.threshold is None
+        ):
+            raise ConfigError(
+                "threshold SLO %r needs series and threshold" % self.name
+            )
+        if self.direction not in ("le", "ge"):
+            raise ConfigError("SLO direction must be 'le' or 'ge'")
+        if self.fast_window_s <= 0 or self.slow_window_s <= 0:
+            raise ConfigError("SLO windows must be positive")
+        if self.fast_window_s > self.slow_window_s:
+            raise ConfigError("fast_window_s must not exceed slow_window_s")
+        if self.critical_burn <= 0 or self.warning_burn <= 0:
+            raise ConfigError("SLO burn thresholds must be positive")
+
+
+def default_slos() -> Tuple[SLOSpec, ...]:
+    """The platform's eight stock SLOs."""
+    return (
+        SLOSpec(
+            name="goodput",
+            kind="ratio",
+            bad_series="admission.rejected",
+            total_series="admission.offered",
+            target=0.80,
+            description="Requests shed by admission control.  The 20% "
+                        "budget is sized for brownout (shed-before-"
+                        "collapse), not normal operation — any burn at "
+                        "all means the platform is rejecting work.",
+        ),
+        SLOSpec(
+            name="personalized_p99_latency",
+            kind="threshold",
+            series="query.personalized:p99",
+            threshold=1000.0,
+            direction="le",
+            target=0.99,
+            description="p99 personalized-query latency stays under 1 s "
+                        "(the paper's Figure-2 headline).",
+        ),
+        SLOSpec(
+            name="ingest_freshness",
+            kind="threshold",
+            series="ingest.freshness_age_s",
+            threshold=0.5,
+            direction="le",
+            target=0.99,
+            description="Applied-but-unpublished hotness is at most "
+                        "0.5 s old (the PR-5 freshness SLO, now watched "
+                        "in production rather than only in a bench).",
+        ),
+        SLOSpec(
+            name="fanout_coverage",
+            kind="ratio",
+            bad_series="regions.missing",
+            total_series="regions.used",
+            target=0.999,
+            description="Invoked regions that never answered within the "
+                        "retry/hedge budget.",
+        ),
+        SLOSpec(
+            name="degraded_query_rate",
+            kind="ratio",
+            bad_series="queries.degraded",
+            total_series="queries.personalized",
+            target=0.99,
+            description="Personalized queries answered from partial "
+                        "results.",
+        ),
+        SLOSpec(
+            name="backpressure_shed_rate",
+            kind="ratio",
+            bad_series="ingest.shed",
+            total_series="ingest.submitted",
+            target=0.999,
+            description="Ingest writes shed by full partition queues.",
+        ),
+        SLOSpec(
+            name="storage_integrity",
+            kind="ratio",
+            bad_series="scrub.blocks_corrupt",
+            total_series="scrub.blocks_scanned",
+            target=0.999,
+            description="Store-file blocks the scrubber found failing "
+                        "their checksum (corrupt blocks are repaired "
+                        "from the WAL or quarantined, never served).",
+        ),
+        SLOSpec(
+            name="recovery_mttr",
+            kind="threshold",
+            series="supervisor.mttr_s",
+            threshold=6.0,
+            direction="le",
+            target=0.99,
+            description="Node-death detection + recovery time stays "
+                        "within twice the default 3 s heartbeat lease "
+                        "(no samples while nothing dies = healthy).",
+        ),
+    )
 
 
 class SLOEngine:

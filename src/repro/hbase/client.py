@@ -47,6 +47,12 @@ _FAULT_HANG = "hang"
 _FAULT_CORRUPT = "corrupt"
 #: Attempt index hedged re-executions present to the fault injector.
 _HEDGE_ATTEMPT = -1
+#: A region's first retry backs off this long (simulated); each further
+#: retry multiplies it.
+RETRY_BACKOFF_MS = 2.0
+RETRY_BACKOFF_MULTIPLIER = 2.0
+#: Fan-outs a node's breaker stays open before admitting a probe.
+BREAKER_COOLDOWN_FANOUTS = 4
 
 
 @dataclass
@@ -568,7 +574,7 @@ class HBaseCluster:
         fcfg = self.faults_config
         cm = self.simulation.cost_model
         budget = self.retry_budget
-        backoff_ms = fcfg.retry_backoff_ms
+        backoff_ms = RETRY_BACKOFF_MS
         attempt = 0
         while True:
             try:
@@ -608,7 +614,7 @@ class HBaseCluster:
                     + cm.rpc_latency_s
                     + cm.coprocessor_setup_s
                 )
-                backoff_ms *= fcfg.retry_backoff_multiplier
+                backoff_ms *= RETRY_BACKOFF_MULTIPLIER
                 if (
                     q.deadline_ms is not None
                     and task.extra_cost_s * 1e3 >= q.deadline_ms
@@ -929,9 +935,7 @@ class HBaseCluster:
                     state.failures >= self.faults_config.breaker_threshold
                     and state.open_until < 0
                 ):
-                    state.open_until = (
-                        epoch + self.faults_config.breaker_cooldown_fanouts
-                    )
+                    state.open_until = epoch + BREAKER_COOLDOWN_FANOUTS
                     opened = True
         if opened:
             self._count("fanout.breaker_opened", labels={"node": node_id})
@@ -940,9 +944,7 @@ class HBaseCluster:
                     "type": "breaker.opened",
                     "node": node_id,
                     "epoch": epoch,
-                    "cooldown_fanouts": (
-                        self.faults_config.breaker_cooldown_fanouts
-                    ),
+                    "cooldown_fanouts": BREAKER_COOLDOWN_FANOUTS,
                 }
             )
         elif closed:

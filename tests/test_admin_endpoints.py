@@ -36,6 +36,15 @@ def api():
     p.shutdown()
 
 
+@pytest.fixture()
+def baseline_api():
+    """The paper's un-extended profile: cache, top-k, ingest,
+    supervisor and admission off."""
+    p = MoDisSENSE(PlatformConfig.baseline(PlatformConfig.small().cluster))
+    yield RestApi(p), p
+    p.shutdown()
+
+
 def _search(rest, friends=(1, 2, 3)):
     out = rest.handle(
         "search", {"friend_ids": list(friends), "sort_by": "hotness"}
@@ -128,8 +137,8 @@ class TestAdminCache:
 
 
 class TestAdminIngest:
-    def test_disabled_shape(self, api):
-        rest, _p = api
+    def test_disabled_shape(self, baseline_api):
+        rest, _p = baseline_api
         out = rest.handle("admin_ingest", {})
         assert out["status"] == "ok"
         assert out["data"] == {"enabled": False}
@@ -273,8 +282,8 @@ class TestAdminEvents:
 
 
 class TestAdminSupervisor:
-    def test_disabled_shape(self, api):
-        rest, _p = api
+    def test_disabled_shape(self, baseline_api):
+        rest, _p = baseline_api
         out = rest.handle("admin_supervisor", {})
         assert out["status"] == "ok"
         assert out["data"] == {"enabled": False}

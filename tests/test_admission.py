@@ -28,6 +28,8 @@ from repro.config import (
     TelemetryConfig,
 )
 from repro.core.admission import (
+    BROWNOUT_MAX_K,
+    BROWNOUT_PER_REGION_LIMIT,
     LEVEL_NORMAL,
     LEVEL_PAUSE,
     LEVEL_REJECT_ADMIN,
@@ -45,6 +47,7 @@ from repro.core.monitoring import PlatformMetrics
 from repro.core.repositories.poi import POI, POIRepository
 from repro.core.repositories.visits import VisitsRepository, VisitStruct
 from repro.core.scheduler import PeriodicScheduler, build_platform_scheduler
+from repro.core.supervisor import SCRUB_PERIOD_S
 from repro.errors import (
     OverloadedError,
     QueryCancelled,
@@ -314,8 +317,8 @@ class TestAdmissionController:
         assert ctrl.level == LEVEL_SHRINK
         shape = ctrl.query_shape()
         assert shape == {
-            "per_region_limit": ctrl.config.brownout_per_region_limit,
-            "max_k": ctrl.config.brownout_max_k,
+            "per_region_limit": BROWNOUT_PER_REGION_LIMIT,
+            "max_k": BROWNOUT_MAX_K,
         }
         # Calm ticks walk back down one rung per `recover_ticks` run.
         ctrl.tick()
@@ -380,7 +383,7 @@ def _seed(platform, users=10):
 
 class TestRestAdmission:
     def test_disabled_platform_has_no_controller(self):
-        p = MoDisSENSE(_platform_config())
+        p = MoDisSENSE(PlatformConfig.baseline(PlatformConfig.small().cluster))
         try:
             assert p.admission is None
             rest = RestApi(p)
@@ -441,7 +444,7 @@ class TestRestAdmission:
     def test_untriggered_admission_is_byte_identical(self):
         """Admission on but idle must not perturb a single byte of any
         response — the feature is free until it fires."""
-        off = MoDisSENSE(_platform_config())
+        off = MoDisSENSE(_platform_config(AdmissionConfig(enabled=False)))
         on = MoDisSENSE(_platform_config(AdmissionConfig(enabled=True)))
         _seed(off)
         _seed(on)
@@ -748,7 +751,7 @@ class TestSchedulerPause:
         p = MoDisSENSE(cfg)
         try:
             scheduler = build_platform_scheduler(p)
-            period = p.config.supervisor.scrub_period_s
+            period = SCRUB_PERIOD_S
             job = scheduler.job("storage_scrub")
             assert job.pausable
             # The liveness-critical jobs are deliberately not pausable.

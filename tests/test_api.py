@@ -6,9 +6,14 @@ from repro import MoDisSENSE, RestApi
 from repro.config import PlatformConfig
 from repro.core.api.json_format import ApiResponse, validate_request
 from repro.core.repositories.poi import POI
+from repro.core.repositories.visits import VisitStruct
 from repro.datagen import ReviewGenerator
 from repro.errors import ValidationError
 from repro.social import CheckIn, FriendInfo
+
+
+def _baseline_small():
+    return PlatformConfig.baseline(PlatformConfig.small().cluster)
 
 
 @pytest.fixture()
@@ -300,6 +305,122 @@ class TestEndpoints:
         rest.attach_metrics(metrics)
         out = rest.handle("admin_metrics", {})
         assert out["data"]["counters"]["requests"] == 7
+
+
+#: (endpoint, body, offending field): list fields with a wrong element
+#: type, count or a non-finite number.  Each escaped ``handle_json`` as
+#: a traceback (or, for the booleans, was served as friend 1) before
+#: element validation.
+MALFORMED_LISTS = [
+    ("search", '{"friend_ids": [1], "bbox": [1, 2]}', "bbox"),
+    ("search", '{"friend_ids": [1], "bbox": [1, 2, 3, "x"]}', "bbox"),
+    ("search", '{"friend_ids": [1], "bbox": [37, 23, 38, 1e999]}', "bbox"),
+    ("search", '{"friend_ids": [1.5]}', "friend_ids"),
+    ("search", '{"friend_ids": [1e400]}', "friend_ids"),
+    ("search", '{"friend_ids": [true]}', "friend_ids"),
+    ("search", '{"keywords": [1]}', "keywords"),
+    ("search", '{"friend_ids": [1], "keywords": ["food", null]}', "keywords"),
+    ("trending", '{"now": 1, "window_s": 5, "friend_ids": [1.5]}',
+     "friend_ids"),
+    ("trending", '{"now": 1, "window_s": 5, "bbox": [1]}', "bbox"),
+    ("explain", '{"friend_ids": [true]}', "friend_ids"),
+    ("explain", '{"friend_ids": [1], "keywords": [1]}', "keywords"),
+    ("push_gps", '{"points": [1]}', "points"),
+]
+
+
+class TestMalformedListFields:
+    @pytest.fixture(
+        scope="class",
+        params=[PlatformConfig.small, _baseline_small],
+        ids=["production", "baseline"],
+    )
+    def rest(self, request):
+        p = MoDisSENSE(request.param())
+        yield RestApi(p)
+        p.shutdown()
+
+    @pytest.mark.parametrize("endpoint,body,field", MALFORMED_LISTS)
+    def test_structured_bad_request(self, rest, endpoint, body, field):
+        import json
+
+        out = json.loads(rest.handle_json(endpoint, body))
+        assert out["status"] == "error"
+        assert out["error"]["code"] == "bad_request"
+        assert repr(field) in out["error"]["message"]
+
+    def test_well_formed_lists_still_served(self, rest):
+        out = rest.handle("search", {
+            "friend_ids": [1, 2], "bbox": [37, 23.5, 38, 24],
+            "keywords": ["food"],
+        })
+        assert out["status"] == "ok"
+
+    def test_6000_ids_validate_in_one_cheap_pass(self):
+        """``rest.validate`` is a traced layer of every request: the
+        element check must stay far below the 1 ms the scan it guards
+        costs (one C-level pass; ~0.1 ms here)."""
+        import time
+
+        request = {"friend_ids": list(range(1, 6001))}
+        best = float("inf")
+        for _ in range(20):
+            start = time.perf_counter()
+            validate_request("search", request)
+            best = min(best, time.perf_counter() - start)
+        assert best < 1e-3
+
+
+class TestProfiles:
+    """``PlatformConfig()`` is the stack ``benchmarks/e2e`` measures;
+    ``baseline()`` is the only other profile."""
+
+    def test_default_is_the_benchmark_profile(self):
+        import dataclasses
+
+        from benchmarks.e2e.profile import production_config
+
+        default, measured = PlatformConfig(), production_config()
+        for f in dataclasses.fields(PlatformConfig):
+            if f.name != "cluster":
+                assert (
+                    getattr(default, f.name) == getattr(measured, f.name)
+                ), f.name
+
+    def test_small_platform_reports_all_on(self):
+        from benchmarks.e2e.profile import assert_all_on
+
+        p = MoDisSENSE(PlatformConfig.small())
+        try:
+            # explain reports top-k through the rounds a query ran.
+            for uid in range(1, 65):
+                p.visits_repository.store(VisitStruct(
+                    user_id=uid, poi_id=1, timestamp=uid, grade=0.5,
+                    poi_name="Taverna", lat=37.98, lon=23.73,
+                    keywords=("food",),
+                ))
+            assert_all_on(RestApi(p))
+        finally:
+            p.shutdown()
+
+    def test_baseline_reports_the_five_off(self):
+        p = MoDisSENSE(_baseline_small())
+        try:
+            rest = RestApi(p)
+            described = rest.handle("admin_describe", {})["data"]
+            assert described["cache"]["enabled"] is False
+            assert described["ingest"] == {"running": False}
+            assert described["supervisor"] == {"enabled": False}
+            assert described["admission"] == {"enabled": False}
+            explained = rest.handle(
+                "explain", {"friend_ids": list(range(1, 65))}
+            )["data"]
+            assert explained["topk"]["enabled"] is False
+            # Tracing and telemetry only observe: on in both profiles.
+            assert described["tracing"]["enabled"] is True
+            assert described["telemetry"]["enabled"] is True
+        finally:
+            p.shutdown()
 
 
 _PROM_LINE = (

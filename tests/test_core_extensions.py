@@ -10,7 +10,11 @@ from repro.core.monitoring import (
     LatencyHistogram,
     PlatformMetrics,
 )
-from repro.core.scheduler import PeriodicScheduler, build_platform_scheduler
+from repro.core.scheduler import (
+    DATA_COLLECTION_PERIOD_S,
+    PeriodicScheduler,
+    build_platform_scheduler,
+)
 from repro.errors import QueryError, ValidationError
 from repro.geo import GeoPoint, simplify_trace
 from repro.sqlstore import (
@@ -285,15 +289,18 @@ class TestPeriodicScheduler:
         platform = MoDisSENSE(PlatformConfig.small())
         try:
             sched = build_platform_scheduler(platform, start_at=0.0)
-            names = {
-                "data_collection", "hotin_update", "event_detection",
+            # The production profile: the paper's three periodic
+            # modules (HotIn as the reconcile pass) plus every
+            # subsystem's maintenance job.
+            assert set(sched._jobs) == {
+                "data_collection", "hotin_reconcile", "event_detection",
+                "ingest_rebalance", "telemetry_scrape",
+                "cache_maintenance", "supervisor_heartbeat",
+                "storage_scrub", "admission_tick",
             }
-            assert {sched.job(n).name for n in names} == names
             # One collection period passes: the job runs (on an empty
             # platform it reports zero users).
-            log = sched.advance_by(
-                platform.config.jobs.data_collection_period_s
-            )
+            log = sched.advance_by(DATA_COLLECTION_PERIOD_S)
             assert any(name == "data_collection" for _t, name, _r in log)
             report = sched.job("data_collection").last_result
             assert report.users_scanned == 0

@@ -219,8 +219,8 @@ class TestAdminSurface:
     def test_admin_ingest_when_disabled(self):
         from repro.core.api.rest import RestApi
 
-        config = PlatformConfig(
-            cluster=ClusterConfig(num_nodes=2, regions_per_table=4)
+        config = PlatformConfig.baseline(
+            ClusterConfig(num_nodes=2, regions_per_table=4)
         )
         with MoDisSENSE(config) as platform:
             api = RestApi(platform)

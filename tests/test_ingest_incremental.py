@@ -279,7 +279,10 @@ class TestRepartitioning:
 
 class TestSchedulerWiring:
     def test_reconcile_replaces_batch_job(self):
-        from repro.core.scheduler import build_platform_scheduler
+        from repro.core.scheduler import (
+            HOTIN_RECONCILE_PERIOD_S,
+            build_platform_scheduler,
+        )
 
         with make_platform() as platform:
             scheduler = build_platform_scheduler(platform)
@@ -290,8 +293,7 @@ class TestSchedulerWiring:
 
             platform.ingest_visits(make_visits(5, n=50))
             assert platform.ingest.drain()
-            period = platform.config.ingest.reconcile_period_s
-            scheduler.advance_to(period + 1)
+            scheduler.advance_to(HOTIN_RECONCILE_PERIOD_S + 1)
             job = scheduler.job("hotin_reconcile")
             assert job.fire_count == 1
             assert job.last_error is None
@@ -299,8 +301,8 @@ class TestSchedulerWiring:
     def test_batch_job_kept_when_ingest_disabled(self):
         from repro.core.scheduler import build_platform_scheduler
 
-        config = PlatformConfig(
-            cluster=ClusterConfig(num_nodes=2, regions_per_table=4)
+        config = PlatformConfig.baseline(
+            ClusterConfig(num_nodes=2, regions_per_table=4)
         )
         with MoDisSENSE(config) as platform:
             scheduler = build_platform_scheduler(platform)

@@ -17,7 +17,6 @@ from repro.cluster import ClusterSimulation
 from repro.config import (
     ClusterConfig,
     FaultsConfig,
-    IngestConfig,
     PlatformConfig,
     SupervisorConfig,
 )
@@ -26,6 +25,7 @@ from repro.core.platform import MoDisSENSE
 from repro.core.repositories.poi import POI
 from repro.core.repositories.visits import VisitStruct
 from repro.core.scheduler import build_platform_scheduler
+from repro.core.supervisor import HEARTBEAT_PERIOD_S, LEASE_TIMEOUT_S
 from repro.errors import ConfigError
 from repro.hbase import Cell, HBaseCluster, RegionWALHandle, ServerWAL
 from repro.hbase.wal import WriteAheadLog
@@ -40,15 +40,12 @@ def _fingerprint(result):
     )
 
 
-def _platform(supervised=True, nodes=4, regions=8, ingest=False,
-              faults=True, seed=42):
+def _platform(supervised=True, nodes=4, regions=8, faults=True, seed=42):
     cfg = PlatformConfig()
     cfg.cluster = ClusterConfig(num_nodes=nodes, regions_per_table=regions)
     if faults:
         cfg.faults = FaultsConfig(enabled=True, seed=seed)
     cfg.supervisor = SupervisorConfig(enabled=supervised)
-    if ingest:
-        cfg.ingest = IngestConfig(enabled=True)
     p = MoDisSENSE(cfg)
     p.poi_repository.add(POI(poi_id=1, name="A", lat=37.98, lon=23.73,
                              keywords=("x",), category="cafe"))
@@ -217,8 +214,7 @@ class TestEndToEndRecoveryDrill:
         # No recover_node anywhere: the supervisor's heartbeat job must
         # detect the missed lease and heal.  Advance in sub-lease steps
         # so detection latency is honestly the lease timeout.
-        lease = p.config.supervisor.lease_timeout_s
-        period = p.config.supervisor.heartbeat_period_s
+        lease, period = LEASE_TIMEOUT_S, HEARTBEAT_PERIOD_S
         for _ in range(int((lease + 2 * period) / period) + 1):
             scheduler.advance_by(period)
 
@@ -324,8 +320,8 @@ class TestIngestExactlyOnce:
         """WAL-split replay rebuilds *storage*; the ingest tier's fold
         watermarks are untouched, so incremental HotIn state neither
         loses nor double-counts a delta across a node crash."""
-        p = _platform(supervised=True, ingest=True, faults=True)
-        oracle = _platform(supervised=True, ingest=True, faults=False)
+        p = _platform(supervised=True, faults=True)
+        oracle = _platform(supervised=True, faults=False)
         for plat in (p, oracle):
             for uid in range(1, 40):
                 plat.ingest.submit(VisitStruct(

@@ -11,9 +11,7 @@ from repro.config import (
     ClusterConfig,
     FaultsConfig,
     PlatformConfig,
-    SLOSpec,
     TelemetryConfig,
-    default_slos,
 )
 from repro.core.api import RestApi
 from repro.core.platform import MoDisSENSE
@@ -25,6 +23,7 @@ from repro.core.telemetry import (
     TimeSeriesStore,
     WideEventLog,
 )
+from repro.core.telemetry.slo import SLOSpec, default_slos
 from repro.errors import DegradedResultWarning, ValidationError
 
 

@@ -115,7 +115,7 @@ def deadline_streams():
             TopKPartialStream(
                 region_id=region_id,
                 aggregates=aggregates,
-                memo={
+                poi_attrs={
                     p: ("p%d" % p, 0.0, 0.0, ()) for p in aggregates.counts
                 },
                 top_k=20,
@@ -179,7 +179,7 @@ def test_prune_token_tripped_mid_batch_still_counts_what_it_emitted():
     stream = TopKPartialStream(
         region_id=0,
         aggregates=aggregates,
-        memo=TripsOnThirdRead(
+        poi_attrs=TripsOnThirdRead(
             (pid, ("p%d" % pid, 0.0, 0.0, {"x"})) for pid in range(1, 9)
         ),
         top_k=3,

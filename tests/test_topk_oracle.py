@@ -325,7 +325,7 @@ class TestTopKOracleWithCache:
         assert fingerprint(served) == want
         if filler == "exhaustive":
             # The exhaustive mode parsed every POI and left the
-            # attribute memo behind: top-k re-parses nothing, even
+            # attribute table behind: top-k re-parses nothing, even
             # to evaluate the keyword filter.
             assert served.cells_decoded == 0
 
@@ -574,7 +574,7 @@ class TestTopKInteractions:
 
         proof = TopKPartialStream(
             region_id=0, aggregates=aggregates,
-            memo=attrs, top_k=1, hotness=False, batch=2,
+            poi_attrs=attrs, top_k=1, hotness=False, batch=2,
         )
         proof.short_circuit(REASON_TOPK_PROOF)
         assert proof.pruned and not proof.aborted
@@ -582,7 +582,7 @@ class TestTopKInteractions:
 
         deadline = TopKPartialStream(
             region_id=1, aggregates=aggregates,
-            memo=attrs, top_k=1, hotness=False, batch=2,
+            poi_attrs=attrs, top_k=1, hotness=False, batch=2,
         )
         deadline.short_circuit(REASON_DEADLINE)
         assert deadline.aborted and not deadline.pruned
@@ -605,7 +605,7 @@ class TestTopKInteractions:
                 TopKPartialStream(
                     region_id=region_id,
                     aggregates=aggregates,
-                    memo={
+                    poi_attrs={
                         p: ("p%d" % p, 0.0, 0.0, ()) for p in aggregates.counts
                     },
                     top_k=5,

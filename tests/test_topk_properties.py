@@ -55,7 +55,7 @@ TIE_REGIONS = st.lists(TIE_REGION, min_size=1, max_size=4)
 def build_streams(regions, k, hotness, batch):
     """Streams over exact aggregates, as ``VisitScanCoprocessor.run``
     builds them (the stream sorts itself), with a pre-seeded attribute
-    memo (no filter, no lazy decode needed)."""
+    table (no filter, no lazy decode needed)."""
     return [
         TopKPartialStream(
             region_id=region_id,
@@ -63,7 +63,7 @@ def build_streams(regions, k, hotness, batch):
                 (pid, _ordered_sum(grades), len(grades), None)
                 for pid, grades in visits.items()
             ),
-            memo={pid: ("p%d" % pid, 0.0, 0.0, ()) for pid in visits},
+            poi_attrs={pid: ("p%d" % pid, 0.0, 0.0, ()) for pid in visits},
             top_k=k,
             hotness=hotness,
             batch=batch,

@@ -301,13 +301,15 @@ class TestQueryTracePropagation:
         top = [child["name"] for child in root["children"]]
         assert top == ["route", "fanout", "merge", "rank"]
         # Region scans are children of the fan-out; the coprocessor's
-        # aggregate/sort stages nest under their region scan.
+        # cache-lookup/aggregate/sort stages nest under their region scan.
         fanout = _find_one(root, "fanout")
         scans = _find_all(fanout, "region.scan")
         assert len(scans) == result.regions_used
         for scan in scans:
             names = {child["name"] for child in scan["children"]}
-            assert names == {"region.aggregate", "region.sort"}
+            assert names == {
+                "cache.lookup", "region.aggregate", "region.sort"
+            }
         # Root carries the result's headline numbers.
         assert root["tags"]["latency_ms"] == pytest.approx(result.latency_ms)
         assert root["tags"]["records_scanned"] == result.records_scanned
@@ -394,6 +396,7 @@ class TestQueryTracePropagation:
             traced_platform.poi_repository,
             traced_platform.visits_repository,
             tracer=NULL_TRACER,
+            topk_config=traced_platform.config.topk,
         )
         for query in (
             QUERY,
