@@ -19,7 +19,7 @@ import pytest
 
 from repro.config import ClusterConfig, IngestConfig, PlatformConfig
 from repro.core import MoDisSENSE, SearchQuery
-from repro.core.repositories.visits import VisitStruct
+from repro.core.repositories.visits import VisitsRepository, VisitStruct
 from repro.datagen import generate_pois
 from repro.datagen.gps import GPSPoint
 
@@ -44,6 +44,8 @@ SPEEDUP_MIN = float(os.environ.get("REPRO_INGEST_SPEEDUP_MIN", 3.0))
 #: seed path re-runs its full batch recompute every this many wall
 #: seconds (the streaming tier's coalesced refresh, 0.25 s, is tighter).
 FRESHNESS_S = float(os.environ.get("REPRO_BENCH_FRESHNESS_S", 0.5))
+#: Rounds of the streaming-vs-seed comparison; its gate reads the median.
+STREAM_ROUNDS = 3
 
 BENCH_JSON = os.path.join(RESULTS_DIR, "BENCH_ingest.json")
 
@@ -155,10 +157,11 @@ def test_group_commit_vs_single_put(benchmark):
         return table
 
     rng = random.Random(31)
-    payload = json.dumps(
-        {"grade": 0.5, "name": "Some Place", "lat": 37.9, "lon": 23.7,
-         "keywords": ["food"], "hotness": 0.0, "interest": 0.0}
-    ).encode()
+    payload = VisitsRepository.encode_payload(
+        VisitStruct(user_id=1, poi_id=1, timestamp=1, grade=0.5,
+                    poi_name="Some Place", lat=37.9, lon=23.7,
+                    keywords=("food",))
+    )
     cells = [
         Cell(
             row=rng.randrange(1 << 16).to_bytes(2, "big") + b"-%08d" % i,
@@ -222,21 +225,113 @@ def test_group_commit_vs_single_put(benchmark):
     assert speedup >= SPEEDUP_MIN
 
 
-def test_streaming_ingest_with_concurrent_queries(benchmark):
-    """End-to-end tentpole numbers: sustained writes/s while
-    personalized ``N_QUERY_FRIENDS``-friend queries hammer the same
-    regions, for both write paths under the same hotness-freshness SLO.
+def test_memstore_absorb_crossover(benchmark):
+    """The measurement behind ``memstore.ABSORB_MAX_CELLS``: one
+    consolidation of a ``k``-cell pending batch into an ``n``-cell run,
+    forced through the in-place absorb and through the one-pass
+    rebuild (DESIGN.md §9).
 
-    Leg A streams through the ingest tier (group commit + incremental
-    fold; visibility = coalesced dirty-POI refresh, staleness = drain
-    lag).  Leg B is the seed path: synchronous single puts, with the
-    batch MapReduce job re-run whenever ``FRESHNESS_S`` of wall time
-    passes — the job rescans the *entire* visit history each time,
-    which is exactly the cost the incremental fold eliminates.  The
-    issue's acceptance gate is the ratio: streaming must sustain at
-    least ``REPRO_INGEST_SPEEDUP_MIN``x the seed rate.  Finishes with
-    the staleness oracle: incremental state == from-scratch recompute.
+    Both grow with ``n`` — an insert moves half the run's three
+    columns, a rebuild copies all of them — so the break-even batch
+    size barely moves while ``n`` grows 48x, which is why the threshold
+    is a cell count and not a share of the run.  Gated only where the
+    answer is unambiguous: a handful of cells must be cheaper absorbed,
+    a thousand cheaper rebuilt, and the constant must lie in between.
+    (What the microbench leaves out favours absorbing: a rebuild's
+    three new lists are young objects every later gen-0/gen-1 GC pass
+    traverses until they are promoted.)
     """
+    import statistics
+    from unittest import mock
+
+    import repro.hbase.memstore as memstore_mod
+    from repro.hbase import Cell, MemStore
+
+    rng = random.Random(41)
+    sizes = (500, 6_000, 24_000)
+    batches = (8, 32, 64, 128, 256, 512, 1024)
+    reps = 9
+
+    def cells(count):
+        return [
+            Cell(row=rng.randbytes(29), family="v", qualifier=b"v",
+                 timestamp=i, value=b"x" * 120)
+            for i in range(count)
+        ]
+
+    def consolidate_us(base, k, absorb_max_cells):
+        samples = []
+        for _ in range(reps):
+            store = MemStore(flush_threshold_bytes=1 << 40)
+            store.put_batch(base)
+            len(store)  # the run is built; nothing pending
+            batch = cells(k)
+            store.put_batch(batch[: k // 2])
+            store.put_batch(batch[k // 2:])
+            with mock.patch.object(
+                memstore_mod, "ABSORB_MAX_CELLS", absorb_max_cells
+            ):
+                t0 = time.perf_counter()
+                len(store)
+                samples.append(time.perf_counter() - t0)
+        return statistics.median(samples) * 1e6
+
+    def measure():
+        rows = []
+        for n in sizes:
+            base = cells(n)
+            for k in batches:
+                rows.append({
+                    "run_cells": n,
+                    "batch_cells": k,
+                    "in_place_us": round(consolidate_us(base, k, 1 << 60), 1),
+                    "rebuild_us": round(consolidate_us(base, k, 0), 1),
+                })
+        return rows
+
+    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
+    break_even = {
+        n: next(
+            (r["batch_cells"] for r in rows
+             if r["run_cells"] == n and r["rebuild_us"] < r["in_place_us"]),
+            None,
+        )
+        for n in sizes
+    }
+    register_table(
+        "MemStore consolidation: in-place absorb vs one-pass rebuild "
+        "(us, median of %d; ABSORB_MAX_CELLS = %d)"
+        % (reps, memstore_mod.ABSORB_MAX_CELLS),
+        ["run cells", "batch cells", "in place", "rebuild", "cheaper"],
+        [
+            [r["run_cells"], r["batch_cells"], r["in_place_us"],
+             r["rebuild_us"],
+             "in place" if r["in_place_us"] <= r["rebuild_us"] else "rebuild"]
+            for r in rows
+        ],
+    )
+    _record_bench(
+        "memstore_absorb_crossover",
+        {
+            "absorb_max_cells": memstore_mod.ABSORB_MAX_CELLS,
+            "first_batch_cells_cheaper_rebuilt": {
+                str(n): k for n, k in break_even.items()
+            },
+            "rows": rows,
+        },
+    )
+    by_key = {(r["run_cells"], r["batch_cells"]): r for r in rows}
+    assert batches[0] < memstore_mod.ABSORB_MAX_CELLS < batches[-1]
+    for n in sizes[1:]:
+        small, large = by_key[n, batches[0]], by_key[n, batches[-1]]
+        assert small["in_place_us"] * 1.5 < small["rebuild_us"]
+        assert large["rebuild_us"] < large["in_place_us"]
+
+
+def _streaming_round() -> dict:
+    """One fresh platform through both legs of
+    :func:`test_streaming_ingest_with_concurrent_queries`; returns the
+    round's numbers after checking its staleness oracle."""
     friends_n = min(N_QUERY_FRIENDS, N_STREAM_USERS)
     config = PlatformConfig.baseline(
         ClusterConfig(num_nodes=4, regions_per_table=8)
@@ -308,46 +403,35 @@ def test_streaming_ingest_with_concurrent_queries(benchmark):
                 poi_id, hotness=float(count), interest=grade_sum / count
             )
 
-    def both_legs_under_load():
-        thread = threading.Thread(target=query_loop, daemon=True)
-        thread.start()
-        try:
-            # Leg A: batched streaming path.
-            t_start = time.perf_counter()
-            platform.ingest_visits(visits)
-            t_submitted = time.perf_counter()
-            assert platform.ingest.drain(timeout_s=120.0)
-            t_drained = time.perf_counter()
+    thread = threading.Thread(target=query_loop, daemon=True)
+    thread.start()
+    try:
+        # Leg A: batched streaming path.
+        t_start = time.perf_counter()
+        platform.ingest_visits(visits)
+        t_submitted = time.perf_counter()
+        assert platform.ingest.drain(timeout_s=120.0)
+        t_drained = time.perf_counter()
 
-            # Leg B: seed single-put path under the same freshness SLO.
-            job_walls = []
-            t_seed_start = time.perf_counter()
-            last_job = t_seed_start
-            for v in seed_visits:
-                platform.visits_repository.store(v)
-                if time.perf_counter() - last_job >= FRESHNESS_S:
-                    t0 = time.perf_counter()
-                    run_seed_batch_job(v.timestamp + 1)
-                    job_walls.append(time.perf_counter() - t0)
-                    last_job = time.perf_counter()
-            t0 = time.perf_counter()  # final job: parity with drain
-            run_seed_batch_job(seed_visits[-1].timestamp + 1)
-            job_walls.append(time.perf_counter() - t0)
-            t_seed_end = time.perf_counter()
-        finally:
-            stop_queries.set()
-            thread.join(timeout=60.0)
-        return t_start, t_submitted, t_drained, t_seed_start, t_seed_end, job_walls
-
-    (t_start, t_submitted, t_drained, t_seed_start, t_seed_end,
-     job_walls) = benchmark.pedantic(
-        both_legs_under_load, rounds=1, iterations=1
-    )
-    writes_per_s = N_STREAM / (t_drained - t_start)
-    staleness_s = t_drained - t_submitted
-    seed_writes_per_s = n_seed / (t_seed_end - t_seed_start)
-    seed_job_wall_s = max(job_walls)
-    sustained_speedup = writes_per_s / seed_writes_per_s
+        # Leg B: seed single-put path under the same freshness SLO.
+        job_walls = []
+        t_seed_start = time.perf_counter()
+        last_job = t_seed_start
+        for v in seed_visits:
+            platform.visits_repository.store(v)
+            if time.perf_counter() - last_job >= FRESHNESS_S:
+                t0 = time.perf_counter()
+                run_seed_batch_job(v.timestamp + 1)
+                job_walls.append(time.perf_counter() - t0)
+                last_job = time.perf_counter()
+        t0 = time.perf_counter()  # final job: parity with drain
+        run_seed_batch_job(seed_visits[-1].timestamp + 1)
+        job_walls.append(time.perf_counter() - t0)
+        t_seed_end = time.perf_counter()
+    finally:
+        stop_queries.set()
+        thread.join(timeout=60.0)
+    assert not thread.is_alive()
 
     # Staleness oracle: after drain, incremental == batch recompute
     # (the window excludes the seed leg's disjoint timestamps).
@@ -356,28 +440,73 @@ def test_streaming_ingest_with_concurrent_queries(benchmark):
     )
     truth = {p: (c, g) for p, (c, g) in pairs}
     assert platform.incremental_hotin.snapshot(0, N_STREAM + 1) == truth
+    platform.shutdown()
 
-    mean_query_ms = (
-        query_stats["wall_ms"] / query_stats["count"]
-        if query_stats["count"] else 0.0
+    writes_per_s = N_STREAM / (t_drained - t_start)
+    seed_writes_per_s = n_seed / (t_seed_end - t_seed_start)
+    return {
+        "query_friends": friends_n,
+        "writes_per_s": writes_per_s,
+        "staleness_s": t_drained - t_submitted,
+        "seed_visits": n_seed,
+        "seed_writes_per_s": seed_writes_per_s,
+        "seed_batch_recompute_wall_s": max(job_walls),
+        "sustained_speedup": writes_per_s / seed_writes_per_s,
+        "concurrent_queries": query_stats["count"],
+        "mean_query_wall_ms": (
+            query_stats["wall_ms"] / query_stats["count"]
+            if query_stats["count"] else 0.0
+        ),
+    }
+
+
+def test_streaming_ingest_with_concurrent_queries(benchmark):
+    """End-to-end tentpole numbers: sustained writes/s while
+    personalized ``N_QUERY_FRIENDS``-friend queries hammer the same
+    regions, for both write paths under the same hotness-freshness SLO.
+
+    Leg A streams through the ingest tier (group commit + incremental
+    fold; visibility = coalesced dirty-POI refresh, staleness = drain
+    lag).  Leg B is the seed path: synchronous single puts, with the
+    batch MapReduce job re-run whenever ``FRESHNESS_S`` of wall time
+    passes — the job rescans the *entire* visit history each time,
+    which is exactly the cost the incremental fold eliminates.  The
+    issue's acceptance gate is the ratio: streaming must sustain at
+    least ``REPRO_INGEST_SPEEDUP_MIN``x the seed rate.  The ratio has
+    two noisy arms (a host hiccup in either moves it by tens of
+    percent), so the gate reads the median of ``STREAM_ROUNDS`` rounds,
+    each on a fresh platform; the recorded numbers are the median
+    round's.  Every round finishes with the staleness oracle:
+    incremental state == from-scratch recompute.
+    """
+    rounds = benchmark.pedantic(
+        lambda: [_streaming_round() for _ in range(STREAM_ROUNDS)],
+        rounds=1, iterations=1,
     )
+    rounds.sort(key=lambda r: r["sustained_speedup"])
+    median = rounds[len(rounds) // 2]
+    sustained_speedup = median["sustained_speedup"]
     register_table(
         "Streaming vs seed ingest under %d-friend query load "
-        "(freshness SLO %.2fs)" % (friends_n, FRESHNESS_S),
+        "(freshness SLO %.2fs, median of %d rounds)"
+        % (median["query_friends"], FRESHNESS_S, STREAM_ROUNDS),
         ["metric", "value"],
         [
             ["visits streamed (tier)", N_STREAM],
-            ["streaming writes/s (incl. drain)", "%.0f" % writes_per_s],
+            ["streaming writes/s (incl. drain)",
+             "%.0f" % median["writes_per_s"]],
             ["streaming staleness (s, submit->visible)",
-             "%.3f" % staleness_s],
-            ["visits stored (seed single put)", n_seed],
+             "%.3f" % median["staleness_s"]],
+            ["visits stored (seed single put)", median["seed_visits"]],
             ["seed writes/s (incl. batch recomputes)",
-             "%.0f" % seed_writes_per_s],
+             "%.0f" % median["seed_writes_per_s"]],
             ["seed batch-recompute wall (s, worst)",
-             "%.3f" % seed_job_wall_s],
+             "%.3f" % median["seed_batch_recompute_wall_s"]],
             ["sustained speedup", "%.1fx" % sustained_speedup],
-            ["concurrent queries completed", query_stats["count"]],
-            ["mean query wall (ms)", "%.1f" % mean_query_ms],
+            ["sustained speedup, every round",
+             " ".join("%.1fx" % r["sustained_speedup"] for r in rounds)],
+            ["concurrent queries completed", median["concurrent_queries"]],
+            ["mean query wall (ms)", "%.1f" % median["mean_query_wall_ms"]],
             ["incremental == batch recompute", "yes"],
         ],
     )
@@ -386,16 +515,21 @@ def test_streaming_ingest_with_concurrent_queries(benchmark):
         {
             "visits_streamed": N_STREAM,
             "users": N_STREAM_USERS,
-            "query_friends": friends_n,
+            "query_friends": median["query_friends"],
             "freshness_slo_s": FRESHNESS_S,
-            "writes_per_s": round(writes_per_s),
-            "staleness_s": round(staleness_s, 3),
-            "seed_visits": n_seed,
-            "seed_writes_per_s": round(seed_writes_per_s),
-            "seed_batch_recompute_wall_s": round(seed_job_wall_s, 3),
+            "writes_per_s": round(median["writes_per_s"]),
+            "staleness_s": round(median["staleness_s"], 3),
+            "seed_visits": median["seed_visits"],
+            "seed_writes_per_s": round(median["seed_writes_per_s"]),
+            "seed_batch_recompute_wall_s": round(
+                median["seed_batch_recompute_wall_s"], 3
+            ),
             "sustained_speedup": round(sustained_speedup, 2),
-            "concurrent_queries": query_stats["count"],
-            "mean_query_wall_ms": round(mean_query_ms, 1),
+            "sustained_speedup_rounds": [
+                round(r["sustained_speedup"], 2) for r in rounds
+            ],
+            "concurrent_queries": median["concurrent_queries"],
+            "mean_query_wall_ms": round(median["mean_query_wall_ms"], 1),
             "oracle_in_sync": True,
             "gate_min_speedup": SPEEDUP_MIN,
         },
@@ -403,7 +537,6 @@ def test_streaming_ingest_with_concurrent_queries(benchmark):
     # The issue's acceptance gate: >= 3x sustained writes/s for the
     # batched streaming path vs the seed single-put path, same SLO.
     assert sustained_speedup >= SPEEDUP_MIN
-    platform.shutdown()
 
 
 def test_flush_and_compaction_under_load(benchmark):

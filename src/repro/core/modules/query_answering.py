@@ -175,15 +175,16 @@ class VisitScanCoprocessor(Coprocessor):
     The endpoint aggregates straight from row keys and raw payloads —
     no :class:`VisitStruct` is built per cell and the scan parses
     nothing: the POI id comes from fixed row-key offsets and the grade
-    from a positional slice.  Because the replicated POI attributes
-    (name/lat/lon/keywords) are per-POI constants, one raw payload
-    reference per POI is enough to decode them later, and a decoded row
-    serves every region and query after it: both modes read and write
-    the cluster's one POI attribute table (``RegionScanCache.poi_attrs``;
-    a dict of its own when an invocation runs without the cache) — for
-    every aggregated POI in exhaustive mode, for filter evaluation and
-    the k winners in streaming mode.  ``cells_decoded`` in the context
-    counters (full payload parses) makes the saving observable.
+    from the payload's fixed header.  Because the replicated POI
+    attributes (name/lat/lon/keywords) are per-POI constants, one raw
+    payload reference per POI is enough to decode them later, and a
+    decoded row serves every region and query after it: both modes read
+    and write the cluster's one POI attribute table
+    (``RegionScanCache.poi_attrs``; a dict of its own when an invocation
+    runs without the cache) — for every aggregated POI in exhaustive
+    mode, for filter evaluation and the k winners in streaming mode.
+    ``cells_decoded`` in the context counters (payload tail parses)
+    makes the saving observable.
     """
 
     name = "visit-scan"
@@ -260,13 +261,17 @@ class VisitScanCoprocessor(Coprocessor):
         garbage collector nothing to track) and finds a POI's raw
         payload on demand.
 
-        The scan always completes and parses nothing: the POI id comes
-        from fixed row-key offsets, the grade from the positional
-        ``decode_grade`` slice, and one raw payload reference per POI is
-        kept for whoever decodes attributes later (the fold itself never
-        touches it).  Cached and fresh partials fold through the same
-        loop in the same order, so every float sum is bit-identical with
-        the cache on, off, cold or warm.
+        The scan always completes and parses nothing: a friend's visits
+        arrive as one slice (``scan_cells``), the POI id comes from fixed
+        row-key offsets, the grade from the payload's fixed header, and
+        one raw payload reference per POI is kept for whoever decodes
+        attributes later (the fold itself never touches it).  A scanned
+        friend is summed in scratch dicts the whole invocation reuses,
+        and packed into :class:`FriendPartial` columns only when the
+        generation admits a fill — a write-hot region allocates nothing
+        per friend but the slice.  Cached and fresh partials fold in
+        the same order, POI by POI in first-encounter order, so every
+        float sum is bit-identical with the cache on, off, cold or warm.
         """
         cache = context.cache
         since, until = request.since, request.until
@@ -285,16 +290,24 @@ class VisitScanCoprocessor(Coprocessor):
         # ``PartialAggregates.add`` inlined below: this is the hot loop.
         grade_sums = aggregates.grade_sums
         counts = aggregates.counts
+        scanned_raws = aggregates.scanned_raws
         add_source = aggregates.sources.append
+        #: One scanned friend's partial, cleared per friend: poi_id ->
+        #: grade sum / visit count / first raw payload, all three in
+        #: first-encounter order.
+        sums: Dict[int, float] = {}
+        visits: Dict[int, int] = {}
+        first_raws: Dict[int, bytes] = {}
         cache_hits = 0
         cache_misses = 0
         cells_scanned = 0
         time_range_keys = VisitsRepository.time_range_keys
         user_prefix = VisitsRepository.user_prefix
         decode_grade = VisitsRepository.decode_grade
-        scan = context.scan_uncounted
+        scan_cells = context.scan_cells
+        from_bytes = int.from_bytes
         #: Cooperative-cancellation probe cadence; None on the default
-        #: path keeps the per-cell loop token-free.
+        #: path keeps the loop token-free.
         token = context.cancellation
         check_every = token.check_every if token is not None else 0
 
@@ -313,64 +326,69 @@ class VisitScanCoprocessor(Coprocessor):
                     cached = entries.get((friend_id, since, until))
             if cached is not None:
                 cache_hits += 1
-                poi_ids = cached.poi_ids
-                friend_sums = cached.grade_sums
-                friend_counts = cached.counts
-                raws = cached.raws
-            else:
-                cache_misses += 1
-                friend_cells = 0
-                # This friend's partial, columns in first-encounter
-                # order: poi_id -> row of friend_sums/friend_counts/raws.
-                seen: Dict[int, int] = {}
-                friend_sums = []
-                friend_counts = []
-                raws = []
-                start, stop = time_range_keys(friend_id, since, until)
-                for cell in scan(FAMILY, start, stop):
-                    friend_cells += 1
-                    if token is not None and not (
-                        (cells_scanned + friend_cells) % check_every
-                    ):
-                        # Deadline-blown or abandoned queries stop here,
-                        # mid-scan, instead of finishing work nobody can
-                        # use.  Account the partial scan before raising
-                        # so the cost model still charges it.
-                        try:
-                            token.checkpoint(cells_scanned + friend_cells)
-                        except Exception:
-                            context.add_scanned(cells_scanned + friend_cells)
-                            raise
-                    # Cheap key-only decode: poi id at fixed row offsets.
-                    poi_id = int.from_bytes(cell.row[21:29], "big")
-                    row = seen.get(poi_id)
-                    if row is None:
-                        seen[poi_id] = len(raws)
-                        friend_sums.append(decode_grade(cell.value))
-                        friend_counts.append(1)
-                        raws.append(cell.value)
+                add_source((cached.poi_ids, cached.raws))
+                for poi_id, grade_sum, count in zip(
+                    cached.poi_ids, cached.grade_sums, cached.counts
+                ):
+                    if poi_id in counts:
+                        grade_sums[poi_id] += grade_sum
+                        counts[poi_id] += count
                     else:
-                        friend_sums[row] += decode_grade(cell.value)
-                        friend_counts[row] += 1
-                cells_scanned += friend_cells
-                poi_ids = list(seen)
-                if entries is not None:
-                    if context.data_seqid == seqid:
-                        fills[(friend_id, since, until)] = FriendPartial(
-                            poi_ids, friend_sums, friend_counts, raws
-                        )
-                    else:
-                        entries = None
-            add_source((poi_ids, raws))
-            for poi_id, grade_sum, count in zip(
-                poi_ids, friend_sums, friend_counts
-            ):
+                        grade_sums[poi_id] = grade_sum
+                        counts[poi_id] = count
+                continue
+            cache_misses += 1
+            start, stop = time_range_keys(friend_id, since, until)
+            cells = scan_cells(FAMILY, start, stop)
+            if token is not None:
+                # Probe at the running counts a cell-at-a-time loop
+                # would: deadline-blown or abandoned queries stop here
+                # instead of finishing work nobody can use.  Account
+                # the cells up to the probe before raising so the cost
+                # model still charges them.
+                for probe_at in range(
+                    cells_scanned + check_every - cells_scanned % check_every,
+                    cells_scanned + len(cells) + 1,
+                    check_every,
+                ):
+                    try:
+                        token.checkpoint(probe_at)
+                    except Exception:
+                        context.add_scanned(probe_at)
+                        raise
+            cells_scanned += len(cells)
+            sums.clear()
+            visits.clear()
+            first_raws.clear()
+            for cell in cells:
+                # Cheap key-only decode: poi id at fixed row offsets.
+                poi_id = from_bytes(cell.row[21:29], "big")
+                if poi_id in sums:
+                    sums[poi_id] += decode_grade(cell.value)
+                    visits[poi_id] += 1
+                else:
+                    value = first_raws[poi_id] = cell.value
+                    sums[poi_id] = decode_grade(value)
+                    visits[poi_id] = 1
+            if entries is not None:
+                if context.data_seqid == seqid:
+                    # From lists: ``array`` sizes a list's copy exactly
+                    # and grows anything else by appends, leaving slack
+                    # in every entry the warm fold then has to pull in.
+                    fills[(friend_id, since, until)] = FriendPartial(
+                        list(sums), list(sums.values()),
+                        list(visits.values()), first_raws.values(),
+                    )
+                else:
+                    entries = None
+            for poi_id, grade_sum in sums.items():
                 if poi_id in counts:
                     grade_sums[poi_id] += grade_sum
-                    counts[poi_id] += count
+                    counts[poi_id] += visits[poi_id]
                 else:
                     grade_sums[poi_id] = grade_sum
-                    counts[poi_id] = count
+                    counts[poi_id] = visits[poi_id]
+                    scanned_raws[poi_id] = first_raws[poi_id]
 
         stage.tag("cells_scanned", cells_scanned)
         stage.tag("pois", len(aggregates))

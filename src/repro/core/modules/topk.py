@@ -19,11 +19,11 @@ directly):
 
 1. **Scans always complete.**  The per-(region, POI) ``(grade_sum,
    count)`` aggregates are exact before any emission starts: the grade
-   of every cell comes from the positional ``decode_grade`` slice, so
-   phase A needs *zero* full payload parses.  What early termination
-   avoids is the expensive half — per-POI attribute decoding, partial
-   shipping, and web-tier merging — never the aggregation itself, so no
-   top-k member can ever lose a contribution.
+   of every cell comes from the payload's fixed header
+   (``decode_grade``), so phase A needs *zero* payload parses.  What
+   early termination avoids is the expensive half — per-POI attribute
+   decoding, partial shipping, and web-tier merging — never the
+   aggregation itself, so no top-k member can ever lose a contribution.
 2. **Candidates resolve exactly on discovery.**  In the round a region
    first emits a POI, the merger random-access *probes* every region's
    completed aggregate map (one key-set intersection per region per
@@ -94,14 +94,15 @@ from ...hbase.cancellation import (
     REASON_TOPK_PROOF,
 )
 from ...hbase.coprocessor import StreamingPartial
-from ..serialization import decode_json
+from ..repositories.visits import VisitsRepository
 
 
 def decode_attrs(raw: bytes) -> tuple:
     """The ``(name, lat, lon, lower-cased keyword set)`` attribute row
-    of one raw visit payload — the full JSON parse both modes defer and
-    keep in the POI attribute table (keywords interned: few distinct)."""
-    payload = decode_json(raw)
+    of one raw visit payload — the JSON parse of its tail that both
+    modes defer and keep in the POI attribute table (keywords interned:
+    few distinct)."""
+    payload = VisitsRepository.decode_tail(raw)
     return (
         payload.get("name", ""),
         payload.get("lat", 0.0),
@@ -126,19 +127,23 @@ class PartialAggregates:
     container — so folding thousands of friends allocates nothing the
     cyclic garbage collector has to track and re-traverse.
 
-    Raw payloads are not folded at all.  ``sources`` lists, per folded
-    friend, ``(poi_ids, raws)`` — the friend's POI ids and the matching
-    raw visit payload references — and :meth:`raw` builds the
-    ``poi_id -> payload`` map from them on first use.  Attributes are
-    per-POI constants (DESIGN.md §7) and decoded once per cluster, so
-    most regions never build the map and never touch a payload.
+    Raw payloads are kept for the POIs a friend was the first to bring
+    and never read by the fold.  A freshly scanned friend has its
+    payloads at hand, so the fold puts those of its new POIs straight
+    into ``scanned_raws``; a cached friend's would cost a fourth column
+    in the warm fold, so ``sources`` lists ``(poi_ids, raws)`` per
+    cached friend instead and :meth:`raw` builds the ``poi_id ->
+    payload`` map from both on first use.  Attributes are per-POI
+    constants (DESIGN.md §7) and decoded once per cluster, so most
+    regions never build the map and never touch a payload.
     """
 
-    __slots__ = ("grade_sums", "counts", "sources", "_raws")
+    __slots__ = ("grade_sums", "counts", "scanned_raws", "sources", "_raws")
 
     def __init__(self) -> None:
         self.grade_sums: Dict[int, float] = {}
         self.counts: Dict[int, int] = {}
+        self.scanned_raws: Dict[int, bytes] = {}
         self.sources: List[Tuple[Sequence[int], Sequence[bytes]]] = []
         self._raws: Optional[Dict[int, bytes]] = None
 
@@ -182,6 +187,9 @@ class PartialAggregates:
             # Last friend first, so the first-encountered payload wins.
             for poi_ids, payloads in reversed(self.sources):
                 raws.update(zip(poi_ids, payloads))
+            # A POI is in ``scanned_raws`` only if a scanned friend met
+            # it before every cached one.
+            raws.update(self.scanned_raws)
         return raws[poi_id]
 
 

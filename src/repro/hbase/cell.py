@@ -55,3 +55,10 @@ class Cell:
     def approx_size(self) -> int:
         """Rough heap footprint used by memstore flush thresholds."""
         return 32 + len(self.row) + len(self.qualifier) + len(self.value)
+
+
+def same_coordinates(a: Tuple, b: Tuple) -> bool:
+    """Whether two :meth:`Cell.sort_key` values name the same ``(row,
+    family, qualifier)`` (row first: on row-unique tables it decides
+    almost every call)."""
+    return a[0] == b[0] and a[2] == b[2] and a[1] == b[1]

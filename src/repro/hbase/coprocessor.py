@@ -15,7 +15,7 @@ endpoint touched, which feeds the cluster cost model.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from ..errors import CoprocessorError
 from .cell import Cell
@@ -185,24 +185,26 @@ class CoprocessorContext:
             self.records_scanned += 1
             yield cell
 
-    def scan_uncounted(
+    def scan_cells(
         self,
         family: str,
         start_row: Optional[bytes] = None,
         stop_row: Optional[bytes] = None,
-        scan_filter: Optional[ScanFilter] = None,
-    ) -> Iterator[Cell]:
-        """Region-local scan without the per-cell counting wrapper.
+    ) -> Sequence[Cell]:
+        """Region-local range read, materialized and *uncounted* (see
+        :meth:`Region.scan_cells <repro.hbase.region.Region.scan_cells>`).
 
-        Hot-path escape hatch: the endpoint's own loop touches every
-        cell anyway, so it can tally locally and report once via
-        :meth:`add_scanned` instead of paying an extra generator frame
-        per cell.  Callers MUST report, or the cost model undercharges.
+        For endpoints that fold one key range after another: the cells
+        of a range arrive as one sequence — usually a slice of the one
+        run that holds them — and the endpoint reports their number
+        once via :meth:`add_scanned` instead of paying a counting
+        generator frame per cell.  Callers MUST report, or the cost
+        model undercharges.
         """
-        return self._region.scan(family, start_row, stop_row, scan_filter)
+        return self._region.scan_cells(family, start_row, stop_row)
 
     def add_scanned(self, count: int) -> None:
-        """Report cells consumed through :meth:`scan_uncounted`."""
+        """Report cells read through :meth:`scan_cells`."""
         self.records_scanned += count
 
     def contains_row(self, row: bytes) -> bool:

@@ -18,12 +18,12 @@ import dataclasses
 import zlib
 from dataclasses import dataclass
 
-import bisect
 import heapq
+from bisect import bisect_left
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ChecksumError, StorageError
-from .cell import Cell
+from .cell import Cell, same_coordinates
 
 #: Cells per checksummed block.  Small enough that a single flipped bit
 #: quarantines little data, large enough that checksum bookkeeping is
@@ -101,6 +101,11 @@ class StoreFile:
 
     Carries a row-key Bloom filter and first/last row metadata so the
     read path can skip irrelevant files, exactly as HFile does.
+
+    ``plain`` is fixed at write time: true when the file holds only
+    puts and no two cells share ``(row, family, qualifier)``, so a scan
+    of it alone needs no version or tombstone resolution (see
+    :meth:`~repro.hbase.region.Region.scan_cells`).
     """
 
     _next_id = 0
@@ -114,10 +119,14 @@ class StoreFile:
         if keys != sorted(keys):
             raise StorageError("store file cells must arrive sorted")
         self._cells: List[Cell] = cells
-        self._keys = keys
+        #: The row column: what range scans bisect.
+        self._rows: List[bytes] = [c.row for c in cells]
+        self.plain = not any(c.is_delete for c in cells) and not any(
+            map(same_coordinates, keys, keys[1:])
+        )
         self._bloom = _BloomFilter(len(cells))
-        for cell in cells:
-            self._bloom.add(cell.row)
+        for row in self._rows:
+            self._bloom.add(row)
         self.first_row: Optional[bytes] = cells[0].row if cells else None
         self.last_row: Optional[bytes] = cells[-1].row if cells else None
         self._block_cells = block_cells
@@ -210,8 +219,8 @@ class StoreFile:
         if len(cells) != block.count or _block_crc(cells) != block.crc:
             return False
         self._cells[block.lo : block.lo + block.count] = cells
-        self._keys[block.lo : block.lo + block.count] = [
-            c.sort_key() for c in cells
+        self._rows[block.lo : block.lo + block.count] = [
+            c.row for c in cells
         ]
         block.verified = True
         block.quarantined = False
@@ -250,7 +259,7 @@ class StoreFile:
             return 0
         drop = min(drop, len(self._cells))
         del self._cells[len(self._cells) - drop :]
-        del self._keys[len(self._keys) - drop :]
+        del self._rows[len(self._rows) - drop :]
         if self._blocks:
             self._blocks[-1].verified = False
         return drop
@@ -286,28 +295,23 @@ class StoreFile:
         self,
         start_row: Optional[bytes] = None,
         stop_row: Optional[bytes] = None,
-    ) -> Iterator[Cell]:
-        """Yield cells with ``start_row <= row < stop_row`` in order.
+    ) -> List[Cell]:
+        """The cells with ``start_row <= row < stop_row``, in order (a
+        copied slice).
 
-        Both range ends resolve by binary search on the precomputed key
-        list, so the inner loop carries no per-cell stop comparison.
+        Both range ends resolve by binary search on the row column.
         Every block the range touches is checksum-verified (memoized)
-        before the first cell is yielded; a corrupt or quarantined block
-        raises :class:`~repro.errors.ChecksumError` up front rather than
-        serving damaged bytes.
+        before a cell is served; a corrupt or quarantined block raises
+        :class:`~repro.errors.ChecksumError` rather than serving damaged
+        bytes.
         """
         if not self.overlaps_range(start_row, stop_row):
-            return iter(())
-        lo = 0
-        if start_row is not None:
-            lo = bisect.bisect_left(self._keys, (start_row,))
-        hi = len(self._cells)
-        if stop_row is not None:
-            hi = bisect.bisect_left(self._keys, (stop_row,), lo)
+            return []
+        rows = self._rows
+        lo = 0 if start_row is None else bisect_left(rows, start_row)
+        hi = len(rows) if stop_row is None else bisect_left(rows, stop_row, lo)
         self._check_span(lo, hi)
-        if lo == 0 and hi == len(self._cells):
-            return iter(self._cells)
-        return iter(self._cells[lo:hi])
+        return self._cells[lo:hi]
 
     def cells(self) -> List[Cell]:
         self._check_span(0, len(self._cells))

@@ -75,6 +75,9 @@ class Region:
         #: lost) — it feeds hot-region attribution in trace tags, not
         #: the cost model.
         self.scans_served = 0
+        #: Of those, :meth:`scan_cells` calls answered with one run's
+        #: slice instead of the merge (same best-effort tally).
+        self.scans_sliced = 0
 
     # ----------------------------------------------------------- routing
 
@@ -438,6 +441,18 @@ class Region:
             self.put(cell)
         return len(cells)
 
+    def _clamp(
+        self, start_row: Optional[bytes], stop_row: Optional[bytes]
+    ) -> Tuple[Optional[bytes], Optional[bytes]]:
+        """``[start_row, stop_row)`` cut to the region's own range."""
+        if self.start_key is not None and (
+            start_row is None or start_row < self.start_key
+        ):
+            start_row = self.start_key
+        if self.end_key is not None and (stop_row is None or stop_row > self.end_key):
+            stop_row = self.end_key
+        return start_row, stop_row
+
     def _iter_row(self, row: bytes, family: str) -> Iterator[Cell]:
         from .bytes_util import next_prefix
 
@@ -470,19 +485,14 @@ class Region:
                 start_row = f_start
             if f_stop is not None and (stop_row is None or f_stop < stop_row):
                 stop_row = f_stop
-        # Clamp to the region's own range.
-        if self.start_key is not None and (
-            start_row is None or start_row < self.start_key
-        ):
-            start_row = self.start_key
-        if self.end_key is not None and (stop_row is None or stop_row > self.end_key):
-            stop_row = self.end_key
+        start_row, stop_row = self._clamp(start_row, stop_row)
 
-        # Lazy k-way merge over the live iterators — no run is ever
-        # materialized; cells stream through dedup/tombstone/filter
-        # logic straight to the caller.  Reverse so that memstore
-        # (newest) is the *last* run and wins merge ties;
-        # iter_merge_sorted_runs prefers later runs on ties.
+        # Lazy k-way merge over each run's slice of the range (copied
+        # when the scan starts, so writes meanwhile never shift it);
+        # cells stream through dedup/tombstone/filter logic straight to
+        # the caller.  Reverse so that memstore (newest) is the *last*
+        # run and wins merge ties; iter_merge_sorted_runs prefers later
+        # runs on ties.
         runs = [
             sf.scan(start_row, stop_row)
             for sf in self._store_files[family]
@@ -525,6 +535,57 @@ class Region:
                 # older versions — they are shadowed.
                 continue
             yield cell
+
+    def scan_cells(
+        self,
+        family: str,
+        start_row: Optional[bytes] = None,
+        stop_row: Optional[bytes] = None,
+    ) -> Sequence[Cell]:
+        """``list(self.scan(family, start_row, stop_row))``, always —
+        but without the merge when the merge would change nothing.
+
+        A key range is a contiguous slice of every sorted run.  When at
+        most one run holds cells in the clamped range, that run is
+        ``plain`` (only puts, no two versions of a cell: nothing to
+        shadow or collapse) and the family has no TTL horizon, the
+        merged scan would emit exactly that slice, so the slice is
+        returned as is (store-file blocks it touches are still checksum
+        verified).  Anything else materializes the generic scan.  This
+        is the read the coprocessor's per-friend fold uses: a friend's
+        visits are one key range.
+        """
+        if not self._ttl_cutoff.get(family):
+            cells = self._sole_plain_slice(
+                family, *self._clamp(start_row, stop_row)
+            )
+            if cells is not None:
+                self.scans_served += 1
+                self.scans_sliced += 1
+                return cells
+        return list(self.scan(family, start_row, stop_row))
+
+    def _sole_plain_slice(
+        self,
+        family: str,
+        start_row: Optional[bytes],
+        stop_row: Optional[bytes],
+    ) -> Optional[List[Cell]]:
+        """The range's cells if at most one run holds any and it is
+        plain; None when the runs have to be merged."""
+        found: Optional[List[Cell]] = None
+        for sf in self._store_files[family]:
+            cells = sf.scan(start_row, stop_row)
+            if cells:
+                if found is not None or not sf.plain:
+                    return None
+                found = cells
+        cells, plain = self._memstore(family).slice(start_row, stop_row)
+        if not cells:
+            return found or cells
+        if found is not None or not plain:
+            return None
+        return cells
 
     # ------------------------------------------------------------ sizing
 

@@ -580,6 +580,60 @@ class TestDeadlineCancellation:
             qa.search(tight)
         assert "aborted mid-scan" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "window, deadline_ms, probes, scanned",
+        [
+            # 39 friends x 50 cells; 0.01 ms/cell against 1.2 ms blows at
+            # the first probe with >= 120 cells behind it.
+            ((None, None), 1.2, list(range(7, 127, 7)), 126),
+            # Never blown: one probe per multiple of 7 of the running
+            # count, across friend boundaries (50 is no multiple of 7).
+            ((None, None), None, list(range(7, 1951, 7)), 1950),
+            # A window cuts slices of 40, 50 x 14, 30 and 24 empty ones.
+            ((5010, 20030), None, list(range(7, 771, 7)), 770),
+            ((5010, 20030), 4.0, list(range(7, 407, 7)), 406),
+        ],
+    )
+    def test_probe_schedule_is_the_per_cell_loops(
+        self, window, deadline_ms, probes, scanned
+    ):
+        """The fold reads a friend's cells as one slice but probes the
+        token exactly where a cell-at-a-time loop does: at every
+        multiple of ``check_every`` of the invocation's running cell
+        count, charging the cells up to the probe that tripped.  The
+        expected values were recorded from the per-cell loop this test
+        first ran against (the parent commit's ``_fold_friends``)."""
+        from repro.core.modules.query_answering import (
+            VisitScanCoprocessor,
+            _VisitScanRequest,
+        )
+        from repro.hbase import CoprocessorContext
+
+        class RecordingToken(CancellationToken):
+            def checkpoint(self, records, extra_ms=0.0):
+                self.probed.append(records)
+                super().checkpoint(records, extra_ms)
+
+        _cluster, qa = _deadline_stack(regions=1)
+        token = RecordingToken(
+            deadline_ms=deadline_ms, cost_per_record_ms=0.01, check_every=7
+        )
+        token.probed = []
+        context = CoprocessorContext(
+            qa.visits.table.regions[0], cancellation=token
+        )
+        request = _VisitScanRequest(
+            friend_ids=tuple(range(1, 40)), bbox=None, keywords=(),
+            since=window[0], until=window[1], routed=True,
+        )
+        if deadline_ms is None:
+            VisitScanCoprocessor().run(context, request)
+        else:
+            with pytest.raises(QueryCancelled):
+                VisitScanCoprocessor().run(context, request)
+        assert token.probed == probes
+        assert context.records_scanned == scanned
+
     def test_no_deadline_path_is_unchanged(self):
         cluster, qa = _deadline_stack(visits_per_user=5)
         query = SearchQuery(

@@ -6,6 +6,9 @@ fixed-width integer) silently corrupts scans.  These properties pin the
 whole key path against a brute-force model.
 """
 
+import dataclasses
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,6 +34,43 @@ boundary_ints = st.one_of(
 def fresh_visits_repo():
     cluster = HBaseCluster(ClusterConfig(num_nodes=2, regions_per_table=4))
     return VisitsRepository(cluster, num_regions=4), cluster
+
+
+#: One repository per schema mode; the codec tests only encode with them.
+CODEC_REPOS = [
+    VisitsRepository(
+        HBaseCluster(ClusterConfig(num_nodes=2, regions_per_table=4)),
+        num_regions=4,
+        schema_mode=mode,
+    )
+    for mode in ("replicated", "normalized")
+]
+
+#: Any finite double, the awkward ones first.
+finite_doubles = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, 0.1, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+#: Replicated numbers that compare equal across types and signs, so the
+#: tail memo is probed with keys that collide unless it tells them apart.
+poi_numbers = st.one_of(
+    st.sampled_from([0.0, -0.0, 0, 1, 1.0, True]),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+)
+visit_structs = st.builds(
+    VisitStruct,
+    user_id=boundary_ints,
+    poi_id=boundary_ints,
+    timestamp=boundary_ints,
+    grade=finite_doubles,
+    poi_name=st.text(max_size=8),
+    lat=poi_numbers,
+    lon=poi_numbers,
+    keywords=st.lists(st.text(max_size=4), max_size=3).map(tuple),
+    hotness=poi_numbers,
+    interest=poi_numbers,
+)
 
 
 class TestVisitKeyProperties:
@@ -108,38 +148,78 @@ class TestKeyOffsetProperties:
     @given(boundary_ints, boundary_ints, boundary_ints)
     @settings(max_examples=100, deadline=None)
     def test_decode_cell_equals_key_plus_payload(self, uid, ts, pid):
-        from repro.hbase import Cell
+        for repo in CODEC_REPOS:
+            cell = repo.visit_cell(
+                VisitStruct(user_id=uid, poi_id=pid, timestamp=ts, grade=0.75)
+            )
+            struct = VisitsRepository.decode_cell(cell)
+            assert (struct.user_id, struct.timestamp, struct.poi_id) == (
+                uid, ts, pid,
+            )
+            assert struct.grade == 0.75
+            assert VisitsRepository.decode_payload(cell)["grade"] == 0.75
+            assert VisitsRepository.decode_grade(cell.value) == 0.75
+
+    @given(visit_structs)
+    @settings(max_examples=200, deadline=None)
+    def test_decode_grade_matches_full_parse(self, visit):
+        """The grade header holds the stored double bit for bit (``-0.0``
+        and subnormals included), and the whole struct round-trips, in
+        both schema modes."""
+        bits = struct.pack(">d", visit.grade)
+        for repo in CODEC_REPOS:
+            cell = repo.visit_cell(visit)
+            assert struct.pack(
+                ">d", VisitsRepository.decode_grade(cell.value)
+            ) == bits
+            decoded = VisitsRepository.decode_cell(cell)
+            assert struct.pack(">d", decoded.grade) == bits
+            assert struct.pack(
+                ">d", VisitsRepository.decode_payload(cell)["grade"]
+            ) == bits
+            if repo.schema_mode == "replicated":
+                assert decoded == visit
+            else:  # normalized: the key fields and the grade are all it keeps
+                assert decoded == VisitStruct(
+                    visit.user_id, visit.poi_id, visit.timestamp, visit.grade
+                )
+
+    @given(
+        visit_structs,
+        st.sampled_from(["lat", "lon", "hotness", "interest"]),
+        st.lists(poi_numbers, min_size=2, max_size=6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_memoized_tail_stores_the_unmemoized_bytes(
+        self, base, field, numbers
+    ):
+        """The POI-tail memo never changes a stored byte: whatever was
+        encoded before (one POI whose numbers merely compare equal —
+        ``0.0`` / ``-0.0``, ``1`` / ``1.0`` / ``True`` — included), a
+        payload is the grade header plus a fresh JSON encode of the
+        tail."""
         from repro.core.serialization import encode_json
 
-        cell = Cell(
-            row=VisitsRepository.row_key(uid, ts, pid),
-            family="v",
-            qualifier=b"v",
-            timestamp=ts,
-            value=encode_json({"poi_id": pid, "grade": 0.75}),
-        )
-        struct = VisitsRepository.decode_cell(cell)
-        assert (struct.user_id, struct.timestamp, struct.poi_id) == (uid, ts, pid)
-        assert struct.grade == 0.75
-        assert VisitsRepository.decode_payload(cell)["grade"] == 0.75
-        assert VisitsRepository.decode_grade(cell.value) == 0.75
+        for number in numbers:
+            visit = dataclasses.replace(base, **{field: number})
+            tail = encode_json(
+                {
+                    "poi_id": visit.poi_id, "name": visit.poi_name,
+                    "lat": visit.lat, "lon": visit.lon,
+                    "keywords": list(visit.keywords),
+                    "hotness": visit.hotness, "interest": visit.interest,
+                }
+            )
+            assert VisitsRepository.encode_payload(visit) == (
+                struct.pack(">d", visit.grade) + tail
+            )
 
-    @given(boundary_ints, st.floats(min_value=-100.0, max_value=100.0,
-                                    allow_nan=False))
-    @settings(max_examples=100, deadline=None)
-    def test_decode_grade_matches_full_parse(self, pid, grade):
-        from repro.core.serialization import decode_json, encode_json
+    def test_non_numeric_grade_is_a_validation_error(self):
+        from repro.errors import ValidationError
 
-        for payload in (
-            {"poi_id": pid, "grade": grade},  # normalized schema
-            {"poi_id": pid, "grade": grade, "name": "x", "lat": 1.5,
-             "lon": -2.5, "keywords": ["a"], "hotness": 0.0,
-             "interest": 0.0},  # replicated schema
-        ):
-            value = encode_json(payload)
-            assert (
-                VisitsRepository.decode_grade(value)
-                == decode_json(value)["grade"]
+        with pytest.raises(ValidationError):
+            VisitsRepository.encode_payload(
+                VisitStruct(user_id=1, poi_id=1, timestamp=1, grade="high")
             )
 
     @given(user_ids, boundary_ints)
