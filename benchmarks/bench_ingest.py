@@ -137,9 +137,9 @@ def test_group_commit_vs_single_put(benchmark):
     256-cell group commits (one sync + one linear merge per region per
     batch).  Contents and WAL replay must come out identical; throughput
     must differ by at least ``REPRO_INGEST_SPEEDUP_MIN`` (default 3x) —
-    the CI ``ingest-smoke`` gate.
+    the CI ``bench-gates`` gate.
     """
-    from repro.hbase import Cell, HTable, TableDescriptor, WriteAheadLog
+    from repro.hbase import Cell, HTable, TableDescriptor, RegionWALHandle
 
     def fresh_table() -> HTable:
         # HBase's production flush size (hbase.hregion.memstore.flush.size)
@@ -153,7 +153,7 @@ def test_group_commit_vs_single_put(benchmark):
             )
         )
         for region in table.regions:
-            region.wal = WriteAheadLog()
+            region.wal = RegionWALHandle()
         return table
 
     rng = random.Random(31)
@@ -180,7 +180,14 @@ def test_group_commit_vs_single_put(benchmark):
         batched = fresh_table()
         t0 = time.perf_counter()
         for i in range(0, len(cells), 256):
-            batched.put_batch(cells[i:i + 256])
+            # Routed per region, as the ingest appliers route a batch.
+            groups = {}
+            for cell in cells[i:i + 256]:
+                groups.setdefault(
+                    batched.region_for_row(cell.row), []
+                ).append(cell)
+            for region, group in groups.items():
+                region.put_batch(group)
         batched_rate = len(cells) / (time.perf_counter() - t0)
         return single, single_rate, batched, batched_rate
 

@@ -41,7 +41,7 @@ from repro.config import (
 )
 from repro.core import MoDisSENSE, SearchQuery
 from repro.core.modules.query_answering import QueryAnsweringModule
-from repro.core.monitoring import InstrumentedQueryAnswering, PlatformMetrics
+from repro.core.monitoring import PlatformMetrics
 from repro.core.telemetry import (
     ContinuousProfiler,
     TimeSeriesStore,
@@ -95,15 +95,12 @@ def test_telemetry_overhead_under_limit(bench_platform, benchmark):
     profiler = ContinuousProfiler(
         interval_s=TelemetryConfig().profiler_interval_s
     )
-    observed_qa = InstrumentedQueryAnswering(
-        QueryAnsweringModule(
-            bench_platform.poi_repository,
-            bench_platform.visits_repository,
-            tracer=Tracer(max_traces=max(64, REPETITIONS + 2)),
-            metrics=metrics,
-            event_log=events,
-        ),
+    observed_qa = QueryAnsweringModule(
+        bench_platform.poi_repository,
+        bench_platform.visits_repository,
+        tracer=Tracer(max_traces=max(64, REPETITIONS + 2)),
         metrics=metrics,
+        event_log=events,
     )
     bare_qa = QueryAnsweringModule(
         bench_platform.poi_repository,

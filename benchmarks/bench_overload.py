@@ -13,7 +13,7 @@
 - **Zero overhead when idle** — admission on but un-triggered must cost
   at most ``REPRO_OVERLOAD_OVERHEAD_MAX`` (10%) in median query wall
   time and answer byte-identically: the protection is free until it
-  fires.  This pair is the CI ``overload-smoke`` gate.
+  fires.  This pair is the CI ``bench-gates`` gate.
 """
 
 from __future__ import annotations

@@ -9,11 +9,12 @@ Two numbers back the supervisor's claims:
   advances in sub-lease heartbeat steps, so MTTR includes the full
   lease-expiry wait plus WAL replay.
 - **Zero-fault overhead** — with no faults injected, a supervised
-  platform routes every region write through a per-server WAL handle
-  and every query past a liveness check.  Interleaved A/B medians of
+  platform runs every query past a liveness check and a heartbeat job
+  beside it (region writes are logged through per-server WAL handles
+  in both arms: the cluster owns the logs).  Interleaved A/B medians of
   the same workload with the supervisor on vs off must differ by at
   most ``REPRO_RECOVERY_OVERHEAD_MAX`` (default 10%) — the CI
-  ``recovery-smoke`` gate.
+  ``bench-gates`` gate.
 """
 
 from __future__ import annotations

@@ -93,9 +93,8 @@ def _measure(qa, query):
 
 def test_topk_vs_exhaustive(bench_platform, benchmark):
     qa = bench_platform.query_answering
-    inner = qa._inner
     cluster = bench_platform.hbase
-    saved_topk = inner.topk
+    saved_topk = qa.topk
 
     def run():
         rows, payload = [], {}
@@ -107,11 +106,11 @@ def test_topk_vs_exhaustive(bench_platform, benchmark):
                     limit=K,
                 )
 
-                inner.topk = TopKConfig(enabled=False)
+                qa.topk = TopKConfig(enabled=False)
                 cluster.attach_scan_cache(None)
                 ex_ms, ex = _measure(qa, query)
 
-                inner.topk = TopKConfig(enabled=True)
+                qa.topk = TopKConfig(enabled=True)
                 cold_ms, cold = _measure(qa, query)
 
                 # Warm path: the first pruned query opens the regions'
@@ -181,7 +180,7 @@ def test_topk_vs_exhaustive(bench_platform, benchmark):
                     "byte_identical": True,
                 }
         finally:
-            inner.topk = saved_topk
+            qa.topk = saved_topk
             cluster.attach_scan_cache(None)
         return rows, payload
 
@@ -203,9 +202,8 @@ def test_topk_filtered_decodes_once_per_poi(bench_platform, benchmark):
     examined item, and the cluster's one POI attribute table makes that
     one parse per POI — ever — instead of one per region per query."""
     qa = bench_platform.query_answering
-    inner = qa._inner
     cluster = bench_platform.hbase
-    saved_topk = inner.topk
+    saved_topk = qa.topk
     athens = BoundingBox(37.7838, 23.5275, 38.1838, 23.9275)
 
     def run():
@@ -220,9 +218,9 @@ def test_topk_filtered_decodes_once_per_poi(bench_platform, benchmark):
                     keywords=("coffee",),
                 )
                 cluster.attach_scan_cache(None)
-                inner.topk = TopKConfig(enabled=False)
+                qa.topk = TopKConfig(enabled=False)
                 ex = qa.search(query)
-                inner.topk = TopKConfig(enabled=True)
+                qa.topk = TopKConfig(enabled=True)
                 off_ms, off = _measure(qa, query)
 
                 cache = RegionScanCache(
@@ -272,7 +270,7 @@ def test_topk_filtered_decodes_once_per_poi(bench_platform, benchmark):
                     "byte_identical": True,
                 }
         finally:
-            inner.topk = saved_topk
+            qa.topk = saved_topk
             cluster.attach_scan_cache(None)
         return rows, payload
 

@@ -4,7 +4,7 @@ Drives the periodic pipeline the paper describes — Data Collection every
 15 minutes, HotIn Update and Event Detection every hour — with the
 deterministic scheduler, while users keep checking in and a crowd event
 builds up downtown.  At the end of the day: trending reflects the crowd,
-the event was auto-registered as a POI, and the metrics wrapper shows
+the event was auto-registered as a POI, and the platform's metrics show
 what the query tier served.
 
 Run with::
@@ -18,7 +18,6 @@ import random
 
 from repro import MoDisSENSE, SearchQuery, TrendingQuery
 from repro.config import PlatformConfig
-from repro.core.monitoring import InstrumentedQueryAnswering
 from repro.core.scheduler import build_platform_scheduler
 from repro.datagen import ReviewGenerator, generate_pois
 from repro.datagen.gps import GPSPoint
@@ -57,9 +56,6 @@ def main() -> None:
         facebook.add_friendship("fb_1", "fb_%d" % i)
     platform.register_user("facebook", "fb_1", "pw", now=float(DAY0))
 
-    # Metrics on the query tier.
-    instrumented = InstrumentedQueryAnswering(platform.query_answering)
-
     # The paper's periodic jobs (periods: repro.core.scheduler).
     scheduler = build_platform_scheduler(platform, start_at=float(DAY0))
 
@@ -92,9 +88,9 @@ def main() -> None:
                 ])
         # Advance simulated time; due periodic jobs fire.
         scheduler.advance_to(float(now + HOUR))
-        # Our user searches a few times a day through the metrics wrapper.
+        # Our user searches a few times a day.
         if hour in (9, 13, 20):
-            instrumented.search(
+            platform.search(
                 SearchQuery(friend_ids=tuple(range(2, 26)),
                             sort_by="interest", limit=5)
             )
@@ -119,7 +115,7 @@ def main() -> None:
         print("  %-30s %d visits" % (poi.name, int(poi.score)))
 
     print("\nQuery-tier metrics:")
-    snap = instrumented.metrics.snapshot()
+    snap = platform.metrics.snapshot()
     print("  personalized queries: %d"
           % snap["counters"]["queries.personalized"])
     lat = snap["latencies"]["query.personalized"]

@@ -339,8 +339,9 @@ class SupervisorConfig:
     """Switch of the self-healing cluster supervisor: heartbeat leases,
     WAL-split recovery and the storage scrubber (``repro.core.
     supervisor``, which also holds the lease and scrub constants).  With
-    ``enabled=False`` region WALs stay plain per-region logs and failure
-    handling is the manual ``fail_node``/``recover_node`` story.
+    ``enabled=False`` failure handling is the manual
+    ``fail_node``/``recover_node`` story; the cluster logs every region
+    either way.
     """
 
     enabled: bool = True
@@ -352,7 +353,7 @@ class AdmissionConfig:
 
     Un-triggered (no overload), the only added work per request is a
     ticket acquire/release and answers stay byte-identical to
-    ``baseline()``'s; the ``overload-smoke`` CI job gates that overhead
+    ``baseline()``'s; the ``bench-gates`` CI job gates that overhead
     at ≤10%.  With ``enabled=False`` no controller is constructed.
 
     Four coupled mechanisms: an AIMD concurrency limiter per priority
@@ -426,7 +427,7 @@ class TelemetryConfig:
     """Knobs of the telemetry pipeline (``repro.core.telemetry``).
 
     The pipeline only observes (scrapes, samples, events), so query
-    answers are byte-identical with it on or off; the ``obs-smoke`` CI
+    answers are byte-identical with it on or off; the ``bench-gates`` CI
     job gates measured overhead at ≤10%.  ``enabled=False`` constructs
     no hub.  Stock SLOs: ``repro.core.telemetry.slo.default_slos``.
     """

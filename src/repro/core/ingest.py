@@ -56,7 +56,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..config import IngestConfig
 from ..errors import BackpressureError, ValidationError
-from ..hbase.wal import WriteAheadLog
 from .. import threadreg
 from .modules.hotin_update import IncrementalHotIn
 from .repositories.visits import VisitStruct, VisitsRepository
@@ -111,16 +110,13 @@ class _PartitionQueue:
             self._cond.notify_all()
             return True
 
-    def take_batch(self, max_batch: int, wait_s: float) -> List[Any]:
-        """Dequeue up to ``max_batch`` items, waiting up to ``wait_s``
-        for the first; wakes blocked producers after freeing space."""
-        return self.take_batch_timed(max_batch, wait_s)[0]
-
-    def take_batch_timed(
+    def take_batch(
         self, max_batch: int, wait_s: float
     ) -> Tuple[List[Any], float]:
-        """:meth:`take_batch` plus the batch's maximum queue wait in
-        seconds (the oldest dequeued item's age)."""
+        """Dequeue up to ``max_batch`` items, waiting up to ``wait_s``
+        for the first; wakes blocked producers after freeing space.
+        Returns the batch and its maximum queue wait in seconds (the
+        oldest dequeued item's age)."""
         with self._cond:
             if not self._items:
                 self._cond.wait(wait_s)
@@ -177,13 +173,6 @@ class StreamingIngestTier:
             _PartitionQueue(cfg.queue_capacity)
             for _ in range(cfg.num_partitions)
         ]
-        # The cluster's table factory builds WAL-less regions (in-process
-        # memstores don't crash on their own); streaming ingest NEEDS
-        # region WALs — they are both the group-commit ledger and the
-        # replay source for applier crash recovery.
-        for region in self.visits.table.regions:
-            if region.wal is None:
-                region.wal = WriteAheadLog()
         #: region_id -> partition index; seeded round-robin in region
         #: key order, remapped by the rebalancer, extended on demand
         #: when auto-splits mint new regions.
@@ -383,9 +372,7 @@ class StreamingIngestTier:
             with self._lock:
                 if not self._running:
                     break
-            batch, queue_wait_s = queue.take_batch_timed(
-                max_batch, wait_s=0.05
-            )
+            batch, queue_wait_s = queue.take_batch(max_batch, wait_s=0.05)
             if not batch:
                 continue
             self._inflight[partition] = len(batch)
@@ -404,7 +391,7 @@ class StreamingIngestTier:
                 if not self._crashed[partition]:
                     self._inflight[partition] = 0
         # Final sweep so stop(drain=True) never strands a tail batch.
-        batch, queue_wait_s = queue.take_batch_timed(max_batch, wait_s=0.0)
+        batch, queue_wait_s = queue.take_batch(max_batch, wait_s=0.0)
         while batch:
             self._inflight[partition] = len(batch)
             try:
@@ -414,9 +401,7 @@ class StreamingIngestTier:
                     self.apply_errors += 1
             finally:
                 self._inflight[partition] = 0
-            batch, queue_wait_s = queue.take_batch_timed(
-                max_batch, wait_s=0.0
-            )
+            batch, queue_wait_s = queue.take_batch(max_batch, wait_s=0.0)
 
     def _region_lock(self, region_id: int) -> threading.Lock:
         with self._lock:
@@ -452,10 +437,9 @@ class StreamingIngestTier:
             seq_ranges: Dict[int, Tuple[int, int]] = {}
             for region_id, cells in groups.items():
                 with self._region_lock(region_id):
-                    region = regions[region_id]
-                    if region.wal is None:  # post-split daughter region
-                        region.wal = WriteAheadLog()
-                    seq_ranges[region_id] = region.put_batch(cells)
+                    seq_ranges[region_id] = regions[region_id].put_batch(
+                        cells
+                    )
                 self._emit_counter("ingest.wal_group_commits")
 
             if self._crash_armed[partition]:
@@ -610,7 +594,7 @@ class StreamingIngestTier:
         decode_key = VisitsRepository.decode_key
         decode_grade = VisitsRepository.decode_grade
         for region in self.visits.table.regions:
-            if region.region_id not in region_ids or region.wal is None:
+            if region.region_id not in region_ids:
                 continue
             watermark = self._folded_seq.get(region.region_id, 0)
             deltas = []
@@ -660,7 +644,7 @@ class StreamingIngestTier:
             watermarks = dict(self._folded_seq)
         for region in self.visits.table.regions:
             watermark = watermarks.get(region.region_id, 0)
-            if region.wal is None or not watermark:
+            if not watermark:
                 continue
             with self._region_lock(region.region_id):
                 dropped += region.wal.truncate_to(watermark)

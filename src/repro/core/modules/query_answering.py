@@ -509,19 +509,26 @@ class QueryAnsweringModule:
         result instead of re-executing it (``queries.coalesced`` counts
         the shared calls)."""
         if query.personalized:
-            if self.single_flight is not None:
-                result, coalesced = self.single_flight.do(
-                    self._coalesce_key(query),
-                    lambda: self.search_personalized_batch([query])[0],
-                )
-                if coalesced and self.metrics is not None:
+            if self.single_flight is None:
+                return self.search_personalized_batch([query])[0]
+            result, coalesced = self.single_flight.do(
+                self._coalesce_key(query),
+                lambda: self.search_personalized_batch([query])[0],
+            )
+            if coalesced:
+                # The leader's batch call recorded its own query; a
+                # follower shares the result but is a query of its own.
+                if self.metrics is not None:
                     self.metrics.increment("queries.coalesced")
-                return result
-            return self.search_personalized_batch([query])[0]
+                self._record_personalized(result)
+            return result
         with self.tracer.span(
             "query.non_personalized", keywords=len(query.keywords)
         ):
-            return self._search_sql(query)
+            result = self._search_sql(query)
+        if self.metrics is not None:
+            self.metrics.increment("queries.non_personalized")
+        return result
 
     @staticmethod
     def _coalesce_key(query: SearchQuery) -> Tuple:
@@ -647,8 +654,64 @@ class QueryAnsweringModule:
             result.retries = call.retries
             result.hedges = call.hedges
             self._emit_query_event(query, result)
+            self._record_personalized(result)
             results.append(result)
         return results
+
+    def _record_personalized(self, result: SearchResult) -> None:
+        """One answered personalized query into the metrics registry:
+        ``metrics.snapshot()`` then exposes the Figure-2-style latency
+        distribution and the per-query cost counters of live traffic."""
+        metrics = self.metrics
+        if metrics is None:
+            return
+        metrics.increment("queries.personalized")
+        # The trace id rides along as an exemplar so a bad percentile in
+        # the histogram links straight to the span tree that caused it.
+        exemplar = result.trace_id
+        metrics.record_latency(
+            "query.personalized", result.latency_ms, exemplar=exemplar
+        )
+        # Labeled series: latency distribution by fan-out width, so an
+        # operator can see whether wide queries drive the tail.
+        metrics.record_latency(
+            "query.personalized",
+            result.latency_ms,
+            labels={"regions": result.regions_used},
+            exemplar=exemplar,
+        )
+        metrics.increment("records.scanned", result.records_scanned)
+        # Query-path profiling counters (route-then-stream pipeline):
+        # cells merged = records the region scanners emitted; cells
+        # decoded = payloads actually JSON-parsed (lazy decoding);
+        # regions pruned = fan-out avoided by friend->region routing.
+        metrics.increment("cells.merged", result.records_scanned)
+        metrics.increment("cells.decoded", result.cells_decoded)
+        metrics.increment("regions.pruned", result.regions_pruned)
+        metrics.increment("regions.used", result.regions_used)
+        # Scan-cache effectiveness, aggregated per query rather than per
+        # lookup (the per-friend loop is far too hot to emit from).
+        if result.cache_hits or result.cache_misses:
+            metrics.increment(
+                "cache.hits", result.cache_hits, labels={"cache": "scan"}
+            )
+            metrics.increment(
+                "cache.misses", result.cache_misses, labels={"cache": "scan"}
+            )
+        # Threshold-algorithm early termination (0 with top-k off):
+        # aggregates proven irrelevant before any decode/ship/merge, and
+        # regions whose emission the merger short-circuited.
+        if result.cells_avoided:
+            metrics.increment("cells.avoided", result.cells_avoided)
+        if result.regions_pruned_early:
+            metrics.increment(
+                "regions.pruned_early", result.regions_pruned_early
+            )
+        if result.degraded:
+            # Partial answers are still answers, but an operator must be
+            # able to alert on how often coverage dropped below 1.0.
+            metrics.increment("queries.degraded")
+            metrics.increment("regions.missing", len(result.missing_regions))
 
     def _emit_query_event(self, query: SearchQuery, result: SearchResult) -> None:
         """One wide event per personalized query — the canonical log line

@@ -57,7 +57,12 @@ Bound math (proved in the property suite):
   maximum.  A region sorted by local mean has frontier ``f_r`` = next
   unemitted local mean, so an undiscovered POI's global mean is at most
   the max frontier; any region whose frontier falls strictly below the
-  threshold is individually prunable.
+  threshold is individually prunable.  That is exact arithmetic: the
+  means are float quotients and the global one divides a float fold of
+  ``n`` region sums, so it can land up to ``(n + 1) / 2`` ulps *above*
+  the largest local mean (three regions holding the same grades are
+  enough).  The comparison therefore scales the frontier up by
+  ``1 + (n + 1) * epsilon`` — twice that error — before testing it.
 
 Strict inequality everywhere means a POI tying the k-th score is always
 discovered, so ties are resolved by the ranker's documented stable key
@@ -74,7 +79,7 @@ traces from a proof abort (complete by proof, coverage untouched).
 from __future__ import annotations
 
 import heapq
-from sys import intern
+from sys import float_info, intern
 from typing import (
     Any,
     Dict,
@@ -440,6 +445,8 @@ class TopKMerger:
         cancelled_bound = 0.0
         threshold: Optional[float] = None
         deadline_hit = False
+        #: Float slack of the interest bound (module docstring).
+        mean_slack = 1.0 + (len(streams) + 1) * float_info.epsilon
 
         def resolve(fresh: Set[int]) -> None:
             """Random access for one round's newly discovered POIs:
@@ -505,7 +512,7 @@ class TopKMerger:
                         if cancelled_bound + frontier < threshold:
                             cancelled_bound += frontier
                             stream.short_circuit(REASON_TOPK_PROOF)
-                    elif frontier < threshold:
+                    elif frontier * mean_slack < threshold:
                         stream.short_circuit(REASON_TOPK_PROOF)
             active = [
                 s for s in active

@@ -2,8 +2,8 @@
 
 A production deployment of the paper's architecture needs to see query
 volume, per-path latencies and batch-job progress; this module provides
-the metrics surface, and :class:`InstrumentedQueryAnswering` wraps the
-query module so every search is recorded transparently.
+the metrics surface; the query-answering module records every search
+into it.
 
 The registry is **thread-safe**: concurrent REST clients, the ingest
 appliers and the telemetry scraper all record into it, so every counter
@@ -351,89 +351,3 @@ def _prom_value(value) -> str:
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)
-
-
-class InstrumentedQueryAnswering:
-    """Transparent metrics wrapper around a QueryAnsweringModule.
-
-    Same interface as the wrapped module; every search increments the
-    path counter and records the simulated latency (coprocessor path)
-    so ``metrics.snapshot()`` exposes the Figure-2-style distribution
-    of live traffic.
-    """
-
-    def __init__(self, inner, metrics: Optional[PlatformMetrics] = None) -> None:
-        self._inner = inner
-        self.metrics = metrics or PlatformMetrics()
-
-    def search(self, query):
-        result = self._inner.search(query)
-        if result.personalized:
-            self._record_personalized(result)
-        else:
-            self.metrics.increment("queries.non_personalized")
-        return result
-
-    def search_personalized_batch(self, queries):
-        results = self._inner.search_personalized_batch(queries)
-        for result in results:
-            self._record_personalized(result)
-        return results
-
-    def _record_personalized(self, result) -> None:
-        self.metrics.increment("queries.personalized")
-        # The trace id rides along as an exemplar so a bad percentile in
-        # the histogram links straight to the span tree that caused it.
-        exemplar = getattr(result, "trace_id", None)
-        self.metrics.record_latency(
-            "query.personalized", result.latency_ms, exemplar=exemplar
-        )
-        # Labeled series: latency distribution by fan-out width, so an
-        # operator can see whether wide queries drive the tail.
-        self.metrics.record_latency(
-            "query.personalized",
-            result.latency_ms,
-            labels={"regions": result.regions_used},
-            exemplar=exemplar,
-        )
-        self.metrics.increment("records.scanned", result.records_scanned)
-        # Query-path profiling counters (route-then-stream pipeline):
-        # cells merged = records the region scanners emitted; cells
-        # decoded = payloads actually JSON-parsed (lazy decoding);
-        # regions pruned = fan-out avoided by friend->region routing.
-        self.metrics.increment("cells.merged", result.records_scanned)
-        self.metrics.increment("cells.decoded", result.cells_decoded)
-        self.metrics.increment("regions.pruned", result.regions_pruned)
-        self.metrics.increment("regions.used", result.regions_used)
-        # Scan-cache effectiveness, aggregated per query rather than per
-        # lookup (the per-friend loop is far too hot to emit from).
-        if result.cache_hits or result.cache_misses:
-            self.metrics.increment(
-                "cache.hits", result.cache_hits, labels={"cache": "scan"}
-            )
-            self.metrics.increment(
-                "cache.misses", result.cache_misses, labels={"cache": "scan"}
-            )
-        # Threshold-algorithm early termination (0 with top-k off):
-        # aggregates proven irrelevant before any decode/ship/merge, and
-        # regions whose emission the merger short-circuited.
-        if result.cells_avoided:
-            self.metrics.increment("cells.avoided", result.cells_avoided)
-        if result.regions_pruned_early:
-            self.metrics.increment(
-                "regions.pruned_early", result.regions_pruned_early
-            )
-        if result.degraded:
-            # Partial answers are still answers, but an operator must be
-            # able to alert on how often coverage dropped below 1.0.
-            self.metrics.increment("queries.degraded")
-            self.metrics.increment(
-                "regions.missing", len(result.missing_regions)
-            )
-
-    def search_personalized_client_side(self, query):
-        return self._inner.search_personalized_client_side(query)
-
-    def __getattr__(self, name):
-        # Delegate everything else (pois, visits, _coprocessor, ...).
-        return getattr(self._inner, name)

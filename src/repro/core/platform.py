@@ -36,7 +36,7 @@ from .caching import HotPOICache
 from .faults import FaultInjector
 from .ingest import StreamingIngestTier
 from .modules.hotin_update import IncrementalHotIn, ReconcileReport
-from .monitoring import InstrumentedQueryAnswering, PlatformMetrics
+from .monitoring import PlatformMetrics
 from .supervisor import ClusterSupervisor
 from .telemetry import TelemetryHub
 from .tracing import Tracer
@@ -172,19 +172,16 @@ class MoDisSENSE:
             self.hot_poi_cache = HotPOICache(
                 metrics=self.metrics, event_log=events
             )
-        self.query_answering = InstrumentedQueryAnswering(
-            QueryAnsweringModule(
-                self.poi_repository,
-                self.visits_repository,
-                tracer=self.tracer,
-                metrics=self.metrics,
-                hot_poi_cache=self.hot_poi_cache,
-                coalesce=self.config.cache.coalesce,
-                event_log=events,
-                admission=self.admission,
-                topk_config=self.config.topk,
-            ),
+        self.query_answering = QueryAnsweringModule(
+            self.poi_repository,
+            self.visits_repository,
+            tracer=self.tracer,
             metrics=self.metrics,
+            hot_poi_cache=self.hot_poi_cache,
+            coalesce=self.config.cache.coalesce,
+            event_log=events,
+            admission=self.admission,
+            topk_config=self.config.topk,
         )
         self.trending = TrendingModule(self.query_answering)
         self.hotin_update = HotInUpdateModule(
@@ -215,11 +212,9 @@ class MoDisSENSE:
                 # Brownout level 3+ flips the tier to shed-on-full so
                 # blocked producers can't pile up during an overload.
                 self.admission.attach_ingest(self.ingest)
-        # ---- self-healing supervisor.  Constructed after the ingest
-        # tier so the server-WAL handles adopt the (still empty)
-        # per-region WALs the tier attached — fold watermarks carry over
-        # unchanged.  Without one, failure handling is manual
-        # (``fail_node``/``recover_node``).
+        # ---- self-healing supervisor.  Without one, failure handling
+        # is manual (``fail_node``/``recover_node``); the cluster logs
+        # every region either way.
         self.supervisor: Optional[ClusterSupervisor] = None
         if self.config.supervisor.enabled:
             self.supervisor = ClusterSupervisor(
@@ -228,7 +223,6 @@ class MoDisSENSE:
                 tracer=self.tracer,
                 event_log=events,
             )
-            self.supervisor.attach()
         self.event_detection = EventDetectionModule(
             self.gps_repository, self.poi_repository, self.config.jobs
         )
@@ -339,11 +333,8 @@ class MoDisSENSE:
         return report
 
     def sweep_caches(self) -> int:
-        """Reap dead scan-cache entries (TTL-expired or seqid-stale).
-
-        Wired to the scheduler's ``cache_maintenance`` job.  Uses wall
-        clock internally — the scheduler's simulated ``now`` must not
-        leak into TTL arithmetic — and returns the entries removed."""
+        """Reap seqid-stale scan-cache entries; returns how many.  Wired
+        to the scheduler's ``cache_maintenance`` job."""
         return self.hbase.scan_cache_sweep()
 
     def detect_events(self, since: Optional[int] = None, until: Optional[int] = None):

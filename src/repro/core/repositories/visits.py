@@ -246,18 +246,6 @@ class VisitsRepository:
             count += 1
         return count
 
-    def store_batch(self, visits: Sequence[VisitStruct]) -> Dict[Region, tuple]:
-        """Group-commit a batch of visits (the streaming ingest path).
-
-        Stored bytes are identical to :meth:`store` per visit; the
-        difference is purely mechanical — cells are routed once, each
-        region absorbs its share through one WAL sync + one memstore
-        merge (:meth:`~repro.hbase.table.HTable.put_batch`).  Returns
-        ``{region: (first_wal_seq, last_wal_seq)}`` for the ingest
-        tier's HotIn fold watermarks.
-        """
-        return self.table.put_batch([self.visit_cell(v) for v in visits])
-
     # ----------------------------------------------------------- routing
 
     def route_friends(

@@ -18,7 +18,8 @@ does:
 - **WAL-split recovery.**  On death the supervisor splits the dead
   server's write-ahead log by region (:meth:`ServerWAL.split_by_region`),
   reassigns the stranded regions to survivors with load-aware (LPT)
-  placement rather than blind round-robin, replays each region's
+  placement rather than blind round-robin — the cluster moves each
+  region's records with it — replays each region's
   committed-but-unflushed suffix into a fresh memstore, and reopens the
   region.  Fan-out coverage returns to 1.0 with answers byte-identical
   to a never-failed cluster — no manual ``recover_node`` involved.
@@ -30,6 +31,9 @@ does:
   so reads fail loudly (:class:`~repro.errors.ChecksumError`) instead of
   serving rot.
 
+The supervisor is policy only.  The cluster owns the topology and the
+logs (DESIGN.md §10): it is asked for regions and their logs, and its
+``reassign_regions`` carries each region's records to the new server.
 ``PlatformConfig.baseline()`` builds no supervisor: failure handling is
 then the manual ``fail_node``/``recover_node`` story the fault-tolerance
 tests and ``bench_recovery``'s unsupervised arm use as reference.
@@ -40,7 +44,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from ..errors import ConfigError
-from ..hbase.wal import RegionWALHandle, ServerWAL
 
 __all__ = ["ClusterSupervisor"]
 
@@ -49,7 +52,7 @@ HEARTBEAT_PERIOD_S = 1.0
 #: A node whose lease is older than this (simulated seconds) is declared
 #: dead and recovered.  Detection MTTR is bounded by ``LEASE_TIMEOUT_S +
 #: HEARTBEAT_PERIOD_S`` when time advances in sub-lease steps; the
-#: recovery-smoke CI gate enforces MTTR at most twice this value.
+#: bench-gates CI job enforces MTTR at most twice this value.
 LEASE_TIMEOUT_S = 3.0
 #: Simulated seconds between storage-scrub passes.
 SCRUB_PERIOD_S = 60.0
@@ -61,7 +64,8 @@ class ClusterSupervisor:
     Parameters
     ----------
     hbase:
-        The :class:`~repro.hbase.client.HBaseCluster` to supervise.
+        The :class:`~repro.hbase.client.HBaseCluster` to supervise; the
+        supervisor registers itself with it.
     metrics / tracer / event_log:
         Optional observability sinks (duck-typed ``PlatformMetrics``,
         ``Tracer`` and ``WideEventLog``); recovery and scrub work emits
@@ -79,65 +83,16 @@ class ClusterSupervisor:
         self._metrics = metrics
         self._tracer = tracer
         self._event_log = event_log
-        #: node_id -> ServerWAL (one durable log per region server).
-        self._servers: Dict[int, ServerWAL] = {}
-        #: region_id -> RegionWALHandle installed as ``region.wal``.
-        self._handles: Dict[int, RegionWALHandle] = {}
-        #: region_id -> Region (index over every supervised region).
-        self._regions: Dict[int, Any] = {}
-        #: Placement as of the last tick, to detect planned moves.
-        self._placement: Dict[int, int] = {}
         #: node_id -> simulated time of the last renewed lease.
-        self._leases: Dict[int, float] = {}
+        self._leases: Dict[int, float] = {
+            node.node_id: 0.0 for node in hbase.simulation.nodes
+        }
         #: Nodes declared dead (lease expired) and not yet rejoined.
         self._dead: set = set()
         #: Completed recovery / drill records, oldest first.
         self.recovery_history: List[Dict[str, Any]] = []
         self._now = 0.0
-        self._attached = False
-
-    # ---------------------------------------------------------- lifecycle
-
-    def attach(self) -> None:
-        """Install server WALs and take over the cluster's durability.
-
-        Every region of every table gets a :class:`RegionWALHandle` on
-        its placed node's :class:`ServerWAL`; records already in a plain
-        per-region WAL (the ingest tier attaches those) are carried over
-        with their sequence numbers, so fold watermarks stay valid.
-        Idempotent after the first call.
-        """
-        if self._attached:
-            return
-        sim = self.hbase.simulation
-        for node in sim.nodes:
-            self._servers[node.node_id] = ServerWAL(node.node_id)
-            self._leases[node.node_id] = 0.0
-        placement = sim.region_placement
-        for name in self.hbase.table_names():
-            for region in self.hbase.table(name).regions:
-                self._adopt_region(region, placement)
-        self._placement = dict(placement)
-        self.hbase.attach_supervisor(self)
-        self._attached = True
-
-    def _adopt_region(self, region: Any, placement: Dict[int, int]) -> None:
-        rid = region.region_id
-        node_id = placement.get(rid)
-        if node_id is None or node_id not in self._servers:
-            return
-        handle = RegionWALHandle(self._servers[node_id], rid)
-        old = region.wal
-        if old is not None and not isinstance(old, RegionWALHandle):
-            # Carry over an existing plain WAL: same records, same
-            # sequence numbers, same sync ledger.
-            for record in old._records:  # noqa: SLF001 - one-shot migration
-                handle._server.append_record(rid, record)
-            handle._next_sequence = old.last_sequence + 1
-            handle.sync_count = old.sync_count
-        region.wal = handle
-        self._handles[rid] = handle
-        self._regions[rid] = region
+        hbase.attach_supervisor(self)
 
     # -------------------------------------------------------- heartbeats
 
@@ -149,26 +104,15 @@ class ClusterSupervisor:
         and its regions are recovered immediately in the same tick.
         """
         self._now = now
-        sim = self.hbase.simulation
-        placement = sim.region_placement
-        # New regions (post-split daughters) join supervision lazily.
-        for name in self.hbase.table_names():
-            for region in self.hbase.table(name).regions:
-                if region.region_id not in self._regions:
-                    self._adopt_region(region, placement)
-                    self._placement[region.region_id] = placement.get(
-                        region.region_id
-                    )
-        live = set(sim.live_nodes())
+        live = set(self.hbase.simulation.live_nodes())
         for node_id in live:
             self._leases[node_id] = now
             if node_id in self._dead:
                 self._dead.discard(node_id)
                 self._emit({"type": "node.rejoined", "node": node_id})
-        for node_id in sorted(self._servers):
+        for node_id, last_seen in sorted(self._leases.items()):
             if node_id in live or node_id in self._dead:
                 continue
-            last_seen = self._leases.get(node_id, 0.0)
             if now - last_seen <= LEASE_TIMEOUT_S:
                 continue  # within its lease; maybe just slow
             self._dead.add(node_id)
@@ -183,29 +127,7 @@ class ClusterSupervisor:
                 }
             )
             self._recover_dead_node(node_id, now, last_seen)
-        self._rehome_moved_regions()
         self._set_gauge("supervisor.nodes_dead", float(len(self._dead)))
-
-    def _rehome_moved_regions(self) -> None:
-        """Follow planned placement moves (rebalances) with the WAL.
-
-        When a live region's placement changed outside recovery — e.g.
-        ``recover_node``'s rebalance — the region is flushed (a clean
-        close: nothing left to replay) and its log records move to the
-        new server so a *future* crash there recovers correctly.
-        """
-        placement = self.hbase.simulation.region_placement
-        for rid, node_id in placement.items():
-            old = self._placement.get(rid)
-            if old == node_id or node_id not in self._servers:
-                continue
-            region = self._regions.get(rid)
-            handle = self._handles.get(rid)
-            if region is None or handle is None:
-                continue
-            region.flush()
-            handle.rehome(self._servers[node_id])
-            self._placement[rid] = node_id
 
     # ---------------------------------------------------------- recovery
 
@@ -216,34 +138,27 @@ class ClusterSupervisor:
         sim = self.hbase.simulation
         span = self._span("supervisor.recover_node", node=node_id)
         stranded = sim.regions_on(node_id)
-        dead_server = self._servers[node_id]
 
         split_span = self._span("supervisor.wal_split", parent=span,
                                 node=node_id)
-        split = dead_server.split_by_region()
         if split_span is not None:
+            split = self.hbase.server_wal(node_id).split_by_region()
             split_span.tag("regions_with_edits", len(split))
             split_span.finish()
 
         mapping = self._place_on_survivors(stranded)
-        if mapping:
-            self.hbase.reassign_regions(mapping)
+        # Each region's records move to its new server with it.
+        self.hbase.reassign_regions(mapping)
 
         replayed_cells = 0
         recovered: List[Dict[str, Any]] = []
         for rid in stranded:
             target = mapping[rid]
-            region = self._regions.get(rid)
-            handle = self._handles.get(rid)
-            if region is None or handle is None:
-                continue
+            region = self.hbase.region(rid)
             replay_span = self._span("supervisor.wal_replay", parent=span,
                                      region=rid, node=target)
-            handle.rehome(self._servers[target])
-            cells = list(handle.replay())
-            applied = region.replay_cells(cells)
+            applied = region.replay_cells(region.wal.replay())
             replayed_cells += applied
-            self._placement[rid] = target
             if replay_span is not None:
                 replay_span.tag("cells_replayed", applied)
                 replay_span.finish()
@@ -291,16 +206,19 @@ class ClusterSupervisor:
         if not survivors:
             raise ConfigError("no live nodes to recover regions onto")
 
-        def weight(region: Any) -> int:
-            return sum(region.approx_rows(f) for f in region.families)
-
+        placement = sim.region_placement
+        weights = {
+            region.region_id: sum(
+                region.approx_rows(f) for f in region.families
+            )
+            for region in self.hbase.regions()
+        }
         loads: Dict[int, int] = {n: 0 for n in survivors}
-        for rid, node_id in sim.region_placement.items():
-            if node_id in loads and rid in self._regions:
-                loads[node_id] += weight(self._regions[rid])
+        for rid, weight in weights.items():
+            if placement[rid] in loads:
+                loads[placement[rid]] += weight
         weighted = sorted(
-            ((weight(self._regions[rid]) if rid in self._regions else 0, rid)
-             for rid in region_ids),
+            ((weights[rid], rid) for rid in region_ids),
             key=lambda t: (-t[0], t[1]),
         )
         mapping: Dict[int, int] = {}
@@ -322,46 +240,42 @@ class ClusterSupervisor:
         self._now = now
         span = self._span("supervisor.scrub")
         scanned = corrupt = repaired = quarantined = torn_tails = 0
-        for name in self.hbase.table_names():
-            for region in self.hbase.table(name).regions:
-                rid = region.region_id
-                for family in sorted(region.families):
-                    for sf in region.store_files_for(family):
-                        scanned += sf.block_count
-                        bad = sf.verify()
-                        if not bad:
-                            continue
-                        corrupt += len(bad)
-                        for index in bad:
-                            if self._repair_block(rid, family, sf, index):
-                                repaired += 1
-                            else:
-                                sf.quarantine_block(index)
-                                quarantined += 1
-                                self._count("scrub.quarantined")
-                                self._emit(
-                                    {
-                                        "type": "scrub.quarantine",
-                                        "region": rid,
-                                        "family": family,
-                                        "file_id": sf.file_id,
-                                        "block": index,
-                                    }
-                                )
-                handle = self._handles.get(rid)
-                wal = handle if handle is not None else region.wal
-                if wal is not None and hasattr(wal, "drop_torn_tail"):
-                    dropped = wal.drop_torn_tail()
-                    if dropped:
-                        torn_tails += dropped
-                        self._count("scrub.wal_torn", dropped)
-                        self._emit(
-                            {
-                                "type": "scrub.wal_torn",
-                                "region": rid,
-                                "records_dropped": dropped,
-                            }
-                        )
+        for region in self.hbase.regions():
+            rid = region.region_id
+            for family in sorted(region.families):
+                for sf in region.store_files_for(family):
+                    scanned += sf.block_count
+                    bad = sf.verify()
+                    if not bad:
+                        continue
+                    corrupt += len(bad)
+                    for index in bad:
+                        if self._repair_block(region, family, sf, index):
+                            repaired += 1
+                        else:
+                            sf.quarantine_block(index)
+                            quarantined += 1
+                            self._count("scrub.quarantined")
+                            self._emit(
+                                {
+                                    "type": "scrub.quarantine",
+                                    "region": rid,
+                                    "family": family,
+                                    "file_id": sf.file_id,
+                                    "block": index,
+                                }
+                            )
+            dropped = region.wal.drop_torn_tail()
+            if dropped:
+                torn_tails += dropped
+                self._count("scrub.wal_torn", dropped)
+                self._emit(
+                    {
+                        "type": "scrub.wal_torn",
+                        "region": rid,
+                        "records_dropped": dropped,
+                    }
+                )
         self._count("scrub.blocks_scanned", scanned)
         if corrupt:
             self._count("scrub.blocks_corrupt", corrupt)
@@ -381,7 +295,7 @@ class ClusterSupervisor:
         return summary
 
     def _repair_block(
-        self, rid: int, family: str, sf: Any, index: int
+        self, region: Any, family: str, sf: Any, index: int
     ) -> bool:
         """Rebuild one corrupt block from the region's WAL records.
 
@@ -392,10 +306,8 @@ class ClusterSupervisor:
         tried over every contiguous window of the right size, since the
         WAL may hold neighboring cells the block never contained.
         """
-        handle = self._handles.get(rid)
-        if handle is None:
-            return False
-        server = handle.server
+        rid = region.region_id
+        server = region.wal.server
         first_key, last_key = sf.block_ranges()[index]
         candidates = [
             record.cell
@@ -462,11 +374,11 @@ class ClusterSupervisor:
         return [
             {
                 "node": node_id,
-                "last_seen": self._leases.get(node_id, 0.0),
+                "last_seen": last_seen,
                 "live": node_id in live,
                 "declared_dead": node_id in self._dead,
             }
-            for node_id in sorted(self._servers)
+            for node_id, last_seen in sorted(self._leases.items())
         ]
 
     def describe(self) -> Dict[str, Any]:
@@ -475,8 +387,8 @@ class ClusterSupervisor:
             "heartbeat_period_s": HEARTBEAT_PERIOD_S,
             "lease_timeout_s": LEASE_TIMEOUT_S,
             "scrub_period_s": SCRUB_PERIOD_S,
-            "supervised_regions": len(self._regions),
-            "servers": len(self._servers),
+            "supervised_regions": sum(1 for _ in self.hbase.regions()),
+            "servers": len(self._leases),
             "dead_nodes": sorted(self._dead),
             "recoveries": len(self.recovery_history),
         }

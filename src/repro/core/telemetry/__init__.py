@@ -17,7 +17,7 @@ Four cooperating parts behind one facade, :class:`TelemetryHub`:
   / SLO transition, carrying trace ids as exemplars.
 
 Everything is purely observational (on in both profiles): query answers
-are byte-identical telemetry on or off, and the ``obs-smoke`` CI job
+are byte-identical telemetry on or off, and the ``bench-gates`` CI job
 gates the measured overhead at ≤10% on the 6000-friend query.
 """
 

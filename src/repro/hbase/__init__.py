@@ -39,7 +39,7 @@ from .filters import (
     AndFilter,
 )
 from .region import Region
-from .wal import RegionWALHandle, ServerWAL, WriteAheadLog, WALRecord
+from .wal import RegionWALHandle, ServerWAL, WALRecord
 from .table import HTable, TableDescriptor
 from .cancellation import CancellationToken
 from .coprocessor import Coprocessor, CoprocessorContext, CorruptPartial
@@ -65,7 +65,6 @@ __all__ = [
     "TimestampRangeFilter",
     "AndFilter",
     "Region",
-    "WriteAheadLog",
     "WALRecord",
     "ServerWAL",
     "RegionWALHandle",

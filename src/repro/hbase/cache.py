@@ -41,7 +41,6 @@ duck-typed.
 from __future__ import annotations
 
 import threading
-import time
 from array import array
 from collections import OrderedDict
 from itertools import islice
@@ -105,11 +104,10 @@ class POIAttrTable(dict):
 class Generation:
     """Everything cached for one region at one data seqid."""
 
-    __slots__ = ("seqid", "opened_at", "entries")
+    __slots__ = ("seqid", "entries")
 
-    def __init__(self, seqid: int, opened_at: float) -> None:
+    def __init__(self, seqid: int) -> None:
         self.seqid = seqid
-        self.opened_at = opened_at
         #: ``(friend_id, since, until)`` -> :class:`FriendPartial`.
         #: Probed without the cache lock; written only by
         #: :meth:`RegionScanCache.store`.
@@ -125,36 +123,22 @@ class RegionScanCache:
         Bound on the total number of :class:`FriendPartial` entries
         across all generations; least-recently-used generations are
         evicted whole on overflow.  Also bounds ``poi_attrs``' rows.
-    ttl_s:
-        Optional wall-clock lifetime of a generation, counted from when
-        it was opened; an expired generation is replaced like a
-        superseded one and reaped by :meth:`sweep`.
     metrics:
         Optional duck-typed ``PlatformMetrics``: evictions and
         invalidations are reported as ``cache.evictions`` /
         ``cache.invalidations`` with ``{"cache": "scan"}`` labels.
         Hits/misses are *not* emitted here; they flow through the
         coprocessor's counters into per-query results and are
-        aggregated by the monitoring wrapper.
-    clock:
-        Injectable time source for tests (defaults to ``time.monotonic``).
+        aggregated by the query-answering module.
     """
 
     def __init__(
-        self,
-        max_entries: int = 65536,
-        ttl_s: Optional[float] = None,
-        metrics: Optional[Any] = None,
-        clock=time.monotonic,
+        self, max_entries: int = 65536, metrics: Optional[Any] = None
     ) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
-        if ttl_s is not None and ttl_s <= 0:
-            raise ValueError("ttl_s must be positive or None")
         self.max_entries = max_entries
-        self.ttl_s = ttl_s
         self._metrics = metrics
-        self._clock = clock
         self._lock = threading.Lock()
         #: region_id -> generation, least recently used first.
         self._generations: "OrderedDict[int, Generation]" = OrderedDict()
@@ -171,25 +155,20 @@ class RegionScanCache:
 
     def lookup(self, region_id: int, current_seqid: int) -> Optional[Generation]:
         """The region's generation, if an earlier invocation opened it
-        at ``current_seqid`` (and it is within TTL).
+        at ``current_seqid``.
 
         Otherwise the region was written since the last query (or never
         queried): a fresh empty generation replaces whatever was there
         and ``None`` is returned — the caller has nothing to read and is
         not admitted to fill.
         """
-        now = self._clock()
         with self._lock:
             generation = self._generations.get(region_id)
-            if (
-                generation is not None
-                and generation.seqid == current_seqid
-                and not self._expired(generation, now)
-            ):
+            if generation is not None and generation.seqid == current_seqid:
                 self._generations.move_to_end(region_id)
                 return generation
             dropped = self._invalidate((region_id,))
-            self._generations[region_id] = Generation(current_seqid, now)
+            self._generations[region_id] = Generation(current_seqid)
         self._emit("cache.invalidations", dropped)
         return None
 
@@ -248,29 +227,18 @@ class RegionScanCache:
         self._emit("cache.invalidations", removed)
         return removed
 
-    def sweep(
-        self,
-        current_seqids: Optional[Mapping[int, int]] = None,
-        now: Optional[float] = None,
-    ) -> int:
-        """Reap dead generations: TTL-expired ones, plus — when the
-        caller supplies the regions' current seqids — superseded ones.
+    def sweep(self, current_seqids: Mapping[int, int]) -> int:
+        """Reap generations superseded by the regions' current seqids.
         The scheduler's ``cache_maintenance`` job calls this so memory
         is not held by entries no lookup will ever accept again.
         Returns the number of entries dropped."""
-        if now is None:
-            now = self._clock()
         with self._lock:
             removed = self._invalidate(
                 [
                     region_id
                     for region_id, generation in self._generations.items()
-                    if self._expired(generation, now)
-                    or (
-                        current_seqids is not None
-                        and generation.seqid
-                        != current_seqids.get(region_id, generation.seqid)
-                    )
+                    if generation.seqid
+                    != current_seqids.get(region_id, generation.seqid)
                 ]
             )
         self._emit("cache.invalidations", removed)
@@ -286,12 +254,6 @@ class RegionScanCache:
         )
         self._invalidations += removed
         return removed
-
-    def _expired(self, generation: Generation, now: float) -> bool:
-        return (
-            self.ttl_s is not None
-            and now - generation.opened_at >= self.ttl_s
-        )
 
     def _discard(self, region_id: int) -> int:
         """Remove one region's generation; caller holds the lock.
@@ -319,7 +281,6 @@ class RegionScanCache:
                 "entries": self._size,
                 "poi_attrs": len(self.poi_attrs),
                 "max_entries": self.max_entries,
-                "ttl_s": self.ttl_s,
                 "hits": self._hits,
                 "misses": self._misses,
                 "evictions": self._evictions,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence
 
 from ..cluster import ClusterSimulation, QueryTimeline, Task
 from ..config import ClusterConfig, FaultsConfig
@@ -30,6 +30,7 @@ from ..errors import (
     CoprocessorError,
     QueryCancelled,
     QueryDeadlineExceeded,
+    RegionNotFoundError,
     RegionUnavailableError,
     TableExistsError,
     TableNotFoundError,
@@ -39,6 +40,7 @@ from .cancellation import CancellationToken
 from .coprocessor import Coprocessor, CoprocessorContext, StreamingPartial
 from .region import Region
 from .table import HTable, TableDescriptor
+from .wal import RegionWALHandle, ServerWAL
 
 #: Fault-kind strings shared with :mod:`repro.core.faults` (duplicated
 #: as literals so ``hbase`` never imports ``core``).
@@ -195,6 +197,13 @@ class HBaseCluster:
         self.faults_config = faults_config or FaultsConfig()
         self.simulation = ClusterSimulation(self.config)
         self._tables: Dict[str, HTable] = {}
+        #: node_id -> that region server's durable log.  Every region of
+        #: every table writes through a handle on the log of the node it
+        #: is placed on, from creation (see :meth:`_follow_placement`).
+        self._server_wals: Dict[int, ServerWAL] = {
+            node.node_id: ServerWAL(node.node_id)
+            for node in self.simulation.nodes
+        }
         #: Fault injector (see :class:`repro.core.faults.FaultInjector`);
         #: None (the default) keeps the clean path injection-free.
         self.fault_injector: Optional[Any] = None
@@ -208,8 +217,8 @@ class HBaseCluster:
         #: load-bearing for incident timelines).
         self.event_log: Optional[Any] = None
         #: Cluster supervisor (see :class:`repro.core.supervisor.
-        #: ClusterSupervisor`); None (the default) keeps failure
-        #: handling manual — fail_node/recover_node — exactly as before.
+        #: ClusterSupervisor`, which registers itself); None (the
+        #: default) keeps failure handling manual: fail_node/recover_node.
         self.supervisor: Optional[Any] = None
         #: Global retry budget (duck-typed ``repro.core.admission.
         #: RetryBudget``); None (the default) leaves retries/hedges
@@ -243,8 +252,9 @@ class HBaseCluster:
             self.event_log.emit(dict(event), keep=keep)
 
     def attach_supervisor(self, supervisor: Optional[Any]) -> None:
-        """Hand failure handling to a ClusterSupervisor: heartbeat-lease
-        death detection, WAL-split recovery, and storage scrubbing.
+        """Hand failure handling to a ClusterSupervisor (it calls this
+        from its constructor): heartbeat-lease death detection,
+        WAL-split recovery, and storage scrubbing.
         Also routes injected ``fail`` schedule entries through
         :meth:`crash_node` instead of :meth:`fail_node`, so injected
         deaths become *real* crashes the supervisor must heal.  Detach
@@ -264,17 +274,15 @@ class HBaseCluster:
         touched never see the cache either way."""
         self.scan_cache = cache
 
-    def scan_cache_sweep(self, now: Optional[float] = None) -> int:
-        """Reap dead scan-cache entries (TTL-expired or stamped with a
-        superseded region seqid).  Returns the number dropped; 0 when no
-        cache is attached."""
+    def scan_cache_sweep(self) -> int:
+        """Reap scan-cache entries stamped with a superseded region
+        seqid.  Returns the number dropped; 0 when no cache is
+        attached."""
         if self.scan_cache is None:
             return 0
-        seqids: Dict[int, int] = {}
-        for table in self._tables.values():
-            for region in table.regions:
-                seqids[region.region_id] = region.data_seqid
-        return self.scan_cache.sweep(current_seqids=seqids, now=now)
+        return self.scan_cache.sweep(
+            {region.region_id: region.data_seqid for region in self.regions()}
+        )
 
     def _count(
         self, name: str, amount: int = 1, labels: Optional[Mapping] = None
@@ -287,7 +295,7 @@ class HBaseCluster:
     def create_table(self, descriptor: TableDescriptor) -> HTable:
         if descriptor.name in self._tables:
             raise TableExistsError("table %r already exists" % descriptor.name)
-        table = HTable(descriptor)
+        table = HTable(descriptor, on_split=self._replace_regions)
         self._tables[descriptor.name] = table
         self._replace_regions()
         return table
@@ -307,16 +315,53 @@ class HBaseCluster:
     def table_names(self) -> List[str]:
         return sorted(self._tables)
 
-    def _replace_regions(self) -> None:
-        """Re-run region placement after any region-set change."""
-        all_regions: List[int] = []
-        for table in self._tables.values():
-            all_regions.extend(table.region_ids())
-        self.simulation.place_regions(all_regions)
+    def regions(self) -> Iterator[Region]:
+        """Every region of every table, tables in name order."""
+        for name in sorted(self._tables):
+            yield from self._tables[name].regions
 
-    def rebalance(self) -> None:
-        """Public hook: re-place regions (needed after region splits)."""
-        self._replace_regions()
+    def region(self, region_id: int) -> Region:
+        for region in self.regions():
+            if region.region_id == region_id:
+                return region
+        raise RegionNotFoundError("no region %r in this cluster" % region_id)
+
+    def server_wal(self, node_id: int) -> ServerWAL:
+        """The durable log of region server ``node_id``."""
+        return self._server_wals[node_id]
+
+    def _replace_regions(self) -> None:
+        """Re-run region placement after any region-set change (a table
+        created or dropped, a region split)."""
+        before = self.simulation.region_placement
+        self.simulation.place_regions([r.region_id for r in self.regions()])
+        self._follow_placement(before)
+
+    def _follow_placement(self, before: Mapping[int, int]) -> None:
+        """Placement just changed from ``before``: bring the logs along.
+
+        Every region that is new or now lives on another node gets its
+        log on — or has its records (live and archived) moved to — that
+        node's :class:`ServerWAL`, and its cached partials are dropped:
+        they were produced under the old placement, possibly on a
+        server that just disappeared mid-write.  Regions that left the
+        cluster (a dropped table, a split parent) take their records
+        and cached partials with them.
+        """
+        after = self.simulation.region_placement
+        regions = {region.region_id: region for region in self.regions()}
+        moved = [rid for rid, node in after.items() if before.get(rid) != node]
+        for rid in moved:
+            region, server = regions[rid], self._server_wals[after[rid]]
+            if region.wal is None:
+                region.wal = RegionWALHandle(server, rid)
+            else:
+                region.wal.rehome(server)
+        gone = before.keys() - after.keys()
+        for rid in gone:
+            self._server_wals[before[rid]].remove_region(rid)
+        if self.scan_cache is not None and (moved or gone):
+            self.scan_cache.invalidate_regions([*moved, *gone])
 
     # ----------------------------------------------------- coprocessors
 
@@ -1035,13 +1080,10 @@ class HBaseCluster:
         degrades).  With one attached, the injector is notified so it
         can model stale region locations and lost replicas — the
         degraded-result path."""
+        before = self.simulation.region_placement
         moved = self.simulation.fail_node(node_id)
         self._breaker_reset(node_id)
-        if self.scan_cache is not None and moved:
-            # The dead node's regions reopen elsewhere: drop their
-            # cached partials rather than trust entries produced on a
-            # server that just disappeared mid-write.
-            self.scan_cache.invalidate_regions(moved)
+        self._follow_placement(before)
         if self.fault_injector is not None and moved:
             self.fault_injector.on_node_failed(node_id, moved)
         self._emit_event(
@@ -1067,18 +1109,10 @@ class HBaseCluster:
             )
         downed = self.simulation.crash_node(node_id)
         self._breaker_reset(node_id)
-        if self.scan_cache is not None and downed:
-            self.scan_cache.invalidate_regions(downed)
-        dropped_cells = 0
-        regions_by_id = {
-            r.region_id: r
-            for table in self._tables.values()
-            for r in table.regions
-        }
-        for rid in downed:
-            region = regions_by_id.get(rid)
-            if region is not None:
-                dropped_cells += region.crash()
+        # Nothing moves, so the logs stay put — on the dead server,
+        # where recovery will split them.  The memstores are gone; the
+        # seqid bump of each crash() retires the cached partials.
+        dropped_cells = sum(self.region(rid).crash() for rid in downed)
         self._emit_event(
             {
                 "type": "node.crashed",
@@ -1091,13 +1125,13 @@ class HBaseCluster:
 
     def reassign_regions(self, mapping: Dict[int, int]) -> None:
         """Supervisor-driven placement change: point regions at new
-        nodes and drop their cached partials (they will be served by a
-        different server, possibly after WAL replay)."""
+        nodes; their logs and cached partials follow (they will be
+        served by a different server, possibly after WAL replay)."""
         if not mapping:
             return
+        before = self.simulation.region_placement
         self.simulation.reassign_regions(mapping)
-        if self.scan_cache is not None:
-            self.scan_cache.invalidate_regions(list(mapping))
+        self._follow_placement(before)
         self._emit_event(
             {
                 "type": "regions.reassigned",
@@ -1110,15 +1144,8 @@ class HBaseCluster:
         before = self.simulation.region_placement
         self.simulation.recover_node(node_id)
         self._breaker_reset(node_id)
-        if self.scan_cache is not None:
-            # Rebalance moves regions onto the returning node; their
-            # cached partials were produced under the old placement and
-            # must go, exactly as fail_node drops the dead node's — the
-            # two paths are symmetric.
-            after = self.simulation.region_placement
-            moved = [rid for rid, node in after.items() if before.get(rid) != node]
-            if moved:
-                self.scan_cache.invalidate_regions(moved)
+        # The rebalance moves regions onto the returning node.
+        self._follow_placement(before)
         if self.fault_injector is not None:
             self.fault_injector.on_node_recovered(node_id)
         self._emit_event({"type": "node.recovered", "node": node_id})

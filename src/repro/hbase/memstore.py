@@ -173,6 +173,10 @@ class MemStore:
         for entry in keyed:
             if batch and batch[-1][0] == entry[0]:
                 self._size_bytes -= batch[-1][1].approx_size()
+                if batch[-1][1].is_delete:
+                    # Written one at a time, the tombstone would have
+                    # lowered the flag before being overwritten.
+                    self._plain = False
                 batch[-1] = entry
             else:
                 batch.append(entry)

@@ -9,14 +9,14 @@ slice of the table.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ColumnFamilyNotFoundError, StorageError
 from .cell import Cell
 from .filters import ScanFilter
 from .hfile import StoreFile, iter_merge_sorted_runs, merge_sorted_runs
 from .memstore import MemStore
-from .wal import WriteAheadLog
+from .wal import RegionWALHandle
 
 _region_ids = itertools.count()
 
@@ -34,7 +34,7 @@ class Region:
         start_key: Optional[bytes] = None,
         end_key: Optional[bytes] = None,
         flush_threshold_bytes: int = 4 * 1024 * 1024,
-        wal: Optional["WriteAheadLog"] = None,
+        wal: Optional[RegionWALHandle] = None,
         minor_compaction_threshold: int = 0,
     ) -> None:
         if not families:
@@ -54,13 +54,15 @@ class Region:
         #: Monotonic data sequence id: bumped by every mutation that can
         #: change what a reader observes *or* reorganizes storage — puts
         #: (including tombstones), flushes, minor/major compactions, TTL
-        #: cutoff changes and store-file adoption.  Scan-cache entries
+        #: cutoff changes, crashes and replays.  Scan-cache entries
         #: are stamped with the seqid captured before their scan, so any
         #: concurrent or later mutation makes them stale (HBase's
         #: read-point semantics, used here for invalidation).
         self.data_seqid = 0
-        #: Optional durability log: every put is appended before it is
-        #: applied; a full flush lets the log truncate (see recover()).
+        #: Durability log: every put is appended before it is applied; a
+        #: full flush lets the log truncate.  A cluster gives each of its
+        #: regions one at creation; None only on a region built outside
+        #: a cluster without one.
         self.wal = wal
         #: Store files per family before a minor compaction triggers
         #: (0 disables automatic minor compaction).
@@ -123,10 +125,11 @@ class Region:
 
         Equivalent to calling :meth:`put` per cell — same WAL records,
         same memstore contents, same recovery — but the whole batch
-        shares ONE WAL sync boundary (:meth:`WriteAheadLog.append_batch`)
+        shares ONE WAL sync boundary (:meth:`RegionWALHandle.append_batch`)
         and each family's memstore absorbs its share in one sorted merge.
-        Every row is range-checked before anything is applied, matching
-        :meth:`mutate_batch`'s all-or-nothing-on-validation contract.
+        All-or-nothing against *validation*: every cell's row and family
+        are checked before anything is logged or applied, so a bad cell
+        cannot leave the batch half-applied.
 
         Returns the WAL ``(first_sequence, last_sequence)`` covering the
         batch (``(0, 0)`` with no WAL attached or an empty batch); the
@@ -205,45 +208,14 @@ class Region:
         self._store_files[family] = [StoreFile(merged)]
         self.data_seqid += 1
 
-    @classmethod
-    def recover(
-        cls,
-        wal: "WriteAheadLog",
-        families: Sequence[str],
-        start_key: Optional[bytes] = None,
-        end_key: Optional[bytes] = None,
-        **kwargs,
-    ) -> "Region":
-        """Rebuild a crashed region's unflushed state by replaying its WAL.
-
-        Only cells still in the log are replayed — flushed cells were
-        truncated away and live in store files, which a real deployment
-        would reopen from disk; callers re-attach them via
-        :meth:`adopt_store_files`.
-        """
-        region = cls(
-            families=families, start_key=start_key, end_key=end_key,
-            wal=wal, **kwargs,
-        )
-        for cell in wal.replay():
-            store = region._memstore(cell.family)
-            store.put(cell)
-            region.write_count += 1
-        return region
-
-    def adopt_store_files(self, family: str, files: List[StoreFile]) -> None:
-        """Attach surviving on-disk store files during recovery."""
-        self._store_files[family] = list(files) + self._store_files[family]
-        self.data_seqid += 1
-
     def crash(self) -> int:
         """Lose the memstores, as a region-server crash does.
 
         Store files survive (they are \"on disk\") and the WAL survives
         (it lives on the server log / its own object) — exactly the
         durable/volatile split recovery depends on.  Returns how many
-        memstore cells were dropped; the supervisor replays them from
-        the WAL before the region reopens.
+        memstore cells were dropped; recovery is
+        ``replay_cells(wal.replay())`` before the region reopens.
         """
         dropped = 0
         for store in self._memstores.values():
@@ -252,7 +224,7 @@ class Region:
         self.data_seqid += 1
         return dropped
 
-    def replay_cells(self, cells: Sequence[Cell]) -> int:
+    def replay_cells(self, cells: Iterable[Cell]) -> int:
         """Rebuild memstore state from already-logged cells (recovery).
 
         Unlike :meth:`put`, nothing is re-appended to the WAL — these
@@ -423,23 +395,6 @@ class Region:
             return False
         self.put(cell)
         return True
-
-    def mutate_batch(self, cells: Sequence[Cell]) -> int:
-        """Apply a batch of puts as one unit (HBase's ``batch``).
-
-        All-or-nothing against *validation*: every cell is range-checked
-        before any write is applied, so a bad row key cannot leave the
-        batch half-applied.  Returns the number of cells written.
-        """
-        for cell in cells:
-            if not self.contains_row(cell.row):
-                raise StorageError(
-                    "row %r outside region range [%r, %r)"
-                    % (cell.row, self.start_key, self.end_key)
-                )
-        for cell in cells:
-            self.put(cell)
-        return len(cells)
 
     def _clamp(
         self, start_row: Optional[bytes], stop_row: Optional[bytes]

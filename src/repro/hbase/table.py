@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional
 
 from ..errors import RegionNotFoundError, StorageError
 from .bytes_util import uniform_split_points
@@ -44,23 +44,36 @@ class HTable:
     owning region and merges multi-region scans in key order.
     """
 
-    def __init__(self, descriptor: TableDescriptor) -> None:
+    def __init__(
+        self,
+        descriptor: TableDescriptor,
+        on_split: Optional[Callable[[], None]] = None,
+    ) -> None:
         self.descriptor = descriptor
+        #: Called once a split has swapped the daughters in, before they
+        #: take their first cell: the owning cluster places them and
+        #: gives them their logs.
+        self._on_split = on_split
         points = descriptor.resolved_split_points()
         boundaries = [None] + points + [None]
         self.regions: List[Region] = [
-            Region(
-                families=descriptor.families,
-                start_key=boundaries[i],
-                end_key=boundaries[i + 1],
-                flush_threshold_bytes=descriptor.flush_threshold_bytes,
-            )
+            self._new_region(boundaries[i], boundaries[i + 1])
             for i in range(len(boundaries) - 1)
         ]
         # Start keys for bisect routing; region 0 covers (-inf, ...).
         self._start_keys: List[bytes] = [
             r.start_key for r in self.regions if r.start_key is not None
         ]
+
+    def _new_region(
+        self, start_key: Optional[bytes], end_key: Optional[bytes]
+    ) -> Region:
+        return Region(
+            families=self.descriptor.families,
+            start_key=start_key,
+            end_key=end_key,
+            flush_threshold_bytes=self.descriptor.flush_threshold_bytes,
+        )
 
     @property
     def name(self) -> str:
@@ -110,34 +123,6 @@ class HTable:
         region.put(cell)
         self._maybe_split(region, cell.family)
 
-    def put_many(self, cells: Sequence[Cell]) -> None:
-        for cell in cells:
-            self.put(cell)
-
-    def put_batch(self, cells: Sequence[Cell]) -> Dict[Region, tuple]:
-        """Group-commit puts, routed once per batch.
-
-        Cells are grouped by owning region (one bisect per cell, no
-        per-put ``_maybe_split`` bookkeeping) and each region applies
-        its share via :meth:`Region.put_batch` — one WAL sync and one
-        memstore merge per region instead of one per cell.  Returns
-        ``{region: (first_wal_seq, last_wal_seq)}`` so callers tracking
-        fold watermarks (the ingest tier) know what landed where.
-        Whole-batch validation mirrors :meth:`mutate_batch`.
-        """
-        grouped: Dict[int, List[Cell]] = {}
-        region_by_id: Dict[int, Region] = {}
-        for cell in cells:
-            region = self.region_for_row(cell.row)
-            grouped.setdefault(region.region_id, []).append(cell)
-            region_by_id[region.region_id] = region
-        applied: Dict[Region, tuple] = {}
-        for region_id, batch in grouped.items():
-            region = region_by_id[region_id]
-            applied[region] = region.put_batch(batch)
-            self._maybe_split(region, batch[0].family)
-        return applied
-
     def delete(self, row: bytes, family: str, qualifier: bytes, timestamp: int) -> None:
         self.region_for_row(row).delete(row, family, qualifier, timestamp)
 
@@ -153,24 +138,6 @@ class HTable:
         return self.region_for_row(row).check_and_put(
             row, family, qualifier, expected, cell
         )
-
-    def mutate_batch(self, cells: Sequence[Cell]) -> int:
-        """Batch puts, grouped per owning region.
-
-        Validation runs for the *whole batch* before any region applies
-        its share, preserving the all-or-nothing-on-validation contract
-        across regions.
-        """
-        grouped: Dict[int, List[Cell]] = {}
-        region_by_id = {}
-        for cell in cells:
-            region = self.region_for_row(cell.row)
-            grouped.setdefault(region.region_id, []).append(cell)
-            region_by_id[region.region_id] = region
-        written = 0
-        for region_id, batch in grouped.items():
-            written += region_by_id[region_id].mutate_batch(batch)
-        return written
 
     def set_ttl_cutoff(self, family: str, cutoff_ts: int) -> None:
         """Apply a TTL horizon to every region of the table."""
@@ -256,26 +223,17 @@ class HTable:
         if mid == sorted_rows[0]:
             return  # degenerate: all mass on the first key
 
-        left = Region(
-            families=self.descriptor.families,
-            start_key=region.start_key,
-            end_key=mid,
-            flush_threshold_bytes=self.descriptor.flush_threshold_bytes,
-        )
-        right = Region(
-            families=self.descriptor.families,
-            start_key=mid,
-            end_key=region.end_key,
-            flush_threshold_bytes=self.descriptor.flush_threshold_bytes,
-        )
-        for cell in cells:
-            (left if cell.row < mid else right).put(cell)
-
+        left = self._new_region(region.start_key, mid)
+        right = self._new_region(mid, region.end_key)
         idx = self.regions.index(region)
         self.regions[idx : idx + 1] = [left, right]
         self._start_keys = [
             r.start_key for r in self.regions if r.start_key is not None
         ]
+        if self._on_split is not None:
+            self._on_split()
+        for cell in cells:
+            (left if cell.row < mid else right).put(cell)
 
     # ------------------------------------------------------------ stats
 

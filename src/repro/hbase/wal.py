@@ -10,34 +10,27 @@ Log records are framed with a sequence number and a CRC so replay can
 detect (and stop at) a torn tail — the failure mode a real crash leaves
 behind.
 
-Two log shapes live here:
-
-- :class:`WriteAheadLog` — a plain per-region log (the seed behavior,
-  still what the streaming ingest tier attaches when no supervisor is
-  running);
-- :class:`ServerWAL` + :class:`RegionWALHandle` — the HBase-faithful
-  arrangement the cluster supervisor installs: ONE durable log per
-  region *server*, shared by every region placed there, with each
-  record tagged by its region.  When the server dies, recovery splits
-  the log by region (:meth:`ServerWAL.split_by_region`) and replays
-  each region's committed-but-unflushed suffix on its new home — the
-  genuine log-split recovery a real master performs.  The handle gives
-  each region the exact :class:`WriteAheadLog` interface, so regions
-  and the ingest tier's fold watermarks work unchanged on either shape.
+The arrangement is HBase's: ONE durable :class:`ServerWAL` per region
+*server*, shared by every region placed there, each record tagged by
+its region.  A region reads and writes its own records through a
+:class:`RegionWALHandle` — the only log interface regions, the ingest
+tier's fold watermarks and the scrubber know.  The cluster gives every
+region its handle when the region is created and re-points it in the
+step that changes the region's placement (DESIGN.md §10); a handle
+built without a server owns a private one, which is all a region
+outside a cluster needs.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import StorageError
 from .cell import Cell
 
 
-@dataclass(frozen=True)
-class WALRecord:
+class WALRecord(NamedTuple):
     """One durable log entry."""
 
     sequence: int
@@ -63,131 +56,6 @@ class WALRecord:
         return self.crc == self.checksum(self.sequence, self.cell)
 
 
-class WriteAheadLog:
-    """An append-only cell log with sequence numbers and truncation.
-
-    ``truncate_to(sequence)`` discards entries at or below ``sequence``;
-    regions call it after a successful flush, because flushed cells no
-    longer need replay (HBase's log-roll + archival).
-    """
-
-    def __init__(self) -> None:
-        self._records: List[WALRecord] = []
-        self._next_sequence = 1
-        #: Durability boundaries crossed so far: one per :meth:`append`
-        #: and one per :meth:`append_batch`, however many records the
-        #: batch carried.  This is the group-commit ledger — a real WAL
-        #: pays one fsync per boundary, so the streaming ingest tier's
-        #: 3x-writes claim is checkable as ``sync_count << len(wal)``.
-        self.sync_count = 0
-
-    def append(self, cell: Cell) -> int:
-        """Durably record one cell; returns its sequence number.
-
-        Each call is its own sync boundary (fsync-per-put — the seed
-        write path's behavior, which group commit amortizes away).
-        """
-        sequence = self._next_sequence
-        self._next_sequence += 1
-        self._records.append(
-            WALRecord(
-                sequence=sequence,
-                cell=cell,
-                crc=WALRecord.checksum(sequence, cell),
-            )
-        )
-        self.sync_count += 1
-        return sequence
-
-    def append_batch(self, cells: Sequence[Cell]) -> Tuple[int, int]:
-        """Group-commit: durably record ``cells`` under ONE sync boundary.
-
-        Returns ``(first_sequence, last_sequence)`` of the appended run
-        (``(0, 0)`` for an empty batch).  Records are framed and
-        checksummed individually — replay is record-by-record and
-        byte-identical to the same cells appended one at a time — but
-        the batch shares a single sync, which is where a real WAL's
-        throughput win lives.
-        """
-        if not cells:
-            return (0, 0)
-        first = self._next_sequence
-        checksum = WALRecord.checksum
-        append = self._records.append
-        sequence = first
-        for cell in cells:
-            append(WALRecord(sequence=sequence, cell=cell,
-                             crc=checksum(sequence, cell)))
-            sequence += 1
-        self._next_sequence = sequence
-        self.sync_count += 1
-        return (first, sequence - 1)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    @property
-    def last_sequence(self) -> int:
-        return self._next_sequence - 1
-
-    def truncate_to(self, sequence: int) -> int:
-        """Drop records with sequence <= ``sequence``; returns how many."""
-        before = len(self._records)
-        self._records = [r for r in self._records if r.sequence > sequence]
-        return before - len(self._records)
-
-    def replay(self) -> Iterator[Cell]:
-        """Yield logged cells in order, stopping at a corrupt record.
-
-        A torn tail (e.g. from :meth:`corrupt_tail` in tests) ends the
-        replay rather than raising: everything before it is recovered,
-        matching HBase's recovery semantics.
-        """
-        for record in self._records:
-            if not record.is_valid():
-                break
-            yield record.cell
-
-    def records_after(self, sequence: int) -> Iterator[WALRecord]:
-        """Valid records with ``sequence > sequence``, in order.
-
-        The ingest tier's applier recovery replays exactly the suffix of
-        the log it had not yet folded into the incremental HotIn state —
-        records at or below the fold watermark are skipped, so a replay
-        can never double-count a delta.  Stops at a torn tail like
-        :meth:`replay`.
-        """
-        for record in self._records:
-            if not record.is_valid():
-                break
-            if record.sequence > sequence:
-                yield record
-
-    def corrupt_tail(self) -> None:
-        """Testing hook: simulate a torn final record."""
-        if not self._records:
-            raise StorageError("cannot corrupt an empty log")
-        last = self._records[-1]
-        self._records[-1] = WALRecord(
-            sequence=last.sequence, cell=last.cell, crc=last.crc ^ 0xFFFF
-        )
-
-    def drop_torn_tail(self) -> int:
-        """Discard the invalid suffix of the log; returns how many records.
-
-        Replay already *ignores* a torn tail; dropping it additionally
-        reclaims the space and lets subsequent appends produce a log
-        whose every record is valid again.  The scrubber calls this when
-        its WAL-tail pass finds torn records.
-        """
-        for i, record in enumerate(self._records):
-            if not record.is_valid():
-                dropped = len(self._records) - i
-                del self._records[i:]
-                return dropped
-        return 0
-
-
 class ServerWAL:
     """One durable write-ahead log per region *server* (HBase-faithful).
 
@@ -205,24 +73,21 @@ class ServerWAL:
     server cannot hold the whole table in log form.
     """
 
-    def __init__(self, node_id: int, archive_capacity: int = 65536) -> None:
+    def __init__(
+        self, node_id: Optional[int] = None, archive_capacity: int = 65536
+    ) -> None:
         if archive_capacity < 0:
             raise StorageError("archive_capacity must be >= 0")
+        #: None for a handle's private log (a region outside a cluster).
         self.node_id = node_id
         self.archive_capacity = archive_capacity
         self._by_region: Dict[int, List[WALRecord]] = {}
         self._archive: Dict[int, List[WALRecord]] = {}
-        #: Sync boundaries crossed on this server's log (group-commit
-        #: ledger, summed across every region writing here).
-        self.sync_count = 0
 
-    # -- write path (called by RegionWALHandle) --------------------------
-
-    def append_record(self, region_id: int, record: WALRecord) -> None:
-        self._by_region.setdefault(region_id, []).append(record)
-
-    def mark_sync(self) -> None:
-        self.sync_count += 1
+    def append_records(
+        self, region_id: int, records: Sequence[WALRecord]
+    ) -> None:
+        self._by_region.setdefault(region_id, []).extend(records)
 
     # -- read / recovery -------------------------------------------------
 
@@ -234,16 +99,10 @@ class ServerWAL:
         """Flushed records retained for scrub repair, oldest first."""
         return self._archive.get(region_id, [])
 
-    def region_ids(self) -> List[int]:
-        return sorted(set(self._by_region) | set(self._archive))
-
     def split_by_region(self) -> Dict[int, List[WALRecord]]:
-        """Log split: the live records of every region, keyed by region.
-
-        This is what the supervisor walks when the server is declared
-        dead — each region's committed-but-unflushed suffix, ready to be
-        replayed on that region's new home.
-        """
+        """Log split: the live records of every region, keyed by region —
+        each one's committed-but-unflushed suffix, which recovery replays
+        on the region's new home."""
         return {rid: list(records)
                 for rid, records in self._by_region.items() if records}
 
@@ -252,36 +111,39 @@ class ServerWAL:
     def truncate_region(self, region_id: int, sequence: int) -> int:
         """Archive the region's records with sequence <= ``sequence``.
 
-        Returns how many records moved.  Only valid records are worth
-        archiving — a torn record can never seed a repair.
+        Returns how many records left the live log.  Only valid records
+        are worth archiving — a torn record can never seed a repair.
         """
         live = self._by_region.get(region_id)
         if not live:
             return 0
         keep = [r for r in live if r.sequence > sequence]
-        moved = [r for r in live if r.sequence <= sequence and r.is_valid()]
         count = len(live) - len(keep)
+        self._archive_records(
+            region_id,
+            [r for r in live if r.sequence <= sequence and r.is_valid()],
+        )
         if keep:
             self._by_region[region_id] = keep
         else:
-            self._by_region.pop(region_id, None)
-        if moved and self.archive_capacity:
+            del self._by_region[region_id]
+        return count
+
+    def _archive_records(
+        self, region_id: int, records: Sequence[WALRecord]
+    ) -> None:
+        if records and self.archive_capacity:
             archive = self._archive.setdefault(region_id, [])
-            archive.extend(moved)
+            archive.extend(records)
             if len(archive) > self.archive_capacity:
                 del archive[: len(archive) - self.archive_capacity]
-        return count
 
     def adopt(self, region_id: int, live: Sequence[WALRecord],
               archived: Sequence[WALRecord]) -> None:
         """Take ownership of a region's records (rehoming after a move)."""
         if live:
-            self._by_region.setdefault(region_id, []).extend(live)
-        if archived and self.archive_capacity:
-            archive = self._archive.setdefault(region_id, [])
-            archive.extend(archived)
-            if len(archive) > self.archive_capacity:
-                del archive[: len(archive) - self.archive_capacity]
+            self.append_records(region_id, live)
+        self._archive_records(region_id, archived)
 
     def remove_region(self, region_id: int) -> Tuple[List[WALRecord], List[WALRecord]]:
         """Detach a region's records entirely; returns (live, archived)."""
@@ -292,60 +154,66 @@ class ServerWAL:
 
 
 class RegionWALHandle:
-    """A region's view of its server's shared :class:`ServerWAL`.
+    """A region's log: its view of its server's shared :class:`ServerWAL`.
 
-    Presents the exact :class:`WriteAheadLog` interface — ``append``,
-    ``append_batch``, ``truncate_to``, ``replay``, ``records_after``,
-    ``last_sequence``, ``sync_count`` — so :class:`~repro.hbase.region.Region`
-    and the streaming ingest tier's fold watermarks work unchanged.  The
-    sequence counter is owned by the handle (per-region sequences, as in
-    HBase), while durability and storage live on whichever server the
-    region is currently placed on.  :meth:`rehome` re-points the handle
-    at a new server after the supervisor moves the region, carrying the
-    region's records along.
+    The sequence counter is owned by the handle (per-region sequences,
+    as in HBase), while durability and storage live on whichever server
+    the region is currently placed on; :meth:`rehome` re-points the
+    handle when the placement changes, carrying the region's records
+    along.  ``truncate_to(sequence)`` retires entries at or below
+    ``sequence``; regions call it after a successful full flush, because
+    flushed cells no longer need replay (HBase's log-roll + archival).
     """
 
-    def __init__(self, server: "ServerWAL", region_id: int) -> None:
-        self._server = server
+    def __init__(
+        self, server: Optional[ServerWAL] = None, region_id: int = 0
+    ) -> None:
+        self._server = server if server is not None else ServerWAL()
         self.region_id = region_id
         self._next_sequence = 1
-        #: Sync boundaries attributable to THIS region's writes (the
-        #: per-region ledger the ingest tier's group-commit accounting
-        #: reads); the server additionally keeps a cluster-visible sum.
+        #: Durability boundaries crossed so far: one per :meth:`append`
+        #: and one per :meth:`append_batch`, however many records the
+        #: batch carried.  This is the group-commit ledger — a real WAL
+        #: pays one fsync per boundary, so the streaming ingest tier's
+        #: 3x-writes claim is checkable as ``sync_count << len(wal)``.
         self.sync_count = 0
 
     @property
-    def server(self) -> "ServerWAL":
+    def server(self) -> ServerWAL:
         return self._server
 
     def append(self, cell: Cell) -> int:
-        sequence = self._next_sequence
-        self._next_sequence += 1
-        self._server.append_record(
-            self.region_id,
-            WALRecord(sequence=sequence, cell=cell,
-                      crc=WALRecord.checksum(sequence, cell)),
-        )
-        self.sync_count += 1
-        self._server.mark_sync()
-        return sequence
+        """Durably record one cell; returns its sequence number.
+
+        Each call is its own sync boundary (fsync-per-put, which group
+        commit amortizes away).
+        """
+        return self.append_batch((cell,))[1]
 
     def append_batch(self, cells: Sequence[Cell]) -> Tuple[int, int]:
+        """Group-commit: durably record ``cells`` under ONE sync boundary.
+
+        Returns ``(first_sequence, last_sequence)`` of the appended run
+        (``(0, 0)`` for an empty batch).  Records are framed and
+        checksummed individually — replay is record-by-record and
+        byte-identical to the same cells appended one at a time — but
+        the batch shares a single sync, which is where a real WAL's
+        throughput win lives.
+        """
         if not cells:
             return (0, 0)
         first = self._next_sequence
-        sequence = first
         checksum = WALRecord.checksum
-        append = self._server.append_record
-        rid = self.region_id
-        for cell in cells:
-            append(rid, WALRecord(sequence=sequence, cell=cell,
-                                  crc=checksum(sequence, cell)))
-            sequence += 1
-        self._next_sequence = sequence
+        self._server.append_records(
+            self.region_id,
+            [
+                WALRecord(sequence, cell, checksum(sequence, cell))
+                for sequence, cell in enumerate(cells, first)
+            ],
+        )
+        self._next_sequence = first + len(cells)
         self.sync_count += 1
-        self._server.mark_sync()
-        return (first, sequence - 1)
+        return (first, self._next_sequence - 1)
 
     def __len__(self) -> int:
         return len(self._server.records_for(self.region_id))
@@ -355,15 +223,28 @@ class RegionWALHandle:
         return self._next_sequence - 1
 
     def truncate_to(self, sequence: int) -> int:
+        """Retire records with sequence <= ``sequence``; returns how many."""
         return self._server.truncate_region(self.region_id, sequence)
 
     def replay(self) -> Iterator[Cell]:
-        for record in self._server.records_for(self.region_id):
-            if not record.is_valid():
-                break
+        """Yield logged cells in order, stopping at a corrupt record.
+
+        A torn tail (e.g. from :meth:`corrupt_tail` in tests) ends the
+        replay rather than raising: everything before it is recovered,
+        matching HBase's recovery semantics.
+        """
+        for record in self.records_after(0):
             yield record.cell
 
     def records_after(self, sequence: int) -> Iterator[WALRecord]:
+        """Valid records with ``sequence > sequence``, in order.
+
+        The ingest tier's applier recovery replays exactly the suffix of
+        the log it had not yet folded into the incremental HotIn state —
+        records at or below the fold watermark are skipped, so a replay
+        can never double-count a delta.  Stops at a torn tail like
+        :meth:`replay`.
+        """
         for record in self._server.records_for(self.region_id):
             if not record.is_valid():
                 break
@@ -371,15 +252,21 @@ class RegionWALHandle:
                 yield record
 
     def corrupt_tail(self) -> None:
+        """Testing hook: simulate a torn final record."""
         records = self._server.records_for(self.region_id)
         if not records:
             raise StorageError("cannot corrupt an empty log")
         last = records[-1]
-        records[-1] = WALRecord(
-            sequence=last.sequence, cell=last.cell, crc=last.crc ^ 0xFFFF
-        )
+        records[-1] = last._replace(crc=last.crc ^ 0xFFFF)
 
     def drop_torn_tail(self) -> int:
+        """Discard the invalid suffix of the log; returns how many records.
+
+        Replay already *ignores* a torn tail; dropping it additionally
+        reclaims the space and lets subsequent appends produce a log
+        whose every record is valid again.  The scrubber calls this when
+        its WAL-tail pass finds torn records.
+        """
         records = self._server.records_for(self.region_id)
         for i, record in enumerate(records):
             if not record.is_valid():
@@ -388,13 +275,13 @@ class RegionWALHandle:
                 return dropped
         return 0
 
-    def rehome(self, new_server: "ServerWAL") -> None:
+    def rehome(self, new_server: ServerWAL) -> None:
         """Move this region's records (live + archived) to ``new_server``.
 
-        Called by the supervisor when the region's placement changes —
-        either a planned move (the region is flushed first, so only the
-        archive travels) or dead-server recovery (the split-out live
-        suffix travels too, for replay on the new home).
+        The cluster calls this in the step that changes the region's
+        placement — a planned move, an instantaneous failover or
+        dead-server recovery alike — so a later crash of the new home
+        finds the region's unflushed suffix in that server's log.
         """
         if new_server is self._server:
             return

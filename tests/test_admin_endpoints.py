@@ -125,7 +125,7 @@ class TestAdminCache:
             _search(rest, friends=range(1, 10))
             scan = rest.handle("admin_cache", {})["data"]["scan"]
             assert set(scan) == {
-                "entries", "poi_attrs", "max_entries", "ttl_s", "hits",
+                "entries", "poi_attrs", "max_entries", "hits",
                 "misses", "evictions", "invalidations", "hit_rate",
             }
             # Every aggregated POI was parsed once, for all regions.

@@ -364,16 +364,6 @@ class TestCacheMechanics:
         ) == columns
         assert list(FriendPartial([], [], [], []).poi_ids) == []
 
-    def test_ttl_expiry_with_injected_clock(self):
-        now = [100.0]
-        cache = RegionScanCache(ttl_s=10.0, clock=lambda: now[0])
-        generation = _admitted(cache, 1)
-        cache.store(1, generation, {(1, None, None): _partial()})
-        assert cache.lookup(1, 0) is generation
-        now[0] += 10.0
-        assert cache.lookup(1, 0) is None
-        assert len(cache) == 0
-
     def test_lru_evicts_whole_generations(self):
         cache = RegionScanCache(max_entries=2)
         for region_id, friend_id in ((1, 1), (1, 2), (2, 3)):
@@ -405,20 +395,19 @@ class TestCacheMechanics:
         cache.store(3, _admitted(cache, 3), big)
         assert 0 < cache.stats()["entries"] <= 16
 
-    def test_sweep_reaps_stale_and_expired(self):
-        now = [0.0]
-        cache = RegionScanCache(ttl_s=5.0, clock=lambda: now[0])
-        for region_id, seqid in ((1, 7), (2, 3)):
+    def test_sweep_reaps_superseded_generations(self):
+        cache = RegionScanCache()
+        for region_id, seqid in ((1, 7), (2, 3), (3, 1)):
             cache.store(
                 region_id,
                 _admitted(cache, region_id, seqid),
                 {(region_id, None, None): _partial()},
             )
-        now[0] = 6.0
-        cache.store(3, _admitted(cache, 3, 1), {(3, None, None): _partial()})
-        # Regions 1+2 TTL-expired; region 3 fresh but moved on.
-        assert cache.sweep(current_seqids={1: 7, 2: 3, 3: 2}) == 3
-        assert len(cache) == 0
+        # Region 1 is current and a region the caller does not list is
+        # left alone; regions 2 and 3 have moved on.
+        assert cache.sweep(current_seqids={1: 7, 2: 4, 3: 2}) == 2
+        assert cache.sweep(current_seqids={}) == 0
+        assert len(cache) == 1
 
     def test_node_failure_invalidates_moved_regions(self):
         stack = _Stack()
@@ -481,10 +470,7 @@ class _LockCheckingMetrics:
 class TestNoMetricsUnderCacheLock:
     def test_scan_cache_emits_after_releasing_its_lock(self):
         metrics = _LockCheckingMetrics()
-        now = [0.0]
-        cache = metrics.cache = RegionScanCache(
-            max_entries=2, ttl_s=5.0, metrics=metrics, clock=lambda: now[0]
-        )
+        cache = metrics.cache = RegionScanCache(max_entries=2, metrics=metrics)
         cache.store(1, _admitted(cache, 1), {(1, None, None): _partial()})
         cache.lookup(1, 1)  # superseded: invalidation
         cache.store(
@@ -495,8 +481,7 @@ class TestNoMetricsUnderCacheLock:
         cache.store(3, _admitted(cache, 3), {(1, None, None): _partial()})
         cache.invalidate_regions([3])
         cache.store(4, _admitted(cache, 4), {(1, None, None): _partial()})
-        now[0] = 9.0
-        cache.sweep()
+        cache.sweep({4: 1})  # superseded
         cache.store(5, _admitted(cache, 5), {(1, None, None): _partial()})
         cache.clear()
         # One call per operation that dropped something.

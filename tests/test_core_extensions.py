@@ -5,11 +5,7 @@ import pytest
 
 from repro.config import PlatformConfig
 from repro.core import MoDisSENSE
-from repro.core.monitoring import (
-    InstrumentedQueryAnswering,
-    LatencyHistogram,
-    PlatformMetrics,
-)
+from repro.core.monitoring import LatencyHistogram, PlatformMetrics
 from repro.core.scheduler import (
     DATA_COLLECTION_PERIOD_S,
     PeriodicScheduler,
@@ -355,21 +351,21 @@ class TestMonitoring:
             VisitStruct(user_id=1, poi_id=1, timestamp=10, grade=0.9,
                         poi_name="A", lat=37.0, lon=23.0)
         )
-        wrapped = InstrumentedQueryAnswering(small_platform.query_answering)
-        wrapped.search(SearchQuery(friend_ids=(1,)))
-        wrapped.search(SearchQuery(sort_by="hotness"))
-        snap = wrapped.metrics.snapshot()
+        qa = small_platform.query_answering
+        qa.search(SearchQuery(friend_ids=(1,)))
+        qa.search(SearchQuery(sort_by="hotness"))
+        assert qa.metrics is small_platform.metrics
+        snap = qa.metrics.snapshot()
         assert snap["counters"]["queries.personalized"] == 1
         assert snap["counters"]["queries.non_personalized"] == 1
         assert snap["latencies"]["query.personalized"]["count"] == 1
-        # Query-path profiling counters flow through the wrapper.
+        # Query-path profiling counters are recorded by the module.
         assert snap["counters"]["cells.merged"] == 1
         assert snap["counters"]["cells.decoded"] == 1
         assert snap["counters"]["regions.used"] == 1
         regions = len(small_platform.visits_repository.table.regions)
         assert snap["counters"]["regions.pruned"] == regions - 1
-        # Delegation still works for untracked attributes.
-        assert wrapped.pois is small_platform.poi_repository
+        assert qa.pois is small_platform.poi_repository
 
     def test_personalized_latency_labeled_by_fanout_width(
         self, small_platform, small_pois

@@ -152,20 +152,22 @@ class TestCheckAndPut:
 class TestMutateBatch:
     def test_batch_applies_all(self):
         region = Region(families=["f"])
-        written = region.mutate_batch([cell(b"a"), cell(b"b"), cell(b"c")])
-        assert written == 3
+        region.put_batch([cell(b"a"), cell(b"b"), cell(b"c")])
+        assert region.write_count == 3
         assert region.get(b"b", "f", b"q") == b"v"
 
     def test_validation_precedes_any_write(self):
         region = Region(families=["f"], start_key=b"m", end_key=b"t")
         with pytest.raises(StorageError):
-            region.mutate_batch([cell(b"p"), cell(b"zzz")])  # zzz out of range
+            region.put_batch([cell(b"p"), cell(b"zzz")])  # zzz out of range
         # Nothing applied, not even the valid cell.
         assert region.get(b"p", "f", b"q") is None
 
     def test_cross_region_batch_through_table(self):
         table = HTable(TableDescriptor(name="t", families=["f"], num_regions=4))
         cells = [cell(bytes([b]) + b"-row") for b in (0x01, 0x41, 0x81, 0xC1)]
-        assert table.mutate_batch(cells) == 4
+        for c in cells:
+            table.region_for_row(c.row).put_batch([c])
+        assert [r.write_count for r in table.regions] == [1, 1, 1, 1]
         for c in cells:
             assert table.get(c.row, "f", b"q") == b"v"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import StorageError
-from repro.hbase import Cell, Region, WriteAheadLog
+from repro.hbase import Cell, Region, RegionWALHandle
 from repro.hbase.wal import WALRecord
 
 
@@ -12,9 +12,17 @@ def cell(row, ts=1, value=b"v", qualifier=b"q", delete=False):
                 value=value, is_delete=delete)
 
 
+def crash_and_replay(region):
+    """The one recovery path: the memstores die with the server, the
+    log and the store files survive, the log is replayed."""
+    region.crash()
+    region.replay_cells(region.wal.replay())
+    return region
+
+
 class TestWriteAheadLog:
     def test_append_assigns_increasing_sequences(self):
-        wal = WriteAheadLog()
+        wal = RegionWALHandle()
         s1 = wal.append(cell(b"a"))
         s2 = wal.append(cell(b"b"))
         assert s2 == s1 + 1
@@ -22,13 +30,13 @@ class TestWriteAheadLog:
         assert len(wal) == 2
 
     def test_replay_in_order(self):
-        wal = WriteAheadLog()
+        wal = RegionWALHandle()
         for row in (b"x", b"y", b"z"):
             wal.append(cell(row))
         assert [c.row for c in wal.replay()] == [b"x", b"y", b"z"]
 
     def test_truncate(self):
-        wal = WriteAheadLog()
+        wal = RegionWALHandle()
         for row in (b"a", b"b", b"c"):
             wal.append(cell(row))
         dropped = wal.truncate_to(2)
@@ -36,7 +44,7 @@ class TestWriteAheadLog:
         assert [c.row for c in wal.replay()] == [b"c"]
 
     def test_replay_stops_at_torn_tail(self):
-        wal = WriteAheadLog()
+        wal = RegionWALHandle()
         wal.append(cell(b"good1"))
         wal.append(cell(b"good2"))
         wal.append(cell(b"torn"))
@@ -45,12 +53,12 @@ class TestWriteAheadLog:
 
     def test_corrupt_empty_log_rejected(self):
         with pytest.raises(StorageError):
-            WriteAheadLog().corrupt_tail()
+            RegionWALHandle().corrupt_tail()
 
     def test_record_checksum_detects_tampering(self):
-        wal = WriteAheadLog()
+        wal = RegionWALHandle()
         wal.append(cell(b"r", value=b"original"))
-        record = wal._records[0]
+        record = next(wal.records_after(0))
         assert record.is_valid()
         forged = WALRecord(
             sequence=record.sequence,
@@ -65,19 +73,19 @@ class TestGroupCommit:
     per batch, but recovery must be indistinguishable from single puts."""
 
     def test_append_batch_is_one_sync_boundary(self):
-        wal = WriteAheadLog()
+        wal = RegionWALHandle()
         first, last = wal.append_batch([cell(b"a"), cell(b"b"), cell(b"c")])
         assert (last - first + 1) == 3
         assert len(wal) == 3
         assert wal.sync_count == 1  # the group commit
 
-        single = WriteAheadLog()
+        single = RegionWALHandle()
         for row in (b"a", b"b", b"c"):
             single.append(cell(row))
         assert single.sync_count == 3  # one fsync-equivalent per put
 
     def test_empty_batch_is_a_noop(self):
-        wal = WriteAheadLog()
+        wal = RegionWALHandle()
         assert wal.append_batch([]) == (0, 0)
         assert wal.sync_count == 0
         assert len(wal) == 0
@@ -86,12 +94,12 @@ class TestGroupCommit:
         rows = [b"row%02d" % i for i in range(8)]
         cells = [cell(r, ts=i + 1, value=b"v%d" % i) for i, r in enumerate(rows)]
 
-        single_wal = WriteAheadLog()
+        single_wal = RegionWALHandle()
         single_region = Region(families=["f"], wal=single_wal)
         for c in cells:
             single_region.put(c)
 
-        batched_wal = WriteAheadLog()
+        batched_wal = RegionWALHandle()
         batched_region = Region(families=["f"], wal=batched_wal)
         batched_region.put_batch(cells)
 
@@ -103,22 +111,22 @@ class TestGroupCommit:
                             for c in batched_wal.replay()]
         assert replayed_batched == replayed_single
 
-        recovered = Region.recover(batched_wal, families=["f"])
+        recovered = crash_and_replay(batched_region)
         for i, r in enumerate(rows):
             assert recovered.get(r, "f", b"q") == b"v%d" % i
 
     def test_torn_tail_in_batch_loses_only_final_record(self):
-        wal = WriteAheadLog()
+        wal = RegionWALHandle()
         region = Region(families=["f"], wal=wal)
         region.put_batch([cell(b"a"), cell(b"b"), cell(b"c")])
         wal.corrupt_tail()
-        recovered = Region.recover(wal, families=["f"])
+        recovered = crash_and_replay(region)
         assert recovered.get(b"a", "f", b"q") == b"v"
         assert recovered.get(b"b", "f", b"q") == b"v"
         assert recovered.get(b"c", "f", b"q") is None
 
     def test_records_after_watermark(self):
-        wal = WriteAheadLog()
+        wal = RegionWALHandle()
         seqs = [wal.append(cell(b"r%d" % i)) for i in range(5)]
         watermark = seqs[1]
         tail = list(wal.records_after(watermark))
@@ -128,7 +136,7 @@ class TestGroupCommit:
         assert [rec.sequence for rec in wal.records_after(watermark)] == seqs[2:-1]
 
     def test_put_batch_validates_before_any_effect(self):
-        wal = WriteAheadLog()
+        wal = RegionWALHandle()
         region = Region(families=["f"], wal=wal)
         bad = [cell(b"ok"), Cell(row=b"bad", family="nope", qualifier=b"q",
                                  timestamp=1, value=b"v")]
@@ -139,20 +147,20 @@ class TestGroupCommit:
         assert region.get(b"ok", "f", b"q") is None
 
     def test_put_batch_counts_and_seqid(self):
-        region = Region(families=["f"], wal=WriteAheadLog())
+        region = Region(families=["f"], wal=RegionWALHandle())
         before = region.data_seqid
         region.put_batch([cell(b"a"), cell(b"b")])
         assert region.write_count == 2
         assert region.data_seqid == before + 2
 
     def test_batch_duplicate_rows_last_wins(self):
-        region = Region(families=["f"], wal=WriteAheadLog())
+        region = Region(families=["f"], wal=RegionWALHandle())
         region.put_batch([cell(b"dup", ts=1, value=b"first"),
                           cell(b"dup", ts=1, value=b"second")])
         assert region.get(b"dup", "f", b"q") == b"second"
 
     def test_batch_merges_with_existing_memstore(self):
-        region = Region(families=["f"], wal=WriteAheadLog())
+        region = Region(families=["f"], wal=RegionWALHandle())
         region.put(cell(b"b", value=b"old-b"))
         region.put(cell(b"d", value=b"old-d"))
         region.put_batch([cell(b"a", value=b"new-a"),
@@ -223,17 +231,17 @@ class TestMemStoreSegments:
 
 class TestCrashRecovery:
     def test_unflushed_writes_recovered(self):
-        wal = WriteAheadLog()
+        wal = RegionWALHandle()
         region = Region(families=["f"], wal=wal)
         region.put(cell(b"a", value=b"1"))
         region.put(cell(b"b", value=b"2"))
-        # Crash: the region object (memstore) is lost; the WAL survives.
-        recovered = Region.recover(wal, families=["f"])
+        # Crash: the memstore is lost; the WAL survives.
+        recovered = crash_and_replay(region)
         assert recovered.get(b"a", "f", b"q") == b"1"
         assert recovered.get(b"b", "f", b"q") == b"2"
 
     def test_flush_truncates_wal(self):
-        wal = WriteAheadLog()
+        wal = RegionWALHandle()
         region = Region(families=["f"], wal=wal)
         region.put(cell(b"a"))
         region.put(cell(b"b"))
@@ -242,33 +250,33 @@ class TestCrashRecovery:
         assert len(wal) == 0
 
     def test_recovery_after_flush_and_more_writes(self):
-        wal = WriteAheadLog()
+        wal = RegionWALHandle()
         region = Region(families=["f"], wal=wal)
         region.put(cell(b"flushed", value=b"old"))
         region.flush()
-        surviving_files = list(region._store_files["f"])
         region.put(cell(b"unflushed", value=b"new"))
-        # Crash; reopen store files + replay WAL.
-        recovered = Region.recover(wal, families=["f"])
-        recovered.adopt_store_files("f", surviving_files)
+        # Crash: the store file survives, the WAL holds only the rest.
+        assert len(wal) == 1
+        recovered = crash_and_replay(region)
+        assert recovered.store_file_count("f") == 1
         assert recovered.get(b"flushed", "f", b"q") == b"old"
         assert recovered.get(b"unflushed", "f", b"q") == b"new"
 
     def test_recovered_deletes_still_shadow(self):
-        wal = WriteAheadLog()
+        wal = RegionWALHandle()
         region = Region(families=["f"], wal=wal)
         region.put(cell(b"r", ts=1))
         region.delete(b"r", "f", b"q", timestamp=2)
-        recovered = Region.recover(wal, families=["f"])
+        recovered = crash_and_replay(region)
         assert recovered.get(b"r", "f", b"q") is None
 
     def test_torn_tail_loses_only_last_write(self):
-        wal = WriteAheadLog()
+        wal = RegionWALHandle()
         region = Region(families=["f"], wal=wal)
         region.put(cell(b"a"))
         region.put(cell(b"b"))
         wal.corrupt_tail()
-        recovered = Region.recover(wal, families=["f"])
+        recovered = crash_and_replay(region)
         assert recovered.get(b"a", "f", b"q") == b"v"
         assert recovered.get(b"b", "f", b"q") is None
 

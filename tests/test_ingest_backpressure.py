@@ -92,13 +92,13 @@ class TestPartitionQueueUnit:
         waited = q.offer("b", block=True, timeout_s=5.0)
         t.join()
         assert waited  # the producer did block before succeeding
-        assert q.take_batch(8, wait_s=0.0) == ["b"]
+        assert q.take_batch(8, wait_s=0.0)[0] == ["b"]
 
     def test_take_batch_caps_at_max(self):
         q = _PartitionQueue(capacity=16)
         for i in range(10):
             q.offer(i, block=False, timeout_s=0.0)
-        assert q.take_batch(4, wait_s=0.0) == [0, 1, 2, 3]
+        assert q.take_batch(4, wait_s=0.0)[0] == [0, 1, 2, 3]
         assert q.depth() == 6
 
 

@@ -15,7 +15,7 @@
 import itertools
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
@@ -24,7 +24,7 @@ from hypothesis.stateful import (
 )
 
 import repro.hbase.memstore as memstore_mod
-from repro.hbase import Cell, MemStore, Region, WriteAheadLog
+from repro.hbase import Cell, MemStore, Region, RegionWALHandle
 
 FAMILY = "f"
 #: Few rows, qualifiers and timestamps, so versions, tombstones and
@@ -65,7 +65,7 @@ class RegionScanMachine(RuleBasedStateMachine):
     @initialize()
     def build(self):
         self.region = Region(
-            [FAMILY], start_key=b"b", end_key=b"y", wal=WriteAheadLog()
+            [FAMILY], start_key=b"b", end_key=b"y", wal=RegionWALHandle()
         )
         self.last = None
 
@@ -250,8 +250,15 @@ def _observe(store, absorb_max_cells):
         return store.snapshot(), store.size_bytes, len(store), store.plain
 
 
+#: One cell rewritten at the same version, for the pinned example.
+_C0 = Cell(row=b"c", family=FAMILY, qualifier=b"q", timestamp=0, value=b"")
+
+
 class TestMemStoreAbsorbEqualsRebuild:
     @given(memstore_ops)
+    # A tombstone overwritten inside one consolidation window must lower
+    # ``plain`` exactly as it does when every write consolidates alone.
+    @example([("batch", [_C0, _C0]), ("tombstone", _C0), ("put", _C0)])
     @settings(max_examples=150, deadline=None)
     def test_in_place_rebuild_and_sequential_puts_agree(self, ops):
         """Three stores take the same writes: one always absorbs in

@@ -232,11 +232,9 @@ class TestScrubAndRepair:
         # Destroy the repair source: wipe the WAL archives, then rot a
         # block.  The scrubber must quarantine, and reads must fail
         # loudly rather than return damaged rows.
-        for server in p.supervisor._servers.values():
-            server._archive.clear()
         for region in p.visits_repository.table.regions:
-            if region.wal is not None:
-                region.wal.truncate_to(region.wal.last_sequence)
+            region.wal.server._archive.clear()
+            region.wal.truncate_to(region.wal.last_sequence)
         hit = p.fault_injector.inject_disk_corruption(p.hbase, "visits")
         assert hit
         summary = p.supervisor.force_scrub()

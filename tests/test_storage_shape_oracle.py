@@ -30,7 +30,7 @@ from repro.core.repositories.visits import (
     VisitStruct,
 )
 from repro.geo import BoundingBox
-from repro.hbase import HBaseCluster, RegionScanCache, WriteAheadLog
+from repro.hbase import HBaseCluster, RegionScanCache, RegionWALHandle
 from repro.sqlstore import SqlEngine
 
 NUM_USERS = 24
@@ -86,7 +86,7 @@ class Stack:
         self.visits = VisitsRepository(self.cluster, num_regions=NUM_REGIONS)
         self.regions = self.visits.table.regions
         for region in self.regions:
-            region.wal = WriteAheadLog()
+            region.wal = RegionWALHandle()
         if cache:
             self.cluster.attach_scan_cache(RegionScanCache(max_entries=4096))
         self.qa = QueryAnsweringModule(

@@ -28,7 +28,6 @@ from repro.core.scheduler import build_platform_scheduler
 from repro.core.supervisor import HEARTBEAT_PERIOD_S, LEASE_TIMEOUT_S
 from repro.errors import ConfigError
 from repro.hbase import Cell, HBaseCluster, RegionWALHandle, ServerWAL
-from repro.hbase.wal import WriteAheadLog
 
 
 def _fingerprint(result):
@@ -71,11 +70,12 @@ class TestServerWAL:
     """The per-server log + per-region handle that recovery splits."""
 
     def test_handle_matches_plain_wal_semantics(self):
-        plain = WriteAheadLog()
+        # One class, two homes: a private log and a shared server's.
+        private = RegionWALHandle()
         server = ServerWAL(node_id=0)
         handle = RegionWALHandle(server, region_id=7)
         cells = [_cell(b"r%d" % i, ts=i) for i in range(5)]
-        for log in (plain, handle):
+        for log in (private, handle):
             assert log.append(cells[0]) == 1
             assert log.append_batch(cells[1:4]) == (2, 4)
             assert log.append_batch([]) == (0, 0)
@@ -83,7 +83,7 @@ class TestServerWAL:
             assert len(log) == 4
             assert log.sync_count == 2
             assert [r.sequence for r in log.records_after(1)] == [2, 3, 4]
-        assert list(plain.replay()) == list(handle.replay())
+        assert list(private.replay()) == list(handle.replay())
 
     def test_truncate_archives_instead_of_discarding(self):
         server = ServerWAL(node_id=0)
@@ -126,7 +126,7 @@ class TestServerWAL:
         assert handle.append(_cell(b"z", ts=99)) == 5
 
     def test_drop_torn_tail(self):
-        for log in (WriteAheadLog(),
+        for log in (RegionWALHandle(),
                     RegionWALHandle(ServerWAL(0), region_id=1)):
             log.append_batch([_cell(b"r%d" % i, ts=i) for i in range(3)])
             log.corrupt_tail()

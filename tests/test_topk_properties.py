@@ -18,7 +18,7 @@ Invariants pinned here:
    (``_rank``'s key is total: ties fall through visit count to poi id).
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.modules.query_answering import VisitScanCoprocessor
 from repro.core.modules.topk import (
@@ -155,12 +155,28 @@ def test_frontier_monotone_nonincreasing(regions, k, hotness, batch):
                 break
 
 
+#: Folded over three regions, this POI's global mean is one ulp above
+#: its (identical) local means.
+_ULP_GRADES = [0.0, 1.1155929275876302, 1.3349584401553218, 2.9479688642095887]
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     regions=REGIONS,
     k=st.integers(min_value=1, max_value=6),
     hotness=st.booleans(),
     batch=st.integers(min_value=1, max_value=4),
+)
+# POI 3 ties the k-th score exactly while every region still holding it
+# shows a frontier one ulp below: the bound needs its float slack.
+@example(
+    regions=[
+        {1: [2.0], 6: [2.0]},
+        {2: _ULP_GRADES, 3: _ULP_GRADES, 7: [2.0]},
+        {2: _ULP_GRADES, 5: [2.0], 3: _ULP_GRADES},
+        {4: [2.0], 2: _ULP_GRADES, 3: _ULP_GRADES},
+    ],
+    k=6, hotness=False, batch=1,
 )
 def test_threshold_never_prunes_a_topk_member(regions, k, hotness, batch):
     """Invariant 3: brute-force top-k ⊆ candidates, and everything left
