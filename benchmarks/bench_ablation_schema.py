@@ -90,28 +90,24 @@ def test_replicated_vs_normalized_schema(benchmark):
     normalized.shutdown()
 
 
+def _stored_bytes(platform: MoDisSENSE) -> int:
+    """Visit-table footprint: store files (where the bulk load puts the
+    dataset) plus whatever the memstores hold."""
+    return sum(
+        sum(sf.size_bytes for sf in region.store_files_for("v"))
+        + region._memstores["v"].size_bytes
+        for region in platform.visits_repository.table.regions
+    )
+
+
 def test_replicated_storage_overhead(benchmark):
     """The price of replication the paper accepts: bigger visit cells."""
 
     def measure():
         rep = _build("replicated")
         norm = _build("normalized")
-        rep_bytes = sum(
-            sf.size_bytes
-            for region in rep.visits_repository.table.regions
-            for sf in region._store_files["v"]
-        ) + sum(
-            region._memstores["v"].size_bytes
-            for region in rep.visits_repository.table.regions
-        )
-        norm_bytes = sum(
-            sf.size_bytes
-            for region in norm.visits_repository.table.regions
-            for sf in region._store_files["v"]
-        ) + sum(
-            region._memstores["v"].size_bytes
-            for region in norm.visits_repository.table.regions
-        )
+        rep_bytes = _stored_bytes(rep)
+        norm_bytes = _stored_bytes(norm)
         rep.shutdown()
         norm.shutdown()
         return rep_bytes, norm_bytes

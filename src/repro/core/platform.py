@@ -349,42 +349,26 @@ class MoDisSENSE:
         return self.blog.generate_daily_blog(user_id, day_start, day_end)
 
     def load_pois(self, pois) -> int:
-        """Bulk-load POIs (e.g. the synthetic OpenStreetMap extract)."""
-        count = 0
-        for record in pois:
-            self.poi_repository.add(
-                POI(
-                    poi_id=record.poi_id,
-                    name=record.name,
-                    lat=record.lat,
-                    lon=record.lon,
-                    keywords=tuple(record.keywords),
-                    category=record.category,
-                )
+        """Load POI records (e.g. the synthetic OpenStreetMap extract)
+        as one batch insert; returns how many."""
+        return self.poi_repository.add_many(
+            POI(
+                poi_id=record.poi_id,
+                name=record.name,
+                lat=record.lat,
+                lon=record.lon,
+                keywords=tuple(record.keywords),
+                category=record.category,
             )
-            count += 1
-        return count
+            for record in pois
+        )
 
     def load_visits(self, visits) -> int:
-        """Bulk-load pre-generated visit structs (benchmark ingest)."""
-        from .repositories.visits import VisitStruct
-
-        count = 0
-        for v in visits:
-            self.visits_repository.store(
-                VisitStruct(
-                    user_id=v.user_id,
-                    poi_id=v.poi_id,
-                    timestamp=v.timestamp,
-                    grade=v.grade,
-                    poi_name=v.poi_name,
-                    lat=v.lat,
-                    lon=v.lon,
-                    keywords=tuple(v.keywords),
-                )
-            )
-            count += 1
-        return count
+        """Bulk-load pre-generated visit records (the dataset every
+        experiment starts from) as sorted store-file data; returns how
+        many.  Visits that arrive afterwards are ``ingest_visit`` /
+        ``visits_repository.store`` business."""
+        return self.visits_repository.bulk_load(visits)
 
     def shutdown(self) -> None:
         """Stop the platform's own threads: the ingest appliers (after

@@ -69,6 +69,20 @@ def _row_to_poi(row: Dict) -> POI:
     )
 
 
+def _poi_to_row(poi: POI) -> Dict:
+    return {
+        "poi_id": poi.poi_id,
+        "name": poi.name,
+        "lat": poi.lat,
+        "lon": poi.lon,
+        "keywords": list(poi.keywords),
+        "category": poi.category,
+        "hotness": poi.hotness,
+        "interest": poi.interest,
+        "auto_detected": poi.auto_detected,
+    }
+
+
 class POIRepository:
     """CRUD + search over the POI table, with the paper's indexes."""
 
@@ -103,21 +117,18 @@ class POIRepository:
 
     def add(self, poi: POI) -> None:
         """Insert a POI (explicit user entry or Event Detection output)."""
-        self.engine.insert(
-            TABLE,
-            {
-                "poi_id": poi.poi_id,
-                "name": poi.name,
-                "lat": poi.lat,
-                "lon": poi.lon,
-                "keywords": list(poi.keywords),
-                "category": poi.category,
-                "hotness": poi.hotness,
-                "interest": poi.interest,
-                "auto_detected": poi.auto_detected,
-            },
-        )
+        self.engine.insert(TABLE, _poi_to_row(poi))
         self.version += 1
+
+    def add_many(self, pois) -> int:
+        """Insert a batch of POIs (the dataset load) as one engine
+        batch and ONE version bump; returns how many."""
+        count = len(
+            self.engine.insert_many(TABLE, [_poi_to_row(p) for p in pois])
+        )
+        if count:
+            self.version += 1
+        return count
 
     def get(self, poi_id: int) -> Optional[POI]:
         row = self.engine.table(TABLE).get_by_pk(poi_id)

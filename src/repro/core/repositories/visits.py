@@ -42,7 +42,7 @@ from ...hbase import (
     encode_int_desc,
     next_prefix,
 )
-from ...hbase.bytes_util import salt_for
+from ...hbase.bytes_util import KEY_SEPARATOR, salt_for
 from ...hbase.region import Region
 from ..serialization import decode_json, encode_json
 
@@ -59,16 +59,29 @@ _GRADE = struct.Struct(">d")
 #: Sign and bits of the four replicated numbers, for :func:`_poi_tail`'s
 #: memo key: ``-0.0 == 0.0`` but they encode differently.
 _TAIL_NUMBERS = struct.Struct(">4d")
+#: What follows ``prefix ␟`` in a row key — ``ts_desc ␟ poi_id`` — as
+#: one pack (the bulk load's key builder; :meth:`VisitsRepository.
+#: row_key` is the reference).
+_KEY_SUFFIX = struct.Struct(">QcQ")
+_U64_MAX = (1 << 64) - 1
 
 
-@lru_cache(maxsize=1 << 16)
-def _user_keys(user_id: int) -> Tuple[bytes, bytes, Optional[bytes]]:
+def _compute_user_keys(user_id: int) -> Tuple[bytes, bytes, Optional[bytes]]:
     """``(prefix, start, stop)``: a user's salted key prefix and the
-    key range of all their visits.  A pure function of the user id that
-    routing and every region scan used to recompute per friend per
-    query; results are immutable, the memo is bounded."""
+    key range of all their visits."""
     prefix = compose_key(salt_for(user_id), encode_int(user_id))
     return prefix, compose_key(prefix, b""), next_prefix(prefix) or None
+
+
+#: :func:`_compute_user_keys`, memoized: a pure function of the user id
+#: that routing and every region scan used to recompute per friend per
+#: query; results are immutable, the memo is bounded.  The bulk load
+#: computes instead (once per run of a user's records): memo entries
+#: made while 181k cells are being allocated lie scattered over the
+#: heap, and routing 2000 random friends per request then misses the
+#: CPU caches on each — ``filtered2000`` ``search_p50_ms`` +2.9 %, worse
+#: on 7 of 8 pairs, against -1.0 % without (EXPERIMENTS.md, "Bulk load").
+_user_keys = lru_cache(maxsize=1 << 16)(_compute_user_keys)
 
 
 @lru_cache(maxsize=256)
@@ -118,6 +131,39 @@ def _poi_tail(
             "interest": interest,
         }
     )
+
+
+def _payload(
+    schema_mode: str,
+    grade: float,
+    poi_id: int,
+    poi_name: str,
+    lat: float,
+    lon: float,
+    keywords: Sequence[str],
+    hotness: float,
+    interest: float,
+) -> bytes:
+    """:meth:`VisitsRepository.encode_payload` over bare fields, so the
+    bulk load encodes a generator record without wrapping it."""
+    try:
+        header = _GRADE.pack(grade)
+        if schema_mode != SCHEMA_REPLICATED:
+            return header + encode_json({"poi_id": poi_id})
+        return header + _poi_tail(
+            poi_id,
+            poi_name,
+            lat,
+            lon,
+            hotness,
+            interest,
+            _TAIL_NUMBERS.pack(lat, lon, hotness, interest),
+            *keywords,
+        )
+    except struct.error as exc:
+        raise ValidationError(
+            "visit grade and POI metrics must be numbers: %s" % exc
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -205,26 +251,11 @@ class VisitsRepository:
         keeps (the *tail*).  The aggregation hot loop reads the header
         with one ``unpack_from``; the tail is parsed only by whoever
         needs attributes."""
-        try:
-            header = _GRADE.pack(visit.grade)
-            if schema_mode != SCHEMA_REPLICATED:
-                return header + encode_json({"poi_id": visit.poi_id})
-            return header + _poi_tail(
-                visit.poi_id,
-                visit.poi_name,
-                visit.lat,
-                visit.lon,
-                visit.hotness,
-                visit.interest,
-                _TAIL_NUMBERS.pack(
-                    visit.lat, visit.lon, visit.hotness, visit.interest
-                ),
-                *visit.keywords,
-            )
-        except struct.error as exc:
-            raise ValidationError(
-                "visit grade and POI metrics must be numbers: %s" % exc
-            ) from exc
+        return _payload(
+            schema_mode, visit.grade, visit.poi_id, visit.poi_name,
+            visit.lat, visit.lon, visit.keywords, visit.hotness,
+            visit.interest,
+        )
 
     def visit_cell(self, visit: VisitStruct) -> Cell:
         """The stored representation of one visit (key + payload)."""
@@ -235,6 +266,57 @@ class VisitsRepository:
             timestamp=visit.timestamp,
             value=self.encode_payload(visit, self.schema_mode),
         )
+
+    def bulk_cells(self, records) -> List[Cell]:
+        """:meth:`visit_cell` of every dataset record — anything with
+        the eight fields of :class:`~repro.datagen.visits.VisitRecord`;
+        hotness and interest are the 0.0 a fresh load has always
+        stored.  Byte for byte the same cells, built with less: one
+        salted prefix per run of one user's records (the generator
+        yields user by user) plus one packed suffix, and the memoized
+        POI tail.
+        """
+        pack_suffix = _KEY_SUFFIX.pack
+        schema_mode = self.schema_mode
+        cells: List[Cell] = []
+        user_id = row_start = None
+        for record in records:
+            if record.user_id != user_id:
+                user_id = record.user_id
+                row_start = _compute_user_keys(user_id)[1]
+            timestamp = record.timestamp
+            try:
+                row = row_start + pack_suffix(
+                    _U64_MAX - timestamp, KEY_SEPARATOR, record.poi_id
+                )
+            except struct.error:
+                # Not a row key: the reference names what is wrong.
+                row = self.row_key(user_id, timestamp, record.poi_id)
+            cells.append(
+                Cell(
+                    row=row,
+                    family=FAMILY,
+                    qualifier=QUALIFIER,
+                    timestamp=timestamp,
+                    value=_payload(
+                        schema_mode, record.grade, record.poi_id,
+                        record.poi_name, record.lat, record.lon,
+                        record.keywords, 0.0, 0.0,
+                    ),
+                )
+            )
+        return cells
+
+    def bulk_load(self, records) -> int:
+        """The initial load: every record's cell, sorted once and
+        written as store-file data (:meth:`HTable.bulk_load
+        <repro.hbase.table.HTable.bulk_load>`) — no log, no memstore,
+        no per-cell put.  Visits arriving later go through
+        :meth:`store` or the ingest tier.  Returns the number of
+        records."""
+        cells = self.bulk_cells(records)
+        self.table.bulk_load(cells)
+        return len(cells)
 
     def store(self, visit: VisitStruct) -> None:
         self.table.put(self.visit_cell(visit))

@@ -18,8 +18,9 @@ import dataclasses
 import zlib
 from dataclasses import dataclass
 
-import heapq
 from bisect import bisect_left
+from itertools import chain, compress, islice
+from operator import attrgetter, eq, gt, ne
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ChecksumError, StorageError
@@ -32,23 +33,18 @@ BLOCK_CELLS = 64
 
 
 def _cell_payload(cell: Cell) -> bytes:
-    return b"|".join(
-        (
-            cell.row,
-            cell.family.encode("utf-8"),
-            cell.qualifier,
-            str(cell.timestamp).encode("ascii"),
-            cell.value,
-            b"1" if cell.is_delete else b"0",
-        )
+    return b"%b|%b|%b|%d|%b|%d" % (
+        cell.row,
+        cell.family.encode("utf-8"),
+        cell.qualifier,
+        cell.timestamp,
+        cell.value,
+        cell.is_delete,
     )
 
 
 def _block_crc(cells: Sequence[Cell]) -> int:
-    crc = 0
-    for cell in cells:
-        crc = zlib.crc32(_cell_payload(cell), crc)
-    return crc
+    return zlib.crc32(b"".join(map(_cell_payload, cells)))
 
 
 @dataclass
@@ -86,9 +82,23 @@ class _BloomFilter:
         for i in range(self._num_hashes):
             yield (h1 + i * h2) % self._num_bits
 
-    def add(self, key: bytes) -> None:
-        for pos in self._positions(key):
-            self._bits[pos >> 3] |= 1 << (pos & 7)
+    def add_all(self, keys: Iterable[bytes]) -> None:
+        """Set every key's :meth:`_positions`.  Building a store file
+        adds each of its rows, so the arithmetic progression is walked
+        in place — a step and a wrap per position — instead of through
+        a generator per key; the bits set are the same."""
+        bits = self._bits
+        num_bits = self._num_bits
+        extra_hashes = range(self._num_hashes - 1)
+        for key in keys:
+            pos = hash(key) % num_bits
+            step = hash(key + b"\x00salt") % num_bits
+            bits[pos >> 3] |= 1 << (pos & 7)
+            for _ in extra_hashes:
+                pos += step
+                if pos >= num_bits:
+                    pos -= num_bits
+                bits[pos >> 3] |= 1 << (pos & 7)
 
     def might_contain(self, key: bytes) -> bool:
         return all(
@@ -110,32 +120,49 @@ class StoreFile:
 
     _next_id = 0
 
-    def __init__(self, cells: Sequence[Cell],
-                 block_cells: int = BLOCK_CELLS) -> None:
+    def __init__(
+        self,
+        cells: Sequence[Cell],
+        block_cells: int = BLOCK_CELLS,
+        keys: Optional[List[tuple]] = None,
+    ) -> None:
+        """``keys``, when the writer already has them (a merge sorted
+        by them), must be ``[c.sort_key() for c in cells]``; they are
+        checked for order like computed ones."""
         if block_cells < 1:
             raise StorageError("block_cells must be >= 1")
         cells = list(cells)
-        keys = [c.sort_key() for c in cells]
-        if keys != sorted(keys):
+        if keys is None:
+            keys = list(map(Cell.sort_key, cells))
+        elif len(keys) != len(cells):
+            raise StorageError("store file needs one sort key per cell")
+        if any(map(gt, keys, islice(keys, 1, None))):
             raise StorageError("store file cells must arrive sorted")
         self._cells: List[Cell] = cells
         #: The row column: what range scans bisect.
         self._rows: List[bytes] = [c.row for c in cells]
-        self.plain = not any(c.is_delete for c in cells) and not any(
-            map(same_coordinates, keys, keys[1:])
+        rows = self._rows
+        # Cells sharing coordinates share a row and sort adjacent: a
+        # file of distinct rows (a visits file) settles on the bytes.
+        self.plain = not any(map(attrgetter("is_delete"), cells)) and not (
+            any(map(eq, rows, islice(rows, 1, None)))
+            and any(map(same_coordinates, keys, islice(keys, 1, None)))
         )
         self._bloom = _BloomFilter(len(cells))
-        for row in self._rows:
-            self._bloom.add(row)
+        self._bloom.add_all(rows)
         self.first_row: Optional[bytes] = cells[0].row if cells else None
         self.last_row: Optional[bytes] = cells[-1].row if cells else None
         self._block_cells = block_cells
         self._blocks: List[_Block] = []
         for lo in range(0, len(cells), block_cells):
             chunk = cells[lo : lo + block_cells]
+            # Fresh key tuples, not two of ``keys``: a survivor per 64
+            # would pin the allocator pools of the whole batch, and what
+            # queries allocate later would land scattered among them.
             self._blocks.append(
                 _Block(lo=lo, count=len(chunk), crc=_block_crc(chunk),
-                       first_key=keys[lo], last_key=keys[lo + len(chunk) - 1])
+                       first_key=chunk[0].sort_key(),
+                       last_key=chunk[-1].sort_key())
             )
         StoreFile._next_id += 1
         self.file_id = StoreFile._next_id
@@ -186,7 +213,8 @@ class StoreFile:
         else:
             last = (hi - 1) // self._block_cells
         for block in self._blocks[first : last + 1]:
-            self._check_block(block)
+            if not block.verified:  # a quarantined block never is
+                self._check_block(block)
 
     def verify(self) -> List[int]:
         """Scrub pass: re-checksum every block, returning corrupt indices.
@@ -305,12 +333,11 @@ class StoreFile:
         :class:`~repro.errors.ChecksumError` rather than serving damaged
         bytes.
         """
-        if not self.overlaps_range(start_row, stop_row):
-            return []
         rows = self._rows
         lo = 0 if start_row is None else bisect_left(rows, start_row)
         hi = len(rows) if stop_row is None else bisect_left(rows, stop_row, lo)
-        self._check_span(lo, hi)
+        if lo < hi:
+            self._check_span(lo, hi)
         return self._cells[lo:hi]
 
     def cells(self) -> List[Cell]:
@@ -318,55 +345,45 @@ class StoreFile:
         return list(self._cells)
 
 
-def iter_merge_sorted_runs(runs: Sequence[Iterable[Cell]]) -> Iterator[Cell]:
-    """Lazy k-way merge of sorted cell runs into one sorted stream.
+def sort_newest_first(cells: List[Cell]) -> Tuple[List[Cell], List[tuple]]:
+    """Cells listed *newest first* (in any key order) as ``(cells,
+    their sort keys)`` in KeyValue order with one cell per key, the
+    newest.
 
-    Duplicate coordinates+timestamp collapse to the cell from the
-    *latest* run (later runs are newer).  Sort keys are computed once
-    per cell and carried through the heap; the last emitted key is kept
-    instead of re-derived, so each cell costs exactly one ``sort_key()``
-    call regardless of how often it is compared.
+    The sort is stable, so of equal keys the newest cell comes first
+    and the rest are dropped.  It is the whole of every materialized
+    merge here: Timsort finds sorted runs inside its input again, so k
+    concatenated runs of n cells in all cost O(n log k) comparisons, in
+    C, where a heap merge pays a Python heap operation per cell.
     """
-    iters = [iter(run) for run in runs]
-    live = []
-    for run_idx, it in enumerate(iters):
-        first = next(it, None)
-        if first is not None:
-            live.append((first, run_idx, it))
+    keys = list(map(Cell.sort_key, cells))
+    order = sorted(range(len(cells)), key=keys.__getitem__)
+    cells = [cells[i] for i in order]
+    keys = [keys[i] for i in order]
+    if any(map(eq, keys, islice(keys, 1, None))):
+        first_of_key = [True]
+        first_of_key.extend(map(ne, keys, islice(keys, 1, None)))
+        cells = list(compress(cells, first_of_key))
+        keys = list(compress(keys, first_of_key))
+    return cells, keys
 
-    if not live:
-        return
-    if len(live) == 1:
-        # Single-run fast path (the common case for a freshly-ingested
-        # region: memstore only, nothing flushed yet).  No dedup needed:
-        # same-key rewrites collapse inside the memstore and inside
-        # compaction output, so duplicates only arise *across* runs.
-        cell, _run_idx, it = live[0]
-        yield cell
-        yield from it
-        return
 
-    heap = []
-    for cell, run_idx, it in live:
-        # Later runs win ties -> use negative run index in the key.
-        heap.append((cell.sort_key(), -run_idx, cell, it))
-    heapq.heapify(heap)
-    push = heapq.heappush
-    pop = heapq.heappop
-    last_key = None
-    while heap:
-        key, tie, cell, it = pop(heap)
-        if key != last_key:
-            yield cell
-            last_key = key
-        # else: same coordinates+version — the earlier-popped (newer
-        # run, because of the tie-break) cell already won.
-        nxt = next(it, None)
-        if nxt is not None:
-            push(heap, (nxt.sort_key(), tie, nxt, it))
+def merge_keyed_runs(
+    runs: Sequence[Sequence[Cell]],
+) -> Tuple[List[Cell], List[tuple]]:
+    """The materialized merge every read and rewrite of several runs
+    shares (a scan, sealing bulk-loaded runs, minor and major
+    compaction): sorted runs, *oldest first*, into ``(cells, their sort
+    keys)`` with one cell per key, taken from the newest run that holds
+    it."""
+    return sort_newest_first(list(chain.from_iterable(reversed(runs))))
 
 
 def merge_sorted_runs(runs: Sequence[Sequence[Cell]]) -> List[Cell]:
-    """Materialized k-way merge (compaction's contract); see
-    :func:`iter_merge_sorted_runs` for the streaming form."""
-    return list(iter_merge_sorted_runs(runs))
+    """Just the cells of :func:`merge_keyed_runs` (later runs are newer
+    and win exact ties) — what a scan reads; a lone non-empty run is
+    returned as it is."""
+    live = [run for run in runs if run]
+    if len(live) <= 1:
+        return list(live[0]) if live else []
+    return merge_keyed_runs(live)[0]

@@ -9,16 +9,31 @@ slice of the table.
 from __future__ import annotations
 
 import itertools
+import threading
+from operator import attrgetter, ge
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ColumnFamilyNotFoundError, StorageError
 from .cell import Cell
 from .filters import ScanFilter
-from .hfile import StoreFile, iter_merge_sorted_runs, merge_sorted_runs
+from .hfile import StoreFile, merge_keyed_runs, merge_sorted_runs
 from .memstore import MemStore
 from .wal import RegionWALHandle
 
 _region_ids = itertools.count()
+
+
+def _join(older: List[Cell], newer: List[Cell]) -> Optional[List[Cell]]:
+    """Two runs' slices of one range (neither empty) as a single sorted
+    list, when one sorts wholly before the other; None when their rows
+    interleave.  Runs are joined oldest first, so a slice that falls
+    *between* two already joined also reads as interleaved: that costs
+    a merge, never an answer."""
+    if newer[-1].row < older[0].row:  # newer timestamps sort first
+        return newer + older
+    if older[-1].row < newer[0].row:
+        return older + newer
+    return None
 
 
 class Region:
@@ -47,17 +62,28 @@ class Region:
         self._memstores: Dict[str, MemStore] = {
             f: MemStore(flush_threshold_bytes) for f in families
         }
+        #: Store files per family, oldest first.  Read only through
+        #: :meth:`_files`, which seals staged runs first.
         self._store_files: Dict[str, List[StoreFile]] = {f: [] for f in families}
+        #: Bulk-loaded runs not yet written out, per family, oldest
+        #: first.  Store-file data already (a crash keeps them); the
+        #: first ordered access seals them into one file (DESIGN.md §9,
+        #: "Staged runs").
+        self._staged: Dict[str, List[List[Cell]]] = {f: [] for f in families}
+        self._stage_lock = threading.Lock()
         #: Monotonic per-region write counter; doubles as a version
         #: tie-breaker when callers put twice at the same timestamp.
         self.write_count = 0
         #: Monotonic data sequence id: bumped by every mutation that can
         #: change what a reader observes *or* reorganizes storage — puts
-        #: (including tombstones), flushes, minor/major compactions, TTL
-        #: cutoff changes, crashes and replays.  Scan-cache entries
-        #: are stamped with the seqid captured before their scan, so any
-        #: concurrent or later mutation makes them stale (HBase's
-        #: read-point semantics, used here for invalidation).
+        #: (including tombstones), bulk loads, flushes, minor/major
+        #: compactions, TTL cutoff changes, crashes and replays.  (Not
+        #: the seal of staged runs: the load counted, and a seal bump
+        #: would void the cache fill whose scan triggered it.)
+        #: Scan-cache entries are stamped with the seqid captured before
+        #: their scan, so any concurrent or later mutation makes them
+        #: stale (HBase's read-point semantics, used here for
+        #: invalidation).
         self.data_seqid = 0
         #: Durability log: every put is appended before it is applied; a
         #: full flush lets the log truncate.  A cluster gives each of its
@@ -162,6 +188,76 @@ class Region:
                 self.flush(family)
         return seq_range
 
+    def bulk_load(self, family: str, cells: Sequence[Cell]) -> None:
+        """Adopt a sorted run of one family's cells as store-file data:
+        the initial load's write path, HBase's bulk load.
+
+        Nothing is logged and nothing passes through the memstore, so
+        the run is durable by construction — it survives :meth:`crash`
+        and is never replayed — and, having no log copy, has no repair
+        source if a block of it rots (DESIGN.md §10).  It ranks as the
+        region's newest store file: its cells win exact key ties
+        against older files and lose them to the memstore, whatever
+        the memstore held at load time.
+
+        All-or-nothing against validation: ``cells`` must be of
+        ``family``, strictly ascending in ``sort_key`` and inside
+        ``[start_key, end_key)``.  The run is only *staged* here; see
+        :meth:`_files`.
+        """
+        self._require_family(family)
+        cells = list(cells)
+        if not cells:
+            return
+        if set(map(attrgetter("family"), cells)) != {family}:
+            raise StorageError(
+                "bulk load of family %r holds cells of another" % family
+            )
+        keys = list(map(Cell.sort_key, cells))
+        if any(map(ge, keys, itertools.islice(keys, 1, None))):
+            raise StorageError(
+                "bulk-loaded cells must be strictly ascending in sort_key"
+            )
+        for row in (cells[0].row, cells[-1].row):  # sorted: the extremes
+            if not self.contains_row(row):
+                raise StorageError(
+                    "row %r outside region range [%r, %r)"
+                    % (row, self.start_key, self.end_key)
+                )
+        # Staged without these keys: 181k tuples kept from load to seal
+        # and freed there leave holes all over the heap that later
+        # allocations fill (measured: warm ``filtered2000`` searches
+        # +4 %); recomputing them at the seal costs ~50 ms.
+        with self._stage_lock:
+            self._staged[family].append(cells)
+        self.write_count += len(cells)
+        self.data_seqid += len(cells)
+
+    def _files(self, family: str) -> List[StoreFile]:
+        """The family's store files, oldest first — what every reader
+        of ``_store_files`` goes through; only flush, compaction and
+        the seal below write it.
+
+        Runs staged by :meth:`bulk_load` are sealed here, into ONE store
+        file, by whichever ordered access comes first (the deferral
+        ``MemStore._pending`` uses): a load arriving in k calls costs
+        one O(n log k) merge and one Bloom/checksum pass, not k
+        cumulative ones.  Sealing changes no reader-visible content and
+        does not move ``data_seqid``.
+        """
+        if self._staged[family]:
+            with self._stage_lock:
+                staged = self._staged[family]
+                if staged:
+                    cells, keys = merge_keyed_runs(staged)
+                    # File first: a reader that finds nothing staged
+                    # must find the file.
+                    self._store_files[family].append(
+                        StoreFile(cells, keys=keys)
+                    )
+                    self._staged[family] = []
+        return self._store_files[family]
+
     def delete(self, row: bytes, family: str, qualifier: bytes, timestamp: int) -> None:
         """Write a tombstone shadowing versions up to ``timestamp``."""
         self.put(
@@ -185,13 +281,11 @@ class Region:
             store = self._memstore(fam)
             if len(store) == 0:
                 continue
-            self._store_files[fam].append(StoreFile(store.snapshot()))
+            files = self._files(fam)
+            files.append(StoreFile(store.snapshot()))
             store.clear()
             self.data_seqid += 1
-            if (
-                self.minor_compaction_threshold > 0
-                and len(self._store_files[fam]) >= self.minor_compaction_threshold
-            ):
+            if 0 < self.minor_compaction_threshold <= len(files):
                 self.minor_compact(fam)
         if family is None and self.wal is not None:
             self.wal.truncate_to(self.wal.last_sequence)
@@ -201,19 +295,20 @@ class Region:
         into one run *without* dropping tombstones or old versions —
         deletes must survive until a major compaction, because an older
         shadowed put may still sit in another (future) file."""
-        files = self._store_files[family]
+        files = self._files(family)
         if len(files) <= 1:
             return
-        merged = merge_sorted_runs([sf.cells() for sf in files])
-        self._store_files[family] = [StoreFile(merged)]
+        cells, keys = merge_keyed_runs([sf.cells() for sf in files])
+        self._store_files[family] = [StoreFile(cells, keys=keys)]
         self.data_seqid += 1
 
     def crash(self) -> int:
         """Lose the memstores, as a region-server crash does.
 
-        Store files survive (they are \"on disk\") and the WAL survives
-        (it lives on the server log / its own object) — exactly the
-        durable/volatile split recovery depends on.  Returns how many
+        Store files survive (they are \"on disk\", bulk-loaded runs
+        awaiting their seal included) and the WAL survives (it lives on
+        the server log / its own object) — exactly the durable/volatile
+        split recovery depends on.  Returns how many
         memstore cells were dropped; recovery is
         ``replay_cells(wal.replay())`` before the region reopens.
         """
@@ -249,7 +344,7 @@ class Region:
 
     def store_files_for(self, family: str) -> List[StoreFile]:
         """The family's live store files (scrubber access; do not mutate)."""
-        return list(self._store_files[self._require_family(family)])
+        return list(self._files(self._require_family(family)))
 
     def _require_family(self, family: str) -> str:
         self._memstore(family)  # raises ColumnFamilyNotFoundError
@@ -260,7 +355,7 @@ class Region:
         the newest version of each cell."""
         targets = [family] if family else self.families
         for fam in targets:
-            runs: List[List[Cell]] = [sf.cells() for sf in self._store_files[fam]]
+            runs: List[List[Cell]] = [sf.cells() for sf in self._files(fam)]
             runs.append(self._memstore(fam).snapshot())
             merged = merge_sorted_runs(runs)
             survivors: List[Cell] = []
@@ -414,8 +509,10 @@ class Region:
         stop = next_prefix(row)
         stop_row = stop if stop else None
         store = self._memstore(family)
+        # Newest run first: of cells with one key and timestamp the
+        # point reads keep the first they meet, the scan the newest.
         yield from (c for c in store.scan(row, stop_row) if c.row == row)
-        for sf in self._store_files[family]:
+        for sf in reversed(self._files(family)):
             if not sf.may_contain_row(row):
                 continue
             yield from (c for c in sf.scan(row, stop_row) if c.row == row)
@@ -442,20 +539,18 @@ class Region:
                 stop_row = f_stop
         start_row, stop_row = self._clamp(start_row, stop_row)
 
-        # Lazy k-way merge over each run's slice of the range (copied
-        # when the scan starts, so writes meanwhile never shift it);
-        # cells stream through dedup/tombstone/filter logic straight to
-        # the caller.  Reverse so that memstore (newest) is the *last*
-        # run and wins merge ties; iter_merge_sorted_runs prefers later
-        # runs on ties.
+        # Each run's slice of the range, copied when the scan starts (so
+        # writes meanwhile never shift it), merged in one materialized
+        # pass; the cells then stream through dedup/tombstone/filter
+        # logic to the caller.  Oldest file first and the memstore
+        # (newest) last: later runs win exact ties.
         runs = [
             sf.scan(start_row, stop_row)
-            for sf in self._store_files[family]
+            for sf in self._files(family)
             if sf.overlaps_range(start_row, stop_row)
         ]
-        runs.reverse()
         runs.append(self._memstore(family).scan(start_row, stop_row))
-        merged = iter_merge_sorted_runs(runs)
+        merged = merge_sorted_runs(runs)
 
         # Dedup/tombstone state is tracked with three scalars instead of
         # a coordinates() tuple per cell: the row comparison short-
@@ -500,18 +595,22 @@ class Region:
         """``list(self.scan(family, start_row, stop_row))``, always —
         but without the merge when the merge would change nothing.
 
-        A key range is a contiguous slice of every sorted run.  When at
-        most one run holds cells in the clamped range, that run is
-        ``plain`` (only puts, no two versions of a cell: nothing to
-        shadow or collapse) and the family has no TTL horizon, the
-        merged scan would emit exactly that slice, so the slice is
-        returned as is (store-file blocks it touches are still checksum
-        verified).  Anything else materializes the generic scan.  This
-        is the read the coprocessor's per-friend fold uses: a friend's
-        visits are one key range.
+        A key range is a contiguous slice of every sorted run.  When
+        every run holding cells in the clamped range is ``plain`` (only
+        puts, no two versions of a cell: nothing to shadow or collapse
+        inside it), the family has no TTL horizon, and the runs' row
+        ranges do not interleave (so no two runs share a row, and
+        nothing shadows across them either), the merged scan would emit
+        exactly the slices one after another in key order — one slice
+        when a single run holds the range — so that is returned
+        (store-file blocks it touches are still checksum verified).
+        Anything else materializes the generic scan.  This is the read
+        the coprocessor's per-friend fold uses: a friend's visits are
+        one key range, and the descending-timestamp key puts visits
+        written since the load wholly before the loaded ones.
         """
         if not self._ttl_cutoff.get(family):
-            cells = self._sole_plain_slice(
+            cells = self._plain_slices(
                 family, *self._clamp(start_row, stop_row)
             )
             if cells is not None:
@@ -520,38 +619,43 @@ class Region:
                 return cells
         return list(self.scan(family, start_row, stop_row))
 
-    def _sole_plain_slice(
+    def _plain_slices(
         self,
         family: str,
         start_row: Optional[bytes],
         stop_row: Optional[bytes],
     ) -> Optional[List[Cell]]:
-        """The range's cells if at most one run holds any and it is
-        plain; None when the runs have to be merged."""
-        found: Optional[List[Cell]] = None
-        for sf in self._store_files[family]:
+        """The range's cells if every run holding any is plain and no
+        two of their row ranges interleave; None when the runs have to
+        be merged."""
+        joined: Optional[List[Cell]] = []
+        for sf in self._files(family):
             cells = sf.scan(start_row, stop_row)
             if cells:
-                if found is not None or not sf.plain:
+                if not sf.plain:
                     return None
-                found = cells
-        cells, plain = self._memstore(family).slice(start_row, stop_row)
-        if not cells:
-            return found or cells
-        if found is not None or not plain:
-            return None
-        return cells
+                joined = _join(joined, cells) if joined else cells
+                if joined is None:
+                    return None
+        store = self._memstore(family)
+        if store.size_bytes:  # else not written since the load: no lock
+            cells, plain = store.slice(start_row, stop_row)
+            if cells:
+                if not plain:
+                    return None
+                joined = _join(joined, cells) if joined else cells
+        return joined
 
     # ------------------------------------------------------------ sizing
 
     def approx_rows(self, family: str) -> int:
         """Approximate live-cell count (pre-compaction upper bound)."""
         total = len(self._memstore(family))
-        total += sum(len(sf) for sf in self._store_files[family])
+        total += sum(len(sf) for sf in self._files(family))
         return total
 
     def store_file_count(self, family: str) -> int:
-        return len(self._store_files[family])
+        return len(self._files(family))
 
     def __repr__(self) -> str:
         return "Region(id=%d, range=[%r, %r))" % (

@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from operator import attrgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
-from ..errors import RegionNotFoundError, StorageError
+from ..errors import (
+    ColumnFamilyNotFoundError,
+    RegionNotFoundError,
+    StorageError,
+)
 from .bytes_util import uniform_split_points
 from .cell import Cell
 from .filters import ScanFilter
+from .hfile import sort_newest_first
 from .region import Region
 
 
@@ -122,6 +128,42 @@ class HTable:
         region = self.region_for_row(cell.row)
         region.put(cell)
         self._maybe_split(region, cell.family)
+
+    def bulk_load(self, cells: Iterable[Cell]) -> int:
+        """Load cells, in any order, as store-file data: sorted once,
+        cut at the region boundaries and handed to each owning region's
+        :meth:`Region.bulk_load` — no log record, no memstore, no
+        per-cell routing.  Of cells with equal keys the last wins, as
+        with puts.  This is the initial load's path; streaming and
+        single writes keep :meth:`put`.  Returns how many cells were
+        stored.
+        """
+        cells = list(cells)
+        families = set(map(attrgetter("family"), cells))
+        undeclared = sorted(families - set(self.descriptor.families))
+        if undeclared:
+            raise ColumnFamilyNotFoundError(
+                "family %r not declared (have %s)"
+                % (undeclared[0], self.descriptor.families)
+            )
+        stored = 0
+        for family in sorted(families):
+            group = [c for c in cells if c.family == family]
+            group.reverse()  # the last written is the newest
+            group, keys = sort_newest_first(group)
+            stored += len(group)
+            lo = 0
+            for region in list(self.regions):  # a split swaps daughters in
+                hi = (
+                    len(keys)
+                    if region.end_key is None
+                    else bisect.bisect_left(keys, (region.end_key,), lo)
+                )
+                if hi > lo:
+                    region.bulk_load(family, group[lo:hi])
+                    self._maybe_split(region, family)
+                lo = hi
+        return stored
 
     def delete(self, row: bytes, family: str, qualifier: bytes, timestamp: int) -> None:
         self.region_for_row(row).delete(row, family, qualifier, timestamp)

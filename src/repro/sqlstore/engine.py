@@ -66,6 +66,12 @@ class SqlEngine:
         self.stats["inserts"] += 1
         return self.table(table_name).insert(row)
 
+    def insert_many(self, table_name: str, rows) -> List[int]:
+        """Insert a batch through :meth:`HeapTable.insert_many`."""
+        rids = self.table(table_name).insert_many(rows)
+        self.stats["inserts"] += len(rids)
+        return rids
+
     def upsert(self, table_name: str, row: Dict[str, Any]) -> int:
         self.stats["inserts"] += 1
         return self.table(table_name).upsert(row)

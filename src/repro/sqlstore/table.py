@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Set, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Union
 
 from ..errors import IndexError_, SchemaError, StorageError
 from .index import HashIndex, OrderedIndex, SpatialIndex
@@ -66,6 +66,38 @@ class HeapTable:
         for index in self._indexes.values():
             self._index_insert(index, validated, rid)
         return rid
+
+    def insert_many(self, rows: Iterable[Dict[str, Any]]) -> List[int]:
+        """:meth:`insert` for a batch (an initial load); returns the new
+        row ids.  All-or-nothing against validation — every row is
+        checked, primary keys against the table *and* each other,
+        before any is stored — and each index takes the batch in one
+        call, so the spatial index packs instead of splitting its way
+        up and the ordered ones sort once.
+        """
+        primary_key = self.schema.primary_key
+        validated = [self.schema.validate_row(row) for row in rows]
+        seen: Set[Any] = set()
+        for row in validated:
+            pk_value = HashIndex._hashable(row[primary_key])
+            if pk_value in seen or self._pk_index.lookup(pk_value):
+                raise SchemaError(
+                    "duplicate primary key %r in table %r"
+                    % (row[primary_key], self.schema.name)
+                )
+            seen.add(pk_value)
+        rids = list(range(self._next_rid, self._next_rid + len(validated)))
+        self._next_rid += len(validated)
+        self._rows.update(zip(rids, validated))
+        self._pk_index.insert_many(
+            (row[primary_key], rid) for rid, row in zip(rids, validated)
+        )
+        for index in self._indexes.values():
+            index.insert_many(
+                (self._index_key(index, row), rid)
+                for rid, row in zip(rids, validated)
+            )
+        return rids
 
     def update(self, rid: int, changes: Dict[str, Any]) -> None:
         """Apply column changes to one row, keeping indexes in sync."""

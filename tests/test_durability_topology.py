@@ -12,6 +12,9 @@
    ingest tier and the supervisor is constructed first.
 3. ``crash()`` + replay works on a bare ``HBaseCluster``: no platform,
    no supervisor, no ingest tier handed the regions their logs.
+4. Bulk-loaded data is durable without a log: it outlives a node crash
+   with nothing replayed for it, moves with its region, splits like
+   any store file — and, having no log copy, cannot be repaired.
 """
 
 import random
@@ -34,7 +37,7 @@ from repro.core.repositories.poi import POI
 from repro.core.repositories.visits import VisitStruct
 from repro.core.scheduler import build_platform_scheduler
 from repro.core.supervisor import ClusterSupervisor
-from repro.errors import RegionNotFoundError
+from repro.errors import ChecksumError, RegionNotFoundError, StorageError
 from repro.hbase import Cell, HBaseCluster, TableDescriptor
 
 FAMILY = "f"
@@ -122,6 +125,13 @@ class _Drill:
         for region, cells in by_region.items():
             region.put_batch(cells)
 
+    def bulk_load(self):
+        """Store-file data that never sees a log: the crash-everything
+        check must find it all, once."""
+        table, twin = self._table()
+        cells = [self._cell() for _ in range(self.rng.randrange(1, 60))]
+        assert table.bulk_load(cells) == twin.bulk_load(cells)
+
     def flush(self):
         table, _twin = self._table()
         region = self.rng.choice(table.regions)
@@ -176,9 +186,9 @@ class _Drill:
         })
 
     RULES = (
-        create_table, drop_table, put, put, put_batch, put_batch, flush,
-        split_region, fail_node, recover_node, crash_node,
-        reassign_regions,
+        create_table, drop_table, put, put, put_batch, put_batch,
+        bulk_load, flush, split_region, fail_node, recover_node,
+        crash_node, reassign_regions,
     )
 
     def step(self):
@@ -274,6 +284,113 @@ def test_crash_and_replay_on_a_bare_cluster():
     for region in table.regions:
         region.replay_cells(region.wal.replay())
     assert _contents(cluster) == before
+
+
+def test_bulk_loaded_data_is_durable_without_a_log():
+    cluster = HBaseCluster(ClusterConfig(num_nodes=3))
+    supervisor = ClusterSupervisor(cluster)
+    table = cluster.create_table(
+        TableDescriptor(name="t", families=[FAMILY], num_regions=4)
+    )
+    cells = [
+        Cell(row=bytes([i]) + b"-r", family=FAMILY, qualifier=b"q",
+             timestamp=1, value=b"v%d" % i)
+        for i in range(0, 256, 2)
+    ]
+    # Out of order and in two calls: sorted and cut per region, staged,
+    # sealed by the first read.
+    assert table.bulk_load(cells[64:]) + table.bulk_load(cells[:64]) == 128
+    assert [len(region.wal) for region in table.regions] == [0] * 4
+    before = _contents(cluster)
+    assert [row for row, *_ in before["t"]] == [c.row for c in cells]
+    assert [r.store_file_count(FAMILY) for r in table.regions] == [1] * 4
+
+    # Node crash -> lease expiry -> WAL-split recovery: nothing to
+    # replay for bulk-loaded cells, none lost, none doubled.
+    placement = cluster.simulation.region_placement
+    victim = placement[table.regions[0].region_id]
+    stranded = cluster.crash_node(victim)
+    now = 0.0
+    for _ in range(6):
+        now += 1.0
+        supervisor.heartbeat_tick(now)
+    (record,) = supervisor.recovery_history
+    assert sorted(r["region"] for r in record["regions"]) == sorted(stranded)
+    assert record["cells_replayed"] == 0
+    assert _contents(cluster) == before
+    assert table.total_rows(FAMILY) == len(cells)
+
+    # A streamed write above the loaded data is replayed; the data
+    # below it is still not.
+    late = Cell(row=cells[0].row + b"-late", family=FAMILY, qualifier=b"q",
+                timestamp=2, value=b"late")
+    table.put(late)
+    region = table.region_for_row(late.row)
+    assert region.crash() == 1
+    assert region.replay_cells(region.wal.replay()) == 1
+    assert table.total_rows(FAMILY) == len(cells) + 1
+
+    # The files move with their region, and split like any other.
+    target = next(n for n in cluster.simulation.live_nodes()
+                  if n != placement[region.region_id])
+    cluster.reassign_regions({region.region_id: target})
+    assert region.wal.server is cluster.server_wal(target)
+    table.split_region(region)
+    assert region not in table.regions
+    after = _contents(cluster)
+    assert [x for x in after["t"] if x[0] != late.row] == before["t"]
+
+    # Bit rot in a bulk-loaded block has no log copy to rebuild from:
+    # the scrubber quarantines it and reads fail loudly.
+    rotten = table.regions[-1]
+    (sf,) = rotten.store_files_for(FAMILY)
+    sf.corrupt_block(0)
+    summary = supervisor.scrub_tick(now)
+    assert summary["blocks_corrupt"] == 1
+    assert summary["blocks_repaired"] == 0
+    assert summary["blocks_quarantined"] == 1
+    with pytest.raises(ChecksumError, match="quarantined"):
+        list(rotten.scan(FAMILY))
+    with pytest.raises(ChecksumError, match="quarantined"):
+        rotten.scan_cells(FAMILY)
+
+
+def test_region_bulk_load_validates_before_it_stages():
+    cluster = HBaseCluster(ClusterConfig(num_nodes=2))
+    table = cluster.create_table(
+        TableDescriptor(name="t", families=[FAMILY, "g"], num_regions=2)
+    )
+    low, high = table.regions
+
+    def cell(row, family=FAMILY):
+        return Cell(row=row, family=family, qualifier=b"q", timestamp=1,
+                    value=b"v")
+
+    inside = [cell(b"\x01a"), cell(b"\x01b")]
+    for bad in (
+        [inside[1], inside[0]],                      # not sorted
+        [inside[0], inside[0]],                      # a key twice
+        inside + [cell(b"\x01c", family="g")],       # another family
+        inside + [cell(high.start_key + b"x")],      # outside the range
+    ):
+        seqid = low.data_seqid
+        with pytest.raises(StorageError):
+            low.bulk_load(FAMILY, bad)
+        assert low.approx_rows(FAMILY) == 0 and low.data_seqid == seqid
+    with pytest.raises(StorageError):
+        low.bulk_load("nope", inside)
+    with pytest.raises(StorageError):
+        table.bulk_load(inside + [cell(b"\x01c", family="nope")])
+    assert table.total_rows(FAMILY) == 0
+    low.bulk_load(FAMILY, inside)
+    assert (low.data_seqid, low.write_count) == (seqid + 2, 2)
+    assert [c.row for c in low.scan(FAMILY)] == [b"\x01a", b"\x01b"]
+    # Families load side by side; a later cell with an equal key wins.
+    newer = Cell(row=b"\x01a", family=FAMILY, qualifier=b"q", timestamp=1,
+                 value=b"newer")
+    assert table.bulk_load([cell(b"\x01a", family="g"), inside[0], newer]) == 2
+    assert low.get(b"\x01a", FAMILY, b"q") == b"newer"
+    assert low.get(b"\x01a", "g", b"q") == b"v"
 
 
 def test_dropped_table_leaves_no_records_behind():

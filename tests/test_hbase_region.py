@@ -88,6 +88,20 @@ class TestFlushCompact:
             assert region.get(b"row%02d" % i, "f", b"q") == b"v%d" % i
         assert region.store_file_count("f") == 1
 
+    def test_same_version_rewrite_in_a_newer_file_wins_every_read(self):
+        """Point reads and scans agree on exact key + timestamp ties
+        across store files: the newest file's cell."""
+        region = Region(families=["f"])
+        for value in (b"old", b"new"):
+            put(region, b"r", ts=5, value=value)
+            region.flush()
+        assert [c.value for c in region.scan("f")] == [b"new"]
+        assert region.get(b"r", "f", b"q") == b"new"
+        assert region.get_row(b"r", "f") == {b"q": b"new"}
+        assert [c.value for c in region.get_versions(b"r", "f", b"q")] == [
+            b"new"
+        ]
+
     def test_compaction_collapses_files_and_versions(self):
         region = Region(families=["f"])
         for ts in range(1, 6):

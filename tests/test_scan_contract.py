@@ -4,7 +4,8 @@
    stop))`` — always: a hypothesis state machine drives one region
    through every mutation that can change what a reader sees or how it
    is stored, and compares the two reads over a grid of ranges after
-   every step.
+   every step.  ``bulk_load`` is one of them, and with it the read that
+   joins two plain runs' slices when their rows do not interleave.
 2. The memstore's in-place absorb and its one-pass rebuild are the same
    function of the write sequence: contents, ``size_bytes``, length and
    ``plain`` agree with each other and with cell-at-a-time puts.
@@ -101,6 +102,20 @@ class RegionScanMachine(RuleBasedStateMachine):
     def put_batch_bulk(self, first, count, timestamp):
         self.region.put_batch(bulk_cells(first, count, timestamp))
 
+    @rule(first=st.integers(0, 400), count=st.sampled_from([1, 10, 300]),
+          timestamp=TIMESTAMPS)
+    def bulk_load(self, first, count, timestamp):
+        """A sorted run adopted as store-file data: its rows may already
+        sit in the memstore, a store file or an earlier staged run."""
+        self.region.bulk_load(FAMILY, bulk_cells(first, count, timestamp))
+
+    @rule(cells=st.lists(small_cells, min_size=1, max_size=10))
+    def bulk_load_small(self, cells):
+        """The same over the few rows the other rules version and
+        tombstone."""
+        unique = {cell.sort_key(): cell for cell in cells}
+        self.region.bulk_load(FAMILY, [unique[key] for key in sorted(unique)])
+
     @rule()
     def flush(self):
         self.region.flush()
@@ -151,8 +166,9 @@ TestRegionScanContract = RegionScanMachine.TestCase
 
 
 class TestSlicePathConditions:
-    """``scans_sliced`` moves exactly when one plain run holds the
-    range and the family has no TTL horizon."""
+    """``scans_sliced`` moves exactly when the runs holding the range
+    are plain, their rows do not interleave and the family has no TTL
+    horizon."""
 
     @staticmethod
     def _sliced(region, start=None, stop=None):
@@ -211,6 +227,43 @@ class TestSlicePathConditions:
         region.put(Cell(row=b"r3", family=FAMILY, qualifier=b"other",
                         timestamp=5, value=b"v"))
         assert self._sliced(region)
+
+    def test_bulk_loaded_runs_seal_into_one_plain_file(self):
+        region = Region([FAMILY])
+        rows = [b"r%d" % i for i in range(10)]
+        for chunk in (rows[0::2], rows[1::2]):
+            region.bulk_load(FAMILY, [
+                Cell(row=row, family=FAMILY, qualifier=b"q", timestamp=5,
+                     value=b"v") for row in chunk
+            ])
+        assert self._sliced(region)
+        assert region.store_file_count(FAMILY) == 1
+        assert self._sliced(region, b"r3", b"r5")
+
+    @given(file_rows=st.sets(st.sampled_from(ROWS), min_size=1),
+           memstore_rows=st.sets(st.sampled_from(ROWS), min_size=1))
+    # Visits written since the load: newer timestamps sort first, so
+    # the memstore's rows all come before the file's: concatenation.
+    @example(file_rows={b"m", b"m1", b"m2", b"w"}, memstore_rows={b"c", b"d"})
+    # A late-arriving older visit lands inside the file's row range.
+    @example(file_rows={b"c", b"m2"}, memstore_rows={b"c\x00", b"m"})
+    @settings(max_examples=80, deadline=None)
+    def test_two_plain_runs_slice_iff_their_rows_do_not_interleave(
+        self, file_rows, memstore_rows
+    ):
+        region = Region([FAMILY])
+        region.bulk_load(FAMILY, [
+            Cell(row=row, family=FAMILY, qualifier=b"q", timestamp=1,
+                 value=b"base") for row in sorted(file_rows)
+        ])
+        for row in memstore_rows:
+            region.put(Cell(row=row, family=FAMILY, qualifier=b"q",
+                            timestamp=2, value=b"new"))
+        disjoint = (
+            max(memstore_rows) < min(file_rows)
+            or max(file_rows) < min(memstore_rows)
+        )
+        assert self._sliced(region) == disjoint
 
     def test_ttl_horizon_ends_slicing_for_its_family_only(self):
         region = Region([FAMILY, "g"])

@@ -7,15 +7,18 @@ threshold), so the coprocessor's merged read path — and the choice
 ``Region.scan_cells`` makes between a run's slice and the merge — would
 otherwise go unexercised above the unit level.  Here the same queries
 (filtered and not, ``interest`` and ``hotness``, top-k on, scan cache
-off / cold / warm) are answered with the same visits laid out five
+off / cold / warm) are answered with the same visits laid out six
 ways, each time against ``search_personalized_client_side`` (which
 streams ``Region.scan``), and ``Region.scans_sliced`` says which read
-the coprocessor actually took.
+the coprocessor actually took.  The sixth is the shape the benchmark
+measures since the load became a bulk load: base data in one store file
+per region, newer visits in the memstore above it.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import ClusterConfig, TopKConfig
 from repro.core.modules.query_answering import (
@@ -29,6 +32,7 @@ from repro.core.repositories.visits import (
     VisitsRepository,
     VisitStruct,
 )
+from repro.errors import ValidationError
 from repro.geo import BoundingBox
 from repro.hbase import HBaseCluster, RegionScanCache, RegionWALHandle
 from repro.sqlstore import SqlEngine
@@ -119,18 +123,43 @@ class Stack:
         )
 
 
+#: The friend whose range the shapes below spoil, and a visit of theirs
+#: older than half of what the base data holds.
+LATE_FRIEND = 5
+LATE_TIMESTAMP = 250 + LATE_FRIEND
+
+
 def lay_out(stack, shape):
-    """Store both halves in the given storage shape; returns the share
-    of the coprocessor's friend scans that must take the slice: all of
-    them (1) or, every friend's range being split or not plain, none."""
+    """Store both halves in the given storage shape; returns
+    ``merges(query)``: how many of the coprocessor's friend scans must
+    fall to the merge (the rest take slices) — none, all, or the one
+    friend whose runs are not plain or interleave."""
     older, newer = stack.halves
     if shape == "memstore":
         stack.store(older + newer)
-        return 1
+        return lambda query: 0
     if shape == "one_store_file":
         stack.store(older + newer)
         stack.flush()
-        return 1
+        return lambda query: 0
+    if shape == "bulk_loaded_base_under_memstore":
+        # The base arrives in several calls and is sealed into one file
+        # per region by the first read; newer visits are streamed.
+        third = len(older) // 3
+        for chunk in (older[:third], older[third:2 * third],
+                      older[2 * third:]):
+            assert stack.visits.bulk_load(chunk) == len(chunk)
+        stack.store(newer)
+        # Every friend now has two runs in range, the memstore's rows
+        # all before the file's (newer timestamps sort first): slices,
+        # concatenated.  One late-arriving old visit lands inside its
+        # friend's file rows; that friend merges — unless the window
+        # cuts the late visit off.
+        stack.store([visit(LATE_FRIEND, 7, LATE_TIMESTAMP, 2.5)])
+        return lambda query: (
+            0 if query.since is not None and query.since > LATE_TIMESTAMP
+            else 1
+        )
     if shape == "two_files_and_memstore":
         stack.store(older)
         stack.flush()
@@ -147,12 +176,16 @@ def lay_out(stack, shape):
             visit(regraded.user_id, regraded.poi_id, regraded.timestamp,
                   regraded.grade + 1.0)
         )
-        return 0
+        # The two files' rows do not interleave (the newer half sorts
+        # first), so only the friend whose memstore cells are a
+        # tombstone and a second version merges.
+        assert gone.user_id == regraded.user_id
+        return lambda query: 1
     if shape == "ttl_cutoff":
         stack.store(older + newer)
         for region in stack.regions:
             region.set_ttl_cutoff(FAMILY, PER_USER_HALF * 100 // 3)
-        return 0
+        return lambda query: len(query.friend_ids)
     assert shape == "crash_and_replay"
     stack.store(older)
     stack.flush()  # truncates the WALs: only the newer half replays
@@ -160,7 +193,7 @@ def lay_out(stack, shape):
     for region in stack.regions:
         assert region.crash() > 0
         region.replay_cells(list(region.wal.replay()))
-    return 0
+    return lambda query: 0  # a replayed memstore over the file: slices
 
 
 def rows(result):
@@ -172,14 +205,15 @@ def rows(result):
 
 
 SHAPES = ["memstore", "one_store_file", "two_files_and_memstore",
-          "ttl_cutoff", "crash_and_replay"]
+          "ttl_cutoff", "crash_and_replay",
+          "bulk_loaded_base_under_memstore"]
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 class TestStorageShapeOracle:
     def test_cache_off_matches_the_client_side_scan(self, shape):
         stack = Stack(cache=False)
-        sliced_share = lay_out(stack, shape)
+        merges = lay_out(stack, shape)
         for query in QUERIES:
             want = stack.qa.search_personalized_client_side(query)
             assert want.pois, "a query that matches nothing proves nothing"
@@ -191,7 +225,7 @@ class TestStorageShapeOracle:
             served = stack.read_tallies()[0] - served
             sliced = stack.read_tallies()[1] - sliced
             assert served == len(query.friend_ids)
-            assert sliced == sliced_share * served
+            assert sliced == served - merges(query)
 
     def test_cache_cold_to_warm_matches_too(self, shape):
         stack = Stack(cache=True)
@@ -214,8 +248,9 @@ class TestStorageShapeOracle:
 
 
 def test_the_shapes_hold_the_same_visits_or_say_why():
-    """Shapes (i), (ii) and (v) answer identically; (iii) and (iv)
-    differ from them only by the visits they shadow or expire."""
+    """Shapes (i), (ii) and (v) answer identically; (iii), (iv) and
+    (vi) differ from them only by the visits they shadow, expire or
+    add."""
     answers = {}
     for shape in SHAPES:
         stack = Stack(cache=False)
@@ -225,3 +260,73 @@ def test_the_shapes_hold_the_same_visits_or_say_why():
     assert answers["memstore"] == answers["crash_and_replay"]
     assert answers["two_files_and_memstore"] != answers["memstore"]
     assert answers["ttl_cutoff"] != answers["memstore"]
+    assert answers["bulk_loaded_base_under_memstore"] != answers["memstore"]
+
+
+def test_bulk_loaded_base_is_one_sealed_file_per_region():
+    """Three load calls, one store file: the runs were staged and the
+    first read sealed them."""
+    stack = Stack(cache=False)
+    lay_out(stack, "bulk_loaded_base_under_memstore")
+    for region in stack.regions:
+        assert len(region.wal) == region.approx_rows(FAMILY) - sum(
+            len(sf) for sf in region.store_files_for(FAMILY)
+        )  # only the streamed visits were logged
+        assert region.store_file_count(FAMILY) <= 1
+
+
+# ------------------------------------------------- bulk cell == visit cell
+
+FIELDS = dict(
+    user_id=st.integers(-3, 1 << 65),
+    poi_id=st.integers(-3, 1 << 65),
+    timestamp=st.integers(-3, 1 << 65),
+    grade=st.one_of(st.floats(allow_nan=False), st.integers(-5, 5),
+                    st.just("high"), st.none()),
+    poi_name=st.text(max_size=8),
+    lat=st.floats(-90, 90),
+    lon=st.floats(-180, 180),
+    keywords=st.lists(st.text(max_size=5), max_size=3).map(tuple),
+)
+
+
+class TestBulkCellIsTheVisitCell:
+    """The bulk load builds its cells from one prefix per user run, one
+    packed key suffix and the tail memo; ``visit_cell`` composes them
+    part by part.  Same bytes, or the same refusal."""
+
+    @given(st.fixed_dictionaries(FIELDS),
+           st.sampled_from(["replicated", "normalized"]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_row_and_value_or_same_error(self, fields, schema_mode):
+        repo = VisitsRepository.__new__(VisitsRepository)
+        repo.schema_mode = schema_mode
+        record = VisitStruct(**fields)
+        try:
+            want = repo.visit_cell(record)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as caught:
+                repo.bulk_cells([record])
+            assert str(caught.value) == str(exc)
+            return
+        (got,) = repo.bulk_cells([record])
+        assert (got.row, got.value) == (want.row, want.value)
+        assert got == want
+
+    def test_generator_records_load_without_a_wrapper(self):
+        from repro.datagen.visits import VisitRecord
+
+        repo = VisitsRepository.__new__(VisitsRepository)
+        repo.schema_mode = "replicated"
+        records = [
+            VisitRecord(user_id=uid, poi_id=9, timestamp=77 + k, grade=0.25,
+                        poi_name="n", lat=1.0, lon=2.0, keywords=("a", "b"))
+            for uid in (46368, 3, 46368) for k in range(2)
+        ]
+        assert repo.bulk_cells(records) == [
+            repo.visit_cell(VisitStruct(
+                user_id=r.user_id, poi_id=9, timestamp=r.timestamp,
+                grade=0.25, poi_name="n", lat=1.0, lon=2.0,
+                keywords=("a", "b")))
+            for r in records
+        ]
