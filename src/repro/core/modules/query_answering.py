@@ -24,6 +24,7 @@ from ..repositories.poi import POIRepository
 from ..caching import HotPOICache, SingleFlight
 from ..repositories.visits import (
     FAMILY,
+    POI_FIELD,
     SCHEMA_NORMALIZED,
     VisitsRepository,
 )
@@ -268,22 +269,21 @@ class VisitScanCoprocessor(Coprocessor):
         attributes later (the fold itself never touches it).  A scanned
         friend is summed in scratch dicts the whole invocation reuses,
         and packed into :class:`FriendPartial` columns only when the
-        generation admits a fill — a write-hot region allocates nothing
-        per friend but the slice.  Cached and fresh partials fold in
+        generation admits a fill — an invocation that is not admitted
+        allocates nothing per friend but the slice.  Cached and fresh
+        partials fold in
         the same order, POI by POI in first-encounter order, so every
         float sum is bit-identical with the cache on, off, cold or warm.
         """
         cache = context.cache
         since, until = request.since, request.until
-        # Captured before any scan: a write racing with this invocation
-        # moves the region's seqid, which ends cache reads and fills.
+        # Captured before the lookup: a mutation racing with this
+        # invocation moves the region's seqid, which ends cache reads
+        # and fills.  The lookup itself evicts the friends written since
+        # the generation was last handed out (DESIGN.md §7.1).
         seqid = context.data_seqid
-        generation = (
-            cache.lookup(context.region_id, seqid)
-            if cache is not None
-            else None
-        )
-        #: None: nothing cached at this seqid and not admitted to fill.
+        generation = context.cache_lookup(VisitsRepository.user_of_row)
+        #: None: nothing to read and not admitted to fill.
         entries = generation.entries if generation is not None else None
         fills: Dict[Tuple, FriendPartial] = {}
         aggregates = PartialAggregates()
@@ -306,6 +306,7 @@ class VisitScanCoprocessor(Coprocessor):
         decode_grade = VisitsRepository.decode_grade
         scan_cells = context.scan_cells
         from_bytes = int.from_bytes
+        poi_field = POI_FIELD
         #: Cooperative-cancellation probe cadence; None on the default
         #: path keeps the loop token-free.
         token = context.cancellation
@@ -362,7 +363,7 @@ class VisitScanCoprocessor(Coprocessor):
             first_raws.clear()
             for cell in cells:
                 # Cheap key-only decode: poi id at fixed row offsets.
-                poi_id = from_bytes(cell.row[21:29], "big")
+                poi_id = from_bytes(cell.row[poi_field], "big")
                 if poi_id in sums:
                     sums[poi_id] += decode_grade(cell.value)
                     visits[poi_id] += 1

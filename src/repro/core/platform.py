@@ -333,8 +333,9 @@ class MoDisSENSE:
         return report
 
     def sweep_caches(self) -> int:
-        """Reap seqid-stale scan-cache entries; returns how many.  Wired
-        to the scheduler's ``cache_maintenance`` job."""
+        """Reap scan-cache generations their regions can no longer
+        bring up to date; returns how many entries went.  Wired to the
+        scheduler's ``cache_maintenance`` job."""
         return self.hbase.scan_cache_sweep()
 
     def detect_events(self, since: Optional[int] = None, until: Optional[int] = None):

@@ -64,6 +64,14 @@ _TAIL_NUMBERS = struct.Struct(">4d")
 #: row_key` is the reference).
 _KEY_SUFFIX = struct.Struct(">QcQ")
 _U64_MAX = (1 << 64) - 1
+#: The row key's layout, positional — ``salt(2) ␟ user(8) ␟ ts_desc(8)
+#: ␟ poi(8)``, what :meth:`VisitsRepository.row_key` composes — as the
+#: slices every positional reader takes (separator-split would not do:
+#: a fixed-width integer may contain the separator byte).
+SALT_FIELD = slice(0, 2)
+USER_FIELD = slice(3, 11)
+TS_FIELD = slice(12, 20)
+POI_FIELD = slice(21, 29)
 
 
 def _compute_user_keys(user_id: int) -> Tuple[bytes, bytes, Optional[bytes]]:
@@ -209,6 +217,12 @@ class VisitsRepository:
             encode_int_desc(timestamp),
             encode_int(poi_id),
         )
+
+    @staticmethod
+    def user_of_row(row: bytes) -> int:
+        """Whose visit a row key holds — the owner a write to ``row``
+        stales in the scan cache."""
+        return int.from_bytes(row[USER_FIELD], "big")
 
     @staticmethod
     def user_prefix(user_id: int) -> bytes:
@@ -366,15 +380,14 @@ class VisitsRepository:
     def decode_key(row: bytes) -> Tuple[int, int, int]:
         """``(user_id, timestamp, poi_id)`` from the row key alone.
 
-        Parsing is positional — salt(2) ␟ user(8) ␟ ts(8) ␟ poi(8) — not
-        separator-split: fixed-width integer encodings may legitimately
-        contain the separator byte.  This is the cheap half of visit
-        decoding: no JSON payload is touched.
+        Parsing is positional (``USER_FIELD`` / ``TS_FIELD`` /
+        ``POI_FIELD``).  This is the cheap half of visit decoding: no
+        JSON payload is touched.
         """
         return (
-            int.from_bytes(row[3:11], "big"),
-            decode_int_desc(row[12:20]),
-            int.from_bytes(row[21:29], "big"),
+            int.from_bytes(row[USER_FIELD], "big"),
+            decode_int_desc(row[TS_FIELD]),
+            int.from_bytes(row[POI_FIELD], "big"),
         )
 
     @staticmethod

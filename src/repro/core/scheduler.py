@@ -312,10 +312,8 @@ def build_platform_scheduler(platform, start_at: float = 0.0) -> PeriodicSchedul
             catch_up=False,
         )
     if platform.scan_cache is not None:
-        # Reap scan-cache entries no lookup can accept anymore.  The
-        # simulated firing time is deliberately ignored: TTL stamps are
-        # wall-clock (time.monotonic), so the sweep must use the cache's
-        # own clock, not the scheduler's.
+        # Reap scan-cache generations no lookup can accept anymore
+        # (their region's write journal no longer reaches back to them).
         scheduler.register(
             "cache_maintenance",
             CACHE_SWEEP_PERIOD_S,

@@ -275,14 +275,12 @@ class HBaseCluster:
         self.scan_cache = cache
 
     def scan_cache_sweep(self) -> int:
-        """Reap scan-cache entries stamped with a superseded region
-        seqid.  Returns the number dropped; 0 when no cache is
-        attached."""
+        """Reap the scan-cache generations of regions whose write
+        journal no longer reaches back to them.  Returns the number of
+        entries dropped; 0 when no cache is attached."""
         if self.scan_cache is None:
             return 0
-        return self.scan_cache.sweep(
-            {region.region_id: region.data_seqid for region in self.regions()}
-        )
+        return self.scan_cache.sweep(self.regions())
 
     def _count(
         self, name: str, amount: int = 1, labels: Optional[Mapping] = None

@@ -15,7 +15,7 @@ endpoint touched, which feeds the cluster cost model.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from ..errors import CoprocessorError
 from .cell import Cell
@@ -150,9 +150,19 @@ class CoprocessorContext:
     @property
     def data_seqid(self) -> int:
         """The region's current data sequence id.  Endpoints capture it
-        *before* a scan and stamp cache entries with it, so any write
-        racing with the scan invalidates the entry."""
+        *before* :meth:`cache_lookup` and stop reading and filling the
+        cache once it moves: a mutation raced with the invocation."""
         return self._region.data_seqid
+
+    def cache_lookup(self, owner_of: Callable[[bytes], Any]) -> Optional[Any]:
+        """This region's scan-cache generation, brought up to the writes
+        journaled so far (:meth:`RegionScanCache.lookup
+        <repro.hbase.cache.RegionScanCache.lookup>`); ``owner_of`` maps
+        a written row to the key owner whose entries it stales.  None
+        without a cache, or when the invocation is not admitted."""
+        if self.cache is None:
+            return None
+        return self.cache.lookup(self._region, owner_of)
 
     @property
     def start_key(self) -> Optional[bytes]:

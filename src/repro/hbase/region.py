@@ -22,6 +22,15 @@ from .wal import RegionWALHandle
 
 _region_ids = itertools.count()
 
+#: Most rows a region's write journal holds (see :meth:`Region.
+#: written_since`).  A reader catching up pays one owner eviction per
+#: journaled row and a cold refill pays one fold per stored cell, so
+#: past about a region's worth of cells (~6000 in the benchmark shape)
+#: enumerating stops being cheaper than starting over; 4096 row
+#: references are 32 KB a region, below the 4 MB memstore flush that
+#: resets the journal anyway.  A constant: nothing varies it.
+JOURNAL_MAX = 4096
+
 
 def _join(older: List[Cell], newer: List[Cell]) -> Optional[List[Cell]]:
     """Two runs' slices of one range (neither empty) as a single sorted
@@ -80,11 +89,23 @@ class Region:
         #: compactions, TTL cutoff changes, crashes and replays.  (Not
         #: the seal of staged runs: the load counted, and a seal bump
         #: would void the cache fill whose scan triggered it.)
-        #: Scan-cache entries are stamped with the seqid captured before
-        #: their scan, so any concurrent or later mutation makes them
-        #: stale (HBase's read-point semantics, used here for
-        #: invalidation).
+        #: A scan-cache reader captures it before its lookup and stops
+        #: reading and filling the moment it moves.  Only ever bumped
+        #: under ``_journal_lock``, after the mutation it announces is
+        #: readable, so concurrent writers cannot lose a bump.
         self.data_seqid = 0
+        #: Write journal: the rows of the puts (tombstones included)
+        #: applied since the last *structural* event, in journal order,
+        #: aliasing the memstore's ``cell.row`` objects.  Position
+        #: ``_journal_start + i`` of the region's lifetime write stream
+        #: is ``_journal[i]``; a structural event (flush, compaction,
+        #: bulk load, crash, replay, TTL change, overflow) empties it
+        #: and moves the start past every mark handed out so far.
+        self._journal: List[bytes] = []
+        self._journal_start = 0
+        self._journal_lock = threading.Lock()
+        #: Times the journal was emptied for outgrowing ``JOURNAL_MAX``.
+        self.journal_overflows = 0
         #: Durability log: every put is appended before it is applied; a
         #: full flush lets the log truncate.  A cluster gives each of its
         #: regions one at creation; None only on a region built outside
@@ -141,8 +162,7 @@ class Region:
             self.wal.append(cell)
         store = self._memstore(cell.family)
         store.put(cell)
-        self.write_count += 1
-        self.data_seqid += 1
+        self._wrote((cell.row,))
         if store.should_flush:
             self.flush(cell.family)
 
@@ -181,8 +201,7 @@ class Region:
             by_family.setdefault(cell.family, []).append(cell)
         for family, group in by_family.items():
             self._memstore(family).put_batch(group)
-        self.write_count += len(cells)
-        self.data_seqid += len(cells)
+        self._wrote([cell.row for cell in cells])
         for family in by_family:
             if self._memstores[family].should_flush:
                 self.flush(family)
@@ -230,8 +249,7 @@ class Region:
         # +4 %); recomputing them at the seal costs ~50 ms.
         with self._stage_lock:
             self._staged[family].append(cells)
-        self.write_count += len(cells)
-        self.data_seqid += len(cells)
+        self._restructured(writes=len(cells))
 
     def _files(self, family: str) -> List[StoreFile]:
         """The family's store files, oldest first — what every reader
@@ -257,6 +275,61 @@ class Region:
                     )
                     self._staged[family] = []
         return self._store_files[family]
+
+    # ----------------------------------------------------- write journal
+    #
+    # One order for every mutation: make it readable FIRST, then — in
+    # one hold of ``_journal_lock`` — journal it and bump ``data_seqid``.
+    # A reader that finds a mutation's seqid bump or journal entry can
+    # therefore already read its data, and a scan that did not see a
+    # put finished before that put's row was journaled (DESIGN.md §7.1
+    # walks the interleavings).
+
+    def _wrote(self, rows: Sequence[bytes]) -> None:
+        """The puts of ``rows`` are readable: journal them and announce
+        them.  A batch the journal has no room for is a structural
+        event — the journal starts over empty."""
+        with self._journal_lock:
+            if len(self._journal) + len(rows) > JOURNAL_MAX:
+                self._reset_journal()
+                self.journal_overflows += 1
+            else:
+                self._journal.extend(rows)
+            self.write_count += len(rows)
+            self.data_seqid += len(rows)
+
+    def _restructured(self, writes: int = 0) -> None:
+        """A structural event is readable: storage was reorganized or
+        changed in a way no list of rows describes (``writes`` cells
+        arrived with it).  Every journal mark so far stops resolving."""
+        with self._journal_lock:
+            self._reset_journal()
+            self.write_count += writes
+            self.data_seqid += writes or 1
+
+    def _reset_journal(self) -> None:
+        """Empty the journal and move its start past the old end, so
+        ``written_since`` answers None for every mark handed out so far
+        (``_journal_lock`` held)."""
+        self._journal_start += len(self._journal) + 1
+        self._journal = []
+
+    def journal_mark(self) -> int:
+        """Where the journal ends now: what :meth:`written_since` will
+        enumerate from."""
+        with self._journal_lock:
+            return self._journal_start + len(self._journal)
+
+    def written_since(self, mark: int) -> Optional[List[bytes]]:
+        """The rows of the puts journaled since :meth:`journal_mark`
+        returned ``mark`` (``mark + len(rows)`` is the mark to continue
+        from), or None when a structural event intervened and the
+        difference cannot be enumerated.  At most ``JOURNAL_MAX``
+        rows."""
+        with self._journal_lock:
+            if mark < self._journal_start:
+                return None
+            return self._journal[mark - self._journal_start :]
 
     def delete(self, row: bytes, family: str, qualifier: bytes, timestamp: int) -> None:
         """Write a tombstone shadowing versions up to ``timestamp``."""
@@ -284,7 +357,7 @@ class Region:
             files = self._files(fam)
             files.append(StoreFile(store.snapshot()))
             store.clear()
-            self.data_seqid += 1
+            self._restructured()
             if 0 < self.minor_compaction_threshold <= len(files):
                 self.minor_compact(fam)
         if family is None and self.wal is not None:
@@ -300,7 +373,7 @@ class Region:
             return
         cells, keys = merge_keyed_runs([sf.cells() for sf in files])
         self._store_files[family] = [StoreFile(cells, keys=keys)]
-        self.data_seqid += 1
+        self._restructured()
 
     def crash(self) -> int:
         """Lose the memstores, as a region-server crash does.
@@ -316,7 +389,7 @@ class Region:
         for store in self._memstores.values():
             dropped += len(store)
             store.clear()
-        self.data_seqid += 1
+        self._restructured()
         return dropped
 
     def replay_cells(self, cells: Iterable[Cell]) -> int:
@@ -338,8 +411,7 @@ class Region:
             self._memstore(cell.family).put(cell)
             applied += 1
         if applied:
-            self.write_count += applied
-            self.data_seqid += applied
+            self._restructured(writes=applied)
         return applied
 
     def store_files_for(self, family: str) -> List[StoreFile]:
@@ -378,7 +450,7 @@ class Region:
                 survivors.append(cell)
             self._memstore(fam).clear()
             self._store_files[fam] = [StoreFile(survivors)] if survivors else []
-            self.data_seqid += 1
+            self._restructured()
 
     # ------------------------------------------------------------- reads
 
@@ -392,7 +464,7 @@ class Region:
         previous = self._ttl_cutoff.get(family, 0)
         self._ttl_cutoff[family] = max(previous, cutoff_ts)
         if self._ttl_cutoff[family] != previous:
-            self.data_seqid += 1
+            self._restructured()
 
     def _expired(self, cell: Cell) -> bool:
         return cell.timestamp < self._ttl_cutoff.get(cell.family, 0)

@@ -127,6 +127,7 @@ class TestAdminCache:
             assert set(scan) == {
                 "entries", "poi_attrs", "max_entries", "hits",
                 "misses", "evictions", "invalidations", "hit_rate",
+                "evicted_by_write", "journal_overflows",
             }
             # Every aggregated POI was parsed once, for all regions.
             assert scan["poi_attrs"] == 3

@@ -7,17 +7,31 @@ queries interleave.  The randomized section replays 200+ seeded
 interleavings of those operations and compares every query's cached
 answer against a fresh cache-off execution of the same query.
 
-Unit sections pin the individual mechanisms: quiet-region admission,
-seqid bumps on every mutation kind superseding a region's generation,
-TTL expiry, whole-generation LRU eviction under the entry bound, the
-maintenance sweep, node-failure invalidation, and that no metrics call
-is made while a cache lock is held.
+A hypothesis state machine (and a fixed-seed corpus over the same
+rules) then drives one small table through every mutation kind a region
+has — put, delete, ``put_batch``, flush, minor and major compaction,
+TTL, crash + replay, ``bulk_load``, journal overflow — and checks, next
+to the byte-for-byte answer, *which* friends each query found cached:
+exactly those not written since their fill in a region whose journal
+followed every write.
+
+Unit sections pin the individual mechanisms: admission (the first
+invocation opens; written friends miss, untouched ones hit; an
+overflowed region is not admitted), every structural event superseding
+a region's generation, the four put/lookup interleavings, late fills,
+whole-generation LRU eviction under the entry bound, the maintenance
+sweep, node-failure invalidation, and that no metrics call is made
+while a cache lock is held.
 """
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, rule
 
+import repro.hbase.region as region_mod
 from repro.config import ClusterConfig, TopKConfig
 from repro.core.caching import HotPOICache, SingleFlight
 from repro.core.modules.query_answering import (
@@ -27,12 +41,14 @@ from repro.core.modules.query_answering import (
 from repro.core.repositories.poi import POI, POIRepository
 from repro.core.repositories.visits import (
     FAMILY,
+    QUALIFIER,
     VisitsRepository,
     VisitStruct,
 )
 from repro.geo import BoundingBox
-from repro.hbase import HBaseCluster, RegionScanCache
+from repro.hbase import Cell, HBaseCluster, MemStore, RegionScanCache
 from repro.hbase.cache import FriendPartial
+from repro.hbase.region import JOURNAL_MAX, Region
 from repro.sqlstore import SqlEngine
 
 NUM_SEEDS = 200
@@ -319,41 +335,125 @@ class TestSeqidInvalidation:
     def test_store_race_stamp_is_stale_on_arrival(self):
         """Fills for a generation the region has moved past are never
         served, and a superseded generation cannot be revived."""
-        cache = RegionScanCache()
-        assert cache.lookup(5, current_seqid=3) is None  # opens
-        generation = cache.lookup(5, current_seqid=3)
-        cache.store(5, generation, {(11, None, None): _partial()})
-        # Region mutated: the next invocation finds the seqid moved and
-        # the whole generation goes, O(1).
-        assert cache.lookup(5, current_seqid=4) is None
+        cache, region = RegionScanCache(), _region()
+        rid = region.region_id
+        assert cache.lookup(region, OWNER) is None  # opens
+        generation = cache.lookup(region, OWNER)
+        cache.store(rid, generation, {(11, None, None): _partial()})
+        # A structural event: the region cannot say what changed, so
+        # the next invocation drops the whole generation, O(1).
+        region.set_ttl_cutoff(FAMILY, 5)
+        assert cache.lookup(region, OWNER) is None
         assert cache.stats()["invalidations"] == 1
         assert len(cache) == 0
-        # A scan that raced the write still holds the old generation;
+        # A scan that raced the event still holds the old generation;
         # its late fills are dropped, not attached to the new one.
-        cache.store(5, generation, {(12, None, None): _partial()})
+        cache.store(rid, generation, {(12, None, None): _partial()})
         assert len(cache) == 0
-        assert cache.lookup(5, current_seqid=4).entries == {}
-        # ...and the old seqid cannot revive it either.
-        assert cache.lookup(5, current_seqid=3) is None
+        fresh = cache.lookup(region, OWNER)
+        assert fresh.entries == {}
+        # ...and the old generation cannot be revived through the new
+        # one's admission either.
+        cache.store(rid, generation, {(12, None, None): _partial()})
+        assert fresh.entries == {} and len(cache) == 0
+
+    def test_late_fill_after_a_write_evicted_its_owner_is_dropped(self):
+        """Trap 1.  Reader A scans friend 11; a put to friend 11
+        completes; reader B's lookup consumes the journal row (nothing
+        of friend 11 to evict yet); then A's store arrives.  The
+        generation is still the region's and holds the same entries,
+        but A's fill predates a write no later lookup will see again."""
+        cache, region = RegionScanCache(), _region()
+        rid = region.region_id
+        assert cache.lookup(region, OWNER) is None
+        reader_a = cache.lookup(region, OWNER)  # A scans under this
+        _put(region, 11)
+        reader_b = cache.lookup(region, OWNER)  # consumes friend 11's row
+        assert reader_b is not None and reader_b.entries is reader_a.entries
+        cache.store(rid, reader_a, {(11, None, None): _partial()})
+        assert len(cache) == 0
+        assert cache.lookup(region, OWNER).entries == {}
+        # B scanned after the put: its fill is current and lands.
+        cache.store(rid, reader_b, {(11, None, None): _partial()})
+        assert set(cache.lookup(region, OWNER).entries) == {(11, None, None)}
 
 
 def _partial():
     return FriendPartial([1], [2.0], [4], [b"{}"])
 
 
-def _admitted(cache, region_id, seqid=0):
+#: ``row -> owner`` as the coprocessor supplies it.
+OWNER = VisitsRepository.user_of_row
+
+
+def _region():
+    """A bare region of the visits family (fresh region id)."""
+    return Region([FAMILY])
+
+
+def _visit_cell(user_id, ts=1, poi_id=1):
+    return Cell(
+        row=VisitsRepository.row_key(user_id, ts, poi_id),
+        family=FAMILY,
+        qualifier=QUALIFIER,
+        timestamp=ts,
+        value=b"",
+    )
+
+
+def _put(region, user_id, ts=1):
+    region.put(_visit_cell(user_id, ts))
+
+
+def _overflow(region):
+    """One batch the journal has no room for."""
+    region.put_batch(
+        [_visit_cell(99, ts) for ts in range(1, JOURNAL_MAX + 2)]
+    )
+
+
+def _admitted(cache, region):
     """The region's generation, opening it first if need be."""
-    return cache.lookup(region_id, seqid) or cache.lookup(region_id, seqid)
+    return cache.lookup(region, OWNER) or cache.lookup(region, OWNER)
 
 
 class TestCacheMechanics:
     def test_quiet_region_admission(self):
-        cache = RegionScanCache()
-        # Written between every two invocations: never admitted.
-        for seqid in range(5):
-            assert cache.lookup(1, seqid) is None
-        # Unwritten since the previous invocation: admitted.
-        assert cache.lookup(1, 4) is not None
+        cache, region = RegionScanCache(), _region()
+        rid = region.region_id
+        # The first invocation on a region only opens.
+        assert cache.lookup(region, OWNER) is None
+        # Unwritten since: admitted.
+        generation = cache.lookup(region, OWNER)
+        assert generation is not None
+        cache.store(
+            rid,
+            generation,
+            {
+                (1, None, None): _partial(),
+                (1, 5, None): _partial(),
+                (2, None, None): _partial(),
+            },
+        )
+        # Written, and the journal followed: still admitted.  The
+        # written friend misses (all its windows), the other one hits.
+        _put(region, 1)
+        followed = cache.lookup(region, OWNER)
+        assert followed is not None
+        assert set(followed.entries) == {(2, None, None)}
+        assert len(cache) == 1
+        assert cache.stats()["evicted_by_write"] == 2
+        assert cache.stats()["invalidations"] == 0
+        # Journal overflowed between every two invocations: the region
+        # cannot enumerate its writes, so it is never admitted.
+        for _ in range(3):
+            _overflow(region)
+            assert len(region._journal) <= JOURNAL_MAX
+            assert cache.lookup(region, OWNER) is None
+        assert cache.stats()["journal_overflows"] == 3
+        assert len(cache) == 0
+        # Followed again since the last one: admitted.
+        assert cache.lookup(region, OWNER) is not None
 
     def test_friend_partial_round_trips_columns_in_order(self):
         columns = ([2**63 + 5, 7], [0.1 + 0.2, 4.5], [3, 1], [b"a", b"b"])
@@ -366,48 +466,96 @@ class TestCacheMechanics:
 
     def test_lru_evicts_whole_generations(self):
         cache = RegionScanCache(max_entries=2)
-        for region_id, friend_id in ((1, 1), (1, 2), (2, 3)):
+        one, two = _region(), _region()
+        for region, friend_id in ((one, 1), (one, 2), (two, 3)):
             cache.store(
-                region_id,
-                _admitted(cache, region_id),
+                region.region_id,
+                _admitted(cache, region),
                 {(friend_id, None, None): _partial()},
             )
-        # Region 1's generation (two entries) was least recently used.
+        # Region one's generation (two entries) was least recently used.
         assert len(cache) == 1
         assert cache.stats()["evictions"] == 2
-        assert cache.lookup(1, 0) is None
-        assert (3, None, None) in cache.lookup(2, 0).entries
-        assert cache.invalidate_regions([1, 2]) == 1
+        assert cache.lookup(one, OWNER) is None
+        assert (3, None, None) in cache.lookup(two, OWNER).entries
+        assert cache.invalidate_regions([one.region_id, two.region_id]) == 1
 
     def test_entry_count_never_exceeds_the_bound(self):
         """10x ``max_entries`` distinct (friend, window) keys, spread
         over regions or piled into one."""
         cache = RegionScanCache(max_entries=16)
+        regions = [_region() for _ in range(6)]
         for key in range(160):
-            region_id = key % 5 if key < 80 else 9
+            region = regions[key % 5 if key < 80 else 5]
             cache.store(
-                region_id,
-                _admitted(cache, region_id),
+                region.region_id,
+                _admitted(cache, region),
                 {(key, key % 3, None): _partial()},
             )
             assert cache.stats()["entries"] <= 16
         big = {(key, None, None): _partial() for key in range(1000, 1100)}
-        cache.store(3, _admitted(cache, 3), big)
+        cache.store(regions[3].region_id, _admitted(cache, regions[3]), big)
         assert 0 < cache.stats()["entries"] <= 16
 
     def test_sweep_reaps_superseded_generations(self):
         cache = RegionScanCache()
-        for region_id, seqid in ((1, 7), (2, 3), (3, 1)):
+        quiet, written, flushed, overflowed, unlisted = regions = [
+            _region() for _ in range(5)
+        ]
+        for region in regions:
             cache.store(
-                region_id,
-                _admitted(cache, region_id, seqid),
-                {(region_id, None, None): _partial()},
+                region.region_id,
+                _admitted(cache, region),
+                {(1, None, None): _partial()},
             )
-        # Region 1 is current and a region the caller does not list is
-        # left alone; regions 2 and 3 have moved on.
-        assert cache.sweep(current_seqids={1: 7, 2: 4, 3: 2}) == 2
-        assert cache.sweep(current_seqids={}) == 0
-        assert len(cache) == 1
+        # Superseded means the region answers None for the generation's
+        # mark.  A written region whose journal reaches back to it does
+        # not (Trap 2: its seqid moved, its entries are still good); a
+        # region the caller does not list is left alone.
+        _put(written, 2)
+        _put(flushed, 2)
+        flushed.flush()
+        _overflow(overflowed)
+        _put(unlisted, 2)
+        unlisted.flush()
+        assert cache.sweep([quiet, written, flushed, overflowed]) == 2
+        assert cache.sweep([]) == 0
+        assert len(cache) == 3
+        assert cache.lookup(written, OWNER).entries  # friend 1 survived
+        assert cache.lookup(flushed, OWNER) is None
+
+    def test_maintenance_tick_keeps_followed_regions(self):
+        """``cache_maintenance`` between two queries: regions written
+        since their fill keep their entries (the untouched friends
+        still hit afterwards), flushed ones are reaped."""
+        stack = _Stack()
+        rng = random.Random(11)
+        for _ in range(60):
+            stack.write(rng)
+        query = SearchQuery(
+            friend_ids=tuple(range(1, stack.users + 1)), sort_by="interest"
+        )
+        for _ in range(3):
+            warm = stack.qa.search(query)
+        assert (warm.cache_hits, warm.cache_misses) == (stack.users, 0)
+        stack.write(rng)  # one friend, one region
+        assert stack.cluster.scan_cache_sweep() == 0
+        assert len(stack.scan_cache) == stack.users
+        after = stack.qa.search(query)
+        assert (after.cache_hits, after.cache_misses) == (stack.users - 1, 1)
+        regions = stack.visits.table.regions
+        flushed = [r for r in regions if r.approx_rows(FAMILY)][:2]
+        reaped = sum(
+            len(stack.scan_cache._generations[r.region_id].entries)
+            for r in flushed
+        )
+        for region in flushed:
+            region.flush()
+        assert stack.cluster.scan_cache_sweep() == reaped > 0
+        assert len(stack.scan_cache) == stack.users - reaped
+        assert _pois_fingerprint(stack.qa.search(query)) == _pois_fingerprint(
+            stack.oracle(query)
+        )
 
     def test_node_failure_invalidates_moved_regions(self):
         stack = _Stack()
@@ -464,33 +612,44 @@ class _LockCheckingMetrics:
 
     def increment(self, name, amount=1, labels=None):
         assert not self.cache._lock.locked(), name
-        self.calls.append((name, amount))
+        self.calls.append((name, amount, (labels or {}).get("reason")))
 
 
 class TestNoMetricsUnderCacheLock:
     def test_scan_cache_emits_after_releasing_its_lock(self):
         metrics = _LockCheckingMetrics()
         cache = metrics.cache = RegionScanCache(max_entries=2, metrics=metrics)
-        cache.store(1, _admitted(cache, 1), {(1, None, None): _partial()})
-        cache.lookup(1, 1)  # superseded: invalidation
-        cache.store(
-            2,
-            _admitted(cache, 2),
-            {(k, None, None): _partial() for k in (1, 2)},
-        )
-        cache.store(3, _admitted(cache, 3), {(1, None, None): _partial()})
-        cache.invalidate_regions([3])
-        cache.store(4, _admitted(cache, 4), {(1, None, None): _partial()})
-        cache.sweep({4: 1})  # superseded
-        cache.store(5, _admitted(cache, 5), {(1, None, None): _partial()})
+        r = [_region() for _ in range(6)]
+
+        def fill(region, *friends):
+            cache.store(
+                region.region_id,
+                _admitted(cache, region),
+                {(k, None, None): _partial() for k in friends},
+            )
+
+        fill(r[0], 1)
+        _put(r[0], 1)
+        cache.lookup(r[0], OWNER)  # written friend: per-owner eviction
+        fill(r[1], 1)
+        r[1].set_ttl_cutoff(FAMILY, 5)
+        cache.lookup(r[1], OWNER)  # superseded: wholesale
+        fill(r[2], 1, 2)  # over the bound: LRU eviction
+        fill(r[3], 1)
+        cache.invalidate_regions([r[3].region_id])
+        fill(r[4], 1)
+        r[4].set_ttl_cutoff(FAMILY, 5)
+        cache.sweep(r)  # superseded
+        fill(r[5], 1)
         cache.clear()
-        # One call per operation that dropped something.
+        # One call per operation that dropped something, saying why.
         assert metrics.calls == [
-            ("cache.invalidations", 1),
-            ("cache.evictions", 2),
-            ("cache.invalidations", 1),
-            ("cache.invalidations", 1),
-            ("cache.invalidations", 1),
+            ("cache.invalidations", 1, "write"),
+            ("cache.invalidations", 1, "generation"),
+            ("cache.evictions", 2, None),
+            ("cache.invalidations", 1, "generation"),
+            ("cache.invalidations", 1, "generation"),
+            ("cache.invalidations", 1, "generation"),
         ]
 
     def test_hot_poi_cache_emits_after_releasing_its_lock(self):
@@ -506,7 +665,7 @@ class TestNoMetricsUnderCacheLock:
         cache.bump_epoch()
         cache.store("c", 1, (3,))
         cache.clear()
-        assert {name for name, _ in metrics.calls} == {
+        assert {name for name, *_ in metrics.calls} == {
             "cache.misses",
             "cache.hits",
             "cache.invalidations",
@@ -559,3 +718,444 @@ class TestSingleFlightUnit:
         assert (r2, c2) == (2, False)
         assert sf.coalesced_total == 0
         assert sf.in_flight() == 0
+
+
+# --------------------------------------------------------------------------
+# One put against one reader: the four interleavings of DESIGN.md §7.1.
+# --------------------------------------------------------------------------
+
+
+class _HookedMemStore(MemStore):
+    """A memstore that calls back once, at a chosen point: after a
+    write is applied (readable, not yet journaled or announced) or
+    before a slice is taken (a reader is mid-fold)."""
+
+    after_apply = None
+    before_slice = None
+
+    def _fire(self, name):
+        hook = getattr(self, name)
+        if hook is not None:
+            setattr(self, name, None)
+            hook()
+
+    def put(self, cell):
+        super().put(cell)
+        self._fire("after_apply")
+
+    def put_batch(self, cells):
+        super().put_batch(cells)
+        self._fire("after_apply")
+
+    def slice(self, start_row=None, stop_row=None):
+        self._fire("before_slice")
+        return super().slice(start_row, stop_row)
+
+
+class TestWriteInterleavings:
+    """W1 = the put is applied, W2 = journaled and announced (one step
+    under the region's journal lock); R1 = the reader captures the
+    seqid, R2 = its lookup reads the journal."""
+
+    WRITTEN = 3
+
+    def _stack(self):
+        stack = _Stack(users=6, regions=2, nodes=2)
+        for region in stack.visits.table.regions:
+            region._memstores[FAMILY] = _HookedMemStore()
+        rng = random.Random(5)
+        for _ in range(40):
+            stack.write(rng)
+        self.query = SearchQuery(
+            friend_ids=tuple(range(1, stack.users + 1)), sort_by="interest"
+        )
+        for _ in range(3):
+            warm = stack.qa.search(self.query)
+        assert (warm.cache_hits, warm.cache_misses) == (stack.users, 0)
+        self.region = stack.visits.table.region_for_row(
+            VisitsRepository.row_key(self.WRITTEN, 0, 0)
+        )
+        return stack
+
+    def _visit(self, stack, batch=False):
+        """One more visit of ``WRITTEN``, by put or as a two-cell batch."""
+        name, lat, lon, keywords = POIS[2]
+        cells = []
+        for _ in range(2 if batch else 1):
+            stack._ts += 1
+            cells.append(stack.visits.visit_cell(VisitStruct(
+                user_id=self.WRITTEN, poi_id=2, timestamp=stack._ts,
+                grade=3.25, poi_name=name, lat=lat, lon=lon,
+                keywords=keywords,
+            )))
+        if batch:
+            self.region.put_batch(cells)
+        else:
+            self.region.put(cells[0])
+
+    def _served_after(self, stack):
+        """The put has completed: the written friend is rescanned, and
+        only that friend."""
+        after = stack.qa.search(self.query)
+        assert (after.cache_hits, after.cache_misses) == (stack.users - 1, 1)
+        assert _pois_fingerprint(after) == _pois_fingerprint(
+            stack.oracle(self.query)
+        )
+        again = stack.qa.search(self.query)
+        assert (again.cache_hits, again.cache_misses) == (stack.users, 0)
+        assert _pois_fingerprint(again) == _pois_fingerprint(after)
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_put_entirely_before_the_lookup(self, batch):
+        stack = self._stack()
+        before = _pois_fingerprint(stack.oracle(self.query))
+        self._visit(stack, batch)
+        assert _pois_fingerprint(stack.oracle(self.query)) != before
+        self._served_after(stack)
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_lookup_between_apply_and_announce(self, batch):
+        """W1 R1 R2 W2.  The reader may serve the friend's old entry —
+        the put is still in flight — but its answer is one of the two
+        consistent ones, and the put's completion then evicts both the
+        old entry and anything the reader filled."""
+        stack = self._stack()
+        before = _pois_fingerprint(stack.oracle(self.query))
+        seen = []
+
+        def reader():
+            seen.append(stack.qa.search(self.query))
+            seen.append(_pois_fingerprint(stack.oracle(self.query)))
+
+        self.region._memstores[FAMILY].after_apply = reader
+        seqid = self.region.data_seqid
+        self._visit(stack, batch)
+        in_flight, after = seen
+        assert self.region.data_seqid > seqid  # announced only afterwards
+        assert after != before
+        assert in_flight.cache_hits == stack.users  # in flight: old entry
+        assert _pois_fingerprint(in_flight) == before
+        self._served_after(stack)
+
+    def test_put_between_the_readers_two_reads(self):
+        """R1 W1 W2 R2.  The lookup sees the row and evicts its owner,
+        but the seqid captured before it is already stale: the reader
+        neither reads nor fills, and the next one is served."""
+        stack = self._stack()
+        region = self.region
+        written_since = region.written_since
+
+        def put_then_answer(mark):
+            region.written_since = written_since  # once
+            self._visit(stack)
+            return written_since(mark)
+
+        region.written_since = put_then_answer
+        racing = stack.qa.search(self.query)
+        in_region = len(stack.visits.route_friends(self.query.friend_ids)[region])
+        assert (racing.cache_hits, racing.cache_misses) == (
+            stack.users - in_region, in_region
+        )
+        assert _pois_fingerprint(racing) == _pois_fingerprint(
+            stack.oracle(self.query)
+        )
+        assert stack.scan_cache.stats()["evicted_by_write"] == 1
+        self._served_after(stack)
+
+    def test_put_entirely_after_the_lookup(self):
+        """R1 R2 … W1 W2, the put landing while the reader folds: it
+        stops reading and filling there, its answer is one of the two
+        consistent ones, and the next lookup evicts the written friend."""
+        stack = self._stack()
+        # A window nobody queried yet: every friend is scanned, so the
+        # hook fires inside the fold, after the lookup.
+        self.query = SearchQuery(
+            friend_ids=self.query.friend_ids, sort_by="interest", since=1
+        )
+        stack.qa.search(self.query)  # regions are admitted already: fills
+        warm = stack.qa.search(self.query)
+        assert warm.cache_misses == 0
+        before = _pois_fingerprint(stack.oracle(self.query))
+        # Evict one friend of the region so its next invocation scans.
+        self._visit(stack)
+        between = _pois_fingerprint(stack.oracle(self.query))
+        self.region._memstores[FAMILY].before_slice = (
+            lambda: self._visit(stack)
+        )
+        racing = stack.qa.search(self.query)
+        after = _pois_fingerprint(stack.oracle(self.query))
+        assert len({tuple(before), tuple(between), tuple(after)}) == 3
+        assert _pois_fingerprint(racing) in (between, after)
+        self._served_after(stack)
+
+
+# --------------------------------------------------------------------------
+# Differential state machine: every mutation kind, every query shape.
+# --------------------------------------------------------------------------
+
+MACHINE_USERS = 6
+MACHINE_JOURNAL_MAX = 6
+#: Few timestamps, so puts overwrite, tombstones find their target and
+#: bulk-loaded rows collide with written ones.
+MACHINE_TS = st.integers(min_value=1, max_value=12)
+MACHINE_USER = st.integers(min_value=1, max_value=MACHINE_USERS)
+MACHINE_POI = st.sampled_from(sorted(POIS))
+MACHINE_GRADE = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
+MACHINE_VISIT = st.tuples(MACHINE_USER, MACHINE_TS, MACHINE_POI, MACHINE_GRADE)
+#: Windows repeat, so one friend holds entries under several.
+MACHINE_WINDOWS = [(None, None), (None, None), (3, None), (None, 9), (2, 7)]
+
+
+class ScanCacheMachine(RuleBasedStateMachine):
+    """One two-region visits table under the scan cache, next to a
+    model of what the cache may hold: per region, whether its journal
+    has followed every write since the generation was opened, the owners
+    written since the last lookup, and the ``(friend, window)`` keys
+    filled.  Every query must (a) answer exactly what a cache-off run
+    answers and (b) hit exactly the keys the model says are current."""
+
+    def __init__(self):
+        super().__init__()
+        self._journal_max = mock.patch.object(
+            region_mod, "JOURNAL_MAX", MACHINE_JOURNAL_MAX
+        )
+        self._journal_max.start()
+        self.stack = _Stack(users=MACHINE_USERS, regions=2, nodes=2)
+        self.regions = self.stack.visits.table.regions
+        ids = [region.region_id for region in self.regions]
+        #: The region has a generation whose mark its journal resolves.
+        self.followed = dict.fromkeys(ids, False)
+        self.entries = {rid: set() for rid in ids}
+        self.stale = {rid: set() for rid in ids}
+        self.journal = dict.fromkeys(ids, 0)
+        self.memstore = dict.fromkeys(ids, 0)
+        self.ttl = dict.fromkeys(ids, 0)
+
+    def teardown(self):
+        self._journal_max.stop()
+
+    # ------------------------------------------------------------ model
+
+    def _region_of(self, user_id):
+        return self.stack.visits.table.region_for_row(
+            VisitsRepository.row_key(user_id, 0, 0)
+        )
+
+    def _wrote(self, region, owners):
+        rid = region.region_id
+        self.memstore[rid] += len(owners)
+        if self.journal[rid] + len(owners) > MACHINE_JOURNAL_MAX:
+            self._structural(region)
+        else:
+            self.journal[rid] += len(owners)
+            self.stale[rid].update(owners)
+
+    def _structural(self, region):
+        self.journal[region.region_id] = 0
+        self.followed[region.region_id] = False
+
+    def _cell(self, user_id, ts, poi_id, grade):
+        name, lat, lon, keywords = POIS[poi_id]
+        return self.stack.visits.visit_cell(VisitStruct(
+            user_id=user_id, poi_id=poi_id, timestamp=ts, grade=grade,
+            poi_name=name, lat=lat, lon=lon, keywords=keywords,
+        ))
+
+    # ------------------------------------------------------------ rules
+
+    @rule(visit=MACHINE_VISIT)
+    def put(self, visit):
+        region = self._region_of(visit[0])
+        region.put(self._cell(*visit))
+        self._wrote(region, [visit[0]])
+
+    @rule(user_id=MACHINE_USER, ts=MACHINE_TS, poi_id=MACHINE_POI)
+    def delete(self, user_id, ts, poi_id):
+        region = self._region_of(user_id)
+        region.delete(
+            VisitsRepository.row_key(user_id, ts, poi_id), FAMILY, QUALIFIER, ts
+        )
+        self._wrote(region, [user_id])
+
+    @rule(visits=st.lists(MACHINE_VISIT, min_size=1, max_size=9))
+    def put_batch(self, visits):
+        """Up to nine cells: one batch can overflow a region's journal
+        on its own."""
+        for region in self.regions:
+            mine = [v for v in visits if self._region_of(v[0]) is region]
+            if mine:
+                region.put_batch([self._cell(*v) for v in mine])
+                self._wrote(region, [v[0] for v in mine])
+
+    @rule(index=st.integers(0, 1))
+    def flush(self, index):
+        region = self.regions[index]
+        region.flush()
+        if self.memstore[region.region_id]:
+            self.memstore[region.region_id] = 0
+            self._structural(region)
+
+    @rule(index=st.integers(0, 1))
+    def minor_compact(self, index):
+        region = self.regions[index]
+        merges = region.store_file_count(FAMILY) > 1
+        region.minor_compact(FAMILY)
+        if merges:
+            self._structural(region)
+
+    @rule(index=st.integers(0, 1))
+    def major_compact(self, index):
+        region = self.regions[index]
+        region.compact()
+        self.memstore[region.region_id] = 0
+        self._structural(region)
+
+    @rule(index=st.integers(0, 1), cutoff=st.integers(0, 8))
+    def set_ttl_cutoff(self, index, cutoff):
+        region = self.regions[index]
+        region.set_ttl_cutoff(FAMILY, cutoff)
+        if cutoff > self.ttl[region.region_id]:
+            self.ttl[region.region_id] = cutoff
+            self._structural(region)
+
+    @rule(index=st.integers(0, 1))
+    def crash_and_replay(self, index):
+        region = self.regions[index]
+        region.crash()
+        self.memstore[region.region_id] = region.replay_cells(
+            region.wal.replay()
+        )
+        self._structural(region)
+
+    @rule(visits=st.lists(MACHINE_VISIT, min_size=1, max_size=6))
+    def bulk_load(self, visits):
+        for region in self.regions:
+            cells = {
+                cell.sort_key(): cell
+                for cell in (
+                    self._cell(*v)
+                    for v in visits
+                    if self._region_of(v[0]) is region
+                )
+            }
+            if cells:
+                region.bulk_load(FAMILY, [cells[key] for key in sorted(cells)])
+                self._structural(region)
+
+    @rule(
+        friends=st.lists(MACHINE_USER, min_size=1, unique=True),
+        window=st.sampled_from(MACHINE_WINDOWS),
+        topk=st.booleans(),
+        sort_by=st.sampled_from(["interest", "hotness"]),
+        keywords=st.sampled_from(KEYWORD_CHOICES),
+    )
+    def query(self, friends, window, topk, sort_by, keywords):
+        since, until = window
+        query = SearchQuery(
+            friend_ids=tuple(friends), since=since, until=until,
+            sort_by=sort_by, keywords=keywords, limit=3,
+        )
+        hits = 0
+        for friend in friends:
+            rid = self._region_of(friend).region_id
+            if not self.followed[rid]:
+                continue  # opened below: every friend of it misses
+            entries, stale = self.entries[rid], self.stale[rid]
+            if stale:
+                entries.difference_update(
+                    [key for key in entries if key[0] in stale]
+                )
+                stale.clear()
+            key = (friend, since, until)
+            if key in entries:
+                hits += 1
+            else:
+                entries.add(key)
+        for rid in {self._region_of(friend).region_id for friend in friends}:
+            if not self.followed[rid]:
+                self.followed[rid] = True
+                self.entries[rid].clear()
+                self.stale[rid].clear()
+        self.stack.topk_cfg.enabled = topk
+        cached = self.stack.qa.search(query)
+        assert _pois_fingerprint(cached) == _pois_fingerprint(
+            self.stack.oracle(query)
+        )
+        assert (cached.cache_hits, cached.cache_misses) == (
+            hits, len(friends) - hits
+        )
+        # Entries only ever change at their region's lookup.
+        assert len(self.stack.scan_cache) == sum(map(len, self.entries.values()))
+        for region in self.regions:
+            assert len(region._journal) <= MACHINE_JOURNAL_MAX
+
+
+ScanCacheMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
+TestScanCacheMachine = ScanCacheMachine.TestCase
+
+
+def test_scan_cache_machine_fixed_seed_corpus():
+    """The machine's rules under a plain seeded driver: the same
+    sequences on every run, whatever hypothesis explores or remembers.
+    One mutation per two queries, most of them single puts — entries
+    live long enough to be hit, written and overflowed."""
+    rare = [
+        lambda m, r: m.delete(*_corpus_visit(r)[:3]),
+        lambda m, r: m.put_batch(
+            [_corpus_visit(r) for _ in range(r.randrange(1, 10))]
+        ),
+        lambda m, r: m.flush(r.randrange(2)),
+        lambda m, r: m.minor_compact(r.randrange(2)),
+        lambda m, r: m.major_compact(r.randrange(2)),
+        lambda m, r: m.set_ttl_cutoff(r.randrange(2), r.randrange(9)),
+        lambda m, r: m.crash_and_replay(r.randrange(2)),
+        lambda m, r: m.bulk_load(
+            [_corpus_visit(r) for _ in range(r.randrange(1, 7))]
+        ),
+    ]
+    totals = dict.fromkeys(
+        ("hits", "misses", "evicted_by_write", "journal_overflows",
+         "invalidations"), 0
+    )
+    for seed in range(40):
+        rng = random.Random(seed)
+        machine = ScanCacheMachine()
+        try:
+            for _ in range(12):
+                machine.put(_corpus_visit(rng))
+            for step in range(90):
+                if step % 3:
+                    machine.query(
+                        rng.sample(
+                            range(1, MACHINE_USERS + 1),
+                            rng.randrange(1, MACHINE_USERS + 1),
+                        ),
+                        rng.choice(MACHINE_WINDOWS),
+                        rng.random() < 0.5,
+                        rng.choice(("interest", "hotness")),
+                        rng.choice(KEYWORD_CHOICES),
+                    )
+                elif rng.random() < 0.7:
+                    machine.put(_corpus_visit(rng))
+                else:
+                    rng.choice(rare)(machine, rng)
+            stats = machine.stack.scan_cache.stats()
+            for name in totals:
+                totals[name] += stats[name]
+        finally:
+            machine.teardown()
+    # Not vacuous: entries survived writes to their regions, and every
+    # way of losing one happened.
+    assert totals["hits"] > totals["misses"] / 2, totals
+    assert min(totals.values()) > 40, totals
+
+
+def _corpus_visit(rng):
+    return (
+        rng.randrange(1, MACHINE_USERS + 1),
+        rng.randrange(1, 13),
+        rng.choice(sorted(POIS)),
+        rng.uniform(0.0, 5.0),
+    )

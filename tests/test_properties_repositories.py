@@ -10,12 +10,20 @@ import dataclasses
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import ClusterConfig
 from repro.core.repositories.text_repo import CommentRecord, TextRepository
-from repro.core.repositories.visits import VisitsRepository, VisitStruct
-from repro.hbase import HBaseCluster
+from repro.core.repositories.visits import (
+    POI_FIELD,
+    SALT_FIELD,
+    TS_FIELD,
+    USER_FIELD,
+    VisitsRepository,
+    VisitStruct,
+)
+from repro.hbase import HBaseCluster, encode_int, encode_int_desc
+from repro.hbase.bytes_util import salt_for
 
 user_ids = st.integers(min_value=1, max_value=1 << 40)
 timestamps = st.integers(min_value=0, max_value=1 << 40)
@@ -144,6 +152,32 @@ class TestKeyOffsetProperties:
     def test_decode_key_roundtrips_row_key(self, uid, ts, pid):
         row = VisitsRepository.row_key(uid, ts, pid)
         assert VisitsRepository.decode_key(row) == (uid, ts, pid)
+
+    @given(boundary_ints, boundary_ints, boundary_ints)
+    @example(0, 0, 0)
+    @example((1 << 63) + 5, MAX64, (1 << 63) + 5)
+    @settings(max_examples=200, deadline=None)
+    def test_key_fields_are_where_row_key_puts_them(self, uid, ts, pid):
+        """One home for the layout: the scan cache's ``row -> owner``
+        (``user_of_row``) and the coprocessor's POI offset read the
+        slices ``row_key`` fills, separator bytes inside the integers
+        or not."""
+        row = VisitsRepository.row_key(uid, ts, pid)
+        assert VisitsRepository.user_of_row(row) == uid
+        assert row[SALT_FIELD] == salt_for(uid)
+        assert row[USER_FIELD] == encode_int(uid)
+        assert row[TS_FIELD] == encode_int_desc(ts)
+        assert row[POI_FIELD] == encode_int(pid)
+        assert len(row) == POI_FIELD.stop
+        assert row.startswith(VisitsRepository.user_prefix(uid))
+
+    def test_user_of_row_under_every_salt(self):
+        salts = set()
+        for uid in range(1 << 17):
+            row = VisitsRepository.row_key(uid, uid, uid)
+            assert VisitsRepository.user_of_row(row) == uid
+            salts.add(row[SALT_FIELD])
+        assert len(salts) == 1 << 16
 
     @given(boundary_ints, boundary_ints, boundary_ints)
     @settings(max_examples=100, deadline=None)

@@ -329,29 +329,52 @@ class TestTopKOracleWithCache:
             # to evaluate the keyword filter.
             assert served.cells_decoded == 0
 
-    def test_seqid_bump_stales_topk_cached_partials(self):
-        """A write between queries must invalidate cached partials for
-        the top-k path exactly as for the exhaustive one — and a region
-        written between *every* two queries is never admitted."""
+    def test_seqid_bump_stales_topk_cached_partials(self, monkeypatch):
+        """A write between queries must invalidate the written friends'
+        cached partials for the top-k path exactly as for the exhaustive
+        one: written friends miss, untouched friends hit — and a region
+        whose journal overflowed between two queries is not admitted."""
         stack = Stack(data_seed=5, cache=True)
         rng = random.Random(55)
         query = SearchQuery(friend_ids=ALL_FRIENDS, limit=5)
-        for _ in range(3):
-            warm = stack.search_topk(query)
-        assert warm.cache_hits > 0 and warm.cache_misses == 0
-        for _ in range(3):
-            # Bump every region's seqid with fresh writes.
-            for uid in ALL_FRIENDS:
-                stack.write(rng, uid)
-            after = stack.search_topk(query)
-            assert (after.cache_hits, after.cache_misses) == (0, NUM_USERS)
-            assert len(stack.scan_cache) == 0
+
+        def check(after, hits):
+            assert (after.cache_hits, after.cache_misses) == (
+                hits, NUM_USERS - hits
+            )
             assert fingerprint(after) == fingerprint(
                 self._cache_off(stack, stack.search_exhaustive, query)
             )
             assert approx_rows(after) == approx_rows(
                 stack.qa.search_personalized_client_side(query)
             )
+
+        for _ in range(3):
+            warm = stack.search_topk(query)
+        assert warm.cache_hits > 0 and warm.cache_misses == 0
+        for _ in range(3):
+            # Every friend written: every entry stale.  The journal
+            # followed the writes, so the regions stay admitted and the
+            # query that missed refilled them.
+            for uid in ALL_FRIENDS:
+                stack.write(rng, uid)
+            check(stack.search_topk(query), hits=0)
+            assert len(stack.scan_cache) == NUM_USERS
+        written = ALL_FRIENDS[::3]
+        for uid in written:
+            stack.write(rng, uid)
+        check(stack.search_topk(query), hits=NUM_USERS - len(written))
+        check(stack.search_topk(query), hits=NUM_USERS)
+        # Three writes per friend against a two-row journal: every
+        # region overflows, answers "cannot enumerate", and is opened
+        # afresh instead of admitted.
+        monkeypatch.setattr(region_mod, "JOURNAL_MAX", 2)
+        for _ in range(2):
+            for uid in ALL_FRIENDS * 3:
+                stack.write(rng, uid)
+            check(stack.search_topk(query), hits=0)
+            assert len(stack.scan_cache) == 0
+        assert stack.scan_cache.stats()["journal_overflows"] > 0
 
     def test_concurrent_queries_and_writer_match_client_side(self):
         """Two query threads and one writer share the regions: the
@@ -417,6 +440,9 @@ class TestTopKOracleWithCache:
             assert not failures, failures
             stats = stack.scan_cache.stats()
             assert stats["hits"] + stats["misses"] == 40 * (20 + 10)
+            # The writer never touches a queried friend, so sustained
+            # writes to the queried regions leave their entries alone.
+            assert stats["hits"] > 0
             assert stats["entries"] <= stats["max_entries"]
         finally:
             stop.set()
