@@ -220,7 +220,7 @@ class VisitScanCoprocessor(Coprocessor):
                     cells_scanned=cells_scanned,
                     deadline_token=context.cancellation,
                 )
-                sort_stage.tag("partials", len(stream.items))
+                sort_stage.tag("partials", stream.size)
             return stream
         filtered = bbox is not None or bool(wanted)
         cells_decoded = 0
@@ -431,16 +431,19 @@ class VisitScanCoprocessor(Coprocessor):
     def validate_partial(self, partial) -> bool:
         """Region partials are lists of 6-tuples
         ``(poi_id, grade_sum, count, name, lat, lon)`` — or, in
-        streaming mode, an unstarted :class:`TopKPartialStream`; anything
-        else — including the injector's corruption marker — is rejected
-        and the invocation goes through retry/hedge like a raised
-        error."""
+        streaming mode, an unstarted :class:`TopKPartialStream` over
+        aggregate columns of one length; anything else — including the
+        injector's corruption marker — is rejected and the invocation
+        goes through retry/hedge like a raised error."""
         if not super().validate_partial(partial):
             return False
         if isinstance(partial, TopKPartialStream):
-            return isinstance(partial.items, list) and all(
-                isinstance(item, tuple) and len(item) == 4
-                for item in partial.items
+            aggregates = partial.aggregates
+            return (
+                len(aggregates.grade_sums) == len(aggregates.counts)
+                == partial.size
+                and partial.cursor == partial.emitted == 0
+                and not partial.items
             )
         return isinstance(partial, list) and all(
             isinstance(item, tuple) and len(item) == 6 for item in partial

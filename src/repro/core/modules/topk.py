@@ -44,6 +44,16 @@ is parsed once, not once per region per query, and an unfiltered k=10
 query decodes at most 10 payloads however many thousand distinct POIs
 the friend set touched.
 
+A region stream materialises only what the merger reads.  It keeps its
+aggregates as columns: an unfiltered stream sorts a first chunk whose
+cut-off a heap over the key column finds, and doubles it as the merger
+reads on; a filtered stream evaluates its predicate once, column by
+column, and sorts only the passing items.  Its cursor, skipped count
+and frontier are still those of a walk of the full ``(-key, poi_id)``
+order, so rounds, probes, shipped counts and every simulated charge
+are unchanged (``tests/test_topk_stream.py`` keeps that walk as the
+reference).
+
 Bound math (proved in the property suite):
 
 - ``hotness`` (score = global visit count): a region sorted by local
@@ -78,7 +88,10 @@ traces from a proof abort (complete by proof, coverage untouched).
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left, bisect_right
+from heapq import heapify, heappop, heappush, heapreplace
+from itertools import compress, repeat
+from operator import and_, eq, ge, itemgetter, le, lt, neg, not_, truediv
 from sys import float_info, intern
 from typing import (
     Any,
@@ -198,6 +211,24 @@ class PartialAggregates:
         return raws[poi_id]
 
 
+#: Batches in the first ordered chunk of an unfiltered stream (a merge
+#: rarely runs more rounds); each later chunk at least doubles what is
+#: ordered.  A stream that chunk would half-cover is ordered whole, by
+#: one ``sorted()``.
+CHUNK_BATCHES = 16
+
+_TRIPLE = itemgetter(1, 2, 3)
+_LAT = itemgetter(1)
+_LON = itemgetter(2)
+_KEYWORDS = itemgetter(3)
+
+
+def _keep(mask, items: list, rows: list) -> Tuple[list, list]:
+    """``items`` and their attribute ``rows`` where ``mask`` is true."""
+    mask = list(mask)
+    return list(compress(items, mask)), list(compress(rows, mask))
+
+
 class TopKPartialStream(StreamingPartial):
     """One region's score-sorted partial, emitted in bounded batches.
 
@@ -206,15 +237,36 @@ class TopKPartialStream(StreamingPartial):
     ``aggregates`` (a :class:`PartialAggregates`) holds each POI's exact
     ``grade_sum`` / ``count`` and doubles as the merger's random-access
     probe map; it also finds one representative raw visit payload of a
-    POI on demand.  ``items`` is the same data as ``(sort_key, poi_id,
-    grade_sum, count)`` tuples in ascending order, where ``sort_key`` is
-    the negated *local* sort key (count for hotness, local mean for
-    interest) — i.e. descending by that key with ``poi_id`` as the
-    tie-break.  ``poi_attrs`` is the POI attribute table: the cluster-wide
-    ``RegionScanCache.poi_attrs`` on a clean cached invocation, else a
-    dict of the invocation's own.  The stream reads it and adds what it
-    has to parse, so whatever any region or query parsed before costs
-    this stream nothing.
+    POI on demand.  ``poi_attrs`` is the POI attribute table: the
+    cluster-wide ``RegionScanCache.poi_attrs`` on a clean cached
+    invocation, else a dict of the invocation's own.  The stream reads it
+    and adds what it has to parse, so whatever any region or query
+    parsed before costs this stream nothing.
+
+    Emission walks all ``size`` aggregates in ``(-key, poi_id)`` order,
+    where the key is the *local* sort key (count for hotness, local mean
+    for interest); ``cursor`` counts the items of that order examined so
+    far and :meth:`frontier` is the key of the next one.  Nothing is
+    ordered until the first :meth:`next_batch` or :meth:`frontier`, and
+    then only what the merger reads: ``items`` holds ``(-key, poi_id,
+    grade_sum, count)`` tuples in that order, but not all of them.
+
+    - **Unfiltered**, ``items`` is the prefix ordered so far and
+      ``items[:cursor]`` were emitted.  A chunk's cut-off key comes from
+      a heap over the negated key column; a ``compress`` picks the items
+      at or above it (ties whole) and only those are sorted.  The prefix
+      always reaches one item past the cursor, so the frontier is read
+      off it.
+    - **Filtered**, ``items`` holds only the items whose attribute row
+      passes the query's predicate, evaluated once per stream column by
+      column over the rows gathered from the table — plus the items
+      whose row the table lacks, decoded and tested only when the cursor
+      reaches them, exactly as a walk of the order would.  ``cursor``
+      and the frontier are counted over a sorted copy of the key column
+      (the last examined item's rank, the key at the cursor), so the
+      bound stays the next *examined* item's key, filtered or not.  The
+      rows are gathered once: one a full table drops mid-merge (a write
+      to it empties it first) is not decoded again.
     """
 
     __slots__ = (
@@ -222,11 +274,13 @@ class TopKPartialStream(StreamingPartial):
         "top_k",
         "hotness",
         "batch",
+        "size",
         "items",
         "aggregates",
         "poi_attrs",
         "bbox",
         "wanted",
+        "filtered",
         "span",
         "cells_scanned",
         "prune_token",
@@ -239,6 +293,15 @@ class TopKPartialStream(StreamingPartial):
         "finished",
         "pruned",
         "aborted",
+        "_negkeys",
+        "_heap",
+        "_popped",
+        "_cut",
+        "_columns",
+        "_next",
+        "_undecoded",
+        "_sorted_negkeys",
+        "_ties",
     )
 
     def __init__(
@@ -260,23 +323,12 @@ class TopKPartialStream(StreamingPartial):
         self.hotness = hotness
         self.batch = max(1, batch)
         self.aggregates = aggregates
-        # One pass, no key function: poi ids are unique, so plain tuple
-        # order is exactly (sort key descending, poi_id ascending).
-        if hotness:
-            items = [
-                (-count, poi_id, grade_sum, count)
-                for poi_id, grade_sum, count in aggregates.rows()
-            ]
-        else:
-            items = [
-                (-(grade_sum / count), poi_id, grade_sum, count)
-                for poi_id, grade_sum, count in aggregates.rows()
-            ]
-        items.sort()
-        self.items: List[Tuple[float, int, float, int]] = items
+        self.size = len(aggregates)
+        self.items: List[Tuple[float, int, float, int]] = []
         self.poi_attrs = poi_attrs
         self.bbox = bbox
         self.wanted = wanted or set()
+        self.filtered = bbox is not None or bool(self.wanted)
         self.span = span
         self.cells_scanned = cells_scanned
         #: The merger's proof-abort switch: tripping it with reason
@@ -288,13 +340,28 @@ class TopKPartialStream(StreamingPartial):
         self.cursor = 0
         self.emitted = 0
         #: Emission-order items examined but rejected by the query's
-        #: spatial/textual filter (their decode is still charged).
+        #: spatial/textual filter.
         self.skipped = 0
         self.probe_hits = 0
         self.cells_decoded = 0
-        self.finished = not items
+        self.finished = not self.size
         self.pruned = False
         self.aborted = False
+        #: The negated local key column, in the aggregates' order; None
+        #: until the stream is first read.
+        self._negkeys: Optional[list] = None
+        self._heap: Optional[list] = None
+        self._popped = 0
+        self._cut: Any = None
+        #: Unfiltered: the four item columns as lists, for gathers.
+        self._columns: Optional[tuple] = None
+        #: Filtered: index into ``items`` of the next unexamined one.
+        self._next = 0
+        #: Filtered: POIs whose attribute row the table lacked.
+        self._undecoded: Set[int] = set()
+        self._sorted_negkeys: Optional[list] = None
+        #: Filtered: tied negated key -> the sorted poi ids holding it.
+        self._ties: Dict[float, list] = {}
 
     # ------------------------------------------------------------ bounds
 
@@ -302,14 +369,19 @@ class TopKPartialStream(StreamingPartial):
         """Local sort key of the next unemitted item — the monotone
         non-increasing upper bound on anything this region has not
         shipped yet.  None once the region is exhausted."""
-        if self.cursor >= len(self.items):
+        if self.cursor >= self.size:
             return None
-        _key, _poi_id, grade_sum, count = self.items[self.cursor]
-        return float(count) if self.hotness else grade_sum / count
+        if self._negkeys is None:
+            self._prepare()
+        if self.filtered:
+            negkey = self._sorted_keys()[self.cursor]
+        else:
+            negkey = self.items[self.cursor][0]
+        return float(-negkey) if self.hotness else -negkey
 
     @property
     def remaining(self) -> int:
-        return len(self.items) - self.cursor
+        return self.size - self.cursor
 
     @property
     def shipped(self) -> int:
@@ -325,6 +397,132 @@ class TopKPartialStream(StreamingPartial):
         would have paid for."""
         return self.remaining
 
+    # ---------------------------------------------------------- ordering
+
+    def _rows(self):
+        """``(-key, poi_id, grade_sum, count)`` per POI, unordered."""
+        counts = self.aggregates.counts
+        return zip(
+            self._negkeys, counts, self.aggregates.grade_sums.values(),
+            counts.values(),
+        )
+
+    def _prepare(self) -> None:
+        """Read the key column, then order the first chunk (unfiltered)
+        or select and order the passing items (filtered)."""
+        counts = self.aggregates.counts.values()
+        if self.hotness:
+            self._negkeys = list(map(neg, counts))
+        else:
+            # a / -c is -(a / c) exactly: rounding is sign-symmetric.
+            self._negkeys = list(map(
+                truediv, self.aggregates.grade_sums.values(), map(neg, counts)
+            ))
+        if self.filtered:
+            self._select()
+        else:
+            self._extend(1)
+
+    def _extend(self, need: int) -> None:
+        """Order at least the first ``need`` items (unfiltered)."""
+        negkeys, size = self._negkeys, self.size
+        target = max(need, 2 * len(self.items), CHUNK_BATCHES * self.batch)
+        if not self.items and 2 * target >= size:
+            self.items = sorted(self._rows())
+            return
+        masks = []
+        if self.items:
+            masks.append(map(lt, repeat(self._cut), negkeys))
+        if target < size:
+            heap = self._heap
+            if heap is None:
+                heap = self._heap = negkeys.copy()
+                heapify(heap)
+            for _ in range(target - self._popped - 1):
+                heappop(heap)
+            # The target-th smallest negated key overall: everything at
+            # or below it is ordered now, ties included.
+            self._cut = heappop(heap)
+            self._popped = target
+            masks.append(map(ge, repeat(self._cut), negkeys))
+        positions = list(compress(
+            range(size), masks[0] if len(masks) == 1 else map(and_, *masks)
+        ))
+        columns = self._columns
+        if columns is None:
+            counts = self.aggregates.counts
+            columns = self._columns = (
+                negkeys, list(counts),
+                list(self.aggregates.grade_sums.values()),
+                list(counts.values()),
+            )
+        self.items += sorted(zip(*(
+            map(column.__getitem__, positions) for column in columns
+        )))
+
+    def _select(self) -> None:
+        """Evaluate the filter once over every item's attribute row and
+        order only the items that pass it (filtered)."""
+        poi_ids = list(self.aggregates.counts)
+        rows = list(map(self.poi_attrs.get, poi_ids))
+        bbox, wanted = self.bbox, self.wanted
+        if not all(rows):
+            # A row the table lacks is decoded when the cursor reaches
+            # it, not before; until then it stands in as a passing row.
+            self._undecoded = {
+                poi_id for poi_id, row in zip(poi_ids, rows) if row is None
+            }
+            stand_in = (
+                "",
+                bbox.min_lat if bbox is not None else 0.0,
+                bbox.min_lon if bbox is not None else 0.0,
+                wanted,
+            )
+            rows = [row or stand_in for row in rows]
+        items = self._rows()
+        # ``passes_filter``, one column test at a time.
+        if wanted:
+            items, rows = _keep(
+                map(not_, map(wanted.isdisjoint, map(_KEYWORDS, rows))),
+                items, rows,
+            )
+        if bbox is not None:
+            for column, test, bound in (
+                (_LAT, le, bbox.min_lat),
+                (_LAT, ge, bbox.max_lat),
+                (_LON, le, bbox.min_lon),
+                (_LON, ge, bbox.max_lon),
+            ):
+                items, rows = _keep(
+                    map(test, repeat(bound), map(column, rows)), items, rows
+                )
+        self.items = sorted(items)
+
+    def _sorted_keys(self) -> list:
+        keys = self._sorted_negkeys
+        if keys is None:
+            keys = self._sorted_negkeys = sorted(self._negkeys)
+        return keys
+
+    def _rank(self, item: tuple) -> int:
+        """Position of ``item`` in the full emission order (filtered):
+        the items with a greater key, plus those tying it with a smaller
+        poi id."""
+        negkey, poi_id = item[0], item[1]
+        keys = self._sorted_keys()
+        rank = bisect_left(keys, negkey)
+        if bisect_right(keys, negkey, rank) - rank > 1:
+            # One pass per tied key, not per item: hotness keys are
+            # mostly a count of 1.
+            ties = self._ties.get(negkey)
+            if ties is None:
+                ties = self._ties[negkey] = sorted(compress(
+                    self.aggregates.counts,
+                    map(eq, repeat(negkey), self._negkeys),
+                ))
+            rank += bisect_left(ties, poi_id)
+        return rank
+
     # ---------------------------------------------------------- emission
 
     def _attrs_for(self, poi_id: int) -> tuple:
@@ -336,39 +534,94 @@ class TopKPartialStream(StreamingPartial):
             self.cells_decoded += 1
         return attrs
 
+    def _checkpoint(
+        self, first: int, stop: int, start: int, passed: Optional[int]
+    ) -> None:
+        """The deadline probe before examining each position in ``[first,
+        stop)``.  On a blown budget the cursor stops at the first failing
+        position — never rounded to a batch — before the token raises.
+        ``start`` is the batch's first position and ``passed`` the items
+        it has passed so far (None: unfiltered, all of them)."""
+        token = self.deadline_token
+        if token is None:
+            return
+        base = self.cells_scanned
+        blown = token.first_blown(base + first, base + stop - 1)
+        if blown is not None:
+            self.cursor = blown - base
+            if passed is not None:
+                self.skipped += self.cursor - start - passed
+            token.checkpoint(blown)
+
     def next_batch(self) -> List[Tuple[int, float, int]]:
         """Emit up to ``batch`` filter-passing ``(poi_id, grade_sum,
         count)`` triples in sort-key order.  No attribute decode happens
         here for unfiltered queries — the merger fetches attributes for
-        the final winners only; a spatial/textual filter needs the
-        attribute row of every examined item to evaluate the predicate.
-        Raises :class:`QueryCancelled` when the query's deadline token
-        trips mid-emission; returns ``[]`` once exhausted or
-        proof-pruned."""
-        out: List[Tuple[int, float, int]] = []
-        items, batch = self.items, self.batch
-        bbox, wanted = self.bbox, self.wanted
-        filtered = bbox is not None or bool(wanted)
-        prune_token, deadline_token = self.prune_token, self.deadline_token
-        while len(out) < batch and self.cursor < len(items):
-            if prune_token.cancelled:
-                # The merger proved the rest cannot enter the top k.
-                break
-            if deadline_token is not None:
-                # Emission work is charged at record cost on top of the
-                # scan's spend, so a blown deadline stops decoding here.
-                deadline_token.checkpoint(self.cells_scanned + self.cursor)
-            _key, poi_id, grade_sum, count = items[self.cursor]
-            self.cursor += 1
-            if filtered and not passes_filter(
-                self._attrs_for(poi_id), bbox, wanted
-            ):
-                self.skipped += 1
-                continue
-            out.append((poi_id, grade_sum, count))
+        the final winners only; a filtered query decodes the rows the
+        table lacks as the cursor reaches them.  Raises
+        :class:`QueryCancelled` when the query's deadline token trips
+        mid-emission; returns ``[]`` once exhausted or proof-pruned."""
+        if self.finished or self.prune_token.cancelled:
+            return []
+        if self._negkeys is None:
+            self._prepare()
+        if self.filtered:
+            out = self._next_filtered()
+        else:
+            out = self._next_unfiltered()
         self.emitted += len(out)
-        if self.cursor >= len(items):
+        if self.cursor >= self.size:
             self.finished = True
+        return out
+
+    def _next_unfiltered(self) -> List[Tuple[int, float, int]]:
+        start = self.cursor
+        stop = min(start + self.batch, self.size)
+        if len(self.items) < min(stop + 1, self.size):
+            self._extend(stop + 1)
+        self._checkpoint(start, stop, start, None)
+        self.cursor = stop
+        return list(map(_TRIPLE, self.items[start:stop]))
+
+    def _next_filtered(self) -> List[Tuple[int, float, int]]:
+        items, batch, index = self.items, self.batch, self._next
+        start = first = self.cursor
+        undecoded = self._undecoded
+        if not undecoded and self.deadline_token is None:
+            out = list(map(_TRIPLE, items[index:index + batch]))
+            index += len(out)
+        else:
+            # Item by item: a decode may trip the prune token, and each
+            # examined position is probed before its decode.
+            out = []
+            prune_token = self.prune_token
+            while (
+                len(out) < batch
+                and index < len(items)
+                and not prune_token.cancelled
+            ):
+                item = items[index]
+                if self.deadline_token is not None:
+                    examined = self._rank(item) + 1
+                    self._checkpoint(first, examined, start, len(out))
+                    first = examined
+                index += 1
+                _key, poi_id, grade_sum, count = item
+                if poi_id in undecoded and not passes_filter(
+                    self._attrs_for(poi_id), self.bbox, self.wanted
+                ):
+                    continue
+                out.append((poi_id, grade_sum, count))
+        self._next = index
+        if len(out) == batch or self.prune_token.cancelled:
+            # Stopped right after the last examined item.
+            end = self._rank(items[index - 1]) + 1
+        else:
+            # Out of passing items: the rest of the order is examined.
+            end = self.size
+        self._checkpoint(first, end, start, len(out))
+        self.cursor = end
+        self.skipped += end - start - len(out)
         return out
 
     # -------------------------------------------------------- short-circuit
@@ -444,6 +697,9 @@ class TopKMerger:
         #: POI living only in cancelled streams is bounded by it.
         cancelled_bound = 0.0
         threshold: Optional[float] = None
+        #: Min-heap of the k largest candidate scores: its root is the
+        #: k-th score once it holds k.
+        top: List[float] = []
         deadline_hit = False
         #: Float slack of the interest bound (module docstring).
         mean_slack = 1.0 + (len(streams) + 1) * float_info.epsilon
@@ -471,14 +727,14 @@ class TopKMerger:
                         entry[1] += counts[poi_id]
             for poi_id in fresh:
                 grade_sum, count = candidates[poi_id]
-                scores[poi_id] = (
+                score = scores[poi_id] = (
                     float(count) if self.hotness else grade_sum / count
                 )
-
-        def kth_score() -> Optional[float]:
-            if len(scores) < self.k:
-                return None
-            return heapq.nlargest(self.k, scores.values())[-1]
+                # Scores are final on entry, so the k largest only grow.
+                if len(top) < self.k:
+                    heappush(top, score)
+                elif score > top[0]:
+                    heapreplace(top, score)
 
         active = [s for s in streams if not s.finished]
         while active:
@@ -497,8 +753,8 @@ class TopKMerger:
             resolve(fresh)
             if deadline_hit:
                 break
-            threshold = kth_score()
-            if threshold is not None:
+            if len(top) == self.k:
+                threshold = top[0]
                 # Short-circuit pass: strict inequality guarantees a
                 # POI tying the k-th score is still discovered, so the
                 # ranker's tie-break sees identical candidates.

@@ -120,6 +120,31 @@ class CancellationToken:
             return float("inf")
         return self.deadline_ms - spent_ms
 
+    def _spent_ms(self, records: int, extra_ms: float = 0.0) -> float:
+        return self.setup_ms + records * self.cost_per_record_ms + extra_ms
+
+    def first_blown(self, first: int, last: int) -> Optional[int]:
+        """The smallest ``records`` in ``[first, last]`` at which
+        :meth:`checkpoint` would raise, or None.  Spend is monotone in
+        ``records``, so a run of consecutive checkpoints is probed at
+        its end and, when that fails, cut at its first failing count —
+        what probing every count in turn would have found."""
+        if first > last:
+            return None
+        if self._cancelled:
+            return first
+        if self.deadline_ms is None:
+            return None
+        if self._spent_ms(last) < self.deadline_ms:
+            return None
+        while first < last:
+            middle = (first + last) // 2
+            if self._spent_ms(middle) >= self.deadline_ms:
+                last = middle
+            else:
+                first = middle + 1
+        return first
+
     def checkpoint(self, records: int, extra_ms: float = 0.0) -> None:
         """Raise :class:`QueryCancelled` when the token is tripped or
         this invocation's simulated spend has blown the deadline.
@@ -135,9 +160,7 @@ class CancellationToken:
             )
         if self.deadline_ms is None:
             return
-        spent_ms = (
-            self.setup_ms + records * self.cost_per_record_ms + extra_ms
-        )
+        spent_ms = self._spent_ms(records, extra_ms)
         if spent_ms >= self.deadline_ms:
             if self.strict:
                 # The whole query is dead: siblings should stop too.

@@ -109,8 +109,9 @@ class _BloomFilter:
 class StoreFile:
     """An immutable, sorted run of cells produced by a memstore flush.
 
-    Carries a row-key Bloom filter and first/last row metadata so the
-    read path can skip irrelevant files, exactly as HFile does.
+    Carries a row-key Bloom filter (built by the first point read) and
+    first/last row metadata so the read path can skip irrelevant files,
+    exactly as HFile does.
 
     ``plain`` is fixed at write time: true when the file holds only
     puts and no two cells share ``(row, family, qualifier)``, so a scan
@@ -148,8 +149,9 @@ class StoreFile:
             any(map(eq, rows, islice(rows, 1, None)))
             and any(map(same_coordinates, keys, islice(keys, 1, None)))
         )
-        self._bloom = _BloomFilter(len(cells))
-        self._bloom.add_all(rows)
+        #: Built by the first point read (:meth:`may_contain_row`):
+        #: range scans, all the personalized path does, never consult it.
+        self._bloom: Optional[_BloomFilter] = None
         self.first_row: Optional[bytes] = cells[0].row if cells else None
         self.last_row: Optional[bytes] = cells[-1].row if cells else None
         self._block_cells = block_cells
@@ -285,6 +287,7 @@ class StoreFile:
         """
         if not self._cells:
             return 0
+        self._bloom_filter()  # over the rows as written, not as torn
         drop = min(drop, len(self._cells))
         del self._cells[len(self._cells) - drop :]
         del self._rows[len(self._rows) - drop :]
@@ -299,13 +302,23 @@ class StoreFile:
     def size_bytes(self) -> int:
         return sum(c.approx_size() for c in self._cells)
 
+    def _bloom_filter(self) -> _BloomFilter:
+        """The row-key Bloom filter over the rows the file was written
+        with (built on first use)."""
+        bloom = self._bloom
+        if bloom is None:
+            bloom = _BloomFilter(len(self._rows))
+            bloom.add_all(self._rows)
+            self._bloom = bloom
+        return bloom
+
     def may_contain_row(self, row: bytes) -> bool:
         """Cheap pre-check combining key-range and Bloom filter."""
         if self.first_row is None:
             return False
         if row < self.first_row or (self.last_row is not None and row > self.last_row):
             return False
-        return self._bloom.might_contain(row)
+        return self._bloom_filter().might_contain(row)
 
     def overlaps_range(
         self, start_row: Optional[bytes], stop_row: Optional[bytes]

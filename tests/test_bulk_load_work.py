@@ -71,3 +71,28 @@ def test_chunked_load_builds_one_file_per_region_and_a_packed_poi_index():
             (sf,) = region.store_files_for(FAMILY)
             assert sf.plain
             assert region.approx_rows(FAMILY) == len(sf)  # memstore empty
+
+
+def test_personalized_queries_build_no_bloom_filter_and_point_reads_agree():
+    """Only point reads consult a store file's Bloom filter, so the
+    personalized path — range scans — never builds one; the first point
+    read does, and answers exactly what the scan holds."""
+    pois = generate_pois(count=200, seed=4)
+    with MoDisSENSE(PlatformConfig.small()) as platform:
+        platform.load_pois(pois)
+        platform.load_visits(generate_visits(
+            range(1, 201), pois, seed=4, mean=8.0, std=3.0
+        ))
+        for sort_by in ("interest", "hotness"):
+            platform.search(SearchQuery(
+                friend_ids=tuple(range(1, 151)), sort_by=sort_by, limit=10
+            ))
+        regions = platform.visits_repository.table.regions
+        files = [f for r in regions for f in r.store_files_for(FAMILY)]
+        assert files and all(f._bloom is None for f in files)
+        for region in regions:
+            for cell in list(region.scan_cells(FAMILY))[::37]:
+                assert region.get(
+                    cell.row, FAMILY, cell.qualifier
+                ) == cell.value
+        assert all(f._bloom is not None for f in files)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import StorageError, ValidationError
 from repro.hbase import Cell, MemStore, StoreFile
-from repro.hbase.hfile import merge_sorted_runs
+from repro.hbase.hfile import _BloomFilter, merge_sorted_runs
 
 
 def cell(row, ts=1, value=b"v", qualifier=b"q", delete=False):
@@ -83,6 +83,25 @@ class TestStoreFile:
         assert sf.may_contain_row(b"row050")
         assert not sf.may_contain_row(b"zzz")  # beyond last_row
         assert not sf.may_contain_row(b"aaa")  # before first_row
+
+    def test_bloom_filter_is_built_by_the_first_point_read(self):
+        rows = [b"row%03d" % i for i in range(0, 300, 3)]
+        sf = StoreFile([cell(r) for r in rows])
+        assert sf._bloom is None
+        assert list(sf.scan(b"row000", b"row100"))  # scans never build it
+        assert sf._bloom is None
+        assert sf.may_contain_row(b"row150")
+        eager = _BloomFilter(len(rows))
+        eager.add_all(rows)
+        assert sf._bloom._bits == eager._bits
+
+    def test_bloom_of_a_torn_file_covers_the_rows_as_written(self):
+        rows = [b"row%03d" % i for i in range(50)]
+        sf = StoreFile([cell(r) for r in rows])
+        sf.tear_tail(drop=5)
+        eager = _BloomFilter(len(rows))
+        eager.add_all(rows)
+        assert sf._bloom._bits == eager._bits
 
     def test_bloom_no_false_negatives(self):
         rows = [b"key-%d" % i for i in range(0, 1000, 7)]

@@ -16,6 +16,7 @@ from repro.core.modules.query_answering import (
     SearchQuery,
     VisitScanCoprocessor,
 )
+from repro.core.modules import topk
 from repro.core.modules.topk import PartialAggregates, TopKPartialStream
 from repro.hbase.cancellation import CancellationToken
 
@@ -158,38 +159,41 @@ def test_deadline_abort_mid_round_accounting_is_frozen():
     assert got == FROZEN_DEADLINE
 
 
-def test_prune_token_tripped_mid_batch_still_counts_what_it_emitted():
+def test_prune_token_tripped_mid_batch_still_counts_what_it_emitted(
+    monkeypatch,
+):
     """``next_batch`` used to ``return`` on a tripped prune token
     without adding the items already collected to ``emitted``, so they
     reached the merger but never the region's ``shipped`` (the web
-    tier's simulated merge cost)."""
+    tier's simulated merge cost).  The token trips from inside the
+    third attribute decode, the one per-item read a filtered stream
+    still makes mid-batch: the table starts empty, so every examined
+    item is decoded as the cursor reaches it."""
+    decodes = []
 
-    class TripsOnThirdRead(dict):
-        reads = 0
+    def trips_on_third_decode(raw):
+        decodes.append(raw)
+        if len(decodes) == 3:
+            stream.short_circuit()
+        return ("p", 0.0, 0.0, frozenset({"x"}))
 
-        def get(self, poi_id, default=None):
-            self.reads += 1
-            if self.reads == 3:
-                stream.short_circuit()
-            return super().get(poi_id, default)
-
+    monkeypatch.setattr(topk, "decode_attrs", trips_on_third_decode)
     aggregates = PartialAggregates.from_rows(
         (pid, float(10 - pid), 1, None) for pid in range(1, 9)
     )
     stream = TopKPartialStream(
         region_id=0,
         aggregates=aggregates,
-        poi_attrs=TripsOnThirdRead(
-            (pid, ("p%d" % pid, 0.0, 0.0, {"x"})) for pid in range(1, 9)
-        ),
+        poi_attrs={},
         top_k=3,
         hotness=False,
         batch=6,
-        wanted={"x"},  # filtered: every examined item reads the table
+        wanted={"x"},  # filtered: every examined item needs its row
     )
     out = stream.next_batch()
     assert [poi_id for poi_id, _gs, _cnt in out] == [1, 2, 3]
     assert stream.emitted == stream.shipped == 3
+    assert stream.cursor == 3 and stream.cells_decoded == 3
     assert stream.pruned and not stream.finished
     assert stream.next_batch() == []
     assert stream.cells_avoided == 5
