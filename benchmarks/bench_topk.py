@@ -15,15 +15,16 @@ k = 10, both scoring modes, three configurations —
 
 A second, **filtered** arm (bbox + keyword over 2000 friends) gates the
 shared POI attribute table: the first query on an empty table parses
-each POI its filters examine once for the whole cluster (not once per
-region), and every later query parses nothing.
+each POI its friends visited once for the whole cluster (the region
+filter tests every aggregated POI's row; not once per region), and
+every later query parses nothing.
 
 Gates (env-overridable for CI smoke):
 
 - results byte-identical across all three configurations,
 - ``cells_decoded`` reduced by >= ``REPRO_TOPK_DECODE_RATIO_MIN``
   (default 2.0) cold vs exhaustive, and to 0 warm; filtered: cold
-  ``cells_decoded`` <= distinct POIs examined, warm ``== 0``,
+  ``cells_decoded`` <= distinct POIs in the table, warm ``== 0``,
 - median wall clock improved by >= ``REPRO_TOPK_SPEEDUP_MIN`` (default
   1.0, i.e. "not slower"; CI smoke sets 0.0 because the shrunk
   workload's absolute times are noise-dominated).
@@ -198,9 +199,10 @@ def test_topk_vs_exhaustive(bench_platform, benchmark):
 
 
 def test_topk_filtered_decodes_once_per_poi(bench_platform, benchmark):
-    """Filtered top-k: the predicate needs the attribute row of every
-    examined item, and the cluster's one POI attribute table makes that
-    one parse per POI — ever — instead of one per region per query."""
+    """Filtered top-k: the region filter needs the attribute row of
+    every aggregated POI, and the cluster's one POI attribute table
+    makes that one parse per POI — ever — instead of one per region per
+    query."""
     qa = bench_platform.query_answering
     cluster = bench_platform.hbase
     saved_topk = qa.topk

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import ge, itemgetter, le, not_
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...config import TopKConfig
@@ -34,11 +35,21 @@ from .topk import (
     TopKMerger,
     TopKPartialStream,
     decode_attrs,
-    passes_filter,
+    negated_keys,
 )
 
 SORT_INTEREST = "interest"
 SORT_HOTNESS = "hotness"
+
+_LAT = itemgetter(1)
+_LON = itemgetter(2)
+_KEYWORDS = itemgetter(3)
+
+
+def _keep(mask, items: list, rows: list) -> Tuple[list, list]:
+    """``items`` and their attribute ``rows`` where ``mask`` is true."""
+    mask = list(mask)
+    return list(compress(items, mask)), list(compress(rows, mask))
 
 
 @dataclass
@@ -125,8 +136,9 @@ class SearchResult:
     retries: int = 0
     hedges: int = 0
     #: Threshold-algorithm accounting (0 outside top-k mode): per-POI
-    #: aggregates the merger proved irrelevant and never decoded,
-    #: shipped or merged, and regions whose emission it short-circuited.
+    #: aggregates that passed the region filter but the merger proved
+    #: irrelevant and never emitted, shipped or merged, and regions
+    #: whose emission it short-circuited.
     #: A pruned-early region is complete *by proof* — it never appears
     #: in ``missing_regions`` and does not lower ``coverage``.
     cells_avoided: int = 0
@@ -182,8 +194,8 @@ class VisitScanCoprocessor(Coprocessor):
     decoded row serves every region and query after it: both modes read
     and write the cluster's one POI attribute table
     (``RegionScanCache.poi_attrs``; a dict of its own when an invocation
-    runs without the cache) — for every aggregated POI in exhaustive
-    mode, for filter evaluation and the k winners in streaming mode.
+    runs without the cache) — for every aggregated POI when the query
+    filters or ships them all, for the k winners in streaming mode.
     ``cells_decoded`` in the context counters (payload tail parses)
     makes the saving observable.
     """
@@ -192,10 +204,11 @@ class VisitScanCoprocessor(Coprocessor):
 
     def run(self, context: CoprocessorContext, request: _VisitScanRequest):
         """Fold every owned friend's partial (see :meth:`_fold_friends`),
-        then either hand the exact aggregates to the merger as a
-        score-sorted :class:`TopKPartialStream` (streaming mode: decode,
-        filter and shipping are deferred and cancellable) or decode,
-        filter and ship all of them."""
+        keep the POIs that pass the query's bbox/keyword predicate (see
+        :meth:`select`), then either hand their exact aggregates to the
+        merger as a score-sorted :class:`TopKPartialStream` (streaming
+        mode: shipping and the winners' decode are deferred and
+        cancellable) or ship all of them, ordered by the local key."""
         aggregates, cells_scanned = self._fold_friends(context, request)
         cache = context.cache
         poi_attrs = cache.poi_attrs if cache is not None else {}
@@ -205,8 +218,18 @@ class VisitScanCoprocessor(Coprocessor):
             else None
         )
         wanted = set(request.keywords)
-        if request.top_k > 0 and request.per_region_limit == 0:
-            with context.trace("region.sort") as sort_stage:
+        streaming = request.top_k > 0 and request.per_region_limit == 0
+        with context.trace("region.sort") as sort_stage:
+            if bbox is not None or wanted or not streaming:
+                # An unfiltered stream needs no row: the merger fetches
+                # the winners' only.
+                aggregates, rows, cells_decoded = self.select(
+                    aggregates, poi_attrs, bbox, wanted
+                )
+                sort_stage.tag("cells_decoded", cells_decoded)
+                context.count("cells_decoded", cells_decoded)
+            sort_stage.tag("passing", len(aggregates))
+            if streaming:
                 stream = TopKPartialStream(
                     region_id=context.region_id,
                     aggregates=aggregates,
@@ -214,39 +237,80 @@ class VisitScanCoprocessor(Coprocessor):
                     top_k=request.top_k,
                     hotness=request.hotness,
                     batch=request.topk_batch,
-                    bbox=bbox,
-                    wanted=wanted,
                     span=context.span,
                     cells_scanned=cells_scanned,
                     deadline_token=context.cancellation,
                 )
                 sort_stage.tag("partials", stream.size)
-            return stream
-        filtered = bbox is not None or bool(wanted)
-        cells_decoded = 0
-        with context.trace("region.sort") as sort_stage:
-            partial = []
-            for poi_id, grade_sum, count in aggregates.rows():
-                attrs = poi_attrs.get(poi_id)
-                if attrs is None:
-                    # One full payload parse per POI the table has not
-                    # seen yet, in any region or query.
-                    attrs = poi_attrs[poi_id] = decode_attrs(
-                        aggregates.raw(poi_id)
-                    )
-                    cells_decoded += 1
-                if filtered and not passes_filter(attrs, bbox, wanted):
-                    continue
-                name, lat, lon, _keywords = attrs
-                partial.append((poi_id, grade_sum, count, name, lat, lon))
-            # Region-local sort by aggregated grade; optionally truncate.
-            partial.sort(key=itemgetter(1), reverse=True)
-            sort_stage.tag("cells_decoded", cells_decoded)
+                return stream
+            # Region-local sort in a stream's order, so a brownout's
+            # truncation keeps the POIs the request ranks highest.
+            partial = [
+                (poi_id, grade_sum, count, name, lat, lon)
+                for _negkey, (poi_id, grade_sum, count), (
+                    name, lat, lon, _kw
+                ) in sorted(zip(
+                    negated_keys(aggregates, request.hotness),
+                    aggregates.rows(),
+                    rows,
+                ))
+            ]
             sort_stage.tag("partials", len(partial))
-        context.count("cells_decoded", cells_decoded)
         if request.per_region_limit > 0:
             return partial[: request.per_region_limit]
         return partial
+
+    @staticmethod
+    def select(
+        aggregates: PartialAggregates,
+        poi_attrs,
+        bbox: Optional[BoundingBox],
+        wanted: set,
+    ) -> Tuple[PartialAggregates, List[tuple], int]:
+        """The region filter: the aggregates of the POIs that pass the
+        query's bbox/keyword predicate, in their first-encounter order.
+
+        Returns ``(aggregates, rows, cells_decoded)``.  Every aggregated
+        POI's attribute row is gathered from ``poi_attrs``; a row the
+        table lacks is decoded here, once, and added to it.  The rows are
+        then tested column by column, and ``rows`` are the passing POIs'.
+        Rows are per-POI constants (DESIGN.md §7), so a POI passes or
+        fails in every region alike.  The passing aggregates find
+        payloads through the same sources, so a winner whose row a full
+        table drops before the merger's final fetch is decoded again
+        from them."""
+        poi_ids = list(aggregates.counts)
+        rows = list(map(poi_attrs.get, poi_ids))
+        cells_decoded = 0
+        if not all(rows):
+            for position, row in enumerate(rows):
+                if row is None:
+                    # One full payload parse per POI the table has not
+                    # seen yet, in any region or query.
+                    poi_id = poi_ids[position]
+                    rows[position] = poi_attrs[poi_id] = decode_attrs(
+                        aggregates.raw(poi_id)
+                    )
+                    cells_decoded += 1
+        if wanted:
+            poi_ids, rows = _keep(
+                map(not_, map(wanted.isdisjoint, map(_KEYWORDS, rows))),
+                poi_ids, rows,
+            )
+        if bbox is not None:
+            for column, test, bound in (
+                (_LAT, le, bbox.min_lat),
+                (_LAT, ge, bbox.max_lat),
+                (_LON, le, bbox.min_lon),
+                (_LON, ge, bbox.max_lon),
+            ):
+                poi_ids, rows = _keep(
+                    map(test, repeat(bound), map(column, rows)),
+                    poi_ids, rows,
+                )
+        if len(poi_ids) < len(aggregates):
+            aggregates = aggregates.only(poi_ids)
+        return aggregates, rows, cells_decoded
 
     def _fold_friends(
         self, context: CoprocessorContext, request: _VisitScanRequest
@@ -793,7 +857,10 @@ class QueryAnsweringModule:
         the routing/decoding counters (``regions_pruned``,
         ``cells_merged``, ``cells_decoded``) — the profile an operator
         needs to spot hot regions, bad salt distribution, or a filter
-        that decodes more payloads than it keeps.
+        that decodes more payloads than it keeps.  The ``topk`` block
+        is the merger's account; its ``cells_avoided`` counts the
+        aggregates that passed the region filter and were never emitted
+        (a POI the filter dropped is neither avoided nor shipped).
         """
         if not query.personalized:
             raise QueryError("explain_personalized needs a personalized query")

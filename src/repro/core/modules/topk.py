@@ -37,22 +37,22 @@ Attribute decoding — the expensive full JSON parse per POI — is
 deferred all the way to the end: emission ships bare ``(poi_id,
 grade_sum, count)`` triples, and once the merge terminates the merger
 ranks its candidates with the web tier's documented key and performs
-TA's final random-access fetch for *exactly the k winners* (a filter
-also needs the row of every examined item).  Every parse lands in the
-cluster's one POI attribute table (``RegionScanCache.poi_attrs``): a POI
-is parsed once, not once per region per query, and an unfiltered k=10
-query decodes at most 10 payloads however many thousand distinct POIs
-the friend set touched.
+TA's final random-access fetch for *exactly the k winners*.  Every parse
+lands in the cluster's one POI attribute table
+(``RegionScanCache.poi_attrs``): a POI is parsed once, not once per
+region per query, and an unfiltered k=10 query decodes at most 10
+payloads however many thousand distinct POIs the friend set touched.
 
-A region stream materialises only what the merger reads.  It keeps its
-aggregates as columns: an unfiltered stream sorts a first chunk whose
-cut-off a heap over the key column finds, and doubles it as the merger
-reads on; a filtered stream evaluates its predicate once, column by
-column, and sorts only the passing items.  Its cursor, skipped count
-and frontier are still those of a walk of the full ``(-key, poi_id)``
-order, so rounds, probes, shipped counts and every simulated charge
-are unchanged (``tests/test_topk_stream.py`` keeps that walk as the
-reference).
+A query's bbox/keyword filter is not the stream's business: the region
+applies it to its aggregates before it builds the stream (the paper's
+coprocessor filters, aggregates and sorts inside the region), so a
+stream holds only passing POIs and its frontier is the next *passing*
+item's key — tighter than the next examined one, and still sound,
+because a failing POI cannot enter the answer.  A stream materialises
+only what the merger reads: it keeps its aggregates as columns, sorts a
+first chunk whose cut-off a heap over the key column finds, and doubles
+it as the merger reads on (``tests/test_topk_stream.py`` keeps the
+per-item walk it replaced as the reference).
 
 Bound math (proved in the property suite):
 
@@ -88,10 +88,9 @@ traces from a proof abort (complete by proof, coverage untouched).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import compress, repeat
-from operator import and_, eq, ge, itemgetter, le, lt, neg, not_, truediv
+from operator import and_, ge, itemgetter, lt, neg, truediv
 from sys import float_info, intern
 from typing import (
     Any,
@@ -127,14 +126,6 @@ def decode_attrs(raw: bytes) -> tuple:
         payload.get("lon", 0.0),
         frozenset(intern(str(k).lower()) for k in payload.get("keywords", ())),
     )
-
-
-def passes_filter(attrs: tuple, bbox: Optional[Any], wanted: set) -> bool:
-    """A query's spatial/textual predicate over one attribute row."""
-    _name, lat, lon, poi_keywords = attrs
-    if bbox is not None and not bbox.contains_coords(lat, lon):
-        return False
-    return not wanted or not wanted.isdisjoint(poi_keywords)
 
 
 class PartialAggregates:
@@ -210,63 +201,66 @@ class PartialAggregates:
             raws.update(self.scanned_raws)
         return raws[poi_id]
 
+    def only(self, poi_ids: Sequence[int]) -> "PartialAggregates":
+        """The aggregates of ``poi_ids`` (a subsequence of this order),
+        finding their payloads through the same sources."""
+        kept = PartialAggregates()
+        kept.grade_sums = dict(
+            zip(poi_ids, map(self.grade_sums.__getitem__, poi_ids))
+        )
+        kept.counts = dict(zip(poi_ids, map(self.counts.__getitem__, poi_ids)))
+        kept.scanned_raws = self.scanned_raws
+        kept.sources = self.sources
+        return kept
 
-#: Batches in the first ordered chunk of an unfiltered stream (a merge
-#: rarely runs more rounds); each later chunk at least doubles what is
-#: ordered.  A stream that chunk would half-cover is ordered whole, by
-#: one ``sorted()``.
+
+def negated_keys(aggregates: PartialAggregates, hotness: bool) -> list:
+    """Each POI's negated *local* sort key, in the aggregates' order:
+    the count for hotness, the local mean for interest.  A region ships
+    its POIs in ``(-key, poi_id)`` order, streamed or not."""
+    counts = aggregates.counts.values()
+    if hotness:
+        return list(map(neg, counts))
+    # a / -c is -(a / c) exactly: rounding is sign-symmetric.
+    return list(map(truediv, aggregates.grade_sums.values(), map(neg, counts)))
+
+
+#: Batches in the first ordered chunk of a stream (a merge rarely runs
+#: more rounds); each later chunk at least doubles what is ordered.  A
+#: stream that chunk would half-cover is ordered whole, by one
+#: ``sorted()``.
 CHUNK_BATCHES = 16
 
 _TRIPLE = itemgetter(1, 2, 3)
-_LAT = itemgetter(1)
-_LON = itemgetter(2)
-_KEYWORDS = itemgetter(3)
-
-
-def _keep(mask, items: list, rows: list) -> Tuple[list, list]:
-    """``items`` and their attribute ``rows`` where ``mask`` is true."""
-    mask = list(mask)
-    return list(compress(items, mask)), list(compress(rows, mask))
 
 
 class TopKPartialStream(StreamingPartial):
     """One region's score-sorted partial, emitted in bounded batches.
 
     Built by :class:`~repro.core.modules.query_answering.
-    VisitScanCoprocessor` after its (always complete) aggregation scan.
-    ``aggregates`` (a :class:`PartialAggregates`) holds each POI's exact
-    ``grade_sum`` / ``count`` and doubles as the merger's random-access
-    probe map; it also finds one representative raw visit payload of a
-    POI on demand.  ``poi_attrs`` is the POI attribute table: the
-    cluster-wide ``RegionScanCache.poi_attrs`` on a clean cached
-    invocation, else a dict of the invocation's own.  The stream reads it
-    and adds what it has to parse, so whatever any region or query
-    parsed before costs this stream nothing.
+    VisitScanCoprocessor` after its (always complete) aggregation scan
+    and its filter.  ``aggregates`` (a :class:`PartialAggregates`) holds
+    the exact ``grade_sum`` / ``count`` of each POI that passes the
+    query's bbox/keyword predicate and doubles as the merger's
+    random-access probe map; it also finds one representative raw visit
+    payload of a POI on demand.  ``poi_attrs`` is the POI attribute
+    table: the cluster-wide ``RegionScanCache.poi_attrs`` on a clean
+    cached invocation, else a dict of the invocation's own.  The merger's
+    final fetch of the winners' rows reads it and adds what it has to
+    parse.
 
     Emission walks all ``size`` aggregates in ``(-key, poi_id)`` order,
     where the key is the *local* sort key (count for hotness, local mean
-    for interest); ``cursor`` counts the items of that order examined so
+    for interest); ``cursor`` counts the items of that order emitted so
     far and :meth:`frontier` is the key of the next one.  Nothing is
     ordered until the first :meth:`next_batch` or :meth:`frontier`, and
-    then only what the merger reads: ``items`` holds ``(-key, poi_id,
-    grade_sum, count)`` tuples in that order, but not all of them.
-
-    - **Unfiltered**, ``items`` is the prefix ordered so far and
-      ``items[:cursor]`` were emitted.  A chunk's cut-off key comes from
-      a heap over the negated key column; a ``compress`` picks the items
-      at or above it (ties whole) and only those are sorted.  The prefix
-      always reaches one item past the cursor, so the frontier is read
-      off it.
-    - **Filtered**, ``items`` holds only the items whose attribute row
-      passes the query's predicate, evaluated once per stream column by
-      column over the rows gathered from the table — plus the items
-      whose row the table lacks, decoded and tested only when the cursor
-      reaches them, exactly as a walk of the order would.  ``cursor``
-      and the frontier are counted over a sorted copy of the key column
-      (the last examined item's rank, the key at the cursor), so the
-      bound stays the next *examined* item's key, filtered or not.  The
-      rows are gathered once: one a full table drops mid-merge (a write
-      to it empties it first) is not decoded again.
+    then only what the merger reads: ``items`` is the prefix of ``(-key,
+    poi_id, grade_sum, count)`` tuples ordered so far, and
+    ``items[:cursor]`` were emitted.  A chunk's cut-off key comes from a
+    heap over the negated key column; a ``compress`` picks the items at
+    or above it (ties whole) and only those are sorted.  The prefix
+    always reaches one item past the cursor, so the frontier is read off
+    it.
     """
 
     __slots__ = (
@@ -278,16 +272,12 @@ class TopKPartialStream(StreamingPartial):
         "items",
         "aggregates",
         "poi_attrs",
-        "bbox",
-        "wanted",
-        "filtered",
         "span",
         "cells_scanned",
         "prune_token",
         "deadline_token",
         "cursor",
         "emitted",
-        "skipped",
         "probe_hits",
         "cells_decoded",
         "finished",
@@ -298,10 +288,6 @@ class TopKPartialStream(StreamingPartial):
         "_popped",
         "_cut",
         "_columns",
-        "_next",
-        "_undecoded",
-        "_sorted_negkeys",
-        "_ties",
     )
 
     def __init__(
@@ -312,8 +298,6 @@ class TopKPartialStream(StreamingPartial):
         top_k: int,
         hotness: bool,
         batch: int,
-        bbox: Optional[Any] = None,
-        wanted: Optional[set] = None,
         span: Optional[Any] = None,
         cells_scanned: int = 0,
         deadline_token: Optional[CancellationToken] = None,
@@ -326,9 +310,6 @@ class TopKPartialStream(StreamingPartial):
         self.size = len(aggregates)
         self.items: List[Tuple[float, int, float, int]] = []
         self.poi_attrs = poi_attrs
-        self.bbox = bbox
-        self.wanted = wanted or set()
-        self.filtered = bbox is not None or bool(self.wanted)
         self.span = span
         self.cells_scanned = cells_scanned
         #: The merger's proof-abort switch: tripping it with reason
@@ -339,9 +320,6 @@ class TopKPartialStream(StreamingPartial):
         self.deadline_token = deadline_token
         self.cursor = 0
         self.emitted = 0
-        #: Emission-order items examined but rejected by the query's
-        #: spatial/textual filter.
-        self.skipped = 0
         self.probe_hits = 0
         self.cells_decoded = 0
         self.finished = not self.size
@@ -353,15 +331,8 @@ class TopKPartialStream(StreamingPartial):
         self._heap: Optional[list] = None
         self._popped = 0
         self._cut: Any = None
-        #: Unfiltered: the four item columns as lists, for gathers.
+        #: The four item columns as lists, for gathers.
         self._columns: Optional[tuple] = None
-        #: Filtered: index into ``items`` of the next unexamined one.
-        self._next = 0
-        #: Filtered: POIs whose attribute row the table lacked.
-        self._undecoded: Set[int] = set()
-        self._sorted_negkeys: Optional[list] = None
-        #: Filtered: tied negated key -> the sorted poi ids holding it.
-        self._ties: Dict[float, list] = {}
 
     # ------------------------------------------------------------ bounds
 
@@ -373,10 +344,7 @@ class TopKPartialStream(StreamingPartial):
             return None
         if self._negkeys is None:
             self._prepare()
-        if self.filtered:
-            negkey = self._sorted_keys()[self.cursor]
-        else:
-            negkey = self.items[self.cursor][0]
+        negkey = self.items[self.cursor][0]
         return float(-negkey) if self.hotness else -negkey
 
     @property
@@ -392,9 +360,9 @@ class TopKPartialStream(StreamingPartial):
 
     @property
     def cells_avoided(self) -> int:
-        """Per-POI aggregates never examined — each one an attribute
-        decode plus a shipped-and-merged partial the exhaustive path
-        would have paid for."""
+        """Filter-passing aggregates never emitted — each one a
+        shipped-and-merged partial (and, cold, an attribute decode) the
+        exhaustive path would have paid for."""
         return self.remaining
 
     # ---------------------------------------------------------- ordering
@@ -408,23 +376,12 @@ class TopKPartialStream(StreamingPartial):
         )
 
     def _prepare(self) -> None:
-        """Read the key column, then order the first chunk (unfiltered)
-        or select and order the passing items (filtered)."""
-        counts = self.aggregates.counts.values()
-        if self.hotness:
-            self._negkeys = list(map(neg, counts))
-        else:
-            # a / -c is -(a / c) exactly: rounding is sign-symmetric.
-            self._negkeys = list(map(
-                truediv, self.aggregates.grade_sums.values(), map(neg, counts)
-            ))
-        if self.filtered:
-            self._select()
-        else:
-            self._extend(1)
+        """Read the key column, then order the first chunk."""
+        self._negkeys = negated_keys(self.aggregates, self.hotness)
+        self._extend(1)
 
     def _extend(self, need: int) -> None:
-        """Order at least the first ``need`` items (unfiltered)."""
+        """Order at least the first ``need`` items."""
         negkeys, size = self._negkeys, self.size
         target = max(need, 2 * len(self.items), CHUNK_BATCHES * self.batch)
         if not self.items and 2 * target >= size:
@@ -460,69 +417,6 @@ class TopKPartialStream(StreamingPartial):
             map(column.__getitem__, positions) for column in columns
         )))
 
-    def _select(self) -> None:
-        """Evaluate the filter once over every item's attribute row and
-        order only the items that pass it (filtered)."""
-        poi_ids = list(self.aggregates.counts)
-        rows = list(map(self.poi_attrs.get, poi_ids))
-        bbox, wanted = self.bbox, self.wanted
-        if not all(rows):
-            # A row the table lacks is decoded when the cursor reaches
-            # it, not before; until then it stands in as a passing row.
-            self._undecoded = {
-                poi_id for poi_id, row in zip(poi_ids, rows) if row is None
-            }
-            stand_in = (
-                "",
-                bbox.min_lat if bbox is not None else 0.0,
-                bbox.min_lon if bbox is not None else 0.0,
-                wanted,
-            )
-            rows = [row or stand_in for row in rows]
-        items = self._rows()
-        # ``passes_filter``, one column test at a time.
-        if wanted:
-            items, rows = _keep(
-                map(not_, map(wanted.isdisjoint, map(_KEYWORDS, rows))),
-                items, rows,
-            )
-        if bbox is not None:
-            for column, test, bound in (
-                (_LAT, le, bbox.min_lat),
-                (_LAT, ge, bbox.max_lat),
-                (_LON, le, bbox.min_lon),
-                (_LON, ge, bbox.max_lon),
-            ):
-                items, rows = _keep(
-                    map(test, repeat(bound), map(column, rows)), items, rows
-                )
-        self.items = sorted(items)
-
-    def _sorted_keys(self) -> list:
-        keys = self._sorted_negkeys
-        if keys is None:
-            keys = self._sorted_negkeys = sorted(self._negkeys)
-        return keys
-
-    def _rank(self, item: tuple) -> int:
-        """Position of ``item`` in the full emission order (filtered):
-        the items with a greater key, plus those tying it with a smaller
-        poi id."""
-        negkey, poi_id = item[0], item[1]
-        keys = self._sorted_keys()
-        rank = bisect_left(keys, negkey)
-        if bisect_right(keys, negkey, rank) - rank > 1:
-            # One pass per tied key, not per item: hotness keys are
-            # mostly a count of 1.
-            ties = self._ties.get(negkey)
-            if ties is None:
-                ties = self._ties[negkey] = sorted(compress(
-                    self.aggregates.counts,
-                    map(eq, repeat(negkey), self._negkeys),
-                ))
-            rank += bisect_left(ties, poi_id)
-        return rank
-
     # ---------------------------------------------------------- emission
 
     def _attrs_for(self, poi_id: int) -> tuple:
@@ -534,94 +428,35 @@ class TopKPartialStream(StreamingPartial):
             self.cells_decoded += 1
         return attrs
 
-    def _checkpoint(
-        self, first: int, stop: int, start: int, passed: Optional[int]
-    ) -> None:
-        """The deadline probe before examining each position in ``[first,
-        stop)``.  On a blown budget the cursor stops at the first failing
-        position — never rounded to a batch — before the token raises.
-        ``start`` is the batch's first position and ``passed`` the items
-        it has passed so far (None: unfiltered, all of them)."""
-        token = self.deadline_token
-        if token is None:
-            return
-        base = self.cells_scanned
-        blown = token.first_blown(base + first, base + stop - 1)
-        if blown is not None:
-            self.cursor = blown - base
-            if passed is not None:
-                self.skipped += self.cursor - start - passed
-            token.checkpoint(blown)
-
     def next_batch(self) -> List[Tuple[int, float, int]]:
-        """Emit up to ``batch`` filter-passing ``(poi_id, grade_sum,
-        count)`` triples in sort-key order.  No attribute decode happens
-        here for unfiltered queries — the merger fetches attributes for
-        the final winners only; a filtered query decodes the rows the
-        table lacks as the cursor reaches them.  Raises
+        """Emit up to ``batch`` ``(poi_id, grade_sum, count)`` triples in
+        sort-key order.  No attribute decode happens here — the merger
+        fetches attributes for the final winners only.  Raises
         :class:`QueryCancelled` when the query's deadline token trips
-        mid-emission; returns ``[]`` once exhausted or proof-pruned."""
+        mid-emission, with the cursor at the first failing position —
+        never rounded to a batch; returns ``[]`` once exhausted or
+        proof-pruned."""
         if self.finished or self.prune_token.cancelled:
             return []
         if self._negkeys is None:
             self._prepare()
-        if self.filtered:
-            out = self._next_filtered()
-        else:
-            out = self._next_unfiltered()
-        self.emitted += len(out)
-        if self.cursor >= self.size:
-            self.finished = True
-        return out
-
-    def _next_unfiltered(self) -> List[Tuple[int, float, int]]:
         start = self.cursor
         stop = min(start + self.batch, self.size)
         if len(self.items) < min(stop + 1, self.size):
             self._extend(stop + 1)
-        self._checkpoint(start, stop, start, None)
+        token = self.deadline_token
+        if token is not None:
+            # The deadline probe before emitting each position.
+            base = self.cells_scanned
+            blown = token.first_blown(base + start, base + stop - 1)
+            if blown is not None:
+                self.cursor = blown - base
+                token.checkpoint(blown)
         self.cursor = stop
-        return list(map(_TRIPLE, self.items[start:stop]))
-
-    def _next_filtered(self) -> List[Tuple[int, float, int]]:
-        items, batch, index = self.items, self.batch, self._next
-        start = first = self.cursor
-        undecoded = self._undecoded
-        if not undecoded and self.deadline_token is None:
-            out = list(map(_TRIPLE, items[index:index + batch]))
-            index += len(out)
-        else:
-            # Item by item: a decode may trip the prune token, and each
-            # examined position is probed before its decode.
-            out = []
-            prune_token = self.prune_token
-            while (
-                len(out) < batch
-                and index < len(items)
-                and not prune_token.cancelled
-            ):
-                item = items[index]
-                if self.deadline_token is not None:
-                    examined = self._rank(item) + 1
-                    self._checkpoint(first, examined, start, len(out))
-                    first = examined
-                index += 1
-                _key, poi_id, grade_sum, count = item
-                if poi_id in undecoded and not passes_filter(
-                    self._attrs_for(poi_id), self.bbox, self.wanted
-                ):
-                    continue
-                out.append((poi_id, grade_sum, count))
-        self._next = index
-        if len(out) == batch or self.prune_token.cancelled:
-            # Stopped right after the last examined item.
-            end = self._rank(items[index - 1]) + 1
-        else:
-            # Out of passing items: the rest of the order is examined.
-            end = self.size
-        self._checkpoint(first, end, start, len(out))
-        self.cursor = end
-        self.skipped += end - start - len(out)
+        out = list(map(_TRIPLE, self.items[start:stop]))
+        self.emitted += len(out)
+        if stop >= self.size:
+            self.finished = True
         return out
 
     # -------------------------------------------------------- short-circuit

@@ -5,9 +5,17 @@ The merger's work profile — ``rounds``, ``probes``, ``candidates``,
 with them the simulated ``latency_ms`` — is part of the contract: an
 optimisation of the merge layer may change how fast the host computes
 the answer, never what the simulated cluster is charged for it.  The
-literals below were recorded at the commit *before* the shared POI
-attribute table and the batched probes landed (the PR 14 chaos-trace
-pattern); both changes must reproduce them exactly.
+unfiltered literals below were recorded at the commit *before* the
+shared POI attribute table and the batched probes landed (the
+chaos-trace pattern); both changes reproduce them exactly.
+
+The two filtered entries were re-derived when the bbox/keyword filter
+moved into the region, by one rule: a filtered stream emits, batch by
+batch, exactly the passing items the old per-item walk emitted, and its
+frontier is the next *passing* item's key (``tests/test_topk_stream.py``
+proves the rule).  A filtered merge may therefore prune sooner: shipped
+counts, ``cells_avoided`` (now: passing aggregates never emitted) and
+latency can only fall, and the answer is unchanged.
 """
 
 import pytest
@@ -16,7 +24,6 @@ from repro.core.modules.query_answering import (
     SearchQuery,
     VisitScanCoprocessor,
 )
-from repro.core.modules import topk
 from repro.core.modules.topk import PartialAggregates, TopKPartialStream
 from repro.hbase.cancellation import CancellationToken
 
@@ -55,10 +62,10 @@ FROZEN = {
         3.3049999999999997,
     ),
     ("interest", True): (
-        (3, 88, 11, 150, 8),
-        (16, 14, 17, 13, 15, 15, 13, 15),
-        5.560999999999999,
-        2.936,
+        (3, 88, 11, 48, 8),
+        (16, 14, 17, 13, 13, 15, 13, 15),
+        5.557999999999999,
+        2.933,
     ),
     ("hotness", False): (
         (19, 312, 39, 197, 6),
@@ -67,10 +74,10 @@ FROZEN = {
         3.3454999999999995,
     ),
     ("hotness", True): (
-        (6, 88, 11, 159, 6),
-        (12, 12, 13, 11, 13, 22, 17, 22),
-        5.566999999999999,
-        2.9419999999999997,
+        (6, 88, 11, 55, 7),
+        (12, 12, 13, 11, 13, 13, 13, 22),
+        5.5474999999999985,
+        2.9225,
     ),
 }
 
@@ -159,41 +166,32 @@ def test_deadline_abort_mid_round_accounting_is_frozen():
     assert got == FROZEN_DEADLINE
 
 
-def test_prune_token_tripped_mid_batch_still_counts_what_it_emitted(
+def test_every_item_handed_to_the_merger_counts_in_emitted_and_shipped(
     monkeypatch,
 ):
-    """``next_batch`` used to ``return`` on a tripped prune token
-    without adding the items already collected to ``emitted``, so they
-    reached the merger but never the region's ``shipped`` (the web
-    tier's simulated merge cost).  The token trips from inside the
-    third attribute decode, the one per-item read a filtered stream
-    still makes mid-batch: the table starts empty, so every examined
-    item is decoded as the cursor reaches it."""
-    decodes = []
+    """Whatever stops a stream — a deadline mid-round or the merger's
+    proof — each item ``next_batch`` handed over is in its ``emitted``,
+    and ``shipped`` (the web tier's simulated merge cost) is emitted
+    plus probe answers."""
+    handed = {}
+    real_next_batch = TopKPartialStream.next_batch
 
-    def trips_on_third_decode(raw):
-        decodes.append(raw)
-        if len(decodes) == 3:
-            stream.short_circuit()
-        return ("p", 0.0, 0.0, frozenset({"x"}))
+    def counting_next_batch(stream):
+        out = real_next_batch(stream)
+        handed[id(stream)] = handed.get(id(stream), 0) + len(out)
+        return out
 
-    monkeypatch.setattr(topk, "decode_attrs", trips_on_third_decode)
-    aggregates = PartialAggregates.from_rows(
-        (pid, float(10 - pid), 1, None) for pid in range(1, 9)
-    )
-    stream = TopKPartialStream(
-        region_id=0,
-        aggregates=aggregates,
-        poi_attrs={},
-        top_k=3,
-        hotness=False,
-        batch=6,
-        wanted={"x"},  # filtered: every examined item needs its row
-    )
-    out = stream.next_batch()
-    assert [poi_id for poi_id, _gs, _cnt in out] == [1, 2, 3]
-    assert stream.emitted == stream.shipped == 3
-    assert stream.cursor == 3 and stream.cells_decoded == 3
-    assert stream.pruned and not stream.finished
-    assert stream.next_batch() == []
-    assert stream.cells_avoided == 5
+    monkeypatch.setattr(TopKPartialStream, "next_batch", counting_next_batch)
+    by_deadline = deadline_streams()
+    by_proof = deadline_streams()
+    for stream in by_proof:
+        stream.deadline_token = None
+        stream.top_k = 3
+    _merged, stats = VisitScanCoprocessor().stream_merge(by_deadline)
+    assert stats["aborted_regions"]
+    _merged, stats = VisitScanCoprocessor().stream_merge(by_proof)
+    assert stats["pruned_regions"] > 0 and not stats["aborted_regions"]
+    for stream in by_deadline + by_proof:
+        assert handed.get(id(stream), 0) == stream.emitted
+        assert stream.shipped == stream.emitted + stream.probe_hits
+        assert stream.cells_avoided == stream.size - stream.cursor

@@ -3,13 +3,20 @@
 :class:`ReferenceStream` is the old :class:`TopKPartialStream` kept as a
 test oracle: it builds every ``(-key, poi_id, grade_sum, count)`` item,
 sorts them all, and walks the order one item at a time, reading the
-attribute table and calling ``passes_filter`` per examined item.  The
-columnar stream must be indistinguishable from it batch by batch —
-what it emits, where its cursor stands, what it skipped, decoded and
-bounds — because the merger's rounds, probes and shipped counts (and
-with them the simulated charges) are functions of exactly that.
+attribute table and calling :func:`passes_filter` per examined item.
 
-The trap tests pin the four ways a faster stream gets this wrong.
+- **Unfiltered**, the columnar stream must be indistinguishable from it
+  batch by batch — what it emits, where its cursor stands and what it
+  bounds — because the merger's rounds, probes and shipped counts (and
+  with them the simulated charges) are functions of exactly that.
+- **Filtered**, the region drops the failing POIs before it builds the
+  stream (``VisitScanCoprocessor.select``).  The rule: the stream emits,
+  batch by batch, exactly the passing items the reference walk over all
+  aggregates emits, and its frontier is the next passing item's key —
+  never above the reference's (the next examined item's), and still an
+  upper bound on every unemitted passing item.
+
+The trap tests pin the ways a faster stream or filter gets this wrong.
 """
 
 import random
@@ -24,19 +31,29 @@ from repro.core.modules import topk
 from repro.core.modules.query_answering import SearchQuery, VisitScanCoprocessor
 from repro.core.modules.topk import (
     PartialAggregates,
+    TopKMerger,
     TopKPartialStream,
-    passes_filter,
 )
 from repro.core.monitoring import PlatformMetrics
 from repro.core.repositories.visits import VisitsRepository, VisitStruct
 from repro.errors import QueryCancelled
 from repro.geo.bbox import BoundingBox
 from repro.hbase.cancellation import REASON_TOPK_PROOF, CancellationToken
-from repro.hbase.coprocessor import CorruptPartial
+from repro.hbase.coprocessor import CoprocessorContext, CorruptPartial
 
-from .test_topk_oracle import ALL_FRIENDS, Stack, fingerprint
+from .test_topk_oracle import ALL_FRIENDS, BBOXES, Stack, fingerprint
 
 KEYWORDS = ("cafe", "museum", "park")
+
+select = VisitScanCoprocessor.select
+
+
+def passes_filter(attrs, bbox, wanted):
+    """A query's spatial/textual predicate over one attribute row."""
+    _name, lat, lon, poi_keywords = attrs
+    if bbox is not None and not bbox.contains_coords(lat, lon):
+        return False
+    return not wanted or not wanted.isdisjoint(poi_keywords)
 
 
 class ReferenceStream:
@@ -144,17 +161,16 @@ def build(pois):
 
 def state(stream):
     return (
-        stream.cursor, stream.skipped, stream.emitted, stream.cells_decoded,
-        stream.finished, stream.frontier(),
+        stream.cursor, stream.emitted, stream.cells_decoded, stream.finished,
+        stream.frontier(),
     )
 
 
 def run_side_by_side(
-    pois, hotness, batch, bbox=None, wanted=None, deadline=None,
-    prune_after=None, cells_scanned=0,
+    pois, hotness, batch, deadline=None, prune_after=None, cells_scanned=0,
 ):
-    """Drive both streams batch by batch and assert they never differ;
-    returns the columnar one."""
+    """Drive both unfiltered streams batch by batch and assert they
+    never differ; returns the columnar one."""
     aggregates, table = build(pois)
 
     def token():
@@ -164,13 +180,13 @@ def run_side_by_side(
         return CancellationToken(deadline_ms=deadline_ms, cost_per_record_ms=cost)
 
     ref = ReferenceStream(
-        aggregates, dict(table), hotness, batch, bbox=bbox, wanted=wanted,
+        aggregates, dict(table), hotness, batch,
         cells_scanned=cells_scanned, deadline_token=token(),
     )
     new = TopKPartialStream(
         region_id=0, aggregates=aggregates, poi_attrs=dict(table), top_k=3,
-        hotness=hotness, batch=batch, bbox=bbox, wanted=wanted,
-        cells_scanned=cells_scanned, deadline_token=token(),
+        hotness=hotness, batch=batch, cells_scanned=cells_scanned,
+        deadline_token=token(),
     )
     assert new.size == len(ref.items)
     assert state(new) == state(ref)
@@ -190,6 +206,57 @@ def run_side_by_side(
         if outcomes[0] in ("cancelled", []):
             break
     assert new.remaining == len(ref.items) - ref.cursor
+    return new
+
+
+def local_key(hotness, grade_sum, count):
+    return float(count) if hotness else grade_sum / count
+
+
+def run_region_filter_side_by_side(
+    pois, hotness, batch, bbox=None, wanted=None, prune_after=None,
+):
+    """The reference walk over *all* aggregates with the per-item
+    filter, against the region filter followed by the stream: the same
+    batches, and a frontier that is at most the reference's and bounds
+    every unemitted passing item.  Returns the stream."""
+    wanted = wanted or set()
+    aggregates, table = build(pois)
+    ref = ReferenceStream(
+        aggregates, dict(table), hotness, batch, bbox=bbox, wanted=wanted,
+    )
+    passing_table = dict(table)
+    passing, rows, decoded = select(aggregates, passing_table, bbox, wanted)
+    # Every row was gathered; the missing ones were decoded, once.
+    assert decoded == len(aggregates) - len(table)
+    assert set(passing_table) == set(aggregates.counts)
+    assert rows == [passing_table[pid] for pid in passing.counts]
+    assert list(passing.counts) == [
+        pid for pid in aggregates.counts
+        if passes_filter(passing_table[pid], bbox, wanted)
+    ]
+    new = TopKPartialStream(0, passing, passing_table, 3, hotness, batch)
+    unemitted = {
+        pid: local_key(hotness, gs, cnt) for pid, gs, cnt in passing.rows()
+    }
+    for rounds in range(len(pois) + 2):
+        if rounds == prune_after:
+            ref.short_circuit()
+            new.short_circuit()
+        out = ref.next_batch()
+        assert new.next_batch() == out
+        for pid, _gs, _cnt in out:
+            del unemitted[pid]
+        bound, ref_bound = new.frontier(), ref.frontier()
+        if unemitted:
+            assert bound == max(unemitted.values())
+            assert ref_bound is not None and bound <= ref_bound
+        else:
+            assert bound is None
+        if out == []:
+            break
+    assert new.cells_decoded == 0
+    assert new.cells_avoided == len(unemitted)
     return new
 
 
@@ -215,7 +282,7 @@ def to_pois(rows, poi_ids):
     ]
 
 
-BBOXES = st.one_of(
+BBOXES_ST = st.one_of(
     st.none(),
     st.tuples(
         st.integers(0, 4), st.integers(0, 4),
@@ -233,8 +300,6 @@ BBOXES = st.one_of(
     seed=st.randoms(use_true_random=False),
     hotness=st.booleans(),
     batch=st.integers(min_value=1, max_value=64),
-    bbox=BBOXES,
-    wanted=st.sets(st.sampled_from(KEYWORDS + ("bar",)), max_size=2),
     deadline=st.one_of(st.none(), st.tuples(
         st.floats(min_value=0.5, max_value=120.0),
         st.sampled_from((0.25, 1.0, 3.0)),
@@ -243,14 +308,32 @@ BBOXES = st.one_of(
     cells_scanned=st.integers(min_value=0, max_value=20),
 )
 def test_columnar_stream_equals_per_item_walk(
-    rows, seed, hotness, batch, bbox, wanted, deadline, prune_after,
-    cells_scanned,
+    rows, seed, hotness, batch, deadline, prune_after, cells_scanned,
 ):
     poi_ids = seed.sample(range(1, 1000), len(rows))
     run_side_by_side(
+        to_pois(rows, poi_ids), hotness, batch, deadline=deadline,
+        prune_after=prune_after, cells_scanned=cells_scanned,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=POI_ROWS,
+    seed=st.randoms(use_true_random=False),
+    hotness=st.booleans(),
+    batch=st.integers(min_value=1, max_value=64),
+    bbox=BBOXES_ST,
+    wanted=st.sets(st.sampled_from(KEYWORDS + ("bar",)), max_size=2),
+    prune_after=st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+)
+def test_region_filter_then_stream_emits_what_the_per_item_walk_emits(
+    rows, seed, hotness, batch, bbox, wanted, prune_after,
+):
+    poi_ids = seed.sample(range(1, 1000), len(rows))
+    run_region_filter_side_by_side(
         to_pois(rows, poi_ids), hotness, batch, bbox=bbox, wanted=wanted,
-        deadline=deadline, prune_after=prune_after,
-        cells_scanned=cells_scanned,
+        prune_after=prune_after,
     )
 
 
@@ -272,16 +355,16 @@ def test_large_streams_order_in_chunks_like_the_full_sort(hotness, batch):
     ]
     pois = to_pois(rows, rng.sample(range(1, 100_000), len(rows)))
     run_side_by_side(pois, hotness, batch)
-    run_side_by_side(pois, hotness, batch, wanted={"cafe"})
+    run_region_filter_side_by_side(pois, hotness, batch, wanted={"cafe"})
 
 
 # ---------------------------------------------------------------- traps
 
 
-def test_trap1_frontier_is_the_next_examined_item_not_the_next_passing():
-    """Pre-filtering would make the frontier jump over rejected items to
-    the next passing one: a lower bound than the examined order gives,
-    which changes when the merger may prune (rounds, shipped)."""
+def test_trap1_frontier_is_the_next_passing_item():
+    """The region drops the rejected items before the stream exists, so
+    the frontier jumps over them to the next passing one: a tighter
+    bound than the examined order gave, and still sound."""
     pois = [
         # poi, grade_sum, count, lat, lon, keywords, known
         (1, 9.0, 1, 0.0, 0.0, {"cafe"}, True),
@@ -289,15 +372,17 @@ def test_trap1_frontier_is_the_next_examined_item_not_the_next_passing():
         (3, 7.0, 1, 0.0, 0.0, set(), True),  # rejected
         (4, 2.0, 1, 0.0, 0.0, {"cafe"}, True),
     ]
-    run_side_by_side(pois, hotness=False, batch=1, wanted={"cafe"})
-    aggregates, table = build(pois)
-    stream = TopKPartialStream(
-        0, aggregates, table, 3, hotness=False, batch=1, wanted={"cafe"}
+    run_region_filter_side_by_side(
+        pois, hotness=False, batch=1, wanted={"cafe"}
     )
+    aggregates, table = build(pois)
+    passing, _rows, _decoded = select(aggregates, table, None, {"cafe"})
+    stream = TopKPartialStream(0, passing, table, 3, hotness=False, batch=1)
+    assert stream.size == 2
     assert stream.next_batch() == [(1, 9.0, 1)]
-    assert (stream.cursor, stream.frontier()) == (1, 8.0)
+    assert (stream.cursor, stream.frontier()) == (1, 2.0)
     assert stream.next_batch() == [(4, 2.0, 1)]
-    assert (stream.cursor, stream.skipped, stream.finished) == (4, 2, True)
+    assert (stream.cursor, stream.finished) == (2, True)
 
 
 def test_trap2_a_stream_within_the_first_chunk_is_one_sort_and_no_heap(
@@ -332,24 +417,26 @@ def test_trap2_a_stream_within_the_first_chunk_is_one_sort_and_no_heap(
     assert calls["heapify"] == 0
 
 
-def test_trap3_a_missing_row_is_decoded_only_when_the_cursor_reaches_it():
-    """Cold table: after each batch exactly the examined POIs have been
-    decoded and added to the table — none ahead of the cursor."""
+def test_trap3_the_region_decodes_each_missing_row_once_before_ordering():
+    """Cold table: the region filter decodes every row the table lacks,
+    once, before the stream orders anything, and the stream decodes
+    nothing while it emits.  A warm query over the same POIs decodes 0."""
     pois = [
         (pid, float(100 - pid), 1, 0.0, 0.0,
-         {"cafe"} if pid % 3 else set(), False)
+         {"cafe"} if pid % 3 else set(), pid % 5 == 0)
         for pid in range(1, 41)
     ]
     aggregates, table = build(pois)
-    stream = TopKPartialStream(
-        0, aggregates, table, 3, hotness=False, batch=4, wanted={"cafe"}
-    )
-    order = [pid for pid, *_rest in pois]  # already in key order
-    assert stream.frontier() == 99.0 and table == {}
+    known = len(table)
+    passing, _rows, decoded = select(aggregates, table, None, {"cafe"})
+    assert decoded == 40 - known and len(table) == 40
+    stream = TopKPartialStream(0, passing, table, 3, hotness=False, batch=4)
+    assert stream.size == len([p for p in pois if p[0] % 3])
     while stream.next_batch():
-        assert stream.cells_decoded == stream.cursor
-        assert set(table) == set(order[: stream.cursor])
-    assert stream.finished and len(table) == 40
+        pass
+    assert stream.finished and stream.cells_decoded == 0
+    _passing, _rows, decoded = select(aggregates, table, None, {"cafe"})
+    assert decoded == 0
 
 
 @pytest.mark.parametrize("wanted", [set(), {"cafe"}])
@@ -362,22 +449,156 @@ def test_trap4_a_deadline_cuts_the_batch_at_its_first_failing_position(
     pois = [(pid, float(100 - pid), 1, 0.0, 0.0, {"cafe"}, True)
             for pid in range(1, 41)]
     aggregates, table = build(pois)
+    passing, _rows, _decoded = select(aggregates, table, None, wanted)
     stream = TopKPartialStream(
-        0, aggregates, table, 3, hotness=False, batch=16, wanted=wanted,
-        cells_scanned=5,
+        0, passing, table, 3, hotness=False, batch=16, cells_scanned=5,
         deadline_token=CancellationToken(deadline_ms=10.0, cost_per_record_ms=1.0),
     )
     with pytest.raises(QueryCancelled):
         stream.next_batch()
-    assert (stream.cursor, stream.emitted, stream.skipped) == (5, 0, 0)
-    # And a filtered stream whose cut lands inside a run of rejects.
-    run_side_by_side(
-        [(pid, float(100 - pid), 1, 0.0, 0.0,
-          {"cafe"} if pid % 4 == 0 else set(), pid % 2 == 0)
-         for pid in range(1, 41)],
-        hotness=False, batch=16, wanted={"cafe"}, deadline=(10.0, 1.0),
-        cells_scanned=5,
+    assert (stream.cursor, stream.emitted) == (5, 0)
+
+
+# ------------------------------------------------- region filter traps
+
+
+def visited_pois(stack, friends=ALL_FRIENDS):
+    return {
+        visit.poi_id
+        for friend in friends
+        for visit in stack.visits.visits_of_user(friend)
+    }
+
+
+def test_region_filter_trap1_the_scan_cache_stays_per_friend_and_filter_free():
+    """The filter runs after the fold: what a filtered query fills is
+    every POI of each friend, keyed by friend and window only, so an
+    unfiltered or differently filtered query is served from it."""
+    stack = Stack(data_seed=8, cache=True)
+    filtered = SearchQuery(
+        friend_ids=ALL_FRIENDS, limit=3, bbox=BBOXES[1], keywords=("cafe",)
     )
+    for _ in range(3):  # opens, fills, hits
+        stack.search_topk(filtered)
+    entries = {
+        key: entry for generation in stack.scan_cache._generations.values()
+        for key, entry in generation.entries.items()
+    }
+    assert sorted(entries) == [(friend, None, None) for friend in ALL_FRIENDS]
+    for (friend, _since, _until), entry in entries.items():
+        assert set(entry.poi_ids) == visited_pois(stack, (friend,))
+    for query in (
+        SearchQuery(friend_ids=ALL_FRIENDS, limit=3),
+        SearchQuery(friend_ids=ALL_FRIENDS, limit=3, keywords=("museum",)),
+    ):
+        stack.cluster.scan_cache = None
+        want = fingerprint(stack.search_exhaustive(query))
+        stack.cluster.scan_cache = stack.scan_cache
+        for search in (stack.search_topk, stack.search_exhaustive):
+            served = search(query)
+            assert (served.cache_hits, served.cache_misses) == (
+                len(ALL_FRIENDS), 0
+            )
+            assert fingerprint(served) == want
+
+
+def test_region_filter_trap2_a_winner_dropped_from_a_full_table_is_still_decoded(
+    monkeypatch,
+):
+    """A full attribute table empties itself on its next write, which
+    can land between a region's filter and the merger's final fetch of
+    the winners' rows: the passing aggregates still find each winner's
+    payload, so the fetch decodes it again."""
+    query = SearchQuery(friend_ids=ALL_FRIENDS, limit=4, keywords=("cafe",))
+    stack = Stack(data_seed=9, cache=True)
+    stack.cluster.scan_cache = None
+    want = fingerprint(stack.search_exhaustive(query))
+    stack.cluster.scan_cache = stack.scan_cache
+    table = stack.scan_cache.poi_attrs
+    real_merge = TopKMerger.merge
+
+    def merge_after_the_table_emptied(self, streams):
+        assert all(stream.poi_attrs is table for stream in streams)
+        table.clear()
+        return real_merge(self, streams)
+
+    monkeypatch.setattr(TopKMerger, "merge", merge_after_the_table_emptied)
+    result = stack.search_topk(query)
+    assert fingerprint(result) == want
+    # The region filter parsed each distinct POI once; the final fetch
+    # parsed the 4 winners again.
+    assert result.cells_decoded == len(visited_pois(stack)) + 4
+    assert len(table) == 4
+
+
+@pytest.mark.parametrize("sort_by", ["interest", "hotness"])
+def test_region_filter_trap3_a_brownout_truncates_after_the_filter(sort_by):
+    """``per_region_limit`` keeps the first passing POIs, never the
+    first POIs of which the filter then drops some."""
+    stack = Stack(data_seed=10)
+    query = SearchQuery(
+        friend_ids=ALL_FRIENDS, limit=3, sort_by=sort_by,
+        bbox=BBOXES[2], keywords=("cafe",),
+    )
+    endpoint = VisitScanCoprocessor()
+    full = stack.qa._route_query(query, per_region_limit=10 ** 6)
+    cut = stack.qa._route_query(query, per_region_limit=4)
+    for region, request in cut.items():
+        assert request.top_k == 0
+        everything = endpoint.run(CoprocessorContext(region), full[region])
+        shipped = endpoint.run(CoprocessorContext(region), request)
+        assert shipped == everything[:4]
+        assert len(shipped) == min(4, len(everything))
+        for _pid, _gs, _cnt, name, lat, lon in everything:
+            assert BBOXES[2].contains_coords(lat, lon)
+
+
+def test_region_filter_trap4_deadline_positions_count_passing_items_only():
+    """Three of every four POIs fail the filter.  The deadline first
+    blows at record 10 = 5 scanned + position 5, and position 5 is the
+    sixth *passing* item: the cut lands there, mid-batch, with nothing
+    of the batch emitted and the frontier on that item's key."""
+    pois = [
+        (pid, float(100 - pid), 1, 0.0, 0.0,
+         {"cafe"} if pid % 4 == 0 else set(), pid % 2 == 0)
+        for pid in range(1, 41)
+    ]
+    aggregates, table = build(pois)
+    passing, _rows, _decoded = select(aggregates, table, None, {"cafe"})
+    stream = TopKPartialStream(
+        0, passing, table, 3, hotness=False, batch=16, cells_scanned=5,
+        deadline_token=CancellationToken(deadline_ms=10.0, cost_per_record_ms=1.0),
+    )
+    with pytest.raises(QueryCancelled):
+        stream.next_batch()
+    assert (stream.cursor, stream.emitted) == (5, 0)
+    assert stream.frontier() == 100.0 - 24  # poi 24: the sixth passing
+
+
+# ------------------------------------------------------------- brownout
+
+
+@pytest.mark.parametrize("sort_by", ["interest", "hotness"])
+def test_brownout_truncation_keeps_the_highest_local_keys(sort_by):
+    """A brownout's ``per_region_limit`` keeps each region's first POIs
+    in the order a stream would emit them, ``(-key, poi_id)`` with the
+    request's local key (count for hotness, local mean for interest),
+    not the largest grade sums."""
+    stack = Stack(data_seed=14)
+    query = SearchQuery(friend_ids=ALL_FRIENDS, limit=3, sort_by=sort_by)
+    hotness = sort_by == "hotness"
+    endpoint = VisitScanCoprocessor()
+    full = stack.qa._route_query(query, per_region_limit=10 ** 6)
+    for region, request in stack.qa._route_query(
+        query, per_region_limit=5
+    ).items():
+        everything = endpoint.run(CoprocessorContext(region), full[region])
+        want = sorted(
+            everything,
+            key=lambda row: (-local_key(hotness, row[1], row[2]), row[0]),
+        )
+        assert everything == want
+        assert endpoint.run(CoprocessorContext(region), request) == want[:5]
 
 
 # ------------------------------------------------------- validate_partial
