@@ -20,6 +20,7 @@ from ...config import TopKConfig
 from ...errors import DegradedResultWarning, QueryError
 from ...geo import BoundingBox
 from ...hbase import Coprocessor, CoprocessorContext
+from ...hbase.bytes_util import salt_int, whole_salts
 from ...hbase.cache import FriendPartial
 from ..repositories.poi import POIRepository
 from ..caching import HotPOICache, SingleFlight
@@ -376,11 +377,22 @@ class VisitScanCoprocessor(Coprocessor):
         token = context.cancellation
         check_every = token.check_every if token is not None else 0
 
+        if not request.routed:
+            # The salts this region holds whole answer ownership; only
+            # the two at its edges (a split point may cut them) ask the
+            # region about the friend's key prefix.
+            whole = whole_salts(context.start_key, context.end_key)
+            edges = (whole.start - 1, whole.stop)
         stage = context.trace("region.aggregate")
         for friend_id in request.friend_ids:
             if not request.routed:
-                prefix = user_prefix(friend_id)
-                if not context.contains_row(prefix + b"\x00"):
+                salt = salt_int(friend_id)
+                if salt not in whole and (
+                    salt not in edges
+                    or not context.contains_row(
+                        user_prefix(friend_id) + b"\x00"
+                    )
+                ):
                     # Another region owns this friend's salted key range.
                     continue
             cached = None

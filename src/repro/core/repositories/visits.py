@@ -42,7 +42,7 @@ from ...hbase import (
     encode_int_desc,
     next_prefix,
 )
-from ...hbase.bytes_util import KEY_SEPARATOR, salt_for
+from ...hbase.bytes_util import KEY_SEPARATOR, salt_for, salt_int
 from ...hbase.region import Region
 from ..serialization import decode_json, encode_json
 
@@ -72,24 +72,6 @@ SALT_FIELD = slice(0, 2)
 USER_FIELD = slice(3, 11)
 TS_FIELD = slice(12, 20)
 POI_FIELD = slice(21, 29)
-
-
-def _compute_user_keys(user_id: int) -> Tuple[bytes, bytes, Optional[bytes]]:
-    """``(prefix, start, stop)``: a user's salted key prefix and the
-    key range of all their visits."""
-    prefix = compose_key(salt_for(user_id), encode_int(user_id))
-    return prefix, compose_key(prefix, b""), next_prefix(prefix) or None
-
-
-#: :func:`_compute_user_keys`, memoized: a pure function of the user id
-#: that routing and every region scan used to recompute per friend per
-#: query; results are immutable, the memo is bounded.  The bulk load
-#: computes instead (once per run of a user's records): memo entries
-#: made while 181k cells are being allocated lie scattered over the
-#: heap, and routing 2000 random friends per request then misses the
-#: CPU caches on each — ``filtered2000`` ``search_p50_ms`` +2.9 %, worse
-#: on 7 of 8 pairs, against -1.0 % without (EXPERIMENTS.md, "Bulk load").
-_user_keys = lru_cache(maxsize=1 << 16)(_compute_user_keys)
 
 
 @lru_cache(maxsize=256)
@@ -226,7 +208,7 @@ class VisitsRepository:
 
     @staticmethod
     def user_prefix(user_id: int) -> bytes:
-        return _user_keys(user_id)[0]
+        return salt_for(user_id) + KEY_SEPARATOR + encode_int(user_id)
 
     @staticmethod
     def time_range_keys(
@@ -241,17 +223,17 @@ class VisitsRepository:
         ``0xff`` bytes, say) would sort *below* real row keys sharing
         that prefix and silently drop tail-of-keyspace users.
         """
-        prefix, start, stop = _user_keys(user_id)
-        if since is None and until is None:
-            return (start, stop)
+        prefix = VisitsRepository.user_prefix(user_id)
         if until is not None and until <= 0:
             # Empty window: no timestamp is < 0.  An empty key range
             # (start == stop) makes the scan a no-op.
             return (prefix, prefix)
         start_suffix, stop_suffix = _window_suffixes(since, until)
         return (
-            start if start_suffix is None else prefix + start_suffix,
-            stop if stop_suffix is None else prefix + stop_suffix,
+            prefix + (KEY_SEPARATOR if start_suffix is None else start_suffix),
+            next_prefix(prefix) or None
+            if stop_suffix is None
+            else prefix + stop_suffix,
         )
 
     # ------------------------------------------------------------ writes
@@ -297,7 +279,7 @@ class VisitsRepository:
         for record in records:
             if record.user_id != user_id:
                 user_id = record.user_id
-                row_start = _compute_user_keys(user_id)[1]
+                row_start = self.user_prefix(user_id) + KEY_SEPARATOR
             timestamp = record.timestamp
             try:
                 row = row_start + pack_suffix(
@@ -354,24 +336,38 @@ class VisitsRepository:
 
         The client knows each friend's salted key prefix, so it can ship
         every region exactly the friends it serves — regions owning no
-        queried friends are never contacted.  A friend whose time-window
-        key range straddles a split boundary lands in every intersecting
-        region (correct under post-split layouts; with uniform pre-split
-        points a user's range always lives in one region).
+        queried friends are never contacted.  A user's rows all start
+        with their salt, so one hash and the table's salt map route a
+        friend.  A friend whose salt a split point cuts (only a
+        midpoint split puts one there) takes the key-range path instead
+        and lands in every region its time window's range intersects.
+        Buckets keep query order, and regions first-encounter order.
         """
-        time_range_keys = self.time_range_keys
-        regions_for_range = self.table.regions_for_range
+        if not friend_ids:
+            return {}
+        if min(friend_ids) < 0 or max(friend_ids) > _U64_MAX:
+            for friend_id in friend_ids:
+                encode_int(friend_id)  # names the first id that is not one
+        if until is not None and until <= 0:
+            return {}  # empty window: no region needs any friend
+        start_suffix, stop_suffix = _window_suffixes(since, until)
+        if start_suffix is not None and start_suffix == stop_suffix:
+            return {}  # equal bounds: every friend's key range is empty
+        owners, slots = self.table.salt_owners, self.table.salt_slots
         routed: Dict[Region, List[int]] = {}
         for friend_id in friend_ids:
-            start, stop = time_range_keys(friend_id, since, until)
-            if start == stop:
-                continue  # empty window: no region needs this friend
-            for region in regions_for_range(start, stop):
-                bucket = routed.get(region)
-                if bucket is None:
-                    routed[region] = [friend_id]
-                else:
-                    bucket.append(friend_id)
+            region = owners[slots[salt_int(friend_id)]]
+            if region is None:  # a split point cuts this friend's salt
+                for region in self.table.regions_for_range(
+                    *self.time_range_keys(friend_id, since, until)
+                ):
+                    routed.setdefault(region, []).append(friend_id)
+                continue
+            bucket = routed.get(region)
+            if bucket is None:
+                routed[region] = [friend_id]
+            else:
+                bucket.append(friend_id)
         return routed
 
     # ------------------------------------------------------------- reads

@@ -10,7 +10,7 @@ friends).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from ..errors import ValidationError
 
@@ -94,13 +94,8 @@ def next_prefix(prefix: bytes) -> bytes:
     Classic HBase prefix-scan trick: scan ``[prefix, next_prefix(prefix))``.
     Returns ``b""`` (meaning "no upper bound") if the prefix is all 0xFF.
     """
-    data = bytearray(prefix)
-    while data:
-        if data[-1] != 0xFF:
-            data[-1] += 1
-            return bytes(data)
-        data.pop()
-    return b""
+    data = prefix.rstrip(b"\xff")
+    return data[:-1] + bytes((data[-1] + 1,)) if data else b""
 
 
 def uniform_split_points(num_regions: int, width: int = 2) -> List[bytes]:
@@ -120,7 +115,11 @@ def uniform_split_points(num_regions: int, width: int = 2) -> List[bytes]:
     ]
 
 
-def salt_for(identifier: int, width: int = 2) -> bytes:
+#: How many distinct 2-byte salts the key space has.
+SALTS = 1 << 16
+
+
+def salt_int(identifier: int, width: int = 2) -> int:
     """Deterministic key salt spreading an id uniformly over regions.
 
     A Fibonacci-hash of the id, truncated to ``width`` bytes.  Salting
@@ -128,4 +127,22 @@ def salt_for(identifier: int, width: int = 2) -> bytes:
     busy during a multi-friend query (paper Section 2.2).
     """
     h = (identifier * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    return encode_int(h >> (64 - 8 * width), width)
+    return h >> (64 - 8 * width)
+
+
+def salt_for(identifier: int, width: int = 2) -> bytes:
+    """:func:`salt_int` as the key bytes a row starts with."""
+    return encode_int(salt_int(identifier, width), width)
+
+
+def whole_salts(start: Optional[bytes], end: Optional[bytes]) -> range:
+    """The 2-byte salts all of whose rows lie in ``[start, end)`` (None:
+    unbounded).  A key longer than two bytes cuts the salt it starts
+    with: that salt lies whole on neither side of it."""
+    lo = 0 if start is None else _salts_below(start) + (len(start) > 2)
+    hi = SALTS if end is None else _salts_below(end)
+    return range(lo, max(lo, hi))
+
+
+def _salts_below(key: bytes) -> int:
+    return int.from_bytes(key[:2].ljust(2, b"\0"), "big")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+from array import array
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
@@ -12,7 +13,7 @@ from ..errors import (
     RegionNotFoundError,
     StorageError,
 )
-from .bytes_util import uniform_split_points
+from .bytes_util import SALTS, uniform_split_points, whole_salts
 from .cell import Cell
 from .filters import ScanFilter
 from .hfile import sort_newest_first
@@ -66,10 +67,7 @@ class HTable:
             self._new_region(boundaries[i], boundaries[i + 1])
             for i in range(len(boundaries) - 1)
         ]
-        # Start keys for bisect routing; region 0 covers (-inf, ...).
-        self._start_keys: List[bytes] = [
-            r.start_key for r in self.regions if r.start_key is not None
-        ]
+        self._reroute()
 
     def _new_region(
         self, start_key: Optional[bytes], end_key: Optional[bytes]
@@ -91,6 +89,21 @@ class HTable:
 
     # ------------------------------------------------------------ routing
 
+    def _reroute(self) -> None:
+        """Rebuild both routing tables from ``self.regions``."""
+        # Start keys for bisect routing; region 0 covers (-inf, ...).
+        self._start_keys: List[bytes] = [
+            r.start_key for r in self.regions if r.start_key is not None
+        ]
+        #: Salt -> index into ``salt_owners`` of the region holding all
+        #: its rows; a salt a split point cuts maps to the final None.
+        #: Two bytes a salt keep the map in cache while routing friends.
+        self.salt_owners: List[Optional[Region]] = self.regions + [None]
+        slots = self.salt_slots = array("H", [len(self.regions)]) * SALTS
+        for slot, region in enumerate(self.regions):
+            whole = whole_salts(region.start_key, region.end_key)
+            slots[whole.start : whole.stop] = array("H", [slot]) * len(whole)
+
     def region_for_row(self, row: bytes) -> Region:
         idx = bisect.bisect_right(self._start_keys, row)
         region = self.regions[idx]
@@ -105,9 +118,9 @@ class HTable:
     ) -> List[Region]:
         """Regions intersecting ``[start_row, stop_row)`` in key order.
 
-        O(log regions + matches) via bisect over the sorted start keys —
-        this is the routing primitive the client tier leans on, so it
-        must not degrade into a full region sweep per lookup.
+        O(log regions + matches) via bisect over the sorted start keys.
+        Friend routing resolves a salt through ``salt_slots`` instead
+        and falls back to this only for a salt a split point cuts.
         """
         lo = 0
         if start_row is not None:
@@ -269,9 +282,7 @@ class HTable:
         right = self._new_region(mid, region.end_key)
         idx = self.regions.index(region)
         self.regions[idx : idx + 1] = [left, right]
-        self._start_keys = [
-            r.start_key for r in self.regions if r.start_key is not None
-        ]
+        self._reroute()
         if self._on_split is not None:
             self._on_split()
         for cell in cells:

@@ -6,21 +6,30 @@ the broadcast path and the client-side baseline must all return the same
 ranked answer, with routing only changing *which* regions get invoked.
 """
 
+import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.config import ClusterConfig
+from repro import MoDisSENSE, RestApi
+from repro.config import ClusterConfig, PlatformConfig
 from repro.core.modules.query_answering import (
     QueryAnsweringModule,
     SearchQuery,
+    VisitScanCoprocessor,
     _VisitScanRequest,
 )
 from repro.core.repositories.poi import POI, POIRepository
 from repro.core.repositories.visits import VisitsRepository, VisitStruct
 from repro.geo import BoundingBox
 from repro.hbase import (
+    Cell,
+    CoprocessorContext,
     HBaseCluster,
+    HTable,
+    TableDescriptor,
     compose_key,
     encode_int,
     encode_int_desc,
@@ -60,6 +69,37 @@ def build_module(num_regions=8, num_users=40, num_pois=12, seed=9):
                 lat=lat, lon=lon, keywords=kws,
             ))
     return QueryAnsweringModule(pois, visits), cluster
+
+
+def reference_range_keys(uid, since, until):
+    """``time_range_keys`` as the plain formula: compose, encode,
+    ``next_prefix`` — nothing packed or memoized."""
+    prefix = compose_key(salt_for(uid), encode_int(uid))
+    if until is not None and until <= 0:
+        return (prefix, prefix)
+    if until is not None:
+        start = compose_key(prefix, encode_int_desc(until - 1))
+    else:
+        start = compose_key(prefix, b"")
+    if since is not None and since > 0:
+        stop = next_prefix(compose_key(prefix, encode_int_desc(since)))
+    else:
+        stop = next_prefix(prefix)
+    return (start, stop if stop else None)
+
+
+def range_router(table, friend_ids, since=None, until=None):
+    """Friend routing as it was before the salt map: each friend's key
+    range bisected against the region start keys, one friend at a time.
+    The reference salt routing must equal, order included."""
+    routed = {}
+    for friend_id in friend_ids:
+        start, stop = reference_range_keys(friend_id, since, until)
+        if start == stop:
+            continue  # empty window: no region needs this friend
+        for region in table.regions_for_range(start, stop):
+            routed.setdefault(region, []).append(friend_id)
+    return routed
 
 
 def ranked(result):
@@ -186,26 +226,10 @@ class TestStopKeyRegression:
         assert [p.poi_id for p in res.pois] == [1]
 
     def test_memoized_keys_equal_the_unmemoized_formula(self):
-        """The per-user key memo must route exactly as the formula it
-        replaced — first call and repeat calls, every window shape, the
-        top-of-keyspace user included."""
-
-        def reference(uid, since, until):
-            prefix = compose_key(salt_for(uid), encode_int(uid))
-            if until is not None and until <= 0:
-                return (prefix, prefix)
-            if until is not None:
-                start = compose_key(prefix, encode_int_desc(until - 1))
-            else:
-                start = compose_key(prefix, b"")
-            if since is not None and since > 0:
-                stop = next_prefix(
-                    compose_key(prefix, encode_int_desc(since))
-                )
-            else:
-                stop = next_prefix(prefix)
-            return (start, stop if stop else None)
-
+        """The packed user prefix and the window suffixes must give
+        exactly the keys of the plain formula — first call and repeat
+        calls, every window shape, the top-of-keyspace user included."""
+        reference = reference_range_keys
         max64 = (1 << 64) - 1
         windows = [(None, None), (0, None), (1, None), (5, None),
                    (256, None), (max64, None), (None, 1), (None, 9),
@@ -228,3 +252,210 @@ class TestStopKeyRegression:
             assert start == stop  # until <= 0: nothing can match
             start, stop = tk(uid, 77, 77)
             assert stop is not None and stop <= start  # since == until
+
+
+MAX64 = (1 << 64) - 1
+#: Friend ids: a small pool (so lists repeat ids), the edges of the id
+#: space and the top-salt user, and anything in between.
+FRIEND_ID = st.one_of(
+    st.integers(0, 300),
+    st.sampled_from([0, 1, TOP_SALT_UID, MAX64 - 1, MAX64]),
+    st.integers(0, MAX64),
+)
+FRIENDS = st.lists(FRIEND_ID, max_size=60)
+#: Window bounds: open, the empty ``until <= 0``, values whose
+#: descending encoding ends in 0xff (256: ``next_prefix`` truncates, so
+#: ``since == until`` is *not* an empty key range there), both
+#: extremes.  Drawn independently, so ``since == until`` and inverted
+#: windows come up.
+BOUND = st.one_of(
+    st.none(),
+    st.sampled_from([-3, 0, 1, 50, 255, 256, 257, 512, 9000, 1 << 32, MAX64]),
+    st.integers(-10, 1 << 20),
+)
+
+
+def split_point_in(uid, length, tail):
+    """A split point inside the key space of ``uid``: the first
+    ``length`` bytes of one of its row keys plus ``tail`` — it may cut
+    the user's salt, or the user's own key range."""
+    return VisitsRepository.row_key(uid, 700, 5)[:length] + tail
+
+
+SPLIT_POINTS = st.lists(
+    st.one_of(
+        st.binary(min_size=1, max_size=4),
+        st.builds(
+            split_point_in,
+            FRIEND_ID,
+            st.integers(1, 29),
+            st.binary(max_size=2),
+        ),
+    ),
+    max_size=12,
+).map(lambda points: sorted(set(points)))
+
+
+class TestSaltRoutingEqualsRangeRouting:
+    """``route_friends`` resolves a friend through the table's salt map
+    and keeps the per-friend key-range path for salts a split point
+    cuts.  Over any layout, friend list and window it must return what
+    the range router returned: the same regions, in the same dict order,
+    with the same buckets in the same order."""
+
+    #: One repository for every example; each points it at its table.
+    repo = VisitsRepository(
+        HBaseCluster(ClusterConfig(num_nodes=1, regions_per_table=1)),
+        num_regions=1,
+    )
+
+    @staticmethod
+    def outcome(route, table, friends, since, until):
+        try:
+            return list(route(table, friends, since, until).items())
+        except Exception as exc:  # both must fail alike, if at all
+            return (type(exc), str(exc))
+
+    def check(self, table, friends, since, until):
+        repo = self.repo
+        repo.table = table
+
+        def salt_router(table, friends, since, until):
+            return repo.route_friends(friends, since, until)
+
+        assert self.outcome(
+            salt_router, table, friends, since, until
+        ) == self.outcome(range_router, table, friends, since, until)
+
+    @settings(max_examples=150, deadline=None)
+    @given(regions=st.integers(1, 64), friends=FRIENDS, since=BOUND,
+           until=BOUND)
+    @example(regions=32, friends=[TOP_SALT_UID, 1, 1], since=256, until=256)
+    @example(regions=8, friends=[3, 2, 3], since=9, until=5)
+    @example(regions=8, friends=[3], since=None, until=0)
+    @example(regions=8, friends=[3], since=50, until=50)
+    def test_uniform_presplits(self, regions, friends, since, until):
+        table = HTable(TableDescriptor("v", ["v"], num_regions=regions))
+        assert len(table.regions) not in table.salt_slots  # no salt cut
+        self.check(table, friends, since, until)
+
+    @settings(max_examples=200, deadline=None)
+    @given(points=SPLIT_POINTS, friends=FRIENDS, since=BOUND, until=BOUND)
+    @example(points=[b"\x80", b"\x80\x01", b"\x80\x01\x00"],
+             friends=[0, 1, 2], since=None, until=None)
+    def test_explicit_split_points(self, points, friends, since, until):
+        table = HTable(TableDescriptor("v", ["v"], split_points=points))
+        self.check(table, friends, since, until)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        regions=st.integers(1, 16),
+        users=st.lists(FRIEND_ID, min_size=2, max_size=12, unique=True),
+        splits=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=4),
+        friends=FRIENDS,
+        since=BOUND,
+        until=BOUND,
+    )
+    def test_after_midpoint_splits(
+        self, regions, users, splits, friends, since, until
+    ):
+        """``split_region`` cuts at a median row key: inside a salt,
+        and inside one user's own range when that user holds the
+        median.  The friend list includes the users whose rows were
+        split, so straddling ranges are routed."""
+        table = HTable(TableDescriptor("v", ["v"], num_regions=regions))
+        for uid in users:
+            for ts in (100, 200, 300):
+                table.put(Cell(
+                    row=VisitsRepository.row_key(uid, ts, uid % 7),
+                    family="v", qualifier=b"v", timestamp=ts, value=b"",
+                ))
+        for pick in splits:
+            table.split_region(table.regions[pick % len(table.regions)])
+        self.check(table, users + friends, since, until)
+
+
+class TestBroadcastOwnershipProbe:
+    """Unrouted, every region gets the whole friend list and keeps the
+    friends whose key prefix (plus ``\\x00``) it holds.  The probe
+    answers from the salt where the region holds the salt whole; it must
+    keep exactly the friends the per-friend key probe keeps, under any
+    layout — a cut salt included."""
+
+    @staticmethod
+    def fold(region, friends, routed):
+        aggregates, cells = VisitScanCoprocessor()._fold_friends(
+            CoprocessorContext(region),
+            _VisitScanRequest(
+                friend_ids=tuple(friends), bbox=None, keywords=(),
+                since=None, until=None, routed=routed,
+            ),
+        )
+        return list(aggregates.rows()), cells
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        points=SPLIT_POINTS,
+        users=st.lists(FRIEND_ID, min_size=1, max_size=10, unique=True),
+        friends=FRIENDS,
+    )
+    @example(points=[], users=[1], friends=[])
+    def test_keeps_what_the_key_probe_keeps(self, points, users, friends):
+        table = HTable(TableDescriptor("v", ["v"], split_points=points))
+        for uid in users:
+            for ts in (100, 200):
+                table.put(Cell(
+                    row=VisitsRepository.row_key(uid, ts, uid % 5),
+                    family="v", qualifier=b"v", timestamp=ts,
+                    value=VisitsRepository.encode_payload(VisitStruct(
+                        user_id=uid, poi_id=uid % 5, timestamp=ts,
+                        grade=0.5,
+                    )),
+                ))
+        for uid in users:  # split inside each user's salt, and range
+            row = VisitsRepository.row_key(uid, 150, 0)
+            table.split_region(table.region_for_row(row))
+        friends = users + friends
+        for region in table.regions:
+            owned = [
+                f for f in friends
+                if region.contains_row(VisitsRepository.user_prefix(f) + b"\x00")
+            ]
+            assert self.fold(region, friends, False) == self.fold(
+                region, owned, True
+            )
+
+
+class TestOutOfRangeFriendIds:
+    """An id outside [0, 2**64) is no user: the REST boundary answers
+    ``bad_request`` naming the first such id, as it always has.  Routing
+    by salt alone would hash it into some region and report the scan's
+    failure there as a degraded ``ok`` with partial coverage."""
+
+    CASES = [
+        ([2, -1], "cannot byte-encode negative int -1"),
+        ([3, 2 ** 64], "%d does not fit in 8 bytes" % 2 ** 64),
+        ([2 ** 70], "%d does not fit in 8 bytes" % 2 ** 70),
+    ]
+
+    @pytest.fixture(scope="class")
+    def rest(self):
+        from repro.datagen import generate_pois, generate_visits
+
+        platform = MoDisSENSE(PlatformConfig.small())
+        pois = generate_pois(count=50, seed=9)
+        platform.load_pois(pois)
+        platform.load_visits(
+            generate_visits(range(1, 21), pois, seed=9, mean=4.0, std=1.0)
+        )
+        yield RestApi(platform)
+        platform.shutdown()
+
+    @pytest.mark.parametrize("endpoint", ["search", "explain"])
+    @pytest.mark.parametrize("friend_ids,message", CASES)
+    def test_is_a_bad_request(self, rest, endpoint, friend_ids, message):
+        body = json.dumps({"friend_ids": friend_ids})
+        assert json.loads(rest.handle_json(endpoint, body)) == {
+            "status": "error",
+            "error": {"code": "bad_request", "message": message},
+        }
