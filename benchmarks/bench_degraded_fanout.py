@@ -76,15 +76,15 @@ def test_zero_fault_overhead_under_limit(bench_platform, benchmark):
                     limit=10,
                 )
                 # Warm both paths (code caches, page cache).
-                cluster.attach_fault_injector(None)
+                cluster.fault_injector = None
                 qa.search(query)
-                cluster.attach_fault_injector(quiet)
+                cluster.fault_injector = quiet
                 qa.search(query)
                 detached, armed = [], []
                 for _ in range(REPETITIONS):
-                    cluster.attach_fault_injector(None)
+                    cluster.fault_injector = None
                     ms_off, r_off = _wall_ms(qa, query)
-                    cluster.attach_fault_injector(quiet)
+                    cluster.fault_injector = quiet
                     ms_on, r_on = _wall_ms(qa, query)
                     detached.append(ms_off)
                     armed.append(ms_on)
@@ -95,7 +95,7 @@ def test_zero_fault_overhead_under_limit(bench_platform, benchmark):
                     statistics.median(armed),
                 )
         finally:
-            cluster.attach_fault_injector(None)
+            cluster.fault_injector = None
         return series
 
     series = benchmark.pedantic(measure, rounds=1, iterations=1)
@@ -146,7 +146,7 @@ def test_degraded_mode_smoke(bench_platform):
     ))
     try:
         clean = _fingerprint(qa.search(query))
-        cluster.attach_fault_injector(injector)
+        cluster.fault_injector = injector
         cluster.fail_node(0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # DegradedResultWarning
@@ -157,9 +157,9 @@ def test_degraded_mode_smoke(bench_platform):
         assert len(degraded.pois) <= len(clean[0]) or degraded.pois
         cluster.recover_node(0)
         restored = qa.search(query)
-        cluster.attach_fault_injector(None)
+        cluster.fault_injector = None
         assert _fingerprint(restored) == clean
     finally:
-        cluster.attach_fault_injector(None)
+        cluster.fault_injector = None
         if 0 not in cluster.simulation.live_nodes():
             cluster.recover_node(0)

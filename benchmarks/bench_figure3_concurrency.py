@@ -176,7 +176,7 @@ def test_figure3_cache_ablation(bench_platform, benchmark):
             bench_platform, queries
         )
         cache = RegionScanCache()
-        cluster.attach_scan_cache(cache)
+        cluster.scan_cache = cache
         try:
             cached_results, cached_makespan = _run_concurrent_batch(
                 bench_platform, queries

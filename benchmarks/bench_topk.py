@@ -108,7 +108,7 @@ def test_topk_vs_exhaustive(bench_platform, benchmark):
                 )
 
                 qa.topk = TopKConfig(enabled=False)
-                cluster.attach_scan_cache(None)
+                cluster.scan_cache = None
                 ex_ms, ex = _measure(qa, query)
 
                 qa.topk = TopKConfig(enabled=True)
@@ -120,11 +120,11 @@ def test_topk_vs_exhaustive(bench_platform, benchmark):
                 # Keys are per (region, friend, window): capacity must
                 # cover the friend set, not the region count.
                 cache = RegionScanCache(max_entries=max(65536, 4 * FRIENDS))
-                cluster.attach_scan_cache(cache)
+                cluster.scan_cache = cache
                 qa.search(query)
                 warm_ms, warm = _measure(qa, query)
                 assert warm.cache_misses == 0 and warm.records_scanned == 0
-                cluster.attach_scan_cache(None)
+                cluster.scan_cache = None
 
                 # Byte-identity across all three configurations.
                 assert _fingerprint(cold) == _fingerprint(ex)
@@ -182,7 +182,7 @@ def test_topk_vs_exhaustive(bench_platform, benchmark):
                 }
         finally:
             qa.topk = saved_topk
-            cluster.attach_scan_cache(None)
+            cluster.scan_cache = None
         return rows, payload
 
     rows, payload = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -219,7 +219,7 @@ def test_topk_filtered_decodes_once_per_poi(bench_platform, benchmark):
                     bbox=athens,
                     keywords=("coffee",),
                 )
-                cluster.attach_scan_cache(None)
+                cluster.scan_cache = None
                 qa.topk = TopKConfig(enabled=False)
                 ex = qa.search(query)
                 qa.topk = TopKConfig(enabled=True)
@@ -228,11 +228,11 @@ def test_topk_filtered_decodes_once_per_poi(bench_platform, benchmark):
                 cache = RegionScanCache(
                     max_entries=max(65536, 4 * FILTERED_FRIENDS)
                 )
-                cluster.attach_scan_cache(cache)
+                cluster.scan_cache = cache
                 cold = qa.search(query)  # empty table, opens the regions
                 examined = len(cache.poi_attrs)
                 warm_ms, warm = _measure(qa, query)
-                cluster.attach_scan_cache(None)
+                cluster.scan_cache = None
 
                 assert _fingerprint(off) == _fingerprint(ex)
                 assert _fingerprint(cold) == _fingerprint(ex)
@@ -273,7 +273,7 @@ def test_topk_filtered_decodes_once_per_poi(bench_platform, benchmark):
                 }
         finally:
             qa.topk = saved_topk
-            cluster.attach_scan_cache(None)
+            cluster.scan_cache = None
         return rows, payload
 
     rows, payload = benchmark.pedantic(run, rounds=1, iterations=1)

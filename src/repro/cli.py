@@ -48,8 +48,7 @@ def cmd_figure2(args) -> int:
     import random
 
     from .cluster import ClusterSimulation, Task
-    from .core import MoDisSENSE
-    from .core.modules.query_answering import _VisitScanRequest
+    from .core import MoDisSENSE, SearchQuery
     from .datagen import generate_pois, generate_visits
 
     users = args.users
@@ -72,12 +71,12 @@ def cmd_figure2(args) -> int:
     rows = []
     for friends in friend_counts:
         ids = tuple(rng.sample(range(1, users + 1), friends))
-        request = _VisitScanRequest(
-            friend_ids=ids, bbox=None, keywords=(), since=None, until=None
-        )
-        call = platform.hbase.coprocessor_exec(
-            "visits", platform.query_answering._coprocessor, request
-        )
+        qa = platform.query_answering
+        call = platform.hbase.coprocessor_exec_routed(
+            "visits",
+            qa._coprocessor,
+            [qa._route_query(SearchQuery(friend_ids=ids))],
+        )[0]
         row = [friends]
         for nodes in (4, 8, 16):
             sim = ClusterSimulation(

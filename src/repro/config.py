@@ -242,14 +242,10 @@ class CacheConfig:
     owning region's data sequence id, so any write/flush/compaction
     makes them stale) and the hot-POI cache (revalidated against the
     POI repository's version plus a HotIn epoch); capacities are the
-    defaults of ``RegionScanCache`` / ``HotPOICache``.  ``coalesce``
-    single-flights identical in-flight personalized queries; it stores
-    nothing, so it stays on under ``baseline()`` too.
+    defaults of ``RegionScanCache`` / ``HotPOICache``.
     """
 
     enabled: bool = True
-    #: Deduplicate identical in-flight personalized queries.
-    coalesce: bool = True
 
 
 @dataclass

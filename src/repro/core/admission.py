@@ -139,7 +139,7 @@ class RetryBudget:
     ``max(min_tokens, ratio x window_requests)`` — i.e. recovery work
     may amplify offered load by at most ``ratio`` (plus a small floor so
     cold-start retries still function).  Duck-typed against
-    :meth:`repro.hbase.client.HBaseCluster.attach_retry_budget`: the
+    :attr:`repro.hbase.client.HBaseCluster.retry_budget`: the
     ``hbase`` package never imports this module.
     """
 
@@ -386,18 +386,12 @@ class AdmissionController:
         #: Lifetime counters mirrored into metrics.
         self.offered = 0
         self.rejected = 0
-        self._scheduler: Optional[Any] = None
-        self._ingest: Optional[Any] = None
-
-    # ------------------------------------------------------------ wiring
-
-    def attach_scheduler(self, scheduler: Any) -> None:
-        """Give the ladder its level-3 lever (pause/resume jobs)."""
-        self._scheduler = scheduler
-
-    def attach_ingest(self, ingest: Any) -> None:
-        """Give the ladder its ingest-shed lever (level 3+)."""
-        self._ingest = ingest
+        #: The ladder's level-3 lever (pause/resume jobs): the
+        #: platform's scheduler, set by whoever builds it.
+        self.scheduler: Optional[Any] = None
+        #: The ladder's ingest-shed lever (level 3+): the streaming
+        #: ingest tier, set by the platform once it is built.
+        self.ingest: Optional[Any] = None
 
     # ------------------------------------------------------- admit path
 
@@ -605,15 +599,15 @@ class AdmissionController:
         # either direction; the other rungs are read directly by their
         # consumers (stale_ok / query_shape / admit).
         if previous < LEVEL_PAUSE <= level:
-            if self._scheduler is not None:
-                self._scheduler.pause_pausable()
-            if self._ingest is not None:
-                self._ingest.set_shed_override(True)
+            if self.scheduler is not None:
+                self.scheduler.pause_pausable()
+            if self.ingest is not None:
+                self.ingest.set_shed_override(True)
         elif level < LEVEL_PAUSE <= previous:
-            if self._scheduler is not None:
-                self._scheduler.resume_pausable()
-            if self._ingest is not None:
-                self._ingest.set_shed_override(False)
+            if self.scheduler is not None:
+                self.scheduler.resume_pausable()
+            if self.ingest is not None:
+                self.ingest.set_shed_override(False)
         if self.metrics is not None:
             self.metrics.increment(
                 "admission.level_changes", labels={"direction": reason}

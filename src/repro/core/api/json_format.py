@@ -191,12 +191,23 @@ REQUEST_SCHEMAS: Dict[str, Dict[str, tuple]] = {
 }
 
 
+#: One element of ``push_gps``'s ``points``.
+GPS_POINT_SCHEMA: Dict[str, tuple] = {
+    "user_id": (int, True),
+    "lat": ((int, float), True),
+    "lon": ((int, float), True),
+    "timestamp": (int, True),
+}
+
+
 def validate_request(endpoint: str, request: Dict[str, Any]) -> Dict[str, Any]:
     """Check field presence and types against the endpoint's schema.
 
     Booleans are rejected where ints are expected (bool subclasses int
     in Python, which would let ``true`` slip into numeric fields), in
-    list elements too.
+    list elements too.  ``push_gps`` checks every point against
+    :data:`GPS_POINT_SCHEMA`, and ``update_blog`` requires the fields of
+    the edit its body selects.
     """
     schema = REQUEST_SCHEMAS.get(endpoint)
     if schema is None:
@@ -208,25 +219,46 @@ def validate_request(endpoint: str, request: Dict[str, Any]) -> Dict[str, Any]:
         raise ValidationError(
             "unknown fields %s for endpoint %r" % (sorted(unknown), endpoint)
         )
+    _check_fields(schema, request, endpoint)
+    if endpoint == "push_gps":
+        for i, point in enumerate(request["points"]):
+            _check_fields(GPS_POINT_SCHEMA, point, endpoint, "points[%d]." % i)
+    elif endpoint == "update_blog" and request.get("new_order") is None:
+        # Not a reorder: a ``note`` annotates one visit, anything else
+        # edits that visit's times.
+        needed = ["visit_index"]
+        if request.get("note") is None:
+            needed += ["arrival", "departure"]
+        _check_fields({name: (int, True) for name in needed}, request, endpoint)
+    return request
+
+
+def _check_fields(
+    schema: Dict[str, tuple], request: Dict[str, Any], endpoint: str,
+    prefix: str = "",
+) -> None:
+    """Presence and type of each of ``schema``'s fields in ``request``;
+    ``prefix`` names where a nested object sits in the body."""
     for name, (types, required, *element) in schema.items():
         if name not in request or request[name] is None:
             if required:
                 raise ValidationError(
-                    "missing required field %r for endpoint %r" % (name, endpoint)
+                    "missing required field %r for endpoint %r"
+                    % (prefix + name, endpoint)
                 )
             continue
         value = request[name]
         if isinstance(value, bool) and types in (int, (int, float)):
             raise ValidationError(
-                "field %r must be numeric, got a boolean" % name
+                "field %r must be numeric, got a boolean" % (prefix + name)
             )
         if not isinstance(value, types):
             raise ValidationError(
-                "field %r has wrong type %s" % (name, type(value).__name__)
+                "field %r has wrong type %s"
+                % (prefix + name, type(value).__name__)
             )
         if element:
             _check_elements(name, value, *element)
-    return request
 
 
 def _check_elements(

@@ -123,8 +123,8 @@ class RestApi:
             "admin_admission": self._admin_admission,
             "explain": self._explain,
         }
-        #: The platform's registry; attach_metrics() overrides it, e.g.
-        #: to segregate API-tier metrics.
+        #: The registry ``admin_metrics`` exposes and the API tier counts
+        #: into.
         self._metrics = platform.metrics
 
     def handle(self, endpoint: str, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -326,11 +326,6 @@ class RestApi:
         )
         return self._blog_to_dict(blog)
 
-    def attach_metrics(self, metrics) -> None:
-        """Expose a :class:`~repro.core.monitoring.PlatformMetrics`
-        through the ``admin_metrics`` endpoint."""
-        self._metrics = metrics
-
     def _explain(self, req: Dict) -> Dict:
         """Per-region execution profile of a personalized query."""
         query = SearchQuery(
@@ -362,8 +357,8 @@ class RestApi:
         return self._metrics.snapshot()
 
     def _admin_cache(self, req: Dict) -> Dict:
-        """Caching-layer state: per-cache counters, occupancy and the
-        coalescer's totals.  ``clear`` drops every entry of both caches
+        """Caching-layer state: per-cache counters and occupancy.
+        ``clear`` drops every entry of both caches
         (counted as invalidations) — the operator's big red button after
         an out-of-band data fix."""
         platform = self.platform
@@ -374,26 +369,12 @@ class RestApi:
                 scan_cache.clear()
             if hot_poi_cache is not None:
                 hot_poi_cache.clear()
-        single_flight = platform.query_answering.single_flight
         return {
             "enabled": scan_cache is not None,
             "scan": scan_cache.stats() if scan_cache is not None else None,
             "hot_poi": (
                 hot_poi_cache.stats() if hot_poi_cache is not None else None
             ),
-            "coalescing": {
-                "enabled": single_flight is not None,
-                "coalesced_total": (
-                    single_flight.coalesced_total
-                    if single_flight is not None
-                    else 0
-                ),
-                "in_flight": (
-                    single_flight.in_flight()
-                    if single_flight is not None
-                    else 0
-                ),
-            },
         }
 
     def _admin_ingest(self, req: Dict) -> Dict:

@@ -1,110 +1,19 @@
-"""Web-tier caching primitives: single-flight coalescing + hot-POI cache.
+"""Web-tier cache over non-personalized answers.
 
-Two reuse mechanisms live above the HBase scan cache:
-
-- :class:`SingleFlight` deduplicates *identical in-flight* work: when N
-  threads concurrently issue the same personalized query, one thread (the
-  leader) executes the fan-out and the other N-1 (followers) block on an
-  event and share the leader's result.  Nothing is stored — once the
-  flight lands, the next identical call starts fresh — so coalescing is
-  staleness-free by construction and safe to leave on everywhere.
-
-- :class:`HotPOICache` memoizes non-personalized (SQL-path) answers,
-  which depend only on the POI table's hotness/interest columns.  Those
-  change exactly when the HotIn scheduler job rewrites them, so entries
-  are validated against an explicit *epoch* (bumped by every HotIn run)
-  plus the POI repository's write version (catching out-of-band inserts
-  and updates).  A stale stamp is a miss; answers are byte-identical
-  with the cache on or off.
+:class:`HotPOICache` memoizes non-personalized (SQL-path) answers, which
+depend only on the POI table's hotness/interest columns.  Those change
+exactly when the HotIn scheduler job rewrites them, so entries are
+validated against an explicit *epoch* (bumped by every HotIn run) plus
+the POI repository's write version (catching out-of-band inserts and
+updates).  A stale stamp is a miss; answers are byte-identical with the
+cache on or off.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple
-
-
-class _Flight:
-    """One in-flight computation and its waiters."""
-
-    __slots__ = ("event", "result", "error", "waiters")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.result: Any = None
-        self.error: Optional[BaseException] = None
-        self.waiters = 0
-
-
-class SingleFlight:
-    """Per-key deduplication of concurrent identical computations.
-
-    :meth:`do` returns ``(result, coalesced)``: ``coalesced`` is False
-    for the leader (the caller that actually ran ``fn``) and True for
-    every follower that shared the leader's result.  A leader exception
-    propagates to all waiters of that flight.  The leader removes the
-    flight from the table *before* releasing its waiters, so a caller
-    arriving after completion always starts a fresh flight — results are
-    shared, never stored.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._flights: Dict[Hashable, _Flight] = {}
-        self._coalesced_total = 0
-
-    def do(self, key: Hashable, fn: Callable[[], Any]) -> Tuple[Any, bool]:
-        """Run ``fn`` (or wait for the identical in-flight run).
-
-        Leadership is decided at registration, under the lock: the
-        caller that creates the flight leads, everyone who finds one
-        follows."""
-        with self._lock:
-            flight = self._flights.get(key)
-            leader = flight is None
-            if leader:
-                flight = self._flights[key] = _Flight()
-            else:
-                flight.waiters += 1
-                self._coalesced_total += 1
-        if leader:
-            try:
-                flight.result = fn()
-            except BaseException as exc:
-                flight.error = exc
-                raise
-            finally:
-                # Unpublish before waking waiters so nobody can join a
-                # completed flight.
-                with self._lock:
-                    if self._flights.get(key) is flight:
-                        del self._flights[key]
-                flight.event.set()
-            return flight.result, False
-        flight.event.wait()
-        if flight.error is not None:
-            raise flight.error
-        return flight.result, True
-
-    def waiting(self, key: Hashable) -> int:
-        """Followers currently blocked on ``key``'s flight (0 when no
-        flight is active).  Tests use this to gate a leader until the
-        whole herd has arrived."""
-        with self._lock:
-            flight = self._flights.get(key)
-            return flight.waiters if flight is not None else 0
-
-    def in_flight(self) -> int:
-        """Number of active flights."""
-        with self._lock:
-            return len(self._flights)
-
-    @property
-    def coalesced_total(self) -> int:
-        """Calls that shared another caller's result since creation."""
-        with self._lock:
-            return self._coalesced_total
+from typing import Any, Dict, Hashable, Optional, Tuple
 
 
 class HotPOICache:

@@ -17,7 +17,7 @@ and a chaos test that failed once replays exactly.
 
 The recovery side (retries, backoff, hedged re-execution, circuit
 breaker, graceful degradation) lives in
-:meth:`repro.hbase.client.HBaseCluster._exec_region_requests`; the
+:meth:`repro.hbase.client.HBaseCluster.coprocessor_exec_routed`; the
 injector only decides *what goes wrong*.
 """
 

@@ -20,10 +20,9 @@ from ...config import TopKConfig
 from ...errors import DegradedResultWarning, QueryError
 from ...geo import BoundingBox
 from ...hbase import Coprocessor, CoprocessorContext
-from ...hbase.bytes_util import salt_int, whole_salts
 from ...hbase.cache import FriendPartial
 from ..repositories.poi import POIRepository
-from ..caching import HotPOICache, SingleFlight
+from ..caching import HotPOICache
 from ..repositories.visits import (
     FAMILY,
     POI_FIELD,
@@ -163,9 +162,6 @@ class _VisitScanRequest:
     since: Optional[int]
     until: Optional[int]
     per_region_limit: int = 0
-    #: True when the client already routed ``friend_ids`` to this
-    #: region, so the endpoint can skip per-friend ownership probing.
-    routed: bool = False
     #: Non-zero engages threshold-algorithm streaming mode: the endpoint
     #: returns a :class:`~repro.core.modules.topk.TopKPartialStream`
     #: (score-sorted incremental emission with a monotone upper bound)
@@ -316,8 +312,8 @@ class VisitScanCoprocessor(Coprocessor):
     def _fold_friends(
         self, context: CoprocessorContext, request: _VisitScanRequest
     ) -> Tuple[PartialAggregates, int]:
-        """The friend-partial core both modes share: for each owned
-        friend and the request's window — cached partial, else scan,
+        """The friend-partial core both modes share: for each friend the
+        client routed here and the request's window — cached partial, else scan,
         aggregate and (if admitted) store — folded in friend order into
         exact unfiltered per-POI aggregates.
 
@@ -367,7 +363,6 @@ class VisitScanCoprocessor(Coprocessor):
         cache_misses = 0
         cells_scanned = 0
         time_range_keys = VisitsRepository.time_range_keys
-        user_prefix = VisitsRepository.user_prefix
         decode_grade = VisitsRepository.decode_grade
         scan_cells = context.scan_cells
         from_bytes = int.from_bytes
@@ -377,24 +372,8 @@ class VisitScanCoprocessor(Coprocessor):
         token = context.cancellation
         check_every = token.check_every if token is not None else 0
 
-        if not request.routed:
-            # The salts this region holds whole answer ownership; only
-            # the two at its edges (a split point may cut them) ask the
-            # region about the friend's key prefix.
-            whole = whole_salts(context.start_key, context.end_key)
-            edges = (whole.start - 1, whole.stop)
         stage = context.trace("region.aggregate")
         for friend_id in request.friend_ids:
-            if not request.routed:
-                salt = salt_int(friend_id)
-                if salt not in whole and (
-                    salt not in edges
-                    or not context.contains_row(
-                        user_prefix(friend_id) + b"\x00"
-                    )
-                ):
-                    # Another region owns this friend's salted key range.
-                    continue
             cached = None
             if entries is not None:
                 if context.data_seqid != seqid:
@@ -544,7 +523,6 @@ class QueryAnsweringModule:
         tracer: Optional[Tracer] = None,
         metrics: Optional[object] = None,
         hot_poi_cache: Optional[HotPOICache] = None,
-        coalesce: bool = False,
         event_log: Optional[object] = None,
         admission: Optional[object] = None,
         topk_config: Optional[TopKConfig] = None,
@@ -559,14 +537,6 @@ class QueryAnsweringModule:
         #: Optional epoch-stamped cache over non-personalized answers
         #: (invalidated by HotIn refreshes and POI writes).
         self.hot_poi_cache = hot_poi_cache
-        #: Single-flight table deduplicating identical concurrent
-        #: personalized queries; None when coalescing is off.  The
-        #: platform enables it from ``config.cache.coalesce``; direct
-        #: constructions default to off so single-threaded callers pay
-        #: nothing.
-        self.single_flight: Optional[SingleFlight] = (
-            SingleFlight() if coalesce else None
-        )
         #: Optional admission controller (``repro.core.admission``).
         #: Consulted for brownout query shaping (stale cache serves,
         #: shrunk per-region partials, capped k); None — the default —
@@ -582,26 +552,9 @@ class QueryAnsweringModule:
     # -------------------------------------------------------- public API
 
     def search(self, query: SearchQuery) -> SearchResult:
-        """Answer one query.
-
-        With coalescing enabled, identical personalized queries that
-        arrive while one is in flight share that flight's fan-out and
-        result instead of re-executing it (``queries.coalesced`` counts
-        the shared calls)."""
+        """Answer one query."""
         if query.personalized:
-            if self.single_flight is None:
-                return self.search_personalized_batch([query])[0]
-            result, coalesced = self.single_flight.do(
-                self._coalesce_key(query),
-                lambda: self.search_personalized_batch([query])[0],
-            )
-            if coalesced:
-                # The leader's batch call recorded its own query; a
-                # follower shares the result but is a query of its own.
-                if self.metrics is not None:
-                    self.metrics.increment("queries.coalesced")
-                self._record_personalized(result)
-            return result
+            return self.search_personalized_batch([query])[0]
         with self.tracer.span(
             "query.non_personalized", keywords=len(query.keywords)
         ):
@@ -609,20 +562,6 @@ class QueryAnsweringModule:
         if self.metrics is not None:
             self.metrics.increment("queries.non_personalized")
         return result
-
-    @staticmethod
-    def _coalesce_key(query: SearchQuery) -> Tuple:
-        """Full query identity — every field that can change the answer."""
-        return (
-            query.bbox.as_tuple() if query.bbox else None,
-            query.keywords,
-            query.friend_ids,
-            query.since,
-            query.until,
-            query.sort_by,
-            query.limit,
-            query.deadline_ms,
-        )
 
     def search_personalized_batch(
         self, queries: Sequence[SearchQuery]
@@ -852,7 +791,6 @@ class QueryAnsweringModule:
                 since=query.since,
                 until=query.until,
                 per_region_limit=per_region_limit,
-                routed=True,
                 top_k=query.limit if streaming else 0,
                 hotness=query.sort_by == SORT_HOTNESS,
                 topk_batch=topk.batch_size if streaming else 16,

@@ -99,30 +99,46 @@ class MoDisSENSE:
             ).start()
             events = self.telemetry.events
 
-        # ---- storage tier
-        self.hbase = HBaseCluster(
-            self.config.cluster, faults_config=self.config.faults
-        )
-        self.hbase.attach_metrics(self.metrics)
-        self.hbase.attach_event_log(events)
+        # ---- what the storage tier reports into and consults, built
+        # first so the cluster takes each one at construction
         #: Armed only when ``config.faults.enabled``; the clean path has
-        #: no injector attached at all.
+        #: no injector at all.
         self.fault_injector: Optional[FaultInjector] = None
         if self.config.faults.enabled:
             self.fault_injector = FaultInjector(self.config.faults)
-            self.hbase.attach_fault_injector(self.fault_injector)
             self.fault_injector.event_log = events
-        # ---- overload protection
         #: Admission controller + brownout ladder (no tickets, budgets
-        #: or shaping without one).
+        #: or shaping without one).  The fan-out's retry/hedge paths
+        #: draw from its global budget; without one they are unmetered.
         self.admission: Optional[AdmissionController] = None
         if self.config.admission.enabled:
             self.admission = AdmissionController(
                 self.config.admission, metrics=self.metrics, event_log=events
             )
-            # The fan-out's retry/hedge paths draw from the global
-            # budget; with no budget attached they are unmetered.
-            self.hbase.attach_retry_budget(self.admission.retry_budget)
+        #: Per-region friend-partition scan cache the cluster hands to
+        #: coprocessor invocations, and the web tier's hot-POI cache.
+        self.scan_cache: Optional[RegionScanCache] = None
+        self.hot_poi_cache: Optional[HotPOICache] = None
+        if self.config.cache.enabled:
+            self.scan_cache = RegionScanCache(metrics=self.metrics)
+            self.hot_poi_cache = HotPOICache(
+                metrics=self.metrics, event_log=events
+            )
+
+        # ---- storage tier
+        self.hbase = HBaseCluster(
+            self.config.cluster,
+            faults_config=self.config.faults,
+            metrics=self.metrics,
+            event_log=events,
+            fault_injector=self.fault_injector,
+            retry_budget=(
+                self.admission.retry_budget
+                if self.admission is not None
+                else None
+            ),
+            scan_cache=self.scan_cache,
+        )
         self.sql = SqlEngine()
         regions = self.config.cluster.regions_per_table
         self.poi_repository = POIRepository(self.sql)
@@ -161,24 +177,12 @@ class MoDisSENSE:
             text_processing=self.text_processing,
             poi_repository=self.poi_repository,
         )
-        # ---- caching tier
-        #: Per-region friend-partition scan cache, attached to the HBase
-        #: client so coprocessor invocations can consult it.
-        self.scan_cache: Optional[RegionScanCache] = None
-        self.hot_poi_cache: Optional[HotPOICache] = None
-        if self.config.cache.enabled:
-            self.scan_cache = RegionScanCache(metrics=self.metrics)
-            self.hbase.attach_scan_cache(self.scan_cache)
-            self.hot_poi_cache = HotPOICache(
-                metrics=self.metrics, event_log=events
-            )
         self.query_answering = QueryAnsweringModule(
             self.poi_repository,
             self.visits_repository,
             tracer=self.tracer,
             metrics=self.metrics,
             hot_poi_cache=self.hot_poi_cache,
-            coalesce=self.config.cache.coalesce,
             event_log=events,
             admission=self.admission,
             topk_config=self.config.topk,
@@ -211,7 +215,7 @@ class MoDisSENSE:
             if self.admission is not None:
                 # Brownout level 3+ flips the tier to shed-on-full so
                 # blocked producers can't pile up during an overload.
-                self.admission.attach_ingest(self.ingest)
+                self.admission.ingest = self.ingest
         # ---- self-healing supervisor.  Without one, failure handling
         # is manual (``fail_node``/``recover_node``); the cluster logs
         # every region either way.
@@ -398,10 +402,7 @@ class MoDisSENSE:
             "visits": self.visits_repository.count(),
             "networks": sorted(self.plugins),
             "tracing": self.tracer.describe(),
-            "cache": {
-                "enabled": self.scan_cache is not None,
-                "coalesce": self.config.cache.coalesce,
-            },
+            "cache": {"enabled": self.scan_cache is not None},
             "ingest": (
                 self.ingest.stats() if self.ingest is not None else
                 {"running": False}

@@ -350,5 +350,5 @@ def build_platform_scheduler(platform, start_at: float = 0.0) -> PeriodicSchedul
             lambda now: platform.admission.tick(now),
             catch_up=False,
         )
-        platform.admission.attach_scheduler(scheduler)
+        platform.admission.scheduler = scheduler
     return scheduler

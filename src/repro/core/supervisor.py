@@ -92,7 +92,7 @@ class ClusterSupervisor:
         #: Completed recovery / drill records, oldest first.
         self.recovery_history: List[Dict[str, Any]] = []
         self._now = 0.0
-        hbase.attach_supervisor(self)
+        hbase.supervisor = self
 
     # -------------------------------------------------------- heartbeats
 

@@ -183,15 +183,23 @@ class HBaseCluster:
         setup.
     faults_config:
         Retry/hedge/breaker/deadline knobs for the resilient fan-out
-        (and injection rates, consumed by an attached injector);
+        (and injection rates, consumed by ``fault_injector``);
         defaults to :class:`~repro.config.FaultsConfig` — injection off,
         recovery armed.
+    metrics, event_log, fault_injector, retry_budget, scan_cache:
+        The collaborators the fan-out reports into or consults; each
+        None by default (see the attributes of the same names).
     """
 
     def __init__(
         self,
         config: Optional[ClusterConfig] = None,
         faults_config: Optional[FaultsConfig] = None,
+        metrics: Optional[Any] = None,
+        event_log: Optional[Any] = None,
+        fault_injector: Optional[Any] = None,
+        retry_budget: Optional[Any] = None,
+        scan_cache: Optional[RegionScanCache] = None,
     ) -> None:
         self.config = config or ClusterConfig()
         self.faults_config = faults_config or FaultsConfig()
@@ -204,26 +212,34 @@ class HBaseCluster:
             node.node_id: ServerWAL(node.node_id)
             for node in self.simulation.nodes
         }
-        #: Fault injector (see :class:`repro.core.faults.FaultInjector`);
-        #: None (the default) keeps the clean path injection-free.
-        self.fault_injector: Optional[Any] = None
-        #: Optional metrics sink (duck-typed ``PlatformMetrics``).
-        self._metrics: Optional[Any] = None
-        #: Optional region scan cache (see :mod:`repro.hbase.cache`);
-        #: None (the default) keeps the fan-out cache-free.
-        self.scan_cache: Optional[RegionScanCache] = None
-        #: Optional wide-event log; breaker flips and node fail/recover
-        #: become structured events (always kept — they are rare and
-        #: load-bearing for incident timelines).
-        self.event_log: Optional[Any] = None
+        #: Fault injector (see :class:`repro.core.faults.FaultInjector`)
+        #: armed on the query fan-out; None keeps the clean path
+        #: injection-free.
+        self.fault_injector = fault_injector
+        #: Metrics sink (duck-typed ``PlatformMetrics``) for the fan-out's
+        #: resilience counters: retries, hedges, missing regions, breaker
+        #: trips.
+        self.metrics = metrics
+        #: Region scan cache (see :mod:`repro.hbase.cache`) handed to
+        #: every *clean* invocation; invocations the fault injector
+        #: touched never see it.  None keeps the fan-out cache-free.
+        self.scan_cache = scan_cache
+        #: Wide-event log (a :class:`repro.core.telemetry.WideEventLog`);
+        #: breaker flips and node fail/recover become structured events
+        #: (always kept — they are rare and load-bearing for incident
+        #: timelines).
+        self.event_log = event_log
         #: Cluster supervisor (see :class:`repro.core.supervisor.
-        #: ClusterSupervisor`, which registers itself); None (the
-        #: default) keeps failure handling manual: fail_node/recover_node.
+        #: ClusterSupervisor`, which sets itself here): heartbeat-lease
+        #: death detection, WAL-split recovery and storage scrubbing;
+        #: injected ``fail`` entries then go through :meth:`crash_node`.
+        #: None keeps failure handling manual: fail_node/recover_node.
         self.supervisor: Optional[Any] = None
         #: Global retry budget (duck-typed ``repro.core.admission.
-        #: RetryBudget``); None (the default) leaves retries/hedges
-        #: bounded only by the per-region knobs, exactly as before.
-        self.retry_budget: Optional[Any] = None
+        #: RetryBudget``) gating the retry and hedge paths, so recovery
+        #: cannot amplify an overload into a retry storm; None leaves
+        #: them bounded only by the per-region knobs.
+        self.retry_budget = retry_budget
         self._fanout_lock = threading.Lock()
         self._fanout_epoch = 0
         self._breaker_lock = threading.Lock()
@@ -231,48 +247,9 @@ class HBaseCluster:
 
     # ------------------------------------------------------ observability
 
-    def attach_metrics(self, metrics: Any) -> None:
-        """Report fan-out resilience counters (retries, hedges, missing
-        regions, breaker trips) into ``metrics``."""
-        self._metrics = metrics
-
-    def attach_fault_injector(self, injector: Any) -> None:
-        """Arm a :class:`repro.core.faults.FaultInjector` on the query
-        fan-out.  Detach by passing None."""
-        self.fault_injector = injector
-
-    def attach_event_log(self, event_log: Optional[Any]) -> None:
-        """Emit breaker and node lifecycle events into ``event_log``
-        (a :class:`repro.core.telemetry.WideEventLog`).  Detach with
-        None."""
-        self.event_log = event_log
-
     def _emit_event(self, event: Mapping, keep: bool = True) -> None:
         if self.event_log is not None:
             self.event_log.emit(dict(event), keep=keep)
-
-    def attach_supervisor(self, supervisor: Optional[Any]) -> None:
-        """Hand failure handling to a ClusterSupervisor (it calls this
-        from its constructor): heartbeat-lease death detection,
-        WAL-split recovery, and storage scrubbing.
-        Also routes injected ``fail`` schedule entries through
-        :meth:`crash_node` instead of :meth:`fail_node`, so injected
-        deaths become *real* crashes the supervisor must heal.  Detach
-        by passing None."""
-        self.supervisor = supervisor
-
-    def attach_retry_budget(self, budget: Optional[Any]) -> None:
-        """Gate the fan-out's retry and hedge paths behind a global
-        sliding-window budget, so recovery machinery cannot amplify an
-        overload into a retry storm.  Detach by passing None — the
-        per-region retry/hedge knobs then bound recovery alone."""
-        self.retry_budget = budget
-
-    def attach_scan_cache(self, cache: Optional[RegionScanCache]) -> None:
-        """Hand every *clean* coprocessor invocation a scan cache to
-        consult.  Detach by passing None; invocations the fault injector
-        touched never see the cache either way."""
-        self.scan_cache = cache
 
     def scan_cache_sweep(self) -> int:
         """Reap the scan-cache generations of regions whose write
@@ -285,8 +262,8 @@ class HBaseCluster:
     def _count(
         self, name: str, amount: int = 1, labels: Optional[Mapping] = None
     ) -> None:
-        if self._metrics is not None:
-            self._metrics.increment(name, amount, labels=labels)
+        if self.metrics is not None:
+            self.metrics.increment(name, amount, labels=labels)
 
     # -------------------------------------------------------------- DDL
 
@@ -363,45 +340,6 @@ class HBaseCluster:
 
     # ----------------------------------------------------- coprocessors
 
-    def coprocessor_exec(
-        self,
-        table_name: str,
-        coprocessor: Coprocessor,
-        request: Any,
-        start_row: Optional[bytes] = None,
-        stop_row: Optional[bytes] = None,
-    ) -> CoprocessorCallResult:
-        """Invoke an endpoint on every region intersecting the row range.
-
-        Returns the merged result plus the simulated timeline of the
-        fan-out (used by the benchmarks).
-        """
-        timelines = self.coprocessor_exec_many(
-            table_name, coprocessor, [request], start_row, stop_row
-        )
-        return timelines[0]
-
-    def coprocessor_exec_many(
-        self,
-        table_name: str,
-        coprocessor: Coprocessor,
-        requests: Sequence[Any],
-        start_row: Optional[bytes] = None,
-        stop_row: Optional[bytes] = None,
-    ) -> List[CoprocessorCallResult]:
-        """Invoke the endpoint for several *concurrent* requests.
-
-        All requests share the cluster: their region tasks contend for
-        the same simulated cores, which is exactly the paper's Figure 3
-        experiment.  This is the *broadcast* fan-out: every region in
-        the row range receives every request.  Key-aware callers should
-        prefer :meth:`coprocessor_exec_routed`.
-        """
-        table = self.table(table_name)
-        regions = table.regions_for_range(start_row, stop_row)
-        routed = [[(region, request) for region in regions] for request in requests]
-        return self._exec_region_requests(table, coprocessor, routed)
-
     def coprocessor_exec_routed(
         self,
         table_name: str,
@@ -419,9 +357,12 @@ class HBaseCluster:
         ``routed_requests[qi]`` maps each region to the region-local
         request it should run; regions absent from the mapping are never
         invoked (they are reported via ``regions_pruned``).  This is the
-        personalized-query fast path: the client partitions the friend
-        list by salted key prefix, so the O(friends x regions) per-region
-        membership probing of the broadcast path disappears.
+        only fan-out: the client partitions a friend list by salted key
+        prefix, and a caller that wants every region maps each of
+        ``table.regions`` to its request.  Every query's regions run in
+        region-id order on the calling thread, through six stages over
+        one :class:`_QueryState` per query; the cluster simulation is
+        what makes the regions of a batch overlap in (simulated) time.
 
         ``route_items[qi]`` is the number of keys the client routed for
         request ``qi`` (e.g. the friend count); the simulation charges
@@ -442,41 +383,10 @@ class HBaseCluster:
         cancelling an abandoned query from another thread).
         """
         table = self.table(table_name)
-        routed = [
-            sorted(mapping.items(), key=lambda item: item[0].region_id)
-            for mapping in routed_requests
-        ]
-        client_setup = None
+        client_setup_s = None
         if route_items is not None:
             cm = self.simulation.cost_model
-            client_setup = [cm.routing_cost_s(n) for n in route_items]
-        return self._exec_region_requests(
-            table,
-            coprocessor,
-            routed,
-            client_setup_s=client_setup,
-            tracer=tracer,
-            trace_parents=trace_parents,
-            deadlines=deadlines,
-            cancel_tokens=cancel_tokens,
-        )
-
-    def _exec_region_requests(
-        self,
-        table: HTable,
-        coprocessor: Coprocessor,
-        per_query_regions: Sequence[Sequence[tuple]],
-        client_setup_s: Optional[Sequence[float]] = None,
-        tracer: Optional[Any] = None,
-        trace_parents: Optional[Sequence[Any]] = None,
-        deadlines: Optional[Sequence[Optional[float]]] = None,
-        cancel_tokens: Optional[Sequence[Optional[CancellationToken]]] = None,
-    ) -> List[CoprocessorCallResult]:
-        """Shared fan-out engine: every query's ``(region, request)``
-        pairs run in order on the calling thread, through six stages
-        over one :class:`_QueryState` per query.  The cluster simulation
-        is what makes the regions of a batch overlap in (simulated)
-        time."""
+            client_setup_s = [cm.routing_cost_s(n) for n in route_items]
         injector = self.fault_injector
         if not getattr(injector, "enabled", False):
             injector = None
@@ -492,7 +402,7 @@ class HBaseCluster:
         placement = self.simulation.region_placement
 
         states: List[_QueryState] = []
-        for qi, region_requests in enumerate(per_query_regions):
+        for qi, mapping in enumerate(routed_requests):
             q = _QueryState(qi, coprocessor, tracer, injector, epoch, placement)
             # 1. plan
             self._plan(
@@ -503,8 +413,10 @@ class HBaseCluster:
                 if tracer is not None and trace_parents is not None
                 else None,
             )
-            # 2. run regions
-            for region, request in region_requests:
+            # 2. run regions, in region-id order
+            for region, request in sorted(
+                mapping.items(), key=lambda item: item[0].region_id
+            ):
                 self._run_region(q, region, request)
             # 3. merge streams
             self._merge_streams(q)

@@ -164,14 +164,6 @@ class CoprocessorContext:
             return None
         return self.cache.lookup(self._region, owner_of)
 
-    @property
-    def start_key(self) -> Optional[bytes]:
-        return self._region.start_key
-
-    @property
-    def end_key(self) -> Optional[bytes]:
-        return self._region.end_key
-
     def get(self, row: bytes, family: str, qualifier: bytes) -> Optional[bytes]:
         """Region-local point get."""
         self.records_scanned += 1
@@ -216,11 +208,6 @@ class CoprocessorContext:
     def add_scanned(self, count: int) -> None:
         """Report cells read through :meth:`scan_cells`."""
         self.records_scanned += count
-
-    def contains_row(self, row: bytes) -> bool:
-        """True if this region owns ``row`` — endpoints use it to skip
-        get requests for keys another region serves."""
-        return self._region.contains_row(row)
 
 
 class Coprocessor:

@@ -106,10 +106,7 @@ class TestAdminCache:
         out = rest.handle("admin_cache", {})
         assert out["status"] == "ok"
         data = out["data"]
-        assert set(data) == {"enabled", "scan", "hot_poi", "coalescing"}
-        assert set(data["coalescing"]) == {
-            "enabled", "coalesced_total", "in_flight"
-        }
+        assert set(data) == {"enabled", "scan", "hot_poi"}
 
     def test_scan_envelope_reports_the_poi_attr_table(self):
         p = MoDisSENSE(dataclasses.replace(

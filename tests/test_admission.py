@@ -334,8 +334,8 @@ class TestAdmissionController:
     def test_level_three_levers_are_edge_triggered(self):
         ctrl, _m, _log = _controller()
         sched, ingest = FakeScheduler(), FakeIngest()
-        ctrl.attach_scheduler(sched)
-        ctrl.attach_ingest(ingest)
+        ctrl.scheduler = sched
+        ctrl.ingest = ingest
         ctrl.force_level(LEVEL_PAUSE)
         assert sched.pauses == 1 and ingest.shed_states == [True]
         ctrl.force_level(LEVEL_REJECT_BACKGROUND)  # still >= 3: no re-fire
@@ -438,6 +438,28 @@ class TestRestAdmission:
             assert third["error"]["retry_after_s"] > 0
             other = dict(req, client_id="quiet")
             assert rest.handle("search", other)["status"] == "ok"
+        finally:
+            p.shutdown()
+
+    def test_stale_level_serves_the_cached_answer_degraded(self):
+        """Brownout level 1 trades freshness first: a non-personalized
+        answer the hot-POI cache holds is served after a POI write made
+        it stale, flagged degraded; back at level 0 it is recomputed."""
+        p = MoDisSENSE(_platform_config(AdmissionConfig(enabled=True)))
+        try:
+            p.poi_repository.add(POI(1, "A", 37.98, 23.73, ("x",), "food"))
+            query = SearchQuery(keywords=("x",), sort_by="hotness")
+            cached = p.search(query)
+            p.poi_repository.update_hotin(1, hotness=5.0, interest=1.0)
+            p.admission.force_level(LEVEL_STALE)
+            stale = p.search(query)
+            assert stale.degraded
+            assert stale.pois == cached.pois
+            assert p.metrics.counter("admission.stale_served") == 1
+            p.admission.reset()
+            fresh = p.search(query)
+            assert not fresh.degraded
+            assert fresh.pois != cached.pois
         finally:
             p.shutdown()
 
@@ -624,7 +646,7 @@ class TestDeadlineCancellation:
         )
         request = _VisitScanRequest(
             friend_ids=tuple(range(1, 40)), bbox=None, keywords=(),
-            since=window[0], until=window[1], routed=True,
+            since=window[0], until=window[1],
         )
         if deadline_ms is None:
             VisitScanCoprocessor().run(context, request)
@@ -680,11 +702,11 @@ def _storm(max_retries, budget=None, queries=16):
             lat=37.98, lon=23.73, keywords=("x",),
         ))
     qa = QueryAnsweringModule(pois, visits)
-    cluster.attach_fault_injector(FaultInjector(fcfg))
+    cluster.fault_injector = FaultInjector(fcfg)
     metrics = PlatformMetrics()
-    cluster.attach_metrics(metrics)
+    cluster.metrics = metrics
     if budget is not None:
-        cluster.attach_retry_budget(budget)
+        cluster.retry_budget = budget
     query = SearchQuery(friend_ids=tuple(range(1, 41)), sort_by="hotness")
     coverages = []
     with warnings.catch_warnings():

@@ -297,12 +297,8 @@ class TestEndpoints:
         assert out["status"] == "ok"
 
     def test_admin_metrics_with_sink(self, api):
-        from repro.core.monitoring import PlatformMetrics
-
-        rest, _p = api
-        metrics = PlatformMetrics()
-        metrics.increment("requests", 7)
-        rest.attach_metrics(metrics)
+        rest, p = api
+        p.metrics.increment("requests", 7)
         out = rest.handle("admin_metrics", {})
         assert out["data"]["counters"]["requests"] == 7
 
@@ -327,6 +323,38 @@ MALFORMED_LISTS = [
     ("explain", '{"friend_ids": [1], "keywords": [1]}', "keywords"),
     ("push_gps", '{"points": [1]}', "points"),
 ]
+
+
+#: (endpoint, body, message): nested fields a handler reads without the
+#: top-level schema naming them.  Each escaped ``handle_json`` as a
+#: ``KeyError`` or ``TypeError`` before the points and the selected blog
+#: edit were validated.
+MALFORMED_NESTED = [
+    ("push_gps", '{"points":[{"user_id":1,"lat":1.0,"lon":2.0}]}',
+     "missing required field 'points[0].timestamp' for endpoint 'push_gps'"),
+    ("push_gps",
+     '{"points":[{"user_id":1,"lat":"a","lon":2,"timestamp":5}]}',
+     "field 'points[0].lat' has wrong type str"),
+    ("update_blog", '{"blog_id":1,"note":"n"}',
+     "missing required field 'visit_index' for endpoint 'update_blog'"),
+    ("update_blog", '{"blog_id":1,"visit_index":0,"arrival":1}',
+     "missing required field 'departure' for endpoint 'update_blog'"),
+]
+
+
+@pytest.mark.parametrize("endpoint,body,message", MALFORMED_NESTED)
+def test_nested_fields_get_a_bad_request_envelope(endpoint, body, message):
+    import json
+
+    p = MoDisSENSE(PlatformConfig.small())
+    try:
+        out = json.loads(RestApi(p).handle_json(endpoint, body))
+    finally:
+        p.shutdown()
+    assert out == {
+        "status": "error",
+        "error": {"code": "bad_request", "message": message},
+    }
 
 
 class TestMalformedListFields:

@@ -33,7 +33,7 @@ from hypothesis.stateful import RuleBasedStateMachine, rule
 
 import repro.hbase.region as region_mod
 from repro.config import ClusterConfig, TopKConfig
-from repro.core.caching import HotPOICache, SingleFlight
+from repro.core.caching import HotPOICache
 from repro.core.modules.query_answering import (
     QueryAnsweringModule,
     SearchQuery,
@@ -105,7 +105,7 @@ class _Stack:
             )
         self.visits = VisitsRepository(self.cluster, num_regions=regions)
         self.scan_cache = RegionScanCache(max_entries=4096)
-        self.cluster.attach_scan_cache(self.scan_cache)
+        self.cluster.scan_cache = self.scan_cache
         self.hot_poi_cache = HotPOICache(max_entries=64)
         #: With ``topk`` the cache is opened, filled and read by
         #: streaming-mode queries only; the oracle stays exhaustive.
@@ -707,17 +707,6 @@ class TestHotPOICache:
         cache.store("c", 0, 3)
         assert cache.get("a", 0) is None
         assert cache.stats()["evictions"] == 1
-
-
-class TestSingleFlightUnit:
-    def test_sequential_calls_never_coalesce(self):
-        sf = SingleFlight()
-        r1, c1 = sf.do("k", lambda: 1)
-        r2, c2 = sf.do("k", lambda: 2)
-        assert (r1, c1) == (1, False)
-        assert (r2, c2) == (2, False)
-        assert sf.coalesced_total == 0
-        assert sf.in_flight() == 0
 
 
 # --------------------------------------------------------------------------

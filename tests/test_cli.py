@@ -59,3 +59,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Figure 2" in out
         assert "16 nodes" in out
+        # The simulated latencies the broadcast fan-out printed before
+        # the command routed its request: routing changes no charge.
+        assert out.splitlines()[-1].split() == ["500", "237", "123", "76"]

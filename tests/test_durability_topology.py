@@ -426,7 +426,7 @@ def _attach_ingest(p):
         config=IngestConfig(), metrics=p.metrics, tracer=p.tracer,
         hot_poi_cache=p.hot_poi_cache, event_log=p.telemetry.events,
     ).start()
-    p.admission.attach_ingest(p.ingest)
+    p.admission.ingest = p.ingest
 
 
 def _attach_supervisor(p):

@@ -209,9 +209,9 @@ class TestResilientFanout:
         injector = FaultInjector(FaultsConfig(enabled=True))
         fingerprints = []
         for round_no in range(3):
-            cluster.attach_fault_injector(None)
+            cluster.fault_injector = None
             fingerprints.append(_result_fingerprint(qa.search(query)))
-            cluster.attach_fault_injector(injector)
+            cluster.fault_injector = injector
             fingerprints.append(_result_fingerprint(qa.search(query)))
         assert all(fp == fingerprints[0] for fp in fingerprints)
 
@@ -219,9 +219,9 @@ class TestResilientFanout:
         cluster, qa, query = _build_qa()
         clean = qa.search(query)
         metrics = PlatformMetrics()
-        cluster.attach_metrics(metrics)
+        cluster.metrics = metrics
         injector = FaultInjector(FaultsConfig(enabled=True))
-        cluster.attach_fault_injector(injector)
+        cluster.fault_injector = injector
         victim = next(iter(cluster.simulation.region_placement))
         injector.break_region(victim, times=1)
         result = qa.search(query)
@@ -240,10 +240,10 @@ class TestResilientFanout:
         cluster, qa, query = _build_qa()
         clean = qa.search(query)
         metrics = PlatformMetrics()
-        cluster.attach_metrics(metrics)
+        cluster.metrics = metrics
         cfg = FaultsConfig(enabled=True, max_retries=2)
         injector = FaultInjector(cfg)
-        cluster.attach_fault_injector(injector)
+        cluster.fault_injector = injector
         victim = next(iter(cluster.simulation.region_placement))
         injector.break_region(victim, times=cfg.max_retries + 1)
         result = qa.search(query)
@@ -258,7 +258,7 @@ class TestResilientFanout:
             enabled=True, region_error_rate=1.0,
             max_retries=1, hedge_enabled=False,
         ))
-        cluster.attach_fault_injector(injector)
+        cluster.fault_injector = injector
         with pytest.warns(DegradedResultWarning):
             result = qa.search(query)
         assert result.degraded
@@ -272,7 +272,7 @@ class TestResilientFanout:
             enabled=True, corrupt_rate=1.0,
             max_retries=1, hedge_enabled=False,
         ))
-        cluster.attach_fault_injector(injector)
+        cluster.fault_injector = injector
         with pytest.warns(DegradedResultWarning):
             result = qa.search(query)
         assert result.degraded and result.pois == []
@@ -284,7 +284,7 @@ class TestResilientFanout:
             enabled=True, region_hang_rate=1.0, hang_ms=5.0,
             query_deadline_ms=10_000.0,
         ))
-        cluster.attach_fault_injector(injector)
+        cluster.fault_injector = injector
         result = qa.search(query)
         assert not result.degraded
         assert [p.poi_id for p in result.pois] == \
@@ -346,13 +346,13 @@ class TestResilientFanout:
         monkeypatch.setattr(region_module, "_region_ids", itertools.count(9000))
         cluster, qa, query = _build_qa()
         metrics = PlatformMetrics()
-        cluster.attach_metrics(metrics)
-        cluster.attach_fault_injector(FaultInjector(FaultsConfig(
+        cluster.metrics = metrics
+        cluster.fault_injector = FaultInjector(FaultsConfig(
             enabled=True, seed=1, region_error_rate=0.35,
             region_hang_rate=0.2, corrupt_rate=0.15, hang_ms=40.0,
             max_retries=1, query_deadline_ms=60.0,
             lost_region_fraction=0.5, stale_location_errors=1,
-        )))
+        ))
         cluster.fail_node(0)
         trace = []
         counted = {}
@@ -396,7 +396,7 @@ class TestResilientFanout:
             enabled=True, region_error_rate=1.0,
             max_retries=1, hedge_enabled=False,
         ))
-        cluster.attach_fault_injector(injector)
+        cluster.fault_injector = injector
         degraded = qa.explain_personalized(query)
         assert degraded["degraded"] is True
         assert degraded["missing_regions"]
@@ -413,7 +413,7 @@ class TestDegradedNodeFailure:
             enabled=True, lost_region_fraction=0.5,
             stale_location_errors=0,
         ))
-        cluster.attach_fault_injector(injector)
+        cluster.fault_injector = injector
         baseline_threads = threading.active_count()
         clean = _result_fingerprint(qa.search(query))
         for cycle in range(3):
@@ -442,12 +442,12 @@ class TestDegradedNodeFailure:
         cluster, qa, query = _build_qa()
         clean = qa.search(query)
         metrics = PlatformMetrics()
-        cluster.attach_metrics(metrics)
+        cluster.metrics = metrics
         injector = FaultInjector(FaultsConfig(
             enabled=True, stale_location_errors=1,
             lost_region_fraction=0.0,
         ))
-        cluster.attach_fault_injector(injector)
+        cluster.fault_injector = injector
         moved = cluster.fail_node(0)
         assert moved
         result = qa.search(query)
@@ -462,7 +462,7 @@ class TestDegradedNodeFailure:
             enabled=True, lost_region_fraction=0.0,
             stale_location_errors=0,
         ))
-        cluster.attach_fault_injector(injector)
+        cluster.fault_injector = injector
         injector.schedule_node_event(2, "fail", 1)
         injector.schedule_node_event(3, "recover", 1)
         qa.search(query)  # fan-out 1: nothing scheduled yet
@@ -477,12 +477,12 @@ class TestDegradedNodeFailure:
     def test_breaker_opens_on_repeated_node_errors(self):
         cluster, qa, query = _build_qa(num_nodes=2, regions=8)
         metrics = PlatformMetrics()
-        cluster.attach_metrics(metrics)
+        cluster.metrics = metrics
         injector = FaultInjector(FaultsConfig(
             enabled=True, region_error_rate=1.0,
             max_retries=2, breaker_threshold=3, hedge_enabled=False,
         ))
-        cluster.attach_fault_injector(injector)
+        cluster.fault_injector = injector
         with pytest.warns(DegradedResultWarning):
             qa.search(query)
         states = cluster.breaker_states()
@@ -690,7 +690,7 @@ class TestCacheGoldenRegression:
     def test_cache_on_off_answers_identical(self):
         cluster, qa, query, cache = self._warm_stack()
         off = qa.search(query)
-        cluster.attach_scan_cache(cache)
+        cluster.scan_cache = cache
         first = qa.search(query)  # opens the regions' generations
         populate = qa.search(query)
         hit = qa.search(query)
@@ -710,12 +710,12 @@ class TestCacheGoldenRegression:
     def test_faulted_runs_never_pollute_the_cache(self):
         cluster, qa, query, cache = self._warm_stack()
         oracle = qa.search(query)  # clean, uncached baseline
-        cluster.attach_scan_cache(cache)
+        cluster.scan_cache = cache
         injector = FaultInjector(FaultsConfig(
             enabled=True, region_error_rate=1.0,
             max_retries=1, hedge_enabled=False,
         ))
-        cluster.attach_fault_injector(injector)
+        cluster.fault_injector = injector
         # Every invocation faults, every run fully degrades — and a
         # faulted invocation must neither populate nor consult the
         # cache, so the cache stays empty through the whole storm.
@@ -728,7 +728,7 @@ class TestCacheGoldenRegression:
                 assert stormy.cache_hits == 0
         assert len(cache) == 0  # faulted fan-outs bypass the cache
         # Disarm; the cached path must now match the clean oracle.
-        cluster.attach_fault_injector(None)
+        cluster.fault_injector = None
         clean_on = qa.search(query)
         assert not clean_on.degraded
         assert [
@@ -747,7 +747,7 @@ class TestCacheGoldenRegression:
 
     def test_node_failure_with_cache_matches_oracle(self):
         cluster, qa, query, cache = self._warm_stack()
-        cluster.attach_scan_cache(cache)
+        cluster.scan_cache = cache
         qa.search(query)
         qa.search(query)  # warm
         invalidations_before = cache.stats()["invalidations"]

@@ -18,6 +18,14 @@ def cell(row, value=b"v", ts=1):
     return Cell(row=row, family="f", qualifier=b"q", timestamp=ts, value=value)
 
 
+def _exec_every_region(cluster, table, coprocessor):
+    """One ``None`` request routed to every region of ``table``."""
+    routed = {region: None for region in table.regions}
+    return cluster.coprocessor_exec_routed(
+        table.name, coprocessor, [routed]
+    )[0]
+
+
 class TestHTable:
     def test_pre_split_region_count(self):
         table = HTable(TableDescriptor(name="t", families=["f"], num_regions=8))
@@ -119,7 +127,7 @@ class TestHBaseCluster:
             def merge(self, partials):
                 return sum(p[0] for p in partials if p)
 
-        call = cluster.coprocessor_exec("t", CountCoprocessor(), request=None)
+        call = _exec_every_region(cluster, table, CountCoprocessor())
         assert call.result == 256
         assert call.records_scanned == 256
         assert call.latency_ms > 0
@@ -136,8 +144,10 @@ class TestHBaseCluster:
             def run(self, context, request):
                 return [c.value for c in context.scan("f")]
 
-        single = cluster.coprocessor_exec("t", ScanAll(), None)
-        many = cluster.coprocessor_exec_many("t", ScanAll(), [None] * 8)
+        single = _exec_every_region(cluster, table, ScanAll())
+        many = cluster.coprocessor_exec_routed(
+            "t", ScanAll(), [{region: None for region in table.regions}] * 8
+        )
         assert all(len(c.result) == 400 for c in many)
         mean = sum(c.latency_ms for c in many) / len(many)
         assert mean > single.latency_ms
@@ -153,17 +163,17 @@ class TestHBaseCluster:
             def run(self, context, request):
                 return [c.row for c in context.scan("f")]
 
-        call = cluster.coprocessor_exec("t", ScanAll(), None)
+        call = _exec_every_region(cluster, table, ScanAll())
         assert sum(call.per_region_records.values()) == 1
         assert len(call.per_region_records) == 4
 
-        # Regions run in input order: with a row in every region, the
-        # per-region accounts and the concatenated partials both line up
-        # with ascending region id (= ascending key range).
+        # Regions run in region-id order: with a row in every region,
+        # the per-region accounts and the concatenated partials both
+        # line up with ascending region id (= ascending key range).
         rows = [encode_int(i * 16384 + 7, 2) for i in range(4)]
         for row in rows[1:]:
             table.put(cell(row))
-        call = cluster.coprocessor_exec("t", ScanAll(), None)
+        call = _exec_every_region(cluster, table, ScanAll())
         region_ids = sorted(table.region_ids())
         assert list(call.per_region_records) == region_ids
         assert list(call.per_region_results) == region_ids

@@ -121,7 +121,7 @@ class TestClearAndBound:
         stack = Stack(data_seed=5, cache=True)
         small = RegionScanCache(max_entries=NUM_POIS // 10)
         stack.scan_cache = small
-        stack.cluster.attach_scan_cache(small)
+        stack.cluster.scan_cache = small
         want = fingerprint(
             cache_off(stack, stack.search_exhaustive, EXAMINE_ALL)
         )

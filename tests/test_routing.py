@@ -1,9 +1,9 @@
 """Tests for client-side friend-to-region routing (the route-then-stream
 personalized query fan-out) and the ``time_range_keys`` stop-key fix.
 
-Routing must be an invisible optimization: the routed coprocessor path,
-the broadcast path and the client-side baseline must all return the same
-ranked answer, with routing only changing *which* regions get invoked.
+Routing must be an invisible optimization: the routed coprocessor path
+and the client-side baseline must return the same ranked answer, with
+routing only changing *which* regions get invoked.
 """
 
 import json
@@ -18,15 +18,12 @@ from repro.config import ClusterConfig, PlatformConfig
 from repro.core.modules.query_answering import (
     QueryAnsweringModule,
     SearchQuery,
-    VisitScanCoprocessor,
-    _VisitScanRequest,
 )
 from repro.core.repositories.poi import POI, POIRepository
 from repro.core.repositories.visits import VisitsRepository, VisitStruct
 from repro.geo import BoundingBox
 from repro.hbase import (
     Cell,
-    CoprocessorContext,
     HBaseCluster,
     HTable,
     TableDescriptor,
@@ -149,27 +146,6 @@ class TestRoutedEqualsBroadcast:
             routed = qa.search(query)
             baseline = qa.search_personalized_client_side(query)
             assert ranked(routed) == ranked(baseline), query
-
-    def test_routed_matches_broadcast_fanout(self):
-        qa, cluster = build_module()
-        for query in self.QUERIES:
-            routed = qa.search(query)
-            # Broadcast: ship the full friend list to every region and
-            # let the endpoint probe ownership per friend (seed path).
-            request = _VisitScanRequest(
-                friend_ids=tuple(query.friend_ids),
-                bbox=query.bbox.as_tuple() if query.bbox else None,
-                keywords=query.keywords,
-                since=query.since,
-                until=query.until,
-                routed=False,
-            )
-            call = cluster.coprocessor_exec(
-                qa.visits.table.name, qa._coprocessor, request
-            )
-            broadcast = qa.merge_and_rank(query, call)
-            assert ranked(routed) == ranked(broadcast), query
-            assert call.regions_pruned == 0  # broadcast prunes nothing
 
     def test_pruning_is_reported(self):
         qa, cluster = build_module()
@@ -373,57 +349,6 @@ class TestSaltRoutingEqualsRangeRouting:
         for pick in splits:
             table.split_region(table.regions[pick % len(table.regions)])
         self.check(table, users + friends, since, until)
-
-
-class TestBroadcastOwnershipProbe:
-    """Unrouted, every region gets the whole friend list and keeps the
-    friends whose key prefix (plus ``\\x00``) it holds.  The probe
-    answers from the salt where the region holds the salt whole; it must
-    keep exactly the friends the per-friend key probe keeps, under any
-    layout — a cut salt included."""
-
-    @staticmethod
-    def fold(region, friends, routed):
-        aggregates, cells = VisitScanCoprocessor()._fold_friends(
-            CoprocessorContext(region),
-            _VisitScanRequest(
-                friend_ids=tuple(friends), bbox=None, keywords=(),
-                since=None, until=None, routed=routed,
-            ),
-        )
-        return list(aggregates.rows()), cells
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        points=SPLIT_POINTS,
-        users=st.lists(FRIEND_ID, min_size=1, max_size=10, unique=True),
-        friends=FRIENDS,
-    )
-    @example(points=[], users=[1], friends=[])
-    def test_keeps_what_the_key_probe_keeps(self, points, users, friends):
-        table = HTable(TableDescriptor("v", ["v"], split_points=points))
-        for uid in users:
-            for ts in (100, 200):
-                table.put(Cell(
-                    row=VisitsRepository.row_key(uid, ts, uid % 5),
-                    family="v", qualifier=b"v", timestamp=ts,
-                    value=VisitsRepository.encode_payload(VisitStruct(
-                        user_id=uid, poi_id=uid % 5, timestamp=ts,
-                        grade=0.5,
-                    )),
-                ))
-        for uid in users:  # split inside each user's salt, and range
-            row = VisitsRepository.row_key(uid, 150, 0)
-            table.split_region(table.region_for_row(row))
-        friends = users + friends
-        for region in table.regions:
-            owned = [
-                f for f in friends
-                if region.contains_row(VisitsRepository.user_prefix(f) + b"\x00")
-            ]
-            assert self.fold(region, friends, False) == self.fold(
-                region, owned, True
-            )
 
 
 class TestOutOfRangeFriendIds:

@@ -92,7 +92,7 @@ class Stack:
         for region in self.regions:
             region.wal = RegionWALHandle()
         if cache:
-            self.cluster.attach_scan_cache(RegionScanCache(max_entries=4096))
+            self.cluster.scan_cache = RegionScanCache(max_entries=4096)
         self.qa = QueryAnsweringModule(
             pois, self.visits, topk_config=TopKConfig(enabled=True)
         )

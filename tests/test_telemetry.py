@@ -697,10 +697,10 @@ class TestPlatformTelemetry:
         # breaker opens (platform wiring covered by the chaos drill).
         from repro.hbase import HBaseCluster
 
-        cluster = HBaseCluster(ClusterConfig(num_nodes=2,
-                                             regions_per_table=4))
         log = WideEventLog()
-        cluster.attach_event_log(log)
+        cluster = HBaseCluster(
+            ClusterConfig(num_nodes=2, regions_per_table=4), event_log=log
+        )
         for epoch in range(cluster.faults_config.breaker_threshold):
             cluster._breaker_record(0, ok=False, epoch=epoch)
         opened = log.query(event_type="breaker.opened",

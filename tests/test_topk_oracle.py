@@ -112,7 +112,7 @@ class Stack:
             faults_config=faults_config,
         )
         if injector is not None:
-            self.cluster.attach_fault_injector(injector)
+            self.cluster.fault_injector = injector
         self.pois = POIRepository(SqlEngine())
         for pid, (name, lat, lon, keywords) in POIS.items():
             self.pois.add(
@@ -122,7 +122,7 @@ class Stack:
         self.visits = VisitsRepository(self.cluster, num_regions=NUM_REGIONS)
         self.scan_cache = RegionScanCache(max_entries=4096) if cache else None
         if self.scan_cache is not None:
-            self.cluster.attach_scan_cache(self.scan_cache)
+            self.cluster.scan_cache = self.scan_cache
         self.topk_cfg = TopKConfig(enabled=True, batch_size=batch_size)
         self.qa = QueryAnsweringModule(
             self.pois, self.visits, tracer=tracer, topk_config=self.topk_cfg

@@ -641,7 +641,7 @@ def test_a_corrupt_stream_goes_through_retry_or_hedge(hedge):
         data_seed=12, faults_config=config, injector=CorruptsPrimaries(config)
     )
     metrics = PlatformMetrics()
-    stack.cluster.attach_metrics(metrics)
+    stack.cluster.metrics = metrics
     result = stack.search_topk(query)
     assert not result.degraded and result.coverage == 1.0
     assert fingerprint(result) == want
