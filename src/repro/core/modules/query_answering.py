@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from operator import ge, itemgetter, le, not_
+from itertools import compress, filterfalse, repeat
+from operator import ge, itemgetter, le
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...config import TopKConfig
 from ...errors import DegradedResultWarning, QueryError
 from ...geo import BoundingBox
 from ...hbase import Coprocessor, CoprocessorContext
-from ...hbase.cache import FriendPartial
+from ...hbase.cache import FriendPartial, POIAttrTable
 from ..repositories.poi import POIRepository
 from ..caching import HotPOICache
 from ..repositories.visits import (
@@ -43,7 +43,6 @@ SORT_HOTNESS = "hotness"
 
 _LAT = itemgetter(1)
 _LON = itemgetter(2)
-_KEYWORDS = itemgetter(3)
 
 
 def _keep(mask, items: list, rows: list) -> Tuple[list, list]:
@@ -190,9 +189,10 @@ class VisitScanCoprocessor(Coprocessor):
     payload reference per POI is enough to decode them later, and a
     decoded row serves every region and query after it: both modes read
     and write the cluster's one POI attribute table
-    (``RegionScanCache.poi_attrs``; a dict of its own when an invocation
-    runs without the cache) — for every aggregated POI when the query
-    filters or ships them all, for the k winners in streaming mode.
+    (``RegionScanCache.poi_attrs``; a table of its own when an invocation
+    runs without the cache) — for the POIs a filter's keyword postings
+    keep (every aggregated POI when it has no keyword or the query ships
+    them all), for the k winners in streaming mode.
     ``cells_decoded`` in the context counters (payload tail parses)
     makes the saving observable.
     """
@@ -208,7 +208,11 @@ class VisitScanCoprocessor(Coprocessor):
         cancellable) or ship all of them, ordered by the local key."""
         aggregates, cells_scanned = self._fold_friends(context, request)
         cache = context.cache
-        poi_attrs = cache.poi_attrs if cache is not None else {}
+        poi_attrs = (
+            cache.poi_attrs if cache is not None
+            # At most one row per aggregated POI: never clears.
+            else POIAttrTable(len(aggregates))
+        )
         bbox = (
             BoundingBox.from_tuple(request.bbox)
             if request.bbox is not None
@@ -260,40 +264,56 @@ class VisitScanCoprocessor(Coprocessor):
     @staticmethod
     def select(
         aggregates: PartialAggregates,
-        poi_attrs,
+        poi_attrs: POIAttrTable,
         bbox: Optional[BoundingBox],
         wanted: set,
     ) -> Tuple[PartialAggregates, List[tuple], int]:
         """The region filter: the aggregates of the POIs that pass the
         query's bbox/keyword predicate, in their first-encounter order.
 
-        Returns ``(aggregates, rows, cells_decoded)``.  Every aggregated
-        POI's attribute row is gathered from ``poi_attrs``; a row the
-        table lacks is decoded here, once, and added to it.  The rows are
-        then tested column by column, and ``rows`` are the passing POIs'.
-        Rows are per-POI constants (DESIGN.md §7), so a POI passes or
-        fails in every region alike.  The passing aggregates find
-        payloads through the same sources, so a winner whose row a full
-        table drops before the merger's final fetch is decoded again
-        from them."""
+        Returns ``(aggregates, rows, cells_decoded)``.  A POI whose row
+        the table lacks is decoded here, once, and added to it.  The
+        keyword test is membership in the table's postings
+        (``by_keyword``), plus the test of the rows just decoded; only
+        the survivors' rows are gathered, the bbox is tested on them
+        alone, and ``rows`` are the passing POIs'.  Rows are per-POI
+        constants (DESIGN.md §7), so a POI passes or fails in every
+        region alike.  The passing aggregates find payloads through the
+        same sources, so a winner whose row a full table drops before
+        the merger's final fetch is decoded again from them."""
         poi_ids = list(aggregates.counts)
-        rows = list(map(poi_attrs.get, poi_ids))
-        cells_decoded = 0
-        if not all(rows):
-            for position, row in enumerate(rows):
-                if row is None:
-                    # One full payload parse per POI the table has not
-                    # seen yet, in any region or query.
-                    poi_id = poi_ids[position]
-                    rows[position] = poi_attrs[poi_id] = decode_attrs(
-                        aggregates.raw(poi_id)
-                    )
-                    cells_decoded += 1
+        index = None
+        while index is not poi_attrs.by_keyword:
+            # Redone if a clear raced the check: every row it found is
+            # then in ``index``.
+            index = poi_attrs.by_keyword
+            missing = list(filterfalse(poi_attrs.__contains__, poi_ids))
+        # One full payload parse per POI the table has not seen yet, in
+        # any region or query.
+        decoded = dict(
+            zip(missing, map(decode_attrs, map(aggregates.raw, missing)))
+        )
         if wanted:
-            poi_ids, rows = _keep(
-                map(not_, map(wanted.isdisjoint, map(_KEYWORDS, rows))),
-                poi_ids, rows,
+            passing = set().union(*map(index.get, wanted, repeat(())))
+            passing.update(
+                poi_id for poi_id, row in decoded.items()
+                if not wanted.isdisjoint(row[3])
             )
+            poi_ids = list(filter(passing.__contains__, poi_ids))
+        rows = list(map(poi_attrs.get, poi_ids))
+        if not all(rows):
+            # The rows just decoded (and any a concurrent clear dropped
+            # since the check: decoded again).
+            rows = [
+                row or decoded.get(poi_id) or decode_attrs(
+                    aggregates.raw(poi_id)
+                )
+                for poi_id, row in zip(poi_ids, rows)
+            ]
+        # Added after the gather: an overflow clear they cause cannot
+        # drop a survivor's row before it is read.
+        for poi_id, row in decoded.items():
+            poi_attrs[poi_id] = row
         if bbox is not None:
             for column, test, bound in (
                 (_LAT, le, bbox.min_lat),
@@ -307,7 +327,7 @@ class VisitScanCoprocessor(Coprocessor):
                 )
         if len(poi_ids) < len(aggregates):
             aggregates = aggregates.only(poi_ids)
-        return aggregates, rows, cells_decoded
+        return aggregates, rows, len(decoded)
 
     def _fold_friends(
         self, context: CoprocessorContext, request: _VisitScanRequest

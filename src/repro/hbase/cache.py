@@ -63,6 +63,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Set,
     Tuple,
 )
 
@@ -109,20 +110,41 @@ class POIAttrTable(dict):
     (DESIGN.md §7), so rows outlive seqid moves; :meth:`RegionScanCache.
     clear` drops them.  Read with plain ``get``; a write to a full
     table empties it first (never more than ``max_entries`` rows, and
-    a drifting POI population cannot pin dead ones)."""
+    a drifting POI population cannot pin dead ones).
 
-    __slots__ = ("max_entries", "_lock")
+    ``by_keyword`` indexes the rows: keyword -> the ids of the POIs
+    whose row holds it.  Rows and postings change together under the
+    lock, postings first, so a reader that finds a row finds the POI in
+    the index it bound before looking.  A clear empties the rows, then
+    binds a fresh index: a posting set a reader still holds is never
+    emptied."""
+
+    __slots__ = ("max_entries", "_lock", "by_keyword")
 
     def __init__(self, max_entries: int) -> None:
         super().__init__()
         self.max_entries = max_entries
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
+        self.by_keyword: Dict[str, Set[int]] = {}
 
     def __setitem__(self, poi_id: int, attrs: tuple) -> None:
         with self._lock:
             if len(self) >= self.max_entries:
                 self.clear()
+            index = self.by_keyword
+            old = dict.get(self, poi_id)
+            old_keywords = old[3] if old is not None else frozenset()
+            for keyword in attrs[3] - old_keywords:
+                index.setdefault(keyword, set()).add(poi_id)
             super().__setitem__(poi_id, attrs)
+            # An overwrite that changed the keywords (DESIGN.md §7).
+            for keyword in old_keywords - attrs[3]:
+                index[keyword].discard(poi_id)
+
+    def clear(self) -> None:
+        with self._lock:
+            super().clear()
+            self.by_keyword = {}
 
 
 class Generation:

@@ -3,17 +3,26 @@
 Replicated POI attributes are per-POI constants, so a payload parsed by
 any region invocation, in either coprocessor mode, serves every region
 and query after it: ``cells_decoded`` is bounded by the distinct POIs a
-query examines, not by regions x POIs, and repeats cost nothing.
+query examines, not by regions x POIs, and repeats cost nothing.  The
+table's keyword index (``by_keyword``), which the region filter tests
+membership in, equals the row test after every insert, overwrite and
+clear, also while other threads write.
 """
 
+import random
+import sys
+import threading
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import FaultsConfig
 from repro.core.faults import FaultInjector
 from repro.core.modules.query_answering import SearchQuery
+from repro.core.modules.topk import PartialAggregates
 from repro.errors import DegradedResultWarning
+from repro.geo.bbox import BoundingBox
 from repro.hbase import RegionScanCache
 from repro.hbase.cache import POIAttrTable
 
@@ -26,6 +35,7 @@ from .test_topk_oracle import (
     Stack,
     fingerprint,
 )
+from .test_topk_stream import attrs_row, passes_filter, raw_payload, select
 
 #: 13 of the 40 POIs are museums and k exceeds that, so the merger never
 #: has k candidates, never prunes, and every region examines (and needs
@@ -131,19 +141,31 @@ class TestClearAndBound:
 
 
 class SpyTable(POIAttrTable):
-    """Counts every read and write a coprocessor makes."""
+    """Counts every read and write a coprocessor makes: row reads
+    (``gets``), index reads and row writes all add to ``touches``."""
 
     def __init__(self, max_entries):
         super().__init__(max_entries)
         self.touches = 0
+        self.gets = 0
 
     def get(self, poi_id, default=None):
         self.touches += 1
+        self.gets += 1
         return super().get(poi_id, default)
 
     def __setitem__(self, poi_id, attrs):
         self.touches += 1
         super().__setitem__(poi_id, attrs)
+
+    @property
+    def by_keyword(self):
+        self.touches += 1
+        return POIAttrTable.by_keyword.__get__(self)
+
+    @by_keyword.setter
+    def by_keyword(self, index):
+        POIAttrTable.by_keyword.__set__(self, index)
 
 
 class TestFaultTouchedInvocations:
@@ -172,3 +194,180 @@ class TestFaultTouchedInvocations:
         assert not stack.search_topk(EXAMINE_ALL).degraded
         table = stack.scan_cache.poi_attrs
         assert len(table) == NUM_POIS and table.touches > NUM_POIS
+
+
+# ------------------------------------------------------- keyword index
+
+#: A small universe so that overwrites, overflow clears and shared
+#: keywords all happen often.
+INDEX_KEYWORDS = ("cafe", "museum", "park", "bar", "beach")
+INDEX_POIS = 12
+
+
+def postings_from_rows(table, keyword):
+    return {pid for pid, row in table.items() if keyword in row[3]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    max_entries=st.integers(min_value=1, max_value=8),
+    steps=st.lists(
+        st.one_of(
+            st.tuples(
+                st.integers(min_value=0, max_value=INDEX_POIS - 1),
+                st.frozensets(st.sampled_from(INDEX_KEYWORDS), max_size=3),
+            ),
+            st.just("clear"),
+        ),
+        max_size=60,
+    ),
+)
+def test_the_index_equals_the_row_test(max_entries, steps):
+    """Inserts, overwrites that change a POI's keywords, overflow
+    clears and explicit clears: after every step each keyword's postings
+    are exactly the POIs whose row holds it."""
+    table = POIAttrTable(max_entries)
+    for step in steps:
+        if step == "clear":
+            table.clear()
+        else:
+            pid, keywords = step
+            table[pid] = ("p%d" % pid, 0.0, 0.0, keywords)
+        assert len(table) <= max_entries
+        for keyword in INDEX_KEYWORDS:
+            assert table.by_keyword.get(keyword, set()) == (
+                postings_from_rows(table, keyword)
+            )
+
+
+def test_a_clear_never_empties_postings_a_reader_holds():
+    table = POIAttrTable(max_entries=2)
+    table[1] = ("p1", 0.0, 0.0, frozenset({"cafe"}))
+    held = table.by_keyword
+    table[2] = ("p2", 0.0, 0.0, frozenset({"cafe"}))
+    table[3] = ("p3", 0.0, 0.0, frozenset({"park"}))  # overflow clear
+    assert held == {"cafe": {1, 2}}
+    assert table.by_keyword == {"park": {3}}
+    table.clear()
+    assert held == {"cafe": {1, 2}} and table.by_keyword == {}
+
+
+def universe_rows():
+    """60 POI ids -> attribute rows, on a 6 x 10 lat/lon grid."""
+    return {
+        pid: attrs_row(
+            pid, float(pid % 6), float(pid % 10),
+            {INDEX_KEYWORDS[pid % 5], INDEX_KEYWORDS[pid % 3]},
+        )
+        for pid in range(1, 61)
+    }
+
+
+def aggregates_of(truth, pids):
+    return PartialAggregates.from_rows(
+        (pid, 1.0, 1, raw_payload(pid, truth[pid][1], truth[pid][2],
+                                  truth[pid][3]))
+        for pid in pids
+    )
+
+
+def test_select_under_concurrent_writers_equals_the_row_test():
+    """Two writers insert rows (a small bound clears the table every
+    few inserts) while a third thread runs the region filter against
+    the same table.  Rows are per-POI constants, so the row test gives
+    one answer whatever the table held when the filter looked."""
+    truth = universe_rows()
+    pids = list(truth)
+    rng = random.Random(3)
+    queries = [
+        (
+            aggregates_of(truth, rng.sample(pids, 40)),
+            rng.choice((None, BoundingBox(1.0, 2.0, 4.0, 8.0))),
+            set(rng.sample(INDEX_KEYWORDS, rng.randint(1, 2))),
+        )
+        for _ in range(20)
+    ]
+    table = POIAttrTable(max_entries=16)
+    errors = []
+    stop = threading.Event()
+
+    def write(seed):
+        wrng = random.Random(seed)
+        try:
+            while not stop.is_set():
+                pid = wrng.choice(pids)
+                table[pid] = truth[pid]
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    def read():
+        try:
+            for round_ in range(300):
+                aggregates, bbox, wanted = queries[round_ % len(queries)]
+                passing, rows, _decoded = select(
+                    aggregates, table, bbox, wanted
+                )
+                want = [
+                    pid for pid in aggregates.counts
+                    if passes_filter(truth[pid], bbox, wanted)
+                ]
+                if list(passing.counts) != want:
+                    errors.append(("passing", round_, list(passing.counts)))
+                if rows != [truth[pid] for pid in want]:
+                    errors.append(("rows", round_))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+        finally:
+            stop.set()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=write, args=(seed,)) for seed in (1, 2)
+        ] + [threading.Thread(target=read)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    for keyword in INDEX_KEYWORDS:
+        assert table.by_keyword.get(keyword, set()) == (
+            postings_from_rows(table, keyword)
+        )
+
+
+def test_changed_attributes_after_a_clear_are_indexed_and_filtered_anew():
+    """DESIGN.md §7: a POI whose attributes change must be followed by
+    ``admin_cache {"clear": true}``.  After the clear, the row decoded
+    from a payload carrying the new keywords is the only one the index
+    and the filter know."""
+    cache = RegionScanCache(max_entries=64)
+    before = PartialAggregates.from_rows(
+        [(7, 1.0, 1, raw_payload(7, 1.0, 1.0, {"cafe", "bar"}))]
+    )
+    passing, _rows, decoded = select(before, cache.poi_attrs, None, {"cafe"})
+    assert (list(passing.counts), decoded) == ([7], 1)
+
+    cache.clear()
+    after = PartialAggregates.from_rows(
+        [(7, 1.0, 1, raw_payload(7, 1.0, 1.0, {"park"}))]
+    )
+    table = cache.poi_attrs
+    passing, _rows, decoded = select(after, table, None, {"cafe"})
+    assert (list(passing.counts), decoded) == ([], 1)
+    assert table[7][3] == frozenset({"park"})
+    assert {kw: ids for kw, ids in table.by_keyword.items() if ids} == {
+        "park": {7}
+    }
+    for wanted in ({"cafe"}, {"bar"}, {"park"}, {"park", "cafe"}):
+        passing, rows, decoded = select(after, table, None, wanted)
+        assert decoded == 0
+        assert list(passing.counts) == (
+            [7] if passes_filter(table[7], None, wanted) else []
+        )
+        assert rows == ([table[7]] if passing.counts else [])

@@ -38,6 +38,7 @@ from repro.core.monitoring import PlatformMetrics
 from repro.core.repositories.visits import VisitsRepository, VisitStruct
 from repro.errors import QueryCancelled
 from repro.geo.bbox import BoundingBox
+from repro.hbase.cache import POIAttrTable
 from repro.hbase.cancellation import REASON_TOPK_PROOF, CancellationToken
 from repro.hbase.coprocessor import CoprocessorContext, CorruptPartial
 
@@ -151,11 +152,10 @@ def build(pois):
         (pid, gs, cnt, raw_payload(pid, lat, lon, kw))
         for pid, gs, cnt, lat, lon, kw, _known in pois
     )
-    table = {
-        pid: attrs_row(pid, lat, lon, kw)
-        for pid, _gs, _cnt, lat, lon, kw, known in pois
-        if known
-    }
+    table = POIAttrTable(len(pois))
+    for pid, _gs, _cnt, lat, lon, kw, known in pois:
+        if known:
+            table[pid] = attrs_row(pid, lat, lon, kw)
     return aggregates, table
 
 
@@ -225,7 +225,7 @@ def run_region_filter_side_by_side(
     ref = ReferenceStream(
         aggregates, dict(table), hotness, batch, bbox=bbox, wanted=wanted,
     )
-    passing_table = dict(table)
+    _aggregates, passing_table = build(pois)
     passing, rows, decoded = select(aggregates, passing_table, bbox, wanted)
     # Every row was gathered; the missing ones were decoded, once.
     assert decoded == len(aggregates) - len(table)

@@ -24,6 +24,7 @@ from repro.core.modules.topk import (
     TopKPartialStream,
 )
 from repro.geo.bbox import BoundingBox
+from repro.hbase.cache import POIAttrTable
 
 REGIONS = 8
 POIS_PER_REGION = 2000
@@ -37,7 +38,7 @@ def region_streams(hotness, bbox=None, wanted=None, seed=3):
     (``VisitScanCoprocessor.select``, its Python-level calls counted
     into ``python_calls``)."""
     rng = random.Random(seed)
-    table = {}
+    table = POIAttrTable(REGIONS * POIS_PER_REGION)
     streams = []
     for region_id in range(REGIONS):
         aggregates = PartialAggregates()
