@@ -255,8 +255,8 @@ class TopKConfig:
 
     Regions emit score-sorted batches with an upper bound on the
     unemitted rest, and the merger cancels emission it can prove
-    irrelevant.  With ``enabled=False`` regions ship complete partials
-    and the web tier ranks at the end — the reference the differential
+    irrelevant.  With ``enabled=False`` the merger drains every
+    region's stream without probes — the reference the differential
     oracle suite compares against.
     """
 

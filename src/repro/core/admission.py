@@ -60,7 +60,7 @@ MAX_CLIENTS = 1024
 BROWNOUT_REJECT_RATE = 0.05
 BROWNOUT_LATENCY_FACTOR = 3.0
 #: Scan shaping applied at the SHRINK level and above: cap each
-#: region's shipped partial list and the query's k.
+#: region's stream emission and the query's k.
 BROWNOUT_PER_REGION_LIMIT = 64
 BROWNOUT_MAX_K = 5
 

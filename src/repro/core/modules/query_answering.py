@@ -3,15 +3,17 @@
 Non-personalized queries (no friend list) become SQL selects against the
 POI repository.  Personalized queries fan out to HBase coprocessors:
 each region-local endpoint scans the visits of the friends whose salted
-keys it owns, filters by the user's criteria, aggregates per POI, sorts,
-and returns its partial top list; the web-server tier merges partials
-into the final answer — exactly the mechanism behind Figures 2 and 3.
+keys it owns, filters by the user's criteria, aggregates per POI, and
+returns its partial as one score-sorted stream; one merger folds the
+streams into the ranked top k (draining them, or pruning with the
+threshold algorithm) — exactly the mechanism behind Figures 2 and 3.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from heapq import nsmallest
 from itertools import compress, filterfalse, repeat
 from operator import ge, itemgetter, le
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -146,30 +148,26 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class _VisitScanRequest:
-    """What the coprocessor endpoint receives, per query.
-
-    ``per_region_limit`` of 0 ships every per-POI aggregate the region
-    produced (the default: per-POI aggregates are already tiny compared
-    with raw visits, and shipping them all keeps global top-k *exact*
-    under mean-based ranking).  A positive limit truncates the sorted
-    partial list, trading exactness for transfer size.
-    """
+    """What the coprocessor endpoint receives, per query.  The endpoint
+    answers with a :class:`~repro.core.modules.topk.TopKPartialStream`;
+    ``topk_batch`` says how the merger reads it."""
 
     friend_ids: Tuple
     bbox: Optional[Tuple]  # (min_lat, min_lon, max_lat, max_lon)
     keywords: Tuple
     since: Optional[int]
     until: Optional[int]
+    #: A brownout's emission cap: a positive limit keeps each region's
+    #: first that many passing POIs in ``(-key, poi_id)`` order, trading
+    #: exactness for transfer size.  0 ships every one.
     per_region_limit: int = 0
-    #: Non-zero engages threshold-algorithm streaming mode: the endpoint
-    #: returns a :class:`~repro.core.modules.topk.TopKPartialStream`
-    #: (score-sorted incremental emission with a monotone upper bound)
-    #: instead of a finished partial list.  Mutually exclusive with
-    #: ``per_region_limit`` — a truncated partial has no sound bound.
-    top_k: int = 0
-    #: Streaming mode's local sort key: visit count (True) or mean grade.
+    #: The merger's k: it ranks, keeps and decodes this many winners.
+    top_k: int = 10
+    #: The local sort key: visit count (True) or mean grade.
     hotness: bool = False
-    #: Sorted-access batch size per merger round in streaming mode.
+    #: Threshold-algorithm sorted-access batch per merger round; 0 makes
+    #: the merger drain every stream instead (top-k off, or a capped
+    #: stream, which has no sound bound).
     topk_batch: int = 16
 
 
@@ -187,12 +185,12 @@ class VisitScanCoprocessor(Coprocessor):
     from the payload's fixed header.  Because the replicated POI
     attributes (name/lat/lon/keywords) are per-POI constants, one raw
     payload reference per POI is enough to decode them later, and a
-    decoded row serves every region and query after it: both modes read
-    and write the cluster's one POI attribute table
+    decoded row serves every region and query after it: the filter and
+    the merger read and write the cluster's one POI attribute table
     (``RegionScanCache.poi_attrs``; a table of its own when an invocation
-    runs without the cache) — for the POIs a filter's keyword postings
-    keep (every aggregated POI when it has no keyword or the query ships
-    them all), for the k winners in streaming mode.
+    runs without the cache) — the filter for the POIs its keyword
+    postings keep (every aggregated POI when it has no keyword), the
+    merger for the k winners.
     ``cells_decoded`` in the context counters (payload tail parses)
     makes the saving observable.
     """
@@ -202,10 +200,11 @@ class VisitScanCoprocessor(Coprocessor):
     def run(self, context: CoprocessorContext, request: _VisitScanRequest):
         """Fold every owned friend's partial (see :meth:`_fold_friends`),
         keep the POIs that pass the query's bbox/keyword predicate (see
-        :meth:`select`), then either hand their exact aggregates to the
-        merger as a score-sorted :class:`TopKPartialStream` (streaming
-        mode: shipping and the winners' decode are deferred and
-        cancellable) or ship all of them, ordered by the local key."""
+        :meth:`select`) — under a brownout's ``per_region_limit``, only
+        the first that many in ``(-key, poi_id)`` order — and hand their
+        exact aggregates to the merger as a score-sorted
+        :class:`TopKPartialStream`: shipping and the winners' decode are
+        deferred to the merge."""
         aggregates, cells_scanned = self._fold_friends(context, request)
         cache = context.cache
         poi_attrs = (
@@ -219,47 +218,41 @@ class VisitScanCoprocessor(Coprocessor):
             else None
         )
         wanted = set(request.keywords)
-        streaming = request.top_k > 0 and request.per_region_limit == 0
         with context.trace("region.sort") as sort_stage:
-            if bbox is not None or wanted or not streaming:
+            if bbox is not None or wanted:
                 # An unfiltered stream needs no row: the merger fetches
                 # the winners' only.
-                aggregates, rows, cells_decoded = self.select(
+                aggregates, _rows, cells_decoded = self.select(
                     aggregates, poi_attrs, bbox, wanted
                 )
                 sort_stage.tag("cells_decoded", cells_decoded)
                 context.count("cells_decoded", cells_decoded)
             sort_stage.tag("passing", len(aggregates))
-            if streaming:
-                stream = TopKPartialStream(
-                    region_id=context.region_id,
-                    aggregates=aggregates,
-                    poi_attrs=poi_attrs,
-                    top_k=request.top_k,
-                    hotness=request.hotness,
-                    batch=request.topk_batch,
-                    span=context.span,
-                    cells_scanned=cells_scanned,
-                    deadline_token=context.cancellation,
-                )
-                sort_stage.tag("partials", stream.size)
-                return stream
-            # Region-local sort in a stream's order, so a brownout's
-            # truncation keeps the POIs the request ranks highest.
-            partial = [
-                (poi_id, grade_sum, count, name, lat, lon)
-                for _negkey, (poi_id, grade_sum, count), (
-                    name, lat, lon, _kw
-                ) in sorted(zip(
-                    negated_keys(aggregates, request.hotness),
-                    aggregates.rows(),
-                    rows,
-                ))
-            ]
-            sort_stage.tag("partials", len(partial))
-        if request.per_region_limit > 0:
-            return partial[: request.per_region_limit]
-        return partial
+            if request.per_region_limit:
+                # The cap keeps the POIs the request ranks highest, in
+                # the order the stream then emits them.
+                aggregates = aggregates.only([
+                    poi_id for _negkey, poi_id in nsmallest(
+                        request.per_region_limit,
+                        zip(
+                            negated_keys(aggregates, request.hotness),
+                            aggregates.counts,
+                        ),
+                    )
+                ])
+            stream = TopKPartialStream(
+                region_id=context.region_id,
+                aggregates=aggregates,
+                poi_attrs=poi_attrs,
+                top_k=request.top_k,
+                hotness=request.hotness,
+                batch=request.topk_batch,
+                span=context.span,
+                cells_scanned=cells_scanned,
+                deadline_token=context.cancellation,
+            )
+            sort_stage.tag("partials", stream.size)
+        return stream
 
     @staticmethod
     def select(
@@ -332,8 +325,8 @@ class VisitScanCoprocessor(Coprocessor):
     def _fold_friends(
         self, context: CoprocessorContext, request: _VisitScanRequest
     ) -> Tuple[PartialAggregates, int]:
-        """The friend-partial core both modes share: for each friend the
-        client routed here and the request's window — cached partial, else scan,
+        """The friend-partial core: for each friend the client routed
+        here and the request's window — cached partial, else scan,
         aggregate and (if admitted) store — folded in friend order into
         exact unfiltered per-POI aggregates.
 
@@ -486,15 +479,15 @@ class VisitScanCoprocessor(Coprocessor):
             context.count("cache_misses", cache_misses)
         return aggregates, cells_scanned
 
-    # merge() default (list concatenation) is right: the web-server tier
-    # does the cross-region aggregation in QueryAnsweringModule.
+    # merge() default (list concatenation) passes the merger's one
+    # ranked list through as the call result.
 
     def stream_merge(self, streams, deadline_token=None):
-        """Threshold-algorithm merge of per-region streams; returns the
-        ``(merged_six_tuples, stats)`` pair the fan-out engine folds into
-        the call result.  Every candidate POI appears exactly once with
-        its *global* aggregate, so the web tier's ``_merge_partials``
-        fold is a plain insert pass."""
+        """The one cross-region merge (:class:`TopKMerger`, draining or
+        pruning); returns the ``(ranked_rows, stats)`` pair the fan-out
+        engine folds into the call result.  Each of the at most k rows
+        is a winner's *global* ``(poi_id, grade_sum, count, name, lat,
+        lon)``, in rank order."""
         first = streams[0]
         merger = TopKMerger(
             k=first.top_k,
@@ -504,24 +497,18 @@ class VisitScanCoprocessor(Coprocessor):
         return merger.merge(streams)
 
     def validate_partial(self, partial) -> bool:
-        """Region partials are lists of 6-tuples
-        ``(poi_id, grade_sum, count, name, lat, lon)`` — or, in
-        streaming mode, an unstarted :class:`TopKPartialStream` over
-        aggregate columns of one length; anything else — including the
-        injector's corruption marker — is rejected and the invocation
-        goes through retry/hedge like a raised error."""
-        if not super().validate_partial(partial):
+        """A region partial is an unstarted :class:`TopKPartialStream`
+        over aggregate columns of one length; anything else — including
+        the injector's corruption marker — is rejected and the
+        invocation goes through retry/hedge like a raised error."""
+        if not isinstance(partial, TopKPartialStream):
             return False
-        if isinstance(partial, TopKPartialStream):
-            aggregates = partial.aggregates
-            return (
-                len(aggregates.grade_sums) == len(aggregates.counts)
-                == partial.size
-                and partial.cursor == partial.emitted == 0
-                and not partial.items
-            )
-        return isinstance(partial, list) and all(
-            isinstance(item, tuple) and len(item) == 6 for item in partial
+        aggregates = partial.aggregates
+        return (
+            len(aggregates.grade_sums) == len(aggregates.counts)
+            == partial.size
+            and partial.cursor == partial.emitted == 0
+            and not partial.items
         )
 
 
@@ -563,9 +550,9 @@ class QueryAnsweringModule:
         #: keeps every query exactly as shaped by its caller.
         self.admission = admission
         #: Optional :class:`~repro.config.TopKConfig`.  When enabled,
-        #: personalized queries run the threshold-algorithm streaming
-        #: path (:mod:`repro.core.modules.topk`); otherwise the
-        #: exhaustive path, the reference its oracle compares against.
+        #: the merger prunes with the threshold algorithm
+        #: (:mod:`repro.core.modules.topk`); otherwise it drains every
+        #: region's stream, the reference its oracle compares against.
         self.topk: Optional[TopKConfig] = topk_config
         self._coprocessor = VisitScanCoprocessor()
 
@@ -656,14 +643,11 @@ class QueryAnsweringModule:
         results = []
         for query, call, root, fanout in zip(queries, calls, roots, fanouts):
             fanout.finish()
-            with tracer.span("merge", parent=root) as merge_span:
-                merged = self._merge_partials(query, call)
-                merge_span.tag("partials", len(call.result))
-                merge_span.tag("pois", len(merged))
+            # The merger ran inside the fan-out: this marks what it kept.
+            tracer.span("merge", parent=root, pois=len(call.result)).finish()
             with tracer.span("rank", parent=root) as rank_span:
                 result = self._rank(
-                    query, merged, call,
-                    max_k=shape["max_k"] if shape else None,
+                    query, call, max_k=shape["max_k"] if shape else None
                 )
                 rank_span.tag("returned", len(result.pois))
             if shape is not None:
@@ -798,11 +782,14 @@ class QueryAnsweringModule:
             query.friend_ids, query.since, query.until
         )
         bbox = query.bbox.as_tuple() if query.bbox else None
-        # Threshold-algorithm streaming engages only on the exact path:
-        # a brownout's truncated partials have no sound bound, so a
-        # positive per_region_limit falls back to exhaustive shipping.
+        # The threshold algorithm prunes only on the exact path: a
+        # brownout's capped streams have no sound bound, so they drain.
         topk = self.topk
-        streaming = topk is not None and topk.enabled and per_region_limit == 0
+        batch = (
+            topk.batch_size
+            if topk is not None and topk.enabled and not per_region_limit
+            else 0
+        )
         return {
             region: _VisitScanRequest(
                 friend_ids=tuple(friends),
@@ -811,9 +798,9 @@ class QueryAnsweringModule:
                 since=query.since,
                 until=query.until,
                 per_region_limit=per_region_limit,
-                top_k=query.limit if streaming else 0,
+                top_k=query.limit,
                 hotness=query.sort_by == SORT_HOTNESS,
-                topk_batch=topk.batch_size if streaming else 16,
+                topk_batch=batch,
             )
             for region, friends in routed.items()
         }
@@ -884,55 +871,31 @@ class QueryAnsweringModule:
 
     # ---------------------------------------------------------- internals
 
-    def merge_and_rank(self, query: SearchQuery, call) -> SearchResult:
-        """Web-tier merge + rank in one step: the path for ablations and
-        tests that drive the coprocessor fan-out directly (untraced)."""
-        return self._rank(query, self._merge_partials(query, call), call)
-
-    def _merge_partials(self, query: SearchQuery, call) -> Dict[int, list]:
-        """Web-tier merge: fold per-region partial aggregates per POI."""
-        merged: Dict[int, list] = {}
-        for poi_id, grade_sum, count, name, lat, lon in call.result:
-            entry = merged.get(poi_id)
-            if entry is None:
-                merged[poi_id] = [grade_sum, count, name, lat, lon]
-            else:
-                entry[0] += grade_sum
-                entry[1] += count
-        return merged
-
     def _rank(
-        self,
-        query: SearchQuery,
-        merged: Dict[int, list],
-        call,
-        max_k: Optional[int] = None,
+        self, query: SearchQuery, call, max_k: Optional[int] = None
     ) -> SearchResult:
-        """Web-tier rank: score merged aggregates and keep the top-k.
+        """Web-tier rank: the merger's rows, already ranked by
+        ``(-score, -visit_count, poi_id)``, as scored POIs.
 
         ``max_k`` is the brownout cap on result size: under overload the
         admission controller shrinks k so the response ships less state,
         and the result is flagged degraded by the caller."""
         limit = query.limit if max_k is None else min(query.limit, max_k)
-        scored = []
-        for poi_id, (grade_sum, count, name, lat, lon) in merged.items():
-            if query.sort_by == SORT_INTEREST:
-                score = grade_sum / count  # mean friend opinion
-            else:
-                score = float(count)  # crowd concentration
-            scored.append(
+        interest = query.sort_by == SORT_INTEREST
+        return SearchResult(
+            pois=[
                 ScoredPOI(
                     poi_id=poi_id,
                     name=name,
                     lat=lat,
                     lon=lon,
-                    score=score,
+                    # Mean friend opinion, or crowd concentration.
+                    score=grade_sum / count if interest else float(count),
                     visit_count=count,
                 )
-            )
-        scored.sort(key=lambda p: (-p.score, -p.visit_count, p.poi_id))
-        return SearchResult(
-            pois=scored[:limit],
+                for poi_id, grade_sum, count, name, lat, lon
+                in call.result[:limit]
+            ],
             personalized=True,
             latency_ms=call.latency_ms,
             records_scanned=call.records_scanned,

@@ -1,18 +1,19 @@
 """Threshold-algorithm top-k early termination for the query fan-out.
 
-The exhaustive personalized path (ROADMAP item 3's complaint) has every
-region decode and ship its *complete* per-POI aggregate list, and the
-web tier ranks only at the end — a k=10 query over 6000 friends pays a
-full JSON attribute parse for every distinct POI in every region.  This
-module implements threshold-algorithm (TA) pruning in the style of
-"Efficient Top K Temporal Spatial Keyword Search": regions emit
+Every region answers with one :class:`TopKPartialStream`, and
+:class:`TopKMerger` is the one cross-region merge.  A request that does
+not prune — top-k off, or a brownout's cap — *drains*: every stream
+emits all it holds (sorted access to the end), the merger folds the
+triples per POI with no random access, ranks, and decodes the k winners
+only.  Otherwise the merge is threshold-algorithm (TA) pruning in the
+style of "Efficient Top K Temporal Spatial Keyword Search": regions emit
 score-sorted partial batches with a monotone upper bound on anything
 they have not emitted yet, and the merger maintains the running k-th
 score threshold, short-circuiting region emission the moment its bound
 proves nothing else from that region can enter the top k.
 
 Two invariants make the pruned answer *byte-identical* to the
-exhaustive one (the differential oracle suite in
+drained one (the differential oracle suite in
 ``tests/test_topk_oracle.py`` asserts this over hundreds of seeded
 workloads, and ``tests/test_topk_properties.py`` proves the bound math
 directly):
@@ -21,23 +22,22 @@ directly):
    count)`` aggregates are exact before any emission starts: the grade
    of every cell comes from the payload's fixed header
    (``decode_grade``), so phase A needs *zero* payload parses.  What
-   early termination avoids is the expensive half — per-POI attribute
-   decoding, partial shipping, and web-tier merging — never the
+   early termination avoids is per-POI shipping and merging, never the
    aggregation itself, so no top-k member can ever lose a contribution.
 2. **Candidates resolve exactly on discovery.**  In the round a region
    first emits a POI, the merger random-access *probes* every region's
    completed aggregate map (one key-set intersection per region per
    round, no decode) and folds the contributions in ascending region
-   order — the same float-addition order as the exhaustive web-tier
-   merge.  A candidate's global score is final before the round's
-   threshold is taken; later emission can only *discover new*
-   candidates, which is exactly what the frontier bounds cap.
+   order — the same float-addition order as the drained merge.  A
+   candidate's global score is final before the round's threshold is
+   taken; later emission can only *discover new* candidates, which is
+   exactly what the frontier bounds cap.
 
 Attribute decoding — the expensive full JSON parse per POI — is
 deferred all the way to the end: emission ships bare ``(poi_id,
 grade_sum, count)`` triples, and once the merge terminates the merger
-ranks its candidates with the web tier's documented key and performs
-TA's final random-access fetch for *exactly the k winners*.  Every parse
+ranks its candidates with the documented key and performs TA's
+final random-access fetch for *exactly the k winners*.  Every parse
 lands in the cluster's one POI attribute table
 (``RegionScanCache.poi_attrs``): a POI is parsed once, not once per
 region per query, and an unfiltered k=10 query decodes at most 10
@@ -202,8 +202,8 @@ class PartialAggregates:
         return raws[poi_id]
 
     def only(self, poi_ids: Sequence[int]) -> "PartialAggregates":
-        """The aggregates of ``poi_ids`` (a subsequence of this order),
-        finding their payloads through the same sources."""
+        """The aggregates of ``poi_ids``, in that order, finding their
+        payloads through the same sources."""
         kept = PartialAggregates()
         kept.grade_sums = dict(
             zip(poi_ids, map(self.grade_sums.__getitem__, poi_ids))
@@ -216,8 +216,9 @@ class PartialAggregates:
 
 def negated_keys(aggregates: PartialAggregates, hotness: bool) -> list:
     """Each POI's negated *local* sort key, in the aggregates' order:
-    the count for hotness, the local mean for interest.  A region ships
-    its POIs in ``(-key, poi_id)`` order, streamed or not."""
+    the count for hotness, the local mean for interest.  A stream emits
+    in ``(-key, poi_id)`` order, and a brownout's cap keeps a region's
+    first POIs of that order."""
     counts = aggregates.counts.values()
     if hotness:
         return list(map(neg, counts))
@@ -305,7 +306,9 @@ class TopKPartialStream(StreamingPartial):
         self.region_id = region_id
         self.top_k = top_k
         self.hotness = hotness
-        self.batch = max(1, batch)
+        #: Sorted-access items per merger round; 0 marks a stream the
+        #: merger drains (:meth:`drain`) instead of pruning.
+        self.batch = batch
         self.aggregates = aggregates
         self.size = len(aggregates)
         self.items: List[Tuple[float, int, float, int]] = []
@@ -459,6 +462,14 @@ class TopKPartialStream(StreamingPartial):
             self.finished = True
         return out
 
+    def drain(self):
+        """Emit every ``(poi_id, grade_sum, count)`` at once, in the
+        aggregates' order (a per-POI fold does not depend on it) and
+        with no deadline checkpoint."""
+        self.cursor = self.emitted = self.size
+        self.finished = True
+        return self.aggregates.rows()
+
     # -------------------------------------------------------- short-circuit
 
     def short_circuit(self, reason: str = REASON_TOPK_PROOF) -> None:
@@ -487,17 +498,17 @@ class TopKPartialStream(StreamingPartial):
 class TopKMerger:
     """Web-tier threshold-algorithm merge over region partial streams.
 
-    ``merge`` drives sorted access (``next_batch``) in rounds and one
+    ``merge`` drains streams whose ``batch`` is 0: it folds all they
+    hold, with no probe.  Otherwise it drives sorted access (``next_batch``) in rounds and one
     batched random-access probe per region per round, maintains the
     running k-th-score threshold, and short-circuits streams whose frontier
-    provably cannot matter.  Once emission terminates it ranks the
-    candidate set with the web tier's documented key ``(-score,
-    -visit_count, poi_id)``, keeps exactly the top k, and only then
-    decodes attributes — TA's final random-access fetch — from each
-    winner's discovering region.  Returns those k exact 6-tuples plus a
-    stats dict for counters, spans and the EXPLAIN surface.  (Trimming
-    here is sound because the downstream ranker orders with the same
-    total key: the k survivors are precisely the rows it would keep.)
+    provably cannot matter.  Either way it then ranks the candidate set
+    with the documented key ``(-score, -visit_count, poi_id)``, keeps
+    exactly the top k, and only then decodes attributes — TA's final
+    random-access fetch — from each winner's discovering region.
+    Returns those k exact ``(poi_id, grade_sum, count, name, lat, lon)``
+    rows, ranked, plus a stats dict for counters, spans and the EXPLAIN
+    surface.
     """
 
     def __init__(
@@ -520,14 +531,14 @@ class TopKMerger:
         streams = sorted(streams, key=lambda s: s.region_id)
         #: poi_id -> [grade_sum, count]; exact at entry.
         candidates: Dict[int, list] = {}
-        #: Exact global scores, maintained alongside ``candidates``.
-        scores: Dict[int, float] = {}
         #: poi_id -> the stream that first emitted it; the final
         #: attribute fetch for a winner goes to this region (attribute
-        #: rows are per-POI constants, DESIGN.md §7: any region's copy
-        #: is byte-identical to the one the exhaustive merge would keep).
+        #: rows are per-POI constants, DESIGN.md §7: every region's copy
+        #: is byte-identical).
         discoverers: Dict[int, TopKPartialStream] = {}
         rounds = 0
+        #: (candidate, region) pairs random access asked about.
+        probes = 0
         #: Sum of cancelled-stream frontiers (hotness); an undiscovered
         #: POI living only in cancelled streams is bounded by it.
         cancelled_bound = 0.0
@@ -543,7 +554,7 @@ class TopKMerger:
             """Random access for one round's newly discovered POIs:
             every region answers for the ones it holds (its aggregate
             map is total, whatever its emission cursor).  Regions fold
-            in ascending order — per POI the exhaustive web-tier merge's
+            in ascending order — per POI the drained merge's
             float-addition order, so scores are byte-identical.  Every
             (POI, region) pair counts as a probe; only hits are touched."""
             for s in streams:
@@ -562,9 +573,7 @@ class TopKMerger:
                         entry[1] += counts[poi_id]
             for poi_id in fresh:
                 grade_sum, count = candidates[poi_id]
-                score = scores[poi_id] = (
-                    float(count) if self.hotness else grade_sum / count
-                )
+                score = float(count) if self.hotness else grade_sum / count
                 # Scores are final on entry, so the k largest only grow.
                 if len(top) < self.k:
                     heappush(top, score)
@@ -572,6 +581,21 @@ class TopKMerger:
                     heapreplace(top, score)
 
         active = [s for s in streams if not s.finished]
+        if streams and not streams[0].batch:
+            # Drain: every stream emits all it holds, and each triple
+            # folds into its POI with no probe and no deadline
+            # checkpoint — regions in ascending order, ``resolve``'s
+            # float order, so scores are bit-identical in both merges.
+            for stream in active:
+                for poi_id, grade_sum, count in stream.drain():
+                    entry = candidates.get(poi_id)
+                    if entry is None:
+                        candidates[poi_id] = [grade_sum, count]
+                        discoverers[poi_id] = stream
+                    else:
+                        entry[0] += grade_sum
+                        entry[1] += count
+            active = []
         while active:
             rounds += 1
             fresh: Set[int] = set()
@@ -586,6 +610,7 @@ class TopKMerger:
                         discoverers[poi_id] = stream
                         fresh.add(poi_id)
             resolve(fresh)
+            probes += len(fresh) * len(streams)
             if deadline_hit:
                 break
             if len(top) == self.k:
@@ -615,11 +640,12 @@ class TopKMerger:
                 if not (stream.finished or stream.pruned):
                     stream.short_circuit(REASON_DEADLINE)
 
-        # Rank with the web tier's exact key, trim to k, and only then
-        # pay the attribute decode — for precisely these winners.
+        # Rank with the documented key, trim to k, and only then pay
+        # the attribute decode — for precisely these winners.
+        hotness = self.hotness
         ranked = sorted(
-            (-scores[poi_id], -entry[1], poi_id)
-            for poi_id, entry in candidates.items()
+            (-(float(count) if hotness else grade_sum / count), -count, poi_id)
+            for poi_id, (grade_sum, count) in candidates.items()
         )
         merged = []
         for _score, _count, poi_id in ranked[: self.k]:
@@ -628,7 +654,7 @@ class TopKMerger:
             merged.append((poi_id, grade_sum, count, name, lat, lon))
         stats = {
             "rounds": rounds,
-            "probes": len(candidates) * len(streams),
+            "probes": probes,
             "candidates": len(candidates),
             "cells_avoided": sum(s.cells_avoided for s in streams),
             "cells_decoded": sum(s.cells_decoded for s in streams),

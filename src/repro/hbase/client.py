@@ -732,11 +732,12 @@ class HBaseCluster:
         return None
 
     def _merge_streams(self, q: _QueryState) -> None:
-        """Threshold-algorithm path: the endpoint returned score-sorted
-        streams, merged *here* — before the timeline is simulated — so
-        ``results_returned`` (and with it the web tier's per-item merge
-        cost) counts only the items each region actually emitted or
-        answered probes for, not its whole partial."""
+        """The endpoint returned score-sorted streams, merged *here* —
+        before the timeline is simulated — so ``results_returned`` (and
+        with it the web tier's per-item merge cost) counts the items
+        each region actually emitted or answered probes for.  Only a
+        merge that ran threshold-algorithm rounds reports ``topk.*``
+        counters; a drained one has none to report."""
         streams = q.partials
         if not streams or not all(
             isinstance(p, StreamingPartial) for p in streams
@@ -751,23 +752,24 @@ class HBaseCluster:
         counters["cells_decoded"] = (
             counters.get("cells_decoded", 0) + topk_stats["cells_decoded"]
         )
-        for key in (
-            "rounds",
-            "probes",
-            "candidates",
-            "cells_avoided",
-            "pruned_regions",
-        ):
-            counters["topk." + key] = (
-                counters.get("topk." + key, 0) + topk_stats[key]
-            )
-        self._count("topk.queries")
-        self._count("topk.rounds", topk_stats["rounds"])
-        self._count("topk.cells_avoided", topk_stats["cells_avoided"])
-        if topk_stats["pruned_regions"]:
-            self._count(
-                "topk.regions_pruned_early", topk_stats["pruned_regions"]
-            )
+        if topk_stats["rounds"]:
+            for key in (
+                "rounds",
+                "probes",
+                "candidates",
+                "cells_avoided",
+                "pruned_regions",
+            ):
+                counters["topk." + key] = (
+                    counters.get("topk." + key, 0) + topk_stats[key]
+                )
+            self._count("topk.queries")
+            self._count("topk.rounds", topk_stats["rounds"])
+            self._count("topk.cells_avoided", topk_stats["cells_avoided"])
+            if topk_stats["pruned_regions"]:
+                self._count(
+                    "topk.regions_pruned_early", topk_stats["pruned_regions"]
+                )
         aborted = topk_stats["aborted_regions"]
         if aborted:
             # Deadline hit mid-merge: emission from these regions never

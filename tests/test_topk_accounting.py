@@ -104,6 +104,116 @@ def test_merge_accounting_is_frozen(sort_by, filtered):
     assert account(cached, query) == (stats, shipped, warm_ms)
 
 
+def exhaustive_account(stack, query, per_region_limit):
+    """``(shipped per region, simulated latency)`` of one top-k-off
+    call; a positive ``per_region_limit`` is a brownout's cap, routed
+    the way ``cli.py figure2`` drives the fan-out."""
+    qa = stack.qa
+    call = stack.cluster.coprocessor_exec_routed(
+        stack.visits.table.name,
+        qa._coprocessor,
+        [qa._route_query(query, per_region_limit=per_region_limit)],
+        route_items=[len(query.friend_ids)],
+    )[0]
+    return (
+        tuple(
+            call.per_region_results[rid]
+            for rid in sorted(call.per_region_records)
+        ),
+        call.latency_ms,
+    )
+
+
+#: (sort_by, filtered, per_region_limit) -> ``(shipped per region,
+#: latency_ms scanning, latency_ms off a warm scan cache)`` with top-k
+#: off.  Recorded while the exhaustive path still shipped lists of
+#: ``(poi_id, grade_sum, count, name, lat, lon)``; the drained streams
+#: that replaced them are charged exactly the same.
+FROZEN_EXHAUSTIVE = {
+    ("interest", False, 0): (
+        (37, 37, 39, 35, 40, 37, 35, 37),
+        5.829499999999999,
+        3.2045,
+    ),
+    ("interest", False, 4): (
+        (4, 4, 4, 4, 4, 4, 4, 4),
+        5.4319999999999995,
+        2.8069999999999995,
+    ),
+    ("interest", False, 10): (
+        (10, 10, 10, 10, 10, 10, 10, 10),
+        5.504,
+        2.8789999999999996,
+    ),
+    ("interest", True, 0): (
+        (10, 10, 11, 9, 11, 11, 9, 11),
+        5.506999999999999,
+        2.8819999999999997,
+    ),
+    ("interest", True, 4): (
+        (4, 4, 4, 4, 4, 4, 4, 4),
+        5.4319999999999995,
+        2.8069999999999995,
+    ),
+    ("interest", True, 10): (
+        (10, 10, 10, 9, 10, 10, 9, 10),
+        5.500999999999999,
+        2.8759999999999994,
+    ),
+    ("hotness", False, 0): (
+        (37, 37, 39, 35, 40, 37, 35, 37),
+        5.829499999999999,
+        3.2045,
+    ),
+    ("hotness", False, 4): (
+        (4, 4, 4, 4, 4, 4, 4, 4),
+        5.4319999999999995,
+        2.8069999999999995,
+    ),
+    ("hotness", False, 10): (
+        (10, 10, 10, 10, 10, 10, 10, 10),
+        5.504,
+        2.8789999999999996,
+    ),
+    ("hotness", True, 0): (
+        (10, 10, 11, 9, 11, 11, 9, 11),
+        5.506999999999999,
+        2.8819999999999997,
+    ),
+    ("hotness", True, 4): (
+        (4, 4, 4, 4, 4, 4, 4, 4),
+        5.4319999999999995,
+        2.8069999999999995,
+    ),
+    ("hotness", True, 10): (
+        (10, 10, 10, 9, 10, 10, 9, 10),
+        5.500999999999999,
+        2.8759999999999994,
+    ),
+}
+
+EXHAUSTIVE_CASES = [
+    (sort_by, filtered, cap)
+    for sort_by in ("interest", "hotness")
+    for filtered in (False, True)
+    for cap in (0, 4, 10)
+]
+
+
+@pytest.mark.parametrize("sort_by,filtered,cap", EXHAUSTIVE_CASES)
+def test_exhaustive_accounting_is_frozen(sort_by, filtered, cap):
+    query = query_for(sort_by, filtered)
+    shipped, scanning_ms, warm_ms = FROZEN_EXHAUSTIVE[(sort_by, filtered, cap)]
+    stack = Stack(data_seed=11)
+    stack.topk_cfg.enabled = False
+    assert exhaustive_account(stack, query, cap) == (shipped, scanning_ms)
+    cached = Stack(data_seed=11, cache=True)
+    cached.topk_cfg.enabled = False
+    assert exhaustive_account(cached, query, cap) == (shipped, scanning_ms)
+    exhaustive_account(cached, query, cap)  # fills the opened generations
+    assert exhaustive_account(cached, query, cap) == (shipped, warm_ms)
+
+
 def deadline_streams():
     """Three regions over overlapping POI ranges; region 1's deadline
     token (1 ms per record, 5 ms budget) trips at its 6th emission

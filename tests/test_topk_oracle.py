@@ -34,14 +34,16 @@ from repro.core.faults import FaultInjector
 from repro.core.modules.query_answering import (
     QueryAnsweringModule,
     SearchQuery,
+    VisitScanCoprocessor,
 )
 from repro.core.modules.topk import PartialAggregates, TopKPartialStream
+from repro.core.monitoring import PlatformMetrics
 from repro.core.repositories.poi import POI, POIRepository
 from repro.core.repositories.visits import VisitsRepository, VisitStruct
 from repro.core.tracing import Tracer
 from repro.errors import DegradedResultWarning
 from repro.geo import BoundingBox
-from repro.hbase import HBaseCluster, RegionScanCache
+from repro.hbase import CoprocessorContext, HBaseCluster, RegionScanCache
 from repro.hbase.cancellation import (
     CancellationToken,
     REASON_DEADLINE,
@@ -226,7 +228,9 @@ class TestTopKOracleDifferential:
                 exhaustive = stack.search_exhaustive(query)
                 assert fingerprint(pruned) == fingerprint(exhaustive)
                 assert pruned.cells_avoided > 0
-                assert pruned.cells_decoded < exhaustive.cells_decoded
+                # Both merges decode the k winners only.
+                assert pruned.cells_decoded <= k
+                assert exhaustive.cells_decoded <= k
 
     def test_batch_size_never_changes_the_answer(self):
         """Batch size trades rounds for pruning — never correctness."""
@@ -649,21 +653,28 @@ class TestTopKInteractions:
             assert stream.prune_token.reason == REASON_DEADLINE
 
     def test_brownout_per_region_limit_disables_topk(self):
-        """A truncated partial has no sound bound: brownout shaping must
-        fall back to the exhaustive (limit-truncated) path."""
+        """A capped stream has no sound bound: a brownout request drains
+        its capped streams, and the merger runs no round."""
         stack = Stack(data_seed=61)
-        routed = stack.qa._route_query(
-            SearchQuery(friend_ids=(1, 2, 3), limit=5),
-            per_region_limit=7,
-        )
-        for request in routed.values():
-            assert request.top_k == 0
+        query = SearchQuery(friend_ids=ALL_FRIENDS, limit=5)
+        routed = stack.qa._route_query(query, per_region_limit=7)
+        streams = []
+        for region, request in routed.items():
+            assert (request.top_k, request.topk_batch) == (5, 0)
             assert request.per_region_limit == 7
-        routed = stack.qa._route_query(
-            SearchQuery(friend_ids=(1, 2, 3), limit=5)
-        )
+            streams.append(
+                VisitScanCoprocessor().run(CoprocessorContext(region), request)
+            )
+        merged, stats = VisitScanCoprocessor().stream_merge(streams)
+        assert stats["rounds"] == stats["probes"] == 0
+        assert len(merged) == 5
+        for stream in streams:
+            assert stream.emitted == stream.shipped == min(7, stream.size)
+            assert stream.probe_hits == 0
+        routed = stack.qa._route_query(query)
         for request in routed.values():
             assert request.top_k == 5
+            assert request.topk_batch == stack.topk_cfg.batch_size
 
     def test_explain_reports_topk_profile(self):
         stack = Stack(data_seed=71)
@@ -680,3 +691,15 @@ class TestTopKInteractions:
         plan_off = stack.qa.explain_personalized(query)
         assert not plan_off["topk"]["enabled"]
         assert plan_off["topk"]["cells_avoided"] == 0
+
+    def test_a_drained_merge_is_not_a_topk_query(self):
+        """The cluster's ``topk.queries`` metric counts pruning merges;
+        a drained one (top-k off, or a brownout's cap) adds nothing."""
+        metrics = PlatformMetrics()
+        stack = Stack(data_seed=71)
+        stack.cluster.metrics = metrics
+        query = SearchQuery(friend_ids=ALL_FRIENDS, limit=2)
+        stack.search_topk(query)
+        assert metrics.counter("topk.queries") == 1
+        stack.search_exhaustive(query)
+        assert metrics.counter("topk.queries") == 1

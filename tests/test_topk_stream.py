@@ -544,12 +544,16 @@ def test_region_filter_trap3_a_brownout_truncates_after_the_filter(sort_by):
     full = stack.qa._route_query(query, per_region_limit=10 ** 6)
     cut = stack.qa._route_query(query, per_region_limit=4)
     for region, request in cut.items():
-        assert request.top_k == 0
-        everything = endpoint.run(CoprocessorContext(region), full[region])
-        shipped = endpoint.run(CoprocessorContext(region), request)
+        assert request.topk_batch == 0
+        drained = endpoint.run(CoprocessorContext(region), full[region])
+        everything = list(drained.drain())
+        shipped = list(
+            endpoint.run(CoprocessorContext(region), request).drain()
+        )
         assert shipped == everything[:4]
         assert len(shipped) == min(4, len(everything))
-        for _pid, _gs, _cnt, name, lat, lon in everything:
+        for pid, _gs, _cnt in everything:
+            _name, lat, lon, _kw = drained.poi_attrs[pid]
             assert BBOXES[2].contains_coords(lat, lon)
 
 
@@ -592,13 +596,16 @@ def test_brownout_truncation_keeps_the_highest_local_keys(sort_by):
     for region, request in stack.qa._route_query(
         query, per_region_limit=5
     ).items():
-        everything = endpoint.run(CoprocessorContext(region), full[region])
+        everything = list(
+            endpoint.run(CoprocessorContext(region), full[region]).drain()
+        )
         want = sorted(
             everything,
             key=lambda row: (-local_key(hotness, row[1], row[2]), row[0]),
         )
         assert everything == want
-        assert endpoint.run(CoprocessorContext(region), request) == want[:5]
+        shipped = endpoint.run(CoprocessorContext(region), request)
+        assert list(shipped.drain()) == want[:5]
 
 
 # ------------------------------------------------------- validate_partial
@@ -615,6 +622,8 @@ def test_validate_partial_checks_the_columns_of_an_unstarted_stream():
 
     assert endpoint.validate_partial(fresh())
     assert not endpoint.validate_partial(CorruptPartial(fresh()))
+    # Streams only: the retired list of 6-tuples is rejected.
+    assert not endpoint.validate_partial([(1, 1.0, 1, "poi-1", 0.0, 0.0)])
     started = fresh()
     started.next_batch()
     assert not endpoint.validate_partial(started)
