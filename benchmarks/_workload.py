@@ -19,9 +19,11 @@ instances, which is exactly how the timing layer is factored.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import os
 import random
-from typing import Dict, List, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 from repro.cluster import ClusterSimulation, Task
 from repro.config import ClusterConfig, PlatformConfig
@@ -57,17 +59,14 @@ def build_platform() -> MoDisSENSE:
     POIs + visits ingested.  Built once per process."""
     if "platform" in _cache:
         return _cache["platform"]  # type: ignore[return-value]
-    # The paper's un-extended mechanism: the figure and ablation benches
-    # reproduce it, and the feature benches use it as their off arm.
-    config = PlatformConfig.baseline(
-        ClusterConfig(
-            num_nodes=16,
-            regions_per_table=REGIONS,
-            cost_per_record_us=COST_PER_RECORD_US,
-            merge_cost_per_item_us=MERGE_COST_PER_ITEM_US,
-        )
-    )
-    platform = MoDisSENSE(config)
+    # The production stack; the paper's mechanism is a cold, drained
+    # request on it (``region_records_for_friends``).
+    platform = MoDisSENSE(PlatformConfig(cluster=ClusterConfig(
+        num_nodes=16,
+        regions_per_table=REGIONS,
+        cost_per_record_us=COST_PER_RECORD_US,
+        merge_cost_per_item_us=MERGE_COST_PER_ITEM_US,
+    )))
     pois = generate_pois(count=NUM_POIS, seed=2015)
     platform.load_pois(pois)
     platform.load_visits(
@@ -91,19 +90,65 @@ def friend_sample(count: int, seed: int = 7) -> tuple:
     return tuple(rng.sample(range(1, NUM_USERS + 1), count))
 
 
+def drained(routed: Dict) -> Dict:
+    """An exhaustive request: each region's routed request with
+    ``topk_batch=0``, so the merger drains every stream without
+    threshold-algorithm rounds (as it drains a brownout's capped ones)."""
+    return {
+        region: dataclasses.replace(request, topk_batch=0)
+        for region, request in routed.items()
+    }
+
+
+def drain(qa, on: bool = True) -> bool:
+    """Route ``qa``'s personalized queries as exhaustive requests
+    (``on``) or as pruned ones again; returns whether it drained
+    before, so a caller can restore it."""
+    was = "_route_query" in vars(qa)
+    if on:
+        route = type(qa)._route_query
+        qa._route_query = lambda query, per_region_limit=0: drained(
+            route(qa, query, per_region_limit)
+        )
+    else:
+        vars(qa).pop("_route_query", None)
+    return was
+
+
+@contextlib.contextmanager
+def paper_read_path(platform: MoDisSENSE, *modules) -> Iterator[None]:
+    """The paper's un-extended read path as requests on the production
+    stack: the scan cache detached from the cluster and every
+    personalized merge of ``modules`` (default: the platform's query
+    module) drained.  Both are restored on exit, so the shared
+    benchmark platform is left as found."""
+    modules = modules or (platform.query_answering,)
+    cluster = platform.hbase
+    saved_cache = cluster.scan_cache
+    draining = [drain(qa) for qa in modules]
+    cluster.scan_cache = None
+    try:
+        yield
+    finally:
+        cluster.scan_cache = saved_cache
+        for qa, was in zip(modules, draining):
+            drain(qa, on=was)
+
+
 def region_records_for_friends(platform: MoDisSENSE, friend_ids: tuple):
     """Per-region (records scanned, results returned) for one
     personalized query, measured by executing the real coprocessor
-    endpoint through the routed (friend->region) fan-out.
-    Returns ``{region_id: (records, results)}``."""
-    from repro.core import SearchQuery
-
+    endpoint through the routed (friend->region) fan-out.  The paper's
+    mechanism: the scan cache is cleared first and every region's
+    stream is drained (``topk_batch=0``), so each call scans cold and
+    merges exhaustively.  Returns ``{region_id: (records, results)}``."""
     qa = platform.query_answering
+    platform.scan_cache.clear()
     routed = qa._route_query(SearchQuery(friend_ids=friend_ids))
     call = platform.visits_repository.cluster.coprocessor_exec_routed(
         platform.visits_repository.table.name,
         qa._coprocessor,
-        [routed],
+        [drained(routed)],
         route_items=[len(friend_ids)],
     )[0]
     return {

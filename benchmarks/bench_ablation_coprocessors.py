@@ -16,6 +16,7 @@ from ._report import register_table
 from ._workload import (
     NUM_USERS,
     friend_sample,
+    paper_read_path,
     region_records_for_friends,
     simulate_query_ms,
 )
@@ -30,7 +31,8 @@ def test_coprocessor_vs_client_side(bench_platform, benchmark):
     query = SearchQuery(friend_ids=ids, sort_by="interest", limit=10)
 
     def run_both():
-        copro = bench_platform.query_answering.search(query)
+        with paper_read_path(bench_platform):
+            copro = bench_platform.query_answering.search(query)
         client = bench_platform.query_answering.search_personalized_client_side(
             query
         )

@@ -23,7 +23,7 @@ from repro.geo import BoundingBox
 from repro.sqlstore import Query
 
 from ._report import register_table
-from ._workload import friend_sample
+from ._workload import friend_sample, paper_read_path
 
 #: A selective neighbourhood window (~600 m on a side, a few dozen POIs
 #: out of 8500): the access-path comparison needs index-friendly
@@ -85,7 +85,8 @@ def test_personalized_on_right_store(bench_platform, benchmark):
         for friends in (500, 2000, 4000):
             ids = friend_sample(friends, seed=friends)
             query = SearchQuery(friend_ids=ids, sort_by="interest", limit=10)
-            copro = bench_platform.query_answering.search(query)
+            with paper_read_path(bench_platform):
+                copro = bench_platform.query_answering.search(query)
             client = (
                 bench_platform.query_answering.search_personalized_client_side(
                     query

@@ -30,7 +30,7 @@ from repro.config import FaultsConfig
 from repro.core import FaultInjector, SearchQuery
 
 from ._report import register_table
-from ._workload import NUM_USERS, friend_sample
+from ._workload import NUM_USERS, friend_sample, paper_read_path
 
 #: Same axis as Figure 2 (truncated at smoke scale); the ISSUE's worked
 #: example — one dead node at 6000 friends — rides the largest count.
@@ -98,7 +98,8 @@ def test_zero_fault_overhead_under_limit(bench_platform, benchmark):
             cluster.fault_injector = None
         return series
 
-    series = benchmark.pedantic(measure, rounds=1, iterations=1)
+    with paper_read_path(bench_platform):
+        series = benchmark.pedantic(measure, rounds=1, iterations=1)
 
     rows = []
     for friends in FRIEND_COUNTS:
@@ -144,22 +145,23 @@ def test_degraded_mode_smoke(bench_platform):
     injector = FaultInjector(FaultsConfig(
         enabled=True, lost_region_fraction=1.0, stale_location_errors=0,
     ))
-    try:
-        clean = _fingerprint(qa.search(query))
-        cluster.fault_injector = injector
-        cluster.fail_node(0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # DegradedResultWarning
-            degraded = qa.search(query)
-        assert degraded.degraded
-        assert degraded.missing_regions
-        assert 0.0 < degraded.coverage < 1.0
-        assert len(degraded.pois) <= len(clean[0]) or degraded.pois
-        cluster.recover_node(0)
-        restored = qa.search(query)
-        cluster.fault_injector = None
-        assert _fingerprint(restored) == clean
-    finally:
-        cluster.fault_injector = None
-        if 0 not in cluster.simulation.live_nodes():
+    with paper_read_path(bench_platform):
+        try:
+            clean = _fingerprint(qa.search(query))
+            cluster.fault_injector = injector
+            cluster.fail_node(0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # DegradedResultWarning
+                degraded = qa.search(query)
+            assert degraded.degraded
+            assert degraded.missing_regions
+            assert 0.0 < degraded.coverage < 1.0
+            assert len(degraded.pois) <= len(clean[0]) or degraded.pois
             cluster.recover_node(0)
+            restored = qa.search(query)
+            cluster.fault_injector = None
+            assert _fingerprint(restored) == clean
+        finally:
+            cluster.fault_injector = None
+            if 0 not in cluster.simulation.live_nodes():
+                cluster.recover_node(0)

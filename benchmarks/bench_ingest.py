@@ -65,9 +65,7 @@ def _record_bench(section: str, payload: dict) -> None:
 
 def _fresh_platform() -> MoDisSENSE:
     return MoDisSENSE(
-        PlatformConfig.baseline(
-            ClusterConfig(num_nodes=4, regions_per_table=8)
-        )
+        PlatformConfig(cluster=ClusterConfig(num_nodes=4, regions_per_table=8))
     )
 
 
@@ -340,17 +338,15 @@ def _streaming_round() -> dict:
     :func:`test_streaming_ingest_with_concurrent_queries`; returns the
     round's numbers after checking its staleness oracle."""
     friends_n = min(N_QUERY_FRIENDS, N_STREAM_USERS)
-    config = PlatformConfig.baseline(
-        ClusterConfig(num_nodes=4, regions_per_table=8)
-    )
-    config.ingest = IngestConfig(
-        enabled=True,
-        num_partitions=4,
-        queue_capacity=8192,
-        max_batch=256,
-        rebalance_min_events=N_STREAM // 4 + 1,
-    )
-    platform = MoDisSENSE(config)
+    platform = MoDisSENSE(PlatformConfig(
+        cluster=ClusterConfig(num_nodes=4, regions_per_table=8),
+        ingest=IngestConfig(
+            num_partitions=4,
+            queue_capacity=8192,
+            max_batch=256,
+            rebalance_min_events=N_STREAM // 4 + 1,
+        ),
+    ))
     platform.load_pois(generate_pois(count=N_POIS, seed=19))
     rng = random.Random(19)
     # Unique (user, ts, poi) keys and dyadic grades: the final oracle

@@ -26,7 +26,6 @@ Numbers land in ``benchmarks/results/BENCH_observability.json``.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import statistics
@@ -51,7 +50,7 @@ from repro.core.repositories.visits import VisitStruct
 from repro.core.tracing import NULL_TRACER, Tracer
 
 from ._report import RESULTS_DIR, register_table
-from ._workload import friend_sample
+from ._workload import friend_sample, paper_read_path
 
 #: The acceptance query: the paper's worst-case smoke-scale fan-out.
 N_QUERY_FRIENDS = int(os.environ.get("REPRO_BENCH_OBS_FRIENDS", 6_000))
@@ -135,7 +134,8 @@ def test_telemetry_overhead_under_limit(bench_platform, benchmark):
             assert r_on.records_scanned == r_off.records_scanned
         return statistics.median(bare), statistics.median(observed)
 
-    off_ms, on_ms = benchmark.pedantic(measure, rounds=1, iterations=1)
+    with paper_read_path(bench_platform, observed_qa, bare_qa):
+        off_ms, on_ms = benchmark.pedantic(measure, rounds=1, iterations=1)
     overhead_pct = (on_ms - off_ms) / off_ms * 100.0 if off_ms else 0.0
 
     register_table(
@@ -174,13 +174,9 @@ def test_telemetry_overhead_under_limit(bench_platform, benchmark):
 
 
 def _fresh_platform(**overrides) -> MoDisSENSE:
-    config = dataclasses.replace(
-        PlatformConfig.baseline(
-            ClusterConfig(num_nodes=4, regions_per_table=8)
-        ),
-        **overrides,
-    )
-    return MoDisSENSE(config)
+    return MoDisSENSE(PlatformConfig(
+        cluster=ClusterConfig(num_nodes=4, regions_per_table=8), **overrides
+    ))
 
 
 def _visit_structs(count: int, seed: int):
@@ -206,7 +202,7 @@ def _visit_structs(count: int, seed: int):
 def test_profiler_attribution_mixed_load(benchmark):
     """>= 90% of profiler samples carry a component under mixed load."""
     platform = _fresh_platform(
-        ingest=IngestConfig(enabled=True, refresh_interval_s=0.0),
+        ingest=IngestConfig(refresh_interval_s=0.0),
         telemetry=TelemetryConfig(
             profiler_enabled=True, profiler_interval_s=0.002
         ),
@@ -268,7 +264,7 @@ def test_profiler_attribution_mixed_load(benchmark):
 def test_ingest_freshness_slo_green_under_load(benchmark):
     """The ingest-freshness SLO stays healthy at PR-5 streaming load."""
     platform = _fresh_platform(
-        ingest=IngestConfig(enabled=True, refresh_interval_s=0.0),
+        ingest=IngestConfig(refresh_interval_s=0.0),
         telemetry=TelemetryConfig(profiler_enabled=False),
     )
     try:

@@ -1,13 +1,14 @@
 """Top-k early termination — the threshold algorithm must pay for itself.
 
-The pruned fan-out (``TopKConfig(enabled=True)``) ships score-sorted
+The pruned fan-out (every request's default) ships score-sorted
 partial streams and cuts attribute decoding off once the running k-th
 score proves the remainder of every region irrelevant.  This bench is
 the acceptance gate for that machinery at paper scale: one personalized
 query over ``REPRO_BENCH_TOPK_FRIENDS`` (default 6000) friends at
 k = 10, both scoring modes, three configurations —
 
-- **exhaustive**  (top-k off — the byte-identity baseline),
+- **exhaustive**  (a drained request, ``topk_batch=0`` — the
+  byte-identity baseline),
 - **top-k cold**  (no scan cache: pruning is the only saving),
 - **top-k warm**  (scan cache opened and filled by top-k queries
   themselves: nothing is scanned, and nothing is decoded — the cold-cache
@@ -39,13 +40,12 @@ import os
 import statistics
 import time
 
-from repro.config import TopKConfig
 from repro.core import SearchQuery
 from repro.geo import BoundingBox
 from repro.hbase import RegionScanCache
 
 from ._report import RESULTS_DIR, register_table
-from ._workload import NUM_USERS, friend_sample
+from ._workload import NUM_USERS, drain, friend_sample
 
 FRIENDS = min(
     int(os.environ.get("REPRO_BENCH_TOPK_FRIENDS", 6000)), NUM_USERS - 1
@@ -94,7 +94,7 @@ def _measure(qa, query):
 def test_topk_vs_exhaustive(bench_platform, benchmark):
     qa = bench_platform.query_answering
     cluster = bench_platform.hbase
-    saved_topk = qa.topk
+    saved_cache = cluster.scan_cache
 
     def run():
         rows, payload = [], {}
@@ -106,11 +106,11 @@ def test_topk_vs_exhaustive(bench_platform, benchmark):
                     limit=K,
                 )
 
-                qa.topk = TopKConfig(enabled=False)
+                drain(qa)
                 cluster.scan_cache = None
                 ex_ms, ex = _measure(qa, query)
 
-                qa.topk = TopKConfig(enabled=True)
+                drain(qa, on=False)
                 cold_ms, cold = _measure(qa, query)
 
                 # Warm path: the first pruned query opens the regions'
@@ -177,8 +177,8 @@ def test_topk_vs_exhaustive(bench_platform, benchmark):
                     "byte_identical": True,
                 }
         finally:
-            qa.topk = saved_topk
-            cluster.scan_cache = None
+            drain(qa, on=False)
+            cluster.scan_cache = saved_cache
         return rows, payload
 
     rows, payload = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -201,7 +201,7 @@ def test_topk_filtered_decodes_once_per_poi(bench_platform, benchmark):
     query."""
     qa = bench_platform.query_answering
     cluster = bench_platform.hbase
-    saved_topk = qa.topk
+    saved_cache = cluster.scan_cache
     athens = BoundingBox(37.7838, 23.5275, 38.1838, 23.9275)
 
     def run():
@@ -216,9 +216,9 @@ def test_topk_filtered_decodes_once_per_poi(bench_platform, benchmark):
                     keywords=("coffee",),
                 )
                 cluster.scan_cache = None
-                qa.topk = TopKConfig(enabled=False)
+                drain(qa)
                 ex = qa.search(query)
-                qa.topk = TopKConfig(enabled=True)
+                drain(qa, on=False)
                 off_ms, off = _measure(qa, query)
 
                 cache = RegionScanCache(
@@ -268,8 +268,8 @@ def test_topk_filtered_decodes_once_per_poi(bench_platform, benchmark):
                     "byte_identical": True,
                 }
         finally:
-            qa.topk = saved_topk
-            cluster.scan_cache = None
+            drain(qa, on=False)
+            cluster.scan_cache = saved_cache
         return rows, payload
 
     rows, payload = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -24,7 +24,7 @@ from repro.core.modules.query_answering import QueryAnsweringModule
 from repro.core.tracing import NULL_TRACER, Tracer
 
 from ._report import register_table
-from ._workload import NUM_USERS, friend_sample
+from ._workload import NUM_USERS, friend_sample, paper_read_path
 
 #: Same axis as Figure 2 (truncated at smoke scale).
 FRIEND_COUNTS = tuple(
@@ -83,7 +83,8 @@ def test_tracing_overhead_under_limit(bench_platform, benchmark):
             )
         return series
 
-    series = benchmark.pedantic(measure, rounds=1, iterations=1)
+    with paper_read_path(bench_platform, traced_qa, untraced_qa):
+        series = benchmark.pedantic(measure, rounds=1, iterations=1)
 
     rows = []
     for friends in FRIEND_COUNTS:

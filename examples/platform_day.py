@@ -1,8 +1,8 @@
 """A full simulated day of platform operation.
 
 Drives the periodic pipeline the paper describes — Data Collection every
-15 minutes, HotIn Update and Event Detection every hour — with the
-deterministic scheduler, while users keep checking in and a crowd event
+15 minutes, the HotIn reconcile pass and Event Detection every hour —
+with the production scheduler, while users keep checking in and a crowd event
 builds up downtown.  At the end of the day: trending reflects the crowd,
 the event was auto-registered as a POI, and the platform's metrics show
 what the query tier served.
@@ -37,11 +37,8 @@ def main() -> None:
         NETWORK_FACEBOOK,
         oauth=OAuthProvider(NETWORK_FACEBOOK, token_ttl_s=48 * HOUR),
     )
-    # The paper's own pipeline (batch HotIn Update, no streaming tier):
-    # the baseline profile on the small cluster shape.
     platform = MoDisSENSE(
-        PlatformConfig.baseline(PlatformConfig.small().cluster),
-        plugins={NETWORK_FACEBOOK: facebook_net},
+        PlatformConfig.small(), plugins={NETWORK_FACEBOOK: facebook_net}
     )
     pois = generate_pois(count=600, seed=70)
     platform.load_pois(pois)
@@ -56,7 +53,8 @@ def main() -> None:
         facebook.add_friendship("fb_1", "fb_%d" % i)
     platform.register_user("facebook", "fb_1", "pw", now=float(DAY0))
 
-    # The paper's periodic jobs (periods: repro.core.scheduler).
+    # The paper's periodic jobs plus every subsystem's maintenance jobs
+    # (periods: repro.core.scheduler).
     scheduler = build_platform_scheduler(platform, start_at=float(DAY0))
 
     rng = random.Random(72)
@@ -96,7 +94,7 @@ def main() -> None:
             )
 
     print("\nPeriodic job activity:")
-    for name in ("data_collection", "hotin_update", "event_detection"):
+    for name in ("data_collection", "hotin_reconcile", "event_detection"):
         job = scheduler.job(name)
         print("  %-16s fired %2d times" % (name, job.fire_count))
 

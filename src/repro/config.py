@@ -6,14 +6,14 @@ concurrent queries and the four classifier switches of Figure 4.
 :class:`PlatformConfig` gathers the knobs a test, bench or example
 actually varies; everything else is a module constant beside its use.
 
-There are two profiles.  ``PlatformConfig()`` is the production stack —
+There is one profile: ``PlatformConfig()`` is the production stack —
 scan/hot-POI caches, top-k early termination, streaming ingest, the
-supervisor, admission control, tracing and telemetry all on — and is
-what ``benchmarks/e2e`` measures (``small()``/``paper()`` only change
-the cluster shape).  ``PlatformConfig.baseline()`` switches the first
-five off: the paper's un-extended mechanism, used by the paper-figure
-benches and as the reference arm of the per-feature differential tests.
-Every extension returns answers byte-identical to the baseline's.
+supervisor and admission control are always built — and is what
+``benchmarks/e2e`` measures (``small()``/``paper()`` only change the
+cluster shape).  Only tracing and telemetry, which observe, and fault
+injection, a test tool, have an ``enabled`` switch.  The paper's
+un-extended mechanism is a request on this stack, not a profile: a
+cold scan cache and ``topk_batch=0`` (a drained merge).
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ class FaultsConfig:
     Two halves live here on purpose.  The *injection* half (rates, hang
     latency, lost-region fraction) only acts when ``enabled`` is True
     and a :class:`~repro.core.faults.FaultInjector` is attached to the
-    cluster — with it off (both profiles) the clean path never draws.
+    cluster — with it off (the default) the clean path never draws.
     The *resilience* half (retries, deadline, hedging, circuit breaker)
     configures the fan-out's recovery machinery, which also protects
     against real coprocessor exceptions; its backoff schedule and
@@ -235,32 +235,16 @@ class FaultsConfig:
 
 
 @dataclass
-class CacheConfig:
-    """Switches of the concurrent-query caching layer.
-
-    ``enabled`` builds the region scan cache (entries stamped with the
-    owning region's data sequence id, so any write/flush/compaction
-    makes them stale) and the hot-POI cache (revalidated against the
-    POI repository's version plus a HotIn epoch); capacities are the
-    defaults of ``RegionScanCache`` / ``HotPOICache``.
-    """
-
-    enabled: bool = True
-
-
-@dataclass
 class TopKConfig:
     """Knobs of threshold-algorithm top-k early termination
     (:mod:`repro.core.modules.topk`).
 
     Regions emit score-sorted batches with an upper bound on the
     unemitted rest, and the merger cancels emission it can prove
-    irrelevant.  With ``enabled=False`` the merger drains every
-    region's stream without probes — the reference the differential
-    oracle suite compares against.
+    irrelevant.  A request with ``topk_batch=0`` (a brownout's capped
+    streams, or a test's exhaustive arm) is drained without probes.
     """
 
-    enabled: bool = True
     #: Sorted-access items a region emits per merger round.  Smaller
     #: batches tighten the threshold faster (more pruning) at the cost
     #: of more merge rounds.
@@ -279,11 +263,9 @@ class IngestConfig:
     through bounded per-partition queues into applier workers that
     group-commit batches through the WAL and fold HotIn aggregates
     incrementally; the batch MapReduce job becomes a periodic
-    reconciliation pass.  With ``enabled=False`` no tier is built and
-    the scheduler runs the full-recompute ``hotin_update`` job.
+    reconciliation pass.
     """
 
-    enabled: bool = True
     #: Applier workers / queue partitions.  Regions map onto partitions
     #: many-to-one (remapped by the load-aware rebalancer); one applier
     #: drains a region at a time, keeping regions single-writer.
@@ -331,26 +313,11 @@ class IngestConfig:
 
 
 @dataclass
-class SupervisorConfig:
-    """Switch of the self-healing cluster supervisor: heartbeat leases,
-    WAL-split recovery and the storage scrubber (``repro.core.
-    supervisor``, which also holds the lease and scrub constants).  With
-    ``enabled=False`` failure handling is the manual
-    ``fail_node``/``recover_node`` story; the cluster logs every region
-    either way.
-    """
-
-    enabled: bool = True
-
-
-@dataclass
 class AdmissionConfig:
     """Knobs of the overload-protection layer (``repro.core.admission``).
 
     Un-triggered (no overload), the only added work per request is a
-    ticket acquire/release and answers stay byte-identical to
-    ``baseline()``'s; the ``bench-gates`` CI job gates that overhead
-    at ≤10%.  With ``enabled=False`` no controller is constructed.
+    ticket acquire/release, and answers equal the direct module calls'.
 
     Four coupled mechanisms: an AIMD concurrency limiter per priority
     class, per-client token buckets at the REST boundary, a global
@@ -358,8 +325,6 @@ class AdmissionConfig:
     ladder that degrades before it rejects.  Class weights, the retry
     budget and the ladder's thresholds are constants of the module.
     """
-
-    enabled: bool = True
 
     # ---- adaptive concurrency limiter (per priority class) ----
     #: Starting concurrency limit of the interactive class's limiter.
@@ -449,35 +414,18 @@ class TelemetryConfig:
 
 @dataclass
 class PlatformConfig:
-    """Top-level configuration for a MoDisSENSE deployment; the default
-    is the production profile (see the module docstring)."""
+    """Top-level configuration for a MoDisSENSE deployment: the
+    production stack (see the module docstring)."""
 
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     sentiment: SentimentConfig = field(default_factory=SentimentConfig)
     jobs: JobsConfig = field(default_factory=JobsConfig)
     tracing: TracingConfig = field(default_factory=TracingConfig)
     faults: FaultsConfig = field(default_factory=FaultsConfig)
-    cache: CacheConfig = field(default_factory=CacheConfig)
     ingest: IngestConfig = field(default_factory=IngestConfig)
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
-    supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     topk: TopKConfig = field(default_factory=TopKConfig)
-
-    @classmethod
-    def baseline(cls, cluster: Optional[ClusterConfig] = None) -> "PlatformConfig":
-        """The paper's un-extended mechanism: cache, top-k, ingest,
-        supervisor and admission off (tracing and telemetry only
-        observe and stay on) — the reference arm of the paper-figure
-        benches and the per-feature differential tests."""
-        return cls(
-            cluster=cluster or ClusterConfig(),
-            cache=CacheConfig(enabled=False),
-            topk=TopKConfig(enabled=False),
-            ingest=IngestConfig(enabled=False),
-            supervisor=SupervisorConfig(enabled=False),
-            admission=AdmissionConfig(enabled=False),
-        )
 
     @classmethod
     def small(cls) -> "PlatformConfig":

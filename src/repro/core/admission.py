@@ -3,10 +3,9 @@
 MoDisSENSE's serving tier (REST boundary -> web-server farm ->
 coprocessor fan-out) has no intrinsic overload story: past saturation,
 latency collapses for *every* request while throughput stays flat.  This
-module adds the missing layer (:class:`~repro.config.AdmissionConfig`;
-``PlatformConfig.baseline()`` builds none).  Un-triggered, it only
-acquires and releases a ticket per request — answers are byte-identical
-to the baseline's:
+module adds the missing layer (:class:`~repro.config.AdmissionConfig`).
+Un-triggered, it only acquires and releases a ticket per request —
+answers equal the direct module calls':
 
 - :class:`GradientLimiter` — one AIMD concurrency limiter per priority
   class (interactive > admin > background), driven by observed-vs-

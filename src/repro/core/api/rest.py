@@ -133,7 +133,6 @@ class RestApi:
         Every non-exempt request acquires an admission ticket first —
         a rejection is the ``overloaded`` envelope (HTTP 429's JSON
         twin, ``retry_after_s`` included) and the handler never runs.
-        A ``baseline()`` platform has no controller and admits all.
         """
         # Attribute profiler samples taken during this request to the
         # REST tier (restores the caller's component on the way out).
@@ -147,9 +146,8 @@ class RestApi:
                     "unknown endpoint %r" % endpoint, code="unknown_endpoint"
                 ).as_dict()
             validate_request(endpoint, request)
-            admission = self.platform.admission
-            if admission is not None and endpoint not in ADMISSION_EXEMPT:
-                ticket = admission.admit(
+            if endpoint not in ADMISSION_EXEMPT:
+                ticket = self.platform.admission.admit(
                     ENDPOINT_PRIORITY.get(endpoint, "interactive"),
                     client_id=request.get("client_id"),
                 )
@@ -365,16 +363,12 @@ class RestApi:
         scan_cache = platform.scan_cache
         hot_poi_cache = platform.hot_poi_cache
         if req.get("clear"):
-            if scan_cache is not None:
-                scan_cache.clear()
-            if hot_poi_cache is not None:
-                hot_poi_cache.clear()
+            scan_cache.clear()
+            hot_poi_cache.clear()
         return {
-            "enabled": scan_cache is not None,
-            "scan": scan_cache.stats() if scan_cache is not None else None,
-            "hot_poi": (
-                hot_poi_cache.stats() if hot_poi_cache is not None else None
-            ),
+            "enabled": True,
+            "scan": scan_cache.stats(),
+            "hot_poi": hot_poi_cache.stats(),
         }
 
     def _admin_ingest(self, req: Dict) -> Dict:
@@ -387,8 +381,6 @@ class RestApi:
         answer to "is hotness drifting?".
         """
         ingest = self.platform.ingest
-        if ingest is None:
-            return {"enabled": False}
         out: Dict[str, Any] = {"enabled": True}
         if req.get("rebalance"):
             out["rebalance"] = ingest.maybe_rebalance(force=True)
@@ -422,8 +414,6 @@ class RestApi:
         scrub-and-repair pass.  ``limit`` bounds the history returned.
         """
         supervisor = self.platform.supervisor
-        if supervisor is None:
-            return {"enabled": False}
         out: Dict[str, Any] = {"enabled": True}
         if req.get("drill"):
             out["drill"] = supervisor.force_drill(req.get("node"))
@@ -444,8 +434,6 @@ class RestApi:
         controls must work *during* the overload they manage.
         """
         admission = self.platform.admission
-        if admission is None:
-            return {"enabled": False}
         if req.get("force_level") is not None:
             admission.force_level(req["force_level"])
         if req.get("reset"):

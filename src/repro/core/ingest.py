@@ -160,7 +160,7 @@ class StreamingIngestTier:
         self.visits = visits_repository
         self.pois = poi_repository
         self.incremental = incremental
-        self.config = config or IngestConfig(enabled=True)
+        self.config = config or IngestConfig()
         self.metrics = metrics
         self.tracer = tracer or NULL_TRACER
         self.hot_poi_cache = hot_poi_cache

@@ -18,12 +18,13 @@ from itertools import compress, filterfalse, repeat
 from operator import ge, itemgetter, le
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ...config import TopKConfig
+from ...config import AdmissionConfig, TopKConfig
 from ...errors import DegradedResultWarning, QueryError
 from ...geo import BoundingBox
 from ...hbase import Coprocessor, CoprocessorContext
 from ...hbase.cache import FriendPartial, POIAttrTable
 from ..repositories.poi import POIRepository
+from ..admission import AdmissionController
 from ..caching import HotPOICache
 from ..repositories.visits import (
     FAMILY,
@@ -166,8 +167,8 @@ class _VisitScanRequest:
     #: The local sort key: visit count (True) or mean grade.
     hotness: bool = False
     #: Threshold-algorithm sorted-access batch per merger round; 0 makes
-    #: the merger drain every stream instead (top-k off, or a capped
-    #: stream, which has no sound bound).
+    #: the merger drain every stream instead (an exhaustive request, or
+    #: a capped stream, which has no sound bound).
     topk_batch: int = 16
 
 
@@ -517,10 +518,11 @@ class QueryAnsweringModule:
 
     ``tracer`` (see :mod:`repro.core.tracing`) makes every personalized
     query emit a span tree — ``query.personalized`` → ``route`` →
-    ``fanout`` (with per-region ``region.scan`` children) → ``merge`` →
-    ``rank`` — retrievable through the tracer's ring buffer and the
-    ``admin_traces`` endpoint.  The default is the shared disabled
-    tracer: spans only observe, so results are identical either way.
+    ``fanout`` (with per-region ``region.scan`` children and the
+    cross-region ``merge``) → ``rank`` — retrievable through the
+    tracer's ring buffer and the ``admin_traces`` endpoint.  The default
+    is the shared disabled tracer: spans only observe, so results are
+    identical either way.
     """
 
     def __init__(
@@ -531,7 +533,7 @@ class QueryAnsweringModule:
         metrics: Optional[object] = None,
         hot_poi_cache: Optional[HotPOICache] = None,
         event_log: Optional[object] = None,
-        admission: Optional[object] = None,
+        admission: Optional[AdmissionController] = None,
         topk_config: Optional[TopKConfig] = None,
     ) -> None:
         self.pois = poi_repository
@@ -541,19 +543,19 @@ class QueryAnsweringModule:
         #: Optional wide-event log: one canonical event per personalized
         #: query, carrying the full cost account and the trace id.
         self.event_log = event_log
-        #: Optional epoch-stamped cache over non-personalized answers
-        #: (invalidated by HotIn refreshes and POI writes).
-        self.hot_poi_cache = hot_poi_cache
-        #: Optional admission controller (``repro.core.admission``).
-        #: Consulted for brownout query shaping (stale cache serves,
-        #: shrunk per-region partials, capped k); None — the default —
-        #: keeps every query exactly as shaped by its caller.
-        self.admission = admission
-        #: Optional :class:`~repro.config.TopKConfig`.  When enabled,
-        #: the merger prunes with the threshold algorithm
-        #: (:mod:`repro.core.modules.topk`); otherwise it drains every
-        #: region's stream, the reference its oracle compares against.
-        self.topk: Optional[TopKConfig] = topk_config
+        #: Epoch-stamped cache over non-personalized answers
+        #: (invalidated by HotIn refreshes and POI writes); the default
+        #: is a private one.
+        self.hot_poi_cache = hot_poi_cache or HotPOICache()
+        #: Admission controller (``repro.core.admission``), consulted
+        #: for brownout query shaping (stale cache serves, shrunk
+        #: per-region partials, capped k).  The default is a private,
+        #: never-ticked one, which leaves every query as its caller
+        #: shaped it.
+        self.admission = admission or AdmissionController(AdmissionConfig())
+        #: The merger prunes with the threshold algorithm
+        #: (:mod:`repro.core.modules.topk`) in ``batch_size`` rounds.
+        self.topk = topk_config or TopKConfig()
         self._coprocessor = VisitScanCoprocessor()
 
     # -------------------------------------------------------- public API
@@ -586,11 +588,7 @@ class QueryAnsweringModule:
         #: Brownout query shaping (None outside a brownout): shrink each
         #: region's shipped partial and cap k, trading exactness for
         #: survival — results are flagged ``degraded``.
-        shape = (
-            self.admission.query_shape()
-            if self.admission is not None
-            else None
-        )
+        shape = self.admission.query_shape()
         per_region_limit = shape["per_region_limit"] if shape else 0
         routed_requests = []
         route_items = []
@@ -643,8 +641,6 @@ class QueryAnsweringModule:
         results = []
         for query, call, root, fanout in zip(queries, calls, roots, fanouts):
             fanout.finish()
-            # The merger ran inside the fan-out: this marks what it kept.
-            tracer.span("merge", parent=root, pois=len(call.result)).finish()
             with tracer.span("rank", parent=root) as rank_span:
                 result = self._rank(
                     query, call, max_k=shape["max_k"] if shape else None
@@ -721,7 +717,7 @@ class QueryAnsweringModule:
             metrics.increment(
                 "cache.misses", result.cache_misses, labels={"cache": "scan"}
             )
-        # Threshold-algorithm early termination (0 with top-k off):
+        # Threshold-algorithm early termination (0 on a drained request):
         # aggregates proven irrelevant before any decode/ship/merge, and
         # regions whose emission the merger short-circuited.
         if result.cells_avoided:
@@ -784,12 +780,7 @@ class QueryAnsweringModule:
         bbox = query.bbox.as_tuple() if query.bbox else None
         # The threshold algorithm prunes only on the exact path: a
         # brownout's capped streams have no sound bound, so they drain.
-        topk = self.topk
-        batch = (
-            topk.batch_size
-            if topk is not None and topk.enabled and not per_region_limit
-            else 0
-        )
+        batch = 0 if per_region_limit else self.topk.batch_size
         return {
             region: _VisitScanRequest(
                 friend_ids=tuple(friends),
@@ -915,37 +906,35 @@ class QueryAnsweringModule:
 
     def _search_sql(self, query: SearchQuery) -> SearchResult:
         cache = self.hot_poi_cache
-        if cache is not None:
-            key = (
-                query.bbox.as_tuple() if query.bbox else None,
-                query.keywords,
-                query.sort_by,
-                query.limit,
-            )
-            # Brownout level 1: serve whatever the cache holds, even an
-            # epoch- or version-stale entry, and flag the result
-            # degraded.  Freshness is the first thing traded away under
-            # overload — a slightly old hot-POI list beats a rejection.
-            if self.admission is not None and self.admission.stale_ok():
-                stale = cache.get_stale(key)
-                if stale is not None:
-                    if self.metrics is not None:
-                        self.metrics.increment("admission.stale_served")
-                    return SearchResult(
-                        pois=list(stale), personalized=False, degraded=True
-                    )
-            # Read the stamp *before* running the select: a write
-            # landing in between makes the stored stamp stale, never
-            # the other way around.
-            version = self.pois.version
-            rows = cache.get(key, version)
-            if rows is None:
-                rows = tuple(self._sql_rows(query))
-                cache.store(key, version, rows)
-            # Fresh result object per call; the row tuples are shared
-            # but immutable (ScoredPOI is frozen).
-            return SearchResult(pois=list(rows), personalized=False)
-        return SearchResult(pois=self._sql_rows(query), personalized=False)
+        key = (
+            query.bbox.as_tuple() if query.bbox else None,
+            query.keywords,
+            query.sort_by,
+            query.limit,
+        )
+        # Brownout level 1: serve whatever the cache holds, even an
+        # epoch- or version-stale entry, and flag the result degraded.
+        # Freshness is the first thing traded away under overload — a
+        # slightly old hot-POI list beats a rejection.
+        if self.admission.stale_ok():
+            stale = cache.get_stale(key)
+            if stale is not None:
+                if self.metrics is not None:
+                    self.metrics.increment("admission.stale_served")
+                return SearchResult(
+                    pois=list(stale), personalized=False, degraded=True
+                )
+        # Read the stamp *before* running the select: a write landing in
+        # between makes the stored stamp stale, never the other way
+        # around.
+        version = self.pois.version
+        rows = cache.get(key, version)
+        if rows is None:
+            rows = tuple(self._sql_rows(query))
+            cache.store(key, version, rows)
+        # Fresh result object per call; the row tuples are shared but
+        # immutable (ScoredPOI is frozen).
+        return SearchResult(pois=list(rows), personalized=False)
 
     def _sql_rows(self, query: SearchQuery) -> List[ScoredPOI]:
         pois = self.pois.search(

@@ -2,8 +2,8 @@
 
 Every region answers with one :class:`TopKPartialStream`, and
 :class:`TopKMerger` is the one cross-region merge.  A request that does
-not prune — top-k off, or a brownout's cap — *drains*: every stream
-emits all it holds (sorted access to the end), the merger folds the
+not prune — an exhaustive one, or a brownout's cap — *drains*: every
+stream emits all it holds (sorted access to the end), the merger folds the
 triples per POI with no random access, ranks, and decodes the k winners
 only.  Otherwise the merge is threshold-algorithm (TA) pruning in the
 style of "Efficient Top K Temporal Spatial Keyword Search": regions emit

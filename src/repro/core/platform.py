@@ -7,11 +7,10 @@ examples, the REST layer and the benchmarks instantiate.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from ..config import PlatformConfig
 from ..datagen.gps import GPSPoint
-from ..errors import ValidationError
 from ..hbase import HBaseCluster, RegionScanCache
 from ..mapreduce import JobRunner
 from ..social import (
@@ -64,11 +63,10 @@ class MoDisSENSE:
     Parameters
     ----------
     config:
-        Defaults to ``PlatformConfig()``, the production profile: every
-        subsystem below is built.  Under ``PlatformConfig.baseline()``
-        ``scan_cache``, ``hot_poi_cache``, ``ingest``,
+        Defaults to ``PlatformConfig()``.  Every subsystem below is
+        always built: ``scan_cache``, ``hot_poi_cache``, ``ingest``,
         ``incremental_hotin``, ``supervisor`` and ``admission`` are
-        None (the attributes always exist) and top-k streaming is off.
+        never None.
     plugins:
         Social-network integrations; defaults to simulated Facebook,
         Twitter and Foursquare, matching the paper's supported networks.
@@ -107,23 +105,17 @@ class MoDisSENSE:
         if self.config.faults.enabled:
             self.fault_injector = FaultInjector(self.config.faults)
             self.fault_injector.event_log = events
-        #: Admission controller + brownout ladder (no tickets, budgets
-        #: or shaping without one).  The fan-out's retry/hedge paths
-        #: draw from its global budget; without one they are unmetered.
-        self.admission: Optional[AdmissionController] = None
-        if self.config.admission.enabled:
-            self.admission = AdmissionController(
-                self.config.admission, metrics=self.metrics, event_log=events
-            )
+        #: Admission controller + brownout ladder.  The fan-out's
+        #: retry/hedge paths draw from its global budget.
+        self.admission = AdmissionController(
+            self.config.admission, metrics=self.metrics, event_log=events
+        )
         #: Per-region friend-partition scan cache the cluster hands to
         #: coprocessor invocations, and the web tier's hot-POI cache.
-        self.scan_cache: Optional[RegionScanCache] = None
-        self.hot_poi_cache: Optional[HotPOICache] = None
-        if self.config.cache.enabled:
-            self.scan_cache = RegionScanCache(metrics=self.metrics)
-            self.hot_poi_cache = HotPOICache(
-                metrics=self.metrics, event_log=events
-            )
+        self.scan_cache = RegionScanCache(metrics=self.metrics)
+        self.hot_poi_cache = HotPOICache(
+            metrics=self.metrics, event_log=events
+        )
 
         # ---- storage tier
         self.hbase = HBaseCluster(
@@ -132,11 +124,7 @@ class MoDisSENSE:
             metrics=self.metrics,
             event_log=events,
             fault_injector=self.fault_injector,
-            retry_budget=(
-                self.admission.retry_budget
-                if self.admission is not None
-                else None
-            ),
+            retry_budget=self.admission.retry_budget,
             scan_cache=self.scan_cache,
         )
         self.sql = SqlEngine()
@@ -195,38 +183,29 @@ class MoDisSENSE:
             num_mappers=self.config.cluster.total_cores,
         )
         # ---- streaming ingest tier
-        #: Delta-maintained hotness/interest state; exists only with
-        #: the streaming tier (the batch MapReduce owns freshness
-        #: otherwise).
-        self.incremental_hotin: Optional[IncrementalHotIn] = None
-        self.ingest: Optional[StreamingIngestTier] = None
-        if self.config.ingest.enabled:
-            self.incremental_hotin = IncrementalHotIn()
-            self.ingest = StreamingIngestTier(
-                self.visits_repository,
-                self.poi_repository,
-                self.incremental_hotin,
-                config=self.config.ingest,
-                metrics=self.metrics,
-                tracer=self.tracer,
-                hot_poi_cache=self.hot_poi_cache,
-                event_log=events,
-            ).start()
-            if self.admission is not None:
-                # Brownout level 3+ flips the tier to shed-on-full so
-                # blocked producers can't pile up during an overload.
-                self.admission.ingest = self.ingest
-        # ---- self-healing supervisor.  Without one, failure handling
-        # is manual (``fail_node``/``recover_node``); the cluster logs
-        # every region either way.
-        self.supervisor: Optional[ClusterSupervisor] = None
-        if self.config.supervisor.enabled:
-            self.supervisor = ClusterSupervisor(
-                self.hbase,
-                metrics=self.metrics,
-                tracer=self.tracer,
-                event_log=events,
-            )
+        #: Delta-maintained hotness/interest state the appliers fold.
+        self.incremental_hotin = IncrementalHotIn()
+        self.ingest = StreamingIngestTier(
+            self.visits_repository,
+            self.poi_repository,
+            self.incremental_hotin,
+            config=self.config.ingest,
+            metrics=self.metrics,
+            tracer=self.tracer,
+            hot_poi_cache=self.hot_poi_cache,
+            event_log=events,
+        ).start()
+        # Brownout level 3+ flips the tier to shed-on-full so blocked
+        # producers can't pile up during an overload.
+        self.admission.ingest = self.ingest
+        # ---- self-healing supervisor: acts only on its ticks, so
+        # manual ``fail_node``/``recover_node`` works beside it.
+        self.supervisor = ClusterSupervisor(
+            self.hbase,
+            metrics=self.metrics,
+            tracer=self.tracer,
+            event_log=events,
+        )
         self.event_detection = EventDetectionModule(
             self.gps_repository, self.poi_repository, self.config.jobs
         )
@@ -246,14 +225,13 @@ class MoDisSENSE:
         """Pre-scrape hook: refresh derived gauges so each telemetry
         tick samples *current* state, not whatever an event last left
         in the registry."""
-        if self.ingest is not None:
-            self.metrics.set_gauge(
-                "ingest.freshness_age_s", self.ingest.freshness_age_s()
-            )
-            self.metrics.set_gauge(
-                "ingest.queue_depth_total",
-                sum(q.depth() for q in self.ingest._queues),
-            )
+        self.metrics.set_gauge(
+            "ingest.freshness_age_s", self.ingest.freshness_age_s()
+        )
+        self.metrics.set_gauge(
+            "ingest.queue_depth_total",
+            sum(q.depth() for q in self.ingest._queues),
+        )
         live = self.hbase.simulation.live_nodes()
         self.metrics.set_gauge("cluster.live_nodes", len(live))
 
@@ -285,18 +263,10 @@ class MoDisSENSE:
         non-personalized answer is invalidated by bumping the hot-POI
         cache epoch after the refresh lands."""
         report = self.hotin_update.run(since, until)
-        if self.hot_poi_cache is not None:
-            self.hot_poi_cache.bump_epoch()
+        self.hot_poi_cache.bump_epoch()
         return report
 
     # ------------------------------------------------- streaming ingest
-
-    def _ingest_tier(self) -> StreamingIngestTier:
-        if self.ingest is None:
-            raise ValidationError(
-                "streaming ingest is disabled (set config.ingest.enabled)"
-            )
-        return self.ingest
 
     def ingest_visit(self, visit) -> int:
         """Submit one visit to the streaming ingest tier.
@@ -304,25 +274,25 @@ class MoDisSENSE:
         Returns the partition it was enqueued on.  Raises
         :class:`~repro.errors.BackpressureError` when the partition's
         bounded queue stays full — the visit is then *not* enqueued and
-        the caller owns the retry.  Not available under ``baseline()``.
+        the caller owns the retry.
         """
-        return self._ingest_tier().submit(visit)
+        return self.ingest.submit(visit)
 
     def ingest_visits(self, visits) -> int:
         """Submit many visits to the streaming tier; returns the count."""
-        return self._ingest_tier().submit_many(visits)
+        return self.ingest.submit_many(visits)
 
     def reconcile_hotin(self, since: int, until: int) -> ReconcileReport:
         """Run the verify-and-repair pass over ``[since, until)``.
 
-        With streaming ingest on, this replaces the periodic batch HotIn
-        job: the MapReduce recompute becomes the source-of-truth check
-        against the incremental state, repairing any divergence and
-        re-anchoring the tier's aggregation window at ``since``.  Cached
+        This replaces a periodic batch HotIn job: the MapReduce
+        recompute becomes the source-of-truth check against the
+        incremental state, repairing any divergence and re-anchoring the
+        tier's aggregation window at ``since``.  Cached
         non-personalized answers are invalidated whenever a repair
         rewrote POI rows.
         """
-        ingest = self._ingest_tier()
+        ingest = self.ingest
         ingest.window_since = since
         ingest.window_until = None
         report = self.hotin_update.reconcile(
@@ -332,7 +302,7 @@ class MoDisSENSE:
         # Folded WAL prefixes can never replay again; dropping them here
         # bounds WAL memory to the un-folded suffix between reconciles.
         ingest.compact_wals()
-        if report.pois_updated and self.hot_poi_cache is not None:
+        if report.pois_updated:
             self.hot_poi_cache.bump_epoch()
         return report
 
@@ -378,8 +348,7 @@ class MoDisSENSE:
     def shutdown(self) -> None:
         """Stop the platform's own threads: the ingest appliers (after
         draining their queues) and the telemetry profiler."""
-        if self.ingest is not None:
-            self.ingest.stop(drain=True)
+        self.ingest.stop(drain=True)
         if self.telemetry is not None:
             self.telemetry.close()
 
@@ -390,11 +359,7 @@ class MoDisSENSE:
         self.shutdown()
 
     def describe(self) -> dict:
-        """Deployment summary for logs and the demo GUI; a subsystem the
-        profile did not build reports ``{"enabled": False}``."""
-        def described(part) -> dict:
-            return part.describe() if part is not None else {"enabled": False}
-
+        """Deployment summary for logs and the demo GUI."""
         return {
             "hbase": self.hbase.describe(),
             "sql_tables": self.sql.table_names(),
@@ -402,12 +367,12 @@ class MoDisSENSE:
             "visits": self.visits_repository.count(),
             "networks": sorted(self.plugins),
             "tracing": self.tracer.describe(),
-            "cache": {"enabled": self.scan_cache is not None},
-            "ingest": (
-                self.ingest.stats() if self.ingest is not None else
-                {"running": False}
+            "cache": {"enabled": True},
+            "ingest": self.ingest.stats(),
+            "telemetry": (
+                self.telemetry.describe() if self.telemetry is not None
+                else {"enabled": False}
             ),
-            "telemetry": described(self.telemetry),
-            "supervisor": described(self.supervisor),
-            "admission": described(self.admission),
+            "supervisor": self.supervisor.describe(),
+            "admission": self.admission.describe(),
         }

@@ -20,7 +20,6 @@ from .tracing import NULL_TRACER, Tracer
 
 #: Periods of the platform's jobs, in simulated seconds.
 DATA_COLLECTION_PERIOD_S = 900.0
-HOTIN_UPDATE_PERIOD_S = 3600.0
 EVENT_DETECTION_PERIOD_S = 3600.0
 #: The demoted batch MapReduce pass: verify-and-repair of the
 #: incrementally folded HotIn state.
@@ -253,10 +252,10 @@ class PeriodicScheduler:
 
 
 def build_platform_scheduler(platform, start_at: float = 0.0) -> PeriodicScheduler:
-    """Wire a scheduler with the paper's three periodic modules plus the
-    maintenance jobs of whichever subsystems the platform built.
+    """Wire a scheduler with the paper's periodic modules plus every
+    subsystem's maintenance jobs.
 
-    The HotIn job aggregates over the trailing ``HOTIN_WINDOW_S``.
+    The HotIn reconcile pass checks the trailing ``HOTIN_WINDOW_S``.
     """
     scheduler = PeriodicScheduler(
         start_at=start_at, tracer=platform.tracer, metrics=platform.metrics
@@ -268,33 +267,23 @@ def build_platform_scheduler(platform, start_at: float = 0.0) -> PeriodicSchedul
         lambda now: platform.collect(int(now)),
         pausable=True,
     )
-    if platform.ingest is not None:
-        # Streaming ingest keeps hotness fresh incrementally; the batch
-        # MapReduce is demoted to a periodic verify-and-repair pass, and
-        # the load-aware rebalancer gets its observation-window check.
-        scheduler.register(
-            "hotin_reconcile",
-            HOTIN_RECONCILE_PERIOD_S,
-            lambda now: platform.reconcile_hotin(
-                int(now - HOTIN_WINDOW_S), int(now)
-            ),
-            pausable=True,
-        )
-        scheduler.register(
-            "ingest_rebalance",
-            INGEST_REBALANCE_PERIOD_S,
-            lambda now: platform.ingest.maybe_rebalance(),
-            pausable=True,
-        )
-    else:
-        scheduler.register(
-            "hotin_update",
-            HOTIN_UPDATE_PERIOD_S,
-            lambda now: platform.run_hotin(
-                int(now - HOTIN_WINDOW_S), int(now)
-            ),
-            pausable=True,
-        )
+    # Streaming ingest keeps hotness fresh incrementally; the batch
+    # MapReduce is a periodic verify-and-repair pass, and the load-aware
+    # rebalancer gets its observation-window check.
+    scheduler.register(
+        "hotin_reconcile",
+        HOTIN_RECONCILE_PERIOD_S,
+        lambda now: platform.reconcile_hotin(
+            int(now - HOTIN_WINDOW_S), int(now)
+        ),
+        pausable=True,
+    )
+    scheduler.register(
+        "ingest_rebalance",
+        INGEST_REBALANCE_PERIOD_S,
+        lambda now: platform.ingest.maybe_rebalance(),
+        pausable=True,
+    )
     scheduler.register(
         "event_detection",
         EVENT_DETECTION_PERIOD_S,
@@ -311,44 +300,41 @@ def build_platform_scheduler(platform, start_at: float = 0.0) -> PeriodicSchedul
             lambda now: platform.telemetry.tick(now),
             catch_up=False,
         )
-    if platform.scan_cache is not None:
-        # Reap scan-cache generations no lookup can accept anymore
-        # (their region's write journal no longer reaches back to them).
-        scheduler.register(
-            "cache_maintenance",
-            CACHE_SWEEP_PERIOD_S,
-            lambda now: platform.sweep_caches(),
-            pausable=True,
-        )
-    if platform.supervisor is not None:
-        # Heartbeat + scrub are level-triggered: a large jump costs one
-        # tick each, and the lease check compares against the *new* now,
-        # so a crash during a long idle stretch is still detected at the
-        # first tick after the jump.  Drill tests advance in sub-lease
-        # steps to measure honest detection latency.
-        scheduler.register(
-            "supervisor_heartbeat",
-            HEARTBEAT_PERIOD_S,
-            lambda now: platform.supervisor.heartbeat_tick(now),
-            catch_up=False,
-        )
-        scheduler.register(
-            "storage_scrub",
-            SCRUB_PERIOD_S,
-            lambda now: platform.supervisor.scrub_tick(now),
-            catch_up=False,
-            pausable=True,
-        )
-    if platform.admission is not None:
-        # The ladder's clock: evaluate overload signals and move the
-        # brownout level.  Level-triggered and NOT pausable — the ladder
-        # must keep ticking to ever step back down, and replaying missed
-        # ticks after a jump would fast-forward the hysteresis.
-        scheduler.register(
-            "admission_tick",
-            ADMISSION_TICK_PERIOD_S,
-            lambda now: platform.admission.tick(now),
-            catch_up=False,
-        )
-        platform.admission.scheduler = scheduler
+    # Reap scan-cache generations no lookup can accept anymore (their
+    # region's write journal no longer reaches back to them).
+    scheduler.register(
+        "cache_maintenance",
+        CACHE_SWEEP_PERIOD_S,
+        lambda now: platform.sweep_caches(),
+        pausable=True,
+    )
+    # Heartbeat + scrub are level-triggered: a large jump costs one tick
+    # each, and the lease check compares against the *new* now, so a
+    # crash during a long idle stretch is still detected at the first
+    # tick after the jump.  Drill tests advance in sub-lease steps to
+    # measure honest detection latency.
+    scheduler.register(
+        "supervisor_heartbeat",
+        HEARTBEAT_PERIOD_S,
+        lambda now: platform.supervisor.heartbeat_tick(now),
+        catch_up=False,
+    )
+    scheduler.register(
+        "storage_scrub",
+        SCRUB_PERIOD_S,
+        lambda now: platform.supervisor.scrub_tick(now),
+        catch_up=False,
+        pausable=True,
+    )
+    # The ladder's clock: evaluate overload signals and move the
+    # brownout level.  Level-triggered and NOT pausable — the ladder
+    # must keep ticking to ever step back down, and replaying missed
+    # ticks after a jump would fast-forward the hysteresis.
+    scheduler.register(
+        "admission_tick",
+        ADMISSION_TICK_PERIOD_S,
+        lambda now: platform.admission.tick(now),
+        catch_up=False,
+    )
+    platform.admission.scheduler = scheduler
     return scheduler

@@ -34,9 +34,8 @@ does:
 The supervisor is policy only.  The cluster owns the topology and the
 logs (DESIGN.md §10): it is asked for regions and their logs, and its
 ``reassign_regions`` carries each region's records to the new server.
-``PlatformConfig.baseline()`` builds no supervisor: failure handling is
-then the manual ``fail_node``/``recover_node`` story the fault-tolerance
-tests and ``bench_recovery``'s unsupervised arm use as reference.
+It acts only on its ticks, so the manual ``fail_node``/``recover_node``
+story the fault-tolerance tests use works beside it.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ Four cooperating parts behind one facade, :class:`TelemetryHub`:
   structured event per query / ingest batch / breaker flip / node event
   / SLO transition, carrying trace ids as exemplars.
 
-Everything is purely observational (on in both profiles): query answers
+Everything is purely observational (on by default): query answers
 are byte-identical telemetry on or off, and the ``bench-gates`` CI job
 gates the measured overhead at ≤10% on the 6000-friend query.
 """

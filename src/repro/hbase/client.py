@@ -418,8 +418,12 @@ class HBaseCluster:
                 mapping.items(), key=lambda item: item[0].region_id
             ):
                 self._run_region(q, region, request)
-            # 3. merge streams
-            self._merge_streams(q)
+            # 3. merge streams, timed under the query's fan-out span
+            if q.parent_span is None:
+                self._merge_streams(q)
+            else:
+                with tracer.span("merge", parent=q.parent_span) as span:
+                    span.tag("pois", self._merge_streams(q))
             # 4. account
             self._account(q)
             states.append(q)
@@ -731,18 +735,19 @@ class HBaseCluster:
         q.hedges += 1
         return None
 
-    def _merge_streams(self, q: _QueryState) -> None:
+    def _merge_streams(self, q: _QueryState) -> int:
         """The endpoint returned score-sorted streams, merged *here* —
         before the timeline is simulated — so ``results_returned`` (and
         with it the web tier's per-item merge cost) counts the items
         each region actually emitted or answered probes for.  Only a
         merge that ran threshold-algorithm rounds reports ``topk.*``
-        counters; a drained one has none to report."""
+        counters; a drained one has none to report.  Returns how many
+        ranked rows the merge kept."""
         streams = q.partials
         if not streams or not all(
             isinstance(p, StreamingPartial) for p in streams
         ):
-            return
+            return 0
         merged_stream, topk_stats = q.coprocessor.stream_merge(
             streams, deadline_token=q.token
         )
@@ -779,6 +784,7 @@ class HBaseCluster:
             q.missing.extend(rid for rid in aborted if rid not in q.missing)
             q.cancelled += len(aborted)
         q.partials = [merged_stream]
+        return len(merged_stream)
 
     def _account(self, q: _QueryState) -> None:
         """Resilience counters and strict mode's mid-scan abort."""

@@ -10,7 +10,7 @@ import dataclasses
 import pytest
 
 from repro import MoDisSENSE, RestApi
-from repro.config import CacheConfig, PlatformConfig, TelemetryConfig
+from repro.config import PlatformConfig, TelemetryConfig
 from repro.core.repositories.visits import VisitStruct
 
 
@@ -33,15 +33,6 @@ def api():
         ))
     rest = RestApi(p)
     yield rest, p
-    p.shutdown()
-
-
-@pytest.fixture()
-def baseline_api():
-    """The paper's un-extended profile: cache, top-k, ingest,
-    supervisor and admission off."""
-    p = MoDisSENSE(PlatformConfig.baseline(PlatformConfig.small().cluster))
-    yield RestApi(p), p
     p.shutdown()
 
 
@@ -109,9 +100,7 @@ class TestAdminCache:
         assert set(data) == {"enabled", "scan", "hot_poi"}
 
     def test_scan_envelope_reports_the_poi_attr_table(self):
-        p = MoDisSENSE(dataclasses.replace(
-            PlatformConfig.small(), cache=CacheConfig(enabled=True)
-        ))
+        p = MoDisSENSE(PlatformConfig.small())
         try:
             for uid in range(1, 10):
                 p.visits_repository.store(VisitStruct(
@@ -132,14 +121,6 @@ class TestAdminCache:
             assert cleared["data"]["scan"]["poi_attrs"] == 0
         finally:
             p.shutdown()
-
-
-class TestAdminIngest:
-    def test_disabled_shape(self, baseline_api):
-        rest, _p = baseline_api
-        out = rest.handle("admin_ingest", {})
-        assert out["status"] == "ok"
-        assert out["data"] == {"enabled": False}
 
 
 class TestAdminDescribe:
@@ -280,20 +261,8 @@ class TestAdminEvents:
 
 
 class TestAdminSupervisor:
-    def test_disabled_shape(self, baseline_api):
-        rest, _p = baseline_api
-        out = rest.handle("admin_supervisor", {})
-        assert out["status"] == "ok"
-        assert out["data"] == {"enabled": False}
-
     def test_enabled_shape_and_drill(self):
-        from repro.config import SupervisorConfig
-
-        cfg = _config()
-        cfg = dataclasses.replace(
-            cfg, supervisor=SupervisorConfig(enabled=True)
-        )
-        p = MoDisSENSE(cfg)
+        p = MoDisSENSE(_config())
         for uid in range(1, 10):
             p.visits_repository.store(VisitStruct(
                 user_id=uid, poi_id=1, timestamp=uid, grade=0.5,

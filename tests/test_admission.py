@@ -24,7 +24,6 @@ from repro.config import (
     ClusterConfig,
     FaultsConfig,
     PlatformConfig,
-    SupervisorConfig,
     TelemetryConfig,
 )
 from repro.core.admission import (
@@ -43,6 +42,7 @@ from repro.core.admission import (
 )
 from repro.core.faults import FaultInjector
 from repro.core.modules.query_answering import QueryAnsweringModule, SearchQuery
+from repro.core.modules.trending import TrendingQuery
 from repro.core.monitoring import PlatformMetrics
 from repro.core.repositories.poi import POI, POIRepository
 from repro.core.repositories.visits import VisitsRepository, VisitStruct
@@ -239,7 +239,7 @@ class FakeEventLog:
 
 def _controller(**overrides):
     cfg = AdmissionConfig(
-        enabled=True, initial_limit=4, min_limit=1,
+        initial_limit=4, min_limit=1,
         baseline_latency_ms=10.0, escalate_ticks=2, recover_ticks=2,
         **overrides,
     )
@@ -382,19 +382,8 @@ def _seed(platform, users=10):
 
 
 class TestRestAdmission:
-    def test_disabled_platform_has_no_controller(self):
-        p = MoDisSENSE(PlatformConfig.baseline(PlatformConfig.small().cluster))
-        try:
-            assert p.admission is None
-            rest = RestApi(p)
-            out = rest.handle("admin_admission", {})
-            assert out["status"] == "ok"
-            assert out["data"] == {"enabled": False}
-        finally:
-            p.shutdown()
-
     def test_brownout_rejection_envelope(self):
-        p = MoDisSENSE(_platform_config(AdmissionConfig(enabled=True)))
+        p = MoDisSENSE(_platform_config())
         _seed(p)
         rest = RestApi(p)
         try:
@@ -423,7 +412,7 @@ class TestRestAdmission:
 
     def test_per_client_rate_limit_at_the_boundary(self):
         p = MoDisSENSE(_platform_config(AdmissionConfig(
-            enabled=True, client_rate=0.001, client_burst=2.0,
+            client_rate=0.001, client_burst=2.0,
         )))
         _seed(p)
         rest = RestApi(p)
@@ -445,7 +434,7 @@ class TestRestAdmission:
         """Brownout level 1 trades freshness first: a non-personalized
         answer the hot-POI cache holds is served after a POI write made
         it stale, flagged degraded; back at level 0 it is recomputed."""
-        p = MoDisSENSE(_platform_config(AdmissionConfig(enabled=True)))
+        p = MoDisSENSE(_platform_config())
         try:
             p.poi_repository.add(POI(1, "A", 37.98, 23.73, ("x",), "food"))
             query = SearchQuery(keywords=("x",), sort_by="hotness")
@@ -464,31 +453,55 @@ class TestRestAdmission:
             p.shutdown()
 
     def test_untriggered_admission_is_byte_identical(self):
-        """Admission on but idle must not perturb a single byte of any
-        response — the feature is free until it fires."""
-        off = MoDisSENSE(_platform_config(AdmissionConfig(enabled=False)))
-        on = MoDisSENSE(_platform_config(AdmissionConfig(enabled=True)))
-        _seed(off)
-        _seed(on)
-        rest_off, rest_on = RestApi(off), RestApi(on)
+        """Admission idle must not perturb a single answer — the feature
+        is free until it fires: every REST answer is the direct module
+        call's, and the personalized ranking is the no-coprocessor
+        client-side path's."""
+        p = MoDisSENSE(_platform_config())
+        _seed(p)
+        rest = RestApi(p)
+
+        def rows(result, *fields):
+            return [{f: getattr(x, f) for f in fields} for x in result.pois]
+
+        search_fields = ("poi_id", "name", "lat", "lon", "score",
+                         "visit_count")
+        personalized = SearchQuery(friend_ids=(1, 2, 3), sort_by="hotness")
+        plain = SearchQuery(keywords=("x",), sort_by="hotness")
+        trending = TrendingQuery(now=100, window_s=1000)
         try:
-            requests = [
-                ("search", {"friend_ids": [1, 2, 3], "sort_by": "hotness"}),
-                ("search", {"keywords": ["x"], "sort_by": "hotness"}),
-                ("trending", {"now": 100, "window_s": 1000}),
-                ("friends", {"user_id": 1}),
-            ]
-            for endpoint, req in requests * 3:
-                assert rest_off.handle(endpoint, dict(req)) == \
-                       rest_on.handle(endpoint, dict(req))
+            client = p.query_answering.search_personalized_client_side(
+                personalized
+            )
+            for _ in range(3):
+                out = rest.handle(
+                    "search", {"friend_ids": [1, 2, 3], "sort_by": "hotness"}
+                )["data"]
+                assert not out["degraded"]
+                assert out["pois"] == rows(
+                    p.search(personalized), *search_fields
+                )
+                assert [(x["poi_id"], x["visit_count"]) for x in out["pois"]] \
+                    == [(x.poi_id, x.visit_count) for x in client.pois]
+                assert [x["score"] for x in out["pois"]] == pytest.approx(
+                    [x.score for x in client.pois]
+                )
+                out = rest.handle(
+                    "search", {"keywords": ["x"], "sort_by": "hotness"}
+                )["data"]
+                assert out["pois"] == rows(p.search(plain), *search_fields)
+                out = rest.handle(
+                    "trending", {"now": 100, "window_s": 1000}
+                )["data"]
+                assert out["pois"] == rows(
+                    p.trending_events(trending), "poi_id", "name", "score"
+                )
+            assert p.admission.rejected == 0
         finally:
-            off.shutdown()
-            on.shutdown()
+            p.shutdown()
 
     def test_state_changes_emit_wide_events(self):
-        p = MoDisSENSE(_platform_config(
-            AdmissionConfig(enabled=True), telemetry=True,
-        ))
+        p = MoDisSENSE(_platform_config(telemetry=True))
         rest = RestApi(p)
         try:
             rest.handle("admin_admission", {"force_level": 3})
@@ -821,10 +834,7 @@ class TestSchedulerPause:
         """The supervisor's scrub is background work the brownout ladder
         may park: paused it fires no callbacks, resumed it comes back
         level-triggered."""
-        cfg = dataclasses.replace(
-            _platform_config(), supervisor=SupervisorConfig(enabled=True),
-        )
-        p = MoDisSENSE(cfg)
+        p = MoDisSENSE(_platform_config())
         try:
             scheduler = build_platform_scheduler(p)
             period = SCRUB_PERIOD_S

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import MoDisSENSE, RestApi
-from repro.config import PlatformConfig
+from repro.config import PlatformConfig, TelemetryConfig, TracingConfig
 from repro.core.api.json_format import ApiResponse, validate_request
 from repro.core.repositories.poi import POI
 from repro.core.repositories.visits import VisitStruct
@@ -12,8 +12,13 @@ from repro.errors import ValidationError
 from repro.social import CheckIn, FriendInfo
 
 
-def _baseline_small():
-    return PlatformConfig.baseline(PlatformConfig.small().cluster)
+def _switches_off_small():
+    """The one profile with every switch it has off: the observers
+    (fault injection is off by default)."""
+    config = PlatformConfig.small()
+    config.tracing = TracingConfig(enabled=False)
+    config.telemetry = TelemetryConfig(enabled=False)
+    return config
 
 
 @pytest.fixture()
@@ -360,7 +365,7 @@ def test_nested_fields_get_a_bad_request_envelope(endpoint, body, message):
 class TestMalformedListFields:
     @pytest.fixture(
         scope="class",
-        params=[PlatformConfig.small, _baseline_small],
+        params=[PlatformConfig.small, _switches_off_small],
         ids=["production", "baseline"],
     )
     def rest(self, request):
@@ -400,8 +405,8 @@ class TestMalformedListFields:
 
 
 class TestProfiles:
-    """``PlatformConfig()`` is the stack ``benchmarks/e2e`` measures;
-    ``baseline()`` is the only other profile."""
+    """``PlatformConfig()`` is the stack ``benchmarks/e2e`` measures,
+    and the only profile."""
 
     def test_default_is_the_benchmark_profile(self):
         import dataclasses
@@ -416,10 +421,24 @@ class TestProfiles:
                 ), f.name
 
     def test_small_platform_reports_all_on(self):
+        import dataclasses
+
         from benchmarks.e2e.profile import assert_all_on
 
+        # One profile: only the observers and the test tool can be off.
+        switched = {
+            f.name for f in dataclasses.fields(PlatformConfig)
+            if any(
+                g.name == "enabled"
+                for g in dataclasses.fields(getattr(PlatformConfig(), f.name))
+            )
+        }
+        assert switched == {"tracing", "telemetry", "faults"}
         p = MoDisSENSE(PlatformConfig.small())
         try:
+            for name in ("scan_cache", "hot_poi_cache", "ingest",
+                         "incremental_hotin", "supervisor", "admission"):
+                assert getattr(p, name) is not None, name
             # explain reports top-k through the rounds a query ran.
             for uid in range(1, 65):
                 p.visits_repository.store(VisitStruct(
@@ -428,25 +447,6 @@ class TestProfiles:
                     keywords=("food",),
                 ))
             assert_all_on(RestApi(p))
-        finally:
-            p.shutdown()
-
-    def test_baseline_reports_the_five_off(self):
-        p = MoDisSENSE(_baseline_small())
-        try:
-            rest = RestApi(p)
-            described = rest.handle("admin_describe", {})["data"]
-            assert described["cache"]["enabled"] is False
-            assert described["ingest"] == {"running": False}
-            assert described["supervisor"] == {"enabled": False}
-            assert described["admission"] == {"enabled": False}
-            explained = rest.handle(
-                "explain", {"friend_ids": list(range(1, 65))}
-            )["data"]
-            assert explained["topk"]["enabled"] is False
-            # Tracing and telemetry only observe: on in both profiles.
-            assert described["tracing"]["enabled"] is True
-            assert described["telemetry"]["enabled"] is True
         finally:
             p.shutdown()
 

@@ -32,7 +32,8 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
 import repro.hbase.region as region_mod
-from repro.config import ClusterConfig, TopKConfig
+from benchmarks._workload import drain
+from repro.config import ClusterConfig
 from repro.core.caching import HotPOICache
 from repro.core.modules.query_answering import (
     QueryAnsweringModule,
@@ -107,15 +108,13 @@ class _Stack:
         self.scan_cache = RegionScanCache(max_entries=4096)
         self.cluster.scan_cache = self.scan_cache
         self.hot_poi_cache = HotPOICache(max_entries=64)
-        #: With ``topk`` the cache is opened, filled and read by
-        #: streaming-mode queries only; the oracle stays exhaustive.
-        self.topk_cfg = TopKConfig(enabled=topk)
         self.qa = QueryAnsweringModule(
-            self.pois,
-            self.visits,
-            hot_poi_cache=self.hot_poi_cache,
-            topk_config=self.topk_cfg,
+            self.pois, self.visits, hot_poi_cache=self.hot_poi_cache
         )
+        #: With ``topk`` the cache is opened, filled and read by pruned
+        #: queries only; otherwise by exhaustive (drained) ones.  The
+        #: oracle is always exhaustive.
+        drain(self.qa, on=not topk)
         self.failed_node = None
         self._ts = 0
 
@@ -157,19 +156,18 @@ class _Stack:
         )
 
     def oracle(self, query):
-        """Run ``query`` with every cache detached and top-k off,
-        restore after."""
+        """Run ``query`` exhaustively with the scan cache detached and
+        an empty hot-POI cache, restore after."""
         self.cluster.scan_cache = None
         saved_hot = self.qa.hot_poi_cache
-        self.qa.hot_poi_cache = None
-        saved_topk = self.topk_cfg.enabled
-        self.topk_cfg.enabled = False
+        self.qa.hot_poi_cache = HotPOICache()
+        was_draining = drain(self.qa)
         try:
             return self.qa.search(query)
         finally:
             self.cluster.scan_cache = self.scan_cache
             self.qa.hot_poi_cache = saved_hot
-            self.topk_cfg.enabled = saved_topk
+            drain(self.qa, on=was_draining)
 
     def toggle_node(self, rng):
         """Fail a node, or bring the failed one back (at most one down
@@ -1065,7 +1063,7 @@ class ScanCacheMachine(RuleBasedStateMachine):
                 self.followed[rid] = True
                 self.entries[rid].clear()
                 self.stale[rid].clear()
-        self.stack.topk_cfg.enabled = topk
+        drain(self.stack.qa, on=not topk)
         cached = self.stack.qa.search(query)
         assert _pois_fingerprint(cached) == _pois_fingerprint(
             self.stack.oracle(query)

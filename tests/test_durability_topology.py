@@ -19,7 +19,6 @@
 
 import random
 import warnings
-from dataclasses import replace
 
 import pytest
 
@@ -27,7 +26,6 @@ from repro.config import (
     ClusterConfig,
     IngestConfig,
     PlatformConfig,
-    SupervisorConfig,
 )
 from repro.core.ingest import StreamingIngestTier
 from repro.core.modules.hotin_update import IncrementalHotIn
@@ -437,15 +435,12 @@ def _attach_supervisor(p):
 
 
 def _run_platform(order):
-    """Build the production stack with the ingest tier and the
-    supervisor attached in ``order``; stream visits in, crash a node,
-    let the supervisor heal it, stream more; report what a user and an
-    operator can see."""
-    p = MoDisSENSE(replace(
-        PlatformConfig.small(),
-        ingest=IngestConfig(enabled=False),
-        supervisor=SupervisorConfig(enabled=False),
-    ))
+    """Build the production stack, then replace its ingest tier and
+    supervisor with ones built directly in ``order``; stream visits in,
+    crash a node, let the supervisor heal it, stream more; report what
+    a user and an operator can see."""
+    p = MoDisSENSE(PlatformConfig.small())
+    p.ingest.stop(drain=True)
     for attach in order:
         attach(p)
     p.poi_repository.add(POI(poi_id=1, name="A", lat=37.98, lon=23.73,

@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from benchmarks._workload import drain
 from repro.cluster import ClusterSimulation, MergeWork, Task, WebServerFarm
 from repro.config import ClusterConfig, FaultsConfig, PlatformConfig
 from repro.core.faults import FAULT_ERROR, FAULT_HANG, FaultInjector
@@ -348,6 +349,8 @@ class TestResilientFanout:
         # Fault decisions key on the region id, which is process-global.
         monkeypatch.setattr(region_module, "_region_ids", itertools.count(9000))
         cluster, qa, query = _build_qa()
+        # The trace was recorded on the exhaustive (drained) request.
+        drain(qa)
         metrics = PlatformMetrics()
         cluster.metrics = metrics
         cluster.fault_injector = FaultInjector(FaultsConfig(

@@ -29,7 +29,6 @@ def make_platform(capacity, policy, timeout_s=0.2):
     config = PlatformConfig(
         cluster=ClusterConfig(num_nodes=2, regions_per_table=4),
         ingest=IngestConfig(
-            enabled=True,
             num_partitions=1,
             queue_capacity=capacity,
             max_batch=8,
@@ -215,15 +214,3 @@ class TestAdminSurface:
             resp = api.handle("admin_ingest", {"reconcile": True})
             assert resp["status"] == "error"
             assert resp["error"]["code"] == "bad_request"
-
-    def test_admin_ingest_when_disabled(self):
-        from repro.core.api.rest import RestApi
-
-        config = PlatformConfig.baseline(
-            ClusterConfig(num_nodes=2, regions_per_table=4)
-        )
-        with MoDisSENSE(config) as platform:
-            api = RestApi(platform)
-            resp = api.handle("admin_ingest", {})
-            assert resp["status"] == "ok"
-            assert resp["data"] == {"enabled": False}

@@ -24,7 +24,6 @@ WINDOW = (0, 10_000)
 
 def make_platform(**ingest_overrides):
     ingest_kwargs = dict(
-        enabled=True,
         num_partitions=2,
         queue_capacity=1024,
         max_batch=64,
@@ -297,17 +296,6 @@ class TestSchedulerWiring:
             job = scheduler.job("hotin_reconcile")
             assert job.fire_count == 1
             assert job.last_error is None
-
-    def test_batch_job_kept_when_ingest_disabled(self):
-        from repro.core.scheduler import build_platform_scheduler
-
-        config = PlatformConfig.baseline(
-            ClusterConfig(num_nodes=2, regions_per_table=4)
-        )
-        with MoDisSENSE(config) as platform:
-            scheduler = build_platform_scheduler(platform)
-            assert "hotin_update" in scheduler._jobs
-            assert "hotin_reconcile" not in scheduler._jobs
 
 
 class TestIncrementalUnit:

@@ -144,10 +144,10 @@ class TestDescribe:
 
 
 def _all_on_config():
+    """Every switch the config has on: the observers (on by default)
+    and the fault injector (armed, at zero rates)."""
     config = PlatformConfig.small()
-    for section in (config.cache, config.topk, config.ingest,
-                    config.supervisor, config.admission, config.tracing,
-                    config.telemetry):
+    for section in (config.tracing, config.telemetry, config.faults):
         section.enabled = True
     return config
 

@@ -14,7 +14,6 @@ from repro.config import (
     ClusterConfig,
     FaultsConfig,
     PlatformConfig,
-    SupervisorConfig,
 )
 from repro.core.faults import FAULT_DISK
 from repro.core.modules.query_answering import SearchQuery
@@ -37,7 +36,6 @@ def _platform(seed=42):
     cfg = PlatformConfig()
     cfg.cluster = ClusterConfig(num_nodes=4, regions_per_table=8)
     cfg.faults = FaultsConfig(enabled=True, seed=seed)
-    cfg.supervisor = SupervisorConfig(enabled=True)
     p = MoDisSENSE(cfg)
     p.poi_repository.add(POI(poi_id=1, name="A", lat=37.98, lon=23.73,
                              keywords=("x",), category="cafe"))

@@ -94,7 +94,7 @@ class Stack:
         if cache:
             self.cluster.scan_cache = RegionScanCache(max_entries=4096)
         self.qa = QueryAnsweringModule(
-            pois, self.visits, topk_config=TopKConfig(enabled=True)
+            pois, self.visits, topk_config=TopKConfig()
         )
         rng = random.Random(17)
         self.halves = [

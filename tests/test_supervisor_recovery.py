@@ -5,8 +5,8 @@ kill heals itself — missed heartbeats expire the lease, the dead
 server's WAL is split by region, regions reopen on survivors with their
 unflushed cells replayed — and post-recovery answers are byte-identical
 to a never-failed oracle, with no test-harness ``recover_node`` call
-anywhere.  With the supervisor off, behavior is exactly the manual
-fail/recover model of the previous PRs.
+anywhere.  The supervisor acts only on its ticks: unticked, behavior is
+exactly the manual fail/recover model.
 """
 
 import warnings
@@ -18,7 +18,6 @@ from repro.config import (
     ClusterConfig,
     FaultsConfig,
     PlatformConfig,
-    SupervisorConfig,
 )
 from repro.core.modules.query_answering import SearchQuery
 from repro.core.platform import MoDisSENSE
@@ -39,12 +38,11 @@ def _fingerprint(result):
     )
 
 
-def _platform(supervised=True, nodes=4, regions=8, faults=True, seed=42):
+def _platform(nodes=4, regions=8, faults=True, seed=42):
     cfg = PlatformConfig()
     cfg.cluster = ClusterConfig(num_nodes=nodes, regions_per_table=regions)
     if faults:
         cfg.faults = FaultsConfig(enabled=True, seed=seed)
-    cfg.supervisor = SupervisorConfig(enabled=supervised)
     p = MoDisSENSE(cfg)
     p.poi_repository.add(POI(poi_id=1, name="A", lat=37.98, lon=23.73,
                              keywords=("x",), category="cafe"))
@@ -195,12 +193,12 @@ class TestCrashSemantics:
 
 class TestEndToEndRecoveryDrill:
     def test_seeded_kill_heals_without_manual_recover(self):
-        oracle = _platform(supervised=True)
+        oracle = _platform()
         _seed_visits(oracle)
         expected = _fingerprint(oracle.search(QUERY))
         assert expected[1] is False and expected[2] == 1.0
 
-        p = _platform(supervised=True)
+        p = _platform()
         _seed_visits(p)
         scheduler = build_platform_scheduler(p)
         victim = 1
@@ -232,7 +230,7 @@ class TestEndToEndRecoveryDrill:
         oracle.shutdown()
 
     def test_recovery_emits_events_and_metrics(self):
-        p = _platform(supervised=True)
+        p = _platform()
         _seed_visits(p)
         scheduler = build_platform_scheduler(p)
         p.fault_injector.schedule_node_event(1, "fail", 2)
@@ -256,7 +254,7 @@ class TestEndToEndRecoveryDrill:
         p.shutdown()
 
     def test_load_aware_placement_spreads_by_weight(self):
-        p = _platform(supervised=True, nodes=4, regions=8)
+        p = _platform(nodes=4, regions=8)
         _seed_visits(p, users=200)
         sup = p.supervisor
         sim = p.hbase.simulation
@@ -271,7 +269,7 @@ class TestEndToEndRecoveryDrill:
         p.shutdown()
 
     def test_node_rejoin_renews_lease(self):
-        p = _platform(supervised=True)
+        p = _platform()
         _seed_visits(p)
         scheduler = build_platform_scheduler(p)
         p.fault_injector.schedule_node_event(1, "fail", 3)
@@ -297,7 +295,7 @@ class TestEndToEndRecoveryDrill:
 
 class TestForcedDrill:
     def test_force_drill_is_a_real_crash_and_recovery(self):
-        p = _platform(supervised=True, faults=False)
+        p = _platform(faults=False)
         _seed_visits(p)
         expected = _fingerprint(p.search(QUERY))
         record = p.supervisor.force_drill()
@@ -307,7 +305,7 @@ class TestForcedDrill:
         p.shutdown()
 
     def test_force_drill_rejects_dead_or_unknown_node(self):
-        p = _platform(supervised=True, faults=False)
+        p = _platform(faults=False)
         _seed_visits(p)
         p.supervisor.force_drill(node_id=3)
         with pytest.raises(ConfigError):
@@ -320,8 +318,8 @@ class TestIngestExactlyOnce:
         """WAL-split replay rebuilds *storage*; the ingest tier's fold
         watermarks are untouched, so incremental HotIn state neither
         loses nor double-counts a delta across a node crash."""
-        p = _platform(supervised=True, faults=True)
-        oracle = _platform(supervised=True, faults=False)
+        p = _platform(faults=True)
+        oracle = _platform(faults=False)
         for plat in (p, oracle):
             for uid in range(1, 40):
                 plat.ingest.submit(VisitStruct(
@@ -363,18 +361,13 @@ class TestIngestExactlyOnce:
 
 
 class TestSupervisorOffUnchanged:
-    def test_disabled_platform_has_no_supervisor_surface(self):
-        p = _platform(supervised=False)
-        assert p.supervisor is None
-        assert p.describe()["supervisor"] == {"enabled": False}
-        scheduler = build_platform_scheduler(p)
-        assert "supervisor_heartbeat" not in scheduler._jobs
-        assert "storage_scrub" not in scheduler._jobs
-        p.shutdown()
+    """An unticked supervisor changes nothing: answers and the manual
+    fail/recover model are what a cluster without one gives."""
 
     def test_results_identical_with_and_without_supervisor(self):
-        plain = _platform(supervised=False, faults=False)
-        supervised = _platform(supervised=True, faults=False)
+        plain = _platform(faults=False)
+        plain.hbase.supervisor = None
+        supervised = _platform(faults=False)
         _seed_visits(plain)
         _seed_visits(supervised)
         assert (_fingerprint(plain.search(QUERY))
@@ -382,8 +375,10 @@ class TestSupervisorOffUnchanged:
         plain.shutdown()
         supervised.shutdown()
 
-    def test_manual_fail_recover_still_works_without_supervisor(self):
-        p = _platform(supervised=False)
+    def test_manual_fail_recover_still_works_with_an_unticked_supervisor(
+        self,
+    ):
+        p = _platform()
         _seed_visits(p)
         expected = _fingerprint(p.search(QUERY))
         p.hbase.fail_node(0)

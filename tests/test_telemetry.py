@@ -658,7 +658,7 @@ class TestPlatformTelemetry:
 
         config = PlatformConfig(
             cluster=ClusterConfig(num_nodes=4, regions_per_table=8),
-            ingest=IngestConfig(enabled=True, refresh_interval_s=0.0),
+            ingest=IngestConfig(refresh_interval_s=0.0),
             telemetry=TelemetryConfig(profiler_enabled=False),
         )
         with MoDisSENSE(config) as platform:
@@ -682,11 +682,8 @@ class TestPlatformTelemetry:
             assert batch_events[0]["queue_wait_ms"] >= 0.0
 
     def test_ingest_freshness_age_zero_when_idle(self):
-        from repro.config import IngestConfig
-
         config = PlatformConfig(
             cluster=ClusterConfig(num_nodes=4, regions_per_table=8),
-            ingest=IngestConfig(enabled=True),
             telemetry=TelemetryConfig(profiler_enabled=False),
         )
         with MoDisSENSE(config) as platform:

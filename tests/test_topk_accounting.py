@@ -20,6 +20,7 @@ latency can only fall, and the answer is unchanged.
 
 import pytest
 
+from benchmarks._workload import drain
 from repro.core.modules.query_answering import (
     SearchQuery,
     VisitScanCoprocessor,
@@ -105,9 +106,10 @@ def test_merge_accounting_is_frozen(sort_by, filtered):
 
 
 def exhaustive_account(stack, query, per_region_limit):
-    """``(shipped per region, simulated latency)`` of one top-k-off
-    call; a positive ``per_region_limit`` is a brownout's cap, routed
-    the way ``cli.py figure2`` drives the fan-out."""
+    """``(shipped per region, simulated latency)`` of one call of a
+    draining ``stack`` (see ``drain``); a positive ``per_region_limit``
+    is a brownout's cap, routed the way ``cli.py figure2`` drives the
+    fan-out."""
     qa = stack.qa
     call = stack.cluster.coprocessor_exec_routed(
         stack.visits.table.name,
@@ -125,8 +127,8 @@ def exhaustive_account(stack, query, per_region_limit):
 
 
 #: (sort_by, filtered, per_region_limit) -> ``(shipped per region,
-#: latency_ms scanning, latency_ms off a warm scan cache)`` with top-k
-#: off.  Recorded while the exhaustive path still shipped lists of
+#: latency_ms scanning, latency_ms off a warm scan cache)`` of the
+#: exhaustive request.  Recorded while the exhaustive path still shipped lists of
 #: ``(poi_id, grade_sum, count, name, lat, lon)``; the drained streams
 #: that replaced them are charged exactly the same.
 FROZEN_EXHAUSTIVE = {
@@ -205,10 +207,10 @@ def test_exhaustive_accounting_is_frozen(sort_by, filtered, cap):
     query = query_for(sort_by, filtered)
     shipped, scanning_ms, warm_ms = FROZEN_EXHAUSTIVE[(sort_by, filtered, cap)]
     stack = Stack(data_seed=11)
-    stack.topk_cfg.enabled = False
+    drain(stack.qa)
     assert exhaustive_account(stack, query, cap) == (shipped, scanning_ms)
     cached = Stack(data_seed=11, cache=True)
-    cached.topk_cfg.enabled = False
+    drain(cached.qa)
     assert exhaustive_account(cached, query, cap) == (shipped, scanning_ms)
     exhaustive_account(cached, query, cap)  # fills the opened generations
     assert exhaustive_account(cached, query, cap) == (shipped, warm_ms)

@@ -1,9 +1,9 @@
 """Differential oracle suite for threshold-algorithm top-k early
 termination (:mod:`repro.core.modules.topk`).
 
-The contract under test: with ``TopKConfig(enabled=True)``, every
-personalized answer is **byte-identical** to the exhaustive coprocessor
-path (same fan-out, same float fold orders — scores compare with ``==``,
+The contract under test: every pruned personalized answer is
+**byte-identical** to the exhaustive request's — every region's stream
+drained, ``topk_batch=0`` (same fan-out, same float fold orders — scores compare with ``==``,
 not approx), and matches the no-coprocessor
 ``search_personalized_client_side`` baseline in ranked order and counts
 (scores approx there, as in ``test_routing`` — the single-machine
@@ -29,6 +29,7 @@ import time
 
 import pytest
 
+from benchmarks._workload import drain
 from repro.config import ClusterConfig, FaultsConfig, TopKConfig
 from repro.core.faults import FaultInjector
 from repro.core.modules.query_answering import (
@@ -125,7 +126,7 @@ class Stack:
         self.scan_cache = RegionScanCache(max_entries=4096) if cache else None
         if self.scan_cache is not None:
             self.cluster.scan_cache = self.scan_cache
-        self.topk_cfg = TopKConfig(enabled=True, batch_size=batch_size)
+        self.topk_cfg = TopKConfig(batch_size=batch_size)
         self.qa = QueryAnsweringModule(
             self.pois, self.visits, tracer=tracer, topk_config=self.topk_cfg
         )
@@ -177,15 +178,14 @@ class Stack:
         )
 
     def search_topk(self, query):
-        self.topk_cfg.enabled = True
         return self.qa.search(query)
 
     def search_exhaustive(self, query):
-        self.topk_cfg.enabled = False
+        drain(self.qa)
         try:
             return self.qa.search(query)
         finally:
-            self.topk_cfg.enabled = True
+            drain(self.qa, on=False)
 
 
 # --------------------------------------------------------------------------
@@ -681,20 +681,20 @@ class TestTopKInteractions:
         query = SearchQuery(
             friend_ids=tuple(range(1, NUM_USERS + 1)), limit=2
         )
-        stack.topk_cfg.enabled = True
         plan = stack.qa.explain_personalized(query)
         assert plan["topk"]["enabled"]
         assert plan["topk"]["rounds"] > 0
         assert plan["topk"]["cells_avoided"] > 0
         assert plan["topk"]["pruned_regions"] > 0
-        stack.topk_cfg.enabled = False
+        drain(stack.qa)
         plan_off = stack.qa.explain_personalized(query)
         assert not plan_off["topk"]["enabled"]
         assert plan_off["topk"]["cells_avoided"] == 0
 
     def test_a_drained_merge_is_not_a_topk_query(self):
         """The cluster's ``topk.queries`` metric counts pruning merges;
-        a drained one (top-k off, or a brownout's cap) adds nothing."""
+        a drained one (an exhaustive request, or a brownout's cap) adds
+        nothing."""
         metrics = PlatformMetrics()
         stack = Stack(data_seed=71)
         stack.cluster.metrics = metrics

@@ -11,6 +11,7 @@ total, with pruning tags matching ``explain_personalized``; batch jobs
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -299,10 +300,14 @@ class TestQueryTracePropagation:
         assert {"region.aggregate", "region.sort"} <= stages
         # Client-side stages hang off the root in execution order.
         top = [child["name"] for child in root["children"]]
-        assert top == ["route", "fanout", "merge", "rank"]
-        # Region scans are children of the fan-out; the coprocessor's
-        # cache-lookup/aggregate/sort stages nest under their region scan.
+        assert top == ["route", "fanout", "rank"]
+        # Region scans and the cross-region merge are children of the
+        # fan-out; the coprocessor's cache-lookup/aggregate/sort stages
+        # nest under their region scan.
         fanout = _find_one(root, "fanout")
+        merge = [c for c in fanout["children"] if c["name"] == "merge"]
+        assert len(merge) == 1
+        assert merge[0]["tags"]["pois"] == len(result.pois)
         scans = _find_all(fanout, "region.scan")
         assert len(scans) == result.regions_used
         for scan in scans:
@@ -314,6 +319,20 @@ class TestQueryTracePropagation:
         assert root["tags"]["latency_ms"] == pytest.approx(result.latency_ms)
         assert root["tags"]["records_scanned"] == result.records_scanned
         assert root["tags"]["regions_used"] == result.regions_used
+
+    def test_merge_span_times_the_merge(self, traced_platform, monkeypatch):
+        from repro.core.modules.topk import TopKMerger
+
+        merge = TopKMerger.merge
+
+        def slow_merge(self, *args, **kwargs):
+            time.sleep(0.02)
+            return merge(self, *args, **kwargs)
+
+        monkeypatch.setattr(TopKMerger, "merge", slow_merge)
+        traced_platform.query_answering.search(QUERY)
+        fanout = _find_one(traced_platform.tracer.last_trace()["root"], "fanout")
+        assert _find_one(fanout, "merge")["duration_ms"] >= 20.0
 
     def test_region_children_sum_to_fanout_total(self, traced_platform):
         traced_platform.query_answering.search(QUERY)
