@@ -83,6 +83,15 @@ def build_platform() -> MoDisSENSE:
     return platform
 
 
+def friend_count(count: int) -> int:
+    """``count``, or fewer on a smoke-scale dataset: at most the share
+    of the user base Figure 3's 6000 friends are of the full 10,500
+    users (4/7), so ``friend_sample`` never asks for more users than
+    ``REPRO_BENCH_USERS`` holds.  The identity at bench scale for every
+    count up to 6000."""
+    return min(count, NUM_USERS * 4 // 7)
+
+
 def friend_sample(count: int, seed: int = 7) -> tuple:
     """``count`` distinct friend ids, uniformly sampled (paper: "friends
     for each query are picked randomly in a uniform manner")."""

@@ -23,7 +23,7 @@ from repro.geo import BoundingBox
 from repro.sqlstore import Query
 
 from ._report import register_table
-from ._workload import friend_sample, paper_read_path
+from ._workload import friend_count, friend_sample, paper_read_path
 
 #: A selective neighbourhood window (~600 m on a side, a few dozen POIs
 #: out of 8500): the access-path comparison needs index-friendly
@@ -82,7 +82,7 @@ def test_personalized_on_right_store(bench_platform, benchmark):
 
     def sweep():
         out = {}
-        for friends in (500, 2000, 4000):
+        for friends in sorted({friend_count(f) for f in (500, 2000, 4000)}):
             ids = friend_sample(friends, seed=friends)
             query = SearchQuery(friend_ids=ids, sort_by="interest", limit=10)
             with paper_read_path(bench_platform):

@@ -16,6 +16,7 @@ import pytest
 from ._report import register_table
 from ._workload import (
     PAPER_CLUSTERS,
+    friend_count,
     friend_sample,
     paper_read_path,
     region_records_for_friends,
@@ -23,7 +24,8 @@ from ._workload import (
 )
 
 CONCURRENCY_LEVELS = (30, 35, 40, 45, 50)
-FRIENDS_PER_QUERY = 6000
+#: The paper's 6000; the same ~57 % of the user base on a smoke dataset.
+FRIENDS_PER_QUERY = friend_count(6000)
 
 #: Cache ablation: concurrent queries cycling this many distinct friend
 #: sets, so later queries re-request partitions earlier ones scanned.
@@ -102,7 +104,7 @@ def test_figure3_concurrent_query_latency(bench_platform, benchmark):
     ]
     register_table(
         "Figure 3: mean execution time (s) for concurrent queries"
-        " (6000 friends each)",
+        " (%d friends each)" % FRIENDS_PER_QUERY,
         ["concurrent"] + ["%d nodes" % n for n in PAPER_CLUSTERS],
         rows,
     )
@@ -151,13 +153,8 @@ def test_figure3_cache_ablation(bench_platform, benchmark):
     """
     from repro.hbase import RegionScanCache
 
-    from ._workload import NUM_USERS
-
-    # Full scale matches the paper's 6000 friends; the smoke dataset
-    # (REPRO_BENCH_USERS) keeps the same ~57% coverage of the user base.
-    friends_per_query = min(FRIENDS_PER_QUERY, (NUM_USERS * 4) // 7)
     samples = [
-        friend_sample(friends_per_query, seed=31 + i)
+        friend_sample(FRIENDS_PER_QUERY, seed=31 + i)
         for i in range(ABLATION_PROFILES)
     ]
     from repro.core.modules.query_answering import SearchQuery
@@ -202,7 +199,7 @@ def test_figure3_cache_ablation(bench_platform, benchmark):
     register_table(
         "Figure 3 ablation: region scan cache"
         " (%d concurrent queries x %d friends, %d shared friend sets)"
-        % (ABLATION_CONCURRENCY, friends_per_query, ABLATION_PROFILES),
+        % (ABLATION_CONCURRENCY, FRIENDS_PER_QUERY, ABLATION_PROFILES),
         ["mode", "makespan (ms)", "records scanned", "hit rate"],
         [
             ["uncached", "%.1f" % out["base_makespan_ms"],

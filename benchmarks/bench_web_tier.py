@@ -15,6 +15,7 @@ from repro.cluster import MergeWork, WebServerFarm
 
 from ._report import register_table
 from ._workload import (
+    friend_count,
     friend_sample,
     region_records_for_friends,
     simulate_query_ms,
@@ -25,7 +26,7 @@ def test_web_server_sizing(bench_platform, benchmark):
     """Mean merge completion for 50 concurrent 6000-friend queries as
     the web farm grows."""
     work_profile = region_records_for_friends(
-        bench_platform, friend_sample(6000, seed=91)
+        bench_platform, friend_sample(friend_count(6000), seed=91)
     )
     items_per_query = sum(results for _recs, results in work_profile.values())
 
@@ -61,7 +62,7 @@ def test_node_failure_drill(bench_platform, benchmark):
     stated reason for choosing HBase; the drill records the degradation
     curve and that answers stay exact.
     """
-    ids = friend_sample(4000, seed=92)
+    ids = friend_sample(friend_count(4000), seed=92)
     work = region_records_for_friends(bench_platform, ids)
 
     def sweep():
@@ -98,8 +99,8 @@ def test_node_failure_drill(bench_platform, benchmark):
 
     latencies = benchmark.pedantic(sweep, rounds=1, iterations=1)
     register_table(
-        "Fault drill: 4000-friend query latency vs failed nodes"
-        " (16-node cluster)",
+        "Fault drill: %d-friend query latency vs failed nodes"
+        " (16-node cluster)" % len(ids),
         ["failed nodes", "latency (ms)"],
         [[k, "%.0f" % v] for k, v in sorted(latencies.items())],
     )

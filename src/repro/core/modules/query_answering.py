@@ -352,12 +352,15 @@ class VisitScanCoprocessor(Coprocessor):
         """
         cache = context.cache
         since, until = request.since, request.until
+        owner_of = VisitsRepository.user_of_row
         # Captured before the lookup: a mutation racing with this
-        # invocation moves the region's seqid, which ends cache reads
-        # and fills.  The lookup itself evicts the friends written since
-        # the generation was last handed out (DESIGN.md §7.1).
+        # invocation moves the region's seqid, and the fold looks up
+        # again before its next probe.  Each lookup evicts the friends
+        # written since the generation was last handed out; ``store``
+        # drops the fills of those written since this first one
+        # (DESIGN.md §7.1).
         seqid = context.data_seqid
-        generation = context.cache_lookup(VisitsRepository.user_of_row)
+        generation = context.cache_lookup(owner_of)
         #: None: nothing to read and not admitted to fill.
         entries = generation.entries if generation is not None else None
         fills: Dict[Tuple, FriendPartial] = {}
@@ -391,8 +394,12 @@ class VisitScanCoprocessor(Coprocessor):
             cached = None
             if entries is not None:
                 if context.data_seqid != seqid:
-                    entries = None
-                else:
+                    # Catch up: the same entries, less the written
+                    # friends' (None after a structural event).
+                    seqid = context.data_seqid
+                    if context.cache_lookup(owner_of) is None:
+                        entries = None
+                if entries is not None:
                     cached = entries.get((friend_id, since, until))
             if cached is not None:
                 cache_hits += 1
@@ -441,16 +448,13 @@ class VisitScanCoprocessor(Coprocessor):
                     sums[poi_id] = decode_grade(value)
                     visits[poi_id] = 1
             if entries is not None:
-                if context.data_seqid == seqid:
-                    # From lists: ``array`` sizes a list's copy exactly
-                    # and grows anything else by appends, leaving slack
-                    # in every entry the warm fold then has to pull in.
-                    fills[(friend_id, since, until)] = FriendPartial(
-                        list(sums), list(sums.values()),
-                        list(visits.values()), first_raws.values(),
-                    )
-                else:
-                    entries = None
+                # From lists: ``array`` sizes a list's copy exactly and
+                # grows anything else by appends, leaving slack in every
+                # entry the warm fold then has to pull in.
+                fills[(friend_id, since, until)] = FriendPartial(
+                    list(sums), list(sums.values()),
+                    list(visits.values()), first_raws.values(),
+                )
             for poi_id, grade_sum in sums.items():
                 if poi_id in counts:
                     grade_sums[poi_id] += grade_sum
@@ -466,7 +470,7 @@ class VisitScanCoprocessor(Coprocessor):
         context.add_scanned(cells_scanned)
         if cache is not None:
             if fills and entries is not None:
-                cache.store(context.region_id, generation, fills)
+                context.cache_store(generation, fills, owner_of)
             cache.record(cache_hits, cache_misses)
             # Marker span: per-region cache effectiveness, visible as a
             # ``cache.lookup`` child in the query's fan-out trace.

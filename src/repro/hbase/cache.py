@@ -17,8 +17,10 @@ friend a row belongs to), advances the mark and hands the generation
 out.  Only a region that cannot enumerate its writes — a *structural*
 event since the mark: flush, compaction, bulk load, crash, replay, TTL
 change, journal overflow — has its generation replaced wholesale.  A
-region invocation takes the cache lock O(1) times: one ``lookup``,
-plain dict probes on the generation per friend, and at most one
+region invocation takes the cache lock O(1) times plus once per
+catch-up: one ``lookup``, plain dict probes on the generation per
+friend, one more ``lookup`` each time it finds its region written
+since the last (below), and at most one
 :meth:`RegionScanCache.store` for everything it scanned.
 
 **The first invocation only opens.**  ``lookup`` answers ``None`` when
@@ -32,14 +34,16 @@ from the third on.
 Cached answers are byte-identical to a cache-off run by construction.
 A region makes a put readable before it journals it, so an entry whose
 scan missed a put is older than that put's journal row: the next lookup
-evicts it, and a fill that arrives after that lookup is dropped by
-``store`` (the generation object it was scanned under is no longer the
-region's).  On top of that the coprocessor captures the region's
-``data_seqid`` before its lookup and stops reading and filling the
-moment it moves (DESIGN.md §7.1 has the argument).  Entries keep the
-first-encounter order of a fresh scan so every float sum folds in the
-same order, and are stored without parsing anything (see
-:class:`FriendPartial`).  The cache is never consulted under an
+evicts it, and ``store`` drops the fills of every owner journaled since
+the invocation's first lookup, whoever consumed those rows meanwhile.
+A write landing mid-fold therefore costs the invocation one more
+lookup, not its reads: the coprocessor captures the region's
+``data_seqid`` before its lookup and, when it moves, looks up again
+before the next probe, which evicts the written owners and leaves the
+rest to be served and filled (DESIGN.md §7.1 has the argument).
+Entries keep the first-encounter order of a fresh scan so every float
+sum folds in the same order, and are stored without parsing anything
+(see :class:`FriendPartial`).  The cache is never consulted under an
 injected fault and is explicitly invalidated for regions a failed node
 owned (see ``HBaseCluster.fail_node``).
 
@@ -153,8 +157,9 @@ class Generation:
     ``mark`` never changes on an instance: a lookup that consumes
     journal rows re-wraps the same ``entries`` / ``owners`` under the
     new mark.  An invocation therefore holds "the entries as of the mark
-    my lookup reached", and :meth:`RegionScanCache.store`'s identity
-    check is also the mark check.
+    my lookup reached"; ``entries`` identity says the wrappers belong to
+    one opening of the region, which :meth:`RegionScanCache.store`
+    checks before it reconciles from the first wrapper's mark.
     """
 
     __slots__ = ("mark", "entries", "owners", "overflows")
@@ -277,21 +282,37 @@ class RegionScanCache:
 
     def store(
         self,
-        region_id: int,
+        region: Any,
         generation: Generation,
         fills: Mapping[Tuple, FriendPartial],
+        owner_of: Callable[[bytes], Any],
     ) -> None:
-        """Add one invocation's freshly scanned partials to the
-        generation :meth:`lookup` handed it.  Dropped when that is no
-        longer the region's generation *object*: it was replaced or
-        invalidated meanwhile, or another lookup moved the mark — the
-        writes it consumed may postdate these scans, and its evictions
-        came before these fills could be evicted (a late fill)."""
+        """Add one invocation's freshly scanned partials to the region's
+        generation.  ``generation`` is the one the invocation's *first*
+        :meth:`lookup` handed it: every fill was scanned after that
+        lookup, so a put a fill may miss was journaled at or after its
+        mark.  The fills of every owner written since that mark are
+        dropped — later lookups may have consumed those rows already,
+        so no eviction would reach them (a late fill) — and the rest
+        are stored.  All are dropped when the region's generation no
+        longer holds the same entries (replaced, discarded or
+        invalidated meanwhile) or the region no longer resolves the
+        mark (a structural event)."""
         evicted = 0
         with self._lock:
-            if self._generations.get(region_id) is not generation:
+            current = self._generations.get(region.region_id)
+            if current is None or current.entries is not generation.entries:
                 return
-            entries, owners = generation.entries, generation.owners
+            rows = region.written_since(generation.mark)
+            if rows is None:
+                return
+            if rows:
+                written = set(map(owner_of, rows))
+                fills = {
+                    key: partial for key, partial in fills.items()
+                    if key[0] not in written
+                }
+            entries, owners = current.entries, current.owners
             before = len(entries)
             # One generation may never outgrow the whole budget.
             room = self.max_entries - before
@@ -302,7 +323,7 @@ class RegionScanCache:
                     owners.setdefault(key[0], []).append(key)
             entries.update(fills)
             self._size += len(entries) - before
-            self._generations.move_to_end(region_id)
+            self._generations.move_to_end(region.region_id)
             while self._size > self.max_entries:
                 oldest = next(iter(self._generations))
                 evicted += self._discard(oldest)

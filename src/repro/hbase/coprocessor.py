@@ -150,8 +150,11 @@ class CoprocessorContext:
     @property
     def data_seqid(self) -> int:
         """The region's current data sequence id.  Endpoints capture it
-        *before* :meth:`cache_lookup` and stop reading and filling the
-        cache once it moves: a mutation raced with the invocation."""
+        *before* :meth:`cache_lookup`; once it moves, a mutation raced
+        with the invocation, and they capture it again and call
+        :meth:`cache_lookup` again before the next cache probe — which
+        evicts what the mutation staled, or answers None if it was
+        structural."""
         return self._region.data_seqid
 
     def cache_lookup(self, owner_of: Callable[[bytes], Any]) -> Optional[Any]:
@@ -163,6 +166,19 @@ class CoprocessorContext:
         if self.cache is None:
             return None
         return self.cache.lookup(self._region, owner_of)
+
+    def cache_store(
+        self,
+        generation: Any,
+        fills: Dict[Any, Any],
+        owner_of: Callable[[bytes], Any],
+    ) -> None:
+        """Offer what the invocation scanned to the cache
+        (:meth:`RegionScanCache.store
+        <repro.hbase.cache.RegionScanCache.store>`): ``generation`` is
+        the one its *first* :meth:`cache_lookup` returned, and the fills
+        of owners written since then are dropped."""
+        self.cache.store(self._region, generation, fills, owner_of)
 
     def get(self, row: bytes, family: str, qualifier: bytes) -> Optional[bytes]:
         """Region-local point get."""

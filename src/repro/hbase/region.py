@@ -89,8 +89,8 @@ class Region:
         #: compactions, TTL cutoff changes, crashes and replays.  (Not
         #: the seal of staged runs: the load counted, and a seal bump
         #: would void the cache fill whose scan triggered it.)
-        #: A scan-cache reader captures it before its lookup and stops
-        #: reading and filling the moment it moves.  Only ever bumped
+        #: A scan-cache reader captures it before its lookup and looks
+        #: up again before its next probe once it moves.  Only ever bumped
         #: under ``_journal_lock``, after the mutation it announces is
         #: readable, so concurrent writers cannot lose a bump.
         self.data_seqid = 0

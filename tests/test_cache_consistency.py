@@ -25,6 +25,9 @@ while a cache lock is held.
 """
 
 import random
+import sys
+import threading
+import time
 from unittest import mock
 
 import pytest
@@ -334,10 +337,9 @@ class TestSeqidInvalidation:
         """Fills for a generation the region has moved past are never
         served, and a superseded generation cannot be revived."""
         cache, region = RegionScanCache(), _region()
-        rid = region.region_id
         assert cache.lookup(region, OWNER) is None  # opens
         generation = cache.lookup(region, OWNER)
-        cache.store(rid, generation, {(11, None, None): _partial()})
+        cache.store(region, generation, {(11, None, None): _partial()}, OWNER)
         # A structural event: the region cannot say what changed, so
         # the next invocation drops the whole generation, O(1).
         region.set_ttl_cutoff(FAMILY, 5)
@@ -346,13 +348,13 @@ class TestSeqidInvalidation:
         assert len(cache) == 0
         # A scan that raced the event still holds the old generation;
         # its late fills are dropped, not attached to the new one.
-        cache.store(rid, generation, {(12, None, None): _partial()})
+        cache.store(region, generation, {(12, None, None): _partial()}, OWNER)
         assert len(cache) == 0
         fresh = cache.lookup(region, OWNER)
         assert fresh.entries == {}
         # ...and the old generation cannot be revived through the new
         # one's admission either.
-        cache.store(rid, generation, {(12, None, None): _partial()})
+        cache.store(region, generation, {(12, None, None): _partial()}, OWNER)
         assert fresh.entries == {} and len(cache) == 0
 
     def test_late_fill_after_a_write_evicted_its_owner_is_dropped(self):
@@ -362,17 +364,16 @@ class TestSeqidInvalidation:
         generation is still the region's and holds the same entries,
         but A's fill predates a write no later lookup will see again."""
         cache, region = RegionScanCache(), _region()
-        rid = region.region_id
         assert cache.lookup(region, OWNER) is None
         reader_a = cache.lookup(region, OWNER)  # A scans under this
         _put(region, 11)
         reader_b = cache.lookup(region, OWNER)  # consumes friend 11's row
         assert reader_b is not None and reader_b.entries is reader_a.entries
-        cache.store(rid, reader_a, {(11, None, None): _partial()})
+        cache.store(region, reader_a, {(11, None, None): _partial()}, OWNER)
         assert len(cache) == 0
         assert cache.lookup(region, OWNER).entries == {}
         # B scanned after the put: its fill is current and lands.
-        cache.store(rid, reader_b, {(11, None, None): _partial()})
+        cache.store(region, reader_b, {(11, None, None): _partial()}, OWNER)
         assert set(cache.lookup(region, OWNER).entries) == {(11, None, None)}
 
 
@@ -418,20 +419,20 @@ def _admitted(cache, region):
 class TestCacheMechanics:
     def test_quiet_region_admission(self):
         cache, region = RegionScanCache(), _region()
-        rid = region.region_id
         # The first invocation on a region only opens.
         assert cache.lookup(region, OWNER) is None
         # Unwritten since: admitted.
         generation = cache.lookup(region, OWNER)
         assert generation is not None
         cache.store(
-            rid,
+            region,
             generation,
             {
                 (1, None, None): _partial(),
                 (1, 5, None): _partial(),
                 (2, None, None): _partial(),
             },
+            OWNER,
         )
         # Written, and the journal followed: still admitted.  The
         # written friend misses (all its windows), the other one hits.
@@ -467,9 +468,10 @@ class TestCacheMechanics:
         one, two = _region(), _region()
         for region, friend_id in ((one, 1), (one, 2), (two, 3)):
             cache.store(
-                region.region_id,
+                region,
                 _admitted(cache, region),
                 {(friend_id, None, None): _partial()},
+                OWNER,
             )
         # Region one's generation (two entries) was least recently used.
         assert len(cache) == 1
@@ -486,13 +488,14 @@ class TestCacheMechanics:
         for key in range(160):
             region = regions[key % 5 if key < 80 else 5]
             cache.store(
-                region.region_id,
+                region,
                 _admitted(cache, region),
                 {(key, key % 3, None): _partial()},
+                OWNER,
             )
             assert cache.stats()["entries"] <= 16
         big = {(key, None, None): _partial() for key in range(1000, 1100)}
-        cache.store(regions[3].region_id, _admitted(cache, regions[3]), big)
+        cache.store(regions[3], _admitted(cache, regions[3]), big, OWNER)
         assert 0 < cache.stats()["entries"] <= 16
 
     def test_sweep_reaps_superseded_generations(self):
@@ -502,9 +505,10 @@ class TestCacheMechanics:
         ]
         for region in regions:
             cache.store(
-                region.region_id,
+                region,
                 _admitted(cache, region),
                 {(1, None, None): _partial()},
+                OWNER,
             )
         # Superseded means the region answers None for the generation's
         # mark.  A written region whose journal reaches back to it does
@@ -621,9 +625,10 @@ class TestNoMetricsUnderCacheLock:
 
         def fill(region, *friends):
             cache.store(
-                region.region_id,
+                region,
                 _admitted(cache, region),
                 {(k, None, None): _partial() for k in friends},
+                OWNER,
             )
 
         fill(r[0], 1)
@@ -714,11 +719,14 @@ class TestHotPOICache:
 
 class _HookedMemStore(MemStore):
     """A memstore that calls back once, at a chosen point: after a
-    write is applied (readable, not yet journaled or announced) or
-    before a slice is taken (a reader is mid-fold)."""
+    write is applied (readable, not yet journaled or announced), before
+    a slice is taken (a reader is mid-fold), or right after the slice
+    of one user's range (that friend's scan has read the memstore)."""
 
     after_apply = None
     before_slice = None
+    #: ``(user_id, hook)``.
+    after_slice_of = None
 
     def _fire(self, name):
         hook = getattr(self, name)
@@ -735,14 +743,26 @@ class _HookedMemStore(MemStore):
         self._fire("after_apply")
 
     def slice(self, start_row=None, stop_row=None):
+        #: The range being sliced, for a ``before_slice`` hook to read.
+        self.slicing = start_row
         self._fire("before_slice")
-        return super().slice(start_row, stop_row)
+        sliced = super().slice(start_row, stop_row)
+        armed = self.after_slice_of
+        if armed is not None and start_row.startswith(
+            VisitsRepository.user_prefix(armed[0])
+        ):
+            self.after_slice_of = None
+            armed[1]()
+        return sliced
 
 
 class TestWriteInterleavings:
     """W1 = the put is applied, W2 = journaled and announced (one step
     under the region's journal lock); R1 = the reader captures the
-    seqid, R2 = its lookup reads the journal."""
+    seqid, R2 = its lookup reads the journal.  A put announced while
+    the reader folds makes it look up again before its next probe
+    (the catch-up), and ``store`` drops the fills of the owners written
+    since its first lookup."""
 
     WRITTEN = 3
 
@@ -762,16 +782,24 @@ class TestWriteInterleavings:
         self.region = stack.visits.table.region_for_row(
             VisitsRepository.row_key(self.WRITTEN, 0, 0)
         )
+        #: The region's friends in fold order: the written one has a
+        #: friend before it and one after it.
+        self.here = stack.visits.route_friends(self.query.friend_ids)[
+            self.region
+        ]
+        assert self.here[0] != self.WRITTEN != self.here[-1]
+        self.hooked = self.region._memstores[FAMILY]
         return stack
 
-    def _visit(self, stack, batch=False):
-        """One more visit of ``WRITTEN``, by put or as a two-cell batch."""
+    def _visit(self, stack, batch=False, user=None):
+        """One more visit of ``user`` (default ``WRITTEN``), by put or
+        as a two-cell batch."""
         name, lat, lon, keywords = POIS[2]
         cells = []
         for _ in range(2 if batch else 1):
             stack._ts += 1
             cells.append(stack.visits.visit_cell(VisitStruct(
-                user_id=self.WRITTEN, poi_id=2, timestamp=stack._ts,
+                user_id=user or self.WRITTEN, poi_id=2, timestamp=stack._ts,
                 grade=3.25, poi_name=name, lat=lat, lon=lon,
                 keywords=keywords,
             )))
@@ -814,7 +842,7 @@ class TestWriteInterleavings:
             seen.append(stack.qa.search(self.query))
             seen.append(_pois_fingerprint(stack.oracle(self.query)))
 
-        self.region._memstores[FAMILY].after_apply = reader
+        self.hooked.after_apply = reader
         seqid = self.region.data_seqid
         self._visit(stack, batch)
         in_flight, after = seen
@@ -825,9 +853,12 @@ class TestWriteInterleavings:
         self._served_after(stack)
 
     def test_put_between_the_readers_two_reads(self):
-        """R1 W1 W2 R2.  The lookup sees the row and evicts its owner,
-        but the seqid captured before it is already stale: the reader
-        neither reads nor fills, and the next one is served."""
+        """R1 W1 W2 R2.  The lookup sees the row and evicts its owner;
+        the seqid captured before it is already stale, so the fold
+        catches up before its first probe (nothing left to evict) and
+        is served like a reader whose lookup followed the whole put:
+        every friend but the written one hits, that one's fill lands,
+        and the next query is served whole."""
         stack = self._stack()
         region = self.region
         written_since = region.written_since
@@ -838,21 +869,15 @@ class TestWriteInterleavings:
             return written_since(mark)
 
         region.written_since = put_then_answer
-        racing = stack.qa.search(self.query)
-        in_region = len(stack.visits.route_friends(self.query.friend_ids)[region])
-        assert (racing.cache_hits, racing.cache_misses) == (
-            stack.users - in_region, in_region
-        )
-        assert _pois_fingerprint(racing) == _pois_fingerprint(
-            stack.oracle(self.query)
-        )
-        assert stack.scan_cache.stats()["evicted_by_write"] == 1
         self._served_after(stack)
+        assert stack.scan_cache.stats()["evicted_by_write"] == 1
 
     def test_put_entirely_after_the_lookup(self):
-        """R1 R2 … W1 W2, the put landing while the reader folds: it
-        stops reading and filling there, its answer is one of the two
-        consistent ones, and the next lookup evicts the written friend."""
+        """R1 R2 … W1 W2, the put landing while the reader folds: the
+        catch-up evicts the written friend and nothing else, so the
+        unwritten friends after it still hit and the ones it scanned
+        still fill; its answer is one of the two consistent ones, and
+        the next lookup leaves only the written friend to scan."""
         stack = self._stack()
         # A window nobody queried yet: every friend is scanned, so the
         # hook fires inside the fold, after the lookup.
@@ -863,17 +888,142 @@ class TestWriteInterleavings:
         warm = stack.qa.search(self.query)
         assert warm.cache_misses == 0
         before = _pois_fingerprint(stack.oracle(self.query))
-        # Evict one friend of the region so its next invocation scans.
+        # Evict the region's first friend and the written one, so its
+        # next invocation scans both: the put lands at the first scan.
+        self._visit(stack, user=self.here[0])
         self._visit(stack)
         between = _pois_fingerprint(stack.oracle(self.query))
-        self.region._memstores[FAMILY].before_slice = (
-            lambda: self._visit(stack)
-        )
+        self.hooked.before_slice = lambda: self._visit(stack)
         racing = stack.qa.search(self.query)
         after = _pois_fingerprint(stack.oracle(self.query))
         assert len({tuple(before), tuple(between), tuple(after)}) == 3
         assert _pois_fingerprint(racing) in (between, after)
+        assert (racing.cache_hits, racing.cache_misses) == (stack.users - 2, 2)
         self._served_after(stack)
+
+    def test_store_reconciles_from_the_first_lookup(self):
+        """Trap 1.  The written friend is scanned, then the put lands;
+        the next friend's catch-up consumes its row, with nothing of
+        that friend cached to evict.  The fill, which misses the put,
+        must still be dropped: ``store`` reconciles from the mark the
+        invocation first looked up at, not from its catch-up's."""
+        stack = self._stack()
+        self._visit(stack)  # the written friend is scanned next time
+        between = _pois_fingerprint(stack.oracle(self.query))
+        self.hooked.after_slice_of = (self.WRITTEN, lambda: self._visit(stack))
+        racing = stack.qa.search(self.query)
+        assert self.hooked.after_slice_of is None  # the put landed
+        assert (racing.cache_hits, racing.cache_misses) == (stack.users - 1, 1)
+        assert _pois_fingerprint(racing) == between  # scanned before it
+        self._served_after(stack)
+
+    @pytest.mark.parametrize("last", [False, True])
+    def test_a_flush_between_lookups_drops_every_fill(self, last):
+        """Trap 2.  The written friend and the region's last friend are
+        scanned, and the region flushes while one of them is: after the
+        written one, the last friend's catch-up finds a structural event
+        (None: the fold stops reading, and the region's generation
+        starts over empty); after the last one, no lookup follows and
+        ``store`` finds the first mark unresolvable itself.  Either way
+        not one fill lands."""
+        stack = self._stack()
+        self._visit(stack)
+        self._visit(stack, user=self.here[-1])
+        scanned = self.here[-1] if last else self.WRITTEN
+        self.hooked.after_slice_of = (scanned, self.region.flush)
+        racing = stack.qa.search(self.query)
+        assert self.hooked.after_slice_of is None  # the flush landed
+        assert (racing.cache_hits, racing.cache_misses) == (stack.users - 2, 2)
+        assert _pois_fingerprint(racing) == _pois_fingerprint(
+            stack.oracle(self.query)
+        )
+        # The other region's entries, plus (when no catch-up dropped
+        # it) the first friend's untouched one.
+        elsewhere = stack.users - len(self.here)
+        assert len(stack.scan_cache) == elsewhere + (1 if last else 0)
+        after = stack.qa.search(self.query)
+        assert (after.cache_hits, after.cache_misses) == (
+            elsewhere, len(self.here)
+        )
+        assert _pois_fingerprint(after) == _pois_fingerprint(racing)
+
+    def test_a_friend_written_before_the_store_is_dropped_alone(self):
+        """Trap 3.  The written friend and the region's last friend are
+        scanned; the put lands while the last one is, so no catch-up
+        follows.  ``store`` drops the written friend's fill — it misses
+        the put — and stores the last friend's."""
+        stack = self._stack()
+        last = self.here[-1]
+        self._visit(stack)
+        self._visit(stack, user=last)
+        between = _pois_fingerprint(stack.oracle(self.query))
+        self.hooked.after_slice_of = (last, lambda: self._visit(stack))
+        racing = stack.qa.search(self.query)
+        assert self.hooked.after_slice_of is None  # the put landed
+        assert (racing.cache_hits, racing.cache_misses) == (stack.users - 2, 2)
+        assert _pois_fingerprint(racing) == between
+        entries = stack.scan_cache._generations[self.region.region_id].entries
+        assert (last, None, None) in entries
+        assert (self.WRITTEN, None, None) not in entries
+        self._served_after(stack)
+
+
+class TestConcurrentWrites:
+    def test_no_stale_fill_survives_writes_racing_three_readers(self):
+        """Three readers fold the same query while a writer puts to the
+        friends they read, under a short switch interval so writes land
+        inside folds, between catch-ups and before stores.  Whatever
+        each racing answer was, once the writer has stopped every
+        answer is the cache-off oracle's — a stale fill stored by any
+        reader would be served here."""
+        stack = _Stack()
+        rng = random.Random(21)
+        for _ in range(60):
+            stack.write(rng)
+        query = SearchQuery(
+            friend_ids=tuple(range(1, stack.users + 1)), sort_by="interest"
+        )
+        failures = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(4):
+                stop = threading.Event()
+
+                def reader():
+                    try:
+                        while not stop.is_set():
+                            stack.qa.search(query)
+                    except BaseException as exc:  # surfaced below
+                        failures.append(exc)
+
+                def writer():
+                    try:
+                        for _ in range(40):
+                            stack.write(rng)
+                            time.sleep(0.0005)
+                    except BaseException as exc:
+                        failures.append(exc)
+
+                readers = [threading.Thread(target=reader) for _ in range(3)]
+                write_thread = threading.Thread(target=writer)
+                for thread in readers + [write_thread]:
+                    thread.start()
+                write_thread.join(timeout=60)
+                stop.set()
+                for thread in readers:
+                    thread.join(timeout=60)
+                assert not any(
+                    thread.is_alive() for thread in readers + [write_thread]
+                )
+                assert not failures, failures
+                want = _pois_fingerprint(stack.oracle(query))
+                for _ in range(2):
+                    assert _pois_fingerprint(stack.qa.search(query)) == want
+        finally:
+            sys.setswitchinterval(switch)
+        stats = stack.scan_cache.stats()
+        assert stats["hits"] > 0 and stats["evicted_by_write"] > 0
 
 
 # --------------------------------------------------------------------------
@@ -899,7 +1049,10 @@ class ScanCacheMachine(RuleBasedStateMachine):
     has followed every write since the generation was opened, the owners
     written since the last lookup, and the ``(friend, window)`` keys
     filled.  Every query must (a) answer exactly what a cache-off run
-    answers and (b) hit exactly the keys the model says are current."""
+    answers and (b) hit exactly the keys the model says are current —
+    also a query a put lands in the middle of (the written owner is
+    evicted at the fold's catch-up and its fills dropped; the rest are
+    served and filled as if nothing happened)."""
 
     def __init__(self):
         super().__init__()
@@ -909,6 +1062,10 @@ class ScanCacheMachine(RuleBasedStateMachine):
         self._journal_max.start()
         self.stack = _Stack(users=MACHINE_USERS, regions=2, nodes=2)
         self.regions = self.stack.visits.table.regions
+        for region in self.regions:
+            region._memstores[FAMILY] = _HookedMemStore()
+        #: Puts that landed inside a fold (``query_with_write_mid_fold``).
+        self.mid_fold = 0
         ids = [region.region_id for region in self.regions]
         #: The region has a generation whose mark its journal resolves.
         self.followed = dict.fromkeys(ids, False)
@@ -1029,6 +1186,84 @@ class ScanCacheMachine(RuleBasedStateMachine):
                 region.bulk_load(FAMILY, [cells[key] for key in sorted(cells)])
                 self._structural(region)
 
+    def _search_query(self, friends, window, topk, sort_by, keywords):
+        since, until = window
+        drain(self.stack.qa, on=not topk)
+        return SearchQuery(
+            friend_ids=tuple(friends), since=since, until=until,
+            sort_by=sort_by, keywords=keywords, limit=3,
+        )
+
+    def _caught_up(self, rid):
+        """A lookup that resolves: the owners written since are evicted."""
+        entries, stale = self.entries[rid], self.stale[rid]
+        if stale:
+            entries.difference_update(
+                [key for key in entries if key[0] in stale]
+            )
+            stale.clear()
+
+    def _expect(self, friends, window, put=None):
+        """How many of ``friends`` one query hits, and what it leaves
+        cached.  ``put`` is ``(region, owner, friend)``: a put of
+        ``owner`` landed in ``region`` just before the memstore slice of
+        ``friend``'s range, i.e. inside that region's fold."""
+        hits = 0
+        folds = {}
+        for friend in friends:
+            folds.setdefault(self._region_of(friend), []).append(friend)
+        for region, here in folds.items():
+            rid = region.region_id
+            landed_at = put[2] if put and put[0] is region else None
+            if not self.followed[rid]:
+                # Opened: every friend misses, nothing is read or filled.
+                self.followed[rid] = True
+                self.entries[rid].clear()
+                self.stale[rid].clear()
+                if landed_at is not None:
+                    self._wrote(region, [put[1]])
+                continue
+            self._caught_up(rid)
+            entries = self.entries[rid]
+            #: None once the fold stopped reading (a structural catch-up).
+            fills = []
+            written = None
+            #: The put landed and the next probe has not caught up yet.
+            pending = False
+            for friend in here:
+                if pending:
+                    pending = False
+                    if self.followed[rid]:
+                        self._caught_up(rid)
+                    else:  # the put overflowed: the catch-up reopens
+                        self.followed[rid] = True
+                        entries.clear()
+                        self.stale[rid].clear()
+                        fills = None
+                key = (friend, *window)
+                if fills is not None and key in entries:
+                    hits += 1
+                    continue
+                if fills is not None:
+                    fills.append(key)
+                if friend == landed_at:
+                    written, pending = put[1], True
+                    self._wrote(region, [written])
+            if fills and self.followed[rid]:
+                # ``store``: every owner written since the first lookup
+                # is dropped, the rest land.
+                entries.update(key for key in fills if key[0] != written)
+        return hits
+
+    def _check(self, cached, friends, hits):
+        assert (cached.cache_hits, cached.cache_misses) == (
+            hits, len(friends) - hits
+        )
+        # Entries only ever change at their region's lookups and stores.
+        assert len(self.stack.scan_cache) == sum(map(len, self.entries.values()))
+        for region in self.regions:
+            assert len(region._journal) <= MACHINE_JOURNAL_MAX
+
     @rule(
         friends=st.lists(MACHINE_USER, min_size=1, unique=True),
         window=st.sampled_from(MACHINE_WINDOWS),
@@ -1037,44 +1272,54 @@ class ScanCacheMachine(RuleBasedStateMachine):
         keywords=st.sampled_from(KEYWORD_CHOICES),
     )
     def query(self, friends, window, topk, sort_by, keywords):
-        since, until = window
-        query = SearchQuery(
-            friend_ids=tuple(friends), since=since, until=until,
-            sort_by=sort_by, keywords=keywords, limit=3,
-        )
-        hits = 0
-        for friend in friends:
-            rid = self._region_of(friend).region_id
-            if not self.followed[rid]:
-                continue  # opened below: every friend of it misses
-            entries, stale = self.entries[rid], self.stale[rid]
-            if stale:
-                entries.difference_update(
-                    [key for key in entries if key[0] in stale]
-                )
-                stale.clear()
-            key = (friend, since, until)
-            if key in entries:
-                hits += 1
-            else:
-                entries.add(key)
-        for rid in {self._region_of(friend).region_id for friend in friends}:
-            if not self.followed[rid]:
-                self.followed[rid] = True
-                self.entries[rid].clear()
-                self.stale[rid].clear()
-        drain(self.stack.qa, on=not topk)
+        query = self._search_query(friends, window, topk, sort_by, keywords)
+        hits = self._expect(friends, window)
         cached = self.stack.qa.search(query)
         assert _pois_fingerprint(cached) == _pois_fingerprint(
             self.stack.oracle(query)
         )
-        assert (cached.cache_hits, cached.cache_misses) == (
-            hits, len(friends) - hits
+        self._check(cached, friends, hits)
+
+    @rule(
+        visit=MACHINE_VISIT,
+        friends=st.lists(MACHINE_USER, min_size=1, unique=True),
+        window=st.sampled_from(MACHINE_WINDOWS),
+        topk=st.booleans(),
+        sort_by=st.sampled_from(["interest", "hotness"]),
+        keywords=st.sampled_from(KEYWORD_CHOICES),
+    )
+    def query_with_write_mid_fold(
+        self, visit, friends, window, topk, sort_by, keywords
+    ):
+        """A put of ``visit`` landing just before the first memstore
+        slice its region's fold takes (the first friend it scans there).
+        The answer is the pre- or the post-write one, the hits are the
+        model's, and the same query again hits exactly the model's
+        keys.  A fold that takes no slice there gets the put after it."""
+        query = self._search_query(friends, window, topk, sort_by, keywords)
+        before = _pois_fingerprint(self.stack.oracle(query))
+        region = self._region_of(visit[0])
+        memstore = region._memstores[FAMILY]
+        landed = []
+
+        def put():
+            landed.append(VisitsRepository.user_of_row(memstore.slicing))
+            region.put(self._cell(*visit))
+
+        memstore.before_slice = put
+        cached = self.stack.qa.search(query)
+        memstore.before_slice = None
+        if landed:
+            self.mid_fold += 1
+            hits = self._expect(friends, window, (region, visit[0], landed[0]))
+        else:
+            hits = self._expect(friends, window)
+            self.put(visit)
+        assert _pois_fingerprint(cached) in (
+            before, _pois_fingerprint(self.stack.oracle(query))
         )
-        # Entries only ever change at their region's lookup.
-        assert len(self.stack.scan_cache) == sum(map(len, self.entries.values()))
-        for region in self.regions:
-            assert len(region._journal) <= MACHINE_JOURNAL_MAX
+        self._check(cached, friends, hits)
+        self.query(friends, window, topk, sort_by, keywords)
 
 
 ScanCacheMachine.TestCase.settings = settings(
@@ -1086,8 +1331,9 @@ TestScanCacheMachine = ScanCacheMachine.TestCase
 def test_scan_cache_machine_fixed_seed_corpus():
     """The machine's rules under a plain seeded driver: the same
     sequences on every run, whatever hypothesis explores or remembers.
-    One mutation per two queries, most of them single puts — entries
-    live long enough to be hit, written and overflowed."""
+    One mutation per two queries, most of them single puts (a fifth
+    landing inside a query's fold) — entries live long enough to be
+    hit, written and overflowed."""
     rare = [
         lambda m, r: m.delete(*_corpus_visit(r)[:3]),
         lambda m, r: m.put_batch(
@@ -1106,6 +1352,7 @@ def test_scan_cache_machine_fixed_seed_corpus():
         ("hits", "misses", "evicted_by_write", "journal_overflows",
          "invalidations"), 0
     )
+    mid_fold = 0
     for seed in range(40):
         rng = random.Random(seed)
         machine = ScanCacheMachine()
@@ -1114,29 +1361,38 @@ def test_scan_cache_machine_fixed_seed_corpus():
                 machine.put(_corpus_visit(rng))
             for step in range(90):
                 if step % 3:
-                    machine.query(
-                        rng.sample(
-                            range(1, MACHINE_USERS + 1),
-                            rng.randrange(1, MACHINE_USERS + 1),
-                        ),
-                        rng.choice(MACHINE_WINDOWS),
-                        rng.random() < 0.5,
-                        rng.choice(("interest", "hotness")),
-                        rng.choice(KEYWORD_CHOICES),
-                    )
-                elif rng.random() < 0.7:
+                    machine.query(*_corpus_query(rng))
+                elif rng.random() < 0.5:
                     machine.put(_corpus_visit(rng))
+                elif rng.random() < 0.4:
+                    machine.query_with_write_mid_fold(
+                        _corpus_visit(rng), *_corpus_query(rng)
+                    )
                 else:
                     rng.choice(rare)(machine, rng)
             stats = machine.stack.scan_cache.stats()
             for name in totals:
                 totals[name] += stats[name]
+            mid_fold += machine.mid_fold
         finally:
             machine.teardown()
     # Not vacuous: entries survived writes to their regions, and every
     # way of losing one happened.
     assert totals["hits"] > totals["misses"] / 2, totals
     assert min(totals.values()) > 40, totals
+    assert mid_fold > 40, mid_fold
+
+
+def _corpus_query(rng):
+    return (
+        rng.sample(
+            range(1, MACHINE_USERS + 1), rng.randrange(1, MACHINE_USERS + 1)
+        ),
+        rng.choice(MACHINE_WINDOWS),
+        rng.random() < 0.5,
+        rng.choice(("interest", "hotness")),
+        rng.choice(KEYWORD_CHOICES),
+    )
 
 
 def _corpus_visit(rng):

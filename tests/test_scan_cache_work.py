@@ -1,12 +1,17 @@
 """Work guard for row-level scan-cache invalidation (counts, not timings).
 
 The point of the write journal (DESIGN.md §7.1) is that a write costs
-the next query the written friend's cells and nothing else.  A change
-that quietly widens the unit of invalidation back to the region — or
-lets the journal grow without bound — keeps every answer right and
+the next query the written friend's cells and nothing else — and a
+write that lands while a query folds the region costs that query
+nothing.  A change that quietly widens the unit of invalidation back to
+the region — or lets the journal grow without bound, or drops a fold's
+reads and fills when a write races it — keeps every answer right and
 every oracle green, so the work itself is counted: through the whole
-production stack, writes arriving by the ingest tier.
+production stack, writes arriving by the ingest tier or, inside a fold,
+by the synchronous store.
 """
+
+import contextlib
 
 from repro.config import PlatformConfig
 from repro.core.modules.query_answering import SearchQuery
@@ -28,45 +33,62 @@ def _rows(answer):
     ]
 
 
-def test_a_write_costs_the_next_query_its_friends_cells_and_nothing_else():
-    pois = generate_pois(count=300, seed=21)
-    with MoDisSENSE(PlatformConfig.small()) as platform:
-        platform.load_pois(pois)
+class _Warm:
+    """The small production platform with 800 users bulk-loaded and
+    the 500-friend query served whole from the cache."""
+
+    def __init__(self, platform):
+        self.platform = platform
+        self.pois = generate_pois(count=300, seed=21)
+        platform.load_pois(self.pois)
         platform.load_visits(generate_visits(
-            range(1, NUM_USERS + 1), pois, seed=21, mean=12.0, std=4.0
+            range(1, NUM_USERS + 1), self.pois, seed=21, mean=12.0, std=4.0
         ))
-        repo = platform.visits_repository
-        regions = repo.table.regions
-        query = SearchQuery(friend_ids=FRIENDS, limit=10)
-        clock = [10_000_000]
-
-        def write(user_id):
-            clock[0] += 1
-            poi = pois[clock[0] % len(pois)]
-            return VisitStruct(
-                user_id=user_id, poi_id=poi.poi_id, timestamp=clock[0],
-                grade=0.5, poi_name=poi.name, lat=poi.lat, lon=poi.lon,
-                keywords=tuple(poi.keywords),
-            )
-
-        def cells_of(friends):
-            return sum(
-                len(list(repo.table.scan(
-                    FAMILY, *repo.time_range_keys(friend, None, None)
-                )))
-                for friend in friends
-            )
-
-        def uncached(q):
-            cache, platform.hbase.scan_cache = platform.hbase.scan_cache, None
-            try:
-                return platform.search(q)
-            finally:
-                platform.hbase.scan_cache = cache
-
+        self.repo = platform.visits_repository
+        self.query = SearchQuery(friend_ids=FRIENDS, limit=10)
+        self.clock = 10_000_000
         for _ in range(3):  # open, fill, serve
-            warm = platform.search(query)
+            warm = platform.search(self.query)
         assert (warm.cache_hits, warm.records_scanned) == (len(FRIENDS), 0)
+
+    def write(self, user_id):
+        self.clock += 1
+        poi = self.pois[self.clock % len(self.pois)]
+        return VisitStruct(
+            user_id=user_id, poi_id=poi.poi_id, timestamp=self.clock,
+            grade=0.5, poi_name=poi.name, lat=poi.lat, lon=poi.lon,
+            keywords=tuple(poi.keywords),
+        )
+
+    def cells_of(self, friends):
+        repo = self.repo
+        return sum(
+            len(list(repo.table.scan(
+                FAMILY, *repo.time_range_keys(friend, None, None)
+            )))
+            for friend in friends
+        )
+
+    def uncached(self, query):
+        cluster = self.platform.hbase
+        cache, cluster.scan_cache = cluster.scan_cache, None
+        try:
+            return self.platform.search(query)
+        finally:
+            cluster.scan_cache = cache
+
+
+@contextlib.contextmanager
+def _warm():
+    with MoDisSENSE(PlatformConfig.small()) as platform:
+        yield _Warm(platform)
+
+
+def test_a_write_costs_the_next_query_its_friends_cells_and_nothing_else():
+    with _warm() as w:
+        platform, repo, query = w.platform, w.repo, w.query
+        regions = repo.table.regions
+        write, cells_of, uncached = w.write, w.cells_of, w.uncached
 
         for k, j in ROUNDS:
             written = FRIENDS[7::11][:j]
@@ -100,3 +122,43 @@ def test_a_write_costs_the_next_query_its_friends_cells_and_nothing_else():
         assert cold.records_scanned == cells_of(FRIENDS)
         assert _rows(cold) == _rows(uncached(query))
         assert platform.scan_cache.stats()["journal_overflows"] == len(regions)
+
+
+def test_a_write_inside_a_fold_costs_that_query_nothing():
+    """One friend of a region is written before the query, so its fold
+    scans it; a write to the region's first friend — already served —
+    lands just before that scan.  The query pays the scanned friend's
+    cells and nothing for the write: the friends after it are still
+    served from the cache (a fold that stopped reading at the write
+    would scan every one of them).  The next query pays exactly the
+    written friend's cells."""
+    with _warm() as w:
+        repo = w.repo
+        region = repo.table.regions[0]
+        here = repo.route_friends(FRIENDS)[region]
+        written, scanned, rest = here[0], here[1], here[2:]
+        assert rest
+        repo.store(w.write(scanned))
+        memstore = region._memstores[FAMILY]
+        prefix = repo.user_prefix(scanned)
+
+        def slice_then_write(start_row=None, stop_row=None):
+            if start_row.startswith(prefix):
+                del memstore.slice  # once
+                repo.store(w.write(written))
+            return memstore.slice(start_row, stop_row)
+
+        memstore.slice = slice_then_write
+        seqid = region.data_seqid
+        racing = w.platform.search(w.query)
+        assert region.data_seqid == seqid + 1  # landed inside the fold
+        assert (racing.cache_misses, racing.records_scanned) == (
+            1, w.cells_of([scanned])
+        )
+        after = w.platform.search(w.query)
+        assert (after.cache_misses, after.records_scanned) == (
+            1, w.cells_of([written])
+        )
+        assert _rows(after) == _rows(w.uncached(w.query))
+        again = w.platform.search(w.query)
+        assert (again.cache_misses, again.records_scanned) == (0, 0)
