@@ -36,9 +36,6 @@ class ClusteringResult:
                 members.setdefault(label, []).append(idx)
         return members
 
-    def noise_indexes(self) -> List[int]:
-        return [i for i, label in enumerate(self.labels) if label == NOISE]
-
 
 class _NeighborGrid:
     """Uniform grid with cell size eps: neighbor search touches at most

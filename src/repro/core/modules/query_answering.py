@@ -185,13 +185,15 @@ class VisitScanCoprocessor(Coprocessor):
     nothing: the POI id comes from fixed row-key offsets and the grade
     from the payload's fixed header.  Because the replicated POI
     attributes (name/lat/lon/keywords) are per-POI constants, one raw
-    payload reference per POI is enough to decode them later, and a
-    decoded row serves every region and query after it: the filter and
+    payload per POI is enough to decode them later, and a decoded row
+    serves every region and query after it: the scan, the filter and
     the merger read and write the cluster's one POI attribute table
-    (``RegionScanCache.poi_attrs``; a table of its own when an invocation
-    runs without the cache) — the filter for the POIs its keyword
-    postings keep (every aggregated POI when it has no keyword), the
-    merger for the k winners.
+    (``RegionScanCache.poi_attrs``, as the invocation's generation
+    carries it; a table of its own when an invocation runs without the
+    cache) — the scan records the payloads the table lacks, the filter
+    decodes the rows of the POIs its keyword postings keep (every
+    aggregated POI when it has no keyword), the merger the k
+    winners'.
     ``cells_decoded`` in the context counters (payload tail parses)
     makes the saving observable.
     """
@@ -206,12 +208,8 @@ class VisitScanCoprocessor(Coprocessor):
         exact aggregates to the merger as a score-sorted
         :class:`TopKPartialStream`: shipping and the winners' decode are
         deferred to the merge."""
-        aggregates, cells_scanned = self._fold_friends(context, request)
-        cache = context.cache
-        poi_attrs = (
-            cache.poi_attrs if cache is not None
-            # At most one row per aggregated POI: never clears.
-            else POIAttrTable(len(aggregates))
+        aggregates, poi_attrs, cells_scanned = self._fold_friends(
+            context, request
         )
         bbox = (
             BoundingBox.from_tuple(request.bbox)
@@ -266,48 +264,25 @@ class VisitScanCoprocessor(Coprocessor):
         query's bbox/keyword predicate, in their first-encounter order.
 
         Returns ``(aggregates, rows, cells_decoded)``.  A POI whose row
-        the table lacks is decoded here, once, and added to it.  The
-        keyword test is membership in the table's postings
-        (``by_keyword``), plus the test of the rows just decoded; only
-        the survivors' rows are gathered, the bbox is tested on them
-        alone, and ``rows`` are the passing POIs'.  Rows are per-POI
-        constants (DESIGN.md §7), so a POI passes or fails in every
-        region alike.  The passing aggregates find payloads through the
-        same sources, so a winner whose row a full table drops before
-        the merger's final fetch is decoded again from them."""
+        the table lacks is decoded here, once, from the table's payload
+        and added to it.  The keyword test is membership in the table's
+        postings (``by_keyword``); only the survivors' rows are
+        gathered, the bbox is tested on them alone, and ``rows`` are
+        the passing POIs'.  Rows are per-POI constants (DESIGN.md §7),
+        so a POI passes or fails in every region alike.  The table is
+        never emptied (a clear binds a fresh one), so every row found
+        or added here is still there for the merger's final fetch."""
         poi_ids = list(aggregates.counts)
-        index = None
-        while index is not poi_attrs.by_keyword:
-            # Redone if a clear raced the check: every row it found is
-            # then in ``index``.
-            index = poi_attrs.by_keyword
-            missing = list(filterfalse(poi_attrs.__contains__, poi_ids))
         # One full payload parse per POI the table has not seen yet, in
         # any region or query.
-        decoded = dict(
-            zip(missing, map(decode_attrs, map(aggregates.raw, missing)))
-        )
+        missing = list(filterfalse(poi_attrs.__contains__, poi_ids))
+        for poi_id in missing:
+            poi_attrs[poi_id] = decode_attrs(poi_attrs.payloads[poi_id])
         if wanted:
+            index = poi_attrs.by_keyword
             passing = set().union(*map(index.get, wanted, repeat(())))
-            passing.update(
-                poi_id for poi_id, row in decoded.items()
-                if not wanted.isdisjoint(row[3])
-            )
             poi_ids = list(filter(passing.__contains__, poi_ids))
         rows = list(map(poi_attrs.get, poi_ids))
-        if not all(rows):
-            # The rows just decoded (and any a concurrent clear dropped
-            # since the check: decoded again).
-            rows = [
-                row or decoded.get(poi_id) or decode_attrs(
-                    aggregates.raw(poi_id)
-                )
-                for poi_id, row in zip(poi_ids, rows)
-            ]
-        # Added after the gather: an overflow clear they cause cannot
-        # drop a survivor's row before it is read.
-        for poi_id, row in decoded.items():
-            poi_attrs[poi_id] = row
         if bbox is not None:
             for column, test, bound in (
                 (_LAT, le, bbox.min_lat),
@@ -321,27 +296,31 @@ class VisitScanCoprocessor(Coprocessor):
                 )
         if len(poi_ids) < len(aggregates):
             aggregates = aggregates.only(poi_ids)
-        return aggregates, rows, len(decoded)
+        return aggregates, rows, len(missing)
 
     def _fold_friends(
         self, context: CoprocessorContext, request: _VisitScanRequest
-    ) -> Tuple[PartialAggregates, int]:
+    ) -> Tuple[PartialAggregates, POIAttrTable, int]:
         """The friend-partial core: for each friend the client routed
         here and the request's window — cached partial, else scan,
         aggregate and (if admitted) store — folded in friend order into
         exact unfiltered per-POI aggregates.
 
-        Returns ``(aggregates, cells_scanned)``: ``aggregates`` holds
-        per POI the exact ``grade_sum`` and ``count`` in first-encounter
-        order (no per-POI container, so a 6000-friend fold leaves the
-        garbage collector nothing to track) and finds a POI's raw
-        payload on demand.
+        Returns ``(aggregates, poi_attrs, cells_scanned)``:
+        ``aggregates`` holds per POI the exact ``grade_sum`` and
+        ``count`` in first-encounter order (no per-POI container, so a
+        6000-friend fold leaves the garbage collector nothing to
+        track), and ``poi_attrs`` is the POI attribute table that holds
+        a payload of each of those POIs — the one the generation
+        carries, the cache's current one when the lookup opened, or one
+        of the invocation's own without a cache.
 
         The scan always completes and parses nothing: a friend's visits
         arrive as one slice (``scan_cells``), the POI id comes from fixed
         row-key offsets, the grade from the payload's fixed header, and
-        one raw payload reference per POI is kept for whoever decodes
-        attributes later (the fold itself never touches it).  A scanned
+        the first payload met of a POI the table lacks is recorded
+        there for whoever decodes attributes later (the fold itself
+        never touches it).  A scanned
         friend is summed in scratch dicts the whole invocation reuses,
         and packed into :class:`FriendPartial` columns only when the
         generation admits a fill — an invocation that is not admitted
@@ -361,21 +340,25 @@ class VisitScanCoprocessor(Coprocessor):
         # (DESIGN.md §7.1).
         seqid = context.data_seqid
         generation = context.cache_lookup(owner_of)
-        #: None: nothing to read and not admitted to fill.
-        entries = generation.entries if generation is not None else None
+        if generation is not None:
+            entries = generation.entries
+            poi_attrs = generation.poi_attrs
+        else:
+            #: None: nothing to read and not admitted to fill.
+            entries = None
+            poi_attrs = (
+                cache.poi_attrs if cache is not None else POIAttrTable()
+            )
+        payloads = poi_attrs.payloads
         fills: Dict[Tuple, FriendPartial] = {}
         aggregates = PartialAggregates()
         # ``PartialAggregates.add`` inlined below: this is the hot loop.
         grade_sums = aggregates.grade_sums
         counts = aggregates.counts
-        scanned_raws = aggregates.scanned_raws
-        add_source = aggregates.sources.append
         #: One scanned friend's partial, cleared per friend: poi_id ->
-        #: grade sum / visit count / first raw payload, all three in
-        #: first-encounter order.
+        #: grade sum / visit count, both in first-encounter order.
         sums: Dict[int, float] = {}
         visits: Dict[int, int] = {}
-        first_raws: Dict[int, bytes] = {}
         cache_hits = 0
         cache_misses = 0
         cells_scanned = 0
@@ -403,7 +386,6 @@ class VisitScanCoprocessor(Coprocessor):
                     cached = entries.get((friend_id, since, until))
             if cached is not None:
                 cache_hits += 1
-                add_source((cached.poi_ids, cached.raws))
                 for poi_id, grade_sum, count in zip(
                     cached.poi_ids, cached.grade_sums, cached.counts
                 ):
@@ -436,7 +418,6 @@ class VisitScanCoprocessor(Coprocessor):
             cells_scanned += len(cells)
             sums.clear()
             visits.clear()
-            first_raws.clear()
             for cell in cells:
                 # Cheap key-only decode: poi id at fixed row offsets.
                 poi_id = from_bytes(cell.row[poi_field], "big")
@@ -444,7 +425,9 @@ class VisitScanCoprocessor(Coprocessor):
                     sums[poi_id] += decode_grade(cell.value)
                     visits[poi_id] += 1
                 else:
-                    value = first_raws[poi_id] = cell.value
+                    value = cell.value
+                    if poi_id not in payloads:
+                        payloads[poi_id] = value
                     sums[poi_id] = decode_grade(value)
                     visits[poi_id] = 1
             if entries is not None:
@@ -452,8 +435,7 @@ class VisitScanCoprocessor(Coprocessor):
                 # grows anything else by appends, leaving slack in every
                 # entry the warm fold then has to pull in.
                 fills[(friend_id, since, until)] = FriendPartial(
-                    list(sums), list(sums.values()),
-                    list(visits.values()), first_raws.values(),
+                    list(sums), list(sums.values()), list(visits.values())
                 )
             for poi_id, grade_sum in sums.items():
                 if poi_id in counts:
@@ -462,7 +444,6 @@ class VisitScanCoprocessor(Coprocessor):
                 else:
                     grade_sums[poi_id] = grade_sum
                     counts[poi_id] = visits[poi_id]
-                    scanned_raws[poi_id] = first_raws[poi_id]
 
         stage.tag("cells_scanned", cells_scanned)
         stage.tag("pois", len(aggregates))
@@ -482,7 +463,7 @@ class VisitScanCoprocessor(Coprocessor):
             ).finish()
             context.count("cache_hits", cache_hits)
             context.count("cache_misses", cache_misses)
-        return aggregates, cells_scanned
+        return aggregates, poi_attrs, cells_scanned
 
     # merge() default (list concatenation) passes the merger's one
     # ranked list through as the call result.

@@ -134,37 +134,26 @@ class PartialAggregates:
     Two dicts keyed by POI in first-encounter order, ``grade_sums`` and
     ``counts``.  Their values are plain floats and ints — no per-POI
     container — so folding thousands of friends allocates nothing the
-    cyclic garbage collector has to track and re-traverse.
-
-    Raw payloads are kept for the POIs a friend was the first to bring
-    and never read by the fold.  A freshly scanned friend has its
-    payloads at hand, so the fold puts those of its new POIs straight
-    into ``scanned_raws``; a cached friend's would cost a fourth column
-    in the warm fold, so ``sources`` lists ``(poi_ids, raws)`` per
-    cached friend instead and :meth:`raw` builds the ``poi_id ->
-    payload`` map from both on first use.  Attributes are per-POI
-    constants (DESIGN.md §7) and decoded once per cluster, so most
-    regions never build the map and never touch a payload.
+    cyclic garbage collector has to track and re-traverse.  Numbers
+    only: a POI's attributes are per-POI constants (DESIGN.md §7), kept
+    once for the cluster in the POI attribute table, as a row or as the
+    payload to decode one from.
     """
 
-    __slots__ = ("grade_sums", "counts", "scanned_raws", "sources", "_raws")
+    __slots__ = ("grade_sums", "counts")
 
     def __init__(self) -> None:
         self.grade_sums: Dict[int, float] = {}
         self.counts: Dict[int, int] = {}
-        self.scanned_raws: Dict[int, bytes] = {}
-        self.sources: List[Tuple[Sequence[int], Sequence[bytes]]] = []
-        self._raws: Optional[Dict[int, bytes]] = None
 
     @classmethod
     def from_rows(
-        cls, rows: Iterable[Tuple[int, float, int, Optional[bytes]]]
+        cls, rows: Iterable[Tuple[int, float, int]]
     ) -> "PartialAggregates":
-        """Fold ``(poi_id, grade_sum, count, raw_payload)`` rows."""
+        """Fold ``(poi_id, grade_sum, count)`` rows."""
         aggregates = cls()
-        for poi_id, grade_sum, count, raw in rows:
+        for poi_id, grade_sum, count in rows:
             aggregates.add(poi_id, grade_sum, count)
-            aggregates.sources.append(((poi_id,), (raw,)))
         return aggregates
 
     def add(self, poi_id: int, grade_sum: float, count: int) -> None:
@@ -187,30 +176,13 @@ class PartialAggregates:
             self.counts, self.grade_sums.values(), self.counts.values()
         )
 
-    def raw(self, poi_id: int) -> Optional[bytes]:
-        """One representative raw visit payload of the POI (the first
-        one the fold encountered)."""
-        raws = self._raws
-        if raws is None:
-            raws = self._raws = {}
-            # Last friend first, so the first-encountered payload wins.
-            for poi_ids, payloads in reversed(self.sources):
-                raws.update(zip(poi_ids, payloads))
-            # A POI is in ``scanned_raws`` only if a scanned friend met
-            # it before every cached one.
-            raws.update(self.scanned_raws)
-        return raws[poi_id]
-
     def only(self, poi_ids: Sequence[int]) -> "PartialAggregates":
-        """The aggregates of ``poi_ids``, in that order, finding their
-        payloads through the same sources."""
+        """The aggregates of ``poi_ids``, in that order."""
         kept = PartialAggregates()
         kept.grade_sums = dict(
             zip(poi_ids, map(self.grade_sums.__getitem__, poi_ids))
         )
         kept.counts = dict(zip(poi_ids, map(self.counts.__getitem__, poi_ids)))
-        kept.scanned_raws = self.scanned_raws
-        kept.sources = self.sources
         return kept
 
 
@@ -243,12 +215,12 @@ class TopKPartialStream(StreamingPartial):
     and its filter.  ``aggregates`` (a :class:`PartialAggregates`) holds
     the exact ``grade_sum`` / ``count`` of each POI that passes the
     query's bbox/keyword predicate and doubles as the merger's
-    random-access probe map; it also finds one representative raw visit
-    payload of a POI on demand.  ``poi_attrs`` is the POI attribute
-    table: the cluster-wide ``RegionScanCache.poi_attrs`` on a clean
-    cached invocation, else a dict of the invocation's own.  The merger's
-    final fetch of the winners' rows reads it and adds what it has to
-    parse.
+    random-access probe map.  ``poi_attrs`` is the invocation's POI
+    attribute table: the cluster-wide ``RegionScanCache.poi_attrs`` (as
+    the region's generation carried it) on a clean cached invocation,
+    else one of the invocation's own; either holds a payload of every
+    POI in ``aggregates``.  The merger's final fetch of the winners'
+    rows reads it and decodes what it lacks from those payloads.
 
     Emission walks all ``size`` aggregates in ``(-key, poi_id)`` order,
     where the key is the *local* sort key (count for hotness, local mean
@@ -423,10 +395,11 @@ class TopKPartialStream(StreamingPartial):
     # ---------------------------------------------------------- emission
 
     def _attrs_for(self, poi_id: int) -> tuple:
-        attrs = self.poi_attrs.get(poi_id)
+        poi_attrs = self.poi_attrs
+        attrs = poi_attrs.get(poi_id)
         if attrs is None:
-            attrs = self.poi_attrs[poi_id] = decode_attrs(
-                self.aggregates.raw(poi_id)
+            attrs = poi_attrs[poi_id] = decode_attrs(
+                poi_attrs.payloads[poi_id]
             )
             self.cells_decoded += 1
         return attrs

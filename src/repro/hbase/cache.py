@@ -4,8 +4,8 @@ One personalized query scans each queried friend's salted key range
 inside the region owning it.  Overlapping friend sets across queries
 re-scan the same ranges; :class:`RegionScanCache` memoizes the
 *per-friend* aggregation so a friend's visits are scanned once per
-(region, time-window) until that friend is written or the region's
-storage is reorganized.
+(region, time-window) until that friend is written or the region can no
+longer say what was written.
 
 The cache holds **one generation per region**: the entries plus the
 position (*mark*) in the region's write journal they are current up
@@ -15,12 +15,13 @@ since the mark (``Region.written_since``), evicts the entries of the
 friends owning those rows (all their windows; the caller says which
 friend a row belongs to), advances the mark and hands the generation
 out.  Only a region that cannot enumerate its writes — a *structural*
-event since the mark: flush, compaction, bulk load, crash, replay, TTL
-change, journal overflow — has its generation replaced wholesale.  A
-region invocation takes the cache lock O(1) times plus once per
-catch-up: one ``lookup``, plain dict probes on the generation per
-friend, one more ``lookup`` each time it finds its region written
-since the last (below), and at most one
+event since the mark: bulk load, crash, replay, TTL change, journal
+overflow — has its generation replaced wholesale; a flush or a
+compaction reorganizes storage without changing what a scan returns,
+and leaves the generation alone.  A region invocation takes the cache
+lock O(1) times plus once per catch-up: one ``lookup``, plain dict
+probes on the generation per friend, one more ``lookup`` each time it
+finds its region written since the last (below), and at most one
 :meth:`RegionScanCache.store` for everything it scanned.
 
 **The first invocation only opens.**  ``lookup`` answers ``None`` when
@@ -42,15 +43,20 @@ lookup, not its reads: the coprocessor captures the region's
 before the next probe, which evicts the written owners and leaves the
 rest to be served and filled (DESIGN.md §7.1 has the argument).
 Entries keep the first-encounter order of a fresh scan so every float
-sum folds in the same order, and are stored without parsing anything
-(see :class:`FriendPartial`).  The cache is never consulted under an
-injected fault and is explicitly invalidated for regions a failed node
-owned (see ``HBaseCluster.fail_node``).
+sum folds in the same order, and hold numbers only: a POI's attributes
+live once for the cluster, in the POI attribute table
+(:class:`POIAttrTable`), as a parsed row or the payload a scan found.
+**A table is never emptied while a generation that relies on it is
+alive**: :meth:`RegionScanCache.clear` and an overflow replace the
+table and drop every generation in one hold of the cache lock, and a
+generation carries the table it was opened with.  The cache is never
+consulted under an injected fault and is explicitly invalidated for
+regions a failed node owned (see ``HBaseCluster.fail_node``).
 
-Thread-safe: one lock guards the generation map and the stats
-counters; no metrics call is made while it is held.  Like the rest of
-``hbase``, this module never imports ``core`` — the metrics sink is
-duck-typed.
+Thread-safe: one lock guards the generation map, the table binding and
+the stats counters; no metrics call is made while it is held.  Like the
+rest of ``hbase``, this module never imports ``core`` — the metrics sink
+is duck-typed.
 """
 
 from __future__ import annotations
@@ -81,60 +87,57 @@ _GENERATION_LABELS = {"cache": "scan", "reason": "generation"}
 
 
 class FriendPartial:
-    """One friend's unfiltered per-POI aggregates inside one region.
+    """One friend's unfiltered per-POI aggregates inside one region:
+    packed columns of ``poi_id`` / ``grade_sum`` / ``count`` in the
+    first-encounter order of the scan that produced them.  Numbers
+    only — the attributes a query decodes come from the POI attribute
+    table, which holds a payload of every POI an entry names."""
 
-    Packed columns of ``poi_id`` / ``grade_sum`` / ``count`` in the
-    first-encounter order of the scan that produced them, plus one
-    *reference* per POI to a raw visit payload (the ``cell.value``
-    object the memstore / store file already holds — no copy).  Nothing
-    is parsed to build one; attributes are decoded from ``raws`` lazily,
-    by whichever query needs them, and a fold that needs none never
-    touches them.
-    """
-
-    __slots__ = ("poi_ids", "grade_sums", "counts", "raws")
+    __slots__ = ("poi_ids", "grade_sums", "counts")
 
     def __init__(
         self,
         poi_ids: Iterable[int],
         grade_sums: Iterable[float],
         counts: Iterable[int],
-        raws: Iterable[bytes],
     ) -> None:
         self.poi_ids = array("Q", poi_ids)
         self.grade_sums = array("d", grade_sums)
         self.counts = array("I", counts)
-        self.raws = tuple(raws)
 
 
 class POIAttrTable(dict):
     """``poi_id -> (name, lat, lon, frozenset(lower-cased keywords))``:
     every row a clean invocation parsed, in any region and either
-    coprocessor mode.  Replicated POI attributes are per-POI constants
-    (DESIGN.md §7), so rows outlive seqid moves; :meth:`RegionScanCache.
-    clear` drops them.  Read with plain ``get``; a write to a full
-    table empties it first (never more than ``max_entries`` rows, and
-    a drifting POI population cannot pin dead ones).
+    coprocessor mode, plus ``payloads``: ``poi_id ->`` the first raw
+    visit payload a scan met for the POI (the ``cell.value`` object the
+    memstore or store file held — no copy).  Replicated POI attributes
+    are per-POI constants (DESIGN.md §7), so one payload stands for
+    every visit of its POI, and rows and payloads outlive seqid moves,
+    flushes and compactions.  Read with plain ``get``; a row the table
+    lacks is decoded from its payload.
+
+    Never emptied: :meth:`RegionScanCache.clear` and an overflow bind a
+    fresh table instead, so an invocation that holds this one keeps
+    finding every payload and row it found before.
 
     ``by_keyword`` indexes the rows: keyword -> the ids of the POIs
     whose row holds it.  Rows and postings change together under the
     lock, postings first, so a reader that finds a row finds the POI in
-    the index it bound before looking.  A clear empties the rows, then
-    binds a fresh index: a posting set a reader still holds is never
-    emptied."""
+    the index."""
 
-    __slots__ = ("max_entries", "_lock", "by_keyword")
+    __slots__ = ("_lock", "by_keyword", "payloads")
 
-    def __init__(self, max_entries: int) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.max_entries = max_entries
         self._lock = threading.RLock()
         self.by_keyword: Dict[str, Set[int]] = {}
+        #: Written by scans without the lock: one plain dict store per
+        #: POI, and any payload of a POI serves.
+        self.payloads: Dict[int, bytes] = {}
 
     def __setitem__(self, poi_id: int, attrs: tuple) -> None:
         with self._lock:
-            if len(self) >= self.max_entries:
-                self.clear()
             index = self.by_keyword
             old = dict.get(self, poi_id)
             old_keywords = old[3] if old is not None else frozenset()
@@ -145,11 +148,6 @@ class POIAttrTable(dict):
             for keyword in old_keywords - attrs[3]:
                 index[keyword].discard(poi_id)
 
-    def clear(self) -> None:
-        with self._lock:
-            super().clear()
-            self.by_keyword = {}
-
 
 class Generation:
     """What is cached for one region, as of one journal mark.
@@ -159,15 +157,19 @@ class Generation:
     new mark.  An invocation therefore holds "the entries as of the mark
     my lookup reached"; ``entries`` identity says the wrappers belong to
     one opening of the region, which :meth:`RegionScanCache.store`
-    checks before it reconciles from the first wrapper's mark.
+    checks before it reconciles from the first wrapper's mark.  The
+    invocation reads and writes the POI attribute table the generation
+    carries, so the table it decodes from is the one its entries'
+    payloads went to.
     """
 
-    __slots__ = ("mark", "entries", "owners", "overflows")
+    __slots__ = ("mark", "entries", "owners", "overflows", "poi_attrs")
 
     def __init__(
         self,
         mark: int,
         overflows: int,
+        poi_attrs: POIAttrTable,
         entries: Optional[Dict[Tuple, FriendPartial]] = None,
         owners: Optional[Dict[Any, List[Tuple]]] = None,
     ) -> None:
@@ -187,6 +189,10 @@ class Generation:
         #: (one per window), so a write evicts its owner's entries
         #: without walking the others.
         self.owners: Dict[Any, List[Tuple]] = {} if owners is None else owners
+        #: The POI attribute table bound when the generation was
+        #: opened: it holds a payload of every POI ``entries`` names,
+        #: and no generation outlives its table's binding.
+        self.poi_attrs = poi_attrs
 
 
 class RegionScanCache:
@@ -197,7 +203,10 @@ class RegionScanCache:
     max_entries:
         Bound on the total number of :class:`FriendPartial` entries
         across all generations; least-recently-used generations are
-        evicted whole on overflow.  Also bounds ``poi_attrs``' rows.
+        evicted whole on overflow.  Also bounds ``poi_attrs``: the
+        first lookup that finds it holding this many payloads binds a
+        fresh table and drops every generation (a drifting POI
+        population cannot pin dead ones).
     metrics:
         Optional duck-typed ``PlatformMetrics``: evictions and
         invalidations are reported as ``cache.evictions`` /
@@ -221,8 +230,9 @@ class RegionScanCache:
         self._generations: "OrderedDict[int, Generation]" = OrderedDict()
         #: Total entries across generations (kept <= ``max_entries``).
         self._size = 0
-        #: Read and written by invocations without the cache lock.
-        self.poi_attrs = POIAttrTable(max_entries)
+        #: Bound under the lock; its rows and payloads are read and
+        #: written by invocations without it.
+        self.poi_attrs = POIAttrTable()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -241,9 +251,10 @@ class RegionScanCache:
 
         None when there is nothing to hand out — the region was never
         queried, or it no longer enumerates the writes since the mark
-        (a structural event, see ``Region.written_since``): a fresh
-        empty generation replaces whatever was there, and the caller
-        has nothing to read and is not admitted to fill.
+        (a structural event, see ``Region.written_since``), or a full
+        POI attribute table was just replaced: a fresh empty generation
+        replaces whatever was there, and the caller has nothing to read
+        and is not admitted to fill.
 
         ``region`` is duck-typed: ``region_id``, ``journal_mark()``,
         ``written_since(mark)``, ``journal_overflows``.
@@ -251,6 +262,8 @@ class RegionScanCache:
         region_id = region.region_id
         evicted = dropped = 0
         with self._lock:
+            if len(self.poi_attrs.payloads) >= self.max_entries:
+                dropped = self._replace_table()
             generation = self._generations.get(region_id)
             rows = (
                 region.written_since(generation.mark)
@@ -259,11 +272,12 @@ class RegionScanCache:
             )
             if rows is None:
                 if generation is not None:
-                    dropped = self._invalidate((region_id,))
+                    dropped += self._invalidate((region_id,))
                     if region.journal_overflows != generation.overflows:
                         self._journal_overflows += 1
                 self._generations[region_id] = Generation(
-                    region.journal_mark(), region.journal_overflows
+                    region.journal_mark(), region.journal_overflows,
+                    self.poi_attrs,
                 )
                 generation = None
             else:
@@ -273,6 +287,7 @@ class RegionScanCache:
                     generation = self._generations[region_id] = Generation(
                         generation.mark + len(rows),
                         generation.overflows,
+                        generation.poi_attrs,
                         generation.entries,
                         generation.owners,
                     )
@@ -347,11 +362,12 @@ class RegionScanCache:
         return removed
 
     def clear(self) -> int:
-        """Drop everything, POI attribute rows included; returns the
-        number of entries removed."""
-        self.poi_attrs.clear()
+        """Drop everything: every generation, and the POI attribute
+        table's rows and payloads (a fresh table is bound; invocations
+        holding the old one keep reading it whole).  Returns the number
+        of entries removed."""
         with self._lock:
-            removed = self._invalidate(list(self._generations))
+            removed = self._replace_table()
         self._emit("cache.invalidations", removed, _GENERATION_LABELS)
         return removed
 
@@ -360,7 +376,8 @@ class RegionScanCache:
         enumerate the writes since the generation's mark: no lookup
         will accept them again.  A written region whose journal still
         reaches back to the mark keeps its entries — the next lookup
-        evicts the written friends' and serves the rest.  The
+        evicts the written friends' and serves the rest — and so does
+        a flushed or compacted one.  The
         scheduler's ``cache_maintenance`` job calls this so memory is
         not held by dead entries.  Returns the number dropped."""
         with self._lock:
@@ -375,6 +392,13 @@ class RegionScanCache:
             removed = self._invalidate(superseded)
         self._emit("cache.invalidations", removed, _GENERATION_LABELS)
         return removed
+
+    def _replace_table(self) -> int:
+        """Bind a fresh POI attribute table and drop every generation —
+        they rely on the old one; caller holds the lock.  Returns the
+        entries removed."""
+        self.poi_attrs = POIAttrTable()
+        return self._invalidate(list(self._generations))
 
     def _evict_owners(self, generation: Generation, owners: Iterable) -> int:
         """Drop every entry (all windows) of the given owners from the

@@ -986,10 +986,6 @@ class HBaseCluster:
         for table in self._tables.values():
             table.flush()
 
-    def compact_all(self) -> None:
-        for table in self._tables.values():
-            table.compact()
-
     def fail_node(self, node_id: int) -> List[int]:
         """Simulate a region-server death: the node's regions move to
         the survivors and subsequent queries run at reduced capacity.

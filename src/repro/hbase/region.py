@@ -26,9 +26,9 @@ _region_ids = itertools.count()
 #: written_since`).  A reader catching up pays one owner eviction per
 #: journaled row and a cold refill pays one fold per stored cell, so
 #: past about a region's worth of cells (~6000 in the benchmark shape)
-#: enumerating stops being cheaper than starting over; 4096 row
-#: references are 32 KB a region, below the 4 MB memstore flush that
-#: resets the journal anyway.  A constant: nothing varies it.
+#: enumerating stops being cheaper than starting over.  Flushes and
+#: compactions keep the journal, so this bound alone caps it: 4096 row
+#: references are 32 KB a region.  A constant: nothing varies it.
 JOURNAL_MAX = 4096
 
 
@@ -84,11 +84,10 @@ class Region:
         #: tie-breaker when callers put twice at the same timestamp.
         self.write_count = 0
         #: Monotonic data sequence id: bumped by every mutation that can
-        #: change what a reader observes *or* reorganizes storage — puts
-        #: (including tombstones), bulk loads, flushes, minor/major
-        #: compactions, TTL cutoff changes, crashes and replays.  (Not
-        #: the seal of staged runs: the load counted, and a seal bump
-        #: would void the cache fill whose scan triggered it.)
+        #: change what a reader observes — puts (including tombstones),
+        #: bulk loads, TTL cutoff changes, crashes and replays.  Not by
+        #: what only reorganizes storage: flushes, compactions and the
+        #: seal of staged runs change no scan's answer.
         #: A scan-cache reader captures it before its lookup and looks
         #: up again before its next probe once it moves.  Only ever bumped
         #: under ``_journal_lock``, after the mutation it announces is
@@ -98,9 +97,9 @@ class Region:
         #: applied since the last *structural* event, in journal order,
         #: aliasing the memstore's ``cell.row`` objects.  Position
         #: ``_journal_start + i`` of the region's lifetime write stream
-        #: is ``_journal[i]``; a structural event (flush, compaction,
-        #: bulk load, crash, replay, TTL change, overflow) empties it
-        #: and moves the start past every mark handed out so far.
+        #: is ``_journal[i]``; a structural event (bulk load, crash,
+        #: replay, TTL change, overflow) empties it and moves the start
+        #: past every mark handed out so far.
         self._journal: List[bytes] = []
         self._journal_start = 0
         self._journal_lock = threading.Lock()
@@ -299,9 +298,9 @@ class Region:
             self.data_seqid += len(rows)
 
     def _restructured(self, writes: int = 0) -> None:
-        """A structural event is readable: storage was reorganized or
-        changed in a way no list of rows describes (``writes`` cells
-        arrived with it).  Every journal mark so far stops resolving."""
+        """A structural event is readable: what a scan returns changed
+        in a way no list of rows describes (``writes`` cells arrived
+        with it).  Every journal mark so far stops resolving."""
         with self._journal_lock:
             self._reset_journal()
             self.write_count += writes
@@ -348,6 +347,10 @@ class Region:
 
         A *full* flush (no family argument) leaves nothing unflushed, so
         the WAL — if attached — can truncate everything logged so far.
+        Not a structural event: the file is added before the memstore
+        is emptied, and readers take the memstore before the files, so
+        a concurrent scan sees every cell (at worst twice, which the
+        merge collapses); the journal and ``data_seqid`` stay put.
         """
         targets = [family] if family else self.families
         for fam in targets:
@@ -357,7 +360,6 @@ class Region:
             files = self._files(fam)
             files.append(StoreFile(store.snapshot()))
             store.clear()
-            self._restructured()
             if 0 < self.minor_compaction_threshold <= len(files):
                 self.minor_compact(fam)
         if family is None and self.wal is not None:
@@ -367,13 +369,14 @@ class Region:
         """Size-tiered minor compaction: merge this family's store files
         into one run *without* dropping tombstones or old versions —
         deletes must survive until a major compaction, because an older
-        shadowed put may still sit in another (future) file."""
+        shadowed put may still sit in another (future) file.  Swaps the
+        file list whole, so a scan reads the old files or the new one;
+        not a structural event."""
         files = self._files(family)
         if len(files) <= 1:
             return
         cells, keys = merge_keyed_runs([sf.cells() for sf in files])
         self._store_files[family] = [StoreFile(cells, keys=keys)]
-        self._restructured()
 
     def crash(self) -> int:
         """Lose the memstores, as a region-server crash does.
@@ -424,7 +427,10 @@ class Region:
 
     def compact(self, family: Optional[str] = None) -> None:
         """Major compaction: merge all runs, apply tombstones, keep only
-        the newest version of each cell."""
+        the newest version of each cell.  What it drops no scan returned
+        (shadowed, deleted or past the TTL horizon), and the new file
+        is in place before the memstore is emptied (see :meth:`flush`):
+        not a structural event."""
         targets = [family] if family else self.families
         for fam in targets:
             runs: List[List[Cell]] = [sf.cells() for sf in self._files(fam)]
@@ -448,9 +454,8 @@ class Region:
                 if survivors and survivors[-1].coordinates() == coords:
                     continue  # older version of an already-kept cell
                 survivors.append(cell)
-            self._memstore(fam).clear()
             self._store_files[fam] = [StoreFile(survivors)] if survivors else []
-            self._restructured()
+            self._memstore(fam).clear()
 
     # ------------------------------------------------------------- reads
 
@@ -615,13 +620,16 @@ class Region:
         # writes meanwhile never shift it), merged in one materialized
         # pass; the cells then stream through dedup/tombstone/filter
         # logic to the caller.  Oldest file first and the memstore
-        # (newest) last: later runs win exact ties.
+        # (newest) last: later runs win exact ties.  The memstore is
+        # read first: a flush or compaction adds its file before it
+        # empties the memstore, so no cell falls between the two reads.
+        newest = self._memstore(family).scan(start_row, stop_row)
         runs = [
             sf.scan(start_row, stop_row)
             for sf in self._files(family)
             if sf.overlaps_range(start_row, stop_row)
         ]
-        runs.append(self._memstore(family).scan(start_row, stop_row))
+        runs.append(newest)
         merged = merge_sorted_runs(runs)
 
         # Dedup/tombstone state is tracked with three scalars instead of
@@ -699,7 +707,14 @@ class Region:
     ) -> Optional[List[Cell]]:
         """The range's cells if every run holding any is plain and no
         two of their row ranges interleave; None when the runs have to
-        be merged."""
+        be merged.  The memstore is read before the files, as in
+        :meth:`scan`."""
+        newest: List[Cell] = []
+        store = self._memstore(family)
+        if store.size_bytes:  # else not written since the load: no lock
+            newest, plain = store.slice(start_row, stop_row)
+            if newest and not plain:
+                return None
         joined: Optional[List[Cell]] = []
         for sf in self._files(family):
             cells = sf.scan(start_row, stop_row)
@@ -709,13 +724,8 @@ class Region:
                 joined = _join(joined, cells) if joined else cells
                 if joined is None:
                     return None
-        store = self._memstore(family)
-        if store.size_bytes:  # else not written since the load: no lock
-            cells, plain = store.slice(start_row, stop_row)
-            if cells:
-                if not plain:
-                    return None
-                joined = _join(joined, cells) if joined else cells
+        if newest:
+            joined = _join(joined, newest) if joined else newest
         return joined
 
     # ------------------------------------------------------------ sizing

@@ -11,7 +11,6 @@ from __future__ import annotations
 import bisect
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from ..errors import IndexError_
 from ..geo import BoundingBox, GeoPoint, RTree
 
 
@@ -133,16 +132,6 @@ class OrderedIndex:
     def iter_sorted(self, reverse: bool = False) -> Iterator[Tuple[Any, int]]:
         """(key, rid) pairs in key order — supports ORDER BY pushdown."""
         return iter(reversed(self._pairs)) if reverse else iter(self._pairs)
-
-    def min_key(self) -> Any:
-        if not self._pairs:
-            raise IndexError_("index on %r is empty" % self.column)
-        return self._pairs[0][0]
-
-    def max_key(self) -> Any:
-        if not self._pairs:
-            raise IndexError_("index on %r is empty" % self.column)
-        return self._pairs[-1][0]
 
     def __len__(self) -> int:
         return len(self._pairs)

@@ -87,9 +87,6 @@ class TableSchema:
                 "table %r has no column %r" % (self.name, name)
             ) from None
 
-    def column_names(self) -> List[str]:
-        return [c.name for c in self.columns]
-
     def validate_row(self, row: Dict[str, Any]) -> Dict[str, Any]:
         """Return a complete, validated row dict.
 

@@ -48,7 +48,7 @@ def test_a_filtered_region_reads_rows_for_keyword_survivors_only(
         platform.load_visits(generate_visits(
             range(1, len(FRIENDS) + 1), pois, seed=21, mean=8.0, std=3.0
         ))
-        platform.hbase.scan_cache.poi_attrs = SpyTable(65536)
+        platform.hbase.scan_cache.poi_attrs = SpyTable()
         monkeypatch.setattr(
             VisitScanCoprocessor, "select", staticmethod(counted_select)
         )

@@ -3,15 +3,19 @@
 The point of the write journal (DESIGN.md §7.1) is that a write costs
 the next query the written friend's cells and nothing else — and a
 write that lands while a query folds the region costs that query
-nothing.  A change that quietly widens the unit of invalidation back to
-the region — or lets the journal grow without bound, or drops a fold's
-reads and fills when a write races it — keeps every answer right and
-every oracle green, so the work itself is counted: through the whole
-production stack, writes arriving by the ingest tier or, inside a fold,
-by the synchronous store.
+nothing, and a flush or compaction after it costs nothing more.  A
+change that quietly widens the unit of invalidation back to the region
+— or lets the journal grow without bound, drops a fold's reads and
+fills when a write races it, or drops a region's entries when its
+storage is reorganized — keeps every answer right and every oracle
+green, so the work itself is counted: through the whole production
+stack, writes arriving by the ingest tier or, inside a fold, by the
+synchronous store.
 """
 
 import contextlib
+
+import pytest
 
 from repro.config import PlatformConfig
 from repro.core.modules.query_answering import SearchQuery
@@ -161,4 +165,45 @@ def test_a_write_inside_a_fold_costs_that_query_nothing():
         )
         assert _rows(after) == _rows(w.uncached(w.query))
         again = w.platform.search(w.query)
+        assert (again.cache_misses, again.records_scanned) == (0, 0)
+
+
+#: What reorganizes every region's storage after the writes: a flush
+#: (memstore to a second file), a flush and the minor compaction that
+#: merges the two files, or a major compaction of memstore and file.
+MAINTENANCE = {
+    "flush": lambda region: region.flush(),
+    "minor_compact": lambda region: (
+        region.flush(), region.minor_compact(FAMILY)
+    ),
+    "major_compact": lambda region: region.compact(),
+}
+
+
+@pytest.mark.parametrize("maintenance", sorted(MAINTENANCE))
+def test_a_flush_or_compaction_after_writes_costs_only_the_written_friends(
+    maintenance,
+):
+    """k friends are written, then every region's storage is
+    reorganized.  That changes no scan's answer, so the next query
+    pays exactly the written friends' cells — not a refill of every
+    region — and the query after it nothing."""
+    with _warm() as w:
+        platform, query = w.platform, w.query
+        regions = w.repo.table.regions
+        written = FRIENDS[5::37]
+        platform.ingest_visits([w.write(friend) for friend in written])
+        assert platform.ingest.drain()
+        for region in regions:
+            MAINTENANCE[maintenance](region)
+            assert region.store_file_count(FAMILY) == (
+                2 if maintenance == "flush" else 1
+            )
+            assert len(region._memstores[FAMILY]) == 0
+        after = platform.search(query)
+        assert (after.cache_misses, after.records_scanned) == (
+            len(written), w.cells_of(written)
+        )
+        assert _rows(after) == _rows(w.uncached(query))
+        again = platform.search(query)
         assert (again.cache_misses, again.records_scanned) == (0, 0)

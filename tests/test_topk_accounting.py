@@ -227,7 +227,6 @@ def deadline_streams():
                 pid,
                 float((pid * (7 + region_id)) % 41) + 1.0,
                 1 + (pid + region_id) % 3,
-                None,
             )
             for pid in range(1 + 5 * region_id, 31 + 5 * region_id)
         )

@@ -598,7 +598,7 @@ class TestTopKInteractions:
         """Unit-level distinguishability on the stream itself: the same
         short-circuit mechanism records *why* emission stopped."""
         aggregates = PartialAggregates.from_rows(
-            (pid, float(10 - pid), 1, None) for pid in range(1, 6)
+            (pid, float(10 - pid), 1) for pid in range(1, 6)
         )
         attrs = {pid: ("p%d" % pid, 0.0, 0.0, ()) for pid in range(1, 6)}
 
@@ -626,7 +626,7 @@ class TestTopKInteractions:
         streams = []
         for region_id in range(3):
             aggregates = PartialAggregates.from_rows(
-                (pid, float(50 - pid), 1, None) for pid in range(1, 40)
+                (pid, float(50 - pid), 1) for pid in range(1, 40)
             )
             token = CancellationToken(
                 deadline_ms=1.0, cost_per_record_ms=1.0

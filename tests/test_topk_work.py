@@ -38,7 +38,7 @@ def region_streams(hotness, bbox=None, wanted=None, seed=3):
     (``VisitScanCoprocessor.select``, its Python-level calls counted
     into ``python_calls``)."""
     rng = random.Random(seed)
-    table = POIAttrTable(REGIONS * POIS_PER_REGION)
+    table = POIAttrTable()
     streams = []
     for region_id in range(REGIONS):
         aggregates = PartialAggregates()
